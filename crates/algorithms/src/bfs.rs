@@ -36,7 +36,7 @@
 //! `tests/fused_pipelines.rs`), fusion just skips the intermediate writes
 //! (`fused_saved_writes` in the counters).
 
-use graphblas_core::descriptor::{Descriptor, Direction, ShardPolicy};
+use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::ops::{BoolOrAnd, BoolStructure, Semiring};
 use graphblas_core::vector::Vector;
@@ -98,11 +98,6 @@ pub struct BfsOpts {
     /// [`try_bfs_with_opts`]. The infallible entry points ignore this
     /// field — they cannot surface an abort.
     pub limits: ExecLimits,
-    /// Cache-blocked shard-grid policy each level's kernels run under
-    /// (default [`ShardPolicy::Off`], the proptested oracle). Sharding
-    /// never changes results or access counters — only memory locality
-    /// and the `shard_merges`/`cross_shard_writes` telemetry.
-    pub shards: ShardPolicy,
 }
 
 impl Default for BfsOpts {
@@ -121,7 +116,6 @@ impl Default for BfsOpts {
             bit_kernels: true,
             cost_model: false,
             limits: ExecLimits::none(),
-            shards: ShardPolicy::Off,
         }
     }
 }
@@ -146,15 +140,7 @@ impl BfsOpts {
             bit_kernels: false,
             cost_model: false,
             limits: ExecLimits::none(),
-            shards: ShardPolicy::Off,
         }
-    }
-
-    /// Builder: set the shard-grid policy (see [`BfsOpts::shards`]).
-    #[must_use]
-    pub fn shard_policy(mut self, p: ShardPolicy) -> Self {
-        self.shards = p;
-        self
     }
 
     /// Builder: toggle the fused pipeline (see [`BfsOpts::fused`]).
@@ -378,8 +364,7 @@ where
         .early_exit(opts.early_exit)
         .structure_only(opts.structure_only)
         .switch_threshold(opts.switch_threshold)
-        .bit_kernels(opts.bit_kernels)
-        .shard_policy(opts.shards);
+        .bit_kernels(opts.bit_kernels);
 
     loop {
         let t0 = opts.record_trace.then(Instant::now);

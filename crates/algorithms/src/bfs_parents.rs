@@ -20,7 +20,7 @@
 //! traffic. This per-row exit is expressible only in the fused form: the
 //! standalone kernel cannot know the input's values encode its indices.
 
-use graphblas_core::descriptor::{Descriptor, Direction, ShardPolicy};
+use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::ops::MinSecond;
 use graphblas_core::vector::Vector;
@@ -57,9 +57,6 @@ pub struct ParentBfsOpts {
     /// Execution limits enforced by [`try_bfs_parents_with_opts`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
-    /// Cache-blocked shard-grid policy each level's kernels run under
-    /// (default off, the oracle). Result- and counter-invariant.
-    pub shards: ShardPolicy,
 }
 
 impl Default for ParentBfsOpts {
@@ -71,7 +68,6 @@ impl Default for ParentBfsOpts {
             format: FormatPolicy::auto(),
             bit_kernels: true,
             limits: ExecLimits::none(),
-            shards: ShardPolicy::Off,
         }
     }
 }
@@ -143,8 +139,7 @@ fn parent_bfs_loop(
     let mut levels = 0usize;
     let base = Descriptor::new()
         .transpose(true)
-        .bit_kernels(opts.bit_kernels)
-        .shard_policy(opts.shards);
+        .bit_kernels(opts.bit_kernels);
 
     loop {
         levels += 1;

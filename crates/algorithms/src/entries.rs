@@ -259,8 +259,7 @@ pub fn multi_source_bfs_entries(
         Some(d) => Descriptor::new().transpose(true).force(d),
         None => Descriptor::new().transpose(true),
     }
-    .bit_kernels(opts.bit_kernels)
-    .shard_policy(opts.shards);
+    .bit_kernels(opts.bit_kernels);
     let mut fpol = opts.format;
 
     let mut alive: Vec<usize> = (0..k).collect();
@@ -380,8 +379,7 @@ pub fn bfs_parents_entries(
 
     let base_desc = Descriptor::new()
         .transpose(true)
-        .bit_kernels(opts.bit_kernels)
-        .shard_policy(opts.shards);
+        .bit_kernels(opts.bit_kernels);
     let mut fpol = opts.format;
 
     let mut alive: Vec<usize> = (0..k).collect();
@@ -501,7 +499,7 @@ pub fn sssp_entries(
     let mut rounds = vec![0usize; k];
     let mut pull_rounds = vec![0usize; k];
 
-    let base_desc = Descriptor::new().transpose(true).shard_policy(opts.shards);
+    let base_desc = Descriptor::new().transpose(true);
     let mut fpol = opts.format;
 
     let mut alive: Vec<usize> = (0..k).collect();

@@ -16,7 +16,7 @@
 //! this path); `tests/prop_core.rs` pins that a batch is bit-identical —
 //! depths *and* access counters — to `k` independent single-source runs.
 
-use graphblas_core::descriptor::{Descriptor, Direction, ShardPolicy};
+use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::ops::BoolStructure;
 use graphblas_core::ops_mxv_batch::mxv_batch;
@@ -49,9 +49,6 @@ pub struct MsBfsOpts {
     /// Execution limits enforced by [`try_multi_source_bfs_with_opts`];
     /// the infallible entry points ignore this field.
     pub limits: ExecLimits,
-    /// Cache-blocked shard-grid policy the batch's push face runs under
-    /// (default off, the oracle). Result- and counter-invariant.
-    pub shards: ShardPolicy,
 }
 
 impl Default for MsBfsOpts {
@@ -62,7 +59,6 @@ impl Default for MsBfsOpts {
             format: FormatPolicy::auto(),
             bit_kernels: true,
             limits: ExecLimits::none(),
-            shards: ShardPolicy::Off,
         }
     }
 }
@@ -155,8 +151,7 @@ fn msbfs_loop(
         Some(d) => Descriptor::new().transpose(true).force(d),
         None => Descriptor::new().transpose(true),
     }
-    .bit_kernels(opts.bit_kernels)
-    .shard_policy(opts.shards);
+    .bit_kernels(opts.bit_kernels);
     let mut fpol = opts.format;
 
     let mut alive: Vec<usize> = (0..k).collect();

@@ -13,7 +13,7 @@
 //! distance vector (row kernel) — valid because min is idempotent, the same
 //! argument that makes operand reuse sound for BFS.
 
-use graphblas_core::descriptor::{Descriptor, Direction, ShardPolicy};
+use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::ops::MinPlus;
 use graphblas_core::vector::Vector;
 use graphblas_core::{
@@ -42,9 +42,6 @@ pub struct SsspOpts {
     /// Execution limits enforced by [`try_sssp_with_counters`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
-    /// Cache-blocked shard-grid policy each round's kernels run under
-    /// (default off, the oracle). Result- and counter-invariant.
-    pub shards: ShardPolicy,
 }
 
 impl Default for SsspOpts {
@@ -56,7 +53,6 @@ impl Default for SsspOpts {
             fused: true,
             format: FormatPolicy::auto(),
             limits: ExecLimits::none(),
-            shards: ShardPolicy::Off,
         }
     }
 }
@@ -124,14 +120,8 @@ fn sssp_loop(
     let mut rounds = 0usize;
     let mut pull_rounds = 0usize;
     let mut fpol = opts.format;
-    let base_push = Descriptor::new()
-        .transpose(true)
-        .force(Direction::Push)
-        .shard_policy(opts.shards);
-    let base_pull = Descriptor::new()
-        .transpose(true)
-        .force(Direction::Pull)
-        .shard_policy(opts.shards);
+    let base_push = Descriptor::new().transpose(true).force(Direction::Push);
+    let base_pull = Descriptor::new().transpose(true).force(Direction::Pull);
 
     while rounds < max_rounds {
         rounds += 1;

@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! 1. column-kernel merge strategy — radix sort (§6.2) vs heap k-way merge
-//!    (§3.1);
+//! 1. column-kernel merge strategy — radix sort (§6.2) vs per-worker SPAs
+//!    vs bitmask culling (§7.3);
 //! 2. key-only vs key-value sort in the expansion (structure-only, §5.5);
 //! 3. masked row kernel with the amortized active list (§3.2) vs plain
 //!    dense bit scan;
@@ -38,7 +38,6 @@ fn bench_merge_strategy(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
     for (name, strategy) in [
         ("radix_sort", MergeStrategy::SortBased),
-        ("heap_merge", MergeStrategy::HeapMerge),
         ("spa_merge", MergeStrategy::SpaMerge),
     ] {
         let desc = Descriptor::new()

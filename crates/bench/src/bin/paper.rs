@@ -8,12 +8,11 @@
 //! ```
 //!
 //! Experiments: `table1` `table2` `table3` `fig2` `fig5` `fig6` `fig7`
-//! `heuristic` `scaling` `batched` `serve` `formats` `bitfrontier` `shards`
-//! `chaos` `validate` `all`. `bench-all` regenerates exactly the
-//! machine-readable `BENCH_*.json` artifacts (scaling, batched, serve,
-//! formats, bitfrontier, shards, and — when built with
-//! `--features fault-injection` — the chaos study). CSVs land in `--out`
-//! (default `results/`).
+//! `heuristic` `scaling` `batched` `serve` `formats` `bitfrontier` `chaos`
+//! `validate` `all`. `bench-all` regenerates exactly the machine-readable
+//! `BENCH_*.json` artifacts (scaling, batched, serve, formats, bitfrontier,
+//! and — when built with `--features fault-injection` — the chaos study).
+//! CSVs land in `--out` (default `results/`).
 //!
 //! `--shrink N` divides every dataset's vertex count by 2^N (default 6;
 //! 0 regenerates paper-scale graphs). `--sources N` sets the number of BFS
@@ -24,7 +23,7 @@ use graphblas_bench::engines::figure7_lineup;
 use graphblas_bench::report::{f, Json, Table};
 use graphblas_bench::study::{
     batched_study, bitfrontier_study, formats_study, matvec_variant_sweep, per_level_study,
-    random_sources, shards_study, thread_scaling_study, time_bfs,
+    random_sources, thread_scaling_study, time_bfs,
 };
 use graphblas_bench::{geomean, median, mteps, time_ms};
 use graphblas_core::descriptor::Direction;
@@ -84,7 +83,6 @@ fn main() {
         "serve" => serve(&cfg),
         "formats" => formats(&cfg),
         "bitfrontier" => bitfrontier(&cfg),
-        "shards" => shards(&cfg),
         "chaos" => chaos(&cfg),
         "validate" => validate(&cfg),
         "bench-all" => {
@@ -94,7 +92,6 @@ fn main() {
             serve(&cfg);
             formats(&cfg);
             bitfrontier(&cfg);
-            shards(&cfg);
             if cfg!(feature = "fault-injection") {
                 chaos(&cfg);
             } else {
@@ -123,7 +120,7 @@ fn main() {
             eprintln!(
                 "unknown experiment `{other}`; expected one of: \
                  table1 table2 table3 fig2 fig5 fig6 fig7 heuristic scaling batched serve \
-                 formats bitfrontier shards chaos validate bench-all all"
+                 formats bitfrontier chaos validate bench-all all"
             );
             std::process::exit(2);
         }
@@ -1063,97 +1060,6 @@ fn bitfrontier(cfg: &Config) {
     match doc.write_file(&cfg.out, "BENCH_bitfrontier.json") {
         Ok(p) => eprintln!("[bitfrontier] wrote {}", p.display()),
         Err(e) => eprintln!("[bitfrontier] could not write BENCH_bitfrontier.json: {e}"),
-    }
-}
-
-/// Sharded 2D tile execution study: cache-blocked push (stripe-local SPA
-/// merges, no global merge barrier) and pull (tile-streamed) matvecs over
-/// each shard grid vs the unsharded oracle, per dataset. Every arm is
-/// equivalence-gated — identical values and identical charged accesses —
-/// before anything is timed, so sharding can only move wall clock. Emits
-/// the machine-readable `BENCH_shards.json` companion artifact.
-fn shards(cfg: &Config) {
-    const GRIDS: [(u32, u32); 3] = [(1, 4), (2, 4), (4, 8)];
-    let mut t = Table::new(
-        "Sharded tile execution — push/pull vs the unsharded oracle",
-        &[
-            "Dataset",
-            "grid",
-            "push ms",
-            "base push ms",
-            "pull ms",
-            "base pull ms",
-            "push acc",
-            "base push acc",
-            "merges",
-            "x-stripe",
-        ],
-    );
-    let mut dataset_objs: Vec<Json> = Vec::new();
-    for Dataset { name, graph, .. } in suite(cfg.shrink, cfg.seed) {
-        if let Some(only) = &cfg.dataset {
-            if only != name {
-                continue;
-            }
-        }
-        eprintln!(
-            "[shards] {name}: {} vertices, {} edges",
-            graph.n_vertices(),
-            graph.n_edges()
-        );
-        let s = shards_study(&graph, &GRIDS, 3, cfg.seed);
-        let mut grid_objs: Vec<Json> = Vec::new();
-        for arm in &s.arms {
-            t.row(vec![
-                name.to_string(),
-                format!("{}x{}", arm.grid.0, arm.grid.1),
-                f(arm.push_ms),
-                f(s.unsharded_push_ms),
-                f(arm.pull_ms),
-                f(s.unsharded_pull_ms),
-                arm.push_total.to_string(),
-                s.unsharded_push_total.to_string(),
-                arm.shard_merges.to_string(),
-                arm.cross_shard_writes.to_string(),
-            ]);
-            grid_objs.push(Json::Obj(vec![
-                ("grid_rows", Json::Int(u64::from(arm.grid.0))),
-                ("grid_cols", Json::Int(u64::from(arm.grid.1))),
-                ("push_ms", Json::Num(arm.push_ms)),
-                ("pull_ms", Json::Num(arm.pull_ms)),
-                ("push_total", Json::Int(arm.push_total)),
-                ("pull_total", Json::Int(arm.pull_total)),
-                ("shard_merges", Json::Int(arm.shard_merges)),
-                ("cross_shard_writes", Json::Int(arm.cross_shard_writes)),
-            ]));
-        }
-        dataset_objs.push(Json::Obj(vec![
-            ("name", Json::Str(name.to_string())),
-            ("vertices", Json::Int(graph.n_vertices() as u64)),
-            ("edges", Json::Int(graph.n_edges() as u64)),
-            ("unsharded_push_ms", Json::Num(s.unsharded_push_ms)),
-            ("unsharded_pull_ms", Json::Num(s.unsharded_pull_ms)),
-            ("unsharded_push_total", Json::Int(s.unsharded_push_total)),
-            ("unsharded_pull_total", Json::Int(s.unsharded_pull_total)),
-            ("grids", Json::Arr(grid_objs)),
-        ]));
-    }
-    t.print();
-    println!(
-        "every sharded arm is equivalence-gated against the unsharded oracle\n\
-         (identical values, identical charged accesses) before timing; merges\n\
-         and x-stripe are telemetry outside the charged total, so `push acc`\n\
-         never exceeds `base push acc` by construction."
-    );
-    let _ = t.write_csv(&cfg.out, "shards_study");
-    let doc = Json::Obj(vec![
-        ("shrink", Json::Int(u64::from(cfg.shrink))),
-        ("seed", Json::Int(cfg.seed)),
-        ("datasets", Json::Arr(dataset_objs)),
-    ]);
-    match doc.write_file(&cfg.out, "BENCH_shards.json") {
-        Ok(p) => eprintln!("[shards] wrote {}", p.display()),
-        Err(e) => eprintln!("[shards] could not write BENCH_shards.json: {e}"),
     }
 }
 

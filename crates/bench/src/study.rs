@@ -728,147 +728,6 @@ pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitFront
     }
 }
 
-/// One grid arm of the sharding study on one graph.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardArm {
-    /// Shard grid shape (row stripes × column stripes).
-    pub grid: (u32, u32),
-    /// Median sharded push matvec (sparse frontier, SPA merge), ms.
-    pub push_ms: f64,
-    /// Median sharded pull matvec (dense input, tile-streamed), ms.
-    pub pull_ms: f64,
-    /// Total charged accesses of the counted sharded push run.
-    pub push_total: u64,
-    /// Total charged accesses of the counted sharded pull run.
-    pub pull_total: u64,
-    /// Stripe-local merges recorded across the counted runs (telemetry,
-    /// outside the charged total).
-    pub shard_merges: u64,
-    /// Expansions that landed outside their source's home column stripe
-    /// (telemetry, outside the charged total).
-    pub cross_shard_writes: u64,
-}
-
-/// Result of the sharding study: the unsharded oracle plus one arm per
-/// grid shape.
-#[derive(Clone, Debug)]
-pub struct ShardsStudy {
-    /// Median unsharded push matvec wall time, ms.
-    pub unsharded_push_ms: f64,
-    /// Median unsharded pull matvec wall time, ms.
-    pub unsharded_pull_ms: f64,
-    /// Total charged accesses of the counted unsharded push run.
-    pub unsharded_push_total: u64,
-    /// Total charged accesses of the counted unsharded pull run.
-    pub unsharded_pull_total: u64,
-    /// One arm per requested grid, in input order.
-    pub arms: Vec<ShardArm>,
-}
-
-/// The sharding study: the standard scaling workload's push (sparse
-/// frontier through the SPA-merge kernel — the face whose global merge
-/// sharding replaces with stripe-local merges) and pull (dense input,
-/// tile-streamed) matvecs, unsharded vs each 2D shard grid.
-///
-/// Every arm is equivalence-gated before timing: sharded values and every
-/// charged access must match the unsharded oracle bit for bit (shard
-/// telemetry aside), so the artifact's "sharded push never charges more
-/// than unsharded" claim is an identity this gate enforces — the grids
-/// may only move wall clock.
-#[must_use]
-pub fn shards_study(
-    g: &Graph<bool>,
-    grids: &[(u32, u32)],
-    repeats: usize,
-    seed: u64,
-) -> ShardsStudy {
-    use graphblas_core::{MergeStrategy, ShardGrid};
-
-    let ScalingInputs {
-        dense_f,
-        sparse_f,
-        desc_pull,
-        desc_push,
-        ..
-    } = scaling_inputs(g, seed);
-    // Pin the push face to the SPA-merge kernel (the face sharding
-    // reworks) and keep the pull face off the bit-parallel arm so the
-    // tile-streaming traversal is the path under test.
-    let desc_push = desc_push.merge_strategy(MergeStrategy::SpaMerge);
-    let desc_pull = desc_pull.bit_kernels(false);
-
-    let run = |f: &Vector<bool>, desc: &Descriptor, c: Option<&AccessCounters>| -> Vector<bool> {
-        mxv(None, BoolOrAnd, g, f, desc, c).expect("dims")
-    };
-    let counted =
-        |f: &Vector<bool>, desc: &Descriptor| -> (Vec<(VertexId, bool)>, CounterSnapshot) {
-            let c = AccessCounters::new();
-            let out = run(f, desc, Some(&c));
-            (out.iter_explicit().collect(), c.snapshot())
-        };
-    let time_median = |f: &Vector<bool>, desc: &Descriptor| -> f64 {
-        let _ = run(f, desc, None); // warm-up
-        let times: Vec<f64> = (0..repeats.max(1))
-            .map(|_| time_ms(|| std::hint::black_box(run(f, desc, None))).1)
-            .collect();
-        median(&times)
-    };
-    let scrub = |mut s: CounterSnapshot| -> CounterSnapshot {
-        s.shard_merges = 0;
-        s.cross_shard_writes = 0;
-        s
-    };
-
-    let (push_oracle, push_snap) = counted(&sparse_f, &desc_push);
-    let (pull_oracle, pull_snap) = counted(&dense_f, &desc_pull);
-
-    let arms = grids
-        .iter()
-        .map(|&(rs, cs)| {
-            let grid = ShardGrid::new(rs, cs);
-            let dp = desc_push.shard_grid(grid);
-            let dl = desc_pull.shard_grid(grid);
-            let (push_vals, push_s) = counted(&sparse_f, &dp);
-            assert_eq!(
-                push_vals, push_oracle,
-                "sharded push {rs}x{cs} must match the unsharded oracle"
-            );
-            assert_eq!(
-                scrub(push_s),
-                scrub(push_snap),
-                "sharded push {rs}x{cs} must charge identical accesses"
-            );
-            let (pull_vals, pull_s) = counted(&dense_f, &dl);
-            assert_eq!(
-                pull_vals, pull_oracle,
-                "sharded pull {rs}x{cs} must match the unsharded oracle"
-            );
-            assert_eq!(
-                scrub(pull_s),
-                scrub(pull_snap),
-                "sharded pull {rs}x{cs} must charge identical accesses"
-            );
-            ShardArm {
-                grid: (rs, cs),
-                push_ms: time_median(&sparse_f, &dp),
-                pull_ms: time_median(&dense_f, &dl),
-                push_total: push_s.accesses_only().total(),
-                pull_total: pull_s.accesses_only().total(),
-                shard_merges: push_s.shard_merges + pull_s.shard_merges,
-                cross_shard_writes: push_s.cross_shard_writes + pull_s.cross_shard_writes,
-            }
-        })
-        .collect();
-
-    ShardsStudy {
-        unsharded_push_ms: time_median(&sparse_f, &desc_push),
-        unsharded_pull_ms: time_median(&dense_f, &desc_pull),
-        unsharded_push_total: push_snap.accesses_only().total(),
-        unsharded_pull_total: pull_snap.accesses_only().total(),
-        arms,
-    }
-}
-
 /// First-`k`-vertices induced subgraph (used to seed the hypersparse
 /// embedding from the workload graph's own edge structure).
 fn sub_graph(g: &Graph<bool>, k: usize, seed: u64) -> Graph<bool> {

@@ -6,12 +6,16 @@
 //! `BENCH_bitfrontier.json` — every dataset with at least 32 Ki vertices
 //! must report `bitmap_degrades == 0` and an engaged bit path.
 //!
-//! The serve artifact (`BENCH_serve.json`) is pinned the same way: the
-//! service must actually coalesce at k ≥ 4 (batches bigger than one,
-//! positive coalescing rate), keep latency percentiles monotone, beat the
-//! sequential-dispatch baseline on at least one coalesced scenario, and
-//! its abort probe — one expired-deadline request inside a coalesced
-//! batch — must report a typed abort with siblings bit-identical to solo.
+//! The serve artifact (`BENCH_serve.json`) is pinned in two tiers. Its
+//! deterministic fields — batch composition follows from the seeded trace
+//! alone — are pinned exactly: at k ≥ 4 the service must coalesce (batches
+//! bigger than one, positive coalescing rate), and its abort probe (one
+//! expired-deadline request inside a coalesced batch) must report a typed
+//! abort with siblings bit-identical to solo. Its machine fields (qps,
+//! latency) move with the host, so they only get sanity checks.
+//!
+//! Every `BENCH_*.json` the `paper` binary writes must be committed under
+//! `results/`; a guard test fails when one is missing.
 //!
 //! If an artifact is stale, regenerate it with `paper -- bench-all`.
 
@@ -72,11 +76,7 @@ fn scrape(text: &str) -> Vec<Sample> {
 
 #[test]
 fn committed_bitfrontier_artifact_keeps_large_graphs_on_the_bit_path() {
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_bitfrontier.json");
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let samples = scrape(&text);
+    let samples = scrape(&read_artifact("BENCH_bitfrontier.json"));
     assert!(
         samples.len() >= 2,
         "artifact should cover the dataset suite, scraped {samples:?}"
@@ -187,62 +187,37 @@ fn scrape_serve(text: &str) -> (Vec<ServeScenario>, Vec<(bool, bool)>) {
     (scenarios, probes)
 }
 
+/// Read one committed artifact from `results/`.
+fn read_artifact(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
 #[test]
-fn committed_serve_artifact_shows_coalescing_and_isolation() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_serve.json");
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let (scenarios, probes) = scrape_serve(&text);
+fn committed_serve_artifact_pins_coalescing_and_isolation() {
+    let (scenarios, probes) = scrape_serve(&read_artifact("BENCH_serve.json"));
     assert!(
         scenarios.len() >= 4,
         "artifact should cover multiple scenarios per dataset, scraped {scenarios:?}"
     );
-
-    for s in &scenarios {
+    for s in scenarios.iter().filter(|s| s.target_k >= 4) {
         assert!(
-            s.p50_ms > 0.0 && s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms,
-            "{}/{} k={}: latency percentiles must be monotone \
-             (p50 {} / p95 {} / p99 {})",
+            s.max_batch_size > 1,
+            "{}/{} k={}: admission never formed a batch bigger than one",
             s.dataset,
             s.mix,
-            s.target_k,
-            s.p50_ms,
-            s.p95_ms,
-            s.p99_ms
+            s.target_k
         );
-        if s.target_k >= 4 {
-            assert!(
-                s.max_batch_size > 1,
-                "{}/{} k={}: admission never formed a batch bigger than one",
-                s.dataset,
-                s.mix,
-                s.target_k
-            );
-            assert!(
-                s.coalescing_rate > 0.0,
-                "{}/{} k={}: no request ever shared a coalesced traversal",
-                s.dataset,
-                s.mix,
-                s.target_k
-            );
-        }
-    }
-
-    // The coalescing payoff: every dataset beats sequential dispatch on
-    // at least one k ≥ 4 scenario (the pure-BFS workload rides the
-    // bit-parallel batched path, so the win is structural, not luck).
-    let mut datasets: Vec<&str> = scenarios.iter().map(|s| s.dataset.as_str()).collect();
-    datasets.dedup();
-    for d in datasets {
         assert!(
-            scenarios
-                .iter()
-                .any(|s| s.dataset == d && s.target_k >= 4 && s.qps_speedup >= 1.0),
-            "{d}: no coalesced scenario matched or beat sequential dispatch; \
-             regenerate with bench-all"
+            s.coalescing_rate > 0.0,
+            "{}/{} k={}: no request ever shared a coalesced traversal",
+            s.dataset,
+            s.mix,
+            s.target_k
         );
     }
-
     assert!(
         probes.len() >= 2,
         "every dataset should carry an abort probe, scraped {probes:?}"
@@ -260,123 +235,56 @@ fn committed_serve_artifact_shows_coalescing_and_isolation() {
     }
 }
 
-/// One dataset scraped out of `BENCH_shards.json`: the unsharded push/pull
-/// totals plus every grid arm's totals and telemetry.
-#[derive(Debug, Default)]
-struct ShardDataset {
-    name: String,
-    unsharded_push_total: u64,
-    unsharded_pull_total: u64,
-    /// `(push_total, pull_total, shard_merges)` per grid arm.
-    arms: Vec<(u64, u64, u64)>,
-}
-
-/// Hand-scan of the shards artifact. `"name"` opens a dataset object;
-/// `"grid_rows"` opens a grid arm within the current dataset.
-fn scrape_shards(text: &str) -> Vec<ShardDataset> {
-    let mut out: Vec<ShardDataset> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "name" => out.push(ShardDataset {
-                name: value.trim_matches('"').to_string(),
-                ..ShardDataset::default()
-            }),
-            "unsharded_push_total" => {
-                if let (Some(d), Ok(v)) = (out.last_mut(), value.parse()) {
-                    d.unsharded_push_total = v;
-                }
-            }
-            "unsharded_pull_total" => {
-                if let (Some(d), Ok(v)) = (out.last_mut(), value.parse()) {
-                    d.unsharded_pull_total = v;
-                }
-            }
-            "grid_rows" => {
-                if let Some(d) = out.last_mut() {
-                    d.arms.push((0, 0, 0));
-                }
-            }
-            "push_total" => {
-                if let (Some(a), Ok(v)) = (
-                    out.last_mut().and_then(|d| d.arms.last_mut()),
-                    value.parse(),
-                ) {
-                    a.0 = v;
-                }
-            }
-            "pull_total" => {
-                if let (Some(a), Ok(v)) = (
-                    out.last_mut().and_then(|d| d.arms.last_mut()),
-                    value.parse(),
-                ) {
-                    a.1 = v;
-                }
-            }
-            "shard_merges" => {
-                if let (Some(a), Ok(v)) = (
-                    out.last_mut().and_then(|d| d.arms.last_mut()),
-                    value.parse(),
-                ) {
-                    a.2 = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// The committed shards artifact carries the acceptance claim of the
-/// sharded execution layer: on every suite dataset and every grid, the
-/// sharded push charges no more total accesses than the unsharded oracle
-/// (the study's equivalence gate makes them identical), pull likewise, and
-/// the stripe-local merge telemetry shows sharding genuinely engaged.
 #[test]
-fn committed_shards_artifact_never_charges_more_than_unsharded() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_shards.json");
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let datasets = scrape_shards(&text);
-    assert!(
-        datasets.len() >= 2,
-        "artifact should cover the dataset suite, scraped {datasets:?}"
-    );
-    for d in &datasets {
+fn committed_serve_artifact_machine_fields_are_sane() {
+    let (scenarios, _) = scrape_serve(&read_artifact("BENCH_serve.json"));
+    assert!(!scenarios.is_empty(), "no serve scenarios scraped");
+    for s in &scenarios {
+        let fields = [s.qps_speedup, s.p50_ms, s.p95_ms, s.p99_ms];
         assert!(
-            d.arms.len() >= 2,
-            "{}: artifact should sweep multiple grid shapes",
-            d.name
+            fields.iter().all(|v| v.is_finite() && *v > 0.0),
+            "{}/{} k={}: machine fields must be finite and positive, got {fields:?}",
+            s.dataset,
+            s.mix,
+            s.target_k
         );
         assert!(
-            d.unsharded_push_total > 0 && d.unsharded_pull_total > 0,
-            "{}: counted oracle runs must charge accesses",
-            d.name
+            s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms,
+            "{}/{} k={}: latency percentiles must be monotone \
+             (p50 {} / p95 {} / p99 {})",
+            s.dataset,
+            s.mix,
+            s.target_k,
+            s.p50_ms,
+            s.p95_ms,
+            s.p99_ms
         );
-        for (i, &(push, pull, merges)) in d.arms.iter().enumerate() {
-            assert!(
-                push <= d.unsharded_push_total,
-                "{} arm {i}: sharded push charged {push} > unsharded {}; \
-                 regenerate with bench-all",
-                d.name,
-                d.unsharded_push_total
-            );
-            assert!(
-                pull <= d.unsharded_pull_total,
-                "{} arm {i}: sharded pull charged {pull} > unsharded {}",
-                d.name,
-                d.unsharded_pull_total
-            );
-            assert!(
-                merges >= 1,
-                "{} arm {i}: no stripe-local merge recorded — sharding never engaged",
-                d.name
-            );
-        }
     }
+}
+
+/// Every `"BENCH_*.json"` literal in the `paper` binary names an artifact
+/// some subcommand writes; each must be committed under `results/`.
+#[test]
+fn every_artifact_the_paper_binary_writes_is_committed() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let paper = std::fs::read_to_string(root.join("src/bin/paper.rs")).expect("read paper.rs");
+    let mut names: Vec<&str> = paper
+        .split('"')
+        .filter(|tok| tok.starts_with("BENCH_") && tok.ends_with(".json"))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    assert!(
+        names.len() >= 5,
+        "expected the paper binary to name its artifacts, found {names:?}"
+    );
+    let missing: Vec<&str> = names
+        .into_iter()
+        .filter(|n| !root.join("../../results").join(n).is_file())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "artifacts written by `paper` but not committed under results/: {missing:?}; \
+         regenerate with `paper -- bench-all` and commit them"
+    );
 }

@@ -6,9 +6,9 @@
 //! the paper's optimizations so each can be disabled in isolation:
 //! direction choice (force push/pull or auto), the sparse↔dense switch
 //! threshold (`α = β = 0.01`), early-exit, structure-only, and the multiway
-//! merge strategy of §6.2 (radix sort vs. heap merge).
+//! merge strategy of §6.2 (radix sort, bitmask culling, or per-worker SPAs).
 
-use graphblas_matrix::{ShardGrid, StorageFormat};
+use graphblas_matrix::StorageFormat;
 
 /// Traversal direction ≡ matvec kernel family (§4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,9 +61,6 @@ pub enum MergeStrategy {
     /// GPU-friendly choice, `O(nnz(m_f⁺) log M)`.
     #[default]
     SortBased,
-    /// Textbook k-way heap merge, `O(nnz(m_f⁺) log nnz(f))` — kept for the
-    /// ablation bench.
-    HeapMerge,
     /// Gunrock's local culling (§7.3): dedup through a bitmask claim
     /// instead of sorting, `O(nnz(m_f⁺))` with no log factor. Only valid
     /// when the semiring provides a constant product hint (BFS-style
@@ -79,27 +76,6 @@ pub enum MergeStrategy {
     /// nnz(w') log k)` for `k` chunks, at the cost of an `O(M)`-sized
     /// accumulator per worker chunk.
     SpaMerge,
-}
-
-/// How the dispatchers decide whether to run the cache-blocked sharded
-/// kernels over a 2D stripe grid ([`graphblas_matrix::ShardPlan`]) — the
-/// shard half of an execution plan, mirroring [`FormatChoice`] for the
-/// format half. Sharded and unsharded runs are bit-identical in values and
-/// access counters by contract; sharding changes the merge topology
-/// (stripe-local instead of one global barrier) and memory locality only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Never shard — the proptested oracle path.
-    #[default]
-    Off,
-    /// Always run the given grid (clamped per dimension), whatever the
-    /// operand's size — the study arms and the equivalence-test driver.
-    Fixed(ShardGrid),
-    /// Shard with the operand's cached default-budget plan when its dense
-    /// push working set exceeds the shard cache budget; run unsharded
-    /// below the threshold, where stripe bookkeeping costs more than the
-    /// locality buys.
-    Auto,
 }
 
 /// Per-call options for `mxv` and friends.
@@ -130,8 +106,6 @@ pub struct Descriptor {
     /// `bit_kernels(false)` is the scalar-oracle switch the equivalence
     /// tests compare against.
     pub bit_kernels: bool,
-    /// Cache-blocked shard-grid selection policy (see [`ShardPolicy`]).
-    pub shards: ShardPolicy,
 }
 
 impl Default for Descriptor {
@@ -145,7 +119,6 @@ impl Default for Descriptor {
             merge_strategy: MergeStrategy::SortBased,
             format: FormatChoice::Auto,
             bit_kernels: true,
-            shards: ShardPolicy::Off,
         }
     }
 }
@@ -220,20 +193,6 @@ impl Descriptor {
         self.bit_kernels = on;
         self
     }
-
-    /// Builder: set the shard-grid selection policy.
-    #[must_use]
-    pub fn shard_policy(mut self, p: ShardPolicy) -> Self {
-        self.shards = p;
-        self
-    }
-
-    /// Builder: always shard with the given grid.
-    #[must_use]
-    pub fn shard_grid(mut self, g: ShardGrid) -> Self {
-        self.shards = ShardPolicy::Fixed(g);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +210,6 @@ mod tests {
         assert_eq!(d.format, FormatChoice::Auto);
         assert!(!d.transpose);
         assert!(d.bit_kernels, "bit kernels are on by default");
-        assert_eq!(d.shards, ShardPolicy::Off, "the oracle path is default");
     }
 
     #[test]
@@ -261,19 +219,16 @@ mod tests {
             .force(Direction::Pull)
             .early_exit(false)
             .structure_only(false)
-            .merge_strategy(MergeStrategy::HeapMerge)
+            .merge_strategy(MergeStrategy::SpaMerge)
             .switch_threshold(0.05)
             .bit_kernels(false)
-            .shard_grid(ShardGrid::new(2, 4))
             .force_format(StorageFormat::Dcsr);
         assert!(!d.bit_kernels);
-        assert_eq!(d.shards, ShardPolicy::Fixed(ShardGrid::new(2, 4)));
-        assert_eq!(d.shard_policy(ShardPolicy::Auto).shards, ShardPolicy::Auto);
         assert!(d.transpose);
         assert_eq!(d.direction, DirectionChoice::Force(Direction::Pull));
         assert!(!d.early_exit);
         assert!(!d.structure_only);
-        assert_eq!(d.merge_strategy, MergeStrategy::HeapMerge);
+        assert_eq!(d.merge_strategy, MergeStrategy::SpaMerge);
         assert!((d.switch_threshold - 0.05).abs() < f64::EPSILON);
         assert_eq!(d.format, FormatChoice::Force(StorageFormat::Dcsr));
     }

@@ -310,21 +310,15 @@ where
                         &sparse_input
                     }
                 };
-                // Same shard resolution as `mxv`'s push arm: the stripe
-                // grid partitions the store side the column kernel reads.
-                let shard_plan = plan.shard.map(|grid| {
-                    crate::ops_mxv::shard_plan_for(base.graph, !base.desc.transpose, grid)
-                });
-                let shard = shard_plan.as_deref();
                 let out = match crate::exec::store_budgeted(
                     base.graph,
                     !base.desc.transpose,
                     plan.format,
                     base.counters,
                 ) {
-                    StoreRef::Csr(m) => fused_push(&base, m, sv, shard, &apply, &update, state),
-                    StoreRef::Bitmap(m) => fused_push(&base, m, sv, shard, &apply, &update, state),
-                    StoreRef::Dcsr(m) => fused_push(&base, m, sv, shard, &apply, &update, state),
+                    StoreRef::Csr(m) => fused_push(&base, m, sv, &apply, &update, state),
+                    StoreRef::Bitmap(m) => fused_push(&base, m, sv, &apply, &update, state),
+                    StoreRef::Dcsr(m) => fused_push(&base, m, sv, &apply, &update, state),
                 };
                 // Post-kernel poll: a checkpoint bail upstream must not
                 // let a partial assignment masquerade as success.
@@ -366,7 +360,6 @@ fn fused_push<A, X, Y, Z, S, F, U, M>(
     base: &FusedMxv<'_, A, X, S>,
     op_t: &M,
     v: &SparseVector<X>,
-    shard: Option<&graphblas_matrix::ShardPlan>,
     apply: &F,
     update: &U,
     state: &mut [Z],
@@ -382,7 +375,7 @@ where
     M: RowAccess<A>,
 {
     let (ids, vals): (Vec<u32>, Vec<Y>) =
-        col_kernel_parts(base.s, op_t, v, base.mask, &base.desc, shard, base.counters);
+        col_kernel_parts(base.s, op_t, v, base.mask, &base.desc, base.counters);
     // A trip during the kernel leaves partial parts: skip the assign pass
     // entirely so the caller's state sees as little of the aborted run as
     // possible (the dispatcher converts the sticky trip into an error, and
@@ -709,11 +702,7 @@ mod tests {
             (out.touched, d)
         };
         let reference = run(MergeStrategy::SortBased);
-        for strategy in [
-            MergeStrategy::SpaMerge,
-            MergeStrategy::HeapMerge,
-            MergeStrategy::BitmaskCull,
-        ] {
+        for strategy in [MergeStrategy::SpaMerge, MergeStrategy::BitmaskCull] {
             assert_eq!(run(strategy), reference, "{strategy:?}");
         }
     }

@@ -55,13 +55,11 @@ pub mod vector;
 pub mod vector_ops;
 
 pub use bitops::BitFrontier;
-pub use descriptor::{
-    Descriptor, Direction, DirectionChoice, FormatChoice, MergeStrategy, ShardPolicy,
-};
+pub use descriptor::{Descriptor, Direction, DirectionChoice, FormatChoice, MergeStrategy};
 pub use error::{BudgetResource, GrbError, GrbResult};
 pub use exec::{check_stop, run_guarded, ExecLimits, StopReason};
 pub use fused::{FusedMxv, FusedOutput, FusedPipeline};
-pub use graphblas_matrix::{ShardGrid, ShardPlan, StorageFormat};
+pub use graphblas_matrix::StorageFormat;
 pub use mask::Mask;
 pub use ops::{BoolOrAnd, MinPlus, Monoid, PlusTimes, Scalar, Semiring, SemiringNum};
 pub use ops_mxv::{

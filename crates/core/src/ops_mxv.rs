@@ -19,11 +19,10 @@ use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::vector::{DenseVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, ShardGrid, ShardPlan, StoreRef};
+use graphblas_matrix::{Graph, RowAccess, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::{gather, merge, pool, scan, segreduce, sort, AtomicBitVec, Spa};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// Row grain for parallel row-kernel loops (shared with the batched row
 /// kernel so single-source and batched chunking agree).
@@ -198,139 +197,14 @@ where
     acc
 }
 
-/// Tile-streaming row kernel: the 2D-sharded pull face.
-///
-/// Instead of reducing each row start to finish (touching a full-width
-/// window of the input vector per row), each [`ROW_GRAIN`]-derived row
-/// chunk walks the plan's **column stripes in ascending order**, advancing
-/// every live row of the chunk through the stripe's slice of its adjacency
-/// list before moving to the next stripe — so the chunk's input-vector
-/// working set at any moment is one stripe wide (the cache block), while
-/// each row still consumes its sorted neighbors in exactly the order the
-/// untiled [`reduce_row`] would. Accumulators, examined counts, and the
-/// early-exit stop point are therefore bit-identical per row; the traffic
-/// is charged in bulk per chunk from the same per-row totals.
-///
-/// Returns `None` (caller falls back to the untiled kernels) for the work
-/// extents tiling cannot stream: an active-listed mask and hypersparse
-/// row lists both scatter the rows, defeating the stripe-at-a-time reuse
-/// the partition exists for.
-fn pull_tiled<A, X, Y, S, M>(
-    s: S,
-    op: &M,
-    v: &DenseVector<X>,
-    mask: Option<&Mask<'_>>,
-    plan: &ShardPlan,
-    early_exit: bool,
-    counters: Option<&AccessCounters>,
-) -> Option<DenseVector<Y>>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    if op.nonempty_rows().is_some() || mask.is_some_and(|m| m.active_list().is_some()) {
-        return None;
-    }
-    assert_eq!(op.n_cols(), v.dim(), "operand columns must match input dim");
-    let identity = s.add_monoid().identity();
-    let n = op.n_rows();
-    if !crate::exec::charge_alloc(counters, output_bytes::<Y>(n)) {
-        return Some(DenseVector::from_values(Vec::new(), identity));
-    }
-    if let (Some(c), Some(m)) = (counters, mask) {
-        // Same bulk mask charge as the untiled no-list arm.
-        debug_assert_eq!(m.dim(), n, "mask must cover output dim");
-        c.add_mask(n as u64);
-    }
-    // Early exit is a masked-pull optimization, as in the untiled dispatch.
-    let early_exit = mask.is_some() && early_exit;
-    let mut vals = vec![identity; n];
-    let out = SendPtr(vals.as_mut_ptr());
-    let n_stripes = plan.n_col_stripes();
-    pool::index_chunks(n, ROW_GRAIN)
-        .into_par_iter()
-        .for_each(|rows| {
-            // Per-chunk checkpoint, the tiled analogue of the per-row poll in
-            // `reduce_row`: a tripped limit leaves identity-shaped rows the
-            // dispatcher discards by converting the trip into an error.
-            if !crate::exec::live(counters) {
-                return;
-            }
-            let add = s.add_monoid();
-            let annihilator = add.annihilator();
-            let width = rows.len();
-            let base = rows.start;
-            let mut acc = vec![identity; width];
-            let mut pos = vec![0usize; width];
-            let mut examined = vec![0u64; width];
-            let mut done = vec![false; width];
-            if let Some(m) = mask {
-                for (k, d) in done.iter_mut().enumerate() {
-                    // Disallowed rows are never scanned and never charged,
-                    // exactly as the untiled masked kernel skips them; `done`
-                    // with zero examined keeps them out of the bulk charge's
-                    // per-row `+1` below via the `allowed` recheck.
-                    *d = !m.allows(base + k);
-                }
-            }
-            for st in 0..n_stripes {
-                let hi = plan.col_range(st).end as u32;
-                for k in 0..width {
-                    if done[k] {
-                        continue;
-                    }
-                    let i = base + k;
-                    let cols = op.row(i);
-                    let avals = op.row_values(i);
-                    let mut p = pos[k];
-                    while p < cols.len() && cols[p] < hi {
-                        let j = cols[p] as usize;
-                        examined[k] += 1;
-                        if v.is_explicit(j) {
-                            acc[k] = add.op(acc[k], s.mult(avals[p], v.get(j)));
-                            if early_exit && annihilator == Some(acc[k]) {
-                                done[k] = true;
-                                p += 1;
-                                break;
-                            }
-                        }
-                        p += 1;
-                    }
-                    pos[k] = p;
-                }
-            }
-            let mut matrix = 0u64;
-            let mut vector = 0u64;
-            for k in 0..width {
-                let i = base + k;
-                if mask.is_some_and(|m| !m.allows(i)) {
-                    continue;
-                }
-                // Same per-row bookkeeping as `reduce_row`, summed per chunk.
-                matrix += examined[k];
-                vector += examined[k] + 1;
-                // SAFETY: chunks partition 0..n, so writes are disjoint.
-                unsafe { *out.get().add(i) = acc[k] };
-            }
-            if let Some(c) = counters {
-                c.add_matrix(matrix);
-                c.add_vector(vector);
-            }
-        });
-    Some(DenseVector::from_values(vals, identity))
-}
-
 // ---------------------------------------------------------------------------
 // Column-based (push) kernels
 // ---------------------------------------------------------------------------
 
 /// Column-based matvec without a mask: gathers the operand columns selected
 /// by the sparse input's nonzeros and resolves collisions by multiway merge
-/// (radix sort + segmented reduce, Algorithm 3, or a heap merge when the
-/// descriptor asks). `O(d·nnz(f)·log nnz(f))`.
+/// (radix sort + segmented reduce, Algorithm 3, unless the descriptor picks
+/// another [`MergeStrategy`]). `O(d·nnz(f)·log nnz(f))`.
 ///
 /// `op_t` must be the *transpose* of the logical operand: its rows are the
 /// operand's columns, which is how CSC access is realized (§3).
@@ -348,7 +222,7 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    col_kernel(s, op_t, v, None, desc, None, counters)
+    col_kernel(s, op_t, v, None, desc, counters)
 }
 
 /// Column-based **masked** matvec — Algorithm 3 with the final mask filter
@@ -371,7 +245,7 @@ where
     M: RowAccess<A>,
 {
     assert_eq!(op_t.n_rows(), mask.dim(), "mask must cover output dim");
-    col_kernel(s, op_t, v, Some(mask), desc, None, counters)
+    col_kernel(s, op_t, v, Some(mask), desc, counters)
 }
 
 fn col_kernel<A, X, Y, S, M>(
@@ -380,7 +254,6 @@ fn col_kernel<A, X, Y, S, M>(
     v: &SparseVector<X>,
     mask: Option<&Mask<'_>>,
     desc: &Descriptor,
-    shard: Option<&ShardPlan>,
     counters: Option<&AccessCounters>,
 ) -> SparseVector<Y>
 where
@@ -390,7 +263,7 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    let (ids, vals) = col_kernel_parts(s, op_t, v, mask, desc, shard, counters);
+    let (ids, vals) = col_kernel_parts(s, op_t, v, mask, desc, counters);
     SparseVector::from_sorted(ids, vals)
 }
 
@@ -402,18 +275,12 @@ where
 /// ([`crate::fused::FusedMxv`]) consumes the parts directly so the applied/
 /// assigned chain never materializes an intermediate vector. Counter
 /// bookkeeping is identical either way.
-///
-/// `shard` routes the [`MergeStrategy::SpaMerge`] arm through the
-/// cache-blocked stripe kernel ([`spa_merge_kernel_sharded`]); the other
-/// merge strategies ignore it (their collision resolution is global by
-/// construction), so per-strategy equivalence is unaffected.
 pub(crate) fn col_kernel_parts<A, X, Y, S, M>(
     s: S,
     op_t: &M,
     v: &SparseVector<X>,
     mask: Option<&Mask<'_>>,
     desc: &Descriptor,
-    shard: Option<&ShardPlan>,
     counters: Option<&AccessCounters>,
 ) -> (Vec<u32>, Vec<Y>)
 where
@@ -510,39 +377,9 @@ where
         MergeStrategy::SpaMerge => {
             if v.nnz() == 0 {
                 (Vec::new(), Vec::new())
-            } else if let Some(plan) = shard {
-                spa_merge_kernel_sharded(s, op_t, v, plan, counters)
             } else {
                 spa_merge_kernel(s, op_t, v, counters)
             }
-        }
-        MergeStrategy::HeapMerge => {
-            // Materialize each selected column as a sorted (row, product)
-            // list and heap-merge the k lists — the eager column-major
-            // formulation SuiteSparse-era CPU backends used before
-            // sort-based merges; kept as the ablation baseline. (The paper
-            // itself never heap-merges: its §3.1 column kernel already
-            // batches the expansion for the sort of Algorithm 3.)
-            let lists: Vec<Vec<(u32, Y)>> = v
-                .ids()
-                .iter()
-                .zip(v.vals().iter())
-                .map(|(&k, &x)| {
-                    let cols = op_t.row(k as usize);
-                    let avals = op_t.row_values(k as usize);
-                    if let Some(c) = counters {
-                        c.add_matrix(cols.len() as u64);
-                        c.add_sort((cols.len() as f64 * (v.nnz().max(2) as f64).log2()) as u64);
-                    }
-                    cols.iter()
-                        .zip(avals.iter())
-                        .map(|(&j, &a)| (j, s.mult(a, x)))
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&[(u32, Y)]> = lists.iter().map(Vec::as_slice).collect();
-            let merged = merge::multiway_merge_reduce(&refs, |a, b| add.op(a, b));
-            merged.into_iter().unzip()
         }
     };
 
@@ -714,162 +551,6 @@ where
     let refs: Vec<&[(u32, Y)]> = parts.iter().map(Vec::as_slice).collect();
     let merged = merge::multiway_merge_reduce(&refs, |a, b| add.op(a, b));
     merged.into_iter().unzip()
-}
-
-/// The [`ShardPlan`] a resolved grid executes with: the graph's cached
-/// default-budget plan when the grids agree (the `Auto` path, one Arc
-/// clone), an ad-hoc plan over the baseline CSR otherwise (`Fixed` grids).
-/// Stripe boundaries depend only on the operand shape and the grid, so a
-/// plan built from the CSR is valid for whatever store format the kernel
-/// actually runs over.
-pub(crate) fn shard_plan_for<A: Scalar>(
-    graph: &Graph<A>,
-    side: bool,
-    grid: ShardGrid,
-) -> Arc<ShardPlan> {
-    let cached = graph.shard_plan(side);
-    if cached.grid() == grid {
-        return Arc::clone(cached);
-    }
-    let store = if side { graph.csr_t() } else { graph.csr() };
-    Arc::new(ShardPlan::with_grid(store, grid))
-}
-
-/// Cache-blocked variant of [`spa_merge_kernel`]: the 2D-sharded push arm.
-///
-/// The frontier is cut into the **same** expansion-balanced chunks as the
-/// unsharded kernel ([`spa_chunk_ranges`]), but collisions resolve inside
-/// *column stripes*: each stripe owns one windowed [`Spa`] slab sized to
-/// the stripe width (the cache block), every chunk scatters only the
-/// products whose destination falls inside the stripe (a binary search
-/// per frontier segment finds the sub-slice, since CSR rows are sorted),
-/// and the per-chunk harvests merge *within the stripe* in chunk order.
-/// The global cross-stripe merge barrier of the unsharded kernel does not
-/// exist: the output is the concatenation of the independently merged
-/// stripes, which is globally sorted because stripe ranges ascend.
-///
-/// Equivalence to the unsharded oracle is bit-exact in both values and
-/// access counters:
-///
-/// * **values** — an output row lives in exactly one stripe, its chunk
-///   partials carry the same products in the same frontier order, and the
-///   stripe merge combines them in the same chunk order, so every ⊕
-///   grouping is identical;
-/// * **counters** — matrix/vector traffic is charged in bulk from the same
-///   expansion total, and the merge's sort traffic is charged **once
-///   globally** from the total merged-in length and the chunk count
-///   (stripe harvests partition each chunk's harvest exactly, so the
-///   totals agree; charging per stripe would break bit-identity through
-///   `f64` truncation).
-///
-/// Scheduling is one indivisible task per stripe
-/// ([`pool::par_map_shards`]): a worker that picks up a stripe owns every
-/// write into it, so lanes never contend on a slab and results recombine
-/// in stripe order at any lane count. The stripe-local merges and the
-/// products that crossed stripes are tallied in the `shard_merges` /
-/// `cross_shard_writes` telemetry counters (excluded from equivalence
-/// projections, like all telemetry).
-pub(crate) fn spa_merge_kernel_sharded<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    plan: &ShardPlan,
-    counters: Option<&AccessCounters>,
-) -> (Vec<u32>, Vec<Y>)
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    let (offsets, total) = expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        // Same bulk charges as the unsharded kernel: one matrix access per
-        // expanded product, one SPA scatter per product plus the harvest.
-        c.add_matrix(total as u64);
-        c.add_vector(2 * total as u64);
-    }
-
-    let seg_ranges = spa_chunk_ranges(&offsets, total);
-    let identity = s.add_monoid().identity();
-    let ids = v.ids();
-    let xs = v.vals();
-
-    // One task per column stripe; the worker that takes stripe `st` owns
-    // its SPA slab, its chunk harvests, and its merge end to end. Each
-    // stripe yields its merged (id, value) run plus its (merged, crossing)
-    // telemetry tallies.
-    type StripeOut<Y> = (Vec<(u32, Y)>, u64, u64);
-    let stripes: Vec<StripeOut<Y>> = pool::par_map_shards(plan.n_col_stripes(), |st| {
-        // Per-stripe checkpoint, mirroring the per-chunk checkpoint of
-        // the unsharded kernel: a tripped limit stops before the slab
-        // is even built, and the dispatcher turns the trip into an
-        // error so the partial output never escapes.
-        if !crate::exec::live(counters) {
-            return (Vec::new(), 0, 0);
-        }
-        let window = plan.col_range(st);
-        if window.is_empty() {
-            return (Vec::new(), 0, 0);
-        }
-        let add = s.add_monoid();
-        let (lo, hi) = (window.start as u32, window.end as u32);
-        let mut spa = Spa::windowed(window, identity);
-        let mut cross = 0u64;
-        let mut parts: Vec<Vec<(u32, Y)>> = Vec::with_capacity(seg_ranges.len());
-        for &(s0, s1) in &seg_ranges {
-            for seg in s0..s1 {
-                let src = ids[seg] as usize;
-                let x = xs[seg];
-                let cols = op_t.row(src);
-                // The stripe's sub-slice of this adjacency row: CSR
-                // rows are sorted ascending, so two binary searches
-                // bound the products that land in this slab.
-                let p0 = cols.partition_point(|&j| j < lo);
-                let p1 = p0 + cols[p0..].partition_point(|&j| j < hi);
-                if p0 == p1 {
-                    continue;
-                }
-                if plan.col_stripe_of(src) != st {
-                    cross += (p1 - p0) as u64;
-                }
-                let avals = op_t.row_values(src);
-                for idx in p0..p1 {
-                    spa.accumulate(cols[idx], s.mult(avals[idx], x), |a, b| add.op(a, b));
-                }
-            }
-            parts.push(spa.drain_sorted_pairs());
-        }
-        let merged_in: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let refs: Vec<&[(u32, Y)]> = parts.iter().map(Vec::as_slice).collect();
-        let merged = merge::multiway_merge_reduce(&refs, |a, b| add.op(a, b));
-        (merged, merged_in, cross)
-    });
-
-    if let Some(c) = counters {
-        // Sort traffic charged once globally — identical to the unsharded
-        // `spa_merge_parts` charge because the stripe harvests partition
-        // the chunk harvests exactly (same merged-in total, same chunk
-        // count). Telemetry: one stripe-local merge per stripe that held
-        // data, and every product whose destination stripe differs from
-        // its source's.
-        let merged_in_total: u64 = stripes.iter().map(|(_, m, _)| m).sum();
-        c.add_sort((merged_in_total as f64 * (seg_ranges.len().max(2) as f64).log2()) as u64);
-        c.add_shard_merges(stripes.iter().filter(|(_, m, _)| *m > 0).count() as u64);
-        c.add_cross_shard_writes(stripes.iter().map(|(_, _, x)| x).sum());
-    }
-
-    let out_len: usize = stripes.iter().map(|(m, _, _)| m.len()).sum();
-    let mut out_ids = Vec::with_capacity(out_len);
-    let mut out_vals = Vec::with_capacity(out_len);
-    for (merged, _, _) in stripes {
-        for (i, y) in merged {
-            out_ids.push(i);
-            out_vals.push(y);
-        }
-    }
-    (out_ids, out_vals)
 }
 
 /// Expand the selected columns into a flat (row-index, product) pair list.
@@ -1246,16 +927,6 @@ where
             Direction::Pull => c.add_pull_step(),
         }
     }
-    // Resolve the shard dimension of the plan against the store side the
-    // chosen face iterates rows of (push reads the transpose-of-operand).
-    let shard_plan = plan.shard.map(|grid| {
-        shard_plan_for(
-            graph,
-            crate::plan::operand_side(desc.transpose, plan.direction),
-            grid,
-        )
-    });
-    let shard = shard_plan.as_deref();
     match plan.direction {
         Direction::Push => {
             let sparse_input;
@@ -1266,16 +937,15 @@ where
                     &sparse_input
                 }
             };
-            let out =
+            let (ids, vals) =
                 match crate::exec::store_budgeted(graph, !desc.transpose, plan.format, counters) {
-                    StoreRef::Csr(m) => push_face(s, m, sv, mask, desc, shard, counters),
-                    StoreRef::Bitmap(m) => push_face(s, m, sv, mask, desc, shard, counters),
-                    StoreRef::Dcsr(m) => push_face(s, m, sv, mask, desc, shard, counters),
+                    StoreRef::Csr(m) => col_kernel_parts(s, m, sv, mask, desc, counters),
+                    StoreRef::Bitmap(m) => col_kernel_parts(s, m, sv, mask, desc, counters),
+                    StoreRef::Dcsr(m) => col_kernel_parts(s, m, sv, mask, desc, counters),
                 };
             // Post-kernel poll: a checkpoint bail inside the kernel left an
             // identity-shaped partial result that must not escape.
             crate::exec::check_stop(counters)?;
-            let (ids, vals) = (out.ids().to_vec(), out.vals().to_vec());
             Ok(Vector::from_sparse(operand.n_rows(), identity, ids, vals))
         }
         Direction::Pull => {
@@ -1289,9 +959,9 @@ where
             };
             let out =
                 match crate::exec::store_budgeted(graph, desc.transpose, plan.format, counters) {
-                    StoreRef::Csr(m) => pull_face(s, m, dv, mask, desc, shard, counters),
-                    StoreRef::Bitmap(m) => pull_face(s, m, dv, mask, desc, shard, counters),
-                    StoreRef::Dcsr(m) => pull_face(s, m, dv, mask, desc, shard, counters),
+                    StoreRef::Csr(m) => pull_face(s, m, dv, mask, desc, counters),
+                    StoreRef::Bitmap(m) => pull_face(s, m, dv, mask, desc, counters),
+                    StoreRef::Dcsr(m) => pull_face(s, m, dv, mask, desc, counters),
                 };
             // Post-kernel poll: see the push arm.
             crate::exec::check_stop(counters)?;
@@ -1300,44 +970,17 @@ where
     }
 }
 
-/// The push face for one concrete store: masked or unmasked column kernel,
-/// with the shard plan (when the resolved [`crate::plan::ExecPlan`] carries
-/// one) threaded through to the stripe-local SPA merge.
-fn push_face<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    sv: &SparseVector<X>,
-    mask: Option<&Mask<'_>>,
-    desc: &Descriptor,
-    shard: Option<&ShardPlan>,
-    counters: Option<&AccessCounters>,
-) -> SparseVector<Y>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    col_kernel(s, op_t, sv, mask, desc, shard, counters)
-}
-
 /// The pull face for one concrete store: masked or unmasked row kernel,
 /// with the bit-parallel arm slotted in front. When the planned store has
 /// a word surface and the call qualifies (see `bitops::bit_pull_ctx`), the
 /// row reduction runs 64 edges per AND; values and the projected counters
-/// are the scalar kernel's bit for bit. A shard plan (when the resolved
-/// [`crate::plan::ExecPlan`] carries one and the bit arm declined) selects
-/// the tile-streaming traversal of [`pull_tiled`], which itself declines
-/// work extents it cannot stream — declining always lands on the untiled
-/// kernels, never changes results.
+/// are the scalar kernel's bit for bit.
 fn pull_face<A, X, Y, S, M>(
     s: S,
     op: &M,
     dv: &DenseVector<X>,
     mask: Option<&Mask<'_>>,
     desc: &Descriptor,
-    shard: Option<&ShardPlan>,
     counters: Option<&AccessCounters>,
 ) -> DenseVector<Y>
 where
@@ -1353,11 +996,6 @@ where
             Some(m) => row_masked_mxv_bit(op, &ctx, m, identity, desc.early_exit, counters),
             None => row_mxv_bit(op, &ctx, identity, counters),
         };
-    }
-    if let Some(plan) = shard {
-        if let Some(out) = pull_tiled(s, op, dv, mask, plan, desc.early_exit, counters) {
-            return out;
-        }
     }
     match mask {
         Some(m) => row_masked_mxv(s, op, dv, m, desc.early_exit, counters),
@@ -1678,37 +1316,6 @@ mod tests {
         .unwrap();
         let a: Vec<_> = generic.iter_explicit().collect();
         let b: Vec<_> = structural.iter_explicit().collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn heap_merge_matches_sort_based() {
-        let g = fig3_graph();
-        let f = frontier_bcd();
-        let sorted: Vector<bool> = mxv(
-            None,
-            BoolOrAnd,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .merge_strategy(MergeStrategy::SortBased),
-            None,
-        )
-        .unwrap();
-        let heaped: Vector<bool> = mxv(
-            None,
-            BoolOrAnd,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .merge_strategy(MergeStrategy::HeapMerge),
-            None,
-        )
-        .unwrap();
-        let a: Vec<_> = sorted.iter_explicit().collect();
-        let b: Vec<_> = heaped.iter_explicit().collect();
         assert_eq!(a, b);
     }
 
@@ -2155,195 +1762,5 @@ mod tests {
         assert_eq!(p.update(1000, 1000), Direction::Pull);
         // Delta collapses: falling below threshold switches to push.
         assert_eq!(p.update(3, 1000), Direction::Push);
-    }
-
-    /// Seeded LCG graph on `n` vertices, ~`deg` out-edges each, f64
-    /// weights — irregular enough that stripe boundaries cut through rows.
-    fn lcg_graph(n: u32, deg: u32, seed: u64) -> Graph<f64> {
-        let mut state = seed | 1;
-        let mut step = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut coo = Coo::new(n as usize, n as usize);
-        for u in 0..n {
-            for _ in 0..deg {
-                let v = (step() % u64::from(n)) as u32;
-                let w = (step() % 7) as f64 + 0.5;
-                coo.push(u, v, w);
-            }
-        }
-        coo.dedup(|a, b| a + b);
-        Graph::from_coo(&coo)
-    }
-
-    fn lcg_frontier(n: u32, nnz: usize, seed: u64) -> Vector<f64> {
-        let mut state = seed | 1;
-        let mut step = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut ids: Vec<u32> = (0..n).collect();
-        for i in (1..ids.len()).rev() {
-            ids.swap(i, (step() % (i as u64 + 1)) as usize);
-        }
-        ids.truncate(nnz);
-        ids.sort_unstable();
-        let vals = ids.iter().map(|_| (step() % 5) as f64 + 1.0).collect();
-        Vector::from_sparse(n as usize, 0.0, ids, vals)
-    }
-
-    /// The scrub for counter-identity assertions: shard telemetry describes
-    /// the merge topology (which sharding deliberately changes), everything
-    /// else — accesses, steps, sort, alloc — must match bit for bit.
-    fn scrub_telemetry(
-        s: graphblas_primitives::counters::CounterSnapshot,
-    ) -> graphblas_primitives::counters::CounterSnapshot {
-        let mut s = s;
-        s.shard_merges = 0;
-        s.cross_shard_writes = 0;
-        s
-    }
-
-    #[test]
-    fn sharded_push_matches_unsharded_oracle() {
-        // f64 ⊕ is order-sensitive: bit-identical sums prove the stripe
-        // decomposition preserves the oracle's per-destination ⊕ order,
-        // not merely the set of outputs. n = 65 keeps stripe widths
-        // non-divisible; the 1×1 grid exercises the degenerate stripe.
-        let g = lcg_graph(65, 6, 0xC0FFEE);
-        let f = lcg_frontier(65, 17, 42);
-        let base = Descriptor::new()
-            .force(Direction::Push)
-            .merge_strategy(MergeStrategy::SpaMerge);
-        let oracle_c = AccessCounters::new();
-        let oracle: Vector<f64> = mxv(None, PlusTimes, &g, &f, &base, Some(&oracle_c)).unwrap();
-        for (rs, cs) in [(1u32, 1u32), (2, 4), (4, 4), (1, 16)] {
-            let c = AccessCounters::new();
-            let desc = base.shard_grid(ShardGrid::new(rs, cs));
-            let out: Vector<f64> = mxv(None, PlusTimes, &g, &f, &desc, Some(&c)).unwrap();
-            assert_eq!(
-                out.iter_explicit().collect::<Vec<_>>(),
-                oracle.iter_explicit().collect::<Vec<_>>(),
-                "values must be bit-identical at grid {rs}x{cs}"
-            );
-            assert_eq!(
-                scrub_telemetry(c.snapshot()),
-                scrub_telemetry(oracle_c.snapshot()),
-                "counters must be bit-identical at grid {rs}x{cs}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_push_populates_telemetry_outside_total() {
-        let g = lcg_graph(64, 5, 7);
-        let f = lcg_frontier(64, 20, 9);
-        let c = AccessCounters::new();
-        let desc = Descriptor::new()
-            .force(Direction::Push)
-            .merge_strategy(MergeStrategy::SpaMerge)
-            .shard_grid(ShardGrid::new(1, 4));
-        let _: Vector<f64> = mxv(None, PlusTimes, &g, &f, &desc, Some(&c)).unwrap();
-        let s = c.snapshot();
-        assert!(s.shard_merges > 0, "stripe merges must be recorded");
-        assert!(
-            s.cross_shard_writes > 0,
-            "an LCG frontier writes outside its own stripe"
-        );
-        assert_eq!(
-            s.total(),
-            s.accesses_only().total(),
-            "telemetry never counts as an access"
-        );
-        // The unsharded oracle records no shard telemetry at all.
-        let c0 = AccessCounters::new();
-        let desc0 = Descriptor::new()
-            .force(Direction::Push)
-            .merge_strategy(MergeStrategy::SpaMerge);
-        let _: Vector<f64> = mxv(None, PlusTimes, &g, &f, &desc0, Some(&c0)).unwrap();
-        assert_eq!(c0.snapshot().shard_merges, 0);
-        assert_eq!(c0.snapshot().cross_shard_writes, 0);
-    }
-
-    #[test]
-    fn sharded_push_handles_empty_stripes() {
-        // Every push destination (the A-row of each edge) lands below 16 in
-        // a 64-wide output: with a 1×4 grid, stripes 1..4 harvest nothing
-        // and must contribute nothing.
-        let mut coo = Coo::new(64, 64);
-        let mut state = 0xBADCAB1Eu64;
-        for u in 0..64u32 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            coo.push((state >> 33) as u32 % 16, u, 1.0f64);
-        }
-        let g = Graph::from_coo(&coo);
-        let f = lcg_frontier(64, 13, 3);
-        let base = Descriptor::new()
-            .force(Direction::Push)
-            .merge_strategy(MergeStrategy::SpaMerge);
-        let oracle: Vector<f64> = mxv(None, PlusTimes, &g, &f, &base, None).unwrap();
-        let c = AccessCounters::new();
-        let out: Vector<f64> = mxv(
-            None,
-            PlusTimes,
-            &g,
-            &f,
-            &base.shard_grid(ShardGrid::new(1, 4)),
-            Some(&c),
-        )
-        .unwrap();
-        assert_eq!(
-            out.iter_explicit().collect::<Vec<_>>(),
-            oracle.iter_explicit().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            c.snapshot().shard_merges,
-            1,
-            "only the populated stripe merges"
-        );
-    }
-
-    #[test]
-    fn tiled_pull_matches_untiled_oracle() {
-        // f64 semiring keeps the bit arm out of the way, so the shard plan
-        // selects the tile-streaming row kernel. Masked (no active list)
-        // and unmasked, values and counters must match the untiled run.
-        let g = lcg_graph(65, 6, 0xFEED);
-        let mut f = lcg_frontier(65, 40, 11);
-        f.make_dense();
-        let visited = {
-            let mut b = BitVec::new(65);
-            for i in (0..65).step_by(3) {
-                b.set(i);
-            }
-            b
-        };
-        let mask = Mask::complement(&visited);
-        let base = Descriptor::new().force(Direction::Pull);
-        for masked in [false, true] {
-            let m = masked.then_some(&mask);
-            let oracle_c = AccessCounters::new();
-            let oracle: Vector<f64> = mxv(m, PlusTimes, &g, &f, &base, Some(&oracle_c)).unwrap();
-            for (rs, cs) in [(1u32, 1u32), (2, 4), (4, 4)] {
-                let c = AccessCounters::new();
-                let desc = base.shard_grid(ShardGrid::new(rs, cs));
-                let out: Vector<f64> = mxv(m, PlusTimes, &g, &f, &desc, Some(&c)).unwrap();
-                assert_eq!(
-                    out.iter_explicit().collect::<Vec<_>>(),
-                    oracle.iter_explicit().collect::<Vec<_>>(),
-                    "tiled pull values (masked={masked}, grid {rs}x{cs})"
-                );
-                assert_eq!(
-                    scrub_telemetry(c.snapshot()),
-                    scrub_telemetry(oracle_c.snapshot()),
-                    "tiled pull counters (masked={masked}, grid {rs}x{cs})"
-                );
-            }
-        }
     }
 }

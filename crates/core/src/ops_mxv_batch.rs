@@ -39,7 +39,7 @@ use crate::ops_mxv::{
     spa_merge_parts, DirectionPolicy, SendPtr, ROW_GRAIN,
 };
 use crate::vector::{DenseVector, MultiVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, ShardPlan, StoreRef};
+use graphblas_matrix::{Graph, RowAccess, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::pool;
 use rayon::prelude::*;
@@ -276,24 +276,18 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    col_masked_mxv_batch_impl(s, op_t, vs, masks, None, counters, None)
+    col_masked_mxv_batch_impl(s, op_t, vs, masks, counters, None)
 }
 
 /// [`col_masked_mxv_batch`] with optional per-source counter attribution:
 /// each source's expansion preamble, SPA harvests, merge, and mask filter
 /// charge (and poll) that source's counters, so a tripped source bails out
-/// of its own chunks without touching its siblings. A shard plan routes
-/// every source through the stripe-local sharded merge instead of the flat
-/// chunk grid — sources then run one after another, each internally
-/// parallel across its stripes, which preserves the batch ≡ `k` solo runs
-/// contract (values and counters) by construction.
-#[allow(clippy::too_many_arguments)]
+/// of its own chunks without touching its siblings.
 fn col_masked_mxv_batch_impl<A, X, Y, S, M>(
     s: S,
     op_t: &M,
     vs: &[&SparseVector<X>],
     masks: Option<&[Mask<'_>]>,
-    shard: Option<&ShardPlan>,
     counters: Option<&AccessCounters>,
     row_counters: Option<&[&AccessCounters]>,
 ) -> Vec<SparseVector<Y>>
@@ -320,31 +314,6 @@ where
         return vs
             .iter()
             .map(|_| SparseVector::from_sorted(Vec::new(), Vec::new()))
-            .collect();
-    }
-
-    if let Some(plan) = shard {
-        // Sharded arm: each source runs the exact single-source sharded
-        // kernel (stripe-parallel inside), sources in batch order. The
-        // stripe tasks of one source saturate the pool on their own, so
-        // cross-source parallelism buys nothing the stripes don't already.
-        return vs
-            .iter()
-            .enumerate()
-            .map(|(j, v)| {
-                let cj = row_charge(counters, row_counters, j);
-                if let Some(c) = cj {
-                    c.add_vector(v.nnz() as u64);
-                }
-                if v.nnz() == 0 {
-                    return SparseVector::from_sorted(Vec::new(), Vec::new());
-                }
-                let (mut ids, mut vals) =
-                    crate::ops_mxv::spa_merge_kernel_sharded(s, op_t, v, plan, cj);
-                let mask = masks.map(|ms| &ms[j]);
-                filter_col_output(&mut ids, &mut vals, mask, identity, cj);
-                SparseVector::from_sorted(ids, vals)
-            })
             .collect();
     }
 
@@ -628,18 +597,12 @@ where
             masks.map(|ms| push_rows.iter().map(|&r| ms[r]).collect());
         let sub_rc: Option<Vec<&AccessCounters>> =
             row_counters.map(|rc| push_rows.iter().map(|&r| rc[r]).collect());
-        // Shard resolution for the push face, as in `mxv`: the grid
-        // partitions the transpose-of-operand side the column kernel reads.
-        let shard_plan = crate::plan::resolve_shards(graph, desc.transpose, Direction::Push, desc)
-            .map(|grid| crate::ops_mxv::shard_plan_for(graph, !desc.transpose, grid));
-        let shard = shard_plan.as_deref();
         let outs = match crate::exec::store_budgeted(graph, !desc.transpose, format, counters) {
             StoreRef::Csr(m) => col_masked_mxv_batch_impl(
                 s,
                 m,
                 &svs,
                 sub_masks.as_deref(),
-                shard,
                 counters,
                 sub_rc.as_deref(),
             ),
@@ -648,7 +611,6 @@ where
                 m,
                 &svs,
                 sub_masks.as_deref(),
-                shard,
                 counters,
                 sub_rc.as_deref(),
             ),
@@ -657,7 +619,6 @@ where
                 m,
                 &svs,
                 sub_masks.as_deref(),
-                shard,
                 counters,
                 sub_rc.as_deref(),
             ),

@@ -39,11 +39,11 @@
 //! the `Fixed(Csr)` oracle) — so the planner is free to chase wall clock.
 
 use crate::bitops::FrontierWords;
-use crate::descriptor::{Descriptor, Direction, FormatChoice, ShardPolicy};
+use crate::descriptor::{Descriptor, Direction, FormatChoice};
 use crate::ops::Scalar;
 use crate::ops_mxv::resolve_direction;
 use crate::vector::Vector;
-use graphblas_matrix::{Graph, ShardGrid, StorageFormat, DEFAULT_SHARD_BUDGET};
+use graphblas_matrix::{Graph, StorageFormat};
 use graphblas_primitives::counters::AccessCounters;
 
 /// Row-occupancy threshold below which an operand counts as hypersparse
@@ -126,16 +126,13 @@ pub fn note_bitmap_degrade(
 }
 
 /// A resolved execution plan: which kernel face runs, over which storage
-/// backend, blocked by which shard grid (if any).
+/// backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecPlan {
     /// The kernel face (push = column-based, pull = row-based).
     pub direction: Direction,
     /// The storage format the face's operand will be served in.
     pub format: StorageFormat,
-    /// The 2D shard grid the face blocks its work by, or `None` to run
-    /// the unsharded oracle path. Resolved by [`resolve_shards`].
-    pub shard: Option<ShardGrid>,
 }
 
 /// Which physical orientation the chosen kernel face iterates rows of:
@@ -210,40 +207,7 @@ pub fn resolve_plan<A: Scalar, X: Scalar>(
         }
         FormatChoice::Auto => auto_format(graph, desc.transpose, direction),
     };
-    let shard = resolve_shards(graph, desc.transpose, direction, desc);
-    ExecPlan {
-        direction,
-        format,
-        shard,
-    }
-}
-
-/// The shard half of [`resolve_plan`]: the grid the chosen face should
-/// block its work by, or `None` for the unsharded oracle path.
-///
-/// `Fixed` grids always engage (normalized per dimension — a requested
-/// `1×1` still runs the sharded code path over a single stripe, which is
-/// how the equivalence suite exercises the degenerate grid). `Auto`
-/// engages the operand's cached default-budget plan only when the dense
-/// push working set exceeds the shard cache budget; below that the stripe
-/// bookkeeping costs more than the locality buys.
-#[must_use]
-pub fn resolve_shards<A: Scalar>(
-    graph: &Graph<A>,
-    transpose: bool,
-    direction: Direction,
-    desc: &Descriptor,
-) -> Option<ShardGrid> {
-    match desc.shards {
-        ShardPolicy::Off => None,
-        ShardPolicy::Fixed(g) => Some(ShardGrid::new(g.row_stripes, g.col_stripes)),
-        ShardPolicy::Auto => {
-            let side = operand_side(transpose, direction);
-            let plan = graph.shard_plan(side);
-            (plan.dense_working_set_bytes() > DEFAULT_SHARD_BUDGET && plan.engaged())
-                .then(|| plan.grid())
-        }
-    }
+    ExecPlan { direction, format }
 }
 
 /// Resolve the format for a batched call (`mxv_batch`), whose per-row
@@ -770,52 +734,6 @@ mod tests {
             p3.update(&hs, true, Direction::Pull, None),
             StorageFormat::Dcsr
         );
-    }
-
-    #[test]
-    fn resolve_shards_follows_the_policy() {
-        let g = dense_graph();
-        let desc = Descriptor::new().transpose(true);
-        // Off (the default): never shard.
-        assert_eq!(resolve_shards(&g, true, Direction::Push, &desc), None);
-        // Fixed: always the (normalized) requested grid.
-        let fixed = desc.shard_grid(ShardGrid::new(2, 4));
-        assert_eq!(
-            resolve_shards(&g, true, Direction::Push, &fixed),
-            Some(ShardGrid::new(2, 4))
-        );
-        assert_eq!(
-            resolve_shards(
-                &g,
-                true,
-                Direction::Push,
-                &desc.shard_grid(ShardGrid::new(0, 99))
-            ),
-            Some(ShardGrid::new(1, 16)),
-            "fixed grids are clamped per dimension"
-        );
-        // Auto on a tiny operand: working set under budget, run unsharded.
-        let auto = desc.shard_policy(ShardPolicy::Auto);
-        assert_eq!(resolve_shards(&g, true, Direction::Push, &auto), None);
-        // Auto on a large operand: the cached plan's grid engages.
-        let n = 40_000u32;
-        let mut coo = Coo::new(n as usize, n as usize);
-        for u in 0..n {
-            coo.push(u, (u + 1) % n, true);
-        }
-        let big = Graph::from_coo(&coo);
-        let grid =
-            resolve_shards(&big, true, Direction::Push, &auto).unwrap_or(ShardGrid::UNSHARDED);
-        assert!(
-            !grid.is_unsharded(),
-            "40k-vertex working set exceeds budget"
-        );
-        assert_eq!(grid, big.shard_plan(false).grid(), "the cached plan's grid");
-        // And the resolved plan carries the shard dimension through.
-        let sparse = Vector::singleton(n as usize, false, 0, true);
-        let plan = resolve_plan(&big, &sparse, &auto);
-        assert_eq!(plan.shard, Some(grid));
-        assert_eq!(resolve_plan(&big, &sparse, &desc).shard, None);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! first request and reusing the cached store afterwards, which is what
 //! makes the execution planner's per-operation format switching cheap.
 
-use crate::shard::ShardPlan;
 use crate::storage::{BitmapPlan, BitmapStore, Dcsr, StorageFormat};
 use crate::{Coo, Csr, VertexId};
 use std::sync::{Arc, OnceLock};
@@ -32,7 +31,6 @@ use std::sync::{Arc, OnceLock};
 struct FormatCache<V> {
     bitmap: OnceLock<Option<Arc<BitmapStore<V>>>>,
     bitmap_plan: OnceLock<BitmapPlan>,
-    shard_plan: OnceLock<Arc<ShardPlan>>,
     dcsr: OnceLock<Arc<Dcsr<V>>>,
     nonempty_rows: OnceLock<usize>,
 }
@@ -42,7 +40,6 @@ impl<V> Default for FormatCache<V> {
         Self {
             bitmap: OnceLock::new(),
             bitmap_plan: OnceLock::new(),
-            shard_plan: OnceLock::new(),
             dcsr: OnceLock::new(),
             nonempty_rows: OnceLock::new(),
         }
@@ -242,20 +239,6 @@ impl<V: Copy + Send + Sync + PartialEq> Graph<V> {
     pub fn bitmap_plan(&self, transposed: bool) -> &BitmapPlan {
         let (csr, cache) = self.side(transposed);
         cache.bitmap_plan.get_or_init(|| BitmapPlan::from_csr(csr))
-    }
-
-    /// The cached default-budget 2D shard partition for one orientation —
-    /// stripe boundaries and per-stripe column spans the sharded kernels
-    /// block their work by (computed once per orientation, O(n_rows) from
-    /// the CSR row endpoints, like [`Graph::bitmap_plan`]). Explicitly
-    /// requested grids (`ShardPolicy::Fixed`) build their own plan; only
-    /// the auto-sized default is worth memoizing.
-    #[must_use]
-    pub fn shard_plan(&self, transposed: bool) -> &Arc<ShardPlan> {
-        let (csr, cache) = self.side(transposed);
-        cache
-            .shard_plan
-            .get_or_init(|| Arc::new(ShardPlan::from_csr(csr)))
     }
 
     /// The format [`Graph::store`] will actually serve for a request —

@@ -21,9 +21,6 @@
 //!   [`StorageFormat`] per operation the way it picks a direction.
 //! * [`graph`] — the dual-orientation [`Graph`] handle with a lazy
 //!   per-orientation format cache ([`Graph::store`]).
-//! * [`shard`] — the 2D cache-blocked tile partition ([`shard::ShardPlan`])
-//!   the sharded kernels stripe their SPAs and traversals by; planned
-//!   O(n_rows) from CSR row endpoints and cached per orientation.
 //! * [`mmio`] — Matrix Market I/O so real datasets can be dropped in.
 //! * [`stats`] — the Table 3 columns: |V|, |E|, max degree, pseudo-diameter.
 
@@ -37,14 +34,12 @@ pub mod coo;
 pub mod csr;
 pub mod graph;
 pub mod mmio;
-pub mod shard;
 pub mod stats;
 pub mod storage;
 
 pub use coo::Coo;
 pub use csr::Csr;
 pub use graph::{Graph, StoreRef};
-pub use shard::{ShardGrid, ShardPlan, DEFAULT_SHARD_BUDGET, MAX_STRIPES};
 pub use stats::GraphStats;
 pub use storage::{BitmapPlan, BitmapStore, Dcsr, RowAccess, Storage, StorageFormat, TILE_ROWS};
 

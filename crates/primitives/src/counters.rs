@@ -77,20 +77,6 @@ pub struct AccessCounters {
     /// `bitmap_degrades`. A decision, not an access; excluded from
     /// [`AccessCounters::total`] and zeroed by both snapshot projections.
     pub limit_degrades: AtomicU64,
-    /// Stripe-local merges performed by the sharded push kernel: one per
-    /// (column stripe, merge) — never a global cross-stripe merge, which
-    /// is exactly what sharding eliminates. Zero on unsharded runs.
-    /// Telemetry, not a Table 1 access class; excluded from
-    /// [`AccessCounters::total`] and zeroed by both snapshot projections
-    /// (sharded and unsharded runs charge identical *access* totals by
-    /// contract, while only sharded runs tally stripe merges).
-    pub shard_merges: AtomicU64,
-    /// Products a sharded push kernel scattered into a column stripe other
-    /// than the source vertex's own stripe — the traffic a distributed
-    /// backend would put on the wire. Zero on unsharded runs. Telemetry,
-    /// not an access; excluded from [`AccessCounters::total`] and zeroed
-    /// by both snapshot projections.
-    pub cross_shard_writes: AtomicU64,
 
     // ---- limit-enforcement state (not counters; never snapshotted) ----
     // Installed by `install_limits`, polled by `checkpoint` at the kernels'
@@ -201,18 +187,6 @@ impl AccessCounters {
         self.limit_degrades.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `n` stripe-local merges performed by the sharded push kernel.
-    #[inline]
-    pub fn add_shard_merges(&self, n: u64) {
-        self.shard_merges.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` products written outside the source vertex's stripe.
-    #[inline]
-    pub fn add_cross_shard_writes(&self, n: u64) {
-        self.cross_shard_writes.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Sum of all access categories (direction steps are decisions, not
     /// accesses, and are excluded).
     #[must_use]
@@ -238,8 +212,6 @@ impl AccessCounters {
             bit_word_ops: self.bit_word_ops.load(Ordering::Relaxed),
             bitmap_degrades: self.bitmap_degrades.load(Ordering::Relaxed),
             limit_degrades: self.limit_degrades.load(Ordering::Relaxed),
-            shard_merges: self.shard_merges.load(Ordering::Relaxed),
-            cross_shard_writes: self.cross_shard_writes.load(Ordering::Relaxed),
         }
     }
 
@@ -256,8 +228,6 @@ impl AccessCounters {
         self.bit_word_ops.store(0, Ordering::Relaxed);
         self.bitmap_degrades.store(0, Ordering::Relaxed);
         self.limit_degrades.store(0, Ordering::Relaxed);
-        self.shard_merges.store(0, Ordering::Relaxed);
-        self.cross_shard_writes.store(0, Ordering::Relaxed);
     }
 
     /// Overwrite every counter category from a snapshot. The abort path of
@@ -280,9 +250,6 @@ impl AccessCounters {
             .store(s.bitmap_degrades, Ordering::Relaxed);
         self.limit_degrades
             .store(s.limit_degrades, Ordering::Relaxed);
-        self.shard_merges.store(s.shard_merges, Ordering::Relaxed);
-        self.cross_shard_writes
-            .store(s.cross_shard_writes, Ordering::Relaxed);
     }
 
     /// Add every category of `delta` into these counters (one relaxed
@@ -309,10 +276,6 @@ impl AccessCounters {
             .fetch_add(delta.bitmap_degrades, Ordering::Relaxed);
         self.limit_degrades
             .fetch_add(delta.limit_degrades, Ordering::Relaxed);
-        self.shard_merges
-            .fetch_add(delta.shard_merges, Ordering::Relaxed);
-        self.cross_shard_writes
-            .fetch_add(delta.cross_shard_writes, Ordering::Relaxed);
     }
 
     // ---- limit enforcement ----
@@ -519,12 +482,6 @@ pub struct CounterSnapshot {
     /// Budget-denied conversions served from cached CSR (a decision, not
     /// an access; see [`AccessCounters::limit_degrades`]).
     pub limit_degrades: u64,
-    /// Stripe-local merges in the sharded push kernel (telemetry, not an
-    /// access; see [`AccessCounters::shard_merges`]).
-    pub shard_merges: u64,
-    /// Products written outside the source vertex's stripe (telemetry, not
-    /// an access; see [`AccessCounters::cross_shard_writes`]).
-    pub cross_shard_writes: u64,
 }
 
 impl CounterSnapshot {
@@ -554,10 +511,6 @@ impl CounterSnapshot {
             bit_word_ops: self.bit_word_ops.saturating_sub(earlier.bit_word_ops),
             bitmap_degrades: self.bitmap_degrades.saturating_sub(earlier.bitmap_degrades),
             limit_degrades: self.limit_degrades.saturating_sub(earlier.limit_degrades),
-            shard_merges: self.shard_merges.saturating_sub(earlier.shard_merges),
-            cross_shard_writes: self
-                .cross_shard_writes
-                .saturating_sub(earlier.cross_shard_writes),
         }
     }
 
@@ -576,8 +529,6 @@ impl CounterSnapshot {
             bit_word_ops: 0,
             bitmap_degrades: 0,
             limit_degrades: 0,
-            shard_merges: 0,
-            cross_shard_writes: 0,
             ..*self
         }
     }
@@ -598,8 +549,6 @@ impl CounterSnapshot {
             bit_word_ops: 0,
             bitmap_degrades: 0,
             limit_degrades: 0,
-            shard_merges: 0,
-            cross_shard_writes: 0,
             ..*self
         }
     }
@@ -626,8 +575,6 @@ mod tests {
         c.add_bit_word_ops(5);
         c.add_bitmap_degrade();
         c.add_limit_degrade();
-        c.add_shard_merges(4);
-        c.add_cross_shard_writes(11);
         let s = c.snapshot();
         assert_eq!(
             s,
@@ -643,8 +590,6 @@ mod tests {
                 bit_word_ops: 5,
                 bitmap_degrades: 1,
                 limit_degrades: 1,
-                shard_merges: 4,
-                cross_shard_writes: 11,
             }
         );
         assert_eq!(
@@ -657,15 +602,11 @@ mod tests {
         assert_eq!(s.accesses_only().bit_word_ops, 0);
         assert_eq!(s.accesses_only().bitmap_degrades, 0);
         assert_eq!(s.accesses_only().limit_degrades, 0);
-        assert_eq!(s.accesses_only().shard_merges, 0);
-        assert_eq!(s.accesses_only().cross_shard_writes, 0);
         assert_eq!(s.accesses_only().matrix, 15);
         assert_eq!(s.without_format_switches().format_switches, 0);
         assert_eq!(s.without_format_switches().bit_word_ops, 0);
         assert_eq!(s.without_format_switches().bitmap_degrades, 0);
         assert_eq!(s.without_format_switches().limit_degrades, 0);
-        assert_eq!(s.without_format_switches().shard_merges, 0);
-        assert_eq!(s.without_format_switches().cross_shard_writes, 0);
         assert_eq!(s.without_format_switches().matrix, 15);
         assert_eq!(s.without_format_switches().fused_saved_writes, 9);
         c.reset();
@@ -676,8 +617,6 @@ mod tests {
         assert_eq!(c.snapshot().bit_word_ops, 0);
         assert_eq!(c.snapshot().bitmap_degrades, 0);
         assert_eq!(c.snapshot().limit_degrades, 0);
-        assert_eq!(c.snapshot().shard_merges, 0);
-        assert_eq!(c.snapshot().cross_shard_writes, 0);
     }
 
     #[test]

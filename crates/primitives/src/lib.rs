@@ -13,8 +13,8 @@
 //!   key-value distinction is exactly the paper's *structure-only*
 //!   optimization (§5.5): dropping the value payload halves sort traffic.
 //! * [`segreduce`] — segmented reduction under an arbitrary monoid.
-//! * [`merge`] — heap-based multiway merge, the textbook `O(n log k)`
-//!   alternative analyzed in §3.1 (kept for the ablation bench).
+//! * [`merge`] — heap-based multiway merge, `O(n log k)`; combines the
+//!   per-chunk SPA harvests of the `SpaMerge` column kernel in chunk order.
 //! * [`spa`] — the sparse accumulator of Gilbert, Moler & Schreiber, with the
 //!   §3.2 "list of zeroes" variant that amortizes the `O(M)` mask setup.
 //! * [`bitvec`] — plain and atomic bit vectors for visited sets and masks.

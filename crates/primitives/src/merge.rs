@@ -3,10 +3,9 @@
 //! §3.1 of the paper analyzes column-based matvec as a multiway merge of the
 //! `nnz(f)` selected columns: `O(nnz(m_f⁺) · log nnz(f))` memory accesses.
 //! The GPU implementation replaces the merge with concatenate + radix sort
-//! (§6.2) because sorting maps better onto wide machines; this module keeps
-//! the textbook merge so the ablation bench (`ablation_design`) can compare
-//! the two strategies, and so the cost-model bench can measure the
-//! `log nnz(f)` factor directly.
+//! (§6.2) because sorting maps better onto wide machines. Here the merge
+//! combines only the few per-chunk SPA harvests of the `SpaMerge` column
+//! kernel, so `k` is the chunk count, not `nnz(f)`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -133,26 +133,6 @@ where
     split_ranges(n, pieces).into_par_iter().map(body).collect()
 }
 
-/// Run one task per shard (stripe) and collect results in shard order.
-///
-/// Shard-affinity scheduling for the sharded kernels: the work list holds
-/// exactly one indivisible task per stripe, so whichever worker picks up
-/// stripe `s` owns *every* write into that stripe for the whole region —
-/// stripe-local SPAs and merges never migrate between lanes mid-flight,
-/// and no two lanes ever touch the same stripe. Results recombine in
-/// stripe order regardless of which lane ran which stripe, preserving the
-/// workspace-wide determinism contract.
-pub fn par_map_shards<T, F>(n_shards: usize, body: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync + Send + Clone,
-{
-    if n_shards <= 1 {
-        return (0..n_shards).map(body).collect();
-    }
-    (0..n_shards).into_par_iter().map(body).collect()
-}
-
 /// Flatten a 2-D `(row, index)` grid of independent work — row `r` owning
 /// `lens[r]` items — into one chunk list for the worker pool.
 ///
@@ -270,16 +250,6 @@ mod tests {
     fn grid_chunks_respects_max_chunks_per_row() {
         let chunks = grid_chunks(&[1_000_000], 1);
         assert_eq!(chunks.len(), MAX_CHUNKS);
-    }
-
-    #[test]
-    fn par_map_shards_returns_in_shard_order() {
-        rayon::with_num_threads(4, || {
-            let out = par_map_shards(9, |s| s * s);
-            assert_eq!(out, (0..9).map(|s| s * s).collect::<Vec<_>>());
-        });
-        assert!(par_map_shards(0, |s| s).is_empty());
-        assert_eq!(par_map_shards(1, |s| s + 7), vec![7]);
     }
 
     #[test]

@@ -9,19 +9,12 @@
 //! amortized over BFS iterations.
 
 /// Dense-backed sparse accumulator over value type `V`.
-///
-/// A SPA may be *windowed* ([`Spa::windowed`]): it then accepts only
-/// indices inside a half-open window `offset..offset + len` while storing a
-/// slab of just the window's width — the stripe-local accumulator of the
-/// sharded column kernel, whose cache-blocked slabs are the whole point of
-/// the 2D shard partition. Indices in and out of the SPA stay absolute.
 #[derive(Debug)]
 pub struct Spa<V> {
     values: Vec<V>,
     occupied: Vec<bool>,
     nonzeros: Vec<u32>,
     fill: V,
-    offset: u32,
 }
 
 impl<V: Copy> Spa<V> {
@@ -29,33 +22,18 @@ impl<V: Copy> Spa<V> {
     /// entries and used to reset slots on `clear`.
     #[must_use]
     pub fn new(n: usize, fill: V) -> Self {
-        Self::windowed(0..n, fill)
-    }
-
-    /// Create a SPA accepting only indices in `window`, backed by a slab of
-    /// the window's width. Absolute indices go in and come out; only the
-    /// storage is window-relative.
-    #[must_use]
-    pub fn windowed(window: std::ops::Range<usize>, fill: V) -> Self {
         Self {
-            values: vec![fill; window.len()],
-            occupied: vec![false; window.len()],
+            values: vec![fill; n],
+            occupied: vec![false; n],
             nonzeros: Vec::new(),
             fill,
-            offset: window.start as u32,
         }
     }
 
-    /// Logical dimension (the window width for a windowed SPA).
+    /// Logical dimension.
     #[must_use]
     pub fn dim(&self) -> usize {
         self.values.len()
-    }
-
-    /// First absolute index this SPA accepts (0 for an unwindowed SPA).
-    #[must_use]
-    pub fn window_start(&self) -> u32 {
-        self.offset
     }
 
     /// Number of occupied slots.
@@ -68,7 +46,7 @@ impl<V: Copy> Spa<V> {
     /// empty.
     #[inline]
     pub fn accumulate<F: FnOnce(V, V) -> V>(&mut self, i: u32, v: V, op: F) {
-        let idx = (i - self.offset) as usize;
+        let idx = i as usize;
         if self.occupied[idx] {
             self.values[idx] = op(self.values[idx], v);
         } else {
@@ -81,7 +59,7 @@ impl<V: Copy> Spa<V> {
     /// Insert `v` at `i`, overwriting any existing value.
     #[inline]
     pub fn insert(&mut self, i: u32, v: V) {
-        let idx = (i - self.offset) as usize;
+        let idx = i as usize;
         if !self.occupied[idx] {
             self.occupied[idx] = true;
             self.nonzeros.push(i);
@@ -93,15 +71,14 @@ impl<V: Copy> Spa<V> {
     #[inline]
     #[must_use]
     pub fn get(&self, i: u32) -> Option<V> {
-        let idx = (i - self.offset) as usize;
-        self.occupied[idx].then(|| self.values[idx])
+        self.occupied[i as usize].then(|| self.values[i as usize])
     }
 
     /// `true` when slot `i` holds a value.
     #[inline]
     #[must_use]
     pub fn contains(&self, i: u32) -> bool {
-        self.occupied[(i - self.offset) as usize]
+        self.occupied[i as usize]
     }
 
     /// Drain into `(sorted indices, values)` and reset for reuse.
@@ -111,13 +88,10 @@ impl<V: Copy> Spa<V> {
     pub fn drain_sorted(&mut self) -> (Vec<u32>, Vec<V>) {
         self.nonzeros.sort_unstable();
         let ids = std::mem::take(&mut self.nonzeros);
-        let vals = ids
-            .iter()
-            .map(|&i| self.values[(i - self.offset) as usize])
-            .collect();
+        let vals = ids.iter().map(|&i| self.values[i as usize]).collect();
         for &i in &ids {
-            self.occupied[(i - self.offset) as usize] = false;
-            self.values[(i - self.offset) as usize] = self.fill;
+            self.occupied[i as usize] = false;
+            self.values[i as usize] = self.fill;
         }
         (ids, vals)
     }
@@ -131,13 +105,10 @@ impl<V: Copy> Spa<V> {
     pub fn drain_sorted_pairs(&mut self) -> Vec<(u32, V)> {
         self.nonzeros.sort_unstable();
         let ids = std::mem::take(&mut self.nonzeros);
-        let out = ids
-            .iter()
-            .map(|&i| (i, self.values[(i - self.offset) as usize]))
-            .collect();
+        let out = ids.iter().map(|&i| (i, self.values[i as usize])).collect();
         for &i in &ids {
-            self.occupied[(i - self.offset) as usize] = false;
-            self.values[(i - self.offset) as usize] = self.fill;
+            self.occupied[i as usize] = false;
+            self.values[i as usize] = self.fill;
         }
         out
     }
@@ -145,8 +116,8 @@ impl<V: Copy> Spa<V> {
     /// Reset without harvesting.
     pub fn clear(&mut self) {
         for &i in &self.nonzeros {
-            self.occupied[(i - self.offset) as usize] = false;
-            self.values[(i - self.offset) as usize] = self.fill;
+            self.occupied[i as usize] = false;
+            self.values[i as usize] = self.fill;
         }
         self.nonzeros.clear();
     }
@@ -194,29 +165,6 @@ mod tests {
         assert!(!spa.contains(1) && !spa.contains(5));
         let (ids, _) = spa.drain_sorted();
         assert!(ids.is_empty());
-    }
-
-    #[test]
-    fn windowed_spa_keeps_absolute_indices() {
-        // Stripe 8..13 of a width-20 output: a 5-slot slab, absolute ids.
-        let mut spa = Spa::windowed(8..13, 0u32);
-        assert_eq!(spa.dim(), 5);
-        assert_eq!(spa.window_start(), 8);
-        spa.accumulate(12, 3, |a, b| a + b);
-        spa.accumulate(8, 1, |a, b| a + b);
-        spa.accumulate(12, 4, |a, b| a + b);
-        assert_eq!(spa.get(12), Some(7));
-        assert!(spa.contains(8) && !spa.contains(9));
-        let pairs = spa.drain_sorted_pairs();
-        assert_eq!(pairs, vec![(8, 1), (12, 7)]);
-        // Reusable after drain, same window.
-        spa.insert(10, 9);
-        let (ids, vals) = spa.drain_sorted();
-        assert_eq!((ids, vals), (vec![10], vec![9]));
-        spa.insert(11, 2);
-        spa.clear();
-        assert_eq!(spa.nnz(), 0);
-        assert!(!spa.contains(11));
     }
 
     #[test]

@@ -65,7 +65,6 @@ proptest! {
         structure_only in any::<bool>(),
         strategy in prop::sample::select(vec![
             MergeStrategy::SortBased,
-            MergeStrategy::HeapMerge,
             MergeStrategy::BitmaskCull,
             MergeStrategy::SpaMerge,
         ]),
@@ -115,7 +114,6 @@ proptest! {
         transpose in any::<bool>(),
         strategy in prop::sample::select(vec![
             MergeStrategy::SortBased,
-            MergeStrategy::HeapMerge,
             MergeStrategy::BitmaskCull,
             MergeStrategy::SpaMerge,
         ]),

@@ -5,8 +5,6 @@
 //! 8 lanes. The batch is an execution detail, never an observable.
 
 use proptest::prelude::*;
-use push_pull::core::descriptor::ShardPolicy;
-use push_pull::core::ShardGrid;
 use push_pull::gen::erdos::erdos_renyi;
 use push_pull::gen::powerlaw::{chung_lu, PowerLawParams};
 use push_pull::gen::with_uniform_weights;
@@ -143,69 +141,5 @@ fn fixed_mixed_batch_equivalent_and_lane_invariant() {
     }
     for (lanes, got) in LANES.iter().zip(&per_lane) {
         assert_eq!(got, &per_lane[0], "diverged at {lanes} lanes");
-    }
-}
-
-/// Sharded execution is an execution detail the service never leaks: a
-/// coalesced batch running under a shard policy must return values and
-/// per-request bills bit-identical to solo *unsharded* dispatch. `Auto`
-/// is the production knob (it engages only above the working-set budget);
-/// the `Fixed` grid forces stripes on regardless of size, so the contract
-/// is exercised with sharding genuinely live.
-#[test]
-fn sharded_coalesced_batch_matches_unsharded_solo() {
-    let gs = service_graphs(0, 7);
-    let plain = ExecOpts::default();
-    let queries = vec![
-        Query::Bfs { source: 1 },
-        Query::Bfs { source: 250 },
-        Query::Parents { source: 9 },
-        Query::Parents { source: 400 },
-        Query::Sssp { source: 12 },
-        Query::Sssp { source: 300 },
-    ];
-    let batch: Vec<Request> = queries
-        .into_iter()
-        .enumerate()
-        .map(|(i, q)| Request::new(i as u64, q))
-        .collect();
-
-    for policy in [ShardPolicy::Auto, ShardPolicy::Fixed(ShardGrid::new(2, 4))] {
-        let mut sharded = ExecOpts::default();
-        sharded.bfs.shards = policy;
-        sharded.parents.shards = policy;
-        sharded.sssp.shards = policy;
-        for lanes in LANES {
-            rayon::with_num_threads(lanes, || {
-                let coalesced = execute_batch(&gs, &sharded, &batch, None);
-                for (i, req) in batch.iter().enumerate() {
-                    let solo = execute_batch(
-                        &gs,
-                        &plain,
-                        &[Request::new(req.id, req.query.clone())],
-                        None,
-                    )
-                    .pop()
-                    .expect("one request, one response");
-                    assert_eq!(
-                        coalesced[i].result, solo.result,
-                        "sharded batch ({policy:?}, {lanes} lanes) diverged on request {i}"
-                    );
-                    // Shard telemetry (merge topology) is the one thing
-                    // sharding is allowed to change; every billed access
-                    // must match the unsharded bill exactly.
-                    let mut got = coalesced[i].counters;
-                    got.shard_merges = 0;
-                    got.cross_shard_writes = 0;
-                    let mut want = solo.counters;
-                    want.shard_merges = 0;
-                    want.cross_shard_writes = 0;
-                    assert_eq!(
-                        got, want,
-                        "sharded batch ({policy:?}, {lanes} lanes) billed request {i} differently"
-                    );
-                }
-            });
-        }
     }
 }

@@ -81,7 +81,6 @@ fn push_mxv_identical_across_thread_counts() {
         for masked in [false, true] {
             for strategy in [
                 MergeStrategy::SortBased,
-                MergeStrategy::HeapMerge,
                 MergeStrategy::BitmaskCull,
                 MergeStrategy::SpaMerge,
             ] {
