@@ -27,7 +27,7 @@ use graphblas_core::mask::Mask;
 use graphblas_core::ops::PlusSecond;
 use graphblas_core::ops_mxv_batch::mxv_batch;
 use graphblas_core::vector::{MultiVector, Vector};
-use graphblas_core::{run_guarded, DirectionPolicy, ExecLimits, FormatPolicy, GrbResult};
+use graphblas_core::{run_guarded, DirectionPolicy, ExecLimits, FormatChoice, GrbResult};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::BitVec;
@@ -35,10 +35,10 @@ use graphblas_primitives::BitVec;
 /// Options for batched betweenness centrality.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BcOpts {
-    /// Matrix storage-format policy both sweeps' batched matvecs run
-    /// under (default auto; `FormatPolicy::fixed(Csr)` is the tested
-    /// oracle). Scores and access counters are format-invariant.
-    pub format: FormatPolicy,
+    /// Matrix storage format both sweeps' batched matvecs run under
+    /// (default auto; `Force(Csr)` is the tested oracle). Scores and access
+    /// counters are format-invariant.
+    pub format: FormatChoice,
     /// Execution limits enforced by [`try_betweenness_with_opts`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -100,13 +100,11 @@ fn bc_loop(
     for &s in sources {
         assert!((s as usize) < n, "source out of range");
     }
-    let base_fwd = Descriptor::new().transpose(true);
-    let base_bwd = Descriptor::new(); // children direction: A, not Aᵀ
-                                      // One format policy per sweep (the sweeps iterate opposite
-                                      // orientations, so their occupancy statistics differ on directed
-                                      // graphs).
-    let mut fpol_fwd = opts.format;
-    let mut fpol_bwd = opts.format;
+    // One descriptor per sweep: the sweeps iterate opposite orientations,
+    // so each resolves its store against its own occupancy statistics.
+    let desc_fwd = Descriptor::new().transpose(true).format_choice(opts.format);
+    // Children direction: A, not Aᵀ.
+    let desc_bwd = Descriptor::new().format_choice(opts.format);
 
     // ---- Forward phase: batched per-level σ frontiers. ----
     let mut visited: Vec<BitVec> = sources
@@ -149,7 +147,6 @@ fn bc_loop(
             .collect();
         let mut live_policies: Vec<DirectionPolicy> =
             alive.iter().map(|&s| policies[s].clone()).collect();
-        let desc_fwd = base_fwd.force_format(fpol_fwd.update_batch(g, true, counters));
         let next: MultiVector<f64> = mxv_batch(
             Some(&masks),
             PlusSecond,
@@ -221,7 +218,6 @@ fn bc_loop(
         let mut live_policies: Vec<DirectionPolicy> =
             active.iter().map(|&s| bwd_policies[s].clone()).collect();
         // Pull from children through A (row v of A lists v's children).
-        let desc_bwd = base_bwd.force_format(fpol_bwd.update_batch(g, false, counters));
         let contrib: MultiVector<f64> = mxv_batch(
             Some(&masks),
             PlusSecond,

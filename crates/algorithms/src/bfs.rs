@@ -42,10 +42,10 @@ use graphblas_core::ops::{BoolOrAnd, BoolStructure, Semiring};
 use graphblas_core::vector::Vector;
 use graphblas_core::vector_ops::filter_by_mask;
 use graphblas_core::{
-    mxv, run_guarded, CostConstants, CostModelInputs, DirectionPolicy, ExecLimits, FormatPolicy,
-    FusedMxv, GrbResult,
+    mxv, run_guarded, CostConstants, CostModelInputs, DirectionPolicy, ExecLimits, FormatChoice,
+    FusedMxv, GrbResult, Planner,
 };
-use graphblas_matrix::{Graph, VertexId};
+use graphblas_matrix::{Graph, StorageFormat, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::BitVec;
 use std::time::Instant;
@@ -79,11 +79,10 @@ pub struct BfsOpts {
     /// optimizations: results and access counters are bit-identical either
     /// way.
     pub fused: bool,
-    /// Matrix storage-format policy the per-level planner runs under
-    /// (default [`FormatPolicy::auto`]; `FormatPolicy::fixed(Csr)` is the
-    /// tested oracle). Formats never change results or access counters —
-    /// only wall clock and the `format_switches` tally.
-    pub format: FormatPolicy,
+    /// Matrix storage format the per-level [`Planner`] runs under (default
+    /// [`FormatChoice::Auto`]; `Force(Csr)` is the tested oracle). Formats
+    /// never change results or access counters — only wall clock.
+    pub format: FormatChoice,
     /// Let the boolean kernels run bit-parallel when the level's planned
     /// store is the bitmap (default on). Value- and projected-counter
     /// neutral; `false` is the scalar-oracle arm of the equivalence tests.
@@ -91,8 +90,7 @@ pub struct BfsOpts {
     /// Replace the ratio-threshold direction rule with the measured cost
     /// model: `pushwork = c_push · nnz(A(:, f))` against
     /// `pullwork = c_pull · d · |unvisited|`, per level (overridden by
-    /// [`BfsOpts::force`]). Pair with [`FormatPolicy::cost_model`] to let
-    /// the same constants pick the format half of the plan.
+    /// [`BfsOpts::force`]).
     pub cost_model: bool,
     /// Execution limits (deadline, work budget, bytes budget) enforced by
     /// [`try_bfs_with_opts`]. The infallible entry points ignore this
@@ -112,7 +110,7 @@ impl Default for BfsOpts {
             force: None,
             record_trace: false,
             fused: true,
-            format: FormatPolicy::auto(),
+            format: FormatChoice::Auto,
             bit_kernels: true,
             cost_model: false,
             limits: ExecLimits::none(),
@@ -135,7 +133,7 @@ impl BfsOpts {
             force: None,
             record_trace: false,
             fused: true,
-            format: FormatPolicy::auto(),
+            format: FormatChoice::Auto,
             // The baseline is the scalar reference configuration.
             bit_kernels: false,
             cost_model: false,
@@ -192,10 +190,10 @@ impl BfsOpts {
         self
     }
 
-    /// Builder: set the storage-format policy (see [`BfsOpts::format`]).
+    /// Builder: set the storage-format choice (see [`BfsOpts::format`]).
     #[must_use]
-    pub fn format(mut self, p: FormatPolicy) -> Self {
-        self.format = p;
+    pub fn format(mut self, c: FormatChoice) -> Self {
+        self.format = c;
         self
     }
 
@@ -221,6 +219,8 @@ pub struct IterRecord {
     pub level: usize,
     /// Kernel family this level ran.
     pub direction: Direction,
+    /// Matrix store the level's kernel ran over.
+    pub format: StorageFormat,
     /// `nnz(f)` entering the level.
     pub frontier_nnz: usize,
     /// Unvisited vertex count entering the level (`nnz(¬v)`).
@@ -345,15 +345,14 @@ where
     let mut f: Vector<bool> = Vector::singleton(n, false, source, true);
     let mut frontier_nnz = 1usize;
     // Optimization 1's switching rule lives in graphblas_core; BFS only
-    // chooses which policy variant it runs under.
-    let mut policy = match opts.force {
+    // chooses which policy variant its planner runs under.
+    let policy = match opts.force {
         Some(d) => DirectionPolicy::fixed(d),
         None if opts.cost_model => DirectionPolicy::cost_model(CostConstants::default()),
         None if opts.change_of_direction => DirectionPolicy::hysteresis(opts.switch_threshold),
         None => DirectionPolicy::fixed(Direction::Push),
     };
-    // The format half of the per-level plan, beside the direction policy.
-    let mut fpol = opts.format;
+    let mut planner = Planner::new(policy, opts.format);
     let mut level = 0usize;
     let mut trace = Vec::new();
 
@@ -363,37 +362,27 @@ where
         .transpose(true)
         .early_exit(opts.early_exit)
         .structure_only(opts.structure_only)
-        .switch_threshold(opts.switch_threshold)
         .bit_kernels(opts.bit_kernels);
 
     loop {
         let t0 = opts.record_trace.then(Instant::now);
         level += 1;
 
-        // Optimization 1: pick this level's direction; the format policy
-        // picks the matrix store the level's kernel face runs over.
-        let dir = if opts.cost_model && opts.force.is_none() {
+        // Optimization 1: the planner picks this level's direction and the
+        // matrix store its kernel face runs over.
+        let measured = (opts.cost_model && opts.force.is_none()).then(|| {
             // Measured workloads for the Beamer-style rule: push expands the
             // out-rows of the frontier; pull scans into the unvisited set.
             let csr = g.csr();
-            let frontier_edges = f
-                .iter_explicit()
-                .map(|(i, _)| csr.degree(i as usize))
-                .sum::<usize>();
-            let inputs = CostModelInputs {
-                frontier_edges,
+            CostModelInputs {
+                frontier_edges: f.iter_explicit().map(|(i, _)| csr.degree(i as usize)).sum(),
                 unvisited: unvisited_count,
                 avg_degree: csr.avg_degree(),
-            };
-            policy.update_measured(frontier_nnz, n, inputs)
-        } else {
-            policy.update(frontier_nnz, n)
-        };
-        // The frontier population lets the cost-model policy price the
-        // compressed frontier-word scan of a bit pull (shape-only pricing
-        // assumed the dense window stride and overpriced sparse levels).
-        let fmt = fpol.update_with_frontier(g, true, dir, Some(frontier_nnz), counters);
-        let desc = base_desc.force(dir).force_format(fmt);
+            }
+        });
+        let plan = planner.next(g, true, frontier_nnz, n, measured, counters);
+        let dir = plan.direction;
+        let desc = base_desc.force(dir).force_format(plan.format);
 
         // Storage follows direction (the convert() of §6.3). With operand
         // reuse the pull input is the dense visited vector, so the frontier
@@ -492,6 +481,7 @@ where
             trace.push(IterRecord {
                 level,
                 direction: dir,
+                format: plan.format,
                 frontier_nnz,
                 unvisited: unvisited_count + new_count,
                 micros: t0.elapsed().as_micros(),
@@ -700,7 +690,7 @@ mod tests {
             let c = AccessCounters::new();
             let opts = BfsOpts::default()
                 .bit_kernels(bit)
-                .format(FormatPolicy::fixed(graphblas_core::StorageFormat::Bitmap));
+                .format(FormatChoice::Force(StorageFormat::Bitmap));
             let r = bfs_with_opts(&g, 2, &opts, Some(&c));
             (r.depths, c.snapshot().accesses_only())
         };

@@ -25,7 +25,7 @@ use graphblas_core::mask::Mask;
 use graphblas_core::ops::MinSecond;
 use graphblas_core::vector::Vector;
 use graphblas_core::{
-    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatPolicy, FusedMxv, GrbResult,
+    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatChoice, FusedMxv, GrbResult, Planner,
 };
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
@@ -46,9 +46,9 @@ pub struct ParentBfsOpts {
     /// by the ascending-scan argument in the module doc). Only meaningful
     /// with `fused`; identical parents either way, less matrix traffic.
     pub first_hit_exit: bool,
-    /// Matrix storage-format policy (default auto; see
-    /// [`graphblas_core::plan`]). Format-invariant results and counters.
-    pub format: FormatPolicy,
+    /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
+    /// Format-invariant results and counters.
+    pub format: FormatChoice,
     /// Allow the bit-parallel kernels when a level runs over the bitmap
     /// store (default on). Here the bit path serves the fused first-hit
     /// exit: rank-of-first-set-bit recovers the same minimum parent the
@@ -65,7 +65,7 @@ impl Default for ParentBfsOpts {
             switch_threshold: 0.01,
             fused: true,
             first_hit_exit: true,
-            format: FormatPolicy::auto(),
+            format: FormatChoice::Auto,
             bit_kernels: true,
             limits: ExecLimits::none(),
         }
@@ -134,8 +134,10 @@ fn parent_bfs_loop(
     // Frontier carries each frontier vertex's own id as its value — the
     // invariant the fused first-hit exit relies on.
     let mut f: Vector<u32> = Vector::singleton(n, NO_PARENT, source, source);
-    let mut policy = DirectionPolicy::hysteresis(opts.switch_threshold);
-    let mut fpol = opts.format;
+    let mut planner = Planner::new(
+        DirectionPolicy::hysteresis(opts.switch_threshold),
+        opts.format,
+    );
     let mut levels = 0usize;
     let base = Descriptor::new()
         .transpose(true)
@@ -143,10 +145,9 @@ fn parent_bfs_loop(
 
     loop {
         levels += 1;
-        let dir = policy.update(f.nnz(), n);
-        let desc = base
-            .force(dir)
-            .force_format(fpol.update(g, true, dir, counters));
+        let plan = planner.next(g, true, f.nnz(), n, None, counters);
+        let dir = plan.direction;
+        let desc = base.force(dir).force_format(plan.format);
         match dir {
             Direction::Pull => f.make_dense(),
             Direction::Push => f.make_sparse(),
@@ -338,7 +339,7 @@ mod tests {
             let c = AccessCounters::new();
             let opts = ParentBfsOpts {
                 switch_threshold: 0.0,
-                format: FormatPolicy::fixed(graphblas_core::StorageFormat::Bitmap),
+                format: FormatChoice::Force(graphblas_core::StorageFormat::Bitmap),
                 bit_kernels: bit,
                 ..ParentBfsOpts::default()
             };

@@ -17,7 +17,7 @@ use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::ops::MinSecond;
 use graphblas_core::vector::{DenseVector, Vector};
 use graphblas_core::{
-    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatPolicy, FusedMxv, GrbResult,
+    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatChoice, FusedMxv, GrbResult, Planner,
 };
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
@@ -49,9 +49,9 @@ pub struct CcOpts {
     /// Run each round as one fused mxv·assign pass (default) instead of
     /// materializing the candidate vector. Bit-identical either way.
     pub fused: bool,
-    /// Matrix storage-format policy (default auto; see
-    /// [`graphblas_core::plan`]). Format-invariant results and counters.
-    pub format: FormatPolicy,
+    /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
+    /// Format-invariant results and counters.
+    pub format: FormatChoice,
     /// Allow the bit-parallel kernels (default on). Inert for the
     /// `(min, second)` semiring today — it has no product hint — but kept
     /// uniform with the other traversals so a future Boolean CC variant
@@ -67,7 +67,7 @@ impl Default for CcOpts {
         Self {
             switch_threshold: 0.01,
             fused: true,
-            format: FormatPolicy::auto(),
+            format: FormatChoice::Auto,
             bit_kernels: true,
             limits: ExecLimits::none(),
         }
@@ -118,23 +118,19 @@ fn cc_loop(
     let mut rounds = 0usize;
     // Same hysteresis rule as BFS (§6.3), on the delta set; dense start
     // means the policy begins in pull.
-    let mut policy = DirectionPolicy::hysteresis_from(Direction::Pull, opts.switch_threshold);
-    let mut fpol = opts.format;
-    let base_push = Descriptor::new()
+    let mut planner = Planner::new(
+        DirectionPolicy::hysteresis_from(Direction::Pull, opts.switch_threshold),
+        opts.format,
+    );
+    let base = Descriptor::new()
         .transpose(true)
-        .force(Direction::Push)
-        .bit_kernels(opts.bit_kernels);
-    let base_pull = Descriptor::new()
-        .transpose(true)
-        .force(Direction::Pull)
         .bit_kernels(opts.bit_kernels);
 
     loop {
         rounds += 1;
-        let dir = policy.update(delta.nnz(), n);
-        let fmt = fpol.update(g, true, dir, counters);
-        let desc_push = base_push.force_format(fmt);
-        let desc_pull = base_pull.force_format(fmt);
+        let plan = planner.next(g, true, delta.nnz(), n, None, counters);
+        let dir = plan.direction;
+        let desc = base.force(dir).force_format(plan.format);
 
         // Pull rounds relax against the *full* label vector (min is
         // idempotent, so the superset of the delta is sound — operand
@@ -145,13 +141,13 @@ fn cc_loop(
             let out = if dir == Direction::Pull {
                 let full = Vector::Dense(DenseVector::from_values(labels.clone(), u32::MAX));
                 FusedMxv::new(MinSecond, g, &full)
-                    .descriptor(desc_pull)
+                    .descriptor(desc)
                     .counters(counters)
                     .apply(|l: u32| l)
                     .assign_into(&mut labels, |old, new| (new < old).then_some(new))
             } else {
                 FusedMxv::new(MinSecond, g, &delta)
-                    .descriptor(desc_push)
+                    .descriptor(desc)
                     .counters(counters)
                     .apply(|l: u32| l)
                     .assign_into(&mut labels, |old, new| (new < old).then_some(new))
@@ -160,9 +156,9 @@ fn cc_loop(
         } else {
             let candidates: Vector<u32> = if dir == Direction::Pull {
                 let full = Vector::Dense(DenseVector::from_values(labels.clone(), u32::MAX));
-                mxv(None, MinSecond, g, &full, &desc_pull, counters)?
+                mxv(None, MinSecond, g, &full, &desc, counters)?
             } else {
-                mxv(None, MinSecond, g, &delta, &desc_push, counters)?
+                mxv(None, MinSecond, g, &delta, &desc, counters)?
             };
             let mut ids = Vec::new();
             for (i, c) in candidates.iter_explicit() {

@@ -25,10 +25,10 @@
 //!   caller decides whether to de-coalesce and retry solo.
 //!
 //! Batch-scoped charges that no single request owns — storage-conversion
-//! bytes and `format_switches` from the per-level `FormatPolicy` call —
-//! go to the `shared` counters, as they do in a solo run through this
-//! driver, so full per-entry snapshots compare equal between coalesced
-//! and solo executions.
+//! bytes and `bitmap_degrades` of the batch's store — go to the `shared`
+//! counters, as they do in a solo run through this driver, so full
+//! per-entry snapshots compare equal between coalesced and solo
+//! executions.
 
 use std::panic::{self, AssertUnwindSafe};
 
@@ -255,18 +255,17 @@ pub fn multi_source_bfs_entries(
         })
         .collect();
 
-    let base_desc = match opts.force {
+    let desc = match opts.force {
         Some(d) => Descriptor::new().transpose(true).force(d),
         None => Descriptor::new().transpose(true),
     }
-    .bit_kernels(opts.bit_kernels);
-    let mut fpol = opts.format;
+    .bit_kernels(opts.bit_kernels)
+    .format_choice(opts.format);
 
     let mut alive: Vec<usize> = (0..k).collect();
     let mut level = 0usize;
     while !alive.is_empty() {
         level += 1;
-        let desc = base_desc.force_format(fpol.update_batch(g, true, shared));
         let batch = MultiVector::from_rows(
             alive
                 .iter()
@@ -377,16 +376,15 @@ pub fn bfs_parents_entries(
         .map(|_| DirectionPolicy::hysteresis(opts.switch_threshold))
         .collect();
 
-    let base_desc = Descriptor::new()
+    let desc = Descriptor::new()
         .transpose(true)
-        .bit_kernels(opts.bit_kernels);
-    let mut fpol = opts.format;
+        .bit_kernels(opts.bit_kernels)
+        .format_choice(opts.format);
 
     let mut alive: Vec<usize> = (0..k).collect();
     let mut level = 0usize;
     while !alive.is_empty() {
         level += 1;
-        let desc = base_desc.force_format(fpol.update_batch(g, true, shared));
         let batch = MultiVector::from_rows(
             alive
                 .iter()
@@ -499,12 +497,10 @@ pub fn sssp_entries(
     let mut rounds = vec![0usize; k];
     let mut pull_rounds = vec![0usize; k];
 
-    let base_desc = Descriptor::new().transpose(true);
-    let mut fpol = opts.format;
+    let desc = Descriptor::new().transpose(true).format_choice(opts.format);
 
     let mut alive: Vec<usize> = (0..k).collect();
     while !alive.is_empty() {
-        let desc = base_desc.force_format(fpol.update_batch(g, true, shared));
         // External per-entry direction resolution: the row's storage
         // encodes the phase and the kernel's storage rule honors it.
         let rows: Vec<Vector<f32>> = alive

@@ -21,7 +21,7 @@ use graphblas_core::mask::Mask;
 use graphblas_core::ops::BoolStructure;
 use graphblas_core::ops_mxv_batch::mxv_batch;
 use graphblas_core::vector::{MultiVector, Vector};
-use graphblas_core::{run_guarded, DirectionPolicy, ExecLimits, FormatPolicy, GrbResult};
+use graphblas_core::{run_guarded, DirectionPolicy, ExecLimits, FormatChoice, GrbResult};
 use graphblas_matrix::{Csr, Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::BitVec;
@@ -37,13 +37,14 @@ pub struct MsBfsOpts {
     /// Pin every source to one direction (ablation arms). `None` lets each
     /// source's hysteresis policy switch independently.
     pub force: Option<Direction>,
-    /// Matrix storage-format policy for the batch (one format per batch
-    /// step, per-row directions stay independent; default auto).
-    pub format: FormatPolicy,
+    /// Matrix storage format for the batch (default auto). The batch rule
+    /// depends on the graph alone, so one store serves every step while
+    /// per-row directions stay independent.
+    pub format: FormatChoice,
     /// Allow the bit-parallel pull kernel when the batch step runs over
-    /// the bitmap store (default on). The batch format planner never picks
+    /// the bitmap store (default on). The batch format rule never picks
     /// the bitmap on its own, so this only engages under a forced
-    /// `FormatPolicy::fixed(Bitmap)`; results and projected counters are
+    /// `FormatChoice::Force(Bitmap)`; results and projected counters are
     /// identical either way.
     pub bit_kernels: bool,
     /// Execution limits enforced by [`try_multi_source_bfs_with_opts`];
@@ -56,7 +57,7 @@ impl Default for MsBfsOpts {
         Self {
             switch_threshold: 0.01,
             force: None,
-            format: FormatPolicy::auto(),
+            format: FormatChoice::Auto,
             bit_kernels: true,
             limits: ExecLimits::none(),
         }
@@ -147,18 +148,17 @@ fn msbfs_loop(
 
     // Algorithm 1's descriptor: multiply by Aᵀ; direction stays Auto so
     // each row follows its own policy (a forced run pins the descriptor).
-    let base_desc = match opts.force {
+    let desc = match opts.force {
         Some(d) => Descriptor::new().transpose(true).force(d),
         None => Descriptor::new().transpose(true),
     }
-    .bit_kernels(opts.bit_kernels);
-    let mut fpol = opts.format;
+    .bit_kernels(opts.bit_kernels)
+    .format_choice(opts.format);
 
     let mut alive: Vec<usize> = (0..k).collect();
     let mut level = 0usize;
     while !alive.is_empty() {
         level += 1;
-        let desc = base_desc.force_format(fpol.update_batch(g, true, counters));
         // Assemble the live sub-batch by moving rows out of the state
         // (restored or replaced below), with one mask and one policy per
         // live source.
@@ -336,7 +336,7 @@ mod tests {
         let run = |bit: bool| {
             let c = AccessCounters::new();
             let opts = MsBfsOpts {
-                format: FormatPolicy::fixed(graphblas_core::StorageFormat::Bitmap),
+                format: FormatChoice::Force(graphblas_core::StorageFormat::Bitmap),
                 bit_kernels: bit,
                 ..MsBfsOpts::default()
             };

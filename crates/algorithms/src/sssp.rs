@@ -17,7 +17,7 @@ use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::ops::MinPlus;
 use graphblas_core::vector::Vector;
 use graphblas_core::{
-    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatPolicy, FusedMxv, GrbResult,
+    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatChoice, FusedMxv, GrbResult, Planner,
 };
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
@@ -36,9 +36,9 @@ pub struct SsspOpts {
     /// rule and the candidate vector is never materialized. Bit-identical
     /// either way.
     pub fused: bool,
-    /// Matrix storage-format policy (default auto; see
-    /// [`graphblas_core::plan`]). Format-invariant results and counters.
-    pub format: FormatPolicy,
+    /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
+    /// Format-invariant results and counters.
+    pub format: FormatChoice,
     /// Execution limits enforced by [`try_sssp_with_counters`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -51,7 +51,7 @@ impl Default for SsspOpts {
             change_of_direction: true,
             max_rounds: None,
             fused: true,
-            format: FormatPolicy::auto(),
+            format: FormatChoice::Auto,
             limits: ExecLimits::none(),
         }
     }
@@ -112,26 +112,24 @@ fn sssp_loop(
     let mut delta: Vector<f32> = Vector::singleton(n, f32::INFINITY, source, 0.0);
     // 2-phase switch (§5.6): once the delta set crosses the threshold, stay
     // row-based for the remainder.
-    let mut policy = if opts.change_of_direction {
+    let policy = if opts.change_of_direction {
         DirectionPolicy::two_phase(opts.switch_threshold)
     } else {
         DirectionPolicy::fixed(Direction::Push)
     };
+    let mut planner = Planner::new(policy, opts.format);
     let mut rounds = 0usize;
     let mut pull_rounds = 0usize;
-    let mut fpol = opts.format;
-    let base_push = Descriptor::new().transpose(true).force(Direction::Push);
-    let base_pull = Descriptor::new().transpose(true).force(Direction::Pull);
+    let base = Descriptor::new().transpose(true);
 
     while rounds < max_rounds {
         rounds += 1;
-        let dir = policy.update(delta.nnz(), n);
+        let plan = planner.next(g, true, delta.nnz(), n, None, counters);
+        let dir = plan.direction;
         if dir == Direction::Pull {
             pull_rounds += 1;
         }
-        let fmt = fpol.update(g, true, dir, counters);
-        let desc_push = base_push.force_format(fmt);
-        let desc_pull = base_pull.force_format(fmt);
+        let desc = base.force(dir).force_format(plan.format);
 
         // Pull rounds relax against the full distance vector (superset of
         // the delta — idempotent min makes the extra relaxations
@@ -145,13 +143,13 @@ fn sssp_loop(
                     f32::INFINITY,
                 ));
                 FusedMxv::new(MinPlus, g, &full)
-                    .descriptor(desc_pull)
+                    .descriptor(desc)
                     .counters(counters)
                     .apply(|d: f32| d)
                     .assign_into(&mut dist, |old, new| (new < old).then_some(new))
             } else {
                 FusedMxv::new(MinPlus, g, &delta)
-                    .descriptor(desc_push)
+                    .descriptor(desc)
                     .counters(counters)
                     .apply(|d: f32| d)
                     .assign_into(&mut dist, |old, new| (new < old).then_some(new))
@@ -163,9 +161,9 @@ fn sssp_loop(
                     dist.clone(),
                     f32::INFINITY,
                 ));
-                mxv(None, MinPlus, g, &full, &desc_pull, counters)?
+                mxv(None, MinPlus, g, &full, &desc, counters)?
             } else {
-                mxv(None, MinPlus, g, &delta, &desc_push, counters)?
+                mxv(None, MinPlus, g, &delta, &desc, counters)?
             };
             // dist ← min(dist, candidates); next delta = strict improvements.
             let mut ids = Vec::new();

@@ -114,10 +114,10 @@ fn bench_hypersparse_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bit-parallel boolean kernels against their scalar twins on a dense
-/// bitmap-regime graph: unmasked pull (word-AND over row words), masked
-/// pull, and push (word-OR frontier merge). Same forced Bitmap format on
-/// both arms so the only variable is the bit path itself.
+/// Bit-parallel boolean pull kernels against their scalar twins on a dense
+/// bitmap-regime graph: unmasked pull (word-AND over row words) and masked
+/// pull. Same forced Bitmap format on both arms so the only variable is
+/// the bit path itself.
 fn bench_bit_kernels(c: &mut Criterion) {
     use graphblas_core::ops::BoolStructure;
     use graphblas_core::Mask;
@@ -126,9 +126,6 @@ fn bench_bit_kernels(c: &mut Criterion) {
     let g = graphblas_gen::erdos::erdos_renyi(1024, 131_072, 11);
     let n = g.n_vertices();
     let dense_f = Vector::Dense(DenseVector::from_values(vec![true; n], false));
-    let ids: Vec<u32> = (0..n as u32).step_by(16).collect();
-    let k = ids.len();
-    let sparse_f = Vector::from_sparse(n, false, ids, vec![true; k]);
     let visited = {
         let mut b = BitVec::new(n);
         for i in (0..n).step_by(2) {
@@ -145,16 +142,12 @@ fn bench_bit_kernels(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
     for bit in [false, true] {
         let arm = if bit { "bit" } else { "scalar" };
-        let desc = |dir| {
-            Descriptor::new()
-                .transpose(true)
-                .structure_only(true)
-                .force(dir)
-                .force_format(StorageFormat::Bitmap)
-                .bit_kernels(bit)
-        };
-        let desc_pull = desc(Direction::Pull);
-        let desc_push = desc(Direction::Push);
+        let desc_pull = Descriptor::new()
+            .transpose(true)
+            .structure_only(true)
+            .force(Direction::Pull)
+            .force_format(StorageFormat::Bitmap)
+            .bit_kernels(bit);
         // Warm the format cache outside the timed region.
         let _: Vector<bool> = mxv(None, BoolStructure, &g, &dense_f, &desc_pull, None).unwrap();
         group.bench_function(BenchmarkId::new("pull", arm), |b| {
@@ -168,13 +161,6 @@ fn bench_bit_kernels(c: &mut Criterion) {
             b.iter(|| {
                 let w: Vector<bool> =
                     mxv(Some(&mask), BoolStructure, &g, &dense_f, &desc_pull, None).unwrap();
-                black_box(w)
-            })
-        });
-        group.bench_function(BenchmarkId::new("push", arm), |b| {
-            b.iter(|| {
-                let w: Vector<bool> =
-                    mxv(None, BoolStructure, &g, &sparse_f, &desc_push, None).unwrap();
                 black_box(w)
             })
         });

@@ -982,8 +982,6 @@ fn bitfrontier(cfg: &Config) {
             "degrades",
             "pull bit ms",
             "pull scalar ms",
-            "push bit ms",
-            "push scalar ms",
             "model/best",
         ],
     );
@@ -1003,8 +1001,6 @@ fn bitfrontier(cfg: &Config) {
             s.bitmap_degrades.to_string(),
             f(s.bit_pull_ms),
             f(s.scalar_pull_ms),
-            f(s.bit_push_ms),
-            f(s.scalar_push_ms),
             format!("{:.3}x", s.cost_model_vs_best),
         ]);
         dataset_objs.push(Json::Obj(vec![
@@ -1023,8 +1019,6 @@ fn bitfrontier(cfg: &Config) {
             ("bitmap_degrades", Json::Int(s.bitmap_degrades)),
             ("bit_pull_ms", Json::Num(s.bit_pull_ms)),
             ("scalar_pull_ms", Json::Num(s.scalar_pull_ms)),
-            ("bit_push_ms", Json::Num(s.bit_push_ms)),
-            ("scalar_push_ms", Json::Num(s.scalar_push_ms)),
             ("cost_model_total", Json::Int(s.cost_model_total)),
             ("push_only_total", Json::Int(s.push_only_total)),
             ("pull_only_total", Json::Int(s.pull_only_total)),

@@ -14,7 +14,7 @@
 
 use graphblas_algo::bfs::{try_bfs_with_opts, BfsOpts};
 use graphblas_core::descriptor::Direction;
-use graphblas_core::{ExecLimits, FormatPolicy, GrbError, StorageFormat};
+use graphblas_core::{ExecLimits, FormatChoice, GrbError, StorageFormat};
 use graphblas_matrix::{Dcsr, Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::fault::{self, FaultPlan};
@@ -99,7 +99,7 @@ fn scenario_opts(fault: FaultClass) -> BfsOpts {
     let base = BfsOpts::default();
     match fault {
         FaultClass::BytesDegrade => BfsOpts {
-            format: FormatPolicy::fixed(StorageFormat::Dcsr),
+            format: FormatChoice::Force(StorageFormat::Dcsr),
             force: Some(Direction::Pull),
             ..base
         },

@@ -438,7 +438,7 @@ pub struct FormatArm {
     pub pull_ms: f64,
     /// Median push matvec on the standard workload, ms.
     pub push_ms: f64,
-    /// Median full direction-optimized BFS under `FormatPolicy::fixed`, ms.
+    /// Median full direction-optimized BFS under `FormatChoice::Force`, ms.
     pub bfs_ms: f64,
     /// Median hypersparse batched-frontier microbench (k dense frontiers
     /// pulled through a mostly-empty-row operand), ms — the regime where
@@ -452,9 +452,10 @@ pub struct FormatArm {
 pub struct FormatsStudy {
     /// One arm per [`StorageFormat`], in [`StorageFormat::all`] order.
     pub arms: Vec<FormatArm>,
-    /// Median BFS under the auto planner (`FormatPolicy::auto`), ms.
+    /// Median BFS under the auto planner (`FormatChoice::Auto`), ms.
     pub auto_bfs_ms: f64,
-    /// Format switches the auto planner charged across one counted BFS.
+    /// Store changes across the levels of one traced auto BFS, counted
+    /// from the CSR every graph starts in.
     pub auto_format_switches: u64,
     /// Vertex count of the hypersparse microbench graph.
     pub hyper_n: usize,
@@ -484,12 +485,12 @@ pub fn hypersparse_embed(g: &Graph<bool>, stride: usize) -> Graph<bool> {
 /// The storage-format study: the fixed-format arms (CSR oracle, bitmap,
 /// hypersparse DCSR) each run the standard pull/push matvec workload, a
 /// full direction-optimized BFS, and the hypersparse batched-frontier
-/// microbench; the auto planner runs the BFS once more with counted
-/// `format_switches`. Results are asserted bit-identical across arms
+/// microbench; the auto planner runs the BFS once more, traced, to count
+/// its store changes. Results are asserted bit-identical across arms
 /// before anything is timed — formats may only move wall clock.
 #[must_use]
 pub fn formats_study(g: &Graph<bool>, repeats: usize, seed: u64) -> FormatsStudy {
-    use graphblas_core::{mxv_batch, FormatPolicy, MultiVector, StorageFormat};
+    use graphblas_core::{mxv_batch, FormatChoice, MultiVector, StorageFormat};
 
     let ScalingInputs {
         dense_f,
@@ -527,7 +528,7 @@ pub fn formats_study(g: &Graph<bool>, repeats: usize, seed: u64) -> FormatsStudy
     let oracle = bfs_with_opts(
         g,
         sources[0],
-        &BfsOpts::default().format(FormatPolicy::fixed(StorageFormat::Csr)),
+        &BfsOpts::default().format(FormatChoice::Force(StorageFormat::Csr)),
         None,
     )
     .depths;
@@ -535,7 +536,7 @@ pub fn formats_study(g: &Graph<bool>, repeats: usize, seed: u64) -> FormatsStudy
         let got = bfs_with_opts(
             g,
             sources[0],
-            &BfsOpts::default().format(FormatPolicy::fixed(format)),
+            &BfsOpts::default().format(FormatChoice::Force(format)),
             None,
         );
         assert_eq!(got.depths, oracle, "{format} must match the CSR oracle");
@@ -547,7 +548,7 @@ pub fn formats_study(g: &Graph<bool>, repeats: usize, seed: u64) -> FormatsStudy
             let desc_pull = desc_pull.force_format(format);
             let desc_push = desc_push.force_format(format);
             let hyper_desc = hyper_desc.force_format(format);
-            let bfs_opts = BfsOpts::default().format(FormatPolicy::fixed(format));
+            let bfs_opts = BfsOpts::default().format(FormatChoice::Force(format));
             let pull_ms = time_median(&|| {
                 let w: Vector<bool> =
                     mxv(None, BoolOrAnd, g, &dense_f, &desc_pull, None).expect("dims");
@@ -584,22 +585,27 @@ pub fn formats_study(g: &Graph<bool>, repeats: usize, seed: u64) -> FormatsStudy
         })
         .collect();
 
-    // Auto-planner arm: timed BFS plus one counted run for the switches.
-    let auto_opts = BfsOpts::default().format(FormatPolicy::auto());
+    // Auto-planner arm: timed BFS plus one traced run for the switches.
+    let auto_opts = BfsOpts::default().format(FormatChoice::Auto);
     let auto_bfs_ms = time_median(&|| {
         std::hint::black_box(bfs_with_opts(g, sources[0], &auto_opts, None));
     });
-    let c = AccessCounters::new();
-    let auto = bfs_with_opts(g, sources[0], &auto_opts, Some(&c));
+    let auto = bfs_with_opts(g, sources[0], &auto_opts.traced(), None);
     assert_eq!(
         auto.depths, oracle,
         "auto planner must match the CSR oracle"
     );
+    let mut store = StorageFormat::Csr;
+    let mut auto_format_switches = 0;
+    for level in &auto.trace {
+        auto_format_switches += u64::from(level.format != store);
+        store = level.format;
+    }
 
     FormatsStudy {
         arms,
         auto_bfs_ms,
-        auto_format_switches: c.snapshot().format_switches,
+        auto_format_switches,
         hyper_n,
         hyper_nonempty: hyper.nonempty_rows(true),
         hyper_k,
@@ -608,7 +614,7 @@ pub fn formats_study(g: &Graph<bool>, repeats: usize, seed: u64) -> FormatsStudy
 
 /// Result of the bit-parallel kernel study on one graph.
 #[derive(Clone, Copy, Debug)]
-pub struct BitFrontierSample {
+pub struct BitKernelSample {
     /// u64 word operations the bit kernels charged across one counted
     /// pull-only BFS over the bitmap store.
     pub bit_word_ops: u64,
@@ -632,10 +638,6 @@ pub struct BitFrontierSample {
     pub bit_pull_ms: f64,
     /// Median wall time of the same pull-only BFS, scalar kernels, ms.
     pub scalar_pull_ms: f64,
-    /// Median wall time of the push-only BFS with bit kernels on, ms.
-    pub bit_push_ms: f64,
-    /// Median wall time of the same push-only BFS, scalar kernels, ms.
-    pub scalar_push_ms: f64,
     /// Charged accesses (`accesses_only().total()`) of a full BFS under the
     /// measured cost model.
     pub cost_model_total: u64,
@@ -651,24 +653,22 @@ pub struct BitFrontierSample {
 
 /// The bit-parallel kernel study: one pull-only BFS over the bitmap store
 /// with the bit kernels on and off (equivalence-gated: depths and projected
-/// charges must match exactly before anything is timed), one push-only pair
-/// the same way, and the measured cost model's charged accesses against
-/// both fixed directions. The word-ratio headline belongs to a dense
+/// charges must match exactly before anything is timed), and the measured
+/// cost model's charged accesses against both fixed directions. The word-ratio headline belongs to a dense
 /// "bitmap regime" graph — on sparse suite graphs the bitmap either
 /// degrades (recorded) or scans mostly-empty words (ratio reported
 /// honestly, above the ⅛ bound).
 #[must_use]
-pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitFrontierSample {
-    use graphblas_core::FormatPolicy;
+pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitKernelSample {
+    use graphblas_core::FormatChoice;
 
     let source = random_sources(g, 1, seed ^ 0xb17)[0];
     let pull_opts = |bit: bool| {
         BfsOpts::default()
             .forced(Direction::Pull)
-            .format(FormatPolicy::fixed(StorageFormat::Bitmap))
+            .format(FormatChoice::Force(StorageFormat::Bitmap))
             .bit_kernels(bit)
     };
-    let push_opts = |bit: bool| BfsOpts::default().forced(Direction::Push).bit_kernels(bit);
 
     let count = |opts: &BfsOpts| {
         let c = AccessCounters::new();
@@ -696,8 +696,6 @@ pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitFront
     };
     let bit_pull_ms = time_median(&pull_opts(true));
     let scalar_pull_ms = time_median(&pull_opts(false));
-    let bit_push_ms = time_median(&push_opts(true));
-    let scalar_push_ms = time_median(&push_opts(false));
 
     // Cost-model competitiveness in charged accesses, all arms exact.
     let total = |opts: &BfsOpts| {
@@ -710,7 +708,7 @@ pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitFront
     let pull_only_total = total(&BfsOpts::default().forced(Direction::Pull));
     let best_fixed = push_only_total.min(pull_only_total).max(1);
 
-    BitFrontierSample {
+    BitKernelSample {
         bit_word_ops: bit_snap.bit_word_ops,
         scalar_edge_examinations: scalar_snap.matrix,
         bit_path_engaged: bit_snap.bit_word_ops > 0,
@@ -719,8 +717,6 @@ pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitFront
         bitmap_degrades: bit_snap.bitmap_degrades + scalar_snap.bitmap_degrades,
         bit_pull_ms,
         scalar_pull_ms,
-        bit_push_ms,
-        scalar_push_ms,
         cost_model_total,
         push_only_total,
         pull_only_total,

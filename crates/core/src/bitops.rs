@@ -13,11 +13,8 @@
 //! words its tile actually allocated), so the word loops here run over the
 //! window — not `⌈n_cols/64⌉` padded words — and process word groups of
 //! up to 4 `u64`s per iteration (autovectorizable). This module holds the
-//! pieces the kernel faces dispatch to:
+//! pieces the pull face dispatches to:
 //!
-//! * [`BitFrontier`] — a dense bitmap frontier with a popcount-backed nnz,
-//!   convertible to/from [`Vector<bool>`] under the same §6.3
-//!   [`ConvertState`] debounce the scalar frontier uses;
 //! * `FrontierWords` — the kernel-facing packed operand: dense words, or a
 //!   compressed sorted `(word_index, word)` list (roaring-lite) when the
 //!   frontier is sparse enough that scanning only its nonzero words beats
@@ -35,123 +32,26 @@
 //!   surface degrades gracefully rather than panicking;
 //! * `UnvisitedIndex` — one level of summary words over the
 //!   (complement-adjusted) mask words, so late-level pull scans skip
-//!   64-row regions that are already fully visited;
-//! * `bit_push_parts` — the push-face arm: OR each source row's word
-//!   span into per-chunk bitmaps (the SpaMerge chunk machinery) and merge
-//!   word-wise, replacing the expand/sort/dedup of the structure-only
-//!   column kernel (rows without a word surface scatter their columns
-//!   bit-by-bit instead).
+//!   64-row regions that are already fully visited.
+//!
+//! The push face has no bit arm: it runs the scalar column kernel over
+//! whichever store the planner serves.
 //!
 //! **The load-bearing invariant**: every function here charges the same
 //! `matrix`/`vector`/`mask`/`sort` access amounts the scalar kernel
 //! charges for the same call — the 64× win is *visible only* through the
 //! separate `bit_word_ops` telemetry counter (zeroed by both counter
 //! projections), because the equivalence tests compare bitmap-format runs
-//! against the `Fixed(Csr)` scalar oracle snapshot-for-snapshot.
+//! against the `Force(Csr)` scalar oracle snapshot-for-snapshot.
 //! `Descriptor::bit_kernels(false)` switches all of this off and is the
 //! oracle arm of `tests/prop_core.rs`.
 
 use crate::descriptor::Descriptor;
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::vector::{ConvertState, DenseVector, SparseVector, Vector};
+use crate::vector::DenseVector;
 use graphblas_matrix::RowAccess;
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::{sort, BitVec};
-use rayon::prelude::*;
-
-/// A frontier held as a dense bitmap with a cached popcount `nnz` — the
-/// boolean-semiring analogue of the sparse/dense [`Vector`] pair, sized
-/// `dim/64` words regardless of occupancy.
-///
-/// The bit kernels themselves consume packed words directly (see
-/// `bit_pull_ctx`); `BitFrontier` is the *algorithm-facing* frontier
-/// object: BFS bookkeeping, tests, and the bench studies move between it
-/// and [`Vector<bool>`] with [`BitFrontier::from_vector`] /
-/// [`BitFrontier::into_vector`], the latter applying the same §6.3
-/// [`ConvertState`] hysteresis the scalar frontier uses so the storage
-/// (and hence direction) signal is unchanged.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BitFrontier {
-    bits: BitVec,
-    nnz: usize,
-}
-
-impl BitFrontier {
-    /// An empty frontier over `dim` vertices.
-    #[must_use]
-    pub fn new(dim: usize) -> Self {
-        Self {
-            bits: BitVec::new(dim),
-            nnz: 0,
-        }
-    }
-
-    /// Pack a boolean vector's explicit entries into a bitmap.
-    #[must_use]
-    pub fn from_vector(v: &Vector<bool>) -> Self {
-        let mut bits = BitVec::new(v.dim());
-        let mut nnz = 0usize;
-        for (i, _) in v.iter_explicit() {
-            if bits.set(i as usize) {
-                nnz += 1;
-            }
-        }
-        Self { bits, nnz }
-    }
-
-    /// Unpack into a [`Vector<bool>`] (fill `false`), then apply the §6.3
-    /// storage hysteresis via the caller's [`ConvertState`] — exactly the
-    /// debounce a scalar frontier would see, so push/pull dispatch on the
-    /// result is unchanged.
-    #[must_use]
-    pub fn into_vector(self, state: &mut ConvertState, threshold: f64) -> Vector<bool> {
-        let ids: Vec<u32> = self.bits.iter_ones().map(|i| i as u32).collect();
-        let vals = vec![true; ids.len()];
-        let mut v = Vector::from_sparse(self.bits.len(), false, ids, vals);
-        v.convert(state, threshold);
-        v
-    }
-
-    /// Number of vertices covered.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Number of set bits (cached; no scan).
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Whether vertex `i` is in the frontier.
-    #[must_use]
-    pub fn contains(&self, i: usize) -> bool {
-        self.bits.get(i)
-    }
-
-    /// Insert vertex `i`; returns `true` when newly inserted.
-    pub fn insert(&mut self, i: usize) -> bool {
-        let fresh = self.bits.set(i);
-        if fresh {
-            self.nnz += 1;
-        }
-        fresh
-    }
-
-    /// The backing bitmap.
-    #[must_use]
-    pub fn bits(&self) -> &BitVec {
-        &self.bits
-    }
-
-    /// The backing `u64` words (tail bits beyond `dim` are zero).
-    #[must_use]
-    pub fn words(&self) -> &[u64] {
-        self.bits.words()
-    }
-}
 
 /// The packed operand a bit kernel scans: `is_explicit` of the input
 /// vector, one bit per column, in one of two shapes.
@@ -587,119 +487,12 @@ fn allowed_word(words: &[u64], complement: bool, tail_mask: u64, g: usize) -> u6
     }
 }
 
-/// The push-face bit arm: when the structure-only sort-based column kernel
-/// runs over a word-surfaced store, the expand → radix-sort → dedup chain
-/// is equivalent to OR-ing each source row's word span into an output
-/// bitmap and reading off the set bits. Returns the pre-filter `(ids,
-/// vals)` parts (the caller applies the usual mask/identity filter), or
-/// `None` when the call doesn't qualify.
-///
-/// Parallelism reuses the SpaMerge chunk machinery: the frontier is cut
-/// into expansion-balanced chunks (`spa_chunk_ranges`, boundaries derived
-/// from sizes only), each chunk ORs into a private word buffer, and the
-/// buffers fold word-wise in chunk order — bit-identical at any lane
-/// count because OR is commutative and the fold order is fixed.
-///
-/// Charges replicate the scalar structure-only sort path exactly: one
-/// `matrix` access per expanded edge and the same radix `sort` traffic
-/// (the work the bit path *actually* skips shows up as the gap between
-/// those charges and `bit_word_ops`).
-pub(crate) fn bit_push_parts<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    desc: &Descriptor,
-    counters: Option<&AccessCounters>,
-) -> Option<(Vec<u32>, Vec<Y>)>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A> + Sync,
-{
-    if !desc.bit_kernels || !desc.structure_only || !op_t.has_row_words() {
-        return None;
-    }
-    let hint = s.product_hint()?;
-    let (offsets, total) = crate::ops_mxv::expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        // Same bulk charges as expand_keys_only + the key-only radix sort.
-        c.add_matrix(total as u64);
-        c.add_sort(total as u64 * sort::passes_for(op_t.n_rows().max(1) as u32 - 1) as u64);
-    }
-    let wpr = op_t.n_cols().div_ceil(64);
-    let ids_ref = v.ids();
-    let chunks: Vec<Vec<u64>> = crate::ops_mxv::spa_chunk_ranges(&offsets, total)
-        .into_par_iter()
-        .map(|(s0, s1)| {
-            let mut buf = vec![0u64; wpr];
-            // Per-chunk checkpoint: bail with an empty word image.
-            if !crate::exec::live(counters) {
-                return buf;
-            }
-            let mut word_ops = 0u64;
-            for &id in &ids_ref[s0..s1] {
-                let src = id as usize;
-                let cols = op_t.row(src);
-                if cols.is_empty() {
-                    continue;
-                }
-                let w0 = cols[0] as usize / 64;
-                let w1 = cols[cols.len() - 1] as usize / 64;
-                match op_t.row_word_span(src) {
-                    Some((start, rw)) => {
-                        // The row's stored columns all fall inside its tile
-                        // window, so `w0..=w1 ⊆ start..start+rw.len()`.
-                        for (slot, &r) in buf[w0..=w1].iter_mut().zip(&rw[w0 - start..]) {
-                            *slot |= r;
-                        }
-                        word_ops += (w1 - w0 + 1) as u64;
-                    }
-                    // No word surface for this row (gating and store state
-                    // disagree): scatter the columns bit-by-bit — the
-                    // scalar-equivalent fallback, no panic.
-                    None => {
-                        for &j in cols {
-                            buf[j as usize / 64] |= 1u64 << (j % 64);
-                        }
-                    }
-                }
-            }
-            if let Some(c) = counters {
-                c.add_bit_word_ops(word_ops);
-            }
-            buf
-        })
-        .collect();
-    let mut union = vec![0u64; wpr];
-    for part in &chunks {
-        for (u, &p) in union.iter_mut().zip(part.iter()) {
-            *u |= p;
-        }
-    }
-    if let Some(c) = counters {
-        // Word-wise chunk fold plus the output-extraction scan.
-        c.add_bit_word_ops((chunks.len() as u64 + 1) * wpr as u64);
-    }
-    let mut ids = Vec::new();
-    for (g, &w) in union.iter().enumerate() {
-        let mut bits = w;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            ids.push((g * 64 + b) as u32);
-        }
-    }
-    let vals = vec![hint; ids.len()];
-    Some((ids, vals))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::BoolStructure;
     use graphblas_matrix::{BitmapStore, Coo, Csr};
+    use graphblas_primitives::BitVec;
     use std::sync::Arc;
 
     fn bitmap_3x70() -> BitmapStore<bool> {
@@ -709,30 +502,6 @@ mod tests {
         }
         let csr = Arc::new(Csr::from_coo(&coo));
         BitmapStore::try_from_shared(csr).expect("3x70 fits")
-    }
-
-    #[test]
-    fn bitfrontier_roundtrips_through_vector() {
-        let v = Vector::from_sparse(130, false, vec![0, 63, 64, 129], vec![true; 4]);
-        let bf = BitFrontier::from_vector(&v);
-        assert_eq!((bf.dim(), bf.nnz()), (130, 4));
-        assert!(bf.contains(63) && bf.contains(129) && !bf.contains(1));
-        let mut state = ConvertState::new();
-        // 4/130 = 3% > 1% and rising from no history: densifies, same as a
-        // scalar frontier under the same ConvertState.
-        let back = bf.into_vector(&mut state, 0.01);
-        assert!(!back.is_sparse(), "debounce densified the 3% frontier");
-        let ids: Vec<u32> = back.iter_explicit().map(|(i, _)| i).collect();
-        assert_eq!(ids, vec![0, 63, 64, 129]);
-    }
-
-    #[test]
-    fn bitfrontier_insert_tracks_nnz() {
-        let mut bf = BitFrontier::new(70);
-        assert!(bf.insert(69));
-        assert!(!bf.insert(69), "duplicate insert is a no-op");
-        assert_eq!(bf.nnz(), 1);
-        assert_eq!(bf.words().len(), 2);
     }
 
     #[test]
@@ -945,28 +714,5 @@ mod tests {
         let idx2 = UnvisitedIndex::build(&m2, None);
         assert_eq!(idx2.live_groups(), vec![1]);
         assert_eq!(idx2.allowed_word(1), 2);
-    }
-
-    #[test]
-    fn bit_push_union_matches_scalar_expand_sort_dedup() {
-        let store = bitmap_3x70();
-        // Frontier {0, 2}: neighbors {0, 63, 64} ∪ {1} = {0, 1, 63, 64}.
-        let v = SparseVector::from_sorted(vec![0, 2], vec![true, true]);
-        let c = AccessCounters::new();
-        let desc = Descriptor::new();
-        let (ids, vals): (Vec<u32>, Vec<bool>) =
-            bit_push_parts(BoolStructure, &store, &v, &desc, Some(&c)).expect("qualifies");
-        assert_eq!(ids, vec![0, 1, 63, 64]);
-        assert!(vals.iter().all(|&b| b));
-        let s = c.snapshot();
-        assert_eq!(s.matrix, 4, "one charge per expanded edge");
-        assert!(s.sort > 0, "scalar-equivalent sort traffic charged");
-        assert!(s.bit_word_ops > 0);
-
-        // Without the descriptor opt-in the arm declines.
-        let off = Descriptor::new().bit_kernels(false);
-        assert!(
-            bit_push_parts::<_, _, bool, _, _>(BoolStructure, &store, &v, &off, None).is_none()
-        );
     }
 }

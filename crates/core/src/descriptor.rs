@@ -4,9 +4,11 @@
 //! In the GraphBLAS C API a `GrB_Descriptor` carries transpose/replace/
 //! complement switches and implementation hints. Ours additionally exposes
 //! the paper's optimizations so each can be disabled in isolation:
-//! direction choice (force push/pull or auto), the sparse↔dense switch
-//! threshold (`α = β = 0.01`), early-exit, structure-only, and the multiway
-//! merge strategy of §6.2 (radix sort, bitmask culling, or per-worker SPAs).
+//! direction choice (force push/pull or auto), early-exit, structure-only,
+//! and the multiway merge strategy of §6.2 (radix sort, bitmask culling,
+//! or per-worker SPAs). The §6.3 switch threshold (`α = β = 0.01`) is a
+//! traversal-level setting: it lives in the algorithm options and the
+//! [`crate::plan::DirectionPolicy`] they build.
 
 use graphblas_matrix::StorageFormat;
 
@@ -23,9 +25,8 @@ pub enum Direction {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DirectionChoice {
     /// Follow the input vector's storage: sparse → push, dense → pull.
-    /// This is Optimization 1 — the storage itself is steered by
-    /// [`crate::Vector::convert`]. The batched dispatcher applies the same
-    /// rule per row (or per-row `DirectionPolicy` state when supplied).
+    /// The batched dispatcher applies the same rule per row (or per-row
+    /// `DirectionPolicy` state when supplied).
     #[default]
     Auto,
     /// Always use the given kernel, converting the input if needed
@@ -43,13 +44,13 @@ pub enum FormatChoice {
     /// Let [`crate::plan::resolve_plan`] pick from the operand's static
     /// shape: hypersparse operands (row occupancy below the planner's
     /// threshold) run DCSR, dense pull phases run bitmap when it fits,
-    /// everything else CSR. Memoryless — iterative algorithms that want
-    /// the hysteresis variant drive a [`crate::plan::FormatPolicy`] and
-    /// force its choice here per iteration.
+    /// everything else CSR. Memoryless — the single-source loops drive a
+    /// [`crate::plan::Planner`], which holds the store for one level after
+    /// a direction change, and force its choice here per level.
     #[default]
     Auto,
     /// Always run the given format (the per-format study arms and the
-    /// `Fixed(Csr)` test oracle). An infeasible bitmap degrades to CSR —
+    /// `Force(Csr)` test oracle). An infeasible bitmap degrades to CSR —
     /// see [`graphblas_matrix::Graph::effective_format`].
     Force(StorageFormat),
 }
@@ -86,9 +87,6 @@ pub struct Descriptor {
     pub transpose: bool,
     /// Kernel selection policy.
     pub direction: DirectionChoice,
-    /// The `α = β` ratio of §6.3 at which [`crate::Vector::convert`]
-    /// switches storage. Paper default 0.01.
-    pub switch_threshold: f64,
     /// Optimization 3: allow the row kernel to break out of a row once the
     /// ⊕ accumulator reaches the monoid's annihilator.
     pub early_exit: bool,
@@ -99,9 +97,9 @@ pub struct Descriptor {
     pub merge_strategy: MergeStrategy,
     /// Matrix storage-format selection policy.
     pub format: FormatChoice,
-    /// Let the boolean-semiring kernels run bit-parallel (whole `u64`
-    /// words of the bitmap operand at a time) whenever the planned store
-    /// exposes a word surface and the semiring qualifies. Value- and
+    /// Let the boolean-semiring pull kernels run bit-parallel (whole
+    /// `u64` words of the bitmap operand at a time) whenever the planned
+    /// store exposes a word surface and the semiring qualifies. Value- and
     /// projected-counter-equivalent to the scalar path by contract;
     /// `bit_kernels(false)` is the scalar-oracle switch the equivalence
     /// tests compare against.
@@ -113,7 +111,6 @@ impl Default for Descriptor {
         Self {
             transpose: false,
             direction: DirectionChoice::Auto,
-            switch_threshold: 0.01,
             early_exit: true,
             structure_only: true,
             merge_strategy: MergeStrategy::SortBased,
@@ -165,13 +162,6 @@ impl Descriptor {
         self
     }
 
-    /// Builder: set the sparse↔dense switch threshold.
-    #[must_use]
-    pub fn switch_threshold(mut self, t: f64) -> Self {
-        self.switch_threshold = t;
-        self
-    }
-
     /// Builder: force a storage format.
     #[must_use]
     pub fn force_format(mut self, f: StorageFormat) -> Self {
@@ -202,7 +192,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let d = Descriptor::default();
-        assert_eq!(d.switch_threshold, 0.01);
         assert!(d.early_exit);
         assert!(d.structure_only);
         assert_eq!(d.direction, DirectionChoice::Auto);
@@ -220,7 +209,6 @@ mod tests {
             .early_exit(false)
             .structure_only(false)
             .merge_strategy(MergeStrategy::SpaMerge)
-            .switch_threshold(0.05)
             .bit_kernels(false)
             .force_format(StorageFormat::Dcsr);
         assert!(!d.bit_kernels);
@@ -229,7 +217,6 @@ mod tests {
         assert!(!d.early_exit);
         assert!(!d.structure_only);
         assert_eq!(d.merge_strategy, MergeStrategy::SpaMerge);
-        assert!((d.switch_threshold - 0.05).abs() < f64::EPSILON);
         assert_eq!(d.format, FormatChoice::Force(StorageFormat::Dcsr));
     }
 }

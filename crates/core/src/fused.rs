@@ -294,6 +294,7 @@ where
         // Same planner as `mxv`: direction by the §6.3 storage rule,
         // storage format by the shape rule (or the descriptor's forces).
         let plan = crate::plan::resolve_plan(base.graph, base.input, &base.desc);
+        crate::plan::note_bitmap_degrade(base.desc.format, plan.format, base.counters);
         if let Some(c) = base.counters {
             match plan.direction {
                 Direction::Push => c.add_push_step(),

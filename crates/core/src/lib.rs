@@ -1,5 +1,5 @@
-//! GraphBLAS-style core: generalized semirings, sparse/dense vectors with
-//! the §6.3 conversion heuristic, masks with structural complement, and the
+//! GraphBLAS-style core: generalized semirings, sparse/dense vectors, masks
+//! with structural complement, and the
 //! four matvec kernels of Table 1 behind a single `mxv` entry point that
 //! performs the paper's push-pull direction optimization at runtime.
 //!
@@ -14,8 +14,8 @@
 //! through [`Descriptor`] so the Table 2 ablation can be reproduced:
 //!
 //! 1. **Change of direction** — [`ops_mxv::mxv`] dispatches on the input
-//!    vector's storage; [`vector::Vector::convert`] implements the
-//!    `nnz/M >< 0.01` hysteresis switch.
+//!    vector's storage or a forced direction; [`plan::Planner`] implements
+//!    the `nnz/M >< 0.01` hysteresis switch for iterative algorithms.
 //! 2. **Masking** — [`mask::Mask`] plus the masked row/column kernels.
 //! 3. **Early-exit** — row-based masked kernel breaks out of a row when the
 //!    ⊕ monoid hits its annihilator (`OR` saturating at `true`).
@@ -54,7 +54,6 @@ pub mod plan;
 pub mod vector;
 pub mod vector_ops;
 
-pub use bitops::BitFrontier;
 pub use descriptor::{Descriptor, Direction, DirectionChoice, FormatChoice, MergeStrategy};
 pub use error::{BudgetResource, GrbError, GrbResult};
 pub use exec::{check_stop, run_guarded, ExecLimits, StopReason};
@@ -62,12 +61,12 @@ pub use fused::{FusedMxv, FusedOutput, FusedPipeline};
 pub use graphblas_matrix::StorageFormat;
 pub use mask::Mask;
 pub use ops::{BoolOrAnd, MinPlus, Monoid, PlusTimes, Scalar, Semiring, SemiringNum};
-pub use ops_mxv::{
-    col_masked_mxv, col_mxv, mxv, resolve_direction, row_masked_mxv, row_mxv, CostModelInputs,
-    DirectionPolicy,
-};
+pub use ops_mxv::{col_masked_mxv, col_mxv, mxv, row_masked_mxv, row_mxv};
 pub use ops_mxv_batch::{
     col_masked_mxv_batch, mxv_batch, mxv_batch_attributed, row_masked_mxv_batch,
 };
-pub use plan::{resolve_plan, CostConstants, ExecPlan, FormatPolicy};
-pub use vector::{ConvertState, DenseVector, MultiVector, SparseVector, Vector};
+pub use plan::{
+    resolve_direction, resolve_plan, CostConstants, CostModelInputs, DirectionPolicy, ExecPlan,
+    Planner,
+};
+pub use vector::{DenseVector, MultiVector, SparseVector, Vector};

@@ -14,7 +14,7 @@
 //! asymmetry Figure 4 illustrates: masking accelerates the row kernel but
 //! merely filters the column kernel's output.
 
-use crate::descriptor::{Descriptor, Direction, DirectionChoice, MergeStrategy};
+use crate::descriptor::{Descriptor, Direction, MergeStrategy};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
@@ -336,18 +336,7 @@ where
     };
 
     let (mut ids, mut vals) = match desc.merge_strategy {
-        // The sort-based merge is where the bit-parallel push arm slots in:
-        // same structure-only precondition as the key-only sort, plus a
-        // word-surfaced store and the descriptor opt-in. The bit arm
-        // replaces expand/sort/dedup with word-wise OR of source-row spans
-        // but charges the identical matrix/sort amounts (see
-        // `bitops::bit_push_parts`), so it is invisible to the counter
-        // equivalence contract.
-        MergeStrategy::SortBased => match crate::bitops::bit_push_parts(s, op_t, v, desc, counters)
-        {
-            Some(parts) => parts,
-            None => sort_based(counters),
-        },
+        MergeStrategy::SortBased => sort_based(counters),
         MergeStrategy::BitmaskCull => {
             // Gunrock-style local culling (§7.3): claim output slots in a
             // bitmask instead of sorting. Requires every surviving product
@@ -631,217 +620,6 @@ where
 // Dispatch (GrB_mxv)
 // ---------------------------------------------------------------------------
 
-/// The direction a given call would take under the descriptor's policy.
-#[must_use]
-pub fn resolve_direction<X: Scalar>(v: &Vector<X>, desc: &Descriptor) -> Direction {
-    match desc.direction {
-        DirectionChoice::Force(d) => d,
-        DirectionChoice::Auto => {
-            if v.is_sparse() {
-                Direction::Push
-            } else {
-                Direction::Pull
-            }
-        }
-    }
-}
-
-/// How a [`DirectionPolicy`] reacts to the per-iteration activity ratio.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum PolicyMode {
-    /// §6.3 hysteresis: switch push→pull while activity is rising above the
-    /// threshold, pull→push while falling below it (`α = β`, as the paper).
-    Hysteresis { threshold: f64 },
-    /// §5.6 two-phase: switch push→pull once the threshold is crossed and
-    /// stay there (SSSP's delta-set rule).
-    TwoPhase { threshold: f64 },
-    /// Memoryless: pull iff the ratio exceeds the threshold this iteration
-    /// (Beamer's rule as used by Ligra, `|frontier ∪ its edges| > |E|/20`).
-    Memoryless { threshold: f64 },
-    /// Never switch.
-    Fixed,
-    /// Measured work comparison: `pushwork = c_push · nnz(frontier rows)`
-    /// vs `pullwork = c_pull · d · |unvisited|`, the per-iteration rule of
-    /// the paper's comparator engines, with the per-format constants of
-    /// [`crate::plan::CostConstants`]. Fed through
-    /// [`DirectionPolicy::update_measured`]; the ratio-only
-    /// [`DirectionPolicy::update`] keeps the current direction (like
-    /// [`PolicyMode::Fixed`]) because it lacks the measured inputs.
-    CostModel {
-        constants: crate::plan::CostConstants,
-    },
-}
-
-/// The measured per-iteration inputs of the `PolicyMode::CostModel`
-/// rule: what the traversal actually knows about the next step's work.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModelInputs {
-    /// Σ out-degree over the frontier's explicit vertices — exactly the
-    /// edges a push step would expand (`nnz(A(:, f))`).
-    pub frontier_edges: usize,
-    /// Vertices not yet finished — the rows a masked pull step would scan.
-    pub unvisited: usize,
-    /// Average degree `d` of the operand, so `pullwork ≈ d · unvisited`.
-    pub avg_degree: f64,
-}
-
-/// The workspace's one stateful push/pull switching rule (§6.3 and its
-/// variants).
-///
-/// [`resolve_direction`] is the *storage→direction* rule `mxv` dispatches
-/// on; `DirectionPolicy` is the *activity→direction* heuristic that decides
-/// which storage/kernel an iterative algorithm should steer toward next.
-/// Every direction-optimized loop in the workspace — BFS and parent BFS,
-/// SSSP's two-phase switch, connected components, and the Ligra-like /
-/// Gunrock-like comparator engines — feeds its per-iteration activity count
-/// through one of these instead of hand-rolling the comparison, so the
-/// Table 2 "change of direction" ablation toggles exactly one rule.
-///
-/// `update` takes the iteration's *activity* (frontier nnz, delta-set size,
-/// frontier-edge count — whatever the traversal's work measure is) and the
-/// *capacity* it is measured against (|V| or |E|), and returns the
-/// direction to use this iteration.
-#[derive(Clone, Debug)]
-pub struct DirectionPolicy {
-    mode: PolicyMode,
-    dir: Direction,
-    last_activity: usize,
-}
-
-impl DirectionPolicy {
-    /// §6.3 hysteresis starting from push (BFS-style traversals).
-    #[must_use]
-    pub fn hysteresis(threshold: f64) -> Self {
-        Self::hysteresis_from(Direction::Push, threshold)
-    }
-
-    /// §6.3 hysteresis from an explicit starting direction (label
-    /// propagation starts dense, hence pull).
-    #[must_use]
-    pub fn hysteresis_from(start: Direction, threshold: f64) -> Self {
-        DirectionPolicy {
-            mode: PolicyMode::Hysteresis { threshold },
-            dir: start,
-            last_activity: 0,
-        }
-    }
-
-    /// §5.6 two-phase rule: push until the activity ratio first exceeds the
-    /// threshold, pull forever after.
-    #[must_use]
-    pub fn two_phase(threshold: f64) -> Self {
-        DirectionPolicy {
-            mode: PolicyMode::TwoPhase { threshold },
-            dir: Direction::Push,
-            last_activity: 0,
-        }
-    }
-
-    /// Memoryless threshold rule: pull exactly when `activity / capacity`
-    /// exceeds the threshold (Beamer/Ligra's `> |E|/20` with
-    /// `threshold = 1/20`).
-    #[must_use]
-    pub fn memoryless(threshold: f64) -> Self {
-        DirectionPolicy {
-            mode: PolicyMode::Memoryless { threshold },
-            dir: Direction::Push,
-            last_activity: 0,
-        }
-    }
-
-    /// Pinned direction (the "change of direction off" ablation arm).
-    #[must_use]
-    pub fn fixed(dir: Direction) -> Self {
-        DirectionPolicy {
-            mode: PolicyMode::Fixed,
-            dir,
-            last_activity: 0,
-        }
-    }
-
-    /// Measured cost-model rule, starting from push (frontiers start
-    /// small). Drive it with [`DirectionPolicy::update_measured`].
-    #[must_use]
-    pub fn cost_model(constants: crate::plan::CostConstants) -> Self {
-        DirectionPolicy {
-            mode: PolicyMode::CostModel { constants },
-            dir: Direction::Push,
-            last_activity: 0,
-        }
-    }
-
-    /// Feed this iteration's activity measure; returns the direction to use.
-    pub fn update(&mut self, activity: usize, capacity: usize) -> Direction {
-        let r = activity as f64 / capacity.max(1) as f64;
-        match self.mode {
-            PolicyMode::Hysteresis { threshold } => {
-                let rising = activity >= self.last_activity;
-                match self.dir {
-                    Direction::Push if rising && r > threshold => self.dir = Direction::Pull,
-                    Direction::Pull if !rising && r < threshold => self.dir = Direction::Push,
-                    _ => {}
-                }
-            }
-            PolicyMode::TwoPhase { threshold } => {
-                if self.dir == Direction::Push && r > threshold {
-                    self.dir = Direction::Pull;
-                }
-            }
-            PolicyMode::Memoryless { threshold } => {
-                self.dir = if r > threshold {
-                    Direction::Pull
-                } else {
-                    Direction::Push
-                };
-            }
-            PolicyMode::Fixed => {}
-            // The ratio alone cannot price push against pull; hold the
-            // direction until measured inputs arrive via update_measured.
-            PolicyMode::CostModel { .. } => {}
-        }
-        self.last_activity = activity;
-        self.dir
-    }
-
-    /// Feed measured work estimates. Under `PolicyMode::CostModel` this
-    /// prices both faces directly — `pushwork = c_push · frontier_edges`
-    /// against `pullwork = c_pull · d · unvisited` — and picks the cheaper
-    /// one. Every other mode ignores the measurements and delegates to
-    /// [`DirectionPolicy::update`], so loops can call this unconditionally.
-    pub fn update_measured(
-        &mut self,
-        activity: usize,
-        capacity: usize,
-        inputs: CostModelInputs,
-    ) -> Direction {
-        if let PolicyMode::CostModel { constants } = self.mode {
-            // Chaos hook: inflating the push-edge cost lets the fault
-            // harness force direction flips without touching the graph.
-            #[cfg(feature = "fault-injection")]
-            let push_edge = constants.push_edge * graphblas_primitives::fault::cost_inflation();
-            #[cfg(not(feature = "fault-injection"))]
-            let push_edge = constants.push_edge;
-            let pushwork = push_edge * inputs.frontier_edges as f64;
-            let pullwork = constants.pull_edge * inputs.avg_degree * inputs.unvisited as f64;
-            self.dir = if pushwork < pullwork {
-                Direction::Push
-            } else {
-                Direction::Pull
-            };
-            self.last_activity = activity;
-            self.dir
-        } else {
-            self.update(activity, capacity)
-        }
-    }
-
-    /// The direction the last `update` settled on.
-    #[must_use]
-    pub fn current(&self) -> Direction {
-        self.dir
-    }
-}
-
 /// GrB_mxv: `w = op(A) · v` under a semiring, with optional mask.
 ///
 /// Both push and pull compute the same expression; which kernel runs is an
@@ -920,7 +698,7 @@ where
     // the same generic kernel runs whichever backend comes out — formats
     // change wall clock, never results or counters.
     let plan = crate::plan::resolve_plan(graph, v, desc);
-    crate::plan::note_bitmap_degrade(desc, plan.format, counters);
+    crate::plan::note_bitmap_degrade(desc.format, plan.format, counters);
     if let Some(c) = counters {
         match plan.direction {
             Direction::Push => c.add_push_step(),
@@ -1199,6 +977,7 @@ impl<T> SendPtr<T> {
 mod tests {
     use super::*;
     use crate::ops::{BoolOrAnd, BoolStructure, MinPlus, PlusTimes};
+    use crate::plan::resolve_direction;
     use graphblas_matrix::Coo;
     use graphblas_primitives::BitVec;
 
@@ -1711,56 +1490,5 @@ mod tests {
             None,
         );
         assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
-    }
-
-    #[test]
-    fn hysteresis_policy_switches_both_ways() {
-        let mut p = DirectionPolicy::hysteresis(0.01);
-        // Small rising frontier below threshold: stay push.
-        assert_eq!(p.update(1, 1000), Direction::Push);
-        assert_eq!(p.update(5, 1000), Direction::Push);
-        // Rising above threshold: switch to pull.
-        assert_eq!(p.update(100, 1000), Direction::Pull);
-        // Still large: stay pull even while falling.
-        assert_eq!(p.update(90, 1000), Direction::Pull);
-        // Falling below threshold: back to push.
-        assert_eq!(p.update(5, 1000), Direction::Push);
-        // Small but *rising* below threshold: hysteresis keeps push.
-        assert_eq!(p.update(8, 1000), Direction::Push);
-        assert_eq!(p.current(), Direction::Push);
-    }
-
-    #[test]
-    fn two_phase_policy_never_returns() {
-        let mut p = DirectionPolicy::two_phase(0.01);
-        assert_eq!(p.update(1, 1000), Direction::Push);
-        assert_eq!(p.update(100, 1000), Direction::Pull);
-        // Tiny delta set again — two-phase stays pull (§5.6).
-        assert_eq!(p.update(1, 1000), Direction::Pull);
-    }
-
-    #[test]
-    fn memoryless_policy_follows_ratio_exactly() {
-        let mut p = DirectionPolicy::memoryless(1.0 / 20.0);
-        assert_eq!(p.update(1, 1000), Direction::Push);
-        assert_eq!(p.update(51, 1000), Direction::Pull);
-        assert_eq!(p.update(50, 1000), Direction::Push, "boundary is strict >");
-    }
-
-    #[test]
-    fn fixed_policy_ignores_activity() {
-        let mut p = DirectionPolicy::fixed(Direction::Pull);
-        assert_eq!(p.update(0, 10), Direction::Pull);
-        assert_eq!(p.update(10, 10), Direction::Pull);
-    }
-
-    #[test]
-    fn hysteresis_from_pull_handles_dense_start() {
-        // CC starts with a dense (all-active) delta: first update must not
-        // bounce to push even though the ratio is high.
-        let mut p = DirectionPolicy::hysteresis_from(Direction::Pull, 0.01);
-        assert_eq!(p.update(1000, 1000), Direction::Pull);
-        // Delta collapses: falling below threshold switches to push.
-        assert_eq!(p.update(3, 1000), Direction::Push);
     }
 }

@@ -36,8 +36,9 @@ use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::ops_mxv::{
     expansion_offsets, filter_col_output, reduce_row, spa_chunk_ranges, spa_harvest_chunk,
-    spa_merge_parts, DirectionPolicy, SendPtr, ROW_GRAIN,
+    spa_merge_parts, SendPtr, ROW_GRAIN,
 };
+use crate::plan::DirectionPolicy;
 use crate::vector::{DenseVector, MultiVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
@@ -448,8 +449,8 @@ where
 /// snapshot, deadline, and budget.
 ///
 /// Batch-scoped charges that no single row owns — the storage-conversion
-/// bytes of [`FormatPolicy`](crate::FormatPolicy) planning and
-/// `bitmap_degrades` — stay on the shared `counters`. At the end of the
+/// bytes of the batch's store and `bitmap_degrades` — stay on the shared
+/// `counters`. At the end of the
 /// call every row counter's growth is folded into `counters` via
 /// [`AccessCounters::absorb`], so the shared aggregate is identical to an
 /// unattributed `mxv_batch` of the same batch (the callers' existing
@@ -573,7 +574,7 @@ where
     // `mxv`, the format changes wall clock only — per-row work and
     // counters are format-invariant.
     let format = crate::plan::resolve_format_batch(graph, desc);
-    crate::plan::note_bitmap_degrade(desc, format, counters);
+    crate::plan::note_bitmap_degrade(desc.format, format, counters);
 
     // Push face: sparse inputs (converting dense rows as `mxv` does),
     // masks subset in row order.

@@ -4,44 +4,39 @@
 //! SuiteSparse:GraphBLAS and GraphBLAST additionally resolve the *matrix
 //! format* per operation, and the nonblocking-GraphBLAS line of work
 //! argues this selection belongs in a planner rather than in each
-//! algorithm. [`resolve_plan`] generalizes
-//! [`resolve_direction`] accordingly: given the
-//! operands and a [`Descriptor`], it returns an [`ExecPlan`] naming both
-//! the kernel face (push/pull) and the storage backend (CSR / bitmap /
-//! hypersparse DCSR) that face should iterate.
+//! algorithm. This module holds every rule that decides "which kernel,
+//! over which store":
 //!
-//! Two layers, mirroring the direction machinery exactly:
+//! * **Per call** — [`resolve_plan`]: what `mxv` and the fused pipeline
+//!   apply when handed a descriptor. The direction follows the input's
+//!   storage ([`resolve_direction`]) unless forced, and the format follows
+//!   [`auto_format`] unless forced. [`resolve_format_batch`] is the
+//!   `mxv_batch` variant, whose rows pick their directions separately.
+//! * **Per traversal** — [`Planner`]: what the single-source loops (BFS,
+//!   parent BFS, CC, SSSP) thread through their levels. It feeds each
+//!   level's activity to a [`DirectionPolicy`] (the §6.3 hysteresis and
+//!   its variants) and takes the store from [`auto_format`], except on the
+//!   first level after a direction change, which keeps the previous
+//!   level's store. That one hold damps both decisions: a single bounced
+//!   level never pays a format conversion.
 //!
-//! * **Memoryless rule** — [`resolve_plan`] / [`auto_format`]: what `mxv`,
-//!   `mxv_batch`, and the fused pipeline apply per call when the
-//!   descriptor says [`FormatChoice::Auto`]. Pure function of the operand
-//!   matrix's static shape and the resolved direction.
-//! * **Stateful policy** — [`FormatPolicy`]: what iterative algorithms
-//!   thread through their loops (the format analogue of
-//!   [`DirectionPolicy`](crate::DirectionPolicy)), with a
-//!   `ConvertState`-style debounce so a direction flap cannot thrash
-//!   conversions, and with every adopted change charged to the
-//!   `format_switches` counter so plan behaviour is observable next to
-//!   `push_steps`/`pull_steps`.
+//! The format rule (documented in `docs/ARCHITECTURE.md`):
 //!
-//! The selection rule (documented in `docs/ARCHITECTURE.md`):
-//!
-//! 1. operand row occupancy `< `[`HYPERSPARSE_OCCUPANCY`] ⇒ **DCSR** —
-//!    full scans then touch only the non-empty rows;
-//! 2. else, pull direction with average degree `≥ `[`BITMAP_MIN_DEGREE`]
-//!    and a feasible bitmap ⇒ **bitmap** — dense phases get O(1)
-//!    membership at tolerable memory;
+//! 1. pull over an operand whose row occupancy is
+//!    `< `[`HYPERSPARSE_OCCUPANCY`] ⇒ **DCSR** — full scans then touch
+//!    only the non-empty rows;
+//! 2. else, pull with average degree `≥ `[`BITMAP_MIN_DEGREE`] and a
+//!    feasible bitmap ⇒ **bitmap** — dense phases get O(1) membership at
+//!    tolerable memory;
 //! 3. else **CSR**.
 //!
 //! Formats never change results or access counters — the kernels are
 //! generic over [`graphblas_matrix::RowAccess`] and charge identically on
 //! every backend (`tests/prop_core.rs` pins values *and* counters against
-//! the `Fixed(Csr)` oracle) — so the planner is free to chase wall clock.
+//! the `Force(Csr)` oracle) — so the planner is free to chase wall clock.
 
-use crate::bitops::FrontierWords;
-use crate::descriptor::{Descriptor, Direction, FormatChoice};
+use crate::descriptor::{Descriptor, Direction, DirectionChoice, FormatChoice};
 use crate::ops::Scalar;
-use crate::ops_mxv::resolve_direction;
 use crate::vector::Vector;
 use graphblas_matrix::{Graph, StorageFormat};
 use graphblas_primitives::counters::AccessCounters;
@@ -55,29 +50,22 @@ pub const HYPERSPARSE_OCCUPANCY: f64 = 0.125;
 pub const BITMAP_MIN_DEGREE: f64 = 8.0;
 
 /// Calibration constants of the measured push/pull cost model — the
-/// per-edge (and per-word) charge weights that turn the raw measurements
-/// of [`crate::CostModelInputs`] into comparable work estimates:
+/// per-edge charge weights that turn the raw measurements of
+/// [`CostModelInputs`] into comparable work estimates:
 ///
 /// * `pushwork = push_edge · nnz(A(:, f))` — each expanded edge pays its
 ///   matrix read plus the radix-sort passes of the sort-based merge;
 /// * `pullwork = pull_edge · d · |unvisited|` — each unvisited row pays an
-///   average row scan;
-/// * `bit_word` prices one `u64` word scanned by the bit-parallel pull
-///   kernel, for the format half of the model ([`FormatPolicy::cost_model`]):
-///   a bitmap pull scans at most `⌈n/64⌉` words per row, so bitmap wins
-///   when `pull_edge · d > bit_word · ⌈n/64⌉`.
+///   average row scan.
 ///
 /// Defaults come from the charged-access shape of the kernels themselves
-/// (an expanded push edge costs its read + ~3 radix passes); the bench
-/// harness re-derives them from measured runs per format.
+/// (an expanded push edge costs its read + ~3 radix passes).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostConstants {
     /// Work per expanded push edge (matrix read + sort traffic).
     pub push_edge: f64,
-    /// Work per examined pull edge on a scalar (CSR/DCSR) row scan.
+    /// Work per examined pull edge on a row scan.
     pub pull_edge: f64,
-    /// Work per `u64` word scanned by the bit-parallel bitmap pull.
-    pub bit_word: f64,
 }
 
 impl Default for CostConstants {
@@ -85,40 +73,20 @@ impl Default for CostConstants {
         Self {
             push_edge: 4.0,
             pull_edge: 1.0,
-            bit_word: 1.0,
         }
     }
 }
 
-impl CostConstants {
-    /// Constants calibrated for a given pull-side storage format: the
-    /// bitmap's bit-parallel kernel touches 64 edges per word, so its
-    /// effective per-edge pull charge is 1/8 of CSR's per cache line
-    /// (8 edges of a `u64` word amortize one read).
-    #[must_use]
-    pub fn for_format(format: StorageFormat) -> Self {
-        let base = Self::default();
-        match format {
-            StorageFormat::Bitmap => Self {
-                pull_edge: base.pull_edge / 8.0,
-                ..base
-            },
-            StorageFormat::Csr | StorageFormat::Dcsr => base,
-        }
-    }
-}
-
-/// Charge the `bitmap_degrades` telemetry event when a descriptor asked
+/// Charge the `bitmap_degrades` telemetry event when a format choice asked
 /// for the bitmap store but the planner had to serve another format — the
 /// silent `MAX_BITS` degrade of [`Graph::effective_format`] made visible.
+/// Every plan resolution that degrades charges once.
 pub fn note_bitmap_degrade(
-    desc: &Descriptor,
+    choice: FormatChoice,
     resolved: StorageFormat,
     counters: Option<&AccessCounters>,
 ) {
-    if desc.format == FormatChoice::Force(StorageFormat::Bitmap)
-        && resolved != StorageFormat::Bitmap
-    {
+    if choice == FormatChoice::Force(StorageFormat::Bitmap) && resolved != StorageFormat::Bitmap {
         if let Some(c) = counters {
             c.add_bitmap_degrade();
         }
@@ -189,11 +157,40 @@ pub fn auto_format_batch<A: Scalar>(graph: &Graph<A>, transpose: bool) -> Storag
     }
 }
 
+/// The direction a given call would take under the descriptor: the forced
+/// one, or the §6.3 storage rule (sparse input → push, dense → pull).
+#[must_use]
+pub fn resolve_direction<X: Scalar>(v: &Vector<X>, desc: &Descriptor) -> Direction {
+    match desc.direction {
+        DirectionChoice::Force(d) => d,
+        DirectionChoice::Auto => {
+            if v.is_sparse() {
+                Direction::Push
+            } else {
+                Direction::Pull
+            }
+        }
+    }
+}
+
+/// Resolve one face's format under a [`FormatChoice`]: a forced format
+/// (with an infeasible bitmap degraded to CSR, so the plan always names
+/// what executes) or the [`auto_format`] rule.
+fn resolve_format<A: Scalar>(
+    graph: &Graph<A>,
+    transpose: bool,
+    direction: Direction,
+    choice: FormatChoice,
+) -> StorageFormat {
+    match choice {
+        FormatChoice::Force(f) => graph.effective_format(operand_side(transpose, direction), f),
+        FormatChoice::Auto => auto_format(graph, transpose, direction),
+    }
+}
+
 /// Resolve the full execution plan for a `mxv`-shaped call: the direction
-/// by the storage rule [`resolve_direction`] implements (or the
-/// descriptor's force), the format by the descriptor's [`FormatChoice`]
-/// (with an infeasible bitmap degraded to CSR so the reported plan always
-/// matches what executes).
+/// by [`resolve_direction`], the format by the descriptor's
+/// [`FormatChoice`].
 #[must_use]
 pub fn resolve_plan<A: Scalar, X: Scalar>(
     graph: &Graph<A>,
@@ -201,12 +198,7 @@ pub fn resolve_plan<A: Scalar, X: Scalar>(
     desc: &Descriptor,
 ) -> ExecPlan {
     let direction = resolve_direction(v, desc);
-    let format = match desc.format {
-        FormatChoice::Force(f) => {
-            graph.effective_format(operand_side(desc.transpose, direction), f)
-        }
-        FormatChoice::Auto => auto_format(graph, desc.transpose, direction),
-    };
+    let format = resolve_format(graph, desc.transpose, direction, desc.format);
     ExecPlan { direction, format }
 }
 
@@ -222,278 +214,256 @@ pub fn resolve_format_batch<A: Scalar>(graph: &Graph<A>, desc: &Descriptor) -> S
     }
 }
 
+/// How a [`DirectionPolicy`] reacts to the per-iteration activity ratio.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum FormatMode {
-    Auto,
-    Fixed(StorageFormat),
-    /// Pick the pull-side format from the measured cost constants instead
-    /// of the fixed [`BITMAP_MIN_DEGREE`] threshold: bitmap wins exactly
-    /// when a row's average scalar scan (`pull_edge · d`) outweighs its
-    /// full word scan (`bit_word · ⌈n/64⌉`).
-    CostModel(CostConstants),
+enum PolicyMode {
+    /// §6.3 hysteresis: switch push→pull while activity is rising above the
+    /// threshold, pull→push while falling below it (`α = β`, as the paper).
+    Hysteresis { threshold: f64 },
+    /// §5.6 two-phase: switch push→pull once the threshold is crossed and
+    /// stay there (SSSP's delta-set rule).
+    TwoPhase { threshold: f64 },
+    /// Memoryless: pull iff the ratio exceeds the threshold this iteration
+    /// (Beamer's rule as used by Ligra, `|frontier ∪ its edges| > |E|/20`).
+    Memoryless { threshold: f64 },
+    /// Never switch.
+    Fixed,
+    /// Measured work comparison: `pushwork = c_push · nnz(frontier rows)`
+    /// vs `pullwork = c_pull · d · |unvisited|`, the per-iteration rule of
+    /// the paper's comparator engines. Fed through
+    /// [`DirectionPolicy::update_measured`]; the ratio-only
+    /// [`DirectionPolicy::update`] keeps the current direction (like
+    /// [`PolicyMode::Fixed`]) because it lacks the measured inputs.
+    CostModel { constants: CostConstants },
 }
 
-/// The stateful format-selection policy iterative algorithms thread
-/// through their loops — the format analogue of
-/// [`DirectionPolicy`](crate::DirectionPolicy).
+/// The measured per-iteration inputs of the `PolicyMode::CostModel`
+/// rule: what the traversal actually knows about the next step's work.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CostModelInputs {
+    /// Σ out-degree over the frontier's explicit vertices — exactly the
+    /// edges a push step would expand (`nnz(A(:, f))`).
+    pub frontier_edges: usize,
+    /// Vertices not yet finished — the rows a masked pull step would scan.
+    pub unvisited: usize,
+    /// Average degree `d` of the operand, so `pullwork ≈ d · unvisited`.
+    pub avg_degree: f64,
+}
+
+/// The workspace's one stateful push/pull switching rule (§6.3 and its
+/// variants).
 ///
-/// `update` is called once per iteration with the graph and this
-/// iteration's resolved direction; it returns the format to force into
-/// the descriptor and charges one `format_switches` counter tick whenever
-/// the returned format differs from the previous iteration's (every graph
-/// is born CSR, so the baseline before the first call is
-/// [`StorageFormat::Csr`]).
+/// [`resolve_direction`] is the *storage→direction* rule `mxv` dispatches
+/// on; `DirectionPolicy` is the *activity→direction* heuristic that decides
+/// which kernel an iterative algorithm should steer toward next. The
+/// single-source loops drive it through a [`Planner`]; the batched loops
+/// (one policy per source row) and the Ligra-like / Gunrock-like
+/// comparator engines drive it directly, so the Table 2 "change of
+/// direction" ablation toggles exactly one rule.
 ///
-/// In `Auto` mode the policy wraps [`auto_format`] in a
-/// `ConvertState`-style debounce: moving away from the current format
-/// requires the memoryless rule to prefer the same new format on two
-/// consecutive updates. Matrix shape is static, but the *direction* input
-/// flaps at phase boundaries (push↔pull), and each format change an
-/// algorithm acts on costs a one-time conversion — the debounce keeps a
-/// single bounced iteration from paying it twice, exactly as §6.3's
-/// hysteresis keeps the frontier from thrashing sparse↔dense.
-#[derive(Clone, Copy, Debug)]
-pub struct FormatPolicy {
-    mode: FormatMode,
-    current: Option<StorageFormat>,
-    pending: Option<StorageFormat>,
-    /// Per operand side (`[A, Aᵀ]`): whether this policy already recorded
-    /// a bitmap→CSR degrade. The feasibility verdict is a per-graph
-    /// constant, so `bitmap_degrades` counts *distinct decisions* — one
-    /// per policy per side — not one tick per mxv of a long run.
-    degraded: [bool; 2],
+/// `update` takes the iteration's *activity* (frontier nnz, delta-set size,
+/// frontier-edge count — whatever the traversal's work measure is) and the
+/// *capacity* it is measured against (|V| or |E|), and returns the
+/// direction to use this iteration.
+#[derive(Clone, Debug)]
+pub struct DirectionPolicy {
+    mode: PolicyMode,
+    dir: Direction,
+    last_activity: usize,
 }
 
-impl Default for FormatPolicy {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
-
-impl FormatPolicy {
-    /// The planner decides per iteration (the production default).
+impl DirectionPolicy {
+    /// §6.3 hysteresis starting from push (BFS-style traversals).
     #[must_use]
-    pub fn auto() -> Self {
-        Self {
-            mode: FormatMode::Auto,
-            current: None,
-            pending: None,
-            degraded: [false; 2],
+    pub fn hysteresis(threshold: f64) -> Self {
+        Self::hysteresis_from(Direction::Push, threshold)
+    }
+
+    /// §6.3 hysteresis from an explicit starting direction (label
+    /// propagation starts dense, hence pull).
+    #[must_use]
+    pub fn hysteresis_from(start: Direction, threshold: f64) -> Self {
+        DirectionPolicy {
+            mode: PolicyMode::Hysteresis { threshold },
+            dir: start,
+            last_activity: 0,
         }
     }
 
-    /// Pin every iteration to one format. `Fixed(Csr)` is the tested
-    /// oracle every other policy must match bit-for-bit in values and
-    /// accesses.
+    /// §5.6 two-phase rule: push until the activity ratio first exceeds the
+    /// threshold, pull forever after.
     #[must_use]
-    pub fn fixed(f: StorageFormat) -> Self {
-        Self {
-            mode: FormatMode::Fixed(f),
-            current: None,
-            pending: None,
-            degraded: [false; 2],
+    pub fn two_phase(threshold: f64) -> Self {
+        DirectionPolicy {
+            mode: PolicyMode::TwoPhase { threshold },
+            dir: Direction::Push,
+            last_activity: 0,
         }
     }
 
-    /// Measured cost-model selection (see `FormatMode` docs): the format
-    /// half of the planner's `CostModel` variant, sharing the same
-    /// debounce as [`FormatPolicy::auto`].
+    /// Memoryless threshold rule: pull exactly when `activity / capacity`
+    /// exceeds the threshold (Beamer/Ligra's `> |E|/20` with
+    /// `threshold = 1/20`).
+    #[must_use]
+    pub fn memoryless(threshold: f64) -> Self {
+        DirectionPolicy {
+            mode: PolicyMode::Memoryless { threshold },
+            dir: Direction::Push,
+            last_activity: 0,
+        }
+    }
+
+    /// Pinned direction (the "change of direction off" ablation arm).
+    #[must_use]
+    pub fn fixed(dir: Direction) -> Self {
+        DirectionPolicy {
+            mode: PolicyMode::Fixed,
+            dir,
+            last_activity: 0,
+        }
+    }
+
+    /// Measured cost-model rule, starting from push (frontiers start
+    /// small). Drive it with [`DirectionPolicy::update_measured`].
     #[must_use]
     pub fn cost_model(constants: CostConstants) -> Self {
-        Self {
-            mode: FormatMode::CostModel(constants),
-            current: None,
-            pending: None,
-            degraded: [false; 2],
+        DirectionPolicy {
+            mode: PolicyMode::CostModel { constants },
+            dir: Direction::Push,
+            last_activity: 0,
         }
     }
 
-    /// The format the last `update` settled on (CSR before any update).
+    /// Feed this iteration's activity measure; returns the direction to use.
+    pub fn update(&mut self, activity: usize, capacity: usize) -> Direction {
+        let r = activity as f64 / capacity.max(1) as f64;
+        match self.mode {
+            PolicyMode::Hysteresis { threshold } => {
+                let rising = activity >= self.last_activity;
+                match self.dir {
+                    Direction::Push if rising && r > threshold => self.dir = Direction::Pull,
+                    Direction::Pull if !rising && r < threshold => self.dir = Direction::Push,
+                    _ => {}
+                }
+            }
+            PolicyMode::TwoPhase { threshold } => {
+                if self.dir == Direction::Push && r > threshold {
+                    self.dir = Direction::Pull;
+                }
+            }
+            PolicyMode::Memoryless { threshold } => {
+                self.dir = if r > threshold {
+                    Direction::Pull
+                } else {
+                    Direction::Push
+                };
+            }
+            PolicyMode::Fixed => {}
+            // The ratio alone cannot price push against pull; hold the
+            // direction until measured inputs arrive via update_measured.
+            PolicyMode::CostModel { .. } => {}
+        }
+        self.last_activity = activity;
+        self.dir
+    }
+
+    /// Feed measured work estimates. Under `PolicyMode::CostModel` this
+    /// prices both faces directly — `pushwork = c_push · frontier_edges`
+    /// against `pullwork = c_pull · d · unvisited` — and picks the cheaper
+    /// one. Every other mode ignores the measurements and delegates to
+    /// [`DirectionPolicy::update`], so loops can call this unconditionally.
+    pub fn update_measured(
+        &mut self,
+        activity: usize,
+        capacity: usize,
+        inputs: CostModelInputs,
+    ) -> Direction {
+        if let PolicyMode::CostModel { constants } = self.mode {
+            // Chaos hook: inflating the push-edge cost lets the fault
+            // harness force direction flips without touching the graph.
+            #[cfg(feature = "fault-injection")]
+            let push_edge = constants.push_edge * graphblas_primitives::fault::cost_inflation();
+            #[cfg(not(feature = "fault-injection"))]
+            let push_edge = constants.push_edge;
+            let pushwork = push_edge * inputs.frontier_edges as f64;
+            let pullwork = constants.pull_edge * inputs.avg_degree * inputs.unvisited as f64;
+            self.dir = if pushwork < pullwork {
+                Direction::Push
+            } else {
+                Direction::Pull
+            };
+            self.last_activity = activity;
+            self.dir
+        } else {
+            self.update(activity, capacity)
+        }
+    }
+
+    /// The direction the last `update` settled on.
     #[must_use]
-    pub fn current(&self) -> StorageFormat {
-        self.current.unwrap_or(StorageFormat::Csr)
-    }
-
-    fn adopt(
-        &mut self,
-        preferred: StorageFormat,
-        counters: Option<&AccessCounters>,
-    ) -> StorageFormat {
-        let next = match self.mode {
-            FormatMode::Fixed(_) => preferred,
-            FormatMode::Auto | FormatMode::CostModel(_) => match self.current {
-                None => preferred,
-                Some(cur) if preferred == cur => {
-                    self.pending = None;
-                    cur
-                }
-                Some(cur) => {
-                    if self.pending == Some(preferred) {
-                        // Second consecutive preference: switch.
-                        self.pending = None;
-                        preferred
-                    } else {
-                        self.pending = Some(preferred);
-                        cur
-                    }
-                }
-            },
-        };
-        if next != self.current() {
-            if let Some(c) = counters {
-                c.add_format_switch();
-            }
-        }
-        self.current = Some(next);
-        next
-    }
-
-    /// Record a bitmap→CSR degrade decision for one operand side, charging
-    /// `bitmap_degrades` only the first time this policy sees it (the
-    /// verdict is a per-graph constant — see the `degraded` field).
-    fn note_degrade(&mut self, side: bool, counters: Option<&AccessCounters>) {
-        let seen = &mut self.degraded[usize::from(side)];
-        if !*seen {
-            *seen = true;
-            if let Some(c) = counters {
-                c.add_bitmap_degrade();
-            }
-        }
-    }
-
-    /// Feed one iteration's direction; returns the format to run it with
-    /// and charges `format_switches` on change.
-    pub fn update<A: Scalar>(
-        &mut self,
-        graph: &Graph<A>,
-        transpose: bool,
-        direction: Direction,
-        counters: Option<&AccessCounters>,
-    ) -> StorageFormat {
-        self.update_with_frontier(graph, transpose, direction, None, counters)
-    }
-
-    /// [`FormatPolicy::update`] with this iteration's frontier population
-    /// supplied, letting the measured cost model price the *compressed*
-    /// frontier-word scan: a bit pull intersects each row window with the
-    /// frontier's nonzero words only (`FrontierWords` compresses when
-    /// they are few), so a sparse frontier caps the scan far below the
-    /// dense window stride the shape-only rule assumes. `Auto` and `Fixed`
-    /// modes ignore the hint.
-    pub fn update_with_frontier<A: Scalar>(
-        &mut self,
-        graph: &Graph<A>,
-        transpose: bool,
-        direction: Direction,
-        frontier_nnz: Option<usize>,
-        counters: Option<&AccessCounters>,
-    ) -> StorageFormat {
-        let preferred = match self.mode {
-            FormatMode::Fixed(f) => {
-                let side = operand_side(transpose, direction);
-                let eff = graph.effective_format(side, f);
-                if f == StorageFormat::Bitmap && eff != StorageFormat::Bitmap {
-                    self.note_degrade(side, counters);
-                }
-                eff
-            }
-            FormatMode::Auto => auto_format(graph, transpose, direction),
-            FormatMode::CostModel(k) => {
-                let (fmt, wanted_infeasible) =
-                    cost_model_format(graph, transpose, direction, k, frontier_nnz);
-                if wanted_infeasible {
-                    self.note_degrade(operand_side(transpose, direction), counters);
-                }
-                fmt
-            }
-        };
-        self.adopt(preferred, counters)
-    }
-
-    /// Batched variant of [`FormatPolicy::update`] for `mxv_batch` loops,
-    /// whose rows resolve directions independently (see
-    /// [`auto_format_batch`]).
-    pub fn update_batch<A: Scalar>(
-        &mut self,
-        graph: &Graph<A>,
-        transpose: bool,
-        counters: Option<&AccessCounters>,
-    ) -> StorageFormat {
-        let preferred = match self.mode {
-            FormatMode::Fixed(f) => {
-                let eff = graph.effective_format(transpose, f);
-                if f == StorageFormat::Bitmap && eff != StorageFormat::Bitmap {
-                    self.note_degrade(transpose, counters);
-                }
-                eff
-            }
-            // The batched kernels never run the bit pull (one store serves
-            // both faces), so the measured rule has nothing to price there:
-            // fall back to the shape rule, like Auto.
-            FormatMode::Auto | FormatMode::CostModel(_) => auto_format_batch(graph, transpose),
-        };
-        self.adopt(preferred, counters)
+    pub fn current(&self) -> Direction {
+        self.dir
     }
 }
 
-/// The measured format rule of [`FormatPolicy::cost_model`]: hypersparse
-/// operands still take DCSR (the cost model prices scan work, not row
-/// lookup structure), then bitmap vs CSR is decided by comparing an
-/// average row's scalar scan against its word scan — the word price taken
-/// from the tiled allocation plan (`words / n_rows`), so banded graphs
-/// with narrow windows price far below the old dense `⌈n/64⌉` stride.
+/// The per-traversal planner the single-source loops thread through their
+/// levels: one [`DirectionPolicy`] for the kernel face, one
+/// [`FormatChoice`] for the store, and the previous level's plan.
 ///
-/// When the caller supplies the frontier population, the word price is
-/// additionally capped at the frontier's *compressed* word count: the bit
-/// pull kernel scans the intersection of a row's window with the frontier
-/// words, and once the frontier clears [`FrontierWords`]' compression
-/// threshold only its nonzero words are visited at all — a few-word
-/// frontier makes the bit scan near-free regardless of window width (the
-/// mispricing the dense-only rule suffered). Returns the chosen format
-/// plus whether the model wanted an infeasible bitmap (the caller
-/// memoizes the `bitmap_degrades` charge per side).
-fn cost_model_format<A: Scalar>(
-    graph: &Graph<A>,
-    transpose: bool,
-    direction: Direction,
-    k: CostConstants,
-    frontier_nnz: Option<usize>,
-) -> (StorageFormat, bool) {
-    if direction != Direction::Pull {
-        return (StorageFormat::Csr, false);
-    }
-    let side = operand_side(transpose, direction);
-    if graph.row_occupancy(side) < HYPERSPARSE_OCCUPANCY {
-        return (StorageFormat::Dcsr, false);
-    }
-    let csr = if side { graph.csr_t() } else { graph.csr() };
-    let dense_words = graph.bitmap_plan(side).avg_words_per_row(csr.n_rows());
-    let words_per_row = effective_words_per_row(dense_words, csr.n_cols(), frontier_nnz);
-    if k.pull_edge * csr.avg_degree() > k.bit_word * words_per_row {
-        if graph.effective_format(side, StorageFormat::Bitmap) == StorageFormat::Bitmap {
-            return (StorageFormat::Bitmap, false);
-        }
-        return (StorageFormat::Csr, true);
-    }
-    (StorageFormat::Csr, false)
+/// [`Planner::next`] takes the direction from the policy. Under
+/// [`FormatChoice::Auto`] the store is [`auto_format`]'s, except on the
+/// first level after a direction change, which keeps the previous level's
+/// store: matrix shape is static, but the direction flaps at phase
+/// boundaries, and each format change costs a one-time conversion, so a
+/// single bounced level never pays for one — the format-side twin of
+/// §6.3's hysteresis. Under [`FormatChoice::Force`] every level runs the
+/// forced store (an infeasible bitmap degrades to CSR and charges
+/// `bitmap_degrades` once per level).
+#[derive(Clone, Debug)]
+pub struct Planner {
+    policy: DirectionPolicy,
+    format: FormatChoice,
+    last: Option<ExecPlan>,
 }
 
-/// Words a bit-parallel pull actually scans per row: the dense window
-/// stride, capped at the frontier's nonzero word count when the frontier
-/// is sparse enough that [`FrontierWords::from_dense`] would compress it
-/// (`nzw · COMPRESS_FACTOR ≤ total words`) — compressed traversals visit
-/// only the frontier's populated words that overlap the row window.
-fn effective_words_per_row(dense_words: f64, n_cols: usize, frontier_nnz: Option<usize>) -> f64 {
-    let Some(nnz) = frontier_nnz else {
-        return dense_words;
-    };
-    let total_words = n_cols.div_ceil(64).max(1);
-    // Each frontier nonzero populates at most one word.
-    let nzw = nnz.min(total_words).max(1);
-    if nzw * FrontierWords::COMPRESS_FACTOR <= total_words {
-        dense_words.min(nzw as f64)
-    } else {
-        dense_words
+impl Planner {
+    /// A planner that has not planned a level yet.
+    #[must_use]
+    pub fn new(policy: DirectionPolicy, format: FormatChoice) -> Self {
+        Self {
+            policy,
+            format,
+            last: None,
+        }
+    }
+
+    /// Plan the next level of a traversal over `graph` (oriented by
+    /// `transpose`, as the level's descriptor will be). `activity` and
+    /// `capacity` feed [`DirectionPolicy::update`]; `measured`, when
+    /// supplied, feeds [`DirectionPolicy::update_measured`] instead.
+    pub fn next<A: Scalar>(
+        &mut self,
+        graph: &Graph<A>,
+        transpose: bool,
+        activity: usize,
+        capacity: usize,
+        measured: Option<CostModelInputs>,
+        counters: Option<&AccessCounters>,
+    ) -> ExecPlan {
+        let direction = match measured {
+            Some(inputs) => self.policy.update_measured(activity, capacity, inputs),
+            None => self.policy.update(activity, capacity),
+        };
+        let format = match self.last {
+            Some(prev) if self.format == FormatChoice::Auto && prev.direction != direction => {
+                prev.format
+            }
+            _ => resolve_format(graph, transpose, direction, self.format),
+        };
+        note_bitmap_degrade(self.format, format, counters);
+        let plan = ExecPlan { direction, format };
+        self.last = Some(plan);
+        plan
     }
 }
 
@@ -502,8 +472,8 @@ mod tests {
     use super::*;
     use graphblas_matrix::Coo;
 
-    /// Dense-ish 8-vertex clique fragment: occupancy 1.0, degree ≥ 8 via
-    /// self-contained construction — pull prefers bitmap, push CSR.
+    /// Dense 16-vertex clique: occupancy 1.0, degree 15 — pull prefers
+    /// bitmap, push CSR.
     fn dense_graph() -> Graph<bool> {
         let n = 16;
         let mut coo = Coo::new(n, n);
@@ -523,6 +493,17 @@ mod tests {
         for &(u, v) in &[(0u32, 40u32), (1, 41), (2, 42)] {
             coo.push(u, v, true);
             coo.push(v, u, true);
+        }
+        Graph::from_coo(&coo)
+    }
+
+    /// A 64-vertex ring: full occupancy, degree 2 — CSR on both faces.
+    fn ring_graph() -> Graph<bool> {
+        let n = 64u32;
+        let mut coo = Coo::new(n as usize, n as usize);
+        for u in 0..n {
+            coo.push(u, (u + 1) % n, true);
+            coo.push((u + 1) % n, u, true);
         }
         Graph::from_coo(&coo)
     }
@@ -584,72 +565,12 @@ mod tests {
     }
 
     #[test]
-    fn fixed_policy_charges_one_switch_and_holds() {
-        let g = hypersparse_graph();
-        let c = AccessCounters::new();
-        let mut p = FormatPolicy::fixed(StorageFormat::Dcsr);
-        assert_eq!(
-            p.update(&g, true, Direction::Push, Some(&c)),
-            StorageFormat::Dcsr
-        );
-        assert_eq!(c.snapshot().format_switches, 1, "Csr → Dcsr charged once");
-        for _ in 0..3 {
-            p.update(&g, true, Direction::Pull, Some(&c));
-        }
-        assert_eq!(c.snapshot().format_switches, 1, "no further switches");
-
-        let c2 = AccessCounters::new();
-        let mut oracle = FormatPolicy::fixed(StorageFormat::Csr);
-        oracle.update(&g, true, Direction::Push, Some(&c2));
-        assert_eq!(
-            c2.snapshot().format_switches,
-            0,
-            "Csr oracle never switches"
-        );
-    }
-
-    #[test]
-    fn auto_policy_debounces_direction_flaps() {
-        let g = dense_graph();
-        let c = AccessCounters::new();
-        let mut p = FormatPolicy::auto();
-        // First call adopts immediately (push on a dense graph → CSR).
-        assert_eq!(
-            p.update(&g, true, Direction::Push, Some(&c)),
-            StorageFormat::Csr
-        );
-        // One pull iteration prefers bitmap but the debounce holds CSR.
-        assert_eq!(
-            p.update(&g, true, Direction::Pull, Some(&c)),
-            StorageFormat::Csr
-        );
-        // Second consecutive pull: switch.
-        assert_eq!(
-            p.update(&g, true, Direction::Pull, Some(&c)),
-            StorageFormat::Bitmap
-        );
-        assert_eq!(c.snapshot().format_switches, 1);
-        // A single push bounce does not thrash back…
-        assert_eq!(
-            p.update(&g, true, Direction::Push, Some(&c)),
-            StorageFormat::Bitmap
-        );
-        // …but a sustained push phase does.
-        assert_eq!(
-            p.update(&g, true, Direction::Push, Some(&c)),
-            StorageFormat::Csr
-        );
-        assert_eq!(c.snapshot().format_switches, 2);
-        assert_eq!(p.current(), StorageFormat::Csr);
-    }
-
-    #[test]
     fn infeasible_bitmap_degrades_to_csr_everywhere() {
         // Allocation too large for a bitmap even under tiling: one row per
         // 64-row tile spans the full column range, so every tile plans a
         // full-width window — 2^13 tiles × 64 rows × 2^13 words = 2^38
         // bits > MAX_BITS, on both orientations (symmetric construction).
-        // Force(Bitmap) must degrade identically in the plan and policy.
+        // Force(Bitmap) must degrade identically in the plan and planner.
         let n = 1 << 19;
         let mut coo = Coo::new(n, n);
         for t in (0..n as u32).step_by(64) {
@@ -667,121 +588,170 @@ mod tests {
         let mut dense = Vector::singleton(n, false, 0, true);
         dense.make_dense();
         assert_eq!(resolve_plan(&g, &dense, &desc).format, StorageFormat::Csr);
-        let mut p = FormatPolicy::fixed(StorageFormat::Bitmap);
-        assert_eq!(
-            p.update(&g, true, Direction::Pull, None),
-            StorageFormat::Csr
-        );
 
-        // The silent degrade is recorded once per distinct decision: the
-        // verdict is a per-graph constant, so repeated updates of one
-        // policy on one side charge a single tick — not one per call.
+        // The planner charges one degrade per degraded level, on either
+        // face.
         let c = AccessCounters::new();
-        let mut p2 = FormatPolicy::fixed(StorageFormat::Bitmap);
-        p2.update(&g, true, Direction::Pull, Some(&c));
-        p2.update(&g, true, Direction::Pull, Some(&c));
-        assert_eq!(c.snapshot().bitmap_degrades, 1, "memoized per side");
-        // The push face is the other operand side: a fresh decision.
-        p2.update(&g, true, Direction::Push, Some(&c));
-        p2.update(&g, true, Direction::Push, Some(&c));
-        assert_eq!(c.snapshot().bitmap_degrades, 2, "one per side");
-        // The mxv-level plan note (direct descriptor force) still records.
-        note_bitmap_degrade(&desc, StorageFormat::Csr, Some(&c));
-        assert_eq!(c.snapshot().bitmap_degrades, 3);
+        let mut p = Planner::new(
+            DirectionPolicy::fixed(Direction::Pull),
+            FormatChoice::Force(StorageFormat::Bitmap),
+        );
+        for _ in 0..3 {
+            let plan = p.next(&g, true, 1, n, None, Some(&c));
+            assert_eq!(plan.format, StorageFormat::Csr);
+        }
+        assert_eq!(c.snapshot().bitmap_degrades, 3, "one per degraded level");
+        // The mxv-level plan note (direct descriptor force) records too.
+        note_bitmap_degrade(desc.format, StorageFormat::Csr, Some(&c));
+        assert_eq!(c.snapshot().bitmap_degrades, 4);
         // A served bitmap (or a non-bitmap request) records nothing.
-        note_bitmap_degrade(&desc, StorageFormat::Bitmap, Some(&c));
-        note_bitmap_degrade(&Descriptor::new(), StorageFormat::Csr, Some(&c));
-        assert_eq!(c.snapshot().bitmap_degrades, 3);
+        note_bitmap_degrade(desc.format, StorageFormat::Bitmap, Some(&c));
+        note_bitmap_degrade(FormatChoice::Auto, StorageFormat::Csr, Some(&c));
+        assert_eq!(c.snapshot().bitmap_degrades, 4);
     }
 
     #[test]
-    fn cost_model_format_prices_bitmap_against_word_scans() {
-        // Dense 16-vertex graph: avg degree 15, one word per row — the
-        // scalar scan (15 edges) outweighs the word scan (1 word), so the
-        // measured rule picks bitmap for pull and CSR for push.
+    fn hysteresis_policy_switches_both_ways() {
+        let mut p = DirectionPolicy::hysteresis(0.01);
+        // Small rising frontier below threshold: stay push.
+        assert_eq!(p.update(1, 1000), Direction::Push);
+        assert_eq!(p.update(5, 1000), Direction::Push);
+        // Rising above threshold: switch to pull.
+        assert_eq!(p.update(100, 1000), Direction::Pull);
+        // Still large: stay pull even while falling.
+        assert_eq!(p.update(90, 1000), Direction::Pull);
+        // Falling below threshold: back to push.
+        assert_eq!(p.update(5, 1000), Direction::Push);
+        // Small but *rising* below threshold: hysteresis keeps push.
+        assert_eq!(p.update(8, 1000), Direction::Push);
+        assert_eq!(p.current(), Direction::Push);
+    }
+
+    #[test]
+    fn two_phase_policy_never_returns() {
+        let mut p = DirectionPolicy::two_phase(0.01);
+        assert_eq!(p.update(1, 1000), Direction::Push);
+        assert_eq!(p.update(100, 1000), Direction::Pull);
+        // Tiny delta set again — two-phase stays pull (§5.6).
+        assert_eq!(p.update(1, 1000), Direction::Pull);
+    }
+
+    #[test]
+    fn memoryless_policy_follows_ratio_exactly() {
+        let mut p = DirectionPolicy::memoryless(1.0 / 20.0);
+        assert_eq!(p.update(1, 1000), Direction::Push);
+        assert_eq!(p.update(51, 1000), Direction::Pull);
+        assert_eq!(p.update(50, 1000), Direction::Push, "boundary is strict >");
+    }
+
+    #[test]
+    fn fixed_policy_ignores_activity() {
+        let mut p = DirectionPolicy::fixed(Direction::Pull);
+        assert_eq!(p.update(0, 10), Direction::Pull);
+        assert_eq!(p.update(10, 10), Direction::Pull);
+    }
+
+    #[test]
+    fn hysteresis_from_pull_handles_dense_start() {
+        // CC starts with a dense (all-active) delta: first update must not
+        // bounce to push even though the ratio is high.
+        let mut p = DirectionPolicy::hysteresis_from(Direction::Pull, 0.01);
+        assert_eq!(p.update(1000, 1000), Direction::Pull);
+        // Delta collapses: falling below threshold switches to push.
+        assert_eq!(p.update(3, 1000), Direction::Push);
+    }
+
+    #[test]
+    fn planner_holds_the_store_for_one_level_after_a_flip() {
         let g = dense_graph();
-        let k = CostConstants::default();
-        let mut p = FormatPolicy::cost_model(k);
-        assert_eq!(
-            p.update(&g, true, Direction::Push, None),
-            StorageFormat::Csr
-        );
-        // Debounced like Auto: one pull prefers bitmap, two adopt it.
-        assert_eq!(
-            p.update(&g, true, Direction::Pull, None),
-            StorageFormat::Csr
-        );
-        assert_eq!(
-            p.update(&g, true, Direction::Pull, None),
-            StorageFormat::Bitmap
-        );
+        // Memoryless at ½: activity 1 of 1 pulls, 0 of 1 pushes.
+        let mut p = Planner::new(DirectionPolicy::memoryless(0.5), FormatChoice::Auto);
+        let mut step = |pull: bool| p.next(&g, true, usize::from(pull), 1, None, None);
+        let plan = |direction, format| ExecPlan { direction, format };
+        use Direction::{Pull, Push};
+        use StorageFormat::{Bitmap, Csr};
+        assert_eq!(step(false), plan(Push, Csr), "first level adopts");
+        assert_eq!(step(true), plan(Pull, Csr), "flip: store held");
+        assert_eq!(step(true), plan(Pull, Bitmap), "second pull level");
+        assert_eq!(step(false), plan(Push, Bitmap), "flip back: held");
+        assert_eq!(step(false), plan(Push, Csr));
+    }
 
-        // Pricing the word scan up makes CSR win at the same shape.
-        let expensive_words = CostConstants {
-            bit_word: 16.0,
-            ..k
-        };
-        let mut p2 = FormatPolicy::cost_model(expensive_words);
-        assert_eq!(
-            p2.update(&g, true, Direction::Pull, None),
-            StorageFormat::Csr
-        );
-
-        // Hypersparse operands still take DCSR under the cost model.
-        let hs = hypersparse_graph();
-        let mut p3 = FormatPolicy::cost_model(k);
-        assert_eq!(
-            p3.update(&hs, true, Direction::Pull, None),
-            StorageFormat::Dcsr
-        );
+    /// The two-consecutive debounce the planner's hold rule replaced: leave
+    /// the current store only when the memoryless rule prefers the same
+    /// other store on two consecutive levels.
+    fn debounce_reference(prefs: &[StorageFormat]) -> Vec<StorageFormat> {
+        let (mut current, mut pending) = (None, None);
+        prefs
+            .iter()
+            .map(|&preferred| {
+                let next = match current {
+                    None => preferred,
+                    Some(cur) if cur == preferred => {
+                        pending = None;
+                        cur
+                    }
+                    Some(_) if pending == Some(preferred) => {
+                        pending = None;
+                        preferred
+                    }
+                    Some(cur) => {
+                        pending = Some(preferred);
+                        cur
+                    }
+                };
+                current = Some(next);
+                next
+            })
+            .collect()
     }
 
     #[test]
-    fn cost_model_prices_compressed_frontier_scans() {
-        // Every row reaches columns at both ends of a 1024-wide matrix, so
-        // each 64-row tile plans a full 16-word window: dense pricing sees
-        // 16 words/row against an average degree of 4 and keeps CSR.
-        let n = 1024;
-        let mut coo = Coo::new(n, n);
-        for u in 0..n as u32 {
-            for &c in &[0u32, 1, (n - 2) as u32, (n - 1) as u32] {
-                coo.push(u, c, true);
+    fn planner_hold_rule_equals_two_consecutive_debounce() {
+        // Each graph gives the auto rule a different pull preference
+        // (bitmap, DCSR, CSR; push is always CSR). Every direction
+        // sequence of 1–10 levels must yield the same stores as the
+        // reference debounce.
+        for g in [dense_graph(), hypersparse_graph(), ring_graph()] {
+            for len in 1..=10u32 {
+                for bits in 0..(1u32 << len) {
+                    let dirs: Vec<Direction> = (0..len)
+                        .map(|i| {
+                            if bits >> i & 1 == 1 {
+                                Direction::Pull
+                            } else {
+                                Direction::Push
+                            }
+                        })
+                        .collect();
+                    let prefs: Vec<StorageFormat> =
+                        dirs.iter().map(|&d| auto_format(&g, true, d)).collect();
+                    let mut p = Planner::new(DirectionPolicy::memoryless(0.5), FormatChoice::Auto);
+                    let got: Vec<StorageFormat> = dirs
+                        .iter()
+                        .map(|&d| {
+                            let plan =
+                                p.next(&g, true, usize::from(d == Direction::Pull), 1, None, None);
+                            assert_eq!(plan.direction, d);
+                            plan.format
+                        })
+                        .collect();
+                    assert_eq!(got, debounce_reference(&prefs), "directions {dirs:?}");
+                }
             }
         }
-        let g = Graph::from_coo(&coo);
-        let k = CostConstants::default();
-        let mut dense_rule = FormatPolicy::cost_model(k);
-        assert_eq!(
-            dense_rule.update(&g, false, Direction::Pull, None),
-            StorageFormat::Csr,
-            "dense-word pricing overprices the scan"
-        );
-        // A 2-nonzero frontier compresses to ≤2 populated words, so the
-        // bit pull scans at most 2 words/row — now bitmap wins.
-        let mut sparse_rule = FormatPolicy::cost_model(k);
-        assert_eq!(
-            sparse_rule.update_with_frontier(&g, false, Direction::Pull, Some(2), None),
-            StorageFormat::Bitmap,
-            "compressed-frontier pricing sees the real scan cost"
-        );
-        // A frontier too dense to compress prices exactly like before.
-        let mut full_rule = FormatPolicy::cost_model(k);
-        assert_eq!(
-            full_rule.update_with_frontier(&g, false, Direction::Pull, Some(n), None),
-            StorageFormat::Csr
-        );
-        // The cap never *raises* the price: effective words are monotone.
-        assert!(effective_words_per_row(16.0, n, Some(2)) <= 16.0);
-        assert_eq!(effective_words_per_row(16.0, n, None), 16.0);
-        assert_eq!(effective_words_per_row(0.5, n, Some(1)), 0.5);
     }
 
     #[test]
-    fn cost_constants_per_format_scale_pull_edge() {
-        let csr = CostConstants::for_format(StorageFormat::Csr);
-        let bm = CostConstants::for_format(StorageFormat::Bitmap);
-        assert_eq!(csr, CostConstants::default());
-        assert!((bm.pull_edge - csr.pull_edge / 8.0).abs() < f64::EPSILON);
-        assert_eq!(bm.push_edge, csr.push_edge);
+    fn forced_planner_ignores_direction_flips() {
+        let g = hypersparse_graph();
+        let mut p = Planner::new(
+            DirectionPolicy::memoryless(0.5),
+            FormatChoice::Force(StorageFormat::Dcsr),
+        );
+        for pull in [false, true, false, true, true] {
+            let plan = p.next(&g, true, usize::from(pull), 1, None, None);
+            assert_eq!(plan.format, StorageFormat::Dcsr);
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Sparse and dense vectors with the §6.3 storage-conversion heuristic.
+//! Sparse and dense vectors.
 //!
 //! The paper's backend keeps the frontier in a `SparseVector` (sorted index
 //! and value lists) while it is small and converts it to a `DenseVector`
@@ -6,7 +6,9 @@
 //! O(1) random access into the input and column-based matvec wants the
 //! nonzero list. Storage *is* the direction signal: `mxv` runs the column
 //! kernel (push) on sparse inputs and the row kernel (pull) on dense
-//! inputs, so [`Vector::convert`] is Optimization 1's decision procedure.
+//! inputs. The algorithms decide the switch with the §6.3 hysteresis of
+//! [`crate::plan::DirectionPolicy`] and convert with
+//! [`Vector::make_sparse`] / [`Vector::make_dense`].
 
 use crate::ops::Scalar;
 use graphblas_matrix::VertexId;
@@ -135,11 +137,10 @@ impl<T: Scalar> DenseVector<T> {
 /// Storage-adaptive vector: the GraphBLAS object user code holds.
 ///
 /// Storage *is* the direction signal (§6.3): `mxv` runs the column (push)
-/// kernel on sparse inputs and the row (pull) kernel on dense ones, and
-/// [`Vector::convert`] is the hysteresis rule that moves between them.
+/// kernel on sparse inputs and the row (pull) kernel on dense ones.
 ///
 /// ```
-/// use graphblas_core::{ConvertState, Vector};
+/// use graphblas_core::Vector;
 ///
 /// // A frontier of 3 explicit vertices in a 100-vertex graph.
 /// let mut f = Vector::from_sparse(100, false, vec![2, 5, 9], vec![true; 3]);
@@ -152,12 +153,6 @@ impl<T: Scalar> DenseVector<T> {
 /// assert!(!f.is_sparse());
 /// assert_eq!(f.iter_explicit().collect::<Vec<_>>(),
 ///            vec![(2, true), (5, true), (9, true)]);
-///
-/// // The §6.3 switch: 3% > 1% and rising ⇒ densify.
-/// let mut state = ConvertState::new();
-/// let mut growing = Vector::from_sparse(100, false, (0..3).collect(), vec![true; 3]);
-/// assert!(growing.convert(&mut state, 0.01));
-/// assert!(!growing.is_sparse());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub enum Vector<T> {
@@ -172,22 +167,6 @@ pub enum Vector<T> {
     },
     /// Dense storage; `mxv` runs the row (pull) kernel on it.
     Dense(DenseVector<T>),
-}
-
-/// Memory of the previous `convert` call, giving the paper's hysteresis:
-/// switch sparse→dense only while nnz is *rising* past the threshold and
-/// dense→sparse only while it is *falling* below it (§6.3).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ConvertState {
-    last_nnz: Option<usize>,
-}
-
-impl ConvertState {
-    /// Fresh state with no history.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl<T: Scalar> Vector<T> {
@@ -325,34 +304,6 @@ impl<T: Scalar> Vector<T> {
         }
     }
 
-    /// The `Convert` heuristic of §6.3: switch sparse→dense when the
-    /// nonzero ratio exceeds `threshold` *and* nnz has increased since the
-    /// last call; switch dense→sparse when the ratio is below `threshold`
-    /// *and* nnz has decreased. The default threshold (0.01) encodes the
-    /// paper's observation that after visiting 1% of a scale-free graph a
-    /// supervertex has been hit.
-    ///
-    /// Returns `true` when a conversion happened.
-    pub fn convert(&mut self, state: &mut ConvertState, threshold: f64) -> bool {
-        let nnz = self.nnz();
-        let dim = self.dim().max(1);
-        let ratio = nnz as f64 / dim as f64;
-        let last = state.last_nnz.replace(nnz);
-        let increasing = last.is_none_or(|l| nnz > l);
-        let decreasing = last.is_some_and(|l| nnz < l);
-        match self {
-            Vector::Sparse { .. } if ratio > threshold && increasing => {
-                self.make_dense();
-                true
-            }
-            Vector::Dense(_) if ratio < threshold && decreasing => {
-                self.make_sparse();
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Borrow the dense storage, when dense.
     #[must_use]
     pub fn as_dense(&self) -> Option<&DenseVector<T>> {
@@ -412,8 +363,7 @@ impl<T: Scalar> Vector<T> {
 /// pull) while another is still a thin wave (sparse, push). The batched
 /// kernels in [`crate::ops_mxv_batch`] dispatch per row on exactly this
 /// storage, generalizing the paper's Optimization 1 from one frontier to a
-/// batch; [`MultiVector::convert_rows`] applies the §6.3 hysteresis switch
-/// row by row with an independent [`ConvertState`] per source.
+/// batch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MultiVector<T> {
     dim: usize,
@@ -502,18 +452,6 @@ impl<T: Scalar> MultiVector<T> {
     pub fn nnz(&self) -> usize {
         self.rows.iter().map(Vector::nnz).sum()
     }
-
-    /// Apply the §6.3 `convert` heuristic to every row, each with its own
-    /// history in `states` (one [`ConvertState`] per row). Returns how many
-    /// rows switched storage this call.
-    pub fn convert_rows(&mut self, states: &mut [ConvertState], threshold: f64) -> usize {
-        assert_eq!(states.len(), self.rows.len(), "one state per row");
-        self.rows
-            .iter_mut()
-            .zip(states.iter_mut())
-            .map(|(row, state)| usize::from(row.convert(state, threshold)))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -564,58 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn convert_switches_to_dense_on_growth_past_threshold() {
-        let mut state = ConvertState::new();
-        let dim = 1000;
-        // 5 nonzeros: ratio 0.005 < 0.01 → stays sparse.
-        let mut v = Vector::from_sparse(dim, false, (0..5).collect(), vec![true; 5]);
-        assert!(!v.convert(&mut state, 0.01));
-        assert!(v.is_sparse());
-        // Grows to 20: ratio 0.02 > 0.01 and increasing → densifies.
-        let mut v = Vector::from_sparse(dim, false, (0..20).collect(), vec![true; 20]);
-        assert!(v.convert(&mut state, 0.01));
-        assert!(!v.is_sparse());
-    }
-
-    #[test]
-    fn convert_switches_back_on_decline_below_threshold() {
-        let mut state = ConvertState::new();
-        let dim = 1000;
-        let mut big = Vector::from_sparse(dim, false, (0..50).collect(), vec![true; 50]);
-        big.convert(&mut state, 0.01); // now dense, last_nnz = 50
-        assert!(!big.is_sparse());
-        // Frontier shrinks to 3 (< 1%) and is decreasing → sparsifies.
-        let mut small = Vector::new_dense(dim, false);
-        if let Vector::Dense(d) = &mut small {
-            d.set(1, true);
-            d.set(2, true);
-            d.set(3, true);
-        }
-        assert!(small.convert(&mut state, 0.01));
-        assert!(small.is_sparse());
-    }
-
-    #[test]
-    fn convert_hysteresis_blocks_flapping() {
-        // Ratio above threshold but *decreasing* → no sparse→dense switch.
-        let mut state = ConvertState::new();
-        state.last_nnz = Some(100);
-        let mut v = Vector::from_sparse(1000, false, (0..50).collect(), vec![true; 50]);
-        assert!(!v.convert(&mut state, 0.01));
-        assert!(v.is_sparse());
-        // Ratio below threshold but *increasing* → no dense→sparse switch.
-        let mut state = ConvertState::new();
-        state.last_nnz = Some(1);
-        let mut v = Vector::new_dense(1000, false);
-        if let Vector::Dense(d) = &mut v {
-            d.set(0, true);
-            d.set(1, true);
-        }
-        assert!(!v.convert(&mut state, 0.01));
-        assert!(!v.is_sparse());
-    }
-
-    #[test]
     fn get_out_of_band_returns_fill() {
         let v = Vector::from_sparse(10, -1i64, vec![5], vec![55]);
         assert_eq!(v.get(5), 55);
@@ -637,19 +523,6 @@ mod tests {
         assert!(mv.row(0).get(3));
         assert!(mv.row(2).get(3), "duplicate sources get independent rows");
         assert!(mv.rows().iter().all(Vector::is_sparse));
-    }
-
-    #[test]
-    fn multivector_rows_convert_independently() {
-        let dim = 1000;
-        let big = Vector::from_sparse(dim, false, (0..50).collect(), vec![true; 50]);
-        let small = Vector::from_sparse(dim, false, vec![1], vec![true]);
-        let mut mv = MultiVector::from_rows(vec![big, small]);
-        let mut states = vec![ConvertState::new(); 2];
-        let switched = mv.convert_rows(&mut states, 0.01);
-        assert_eq!(switched, 1, "only the big row crosses the threshold");
-        assert!(!mv.row(0).is_sparse());
-        assert!(mv.row(1).is_sparse());
     }
 
     #[test]

@@ -247,17 +247,6 @@ impl BitmapPlan {
     pub fn tiles(&self) -> usize {
         self.windows.len()
     }
-
-    /// Average allocated words per row (`words / n_rows`) — the measured
-    /// cost model's per-row word-scan price for this operand.
-    #[must_use]
-    pub fn avg_words_per_row(&self, n_rows: usize) -> f64 {
-        if n_rows == 0 {
-            0.0
-        } else {
-            self.words as f64 / n_rows as f64
-        }
-    }
 }
 
 /// Where one tile's rows live in the arena.

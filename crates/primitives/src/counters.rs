@@ -30,7 +30,13 @@ use crate::limits::{ConversionKey, ExecLimits, StopReason};
 /// [`AccessCounters::add_pull_step`]), so a traversal's push/pull switch
 /// decisions — per source, in the batched kernels — are visible in the
 /// same snapshot as the traffic they caused.
+///
+/// Aligned to a cache line: the batched kernels charge one counter set
+/// per source, and callers keep those sets side by side in a `Vec`, so
+/// without the alignment workers charging neighbouring sources would
+/// write to a shared line (throughput then tracks the struct's size).
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct AccessCounters {
     /// Reads of matrix storage (row pointers, column indices, values).
     pub matrix: AtomicU64,
@@ -50,32 +56,29 @@ pub struct AccessCounters {
     /// unfused runs; excluded from [`AccessCounters::total`] because it
     /// records work *not* done.
     pub fused_saved_writes: AtomicU64,
-    /// Storage-format switches the execution planner charged: each time a
-    /// `FormatPolicy` moves an operand to a different matrix format
-    /// (CSR ↔ bitmap ↔ hypersparse DCSR), one switch is recorded — the
-    /// format-side analogue of `push_steps`/`pull_steps`. A decision, not
-    /// an access; excluded from [`AccessCounters::total`].
-    pub format_switches: AtomicU64,
     /// `u64` word operations executed by the bit-parallel boolean kernels
-    /// (frontier-word packs, row-word AND/OR scans, merge folds). Each word
+    /// (frontier-word packs, row-word AND scans, mask-word summaries). Each word
     /// touches up to 64 edges, so comparing this tally against the scalar
     /// kernels' per-edge `matrix` examinations makes the 64×-work claim
     /// measurable. Telemetry, not a Table 1 access class; excluded from
-    /// [`AccessCounters::total`] and zeroed by both snapshot projections
-    /// (scalar and bit runs charge identical *access* totals by contract,
-    /// while their word tallies differ by construction).
+    /// [`AccessCounters::total`] and zeroed by
+    /// [`CounterSnapshot::accesses_only`] (scalar and bit runs charge
+    /// identical *access* totals by contract, while their word tallies
+    /// differ by construction).
     pub bit_word_ops: AtomicU64,
-    /// Times the planner wanted bitmap storage but the store degraded to
-    /// CSR because the dense bit grid would exceed `MAX_BITS`. Makes the
-    /// silent `BitmapStore` fallback observable in planner decisions. A
-    /// decision, not an access; excluded from [`AccessCounters::total`] and
-    /// zeroed by both snapshot projections.
+    /// Plan resolutions that were asked for bitmap storage but had to
+    /// serve CSR because the bit grid would exceed `MAX_BITS` — one per
+    /// degraded call. Makes the silent `BitmapStore` fallback observable in
+    /// planner decisions. A decision, not an access; excluded from
+    /// [`AccessCounters::total`] and zeroed by
+    /// [`CounterSnapshot::accesses_only`].
     pub bitmap_degrades: AtomicU64,
     /// Times a storage conversion was denied by the bytes budget (or an
     /// injected allocation fault) and the run gracefully fell back to the
     /// cached CSR instead of aborting — the budget-side analogue of
     /// `bitmap_degrades`. A decision, not an access; excluded from
-    /// [`AccessCounters::total`] and zeroed by both snapshot projections.
+    /// [`AccessCounters::total`] and zeroed by
+    /// [`CounterSnapshot::accesses_only`].
     pub limit_degrades: AtomicU64,
 
     // ---- limit-enforcement state (not counters; never snapshotted) ----
@@ -163,12 +166,6 @@ impl AccessCounters {
         self.fused_saved_writes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record one storage-format switch resolved by the planner.
-    #[inline]
-    pub fn add_format_switch(&self) {
-        self.format_switches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record `n` `u64` word operations executed by a bit-parallel kernel.
     #[inline]
     pub fn add_bit_word_ops(&self, n: u64) {
@@ -208,7 +205,6 @@ impl AccessCounters {
             push_steps: self.push_steps.load(Ordering::Relaxed),
             pull_steps: self.pull_steps.load(Ordering::Relaxed),
             fused_saved_writes: self.fused_saved_writes.load(Ordering::Relaxed),
-            format_switches: self.format_switches.load(Ordering::Relaxed),
             bit_word_ops: self.bit_word_ops.load(Ordering::Relaxed),
             bitmap_degrades: self.bitmap_degrades.load(Ordering::Relaxed),
             limit_degrades: self.limit_degrades.load(Ordering::Relaxed),
@@ -224,7 +220,6 @@ impl AccessCounters {
         self.push_steps.store(0, Ordering::Relaxed);
         self.pull_steps.store(0, Ordering::Relaxed);
         self.fused_saved_writes.store(0, Ordering::Relaxed);
-        self.format_switches.store(0, Ordering::Relaxed);
         self.bit_word_ops.store(0, Ordering::Relaxed);
         self.bitmap_degrades.store(0, Ordering::Relaxed);
         self.limit_degrades.store(0, Ordering::Relaxed);
@@ -243,8 +238,6 @@ impl AccessCounters {
         self.pull_steps.store(s.pull_steps, Ordering::Relaxed);
         self.fused_saved_writes
             .store(s.fused_saved_writes, Ordering::Relaxed);
-        self.format_switches
-            .store(s.format_switches, Ordering::Relaxed);
         self.bit_word_ops.store(s.bit_word_ops, Ordering::Relaxed);
         self.bitmap_degrades
             .store(s.bitmap_degrades, Ordering::Relaxed);
@@ -268,8 +261,6 @@ impl AccessCounters {
             .fetch_add(delta.pull_steps, Ordering::Relaxed);
         self.fused_saved_writes
             .fetch_add(delta.fused_saved_writes, Ordering::Relaxed);
-        self.format_switches
-            .fetch_add(delta.format_switches, Ordering::Relaxed);
         self.bit_word_ops
             .fetch_add(delta.bit_word_ops, Ordering::Relaxed);
         self.bitmap_degrades
@@ -470,9 +461,6 @@ pub struct CounterSnapshot {
     /// Intermediate writes avoided by fused pipelines (not an access; see
     /// [`AccessCounters::fused_saved_writes`]).
     pub fused_saved_writes: u64,
-    /// Storage-format switches charged by the planner (a decision, not an
-    /// access; see [`AccessCounters::format_switches`]).
-    pub format_switches: u64,
     /// Word operations in the bit-parallel kernels (telemetry, not an
     /// access; see [`AccessCounters::bit_word_ops`]).
     pub bit_word_ops: u64,
@@ -507,7 +495,6 @@ impl CounterSnapshot {
             fused_saved_writes: self
                 .fused_saved_writes
                 .saturating_sub(earlier.fused_saved_writes),
-            format_switches: self.format_switches.saturating_sub(earlier.format_switches),
             bit_word_ops: self.bit_word_ops.saturating_sub(earlier.bit_word_ops),
             bitmap_degrades: self.bitmap_degrades.saturating_sub(earlier.bitmap_degrades),
             limit_degrades: self.limit_degrades.saturating_sub(earlier.limit_degrades),
@@ -515,37 +502,18 @@ impl CounterSnapshot {
     }
 
     /// This snapshot with the pure-telemetry fields (`fused_saved_writes`,
-    /// `bit_word_ops`, `bitmap_degrades`) zeroed — the Table 1 access
-    /// categories plus direction steps only. Fused and unfused runs of the
-    /// same computation must agree on this projection (the equivalence
-    /// contract `tests/fused_pipelines.rs` pins), and so must bit-kernel
-    /// and scalar-kernel runs; the telemetry tallies themselves differ by
-    /// construction (only fused runs save writes, only bit runs count
-    /// words).
+    /// `bit_word_ops`, `bitmap_degrades`, `limit_degrades`) zeroed — the
+    /// Table 1 access categories plus direction steps only. Fused and
+    /// unfused runs of the same computation must agree on this projection
+    /// (the equivalence contract `tests/fused_pipelines.rs` pins), and so
+    /// must bit-kernel and scalar-kernel runs and runs over different
+    /// storage formats (`tests/prop_core.rs`); the telemetry tallies
+    /// themselves differ by construction (only fused runs save writes,
+    /// only bit runs count words).
     #[must_use]
     pub fn accesses_only(&self) -> CounterSnapshot {
         CounterSnapshot {
             fused_saved_writes: 0,
-            bit_word_ops: 0,
-            bitmap_degrades: 0,
-            limit_degrades: 0,
-            ..*self
-        }
-    }
-
-    /// This snapshot with `format_switches` (and the per-format telemetry
-    /// `bit_word_ops`/`bitmap_degrades`) zeroed. The format-equivalence
-    /// contract (`tests/prop_core.rs`) pins that every algorithm's values
-    /// *and accesses* are bit-identical across storage formats; the switch
-    /// tally itself differs by construction (an `Auto` policy converts,
-    /// the `Fixed(Csr)` oracle never does), and the bit-word tally exists
-    /// only on bitmap-format runs, so comparisons project them out exactly
-    /// as [`CounterSnapshot::accesses_only`] projects out
-    /// `fused_saved_writes`.
-    #[must_use]
-    pub fn without_format_switches(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            format_switches: 0,
             bit_word_ops: 0,
             bitmap_degrades: 0,
             limit_degrades: 0,
@@ -570,8 +538,6 @@ mod tests {
         c.add_push_step();
         c.add_pull_step();
         c.add_fused_saved_writes(9);
-        c.add_format_switch();
-        c.add_format_switch();
         c.add_bit_word_ops(5);
         c.add_bitmap_degrade();
         c.add_limit_degrade();
@@ -586,7 +552,6 @@ mod tests {
                 push_steps: 2,
                 pull_steps: 1,
                 fused_saved_writes: 9,
-                format_switches: 2,
                 bit_word_ops: 5,
                 bitmap_degrades: 1,
                 limit_degrades: 1,
@@ -595,7 +560,7 @@ mod tests {
         assert_eq!(
             s.total(),
             27,
-            "steps, saved writes, switches, word ops are not accesses"
+            "steps, saved writes, word ops are not accesses"
         );
         assert_eq!(c.total(), 27);
         assert_eq!(s.accesses_only().fused_saved_writes, 0);
@@ -603,17 +568,10 @@ mod tests {
         assert_eq!(s.accesses_only().bitmap_degrades, 0);
         assert_eq!(s.accesses_only().limit_degrades, 0);
         assert_eq!(s.accesses_only().matrix, 15);
-        assert_eq!(s.without_format_switches().format_switches, 0);
-        assert_eq!(s.without_format_switches().bit_word_ops, 0);
-        assert_eq!(s.without_format_switches().bitmap_degrades, 0);
-        assert_eq!(s.without_format_switches().limit_degrades, 0);
-        assert_eq!(s.without_format_switches().matrix, 15);
-        assert_eq!(s.without_format_switches().fused_saved_writes, 9);
         c.reset();
         assert_eq!(c.total(), 0);
         assert_eq!(c.snapshot().push_steps, 0);
         assert_eq!(c.snapshot().fused_saved_writes, 0);
-        assert_eq!(c.snapshot().format_switches, 0);
         assert_eq!(c.snapshot().bit_word_ops, 0);
         assert_eq!(c.snapshot().bitmap_degrades, 0);
         assert_eq!(c.snapshot().limit_degrades, 0);

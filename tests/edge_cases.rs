@@ -196,20 +196,20 @@ fn cc_on_dust_is_identity_labeling() {
 }
 
 #[test]
-fn convert_is_stable_on_empty_and_full_vectors() {
-    use push_pull::core::ConvertState;
-    let mut empty = Vector::<bool>::new_sparse(100, false);
-    let mut state = ConvertState::new();
-    assert!(!empty.convert(&mut state, 0.01), "empty stays sparse");
-    assert!(empty.is_sparse());
-
-    let mut full = Vector::from_sparse(100, false, (0..100).collect(), vec![true; 100]);
-    let mut state = ConvertState::new();
-    assert!(full.convert(&mut state, 0.01), "full vector densifies");
-    assert!(!full.is_sparse());
-    // Calling again with unchanged nnz must not flap back.
-    assert!(!full.convert(&mut state, 0.01));
-    assert!(!full.is_sparse());
+fn hysteresis_is_stable_on_empty_and_full_frontiers() {
+    use push_pull::core::DirectionPolicy;
+    // The §6.3 switch at the frontier extremes: an empty frontier stays
+    // push, a full one switches to pull…
+    let mut empty = DirectionPolicy::hysteresis(0.01);
+    assert_eq!(empty.update(0, 100), Direction::Push, "empty stays push");
+    let mut full = DirectionPolicy::hysteresis(0.01);
+    assert_eq!(
+        full.update(100, 100),
+        Direction::Pull,
+        "full frontier pulls"
+    );
+    // …and unchanged activity must not flap back.
+    assert_eq!(full.update(100, 100), Direction::Pull);
 }
 
 #[test]
@@ -449,7 +449,8 @@ fn fused_algorithms_survive_self_loops() {
 fn bit_kernels_match_scalar_at_word_boundaries() {
     // n straddling the u64 word boundary: 63 (one partial word), 64 (exactly
     // one), 65 (a full word plus one bit), 128 (exactly two). A ring with
-    // chords gives every row a few neighbours so both faces do real work.
+    // chords gives every row a few neighbours. Only the pull face has a bit
+    // path; push runs the scalar column kernel either way.
     use push_pull::core::ops::BoolStructure;
     use push_pull::core::StorageFormat;
     for n in [63usize, 64, 65, 128] {
@@ -461,43 +462,43 @@ fn bit_kernels_match_scalar_at_word_boundaries() {
         coo.clean_undirected();
         let g = Graph::from_coo(&coo);
         let f = Vector::from_sparse(n, false, vec![0, (n - 1) as u32], vec![true; 2]);
-        for dir in [Direction::Push, Direction::Pull] {
-            for masked in [false, true] {
-                let bits = {
-                    let mut b = BitVec::new(n);
-                    for i in (0..n).step_by(3) {
-                        b.set(i);
-                    }
-                    b
-                };
-                let mask = Mask::complement(&bits);
-                let run = |bit: bool| {
-                    let c = AccessCounters::new();
-                    let desc = Descriptor::new()
-                        .transpose(true)
-                        .structure_only(true)
-                        .early_exit(true)
-                        .force(dir)
-                        .force_format(StorageFormat::Bitmap)
-                        .bit_kernels(bit);
-                    let m = masked.then_some(&mask);
-                    let out: Vector<bool> = mxv(m, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
-                    (
-                        out.iter_explicit().collect::<Vec<_>>(),
-                        c.snapshot().accesses_only(),
-                    )
-                };
-                assert_eq!(run(true), run(false), "n={n} {dir:?} masked={masked}");
-            }
+        let dir = Direction::Pull;
+        for masked in [false, true] {
+            let bits = {
+                let mut b = BitVec::new(n);
+                for i in (0..n).step_by(3) {
+                    b.set(i);
+                }
+                b
+            };
+            let mask = Mask::complement(&bits);
+            let run = |bit: bool| {
+                let c = AccessCounters::new();
+                let desc = Descriptor::new()
+                    .transpose(true)
+                    .structure_only(true)
+                    .early_exit(true)
+                    .force(dir)
+                    .force_format(StorageFormat::Bitmap)
+                    .bit_kernels(bit);
+                let m = masked.then_some(&mask);
+                let out: Vector<bool> = mxv(m, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
+                (
+                    out.iter_explicit().collect::<Vec<_>>(),
+                    c.snapshot().accesses_only(),
+                )
+            };
+            assert_eq!(run(true), run(false), "n={n} {dir:?} masked={masked}");
         }
     }
 }
 
 #[test]
 fn bit_kernels_empty_and_full_frontier_match_scalar() {
-    // The two frontier extremes: an empty frontier must produce nothing and
-    // charge nothing on either path; a full frontier saturates every word of
-    // the bit context. Both must be value- and counter-identical to scalar.
+    // The two frontier extremes on the pull face (the one with a bit path):
+    // an empty frontier must produce nothing on either path; a full frontier
+    // saturates every word of the bit context. Both must be value- and
+    // counter-identical to scalar.
     use push_pull::core::ops::BoolStructure;
     use push_pull::core::StorageFormat;
     let n = 128;
@@ -505,26 +506,25 @@ fn bit_kernels_empty_and_full_frontier_match_scalar() {
     let empty = Vector::<bool>::new_sparse(n, false);
     let full = Vector::from_sparse(n, false, (0..n as u32).collect(), vec![true; n]);
     for (name, f) in [("empty", &empty), ("full", &full)] {
-        for dir in [Direction::Push, Direction::Pull] {
-            let run = |bit: bool| {
-                let c = AccessCounters::new();
-                let desc = Descriptor::new()
-                    .transpose(true)
-                    .structure_only(true)
-                    .force(dir)
-                    .force_format(StorageFormat::Bitmap)
-                    .bit_kernels(bit);
-                let out: Vector<bool> = mxv(None, BoolStructure, &g, f, &desc, Some(&c)).unwrap();
-                (
-                    out.iter_explicit().collect::<Vec<_>>(),
-                    c.snapshot().accesses_only(),
-                )
-            };
-            let (vals, counts) = run(true);
-            assert_eq!((vals.clone(), counts), run(false), "{name} {dir:?}");
-            if name == "empty" {
-                assert!(vals.is_empty(), "{dir:?}: empty frontier reaches nothing");
-            }
+        let dir = Direction::Pull;
+        let run = |bit: bool| {
+            let c = AccessCounters::new();
+            let desc = Descriptor::new()
+                .transpose(true)
+                .structure_only(true)
+                .force(dir)
+                .force_format(StorageFormat::Bitmap)
+                .bit_kernels(bit);
+            let out: Vector<bool> = mxv(None, BoolStructure, &g, f, &desc, Some(&c)).unwrap();
+            (
+                out.iter_explicit().collect::<Vec<_>>(),
+                c.snapshot().accesses_only(),
+            )
+        };
+        let (vals, counts) = run(true);
+        assert_eq!((vals.clone(), counts), run(false), "{name} {dir:?}");
+        if name == "empty" {
+            assert!(vals.is_empty(), "{dir:?}: empty frontier reaches nothing");
         }
     }
 }
@@ -534,13 +534,13 @@ fn bit_bfs_matches_scalar_at_word_boundaries() {
     // Whole-algorithm pin at the same boundary sizes: BFS under a forced
     // Bitmap format with bit kernels on/off must agree on depths and on the
     // projected counter snapshot, and both must match the serial oracle.
-    use push_pull::core::{FormatPolicy, StorageFormat};
+    use push_pull::core::{FormatChoice, StorageFormat};
     for n in [63usize, 64, 65, 128] {
         let g = star(n);
         let run = |bit: bool| {
             let c = AccessCounters::new();
             let opts = BfsOpts::default()
-                .format(FormatPolicy::fixed(StorageFormat::Bitmap))
+                .format(FormatChoice::Force(StorageFormat::Bitmap))
                 .bit_kernels(bit);
             let r = bfs_with_opts(&g, 1, &opts, Some(&c));
             (r.depths, c.snapshot().accesses_only())
@@ -556,7 +556,8 @@ fn bit_kernels_match_scalar_across_tile_boundaries() {
     // The tiled bitmap's seams: n one short of a tile, one over, and a
     // 3-tile graph whose middle tile is empty (its rows have no word
     // surface) with a single edge landing in the last tile. Bit and
-    // scalar arms must agree on values and projected charges everywhere.
+    // scalar pull arms must agree on values and projected charges
+    // everywhere.
     use push_pull::core::ops::BoolStructure;
     use push_pull::core::StorageFormat;
     use push_pull::matrix::TILE_ROWS;
@@ -572,41 +573,40 @@ fn bit_kernels_match_scalar_across_tile_boundaries() {
         coo.clean_undirected();
         let g = Graph::from_coo(&coo);
         let f = Vector::from_sparse(n, false, vec![1, (n - 1) as u32], vec![true; 2]);
-        for dir in [Direction::Push, Direction::Pull] {
-            for masked in [false, true] {
-                let bits = {
-                    let mut b = BitVec::new(n);
-                    b.set(0);
-                    b.set(n - 1);
-                    b
-                };
-                let mask = Mask::complement(&bits);
-                let run = |bit: bool| {
-                    let c = AccessCounters::new();
-                    let desc = Descriptor::new()
-                        .transpose(true)
-                        .structure_only(true)
-                        .early_exit(true)
-                        .force(dir)
-                        .force_format(StorageFormat::Bitmap)
-                        .bit_kernels(bit);
-                    let m = masked.then_some(&mask);
-                    let out: Vector<bool> = mxv(m, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
-                    (
-                        out.iter_explicit().collect::<Vec<_>>(),
-                        c.snapshot().accesses_only(),
-                    )
-                };
-                assert_eq!(run(true), run(false), "n={n} {dir:?} masked={masked}");
-            }
+        let dir = Direction::Pull;
+        for masked in [false, true] {
+            let bits = {
+                let mut b = BitVec::new(n);
+                b.set(0);
+                b.set(n - 1);
+                b
+            };
+            let mask = Mask::complement(&bits);
+            let run = |bit: bool| {
+                let c = AccessCounters::new();
+                let desc = Descriptor::new()
+                    .transpose(true)
+                    .structure_only(true)
+                    .early_exit(true)
+                    .force(dir)
+                    .force_format(StorageFormat::Bitmap)
+                    .bit_kernels(bit);
+                let m = masked.then_some(&mask);
+                let out: Vector<bool> = mxv(m, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
+                (
+                    out.iter_explicit().collect::<Vec<_>>(),
+                    c.snapshot().accesses_only(),
+                )
+            };
+            assert_eq!(run(true), run(false), "n={n} {dir:?} masked={masked}");
         }
         // Whole-algorithm pin from a source whose frontier crosses every
         // seam, against the serial oracle.
-        use push_pull::core::FormatPolicy;
+        use push_pull::core::FormatChoice;
         let run = |bit: bool| {
             let c = AccessCounters::new();
             let opts = BfsOpts::default()
-                .format(FormatPolicy::fixed(StorageFormat::Bitmap))
+                .format(FormatChoice::Force(StorageFormat::Bitmap))
                 .bit_kernels(bit);
             let r = bfs_with_opts(&g, 0, &opts, Some(&c));
             (r.depths, c.snapshot().accesses_only())
@@ -622,7 +622,7 @@ fn compressed_frontier_matches_dense_scalar_oracle() {
     // n = 512 (8 frontier words): a single-vertex frontier occupies one
     // nonzero word, so the bit kernels pick the compressed sparse word
     // list internally; a half-full frontier stays dense. Both shapes must
-    // be value- and charge-identical to the scalar oracle.
+    // be value- and charge-identical to the scalar pull oracle.
     use push_pull::core::ops::BoolStructure;
     use push_pull::core::StorageFormat;
     let n = 512usize;
@@ -642,32 +642,31 @@ fn compressed_frontier_matches_dense_scalar_oracle() {
         vec![true; n / 2],
     );
     for (name, f) in [("compressed", &sparse_f), ("dense", &dense_f)] {
-        for dir in [Direction::Push, Direction::Pull] {
-            let run = |bit: bool| {
-                let c = AccessCounters::new();
-                let desc = Descriptor::new()
-                    .transpose(true)
-                    .structure_only(true)
-                    .early_exit(true)
-                    .force(dir)
-                    .force_format(StorageFormat::Bitmap)
-                    .bit_kernels(bit);
-                let out: Vector<bool> = mxv(None, BoolStructure, &g, f, &desc, Some(&c)).unwrap();
-                (
-                    out.iter_explicit().collect::<Vec<_>>(),
-                    c.snapshot().accesses_only(),
-                )
-            };
-            assert_eq!(run(true), run(false), "{name} {dir:?}");
-        }
+        let dir = Direction::Pull;
+        let run = |bit: bool| {
+            let c = AccessCounters::new();
+            let desc = Descriptor::new()
+                .transpose(true)
+                .structure_only(true)
+                .early_exit(true)
+                .force(dir)
+                .force_format(StorageFormat::Bitmap)
+                .bit_kernels(bit);
+            let out: Vector<bool> = mxv(None, BoolStructure, &g, f, &desc, Some(&c)).unwrap();
+            (
+                out.iter_explicit().collect::<Vec<_>>(),
+                c.snapshot().accesses_only(),
+            )
+        };
+        assert_eq!(run(true), run(false), "{name} {dir:?}");
     }
     // End-to-end: BFS frontiers start compressed (one word) and densify;
     // depths and projected charges must still match the scalar arm.
-    use push_pull::core::FormatPolicy;
+    use push_pull::core::FormatChoice;
     let run = |bit: bool| {
         let c = AccessCounters::new();
         let opts = BfsOpts::default()
-            .format(FormatPolicy::fixed(StorageFormat::Bitmap))
+            .format(FormatChoice::Force(StorageFormat::Bitmap))
             .bit_kernels(bit);
         let r = bfs_with_opts(&g, 7, &opts, Some(&c));
         (r.depths, c.snapshot().accesses_only())

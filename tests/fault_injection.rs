@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use push_pull::algo::bfs::{try_bfs_with_opts, BfsOpts};
 use push_pull::core::descriptor::Direction;
-use push_pull::core::{BudgetResource, FormatPolicy, GrbError, StorageFormat};
+use push_pull::core::{BudgetResource, FormatChoice, GrbError, StorageFormat};
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::matrix::Graph;
 use push_pull::primitives::counters::{AccessCounters, CounterSnapshot};
@@ -132,7 +132,7 @@ proptest! {
         // would route levels into the bit-parallel kernels instead).
         let opts = BfsOpts {
             force: Some(Direction::Pull),
-            format: FormatPolicy::fixed(StorageFormat::Csr),
+            format: FormatChoice::Force(StorageFormat::Csr),
             ..BfsOpts::default()
         };
         let plan = FaultPlan { panic_chunk_nth: Some(kth), ..FaultPlan::default() };
@@ -276,7 +276,7 @@ fn chunk_panic_decoalesces_group_and_solo_retries_succeed() {
     let opts = ExecOpts {
         bfs: MsBfsOpts {
             force: Some(Direction::Pull),
-            format: FormatPolicy::fixed(StorageFormat::Csr),
+            format: FormatChoice::Force(StorageFormat::Csr),
             ..Default::default()
         },
         ..Default::default()
@@ -333,7 +333,7 @@ fn identical_plans_inject_identically_at_one_lane() {
     let g = test_graph();
     let opts = BfsOpts {
         force: Some(Direction::Pull),
-        format: FormatPolicy::fixed(StorageFormat::Csr),
+        format: FormatChoice::Force(StorageFormat::Csr),
         ..BfsOpts::default()
     };
     let plan = FaultPlan {

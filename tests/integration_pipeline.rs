@@ -42,6 +42,72 @@ fn forced_directions_agree_on_every_dataset_class() {
 }
 
 #[test]
+fn default_bfs_direction_format_plans_match_golden_sequences() {
+    // Default BFS's per-level (direction, store) plans, pinned against
+    // sequences captured from the two-consecutive format debounce the
+    // planner's hold-one-level rule replaced. `P`/`L` = push/pull,
+    // `c`/`b` = CSR/bitmap, `*k` = k levels in a row.
+    use push_pull::core::StorageFormat;
+    let golden = [
+        (
+            "kron",
+            [
+                (0, "Pc Lc Lb Pb"),
+                (1365, "Pc*2 Lc Lb Pb"),
+                (2730, "Pc*2 Lc Lb Pb"),
+            ],
+        ),
+        (
+            "soc-lj",
+            [
+                (0, "Pc Lc Lb*2"),
+                (3125, "Pc*2 Lc Lb*2 Pb"),
+                (6250, "Pc*2 Lc Lb*2"),
+            ],
+        ),
+        (
+            "roadnet",
+            [
+                (0, "Pc*30 Lc Pc Lc*46 Pc*26"),
+                (1281, "Pc*10 Lc*42 Pc*31"),
+                (2562, "Pc*10 Lc*43 Pc*30"),
+            ],
+        ),
+    ];
+    for (name, cases) in golden {
+        let g = dataset(name, TEST_SHRINK, 7).expect("known dataset").graph;
+        for (source, expect) in cases {
+            let r = bfs_with_opts(&g, source, &BfsOpts::default().traced(), None);
+            let codes: Vec<String> = r
+                .trace
+                .iter()
+                .map(|t| {
+                    let dir = if t.direction == Direction::Push {
+                        'P'
+                    } else {
+                        'L'
+                    };
+                    let store = match t.format {
+                        StorageFormat::Csr => 'c',
+                        StorageFormat::Bitmap => 'b',
+                        StorageFormat::Dcsr => 'd',
+                    };
+                    format!("{dir}{store}")
+                })
+                .collect();
+            let mut runs: Vec<String> = Vec::new();
+            for group in codes.chunk_by(|a, b| a == b) {
+                runs.push(match group.len() {
+                    1 => group[0].clone(),
+                    k => format!("{}*{k}", group[0]),
+                });
+            }
+            assert_eq!(runs.join(" "), expect, "{name} from source {source}");
+        }
+    }
+}
+
+#[test]
 fn matrix_market_roundtrip_feeds_the_full_stack() {
     // Write a kron stand-in out as Matrix Market, read it back, and check
     // BFS + stats agree with the original — the drop-in-real-datasets path.

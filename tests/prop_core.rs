@@ -320,7 +320,7 @@ proptest! {
         }
     }
 
-    /// Sparse↔dense conversion is lossless and convert() preserves content.
+    /// Sparse↔dense conversion is lossless.
     #[test]
     fn storage_conversion_roundtrip(
         dim in 1usize..200,
@@ -334,10 +334,6 @@ proptest! {
         prop_assert_eq!(w.nnz(), before.len());
         w.make_sparse();
         prop_assert_eq!(&explicit_set(&w), &before);
-        let mut state = push_pull::core::ConvertState::new();
-        let mut c = v.clone();
-        let _ = c.convert(&mut state, 0.01);
-        prop_assert_eq!(&explicit_set(&c), &before);
     }
 
     /// Matrix eWise ops against per-cell dense references.
@@ -446,10 +442,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Storage-format equivalence: the Fixed(Bitmap) / Fixed(Dcsr) / Auto plans
-// against the Fixed(Csr) oracle — values AND access counters bit-identical
-// (the format_switches tally is projected out: an Auto policy converts,
-// the oracle never does). Kernel-level and whole-algorithm.
+// Storage-format equivalence: the Force(Bitmap) / Force(Dcsr) / Auto plans
+// against the Force(Csr) oracle — values AND access counters bit-identical.
+// Kernel-level and whole-algorithm.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -503,9 +498,10 @@ proptest! {
 
     /// Whole-algorithm format equivalence on random power-law/Erdős
     /// graphs: BFS, parent BFS, CC, SSSP, PageRank, msbfs, and batched BC
-    /// under `Fixed(Bitmap)`, `Fixed(Dcsr)`, and `Auto` are bit-identical
-    /// in results and in every counter except `format_switches` to the
-    /// `Fixed(Csr)` oracle.
+    /// under `Force(Bitmap)`, `Force(Dcsr)`, and `Auto` are bit-identical
+    /// in results and in the charged accesses and direction steps to the
+    /// `Force(Csr)` oracle (the telemetry tallies — bit words on bitmap
+    /// runs, fused saved writes — are projected out).
     #[test]
     fn algorithms_formats_match_csr_oracle(
         seed in 0u64..500,
@@ -519,7 +515,7 @@ proptest! {
         use push_pull::algo::cc::{connected_components_with_opts, CcOpts};
         use push_pull::algo::pagerank::{pagerank_with_counters, PageRankOpts};
         use push_pull::algo::sssp::{sssp_with_counters, SsspOpts};
-        use push_pull::core::{FormatPolicy, StorageFormat};
+        use push_pull::core::{FormatChoice, StorageFormat};
         use push_pull::gen::with_uniform_weights;
 
         let g = if power_law {
@@ -533,45 +529,45 @@ proptest! {
         let sources = [source, ((source_bits * 7 + 1) % n) as u32];
 
         let policies = [
-            FormatPolicy::fixed(StorageFormat::Csr),
-            FormatPolicy::fixed(StorageFormat::Bitmap),
-            FormatPolicy::fixed(StorageFormat::Dcsr),
-            FormatPolicy::auto(),
+            FormatChoice::Force(StorageFormat::Csr),
+            FormatChoice::Force(StorageFormat::Bitmap),
+            FormatChoice::Force(StorageFormat::Dcsr),
+            FormatChoice::Auto,
         ];
 
-        // Each closure returns (comparable result bits, counter snapshot
-        // with format_switches projected out).
+        // Each closure returns (comparable result bits, projected counter
+        // snapshot).
         type Arm<'a> =
-            Box<dyn Fn(FormatPolicy) -> (Vec<u64>, push_pull::primitives::counters::CounterSnapshot) + 'a>;
+            Box<dyn Fn(FormatChoice) -> (Vec<u64>, push_pull::primitives::counters::CounterSnapshot) + 'a>;
         let arms: Vec<Arm<'_>> = vec![
             Box::new(|p| {
                 let c = AccessCounters::new();
                 let r = bfs_with_opts(&g, source, &BfsOpts { format: p, ..BfsOpts::default() }, Some(&c));
-                (r.depths.iter().map(|&d| d as u64).collect(), c.snapshot().without_format_switches())
+                (r.depths.iter().map(|&d| d as u64).collect(), c.snapshot().accesses_only())
             }),
             Box::new(|p| {
                 let c = AccessCounters::new();
                 let r = bfs_parents_with_opts(
                     &g, source, &ParentBfsOpts { format: p, ..ParentBfsOpts::default() }, Some(&c));
-                (r.parent.iter().map(|&x| u64::from(x)).collect(), c.snapshot().without_format_switches())
+                (r.parent.iter().map(|&x| u64::from(x)).collect(), c.snapshot().accesses_only())
             }),
             Box::new(|p| {
                 let c = AccessCounters::new();
                 let r = connected_components_with_opts(
                     &g, &CcOpts { format: p, ..CcOpts::default() }, Some(&c));
-                (r.labels.iter().map(|&x| u64::from(x)).collect(), c.snapshot().without_format_switches())
+                (r.labels.iter().map(|&x| u64::from(x)).collect(), c.snapshot().accesses_only())
             }),
             Box::new(|p| {
                 let c = AccessCounters::new();
                 let r = sssp_with_counters(
                     &gw, source, &SsspOpts { format: p, ..SsspOpts::default() }, Some(&c));
-                (r.dist.iter().map(|x| u64::from(x.to_bits())).collect(), c.snapshot().without_format_switches())
+                (r.dist.iter().map(|x| u64::from(x.to_bits())).collect(), c.snapshot().accesses_only())
             }),
             Box::new(|p| {
                 let c = AccessCounters::new();
                 let r = pagerank_with_counters(
                     &g, &PageRankOpts { format: p, ..PageRankOpts::default() }, true, Some(&c));
-                (r.ranks.iter().map(|x| x.to_bits()).collect(), c.snapshot().without_format_switches())
+                (r.ranks.iter().map(|x| x.to_bits()).collect(), c.snapshot().accesses_only())
             }),
             Box::new(|p| {
                 let c = AccessCounters::new();
@@ -579,14 +575,14 @@ proptest! {
                     &g, &sources, &MsBfsOpts { format: p, ..MsBfsOpts::default() }, Some(&c));
                 (
                     r.depths.iter().flatten().map(|&d| d as u64).collect(),
-                    c.snapshot().without_format_switches(),
+                    c.snapshot().accesses_only(),
                 )
             }),
             Box::new(|p| {
                 let c = AccessCounters::new();
                 let opts = BcOpts { format: p, ..BcOpts::default() };
                 let bc = betweenness_with_opts(&g, &sources, &opts, Some(&c));
-                (bc.iter().map(|x| x.to_bits()).collect(), c.snapshot().without_format_switches())
+                (bc.iter().map(|x| x.to_bits()).collect(), c.snapshot().accesses_only())
             }),
         ];
 
@@ -611,9 +607,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `mxv` over the bitmap store with the bit kernels on vs off: same
-    /// explicit set, same projected counters — both faces, masked and
-    /// unmasked, with and without the early exit.
+    /// Pull `mxv` over the bitmap store with the bit kernels on vs off:
+    /// same explicit set, same projected counters — masked and unmasked,
+    /// with and without the early exit. (The push face has no bit path.)
     #[test]
     fn bit_mxv_matches_scalar_oracle(
         seed in 0u64..2000,
@@ -624,7 +620,6 @@ proptest! {
         masked in any::<bool>(),
         complement in any::<bool>(),
         early_exit in any::<bool>(),
-        dir_pull in any::<bool>(),
     ) {
         use push_pull::core::ops::BoolStructure;
         use push_pull::core::StorageFormat;
@@ -635,7 +630,6 @@ proptest! {
         };
         let n = g.n_vertices();
         let f = sparse_bool_vector(n, &f_ids);
-        let dir = if dir_pull { Direction::Pull } else { Direction::Push };
         let mut bits = BitVec::new(n);
         for &i in &m_ids {
             if i < n {
@@ -648,7 +642,7 @@ proptest! {
                 .transpose(true)
                 .structure_only(true)
                 .early_exit(early_exit)
-                .force(dir)
+                .force(Direction::Pull)
                 .force_format(StorageFormat::Bitmap)
                 .bit_kernels(bit);
             let c = AccessCounters::new();
@@ -658,19 +652,18 @@ proptest! {
         };
         let (bit_set, bit_snap) = run(true);
         let (scalar_set, scalar_snap) = run(false);
-        prop_assert_eq!(bit_set, scalar_set, "values under {:?}", dir);
+        prop_assert_eq!(bit_set, scalar_set, "values");
         prop_assert_eq!(
             bit_snap.accesses_only(),
             scalar_snap.accesses_only(),
-            "projected charges under {:?}",
-            dir
+            "projected charges"
         );
     }
 
     /// Tile-boundary shapes: n sampled one short of / exactly at / one past
     /// a multiple of `TILE_ROWS`, with few enough edges that whole tiles go
     /// empty (their rows have no word surface and fall back to the scalar
-    /// probe) and single-word frontiers compress. The bit path must stay
+    /// probe) and single-word frontiers compress. The bit pull must stay
     /// value- and charge-identical to the scalar oracle through all of it.
     #[test]
     fn bit_tiled_store_matches_scalar_on_boundary_shapes(
@@ -678,7 +671,6 @@ proptest! {
         off in 0i32..3,
         edges in prop::collection::vec((0usize..320, 0usize..320), 1..40),
         f_ids in prop::collection::vec(0usize..320, 1..20),
-        dir_pull in any::<bool>(),
         early_exit in any::<bool>(),
     ) {
         use push_pull::core::ops::BoolStructure;
@@ -695,13 +687,12 @@ proptest! {
         coo.dedup(|a, _| a);
         let g = Graph::from_coo(&coo);
         let f = sparse_bool_vector(n, &f_ids.iter().map(|&i| i % n).collect::<Vec<_>>());
-        let dir = if dir_pull { Direction::Pull } else { Direction::Push };
         let run = |bit: bool| {
             let desc = Descriptor::new()
                 .transpose(true)
                 .structure_only(true)
                 .early_exit(early_exit)
-                .force(dir)
+                .force(Direction::Pull)
                 .force_format(StorageFormat::Bitmap)
                 .bit_kernels(bit);
             let c = AccessCounters::new();
@@ -711,17 +702,16 @@ proptest! {
         };
         let (bit_set, bit_snap) = run(true);
         let (scalar_set, scalar_snap) = run(false);
-        prop_assert_eq!(bit_set, scalar_set, "values under {:?}", dir);
+        prop_assert_eq!(bit_set, scalar_set, "values");
         prop_assert_eq!(
             bit_snap.accesses_only(),
             scalar_snap.accesses_only(),
-            "projected charges under {:?}",
-            dir
+            "projected charges"
         );
     }
 
     /// Whole-algorithm bit equivalence: BFS depths and min-parent trees
-    /// under `Fixed(Bitmap)` with the bit kernels on vs off are identical
+    /// under `Force(Bitmap)` with the bit kernels on vs off are identical
     /// in values and projected charges, fused and unfused; the measured
     /// cost-model direction rule reaches the same depths.
     #[test]
@@ -734,7 +724,7 @@ proptest! {
     ) {
         use push_pull::algo::bfs::{bfs_with_opts, BfsOpts};
         use push_pull::algo::bfs_parents::{bfs_parents_with_opts, ParentBfsOpts};
-        use push_pull::core::{FormatPolicy, StorageFormat};
+        use push_pull::core::{FormatChoice, StorageFormat};
 
         let g = if power_law {
             chung_lu(n_raw, 5, PowerLawParams::default(), seed)
@@ -743,7 +733,7 @@ proptest! {
         };
         let n = g.n_vertices();
         let source = (source_bits % n) as u32;
-        let fmt = FormatPolicy::fixed(StorageFormat::Bitmap);
+        let fmt = FormatChoice::Force(StorageFormat::Bitmap);
 
         let bfs_run = |bit: bool| {
             let c = AccessCounters::new();

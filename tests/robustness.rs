@@ -17,7 +17,7 @@ use push_pull::algo::pagerank::{try_pagerank_with_counters, PageRankOpts};
 use push_pull::algo::sssp::{try_sssp_with_counters, SsspOpts};
 use push_pull::core::descriptor::Direction;
 use push_pull::core::{
-    run_guarded, BudgetResource, ExecLimits, FormatPolicy, GrbError, GrbResult, StorageFormat,
+    run_guarded, BudgetResource, ExecLimits, FormatChoice, GrbError, GrbResult, StorageFormat,
 };
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::gen::with_uniform_weights;
@@ -180,7 +180,7 @@ fn work_budget_abort_then_retry_is_bit_identical() {
 fn bytes_budget_degrades_format_instead_of_aborting() {
     let g = test_graph();
     let base = BfsOpts {
-        format: FormatPolicy::fixed(StorageFormat::Dcsr),
+        format: FormatChoice::Force(StorageFormat::Dcsr),
         force: Some(Direction::Pull),
         ..BfsOpts::default()
     };

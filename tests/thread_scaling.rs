@@ -406,16 +406,15 @@ fn mxv_formats_identical_across_thread_counts() {
 
 #[test]
 fn algorithms_under_fixed_formats_identical_across_thread_counts() {
-    // BFS and msbfs under Fixed(Bitmap) / Fixed(Dcsr) / Auto: results and
-    // counters (including the format_switches tally, which is
-    // lane-independent) pinned at 1/2/8 lanes.
+    // BFS and msbfs under Force(Bitmap) / Force(Dcsr) / Auto: results and
+    // full counter snapshots pinned at 1/2/8 lanes.
     use push_pull::algo::msbfs::{multi_source_bfs_with_opts, MsBfsOpts};
-    use push_pull::core::{FormatPolicy, StorageFormat};
+    use push_pull::core::{FormatChoice, StorageFormat};
     let g = test_graph();
     for policy in [
-        FormatPolicy::fixed(StorageFormat::Bitmap),
-        FormatPolicy::fixed(StorageFormat::Dcsr),
-        FormatPolicy::auto(),
+        FormatChoice::Force(StorageFormat::Bitmap),
+        FormatChoice::Force(StorageFormat::Dcsr),
+        FormatChoice::Auto,
     ] {
         identical_across_lanes(|| {
             let c = AccessCounters::new();
@@ -439,48 +438,46 @@ fn algorithms_under_fixed_formats_identical_across_thread_counts() {
 fn bit_kernels_identical_across_thread_counts() {
     // The bit-parallel boolean kernels: explicit sets and the FULL counter
     // snapshot (including the bit_word_ops telemetry — word scans are
-    // size-derived, never lane-derived) pinned at 1/2/8 lanes, both faces,
-    // masked and unmasked, and the whole bit BFS on top.
+    // size-derived, never lane-derived) pinned at 1/2/8 lanes on the pull
+    // face (the one with a bit path), masked and unmasked, and the whole
+    // bit BFS on top.
     use push_pull::algo::bfs::bfs;
     use push_pull::core::ops::BoolStructure;
-    use push_pull::core::{FormatPolicy, StorageFormat};
+    use push_pull::core::{FormatChoice, StorageFormat};
     let g = test_graph();
     let n = g.n_vertices();
-    let (f, bits) = frontier_and_visited(n);
-    let mut dense_f = f.clone();
-    dense_f.make_dense();
-    for (input, dir) in [(&f, Direction::Push), (&dense_f, Direction::Pull)] {
-        for masked in [false, true] {
-            for early_exit in [false, true] {
-                let desc = Descriptor::new()
-                    .transpose(true)
-                    .structure_only(true)
-                    .early_exit(early_exit)
-                    .force(dir)
-                    .force_format(StorageFormat::Bitmap)
-                    .bit_kernels(true);
-                identical_across_lanes(|| {
-                    let mask = Mask::complement(&bits);
-                    let c = AccessCounters::new();
-                    let w: Vector<bool> = mxv(
-                        masked.then_some(&mask),
-                        BoolStructure,
-                        &g,
-                        input,
-                        &desc,
-                        Some(&c),
-                    )
-                    .unwrap();
-                    (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
-                });
-            }
+    let (mut f, bits) = frontier_and_visited(n);
+    f.make_dense();
+    for masked in [false, true] {
+        for early_exit in [false, true] {
+            let desc = Descriptor::new()
+                .transpose(true)
+                .structure_only(true)
+                .early_exit(early_exit)
+                .force(Direction::Pull)
+                .force_format(StorageFormat::Bitmap)
+                .bit_kernels(true);
+            identical_across_lanes(|| {
+                let mask = Mask::complement(&bits);
+                let c = AccessCounters::new();
+                let w: Vector<bool> = mxv(
+                    masked.then_some(&mask),
+                    BoolStructure,
+                    &g,
+                    &f,
+                    &desc,
+                    Some(&c),
+                )
+                .unwrap();
+                (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
+            });
         }
     }
     // Whole-algorithm: bit BFS (fixed bitmap) and the cost-model rule.
     identical_across_lanes(|| {
         let c = AccessCounters::new();
         let opts = BfsOpts::default()
-            .format(FormatPolicy::fixed(StorageFormat::Bitmap))
+            .format(FormatChoice::Force(StorageFormat::Bitmap))
             .bit_kernels(true);
         let r = bfs_with_opts(&g, 3, &opts, Some(&c));
         (r.depths, c.snapshot())
@@ -497,7 +494,7 @@ fn bit_kernels_identical_across_thread_counts() {
 fn bit_kernels_at_tile_boundaries_identical_across_thread_counts() {
     // Tiled-bitmap seams under the pool: n one short of / one past a tile,
     // and a 3-tile graph with an empty middle tile, plus a single-word
-    // frontier that the kernels compress internally. FULL snapshots
+    // frontier that the bit pull compresses internally. FULL snapshots
     // (including bit_word_ops) pinned at 1/2/8 lanes.
     use push_pull::core::ops::BoolStructure;
     use push_pull::core::StorageFormat;
@@ -512,20 +509,18 @@ fn bit_kernels_at_tile_boundaries_identical_across_thread_counts() {
         // Single explicit vertex → one nonzero frontier word; at n = 512
         // (8 words) the bit context takes the compressed word-list shape.
         let f = Vector::from_sparse(n, false, vec![2], vec![true]);
-        for dir in [Direction::Push, Direction::Pull] {
-            let desc = Descriptor::new()
-                .transpose(true)
-                .structure_only(true)
-                .early_exit(true)
-                .force(dir)
-                .force_format(StorageFormat::Bitmap)
-                .bit_kernels(true);
-            identical_across_lanes(|| {
-                let c = AccessCounters::new();
-                let w: Vector<bool> = mxv(None, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
-                (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
-            });
-        }
+        let desc = Descriptor::new()
+            .transpose(true)
+            .structure_only(true)
+            .early_exit(true)
+            .force(Direction::Pull)
+            .force_format(StorageFormat::Bitmap)
+            .bit_kernels(true);
+        identical_across_lanes(|| {
+            let c = AccessCounters::new();
+            let w: Vector<bool> = mxv(None, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
+            (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
+        });
     }
 }
 
