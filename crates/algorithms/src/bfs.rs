@@ -380,7 +380,7 @@ where
                 avg_degree: csr.avg_degree(),
             }
         });
-        let plan = planner.next(g, true, frontier_nnz, n, measured, counters);
+        let plan = planner.next(g, frontier_nnz, measured, counters);
         let dir = plan.direction;
         let desc = base_desc.force(dir).force_format(plan.format);
 

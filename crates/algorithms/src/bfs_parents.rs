@@ -145,7 +145,7 @@ fn parent_bfs_loop(
 
     loop {
         levels += 1;
-        let plan = planner.next(g, true, f.nnz(), n, None, counters);
+        let plan = planner.next(g, f.nnz(), None, counters);
         let dir = plan.direction;
         let desc = base.force(dir).force_format(plan.format);
         match dir {

@@ -128,7 +128,7 @@ fn cc_loop(
 
     loop {
         rounds += 1;
-        let plan = planner.next(g, true, delta.nnz(), n, None, counters);
+        let plan = planner.next(g, delta.nnz(), None, counters);
         let dir = plan.direction;
         let desc = base.force(dir).force_format(plan.format);
 

@@ -124,7 +124,7 @@ fn sssp_loop(
 
     while rounds < max_rounds {
         rounds += 1;
-        let plan = planner.next(g, true, delta.nnz(), n, None, counters);
+        let plan = planner.next(g, delta.nnz(), None, counters);
         let dir = plan.direction;
         if dir == Direction::Pull {
             pull_rounds += 1;

@@ -410,6 +410,11 @@ impl DirectionPolicy {
 /// levels: one [`DirectionPolicy`] for the kernel face, one
 /// [`FormatChoice`] for the store, and the previous level's plan.
 ///
+/// Every such loop multiplies by `Aᵀ` (descriptor `transpose = true`,
+/// Algorithm 1) and measures its activity against `|V|`, so the planner
+/// fixes both: stores are resolved for the transposed orientation and the
+/// policy's capacity is the graph's vertex count.
+///
 /// [`Planner::next`] takes the direction from the policy. Under
 /// [`FormatChoice::Auto`] the store is [`auto_format`]'s, except on the
 /// first level after a direction change, which keeps the previous level's
@@ -437,19 +442,18 @@ impl Planner {
         }
     }
 
-    /// Plan the next level of a traversal over `graph` (oriented by
-    /// `transpose`, as the level's descriptor will be). `activity` and
-    /// `capacity` feed [`DirectionPolicy::update`]; `measured`, when
-    /// supplied, feeds [`DirectionPolicy::update_measured`] instead.
+    /// Plan the next level of a traversal over `graph`. `activity` feeds
+    /// [`DirectionPolicy::update`] against a capacity of `|V|`;
+    /// `measured`, when supplied, feeds
+    /// [`DirectionPolicy::update_measured`] instead.
     pub fn next<A: Scalar>(
         &mut self,
         graph: &Graph<A>,
-        transpose: bool,
         activity: usize,
-        capacity: usize,
         measured: Option<CostModelInputs>,
         counters: Option<&AccessCounters>,
     ) -> ExecPlan {
+        let capacity = graph.n_vertices();
         let direction = match measured {
             Some(inputs) => self.policy.update_measured(activity, capacity, inputs),
             None => self.policy.update(activity, capacity),
@@ -458,7 +462,7 @@ impl Planner {
             Some(prev) if self.format == FormatChoice::Auto && prev.direction != direction => {
                 prev.format
             }
-            _ => resolve_format(graph, transpose, direction, self.format),
+            _ => resolve_format(graph, true, direction, self.format),
         };
         note_bitmap_degrade(self.format, format, counters);
         let plan = ExecPlan { direction, format };
@@ -582,6 +586,7 @@ mod tests {
         coo.dedup(|a, _| a);
         let g = Graph::from_coo(&coo);
         assert!(!g.bitmap_plan(true).feasible(), "construction over budget");
+        assert!(!g.bitmap_plan(false).feasible(), "on both orientations");
         let desc = Descriptor::new()
             .transpose(true)
             .force_format(StorageFormat::Bitmap);
@@ -590,24 +595,28 @@ mod tests {
         assert_eq!(resolve_plan(&g, &dense, &desc).format, StorageFormat::Csr);
 
         // The planner charges one degrade per degraded level, on either
-        // face.
+        // face: pull serves the Aᵀ side, push the A side.
         let c = AccessCounters::new();
-        let mut p = Planner::new(
-            DirectionPolicy::fixed(Direction::Pull),
-            FormatChoice::Force(StorageFormat::Bitmap),
-        );
-        for _ in 0..3 {
-            let plan = p.next(&g, true, 1, n, None, Some(&c));
-            assert_eq!(plan.format, StorageFormat::Csr);
+        let mut charged = 0;
+        for face in [Direction::Pull, Direction::Push] {
+            let mut p = Planner::new(
+                DirectionPolicy::fixed(face),
+                FormatChoice::Force(StorageFormat::Bitmap),
+            );
+            for _ in 0..3 {
+                let plan = p.next(&g, 1, None, Some(&c));
+                assert_eq!((plan.direction, plan.format), (face, StorageFormat::Csr));
+                charged += 1;
+                assert_eq!(c.snapshot().bitmap_degrades, charged, "one per level");
+            }
         }
-        assert_eq!(c.snapshot().bitmap_degrades, 3, "one per degraded level");
         // The mxv-level plan note (direct descriptor force) records too.
         note_bitmap_degrade(desc.format, StorageFormat::Csr, Some(&c));
-        assert_eq!(c.snapshot().bitmap_degrades, 4);
+        assert_eq!(c.snapshot().bitmap_degrades, 7);
         // A served bitmap (or a non-bitmap request) records nothing.
         note_bitmap_degrade(desc.format, StorageFormat::Bitmap, Some(&c));
         note_bitmap_degrade(FormatChoice::Auto, StorageFormat::Csr, Some(&c));
-        assert_eq!(c.snapshot().bitmap_degrades, 4);
+        assert_eq!(c.snapshot().bitmap_degrades, 7);
     }
 
     #[test]
@@ -664,9 +673,9 @@ mod tests {
     #[test]
     fn planner_holds_the_store_for_one_level_after_a_flip() {
         let g = dense_graph();
-        // Memoryless at ½: activity 1 of 1 pulls, 0 of 1 pushes.
+        // Memoryless at ½: activity |V| pulls, 0 pushes.
         let mut p = Planner::new(DirectionPolicy::memoryless(0.5), FormatChoice::Auto);
-        let mut step = |pull: bool| p.next(&g, true, usize::from(pull), 1, None, None);
+        let mut step = |pull: bool| p.next(&g, g.n_vertices() * usize::from(pull), None, None);
         let plan = |direction, format| ExecPlan { direction, format };
         use Direction::{Pull, Push};
         use StorageFormat::{Bitmap, Csr};
@@ -730,8 +739,8 @@ mod tests {
                     let got: Vec<StorageFormat> = dirs
                         .iter()
                         .map(|&d| {
-                            let plan =
-                                p.next(&g, true, usize::from(d == Direction::Pull), 1, None, None);
+                            let activity = g.n_vertices() * usize::from(d == Direction::Pull);
+                            let plan = p.next(&g, activity, None, None);
                             assert_eq!(plan.direction, d);
                             plan.format
                         })
@@ -750,7 +759,7 @@ mod tests {
             FormatChoice::Force(StorageFormat::Dcsr),
         );
         for pull in [false, true, false, true, true] {
-            let plan = p.next(&g, true, usize::from(pull), 1, None, None);
+            let plan = p.next(&g, g.n_vertices() * usize::from(pull), None, None);
             assert_eq!(plan.format, StorageFormat::Dcsr);
         }
     }
