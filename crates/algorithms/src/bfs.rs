@@ -83,10 +83,6 @@ pub struct BfsOpts {
     /// [`FormatChoice::Auto`]; `Force(Csr)` is the tested oracle). Formats
     /// never change results or access counters — only wall clock.
     pub format: FormatChoice,
-    /// Let the boolean kernels run bit-parallel when the level's planned
-    /// store is the bitmap (default on). Value- and projected-counter
-    /// neutral; `false` is the scalar-oracle arm of the equivalence tests.
-    pub bit_kernels: bool,
     /// Replace the ratio-threshold direction rule with the measured cost
     /// model: `pushwork = c_push · nnz(A(:, f))` against
     /// `pullwork = c_pull · d · |unvisited|`, per level (overridden by
@@ -111,7 +107,6 @@ impl Default for BfsOpts {
             record_trace: false,
             fused: true,
             format: FormatChoice::Auto,
-            bit_kernels: true,
             cost_model: false,
             limits: ExecLimits::none(),
         }
@@ -134,8 +129,6 @@ impl BfsOpts {
             record_trace: false,
             fused: true,
             format: FormatChoice::Auto,
-            // The baseline is the scalar reference configuration.
-            bit_kernels: false,
             cost_model: false,
             limits: ExecLimits::none(),
         }
@@ -145,14 +138,6 @@ impl BfsOpts {
     #[must_use]
     pub fn fused(mut self, on: bool) -> Self {
         self.fused = on;
-        self
-    }
-
-    /// Builder: toggle the bit-parallel kernels (see
-    /// [`BfsOpts::bit_kernels`]).
-    #[must_use]
-    pub fn bit_kernels(mut self, on: bool) -> Self {
-        self.bit_kernels = on;
         self
     }
 
@@ -361,8 +346,7 @@ where
     let base_desc = Descriptor::new()
         .transpose(true)
         .early_exit(opts.early_exit)
-        .structure_only(opts.structure_only)
-        .bit_kernels(opts.bit_kernels);
+        .structure_only(opts.structure_only);
 
     loop {
         let t0 = opts.record_trace.then(Instant::now);
@@ -661,43 +645,29 @@ mod tests {
     fn cost_model_matches_oracle_and_stays_competitive() {
         // The measured rule must stay correct, and its charged accesses may
         // not lose to the better of the two fixed directions by more than
-        // 10% (the acceptance bound the bench study re-checks on disk).
-        let g = rmat(12, 16, RmatParams::default(), 4);
-        let expect = bfs_serial(&g, 0);
-        let run = |opts: BfsOpts| {
-            let c = AccessCounters::new();
-            let r = bfs_with_opts(&g, 0, &opts, Some(&c));
-            (r, c.snapshot().accesses_only().total())
-        };
-        let (got, model_total) = run(BfsOpts::default().cost_model(true));
-        assert_eq!(got.depths, expect, "cost-model BFS must stay exact");
-        let (_, push_total) = run(BfsOpts::default().forced(Direction::Push));
-        let (_, pull_total) = run(BfsOpts::default().forced(Direction::Pull));
-        let best_fixed = push_total.min(pull_total);
-        assert!(
-            model_total as f64 <= best_fixed as f64 * 1.1,
-            "cost model lost to best fixed direction: {model_total} vs {best_fixed}"
-        );
-    }
-
-    #[test]
-    fn bit_kernels_are_value_and_counter_equivalent_in_bfs() {
-        // Force the bitmap store so the bit pull actually engages, then pin
-        // the bit arm against the scalar arm: same depths, same projected
-        // access charges (bit_word_ops is telemetry the projection zeroes).
-        let g = chung_lu(1500, 12, PowerLawParams::default(), 23);
-        let run = |bit: bool| {
-            let c = AccessCounters::new();
-            let opts = BfsOpts::default()
-                .bit_kernels(bit)
-                .format(FormatChoice::Force(StorageFormat::Bitmap));
-            let r = bfs_with_opts(&g, 2, &opts, Some(&c));
-            (r.depths, c.snapshot().accesses_only())
-        };
-        let (bit_depths, bit_acc) = run(true);
-        let (scalar_depths, scalar_acc) = run(false);
-        assert_eq!(bit_depths, scalar_depths, "bit arm changed BFS values");
-        assert_eq!(bit_acc, scalar_acc, "bit arm changed projected charges");
-        assert_eq!(bit_depths, bfs_serial(&g, 2));
+        // 10%: on a sparse scale-free graph and on a dense Erdős graph
+        // (average degree ≈ 64).
+        let graphs = [
+            rmat(12, 16, RmatParams::default(), 4),
+            graphblas_gen::erdos::erdos_renyi(256, 8192, 5),
+        ];
+        for g in &graphs {
+            let expect = bfs_serial(g, 0);
+            let run = |opts: BfsOpts| {
+                let c = AccessCounters::new();
+                let r = bfs_with_opts(g, 0, &opts, Some(&c));
+                (r, c.snapshot().accesses_only().total())
+            };
+            let (got, model_total) = run(BfsOpts::default().cost_model(true));
+            assert_eq!(got.depths, expect, "cost-model BFS must stay exact");
+            let (_, push_total) = run(BfsOpts::default().forced(Direction::Push));
+            let (_, pull_total) = run(BfsOpts::default().forced(Direction::Pull));
+            let best_fixed = push_total.min(pull_total);
+            assert!(
+                model_total as f64 <= best_fixed as f64 * 1.1,
+                "cost model lost to best fixed direction on n = {}: {model_total} vs {best_fixed}",
+                g.n_vertices()
+            );
+        }
     }
 }

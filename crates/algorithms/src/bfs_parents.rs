@@ -49,11 +49,6 @@ pub struct ParentBfsOpts {
     /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
     /// Format-invariant results and counters.
     pub format: FormatChoice,
-    /// Allow the bit-parallel kernels when a level runs over the bitmap
-    /// store (default on). Here the bit path serves the fused first-hit
-    /// exit: rank-of-first-set-bit recovers the same minimum parent the
-    /// scalar ascending scan finds, with identical counter charges.
-    pub bit_kernels: bool,
     /// Execution limits enforced by [`try_bfs_parents_with_opts`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -66,7 +61,6 @@ impl Default for ParentBfsOpts {
             fused: true,
             first_hit_exit: true,
             format: FormatChoice::Auto,
-            bit_kernels: true,
             limits: ExecLimits::none(),
         }
     }
@@ -139,9 +133,7 @@ fn parent_bfs_loop(
         opts.format,
     );
     let mut levels = 0usize;
-    let base = Descriptor::new()
-        .transpose(true)
-        .bit_kernels(opts.bit_kernels);
+    let base = Descriptor::new().transpose(true);
 
     loop {
         levels += 1;
@@ -327,29 +319,5 @@ mod tests {
             m_hit < m_full,
             "first-hit must reduce matrix accesses: {m_hit} vs {m_full}"
         );
-    }
-
-    #[test]
-    fn bit_first_hit_recovers_scalar_min_parent_tree() {
-        // Force the bitmap store so the bit first-hit path engages: the
-        // rank-recovered parent must equal the scalar ascending scan's, and
-        // the projected access charges must match exactly.
-        let g = rmat(10, 20, RmatParams::default(), 31);
-        let run = |bit: bool| {
-            let c = AccessCounters::new();
-            let opts = ParentBfsOpts {
-                switch_threshold: 0.0,
-                format: FormatChoice::Force(graphblas_core::StorageFormat::Bitmap),
-                bit_kernels: bit,
-                ..ParentBfsOpts::default()
-            };
-            let r = bfs_parents_with_opts(&g, 3, &opts, Some(&c));
-            (r.parent, c.snapshot().accesses_only())
-        };
-        let (p_bit, a_bit) = run(true);
-        let (p_scalar, a_scalar) = run(false);
-        assert_eq!(p_bit, p_scalar, "bit first-hit changed the tree");
-        assert_eq!(a_bit, a_scalar, "bit first-hit changed projected charges");
-        assert!(verify_parents(&g, 3, &p_bit));
     }
 }

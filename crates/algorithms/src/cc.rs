@@ -52,11 +52,6 @@ pub struct CcOpts {
     /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
     /// Format-invariant results and counters.
     pub format: FormatChoice,
-    /// Allow the bit-parallel kernels (default on). Inert for the
-    /// `(min, second)` semiring today — it has no product hint — but kept
-    /// uniform with the other traversals so a future Boolean CC variant
-    /// inherits the gate.
-    pub bit_kernels: bool,
     /// Execution limits enforced by [`try_connected_components_with_opts`];
     /// the infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -68,7 +63,6 @@ impl Default for CcOpts {
             switch_threshold: 0.01,
             fused: true,
             format: FormatChoice::Auto,
-            bit_kernels: true,
             limits: ExecLimits::none(),
         }
     }
@@ -122,9 +116,7 @@ fn cc_loop(
         DirectionPolicy::hysteresis_from(Direction::Pull, opts.switch_threshold),
         opts.format,
     );
-    let base = Descriptor::new()
-        .transpose(true)
-        .bit_kernels(opts.bit_kernels);
+    let base = Descriptor::new().transpose(true);
 
     loop {
         rounds += 1;

@@ -259,7 +259,6 @@ pub fn multi_source_bfs_entries(
         Some(d) => Descriptor::new().transpose(true).force(d),
         None => Descriptor::new().transpose(true),
     }
-    .bit_kernels(opts.bit_kernels)
     .format_choice(opts.format);
 
     let mut alive: Vec<usize> = (0..k).collect();
@@ -376,10 +375,7 @@ pub fn bfs_parents_entries(
         .map(|_| DirectionPolicy::hysteresis(opts.switch_threshold))
         .collect();
 
-    let desc = Descriptor::new()
-        .transpose(true)
-        .bit_kernels(opts.bit_kernels)
-        .format_choice(opts.format);
+    let desc = Descriptor::new().transpose(true).format_choice(opts.format);
 
     let mut alive: Vec<usize> = (0..k).collect();
     let mut level = 0usize;

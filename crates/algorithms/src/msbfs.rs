@@ -41,12 +41,6 @@ pub struct MsBfsOpts {
     /// depends on the graph alone, so one store serves every step while
     /// per-row directions stay independent.
     pub format: FormatChoice,
-    /// Allow the bit-parallel pull kernel when the batch step runs over
-    /// the bitmap store (default on). The batch format rule never picks
-    /// the bitmap on its own, so this only engages under a forced
-    /// `FormatChoice::Force(Bitmap)`; results and projected counters are
-    /// identical either way.
-    pub bit_kernels: bool,
     /// Execution limits enforced by [`try_multi_source_bfs_with_opts`];
     /// the infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -58,7 +52,6 @@ impl Default for MsBfsOpts {
             switch_threshold: 0.01,
             force: None,
             format: FormatChoice::Auto,
-            bit_kernels: true,
             limits: ExecLimits::none(),
         }
     }
@@ -152,7 +145,6 @@ fn msbfs_loop(
         Some(d) => Descriptor::new().transpose(true).force(d),
         None => Descriptor::new().transpose(true),
     }
-    .bit_kernels(opts.bit_kernels)
     .format_choice(opts.format);
 
     let mut alive: Vec<usize> = (0..k).collect();
@@ -324,31 +316,5 @@ mod tests {
             snap.pull_steps > 0,
             "the scale-free supervertex phase must pull"
         );
-    }
-
-    #[test]
-    fn bit_batch_pull_matches_scalar_under_forced_bitmap() {
-        // The batch planner never picks the bitmap on its own, so force it:
-        // per-source bit pull contexts must reproduce the scalar batch
-        // exactly — depths and projected access charges.
-        let g = rmat(10, 14, RmatParams::default(), 12);
-        let sources = [0u32, 9, 511];
-        let run = |bit: bool| {
-            let c = AccessCounters::new();
-            let opts = MsBfsOpts {
-                format: FormatChoice::Force(graphblas_core::StorageFormat::Bitmap),
-                bit_kernels: bit,
-                ..MsBfsOpts::default()
-            };
-            let r = multi_source_bfs_with_opts(&g, &sources, &opts, Some(&c));
-            (r.depths, c.snapshot().accesses_only())
-        };
-        let (d_bit, a_bit) = run(true);
-        let (d_scalar, a_scalar) = run(false);
-        assert_eq!(d_bit, d_scalar, "bit batch changed depths");
-        assert_eq!(a_bit, a_scalar, "bit batch changed projected charges");
-        for (s, &src) in sources.iter().enumerate() {
-            assert_eq!(d_bit[s], bfs_serial(&g, src), "source {src}");
-        }
     }
 }

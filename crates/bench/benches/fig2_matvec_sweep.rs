@@ -114,65 +114,5 @@ fn bench_hypersparse_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bit-parallel boolean pull kernels against their scalar twins on a dense
-/// bitmap-regime graph: unmasked pull (word-AND over row words) and masked
-/// pull. Same forced Bitmap format on both arms so the only variable is
-/// the bit path itself.
-fn bench_bit_kernels(c: &mut Criterion) {
-    use graphblas_core::ops::BoolStructure;
-    use graphblas_core::Mask;
-    use graphblas_primitives::BitVec;
-
-    let g = graphblas_gen::erdos::erdos_renyi(1024, 131_072, 11);
-    let n = g.n_vertices();
-    let dense_f = Vector::Dense(DenseVector::from_values(vec![true; n], false));
-    let visited = {
-        let mut b = BitVec::new(n);
-        for i in (0..n).step_by(2) {
-            b.set(i);
-        }
-        b
-    };
-    let mask = Mask::complement(&visited);
-
-    let mut group = c.benchmark_group("fig2_bit_kernels");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    for bit in [false, true] {
-        let arm = if bit { "bit" } else { "scalar" };
-        let desc_pull = Descriptor::new()
-            .transpose(true)
-            .structure_only(true)
-            .force(Direction::Pull)
-            .force_format(StorageFormat::Bitmap)
-            .bit_kernels(bit);
-        // Warm the format cache outside the timed region.
-        let _: Vector<bool> = mxv(None, BoolStructure, &g, &dense_f, &desc_pull, None).unwrap();
-        group.bench_function(BenchmarkId::new("pull", arm), |b| {
-            b.iter(|| {
-                let w: Vector<bool> =
-                    mxv(None, BoolStructure, &g, &dense_f, &desc_pull, None).unwrap();
-                black_box(w)
-            })
-        });
-        group.bench_function(BenchmarkId::new("masked_pull", arm), |b| {
-            b.iter(|| {
-                let w: Vector<bool> =
-                    mxv(Some(&mask), BoolStructure, &g, &dense_f, &desc_pull, None).unwrap();
-                black_box(w)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_sweep,
-    bench_formats,
-    bench_hypersparse_batch,
-    bench_bit_kernels
-);
+criterion_group!(benches, bench_sweep, bench_formats, bench_hypersparse_batch);
 criterion_main!(benches);

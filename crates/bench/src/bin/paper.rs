@@ -8,10 +8,10 @@
 //! ```
 //!
 //! Experiments: `table1` `table2` `table3` `fig2` `fig5` `fig6` `fig7`
-//! `heuristic` `scaling` `batched` `serve` `formats` `bitfrontier` `chaos`
-//! `validate` `all`. `bench-all` regenerates exactly the machine-readable
-//! `BENCH_*.json` artifacts (scaling, batched, serve, formats, bitfrontier,
-//! and — when built with `--features fault-injection` — the chaos study).
+//! `heuristic` `scaling` `batched` `serve` `formats` `chaos` `validate`
+//! `all`. `bench-all` regenerates exactly the machine-readable
+//! `BENCH_*.json` artifacts (scaling, batched, serve, formats, and — when
+//! built with `--features fault-injection` — the chaos study).
 //! CSVs land in `--out` (default `results/`).
 //!
 //! `--shrink N` divides every dataset's vertex count by 2^N (default 6;
@@ -22,8 +22,8 @@ use graphblas_algo::bfs::{bfs_with_opts, BfsOpts};
 use graphblas_bench::engines::figure7_lineup;
 use graphblas_bench::report::{f, Json, Table};
 use graphblas_bench::study::{
-    batched_study, bitfrontier_study, formats_study, matvec_variant_sweep, per_level_study,
-    random_sources, thread_scaling_study, time_bfs,
+    batched_study, formats_study, matvec_variant_sweep, per_level_study, random_sources,
+    thread_scaling_study, time_bfs,
 };
 use graphblas_bench::{geomean, median, mteps, time_ms};
 use graphblas_core::descriptor::Direction;
@@ -82,7 +82,6 @@ fn main() {
         "batched" => batched(&cfg),
         "serve" => serve(&cfg),
         "formats" => formats(&cfg),
-        "bitfrontier" => bitfrontier(&cfg),
         "chaos" => chaos(&cfg),
         "validate" => validate(&cfg),
         "bench-all" => {
@@ -91,7 +90,6 @@ fn main() {
             batched(&cfg);
             serve(&cfg);
             formats(&cfg);
-            bitfrontier(&cfg);
             if cfg!(feature = "fault-injection") {
                 chaos(&cfg);
             } else {
@@ -114,13 +112,12 @@ fn main() {
             batched(&cfg);
             serve(&cfg);
             formats(&cfg);
-            bitfrontier(&cfg);
         }
         other => {
             eprintln!(
                 "unknown experiment `{other}`; expected one of: \
                  table1 table2 table3 fig2 fig5 fig6 fig7 heuristic scaling batched serve \
-                 formats bitfrontier chaos validate bench-all all"
+                 formats chaos validate bench-all all"
             );
             std::process::exit(2);
         }
@@ -962,98 +959,6 @@ fn formats(cfg: &Config) {
     match doc.write_file(&cfg.out, "BENCH_formats.json") {
         Ok(p) => eprintln!("[formats] wrote {}", p.display()),
         Err(e) => eprintln!("[formats] could not write BENCH_formats.json: {e}"),
-    }
-}
-
-/// Bit-parallel kernel study: bit vs scalar boolean kernels (equivalence-
-/// gated, then timed) and the measured cost model against both fixed
-/// directions, on a dense "bitmap regime" graph (the word-ratio headline:
-/// `bit_word_ops ≤ ⅛ · scalar edge examinations`) plus the generator
-/// suite (where the bitmap may degrade — recorded, not hidden). Emits the
-/// machine-readable `BENCH_bitfrontier.json` companion artifact.
-fn bitfrontier(cfg: &Config) {
-    let mut t = Table::new(
-        "Bit-parallel kernels — word ops vs scalar examinations, cost model",
-        &[
-            "Dataset",
-            "word ops",
-            "scalar exam",
-            "ratio",
-            "degrades",
-            "pull bit ms",
-            "pull scalar ms",
-            "model/best",
-        ],
-    );
-    let mut dataset_objs: Vec<Json> = Vec::new();
-    let mut run = |name: &str, graph: &Graph<bool>| {
-        eprintln!(
-            "[bitfrontier] {name}: {} vertices, {} edges",
-            graph.n_vertices(),
-            graph.n_edges()
-        );
-        let s = bitfrontier_study(graph, 3, cfg.seed);
-        t.row(vec![
-            name.to_string(),
-            s.bit_word_ops.to_string(),
-            s.scalar_edge_examinations.to_string(),
-            s.word_ratio.map_or_else(|| "n/a".to_string(), f),
-            s.bitmap_degrades.to_string(),
-            f(s.bit_pull_ms),
-            f(s.scalar_pull_ms),
-            format!("{:.3}x", s.cost_model_vs_best),
-        ]);
-        dataset_objs.push(Json::Obj(vec![
-            ("name", Json::Str(name.to_string())),
-            ("vertices", Json::Int(graph.n_vertices() as u64)),
-            ("edges", Json::Int(graph.n_edges() as u64)),
-            ("bit_word_ops", Json::Int(s.bit_word_ops)),
-            (
-                "scalar_edge_examinations",
-                Json::Int(s.scalar_edge_examinations),
-            ),
-            ("bit_path_engaged", Json::Bool(s.bit_path_engaged)),
-            // `null` when the bit path never engaged: a literal 0 would
-            // read as a perfect ratio.
-            ("word_ratio", Json::Num(s.word_ratio.unwrap_or(f64::NAN))),
-            ("bitmap_degrades", Json::Int(s.bitmap_degrades)),
-            ("bit_pull_ms", Json::Num(s.bit_pull_ms)),
-            ("scalar_pull_ms", Json::Num(s.scalar_pull_ms)),
-            ("cost_model_total", Json::Int(s.cost_model_total)),
-            ("push_only_total", Json::Int(s.push_only_total)),
-            ("pull_only_total", Json::Int(s.pull_only_total)),
-            ("cost_model_vs_best", Json::Num(s.cost_model_vs_best)),
-        ]));
-    };
-
-    // The headline arm: a dense Erdős graph in the bitmap regime (avg
-    // degree ≈ 256, 16 row words per vertex), where each scanned word
-    // covers many edges and the ⅛ acceptance bound must hold.
-    let dense = graphblas_gen::erdos::erdos_renyi(1024, 131_072, cfg.seed ^ 0xb1);
-    run("dense-bitmap", &dense);
-    for Dataset { name, graph, .. } in suite(cfg.shrink, cfg.seed) {
-        if let Some(only) = &cfg.dataset {
-            if only != name {
-                continue;
-            }
-        }
-        run(name, &graph);
-    }
-    t.print();
-    println!(
-        "bit and scalar arms are equivalence-gated (same depths, same projected\n\
-         charges) before timing; the dense-bitmap row carries the ≤⅛ word-ratio\n\
-         claim, and model/best ≤ 1.10 is the cost-model acceptance bound."
-    );
-    let _ = t.write_csv(&cfg.out, "bitfrontier_study");
-    let doc = Json::Obj(vec![
-        ("shrink", Json::Int(u64::from(cfg.shrink))),
-        ("seed", Json::Int(cfg.seed)),
-        ("datasets", Json::Arr(dataset_objs)),
-    ]);
-    match doc.write_file(&cfg.out, "BENCH_bitfrontier.json") {
-        Ok(p) => eprintln!("[bitfrontier] wrote {}", p.display()),
-        Err(e) => eprintln!("[bitfrontier] could not write BENCH_bitfrontier.json: {e}"),
     }
 }
 

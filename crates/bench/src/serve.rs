@@ -24,7 +24,7 @@ pub const TICK_NS: u64 = 1_000;
 #[derive(Clone, Debug)]
 pub struct ServeScenario {
     /// Workload label: `"mixed"` (the standard BFS-heavy mix) or `"bfs"`
-    /// (pure single-source BFS traffic, the bit-parallel batched path).
+    /// (pure single-source BFS traffic, the batched-frontier path).
     pub mix: &'static str,
     /// Intended batch size (admission cap; the window is sized to fill it).
     pub target_k: usize,
@@ -49,8 +49,8 @@ struct Arm {
 
 /// Replay two workloads at increasing coalescing targets: the standard
 /// BFS-heavy mix (where solo PageRank/BC and dense SSSP rows dilute the
-/// coalescing win) and a pure-BFS trace that isolates the bit-parallel
-/// batched-frontier path the paper's `mxv_batch` machinery was built for.
+/// coalescing win) and a pure-BFS trace that isolates the batched-frontier
+/// path the paper's `mxv_batch` machinery was built for.
 ///
 /// One warm-up replay pays the shared graph's format-cache conversions
 /// before anything is timed; the arms (per-workload sequential baselines

@@ -612,118 +612,6 @@ pub fn formats_study(g: &Graph<bool>, repeats: usize, seed: u64) -> FormatsStudy
     }
 }
 
-/// Result of the bit-parallel kernel study on one graph.
-#[derive(Clone, Copy, Debug)]
-pub struct BitKernelSample {
-    /// u64 word operations the bit kernels charged across one counted
-    /// pull-only BFS over the bitmap store.
-    pub bit_word_ops: u64,
-    /// Per-edge examinations (matrix accesses) the scalar oracle charged on
-    /// the identical run — the denominator of the ≥8× word-parallel claim.
-    pub scalar_edge_examinations: u64,
-    /// Whether the bit path actually ran (`bit_word_ops > 0`). When false,
-    /// the "bit" arm executed the scalar kernels end to end and no word
-    /// ratio exists.
-    pub bit_path_engaged: bool,
-    /// `bit_word_ops / scalar_edge_examinations`: ≤ 0.125 in the bitmap
-    /// regime, where each scanned row word covers many explicit edges.
-    /// `None` when the bit path never engaged — reporting 0 here used to
-    /// masquerade as a perfect ratio in BENCH_bitfrontier.json.
-    pub word_ratio: Option<f64>,
-    /// Times a forced-Bitmap request silently degraded to CSR during the
-    /// pull arms (0 in the bitmap regime; honest on graphs past the bitmap
-    /// feasibility bound, where the "bit" arm is really the scalar path).
-    pub bitmap_degrades: u64,
-    /// Median wall time of the pull-only BFS with bit kernels on, ms.
-    pub bit_pull_ms: f64,
-    /// Median wall time of the same pull-only BFS, scalar kernels, ms.
-    pub scalar_pull_ms: f64,
-    /// Charged accesses (`accesses_only().total()`) of a full BFS under the
-    /// measured cost model.
-    pub cost_model_total: u64,
-    /// Same, pinned push-only.
-    pub push_only_total: u64,
-    /// Same, pinned pull-only.
-    pub pull_only_total: u64,
-    /// `cost_model_total / min(push_only_total, pull_only_total)` — the
-    /// acceptance bound is ≤ 1.1 (never lose to the best fixed direction
-    /// by more than 10%).
-    pub cost_model_vs_best: f64,
-}
-
-/// The bit-parallel kernel study: one pull-only BFS over the bitmap store
-/// with the bit kernels on and off (equivalence-gated: depths and projected
-/// charges must match exactly before anything is timed), and the measured
-/// cost model's charged accesses against both fixed directions. The word-ratio headline belongs to a dense
-/// "bitmap regime" graph — on sparse suite graphs the bitmap either
-/// degrades (recorded) or scans mostly-empty words (ratio reported
-/// honestly, above the ⅛ bound).
-#[must_use]
-pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitKernelSample {
-    use graphblas_core::FormatChoice;
-
-    let source = random_sources(g, 1, seed ^ 0xb17)[0];
-    let pull_opts = |bit: bool| {
-        BfsOpts::default()
-            .forced(Direction::Pull)
-            .format(FormatChoice::Force(StorageFormat::Bitmap))
-            .bit_kernels(bit)
-    };
-
-    let count = |opts: &BfsOpts| {
-        let c = AccessCounters::new();
-        let r = bfs_with_opts(g, source, opts, Some(&c));
-        (r.depths, c.snapshot())
-    };
-
-    // Equivalence gate before timing: the bit arm must reproduce the scalar
-    // arm's depths and projected access charges exactly.
-    let (bit_depths, bit_snap) = count(&pull_opts(true));
-    let (scalar_depths, scalar_snap) = count(&pull_opts(false));
-    assert_eq!(bit_depths, scalar_depths, "bit pull must match scalar pull");
-    assert_eq!(
-        bit_snap.accesses_only(),
-        scalar_snap.accesses_only(),
-        "bit pull must charge identical projected accesses"
-    );
-
-    let time_median = |opts: &BfsOpts| -> f64 {
-        let _ = bfs_with_opts(g, source, opts, None); // warm-up
-        let times: Vec<f64> = (0..repeats.max(1))
-            .map(|_| time_ms(|| std::hint::black_box(bfs_with_opts(g, source, opts, None))).1)
-            .collect();
-        median(&times)
-    };
-    let bit_pull_ms = time_median(&pull_opts(true));
-    let scalar_pull_ms = time_median(&pull_opts(false));
-
-    // Cost-model competitiveness in charged accesses, all arms exact.
-    let total = |opts: &BfsOpts| {
-        let (depths, snap) = count(opts);
-        assert_eq!(depths, scalar_depths, "every arm reaches the same depths");
-        snap.accesses_only().total()
-    };
-    let cost_model_total = total(&BfsOpts::default().cost_model(true));
-    let push_only_total = total(&BfsOpts::default().forced(Direction::Push));
-    let pull_only_total = total(&BfsOpts::default().forced(Direction::Pull));
-    let best_fixed = push_only_total.min(pull_only_total).max(1);
-
-    BitKernelSample {
-        bit_word_ops: bit_snap.bit_word_ops,
-        scalar_edge_examinations: scalar_snap.matrix,
-        bit_path_engaged: bit_snap.bit_word_ops > 0,
-        word_ratio: (bit_snap.bit_word_ops > 0)
-            .then(|| bit_snap.bit_word_ops as f64 / scalar_snap.matrix.max(1) as f64),
-        bitmap_degrades: bit_snap.bitmap_degrades + scalar_snap.bitmap_degrades,
-        bit_pull_ms,
-        scalar_pull_ms,
-        cost_model_total,
-        push_only_total,
-        pull_only_total,
-        cost_model_vs_best: cost_model_total as f64 / best_fixed as f64,
-    }
-}
-
 /// First-`k`-vertices induced subgraph (used to seed the hypersparse
 /// embedding from the workload graph's own edge structure).
 fn sub_graph(g: &Graph<bool>, k: usize, seed: u64) -> Graph<bool> {
@@ -862,27 +750,6 @@ mod tests {
             );
             assert!(s.push_steps + s.pull_steps > 0, "every level is a decision");
         }
-    }
-
-    #[test]
-    fn bitfrontier_study_meets_acceptance_in_bitmap_regime() {
-        // Dense graph (avg degree ≈ 64, 4 row words): the word-parallel
-        // saving and the cost-model bound must both hold.
-        let g = graphblas_gen::erdos::erdos_renyi(256, 8192, 5);
-        let s = bitfrontier_study(&g, 1, 42);
-        assert_eq!(s.bitmap_degrades, 0, "bitmap must be feasible here");
-        assert!(s.bit_word_ops > 0, "bit kernels must have engaged");
-        assert!(s.bit_path_engaged, "engagement flag mirrors bit_word_ops");
-        let ratio = s.word_ratio.expect("engaged path reports a ratio");
-        assert!(
-            ratio <= 0.125,
-            "bit pull must charge ≤ 1/8 of scalar examinations, got {ratio}"
-        );
-        assert!(
-            s.cost_model_vs_best <= 1.1,
-            "cost model lost to best fixed direction: {}",
-            s.cost_model_vs_best
-        );
     }
 
     #[test]

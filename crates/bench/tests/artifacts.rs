@@ -1,11 +1,5 @@
 //! Assertions over the committed bench artifacts in `results/`.
 //!
-//! The tiled bitmap exists so that suite-scale graphs stop falling off the
-//! bit-parallel path: feasibility is per-tile occupancy, not the global
-//! `n² ≤ MAX_BITS` cliff. This test pins that property on the committed
-//! `BENCH_bitfrontier.json` — every dataset with at least 32 Ki vertices
-//! must report `bitmap_degrades == 0` and an engaged bit path.
-//!
 //! The serve artifact (`BENCH_serve.json`) is pinned in two tiers. Its
 //! deterministic fields — batch composition follows from the seeded trace
 //! alone — are pinned exactly: at k ≥ 4 the service must coalesce (batches
@@ -20,91 +14,6 @@
 //! If an artifact is stale, regenerate it with `paper -- bench-all`.
 
 use std::path::PathBuf;
-
-/// Per-dataset fields scraped out of the bitfrontier artifact.
-#[derive(Debug, Default)]
-struct Sample {
-    name: String,
-    vertices: u64,
-    bit_word_ops: u64,
-    bitmap_degrades: u64,
-    engaged: bool,
-}
-
-/// Hand-scan of the artifact (no JSON crate offline). The file is our own
-/// `Json::render` output: one `"key": value` pair per line, datasets in
-/// order, `"name"` opening each object.
-fn scrape(text: &str) -> Vec<Sample> {
-    let mut out: Vec<Sample> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "name" => out.push(Sample {
-                name: value.trim_matches('"').to_string(),
-                ..Sample::default()
-            }),
-            "vertices" => {
-                if let (Some(s), Ok(v)) = (out.last_mut(), value.parse()) {
-                    s.vertices = v;
-                }
-            }
-            "bit_word_ops" => {
-                if let (Some(s), Ok(v)) = (out.last_mut(), value.parse()) {
-                    s.bit_word_ops = v;
-                }
-            }
-            "bitmap_degrades" => {
-                if let (Some(s), Ok(v)) = (out.last_mut(), value.parse()) {
-                    s.bitmap_degrades = v;
-                }
-            }
-            "bit_path_engaged" => {
-                if let Some(s) = out.last_mut() {
-                    s.engaged = value == "true";
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-#[test]
-fn committed_bitfrontier_artifact_keeps_large_graphs_on_the_bit_path() {
-    let samples = scrape(&read_artifact("BENCH_bitfrontier.json"));
-    assert!(
-        samples.len() >= 2,
-        "artifact should cover the dataset suite, scraped {samples:?}"
-    );
-    let mut large = 0;
-    for s in &samples {
-        if s.vertices < 32 * 1024 {
-            continue;
-        }
-        large += 1;
-        assert_eq!(
-            s.bitmap_degrades, 0,
-            "{}: {} vertices fell off the bit-parallel path (tiled bitmap \
-             should make suite graphs feasible); regenerate with bench-all",
-            s.name, s.vertices
-        );
-        assert!(
-            s.engaged && s.bit_word_ops > 0,
-            "{}: bit path never engaged (bit_word_ops = {})",
-            s.name,
-            s.bit_word_ops
-        );
-    }
-    assert!(
-        large >= 2,
-        "suite should include n ≥ 32Ki graphs (found {large})"
-    );
-}
 
 /// One serve scenario scraped out of `BENCH_serve.json`.
 #[derive(Debug, Default)]

@@ -6,9 +6,10 @@
 //! the paper's optimizations so each can be disabled in isolation:
 //! direction choice (force push/pull or auto), early-exit, structure-only,
 //! and the multiway merge strategy of §6.2 (radix sort, bitmask culling,
-//! or per-worker SPAs). The §6.3 switch threshold (`α = β = 0.01`) is a
-//! traversal-level setting: it lives in the algorithm options and the
-//! [`crate::plan::DirectionPolicy`] they build.
+//! or per-worker SPAs). With the transpose flag and the storage-format
+//! choice that makes six fields. The §6.3 switch threshold
+//! (`α = β = 0.01`) is a traversal-level setting: it lives in the
+//! algorithm options and the [`crate::plan::DirectionPolicy`] they build.
 
 use graphblas_matrix::StorageFormat;
 
@@ -42,16 +43,17 @@ pub enum DirectionChoice {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FormatChoice {
     /// Let [`crate::plan::resolve_plan`] pick from the operand's static
-    /// shape: hypersparse operands (row occupancy below the planner's
-    /// threshold) run DCSR, dense pull phases run bitmap when it fits,
-    /// everything else CSR. Memoryless — the single-source loops drive a
+    /// shape: a hypersparse pull operand (row occupancy below the
+    /// planner's threshold) runs DCSR, everything else CSR; `Auto` never
+    /// plans the bitmap. Memoryless — the single-source loops drive a
     /// [`crate::plan::Planner`], which holds the store for one level after
     /// a direction change, and force its choice here per level.
     #[default]
     Auto,
     /// Always run the given format (the per-format study arms and the
-    /// `Force(Csr)` test oracle). An infeasible bitmap degrades to CSR —
-    /// see [`graphblas_matrix::Graph::effective_format`].
+    /// `Force(Csr)` test oracle). A forced bitmap runs the same scalar
+    /// kernels over the store's CSR rows; an infeasible one degrades to
+    /// CSR — see [`graphblas_matrix::Graph::effective_format`].
     Force(StorageFormat),
 }
 
@@ -97,13 +99,6 @@ pub struct Descriptor {
     pub merge_strategy: MergeStrategy,
     /// Matrix storage-format selection policy.
     pub format: FormatChoice,
-    /// Let the boolean-semiring pull kernels run bit-parallel (whole
-    /// `u64` words of the bitmap operand at a time) whenever the planned
-    /// store exposes a word surface and the semiring qualifies. Value- and
-    /// projected-counter-equivalent to the scalar path by contract;
-    /// `bit_kernels(false)` is the scalar-oracle switch the equivalence
-    /// tests compare against.
-    pub bit_kernels: bool,
 }
 
 impl Default for Descriptor {
@@ -115,7 +110,6 @@ impl Default for Descriptor {
             structure_only: true,
             merge_strategy: MergeStrategy::SortBased,
             format: FormatChoice::Auto,
-            bit_kernels: true,
         }
     }
 }
@@ -175,14 +169,6 @@ impl Descriptor {
         self.format = c;
         self
     }
-
-    /// Builder: toggle the bit-parallel boolean kernels (see
-    /// [`Descriptor::bit_kernels`]).
-    #[must_use]
-    pub fn bit_kernels(mut self, on: bool) -> Self {
-        self.bit_kernels = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +184,6 @@ mod tests {
         assert_eq!(d.merge_strategy, MergeStrategy::SortBased);
         assert_eq!(d.format, FormatChoice::Auto);
         assert!(!d.transpose);
-        assert!(d.bit_kernels, "bit kernels are on by default");
     }
 
     #[test]
@@ -209,9 +194,7 @@ mod tests {
             .early_exit(false)
             .structure_only(false)
             .merge_strategy(MergeStrategy::SpaMerge)
-            .bit_kernels(false)
             .force_format(StorageFormat::Dcsr);
-        assert!(!d.bit_kernels);
         assert!(d.transpose);
         assert_eq!(d.direction, DirectionChoice::Force(Direction::Pull));
         assert!(!d.early_exit);

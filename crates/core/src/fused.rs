@@ -454,21 +454,6 @@ where
     // Early-exit applies to masked pulls only, mirroring the `mxv`
     // dispatch; first-hit exit is the caller's stronger opt-in.
     let early_exit = base.mask.is_some() && base.desc.early_exit;
-    // Bit-parallel arm, packed once per call (same dispatch rule as the
-    // unfused pull face). The first-hit path is fully generic — the CSR
-    // rank of the first AND hit indexes the CSR values — so it needs only
-    // the packed operand words; the plain reduction goes through the
-    // hint-qualified context.
-    let fh_words = if base.first_hit_exit && base.desc.bit_kernels && op.has_row_words() {
-        Some(crate::bitops::pack_frontier(v, base.counters))
-    } else {
-        None
-    };
-    let bitctx = if base.first_hit_exit {
-        None
-    } else {
-        crate::bitops::bit_pull_ctx(s, op, v, &base.desc, base.counters)
-    };
     // Unmasked, not keep-identity: a hypersparse store's empty rows reduce
     // to the ⊕ identity and are skipped before apply/assign anyway, so
     // scan only the non-empty rows and bulk-charge the skipped rows'
@@ -510,30 +495,9 @@ where
                     continue;
                 }
                 let y = if base.first_hit_exit {
-                    match &fh_words {
-                        Some(words) => crate::bitops::bit_reduce_row_first_hit(
-                            s,
-                            op,
-                            words,
-                            v,
-                            i,
-                            identity,
-                            base.counters,
-                        ),
-                        None => reduce_row_first_hit(s, op, v, i, identity, base.counters),
-                    }
+                    reduce_row_first_hit(s, op, v, i, identity, base.counters)
                 } else {
-                    match &bitctx {
-                        Some(ctx) => crate::bitops::bit_reduce_row(
-                            op,
-                            ctx,
-                            i,
-                            identity,
-                            early_exit,
-                            base.counters,
-                        ),
-                        None => reduce_row(s, op, v, i, identity, early_exit, base.counters),
-                    }
+                    reduce_row(s, op, v, i, identity, early_exit, base.counters)
                 };
                 if base.keep_identity || y != identity {
                     let z = apply(y);

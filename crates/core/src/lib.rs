@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bitops;
 pub mod descriptor;
 pub mod error;
 pub mod exec;

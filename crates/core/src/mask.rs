@@ -96,15 +96,6 @@ impl<'a> Mask<'a> {
     pub fn dim(&self) -> usize {
         self.bits.len()
     }
-
-    /// The raw bit words and the complement flag — the word surface the
-    /// bit-parallel kernels and the unvisited summary index build on. An
-    /// *allowed* word is `words[g]` (plain) or `!words[g]` tail-masked to
-    /// `dim()` (complemented); [`Mask::allows`] stays the per-bit oracle.
-    #[must_use]
-    pub(crate) fn word_view(&self) -> (&'a [u64], bool) {
-        (self.bits.words(), self.complement)
-    }
 }
 
 #[cfg(test)]

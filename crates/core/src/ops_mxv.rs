@@ -737,9 +737,9 @@ where
             };
             let out =
                 match crate::exec::store_budgeted(graph, desc.transpose, plan.format, counters) {
-                    StoreRef::Csr(m) => pull_face(s, m, dv, mask, desc, counters),
-                    StoreRef::Bitmap(m) => pull_face(s, m, dv, mask, desc, counters),
-                    StoreRef::Dcsr(m) => pull_face(s, m, dv, mask, desc, counters),
+                    StoreRef::Csr(m) => pull_face(s, m, dv, mask, desc.early_exit, counters),
+                    StoreRef::Bitmap(m) => pull_face(s, m, dv, mask, desc.early_exit, counters),
+                    StoreRef::Dcsr(m) => pull_face(s, m, dv, mask, desc.early_exit, counters),
                 };
             // Post-kernel poll: see the push arm.
             crate::exec::check_stop(counters)?;
@@ -748,17 +748,14 @@ where
     }
 }
 
-/// The pull face for one concrete store: masked or unmasked row kernel,
-/// with the bit-parallel arm slotted in front. When the planned store has
-/// a word surface and the call qualifies (see `bitops::bit_pull_ctx`), the
-/// row reduction runs 64 edges per AND; values and the projected counters
-/// are the scalar kernel's bit for bit.
+/// The pull face for one concrete store: the masked or the unmasked row
+/// kernel.
 fn pull_face<A, X, Y, S, M>(
     s: S,
     op: &M,
     dv: &DenseVector<X>,
     mask: Option<&Mask<'_>>,
-    desc: &Descriptor,
+    early_exit: bool,
     counters: Option<&AccessCounters>,
 ) -> DenseVector<Y>
 where
@@ -768,120 +765,9 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    if let Some(ctx) = crate::bitops::bit_pull_ctx(s, op, dv, desc, counters) {
-        let identity = s.add_monoid().identity();
-        return match mask {
-            Some(m) => row_masked_mxv_bit(op, &ctx, m, identity, desc.early_exit, counters),
-            None => row_mxv_bit(op, &ctx, identity, counters),
-        };
-    }
     match mask {
-        Some(m) => row_masked_mxv(s, op, dv, m, desc.early_exit, counters),
+        Some(m) => row_masked_mxv(s, op, dv, m, early_exit, counters),
         None => row_mxv(s, op, dv, counters),
-    }
-}
-
-/// Bit twin of [`row_mxv`]: same structure (hypersparse row list when the
-/// store tracks one, row-range chunking otherwise), with the per-row
-/// reduction running word-wise.
-fn row_mxv_bit<A, Y, M>(
-    op: &M,
-    ctx: &crate::bitops::BitPull<Y>,
-    identity: Y,
-    counters: Option<&AccessCounters>,
-) -> DenseVector<Y>
-where
-    A: Scalar,
-    Y: Scalar,
-    M: RowAccess<A>,
-{
-    if !crate::exec::charge_alloc(counters, output_bytes::<Y>(op.n_rows())) {
-        return DenseVector::from_values(Vec::new(), identity);
-    }
-    let mut vals = vec![identity; op.n_rows()];
-    if let Some(rows) = op.nonempty_rows() {
-        if let Some(c) = counters {
-            c.add_vector((op.n_rows() - rows.len()) as u64);
-        }
-        let out = SendPtr(vals.as_mut_ptr());
-        rows.par_iter().with_min_len(ROW_GRAIN).for_each(|&i| {
-            let y = crate::bitops::bit_reduce_row(op, ctx, i as usize, identity, false, counters);
-            // SAFETY: non-empty row ids are unique, so writes are disjoint.
-            unsafe { *out.get().add(i as usize) = y };
-        });
-    } else {
-        pool::par_fill_with(&mut vals, ROW_GRAIN, |i| {
-            crate::bitops::bit_reduce_row(op, ctx, i, identity, false, counters)
-        });
-    }
-    DenseVector::from_values(vals, identity)
-}
-
-/// Bit twin of [`row_masked_mxv`]. The active-list arm mirrors the scalar
-/// kernel row for row; the no-list arm adds the *unvisited index*: one
-/// level of summary words over the (complement-adjusted) mask words lets a
-/// level-k BFS scan visit only 64-row groups that still contain allowed
-/// rows. The scalar kernel charges `mask(M)` in bulk and does no matrix
-/// work on disallowed rows, so skipping them wholesale is charged
-/// identically — the skip shows up only in `bit_word_ops`.
-fn row_masked_mxv_bit<A, Y, M>(
-    op: &M,
-    ctx: &crate::bitops::BitPull<Y>,
-    mask: &Mask<'_>,
-    identity: Y,
-    early_exit: bool,
-    counters: Option<&AccessCounters>,
-) -> DenseVector<Y>
-where
-    A: Scalar,
-    Y: Scalar,
-    M: RowAccess<A>,
-{
-    assert_eq!(op.n_rows(), mask.dim(), "mask must cover output dim");
-    if !crate::exec::charge_alloc(counters, output_bytes::<Y>(op.n_rows())) {
-        return DenseVector::from_values(Vec::new(), identity);
-    }
-    if let Some(active) = mask.active_list() {
-        if let Some(c) = counters {
-            c.add_mask(active.len() as u64);
-        }
-        let mut vals = vec![identity; op.n_rows()];
-        let out = SendPtr(vals.as_mut_ptr());
-        active.par_iter().with_min_len(ROW_GRAIN).for_each(|&i| {
-            debug_assert!(mask.allows(i as usize), "active list disagrees with mask");
-            let y =
-                crate::bitops::bit_reduce_row(op, ctx, i as usize, identity, early_exit, counters);
-            // SAFETY: active-list entries are unique, so writes are disjoint.
-            unsafe { *out.get().add(i as usize) = y };
-        });
-        DenseVector::from_values(vals, identity)
-    } else {
-        if let Some(c) = counters {
-            c.add_mask(op.n_rows() as u64);
-        }
-        let idx = crate::bitops::UnvisitedIndex::build(mask, counters);
-        let mut vals = vec![identity; op.n_rows()];
-        let out = SendPtr(vals.as_mut_ptr());
-        let groups = idx.live_groups();
-        // One group = 64 output rows; keep the scalar kernel's grain in
-        // row units so chunk shapes stay lane-count independent.
-        groups
-            .par_iter()
-            .with_min_len((ROW_GRAIN / 64).max(1))
-            .for_each(|&g| {
-                let mut bits = idx.allowed_word(g);
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let i = g * 64 + b;
-                    let y =
-                        crate::bitops::bit_reduce_row(op, ctx, i, identity, early_exit, counters);
-                    // SAFETY: each row belongs to exactly one group and each
-                    // group to one worker, so writes are disjoint.
-                    unsafe { *out.get().add(i) = y };
-                }
-            });
-        DenseVector::from_values(vals, identity)
     }
 }
 

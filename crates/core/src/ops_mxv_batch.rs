@@ -66,10 +66,7 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    // The public entry has no descriptor, so it cannot opt into the
-    // bit-parallel arm; `mxv_batch` passes its descriptor through the
-    // inner variant below.
-    row_masked_mxv_batch_impl(s, op, vs, masks, early_exit, None, counters, None)
+    row_masked_mxv_batch_impl(s, op, vs, masks, early_exit, counters, None)
 }
 
 /// Resolve the counters row `j` of an attributed batch charges: its own
@@ -86,24 +83,18 @@ fn row_charge<'a>(
     }
 }
 
-/// [`row_masked_mxv_batch`] with the dispatcher's descriptor, so batched
-/// pulls share the single-source bit-parallel arm. The bit gating is
-/// source-independent (store + semiring + descriptor), so either every
-/// source gets a packed context or the whole batch runs scalar.
-///
+/// [`row_masked_mxv_batch`] with optional per-source counter attribution.
 /// When `row_counters` is present (one per source), each source's
 /// row-scoped charges — output-buffer allocation, mask/vector traffic, and
 /// every `reduce_row` — land on that source's counters instead of the
 /// shared set, and each source's chunks poll *its* checkpoints, so one
 /// source's tripped limit stops only its own rows.
-#[allow(clippy::too_many_arguments)]
 fn row_masked_mxv_batch_impl<A, X, Y, S, M>(
     s: S,
     op: &M,
     vs: &[&DenseVector<X>],
     masks: Option<&[Mask<'_>]>,
     early_exit: bool,
-    desc: Option<&Descriptor>,
     counters: Option<&AccessCounters>,
     row_counters: Option<&[&AccessCounters]>,
 ) -> Vec<DenseVector<Y>>
@@ -184,27 +175,6 @@ where
         }
     }
 
-    // Per-source bit contexts: one packed word image per source vector
-    // (each charging its own `bit_word_ops`), all-or-nothing since the
-    // qualification test doesn't depend on the source.
-    let ctxs: Option<Vec<crate::bitops::BitPull<Y>>> = desc.and_then(|d| {
-        let mut cs = Vec::with_capacity(vs.len());
-        for (j, v) in vs.iter().enumerate() {
-            cs.push(crate::bitops::bit_pull_ctx(
-                s,
-                op,
-                v,
-                d,
-                row_charge(counters, row_counters, j),
-            )?);
-        }
-        if cs.is_empty() {
-            None
-        } else {
-            Some(cs)
-        }
-    });
-
     let mut outs: Vec<Vec<Y>> = vs.iter().map(|_| vec![identity; n]).collect();
     let ptrs: Vec<SendPtr<Y>> = outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())).collect();
 
@@ -235,12 +205,7 @@ where
             };
             if allowed {
                 let c = row_charge(counters, row_counters, j);
-                let y = match &ctxs {
-                    Some(cs) => {
-                        crate::bitops::bit_reduce_row(op, &cs[j], i, identity, early_exit, c)
-                    }
-                    None => reduce_row(s, op, v, i, identity, early_exit, c),
-                };
+                let y = reduce_row(s, op, v, i, identity, early_exit, c);
                 // SAFETY: within a source, grid indices (and the unique
                 // active-list or non-empty rows they map to) are disjoint;
                 // across sources the output buffers are distinct.
@@ -440,7 +405,7 @@ where
 /// [`mxv_batch`] with **per-row counter attribution**: `row_counters[r]`
 /// (one set per batch row) receives every charge row `r`'s work causes —
 /// its direction step, output-buffer allocation, mask/vector/matrix
-/// traffic, SPA harvests and merge, bit-word telemetry — and row `r`'s
+/// traffic, SPA harvests and merge — and row `r`'s
 /// kernel chunks poll *those* counters' checkpoints, so per-row
 /// [`ExecLimits`](crate::ExecLimits) installed on `row_counters[r]` stop
 /// only row `r` (its chunks bail with identity results; siblings are
@@ -660,7 +625,6 @@ where
                 &dvs,
                 sub_masks.as_deref(),
                 early_exit,
-                Some(desc),
                 counters,
                 sub_rc.as_deref(),
             ),
@@ -670,7 +634,6 @@ where
                 &dvs,
                 sub_masks.as_deref(),
                 early_exit,
-                Some(desc),
                 counters,
                 sub_rc.as_deref(),
             ),
@@ -680,7 +643,6 @@ where
                 &dvs,
                 sub_masks.as_deref(),
                 early_exit,
-                Some(desc),
                 counters,
                 sub_rc.as_deref(),
             ),

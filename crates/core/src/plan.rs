@@ -25,10 +25,10 @@
 //! 1. pull over an operand whose row occupancy is
 //!    `< `[`HYPERSPARSE_OCCUPANCY`] ⇒ **DCSR** — full scans then touch
 //!    only the non-empty rows;
-//! 2. else, pull with average degree `≥ `[`BITMAP_MIN_DEGREE`] and a
-//!    feasible bitmap ⇒ **bitmap** — dense phases get O(1) membership at
-//!    tolerable memory;
-//! 3. else **CSR**.
+//! 2. else **CSR**.
+//!
+//! The bitmap store is served only under `FormatChoice::Force(Bitmap)`,
+//! where the same scalar kernels read its CSR rows.
 //!
 //! Formats never change results or access counters — the kernels are
 //! generic over [`graphblas_matrix::RowAccess`] and charge identically on
@@ -44,10 +44,6 @@ use graphblas_primitives::counters::AccessCounters;
 /// Row-occupancy threshold below which an operand counts as hypersparse
 /// and the planner selects DCSR (1/8 of rows non-empty).
 pub const HYPERSPARSE_OCCUPANCY: f64 = 0.125;
-
-/// Average-degree threshold at or above which a pull-direction operand
-/// selects the bitmap store (when it fits).
-pub const BITMAP_MIN_DEGREE: f64 = 8.0;
 
 /// Calibration constants of the measured push/pull cost model — the
 /// per-edge charge weights that turn the raw measurements of
@@ -129,16 +125,10 @@ pub fn auto_format<A: Scalar>(
     // frontier-selected rows, where CSR's O(1) `row_ptr` beats DCSR's
     // per-row binary search, so hypersparsity never steers push off CSR.
     if direction == Direction::Pull && graph.row_occupancy(side) < HYPERSPARSE_OCCUPANCY {
-        return StorageFormat::Dcsr;
+        StorageFormat::Dcsr
+    } else {
+        StorageFormat::Csr
     }
-    let csr = if side { graph.csr_t() } else { graph.csr() };
-    if direction == Direction::Pull
-        && csr.avg_degree() >= BITMAP_MIN_DEGREE
-        && graph.effective_format(side, StorageFormat::Bitmap) == StorageFormat::Bitmap
-    {
-        return StorageFormat::Bitmap;
-    }
-    StorageFormat::Csr
 }
 
 /// The batched variant of [`auto_format`]: one format serves a whole
@@ -416,14 +406,16 @@ impl DirectionPolicy {
 /// policy's capacity is the graph's vertex count.
 ///
 /// [`Planner::next`] takes the direction from the policy. Under
-/// [`FormatChoice::Auto`] the store is [`auto_format`]'s, except on the
-/// first level after a direction change, which keeps the previous level's
-/// store: matrix shape is static, but the direction flaps at phase
-/// boundaries, and each format change costs a one-time conversion, so a
-/// single bounced level never pays for one — the format-side twin of
-/// §6.3's hysteresis. Under [`FormatChoice::Force`] every level runs the
-/// forced store (an infeasible bitmap degrades to CSR and charges
-/// `bitmap_degrades` once per level).
+/// [`FormatChoice::Auto`] the store is [`auto_format`]'s — DCSR for a
+/// hypersparse pull, CSR otherwise — except on the first level after a
+/// direction change, which keeps the previous level's store: matrix shape
+/// is static, but the direction flaps at phase boundaries, and each format
+/// change costs a one-time conversion, so a single bounced level never
+/// pays for one — the format-side twin of §6.3's hysteresis. The hold can
+/// only change a store on a graph whose pull face prefers DCSR. Under
+/// [`FormatChoice::Force`] every level runs the forced store (an
+/// infeasible bitmap degrades to CSR and charges `bitmap_degrades` once
+/// per level).
 #[derive(Clone, Debug)]
 pub struct Planner {
     policy: DirectionPolicy,
@@ -476,8 +468,8 @@ mod tests {
     use super::*;
     use graphblas_matrix::Coo;
 
-    /// Dense 16-vertex clique: occupancy 1.0, degree 15 — pull prefers
-    /// bitmap, push CSR.
+    /// Dense 16-vertex clique: occupancy 1.0, degree 15 — CSR on both
+    /// faces.
     fn dense_graph() -> Graph<bool> {
         let n = 16;
         let mut coo = Coo::new(n, n);
@@ -529,12 +521,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_rule_picks_bitmap_only_for_dense_pull() {
+    fn auto_rule_never_plans_the_bitmap_for_a_dense_pull() {
         let g = dense_graph();
-        assert_eq!(
-            auto_format(&g, true, Direction::Pull),
-            StorageFormat::Bitmap
-        );
+        assert_eq!(auto_format(&g, true, Direction::Pull), StorageFormat::Csr);
         assert_eq!(auto_format(&g, true, Direction::Push), StorageFormat::Csr);
         assert_eq!(auto_format_batch(&g, true), StorageFormat::Csr);
     }
@@ -672,17 +661,17 @@ mod tests {
 
     #[test]
     fn planner_holds_the_store_for_one_level_after_a_flip() {
-        let g = dense_graph();
+        let g = hypersparse_graph();
         // Memoryless at ½: activity |V| pulls, 0 pushes.
         let mut p = Planner::new(DirectionPolicy::memoryless(0.5), FormatChoice::Auto);
         let mut step = |pull: bool| p.next(&g, g.n_vertices() * usize::from(pull), None, None);
         let plan = |direction, format| ExecPlan { direction, format };
         use Direction::{Pull, Push};
-        use StorageFormat::{Bitmap, Csr};
+        use StorageFormat::{Csr, Dcsr};
         assert_eq!(step(false), plan(Push, Csr), "first level adopts");
         assert_eq!(step(true), plan(Pull, Csr), "flip: store held");
-        assert_eq!(step(true), plan(Pull, Bitmap), "second pull level");
-        assert_eq!(step(false), plan(Push, Bitmap), "flip back: held");
+        assert_eq!(step(true), plan(Pull, Dcsr), "second pull level");
+        assert_eq!(step(false), plan(Push, Dcsr), "flip back: held");
         assert_eq!(step(false), plan(Push, Csr));
     }
 
@@ -717,11 +706,10 @@ mod tests {
 
     #[test]
     fn planner_hold_rule_equals_two_consecutive_debounce() {
-        // Each graph gives the auto rule a different pull preference
-        // (bitmap, DCSR, CSR; push is always CSR). Every direction
-        // sequence of 1–10 levels must yield the same stores as the
-        // reference debounce.
-        for g in [dense_graph(), hypersparse_graph(), ring_graph()] {
+        // The two graphs give the auto rule both pull preferences (DCSR,
+        // CSR; push is always CSR). Every direction sequence of 1–10
+        // levels must yield the same stores as the reference debounce.
+        for g in [hypersparse_graph(), ring_graph()] {
             for len in 1..=10u32 {
                 for bits in 0..(1u32 << len) {
                     let dirs: Vec<Direction> = (0..len)

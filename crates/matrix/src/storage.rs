@@ -5,8 +5,8 @@
 //! vector side (sparse list ↔ dense array, §6.3); SuiteSparse:GraphBLAS
 //! and GraphBLAST extend the same decision to the *matrix* side by keeping
 //! several storage formats and picking per operation. This module supplies
-//! the three formats the execution planner in `graphblas_core::plan`
-//! chooses between:
+//! the three formats an execution plan in `graphblas_core::plan` can name
+//! (its `Auto` rule picks CSR or DCSR; the bitmap runs only when forced):
 //!
 //! * [`Csr`] — the baseline: dense `row_ptr` over all rows. O(1) row
 //!   lookup, `O(n)` pointer memory, every full-matrix scan walks all `n`
@@ -15,8 +15,8 @@
 //!   bitmap: rows are partitioned into [`TILE_ROWS`]-row tiles and each
 //!   occupied tile allocates only the column word window its edges span,
 //!   so memory scales with occupancy ([`BitmapPlan`]) instead of the dense
-//!   `n_rows·n_cols` grid. O(1) `has(i, j)` edge probes for dense phases;
-//!   feasibility is the *allocated* bit count against
+//!   `n_rows·n_cols` grid. O(1) `has(i, j)` edge probes; feasibility is
+//!   the *allocated* bit count against
 //!   [`BitmapStore::MAX_BITS`], not a global shape cliff.
 //! * [`Dcsr`] — hypersparse doubly-compressed CSR: only non-empty rows
 //!   carry pointers, so full scans touch `O(nnz_rows)` rows, not `O(n)` —
@@ -105,25 +105,6 @@ pub trait RowAccess<V>: Sync {
     /// same counter totals the unskipped scan would.
     fn nonempty_rows(&self) -> Option<&[VertexId]> {
         None
-    }
-    /// Row `i` as packed `u64` membership words, when the store keeps such
-    /// a layout ([`BitmapStore`] does; CSR and DCSR return `None`). The
-    /// result is `(start_word, words)`: bit `j % 64` of `words[j/64 -
-    /// start_word]` is set iff `(i, j)` is stored, and every stored column
-    /// of the row satisfies `start_word ≤ j/64 < start_word + words.len()`
-    /// (the row's tile window — bits outside the window are implicitly
-    /// zero). This is the word surface the bit-parallel boolean kernels
-    /// AND/OR against; tail bits beyond `n_cols` in the last window word
-    /// are always zero.
-    fn row_word_span(&self, _i: usize) -> Option<(usize, &[u64])> {
-        None
-    }
-    /// `true` when [`RowAccess::row_word_span`] returns `Some` for every
-    /// row with stored entries — lets dispatchers pick the bit-parallel
-    /// kernel without probing. (Rows in fully-empty tiles may still return
-    /// `None`; kernels fall back to the scalar probe for those.)
-    fn has_row_words(&self) -> bool {
-        false
     }
 }
 
@@ -272,13 +253,12 @@ struct TileLoc {
 /// only the column word window `[start, start + width)` its edges span
 /// (banded and clustered graphs allocate narrow windows; empty tiles
 /// allocate nothing). Every row still starts on a word boundary inside
-/// its tile, so [`RowAccess::row_word_span`] hands the bit-parallel
-/// kernels an aligned `(start_word, words)` slice to AND/OR against. Tail
-/// bits beyond `n_cols`, and all bits outside a row's window, are zero.
+/// its tile ([`BitmapStore::row_word_span`]). Tail bits beyond `n_cols`,
+/// and all bits outside a row's window, are zero.
 ///
 /// Memory: `nnz` payload + 64·[`BitmapPlan::words`] bits; construction
 /// refuses plans whose *allocated* bits exceed [`BitmapStore::MAX_BITS`]
-/// (the planner only selects bitmap when the plan fits).
+/// (a forced bitmap whose plan does not fit is served as CSR).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BitmapStore<V> {
     // Shared, not copied: `Graph`'s format cache already holds the same
@@ -437,12 +417,6 @@ impl<V: Copy + Send + Sync> RowAccess<V> for BitmapStore<V> {
     }
     fn row_values(&self, i: usize) -> &[V] {
         self.csr.row_values(i)
-    }
-    fn row_word_span(&self, i: usize) -> Option<(usize, &[u64])> {
-        BitmapStore::row_word_span(self, i)
-    }
-    fn has_row_words(&self) -> bool {
-        true
     }
 }
 
@@ -713,15 +687,6 @@ impl<V: Copy + Send + Sync> RowAccess<V> for Storage<V> {
             Storage::Dcsr(d) => RowAccess::<V>::nonempty_rows(d),
         }
     }
-    fn row_word_span(&self, i: usize) -> Option<(usize, &[u64])> {
-        match self {
-            Storage::Csr(_) | Storage::Dcsr(_) => None,
-            Storage::Bitmap(b) => RowAccess::<V>::row_word_span(b, i),
-        }
-    }
-    fn has_row_words(&self) -> bool {
-        matches!(self, Storage::Bitmap(_))
-    }
 }
 
 #[cfg(test)]
@@ -837,23 +802,13 @@ mod tests {
         }
         let csr = Csr::from_coo(&coo);
         let b = BitmapStore::try_from_csr(&csr).expect("fits");
-        assert!(b.has_row_words());
         assert_eq!(b.arena_words(), 6);
         assert_eq!(b.row_word_span(0), Some((0, &[(1u64 << 63) | 1, 1][..])));
         assert_eq!(b.row_word_span(1), Some((0, &[0, 1u64 << 5][..])));
         assert_eq!(b.row_word_span(2), Some((0, &[2, 0][..])));
-        assert_eq!(
-            RowAccess::<bool>::row_word_span(&b, 2),
-            Some((0, &[2u64, 0][..]))
-        );
         // Membership agrees with the word layout across the pad boundary.
         assert!(b.has(0, 63) && b.has(0, 64) && b.has(1, 69));
         assert!(!b.has(1, 63) && !b.has(2, 69));
-        // CSR and DCSR expose no word surface.
-        assert!(!RowAccess::<bool>::has_row_words(&csr));
-        assert_eq!(RowAccess::<bool>::row_word_span(&csr, 0), None);
-        let d = Dcsr::from_csr(&csr);
-        assert!(!RowAccess::<bool>::has_row_words(&d));
     }
 
     #[test]

@@ -56,16 +56,6 @@ pub struct AccessCounters {
     /// unfused runs; excluded from [`AccessCounters::total`] because it
     /// records work *not* done.
     pub fused_saved_writes: AtomicU64,
-    /// `u64` word operations executed by the bit-parallel boolean kernels
-    /// (frontier-word packs, row-word AND scans, mask-word summaries). Each word
-    /// touches up to 64 edges, so comparing this tally against the scalar
-    /// kernels' per-edge `matrix` examinations makes the 64×-work claim
-    /// measurable. Telemetry, not a Table 1 access class; excluded from
-    /// [`AccessCounters::total`] and zeroed by
-    /// [`CounterSnapshot::accesses_only`] (scalar and bit runs charge
-    /// identical *access* totals by contract, while their word tallies
-    /// differ by construction).
-    pub bit_word_ops: AtomicU64,
     /// Plan resolutions that were asked for bitmap storage but had to
     /// serve CSR because the bit grid would exceed `MAX_BITS` — one per
     /// degraded call. Makes the silent `BitmapStore` fallback observable in
@@ -166,12 +156,6 @@ impl AccessCounters {
         self.fused_saved_writes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` `u64` word operations executed by a bit-parallel kernel.
-    #[inline]
-    pub fn add_bit_word_ops(&self, n: u64) {
-        self.bit_word_ops.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Record one bitmap→CSR degrade the planner was forced into.
     #[inline]
     pub fn add_bitmap_degrade(&self) {
@@ -205,7 +189,6 @@ impl AccessCounters {
             push_steps: self.push_steps.load(Ordering::Relaxed),
             pull_steps: self.pull_steps.load(Ordering::Relaxed),
             fused_saved_writes: self.fused_saved_writes.load(Ordering::Relaxed),
-            bit_word_ops: self.bit_word_ops.load(Ordering::Relaxed),
             bitmap_degrades: self.bitmap_degrades.load(Ordering::Relaxed),
             limit_degrades: self.limit_degrades.load(Ordering::Relaxed),
         }
@@ -220,7 +203,6 @@ impl AccessCounters {
         self.push_steps.store(0, Ordering::Relaxed);
         self.pull_steps.store(0, Ordering::Relaxed);
         self.fused_saved_writes.store(0, Ordering::Relaxed);
-        self.bit_word_ops.store(0, Ordering::Relaxed);
         self.bitmap_degrades.store(0, Ordering::Relaxed);
         self.limit_degrades.store(0, Ordering::Relaxed);
     }
@@ -238,7 +220,6 @@ impl AccessCounters {
         self.pull_steps.store(s.pull_steps, Ordering::Relaxed);
         self.fused_saved_writes
             .store(s.fused_saved_writes, Ordering::Relaxed);
-        self.bit_word_ops.store(s.bit_word_ops, Ordering::Relaxed);
         self.bitmap_degrades
             .store(s.bitmap_degrades, Ordering::Relaxed);
         self.limit_degrades
@@ -261,8 +242,6 @@ impl AccessCounters {
             .fetch_add(delta.pull_steps, Ordering::Relaxed);
         self.fused_saved_writes
             .fetch_add(delta.fused_saved_writes, Ordering::Relaxed);
-        self.bit_word_ops
-            .fetch_add(delta.bit_word_ops, Ordering::Relaxed);
         self.bitmap_degrades
             .fetch_add(delta.bitmap_degrades, Ordering::Relaxed);
         self.limit_degrades
@@ -461,9 +440,6 @@ pub struct CounterSnapshot {
     /// Intermediate writes avoided by fused pipelines (not an access; see
     /// [`AccessCounters::fused_saved_writes`]).
     pub fused_saved_writes: u64,
-    /// Word operations in the bit-parallel kernels (telemetry, not an
-    /// access; see [`AccessCounters::bit_word_ops`]).
-    pub bit_word_ops: u64,
     /// Bitmap→CSR planner degrades (a decision, not an access; see
     /// [`AccessCounters::bitmap_degrades`]).
     pub bitmap_degrades: u64,
@@ -495,26 +471,23 @@ impl CounterSnapshot {
             fused_saved_writes: self
                 .fused_saved_writes
                 .saturating_sub(earlier.fused_saved_writes),
-            bit_word_ops: self.bit_word_ops.saturating_sub(earlier.bit_word_ops),
             bitmap_degrades: self.bitmap_degrades.saturating_sub(earlier.bitmap_degrades),
             limit_degrades: self.limit_degrades.saturating_sub(earlier.limit_degrades),
         }
     }
 
     /// This snapshot with the pure-telemetry fields (`fused_saved_writes`,
-    /// `bit_word_ops`, `bitmap_degrades`, `limit_degrades`) zeroed — the
-    /// Table 1 access categories plus direction steps only. Fused and
-    /// unfused runs of the same computation must agree on this projection
-    /// (the equivalence contract `tests/fused_pipelines.rs` pins), and so
-    /// must bit-kernel and scalar-kernel runs and runs over different
-    /// storage formats (`tests/prop_core.rs`); the telemetry tallies
-    /// themselves differ by construction (only fused runs save writes,
-    /// only bit runs count words).
+    /// `bitmap_degrades`, `limit_degrades`) zeroed — the Table 1 access
+    /// categories plus direction steps only. Fused and unfused runs of the
+    /// same computation must agree on this projection (the equivalence
+    /// contract `tests/fused_pipelines.rs` pins), and so must runs over
+    /// different storage formats (`tests/prop_core.rs`); the telemetry
+    /// tallies themselves differ by construction (only fused runs save
+    /// writes, only forced-bitmap runs can degrade).
     #[must_use]
     pub fn accesses_only(&self) -> CounterSnapshot {
         CounterSnapshot {
             fused_saved_writes: 0,
-            bit_word_ops: 0,
             bitmap_degrades: 0,
             limit_degrades: 0,
             ..*self
@@ -538,7 +511,6 @@ mod tests {
         c.add_push_step();
         c.add_pull_step();
         c.add_fused_saved_writes(9);
-        c.add_bit_word_ops(5);
         c.add_bitmap_degrade();
         c.add_limit_degrade();
         let s = c.snapshot();
@@ -552,19 +524,13 @@ mod tests {
                 push_steps: 2,
                 pull_steps: 1,
                 fused_saved_writes: 9,
-                bit_word_ops: 5,
                 bitmap_degrades: 1,
                 limit_degrades: 1,
             }
         );
-        assert_eq!(
-            s.total(),
-            27,
-            "steps, saved writes, word ops are not accesses"
-        );
+        assert_eq!(s.total(), 27, "steps and saved writes are not accesses");
         assert_eq!(c.total(), 27);
         assert_eq!(s.accesses_only().fused_saved_writes, 0);
-        assert_eq!(s.accesses_only().bit_word_ops, 0);
         assert_eq!(s.accesses_only().bitmap_degrades, 0);
         assert_eq!(s.accesses_only().limit_degrades, 0);
         assert_eq!(s.accesses_only().matrix, 15);
@@ -572,7 +538,6 @@ mod tests {
         assert_eq!(c.total(), 0);
         assert_eq!(c.snapshot().push_steps, 0);
         assert_eq!(c.snapshot().fused_saved_writes, 0);
-        assert_eq!(c.snapshot().bit_word_ops, 0);
         assert_eq!(c.snapshot().bitmap_degrades, 0);
         assert_eq!(c.snapshot().limit_degrades, 0);
     }
@@ -597,14 +562,12 @@ mod tests {
         let base = private.snapshot();
         private.add_matrix(10);
         private.add_push_step();
-        private.add_bit_word_ops(3);
         let shared = AccessCounters::new();
         shared.add_matrix(5);
         shared.absorb(&private.snapshot().delta_since(&base));
         let s = shared.snapshot();
         assert_eq!(s.matrix, 15);
         assert_eq!(s.push_steps, 1);
-        assert_eq!(s.bit_word_ops, 3);
         // Saturating: a restored (rolled-back) private counter folds as 0.
         private.restore(&base);
         shared.absorb(&private.snapshot().delta_since(&base));

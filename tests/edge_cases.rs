@@ -441,241 +441,6 @@ fn fused_algorithms_survive_self_loops() {
     assert_eq!(fused_cc.labels, unfused_cc.labels);
 }
 
-// ---------------------------------------------------------------------------
-// Bit-kernel boundary cases
-// ---------------------------------------------------------------------------
-
-#[test]
-fn bit_kernels_match_scalar_at_word_boundaries() {
-    // n straddling the u64 word boundary: 63 (one partial word), 64 (exactly
-    // one), 65 (a full word plus one bit), 128 (exactly two). A ring with
-    // chords gives every row a few neighbours. Only the pull face has a bit
-    // path; push runs the scalar column kernel either way.
-    use push_pull::core::ops::BoolStructure;
-    use push_pull::core::StorageFormat;
-    for n in [63usize, 64, 65, 128] {
-        let mut coo = Coo::new(n, n);
-        for u in 0..n as u32 {
-            coo.push(u, (u + 1) % n as u32, true);
-            coo.push(u, (u + 7) % n as u32, true);
-        }
-        coo.clean_undirected();
-        let g = Graph::from_coo(&coo);
-        let f = Vector::from_sparse(n, false, vec![0, (n - 1) as u32], vec![true; 2]);
-        let dir = Direction::Pull;
-        for masked in [false, true] {
-            let bits = {
-                let mut b = BitVec::new(n);
-                for i in (0..n).step_by(3) {
-                    b.set(i);
-                }
-                b
-            };
-            let mask = Mask::complement(&bits);
-            let run = |bit: bool| {
-                let c = AccessCounters::new();
-                let desc = Descriptor::new()
-                    .transpose(true)
-                    .structure_only(true)
-                    .early_exit(true)
-                    .force(dir)
-                    .force_format(StorageFormat::Bitmap)
-                    .bit_kernels(bit);
-                let m = masked.then_some(&mask);
-                let out: Vector<bool> = mxv(m, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
-                (
-                    out.iter_explicit().collect::<Vec<_>>(),
-                    c.snapshot().accesses_only(),
-                )
-            };
-            assert_eq!(run(true), run(false), "n={n} {dir:?} masked={masked}");
-        }
-    }
-}
-
-#[test]
-fn bit_kernels_empty_and_full_frontier_match_scalar() {
-    // The two frontier extremes on the pull face (the one with a bit path):
-    // an empty frontier must produce nothing on either path; a full frontier
-    // saturates every word of the bit context. Both must be value- and
-    // counter-identical to scalar.
-    use push_pull::core::ops::BoolStructure;
-    use push_pull::core::StorageFormat;
-    let n = 128;
-    let g = star(n);
-    let empty = Vector::<bool>::new_sparse(n, false);
-    let full = Vector::from_sparse(n, false, (0..n as u32).collect(), vec![true; n]);
-    for (name, f) in [("empty", &empty), ("full", &full)] {
-        let dir = Direction::Pull;
-        let run = |bit: bool| {
-            let c = AccessCounters::new();
-            let desc = Descriptor::new()
-                .transpose(true)
-                .structure_only(true)
-                .force(dir)
-                .force_format(StorageFormat::Bitmap)
-                .bit_kernels(bit);
-            let out: Vector<bool> = mxv(None, BoolStructure, &g, f, &desc, Some(&c)).unwrap();
-            (
-                out.iter_explicit().collect::<Vec<_>>(),
-                c.snapshot().accesses_only(),
-            )
-        };
-        let (vals, counts) = run(true);
-        assert_eq!((vals.clone(), counts), run(false), "{name} {dir:?}");
-        if name == "empty" {
-            assert!(vals.is_empty(), "{dir:?}: empty frontier reaches nothing");
-        }
-    }
-}
-
-#[test]
-fn bit_bfs_matches_scalar_at_word_boundaries() {
-    // Whole-algorithm pin at the same boundary sizes: BFS under a forced
-    // Bitmap format with bit kernels on/off must agree on depths and on the
-    // projected counter snapshot, and both must match the serial oracle.
-    use push_pull::core::{FormatChoice, StorageFormat};
-    for n in [63usize, 64, 65, 128] {
-        let g = star(n);
-        let run = |bit: bool| {
-            let c = AccessCounters::new();
-            let opts = BfsOpts::default()
-                .format(FormatChoice::Force(StorageFormat::Bitmap))
-                .bit_kernels(bit);
-            let r = bfs_with_opts(&g, 1, &opts, Some(&c));
-            (r.depths, c.snapshot().accesses_only())
-        };
-        let (depths, counts) = run(true);
-        assert_eq!((depths.clone(), counts), run(false), "n={n}");
-        assert_eq!(depths, bfs_serial(&g, 1), "n={n}");
-    }
-}
-
-#[test]
-fn bit_kernels_match_scalar_across_tile_boundaries() {
-    // The tiled bitmap's seams: n one short of a tile, one over, and a
-    // 3-tile graph whose middle tile is empty (its rows have no word
-    // surface) with a single edge landing in the last tile. Bit and
-    // scalar pull arms must agree on values and projected charges
-    // everywhere.
-    use push_pull::core::ops::BoolStructure;
-    use push_pull::core::StorageFormat;
-    use push_pull::matrix::TILE_ROWS;
-    let sizes = [TILE_ROWS - 1, TILE_ROWS + 1, 3 * TILE_ROWS];
-    for n in sizes {
-        let mut coo = Coo::new(n, n);
-        // A short path in the first tile…
-        coo.push(0, 1, true);
-        coo.push(1, 2, true);
-        // …and one edge from the first tile into the last row (for the
-        // 3-tile size this leaves the middle tile completely empty).
-        coo.push(2, (n - 1) as u32, true);
-        coo.clean_undirected();
-        let g = Graph::from_coo(&coo);
-        let f = Vector::from_sparse(n, false, vec![1, (n - 1) as u32], vec![true; 2]);
-        let dir = Direction::Pull;
-        for masked in [false, true] {
-            let bits = {
-                let mut b = BitVec::new(n);
-                b.set(0);
-                b.set(n - 1);
-                b
-            };
-            let mask = Mask::complement(&bits);
-            let run = |bit: bool| {
-                let c = AccessCounters::new();
-                let desc = Descriptor::new()
-                    .transpose(true)
-                    .structure_only(true)
-                    .early_exit(true)
-                    .force(dir)
-                    .force_format(StorageFormat::Bitmap)
-                    .bit_kernels(bit);
-                let m = masked.then_some(&mask);
-                let out: Vector<bool> = mxv(m, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
-                (
-                    out.iter_explicit().collect::<Vec<_>>(),
-                    c.snapshot().accesses_only(),
-                )
-            };
-            assert_eq!(run(true), run(false), "n={n} {dir:?} masked={masked}");
-        }
-        // Whole-algorithm pin from a source whose frontier crosses every
-        // seam, against the serial oracle.
-        use push_pull::core::FormatChoice;
-        let run = |bit: bool| {
-            let c = AccessCounters::new();
-            let opts = BfsOpts::default()
-                .format(FormatChoice::Force(StorageFormat::Bitmap))
-                .bit_kernels(bit);
-            let r = bfs_with_opts(&g, 0, &opts, Some(&c));
-            (r.depths, c.snapshot().accesses_only())
-        };
-        let (depths, counts) = run(true);
-        assert_eq!((depths.clone(), counts), run(false), "n={n}");
-        assert_eq!(depths, bfs_serial(&g, 0), "n={n}");
-    }
-}
-
-#[test]
-fn compressed_frontier_matches_dense_scalar_oracle() {
-    // n = 512 (8 frontier words): a single-vertex frontier occupies one
-    // nonzero word, so the bit kernels pick the compressed sparse word
-    // list internally; a half-full frontier stays dense. Both shapes must
-    // be value- and charge-identical to the scalar pull oracle.
-    use push_pull::core::ops::BoolStructure;
-    use push_pull::core::StorageFormat;
-    let n = 512usize;
-    let mut coo = Coo::new(n, n);
-    for u in 0..n as u32 {
-        coo.push(u, (u + 1) % n as u32, true);
-        coo.push(u, (u + 63) % n as u32, true);
-        coo.push(u, (u + 200) % n as u32, true);
-    }
-    coo.clean_undirected();
-    let g = Graph::from_coo(&coo);
-    let sparse_f = Vector::from_sparse(n, false, vec![7], vec![true]);
-    let dense_f = Vector::from_sparse(
-        n,
-        false,
-        (0..n as u32).step_by(2).collect(),
-        vec![true; n / 2],
-    );
-    for (name, f) in [("compressed", &sparse_f), ("dense", &dense_f)] {
-        let dir = Direction::Pull;
-        let run = |bit: bool| {
-            let c = AccessCounters::new();
-            let desc = Descriptor::new()
-                .transpose(true)
-                .structure_only(true)
-                .early_exit(true)
-                .force(dir)
-                .force_format(StorageFormat::Bitmap)
-                .bit_kernels(bit);
-            let out: Vector<bool> = mxv(None, BoolStructure, &g, f, &desc, Some(&c)).unwrap();
-            (
-                out.iter_explicit().collect::<Vec<_>>(),
-                c.snapshot().accesses_only(),
-            )
-        };
-        assert_eq!(run(true), run(false), "{name} {dir:?}");
-    }
-    // End-to-end: BFS frontiers start compressed (one word) and densify;
-    // depths and projected charges must still match the scalar arm.
-    use push_pull::core::FormatChoice;
-    let run = |bit: bool| {
-        let c = AccessCounters::new();
-        let opts = BfsOpts::default()
-            .format(FormatChoice::Force(StorageFormat::Bitmap))
-            .bit_kernels(bit);
-        let r = bfs_with_opts(&g, 7, &opts, Some(&c));
-        (r.depths, c.snapshot().accesses_only())
-    };
-    let (depths, counts) = run(true);
-    assert_eq!((depths.clone(), counts), run(false));
-    assert_eq!(depths, bfs_serial(&g, 7));
-}
-
 #[test]
 fn fused_state_slice_dimension_mismatch_is_an_error() {
     let g = star(8);

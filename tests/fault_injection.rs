@@ -128,8 +128,7 @@ proptest! {
         let g = rmat(12, 16, RmatParams::default(), 23);
         // Force pull over the CSR row kernel, which always chunks through
         // the pool (a thin push frontier can stay under the column
-        // kernel's grain, and the small graph's feasible bitmap store
-        // would route levels into the bit-parallel kernels instead).
+        // kernel's grain).
         let opts = BfsOpts {
             force: Some(Direction::Pull),
             format: FormatChoice::Force(StorageFormat::Csr),

@@ -43,27 +43,22 @@ fn forced_directions_agree_on_every_dataset_class() {
 
 #[test]
 fn default_bfs_direction_format_plans_match_golden_sequences() {
-    // Default BFS's per-level (direction, store) plans, pinned against
-    // sequences captured from the two-consecutive format debounce the
-    // planner's hold-one-level rule replaced. `P`/`L` = push/pull,
-    // `c`/`b` = CSR/bitmap, `*k` = k levels in a row.
+    // Default BFS's per-level (direction, store) plans on three suite
+    // graphs. `P`/`L` = push/pull, `c`/`d` = CSR/DCSR, `*k` = k levels in
+    // a row.
     use push_pull::core::StorageFormat;
     let golden = [
         (
             "kron",
             [
-                (0, "Pc Lc Lb Pb"),
-                (1365, "Pc*2 Lc Lb Pb"),
-                (2730, "Pc*2 Lc Lb Pb"),
+                (0, "Pc Lc*2 Pc"),
+                (1365, "Pc*2 Lc*2 Pc"),
+                (2730, "Pc*2 Lc*2 Pc"),
             ],
         ),
         (
             "soc-lj",
-            [
-                (0, "Pc Lc Lb*2"),
-                (3125, "Pc*2 Lc Lb*2 Pb"),
-                (6250, "Pc*2 Lc Lb*2"),
-            ],
+            [(0, "Pc Lc*3"), (3125, "Pc*2 Lc*3 Pc"), (6250, "Pc*2 Lc*3")],
         ),
         (
             "roadnet",

@@ -499,8 +499,8 @@ proptest! {
     /// Whole-algorithm format equivalence on random power-law/Erdős
     /// graphs: BFS, parent BFS, CC, SSSP, PageRank, msbfs, and batched BC
     /// under `Force(Bitmap)`, `Force(Dcsr)`, and `Auto` are bit-identical
-    /// in results and in every counter except the bit-word and degrade
-    /// tallies (which only bitmap runs charge) to the `Force(Csr)` oracle.
+    /// in results and in every counter except the degrade tallies to the
+    /// `Force(Csr)` oracle.
     #[test]
     fn algorithms_formats_match_csr_oracle(
         seed in 0u64..500,
@@ -540,7 +540,6 @@ proptest! {
         // projection keeps `fused_saved_writes` alongside the accesses.
         fn format_projection(c: &AccessCounters) -> CounterSnapshot {
             CounterSnapshot {
-                bit_word_ops: 0,
                 bitmap_degrades: 0,
                 limit_degrades: 0,
                 ..c.snapshot()
@@ -604,125 +603,12 @@ proptest! {
             }
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Bit-parallel kernel equivalence: the u64-word boolean kernels against the
-// scalar oracle — identical values AND identical projected access charges on
-// arbitrary Erdős/power-law graphs (`bit_word_ops` is telemetry that the
-// `accesses_only` projection zeroes, so the comparison is exact).
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Pull `mxv` over the bitmap store with the bit kernels on vs off:
-    /// same explicit set, same projected counters — masked and unmasked,
-    /// with and without the early exit. (The push face has no bit path.)
-    #[test]
-    fn bit_mxv_matches_scalar_oracle(
-        seed in 0u64..2000,
-        power_law in any::<bool>(),
-        n_raw in 24usize..100,
-        f_ids in prop::collection::vec(0usize..100, 0..30),
-        m_ids in prop::collection::vec(0usize..100, 0..40),
-        masked in any::<bool>(),
-        complement in any::<bool>(),
-        early_exit in any::<bool>(),
-    ) {
-        use push_pull::core::ops::BoolStructure;
-        use push_pull::core::StorageFormat;
-        let g = if power_law {
-            chung_lu(n_raw, 6, PowerLawParams::default(), seed)
-        } else {
-            erdos_renyi(n_raw, n_raw * 4, seed)
-        };
-        let n = g.n_vertices();
-        let f = sparse_bool_vector(n, &f_ids);
-        let mut bits = BitVec::new(n);
-        for &i in &m_ids {
-            if i < n {
-                bits.set(i);
-            }
-        }
-        let mask = if complement { Mask::complement(&bits) } else { Mask::new(&bits) };
-        let run = |bit: bool| {
-            let desc = Descriptor::new()
-                .transpose(true)
-                .structure_only(true)
-                .early_exit(early_exit)
-                .force(Direction::Pull)
-                .force_format(StorageFormat::Bitmap)
-                .bit_kernels(bit);
-            let c = AccessCounters::new();
-            let w: Vector<bool> =
-                mxv(masked.then_some(&mask), BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
-            (explicit_set(&w), c.snapshot())
-        };
-        let (bit_set, bit_snap) = run(true);
-        let (scalar_set, scalar_snap) = run(false);
-        prop_assert_eq!(bit_set, scalar_set, "values");
-        prop_assert_eq!(
-            bit_snap.accesses_only(),
-            scalar_snap.accesses_only(),
-            "projected charges"
-        );
-    }
-
-    /// Tile-boundary shapes: n sampled one short of / exactly at / one past
-    /// a multiple of `TILE_ROWS`, with few enough edges that whole tiles go
-    /// empty (their rows have no word surface and fall back to the scalar
-    /// probe) and single-word frontiers compress. The bit pull must stay
-    /// value- and charge-identical to the scalar oracle through all of it.
-    #[test]
-    fn bit_tiled_store_matches_scalar_on_boundary_shapes(
-        tiles in 1usize..5,
-        off in 0i32..3,
-        edges in prop::collection::vec((0usize..320, 0usize..320), 1..40),
-        f_ids in prop::collection::vec(0usize..320, 1..20),
-        early_exit in any::<bool>(),
-    ) {
-        use push_pull::core::ops::BoolStructure;
-        use push_pull::core::StorageFormat;
-        use push_pull::matrix::TILE_ROWS;
-        let n = ((tiles * TILE_ROWS) as i32 + off - 1).max(2) as usize;
-        let mut coo = Coo::new(n, n);
-        for (u, v) in edges {
-            let (u, v) = (u % n, v % n);
-            if u != v {
-                coo.push(u as u32, v as u32, true);
-            }
-        }
-        coo.dedup(|a, _| a);
-        let g = Graph::from_coo(&coo);
-        let f = sparse_bool_vector(n, &f_ids.iter().map(|&i| i % n).collect::<Vec<_>>());
-        let run = |bit: bool| {
-            let desc = Descriptor::new()
-                .transpose(true)
-                .structure_only(true)
-                .early_exit(early_exit)
-                .force(Direction::Pull)
-                .force_format(StorageFormat::Bitmap)
-                .bit_kernels(bit);
-            let c = AccessCounters::new();
-            let w: Vector<bool> =
-                mxv(None, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
-            (explicit_set(&w), c.snapshot())
-        };
-        let (bit_set, bit_snap) = run(true);
-        let (scalar_set, scalar_snap) = run(false);
-        prop_assert_eq!(bit_set, scalar_set, "values");
-        prop_assert_eq!(
-            bit_snap.accesses_only(),
-            scalar_snap.accesses_only(),
-            "projected charges"
-        );
-    }
-
-    /// Whole-algorithm bit equivalence: BFS depths and min-parent trees
-    /// under `Force(Bitmap)` with the bit kernels on vs off are identical
-    /// in values and projected charges, fused and unfused; the measured
-    /// cost-model direction rule reaches the same depths.
+    /// BFS depths and min-parent trees under `Force(Bitmap)` (the scalar
+    /// kernels over the store's CSR rows) equal the `Force(Csr)` run in
+    /// values and projected charges, fused and unfused, and the depths
+    /// equal the serial oracle; the measured cost-model direction rule
+    /// reaches the same depths.
     #[test]
     fn bit_algorithms_match_scalar_oracle(
         seed in 0u64..1000,
@@ -742,43 +628,39 @@ proptest! {
         };
         let n = g.n_vertices();
         let source = (source_bits % n) as u32;
-        let fmt = FormatChoice::Force(StorageFormat::Bitmap);
 
-        let bfs_run = |bit: bool| {
+        let bfs_run = |fmt: StorageFormat| {
             let c = AccessCounters::new();
-            let opts = BfsOpts { fused, ..BfsOpts::default() }
-                .format(fmt)
-                .bit_kernels(bit);
+            let opts = BfsOpts { fused, ..BfsOpts::default() }.format(FormatChoice::Force(fmt));
             let r = bfs_with_opts(&g, source, &opts, Some(&c));
             (r.depths, c.snapshot().accesses_only())
         };
-        let (d_bit, a_bit) = bfs_run(true);
-        let (d_scalar, a_scalar) = bfs_run(false);
-        prop_assert_eq!(&d_bit, &d_scalar, "bit BFS depths");
-        prop_assert_eq!(a_bit, a_scalar, "bit BFS projected charges");
+        let (d_bitmap, a_bitmap) = bfs_run(StorageFormat::Bitmap);
+        let (d_csr, a_csr) = bfs_run(StorageFormat::Csr);
+        prop_assert_eq!(&d_bitmap, &d_csr, "bitmap BFS depths");
+        prop_assert_eq!(a_bitmap, a_csr, "bitmap BFS projected charges");
         prop_assert_eq!(
-            &d_bit,
+            &d_csr,
             &push_pull::baselines::textbook::bfs_serial(&g, source)
         );
 
-        let parents_run = |bit: bool| {
+        let parents_run = |fmt: StorageFormat| {
             let c = AccessCounters::new();
             let opts = ParentBfsOpts {
                 fused,
-                format: fmt,
-                bit_kernels: bit,
+                format: FormatChoice::Force(fmt),
                 ..ParentBfsOpts::default()
             };
             let r = bfs_parents_with_opts(&g, source, &opts, Some(&c));
             (r.parent, c.snapshot().accesses_only())
         };
-        let (p_bit, pa_bit) = parents_run(true);
-        let (p_scalar, pa_scalar) = parents_run(false);
-        prop_assert_eq!(p_bit, p_scalar, "bit parent tree");
-        prop_assert_eq!(pa_bit, pa_scalar, "bit parents projected charges");
+        let (p_bitmap, pa_bitmap) = parents_run(StorageFormat::Bitmap);
+        let (p_csr, pa_csr) = parents_run(StorageFormat::Csr);
+        prop_assert_eq!(p_bitmap, p_csr, "bitmap parent tree");
+        prop_assert_eq!(pa_bitmap, pa_csr, "bitmap parents projected charges");
 
         // The measured cost-model direction rule stays exact too.
         let r = bfs_with_opts(&g, source, &BfsOpts::default().cost_model(true), None);
-        prop_assert_eq!(&r.depths, &d_scalar, "cost-model depths");
+        prop_assert_eq!(&r.depths, &d_csr, "cost-model depths");
     }
 }

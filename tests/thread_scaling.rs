@@ -435,93 +435,15 @@ fn algorithms_under_fixed_formats_identical_across_thread_counts() {
 }
 
 #[test]
-fn bit_kernels_identical_across_thread_counts() {
-    // The bit-parallel boolean kernels: explicit sets and the FULL counter
-    // snapshot (including the bit_word_ops telemetry — word scans are
-    // size-derived, never lane-derived) pinned at 1/2/8 lanes on the pull
-    // face (the one with a bit path), masked and unmasked, and the whole
-    // bit BFS on top.
-    use push_pull::algo::bfs::bfs;
-    use push_pull::core::ops::BoolStructure;
-    use push_pull::core::{FormatChoice, StorageFormat};
+fn cost_model_bfs_identical_across_thread_counts() {
+    // The measured cost-model direction rule: depths and the full counter
+    // snapshot pinned at 1/2/8 lanes.
     let g = test_graph();
-    let n = g.n_vertices();
-    let (mut f, bits) = frontier_and_visited(n);
-    f.make_dense();
-    for masked in [false, true] {
-        for early_exit in [false, true] {
-            let desc = Descriptor::new()
-                .transpose(true)
-                .structure_only(true)
-                .early_exit(early_exit)
-                .force(Direction::Pull)
-                .force_format(StorageFormat::Bitmap)
-                .bit_kernels(true);
-            identical_across_lanes(|| {
-                let mask = Mask::complement(&bits);
-                let c = AccessCounters::new();
-                let w: Vector<bool> = mxv(
-                    masked.then_some(&mask),
-                    BoolStructure,
-                    &g,
-                    &f,
-                    &desc,
-                    Some(&c),
-                )
-                .unwrap();
-                (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
-            });
-        }
-    }
-    // Whole-algorithm: bit BFS (fixed bitmap) and the cost-model rule.
-    identical_across_lanes(|| {
-        let c = AccessCounters::new();
-        let opts = BfsOpts::default()
-            .format(FormatChoice::Force(StorageFormat::Bitmap))
-            .bit_kernels(true);
-        let r = bfs_with_opts(&g, 3, &opts, Some(&c));
-        (r.depths, c.snapshot())
-    });
     identical_across_lanes(|| {
         let c = AccessCounters::new();
         let r = bfs_with_opts(&g, 3, &BfsOpts::default().cost_model(true), Some(&c));
         (r.depths, c.snapshot())
     });
-    identical_across_lanes(|| bfs(&g, 3).depths);
-}
-
-#[test]
-fn bit_kernels_at_tile_boundaries_identical_across_thread_counts() {
-    // Tiled-bitmap seams under the pool: n one short of / one past a tile,
-    // and a 3-tile graph with an empty middle tile, plus a single-word
-    // frontier that the bit pull compresses internally. FULL snapshots
-    // (including bit_word_ops) pinned at 1/2/8 lanes.
-    use push_pull::core::ops::BoolStructure;
-    use push_pull::core::StorageFormat;
-    use push_pull::matrix::{Coo, Graph, TILE_ROWS};
-    for n in [TILE_ROWS - 1, TILE_ROWS + 1, 3 * TILE_ROWS, 512] {
-        let mut coo = Coo::new(n, n);
-        coo.push(0, 1, true);
-        coo.push(1, 2, true);
-        coo.push(2, (n - 1) as u32, true);
-        coo.clean_undirected();
-        let g = Graph::from_coo(&coo);
-        // Single explicit vertex → one nonzero frontier word; at n = 512
-        // (8 words) the bit context takes the compressed word-list shape.
-        let f = Vector::from_sparse(n, false, vec![2], vec![true]);
-        let desc = Descriptor::new()
-            .transpose(true)
-            .structure_only(true)
-            .early_exit(true)
-            .force(Direction::Pull)
-            .force_format(StorageFormat::Bitmap)
-            .bit_kernels(true);
-        identical_across_lanes(|| {
-            let c = AccessCounters::new();
-            let w: Vector<bool> = mxv(None, BoolStructure, &g, &f, &desc, Some(&c)).unwrap();
-            (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
-        });
-    }
 }
 
 #[test]
