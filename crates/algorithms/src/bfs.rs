@@ -280,7 +280,7 @@ pub fn try_bfs_with_opts(
     run_guarded(counters, &opts.limits, |c| dispatch_bfs(g, source, opts, c))
 }
 
-fn dispatch_bfs(
+pub(crate) fn dispatch_bfs(
     g: &Graph<bool>,
     source: VertexId,
     opts: &BfsOpts,

@@ -1,51 +1,62 @@
 //! Batch entries — coalescing independent single-source queries into one
 //! batched traversal while each query keeps its own counters and limits.
 //!
-//! This is the algorithm-level face of per-request attribution
-//! ([`mxv_batch_attributed`]): a [`BatchEntry`] couples a source vertex
-//! with its own [`ExecLimits`] and [`AccessCounters`], and the
-//! `*_entries` drivers below advance all entries together — one
-//! [`MultiVector`] batch per level, exactly the msbfs/mxv_batch machinery
-//! — while every kernel charge lands on the owning entry's counters.
+//! A [`BatchEntry`] couples a source vertex with its own [`ExecLimits`]
+//! and [`AccessCounters`]. The BFS-family functions
+//! ([`multi_source_bfs_entries`], [`bfs_parents_entries`]) run entries in
+//! lane groups of at most 64: one shared traversal over bit-packed lane
+//! words ([`crate::msbfs`]), one pull sweep and one push sweep per level
+//! for every lane, each lane under its own §6.3 direction policy. A group
+//! of one runs the single-source fused path instead, with the entry's
+//! counters and limits. [`sssp_entries`] advances its entries through one
+//! attributed [`mxv_batch_attributed`] call per round, each row's charges
+//! landing on its entry.
+//!
+//! **Counter contract.** Every entry's values, level count and push/pull
+//! steps are identical to its solo run. In a shared group of two or more,
+//! each sweep's charges are split evenly among the lanes that sweep
+//! served, the remainder to the lowest entry indices, so the entries'
+//! bills sum exactly to the group's total; that total reads the matrix at
+//! most as often as the members' solo runs together. SSSP entries keep the
+//! per-row bill of a solo run exactly.
+//!
 //! Each entry resolves independently:
 //!
 //! * **Completed** entries return `Ok` with their result; their counters
-//!   keep the run's tallies (limits uninstalled), so a coalesced entry's
-//!   snapshot is bit-identical to running it alone through the same
-//!   driver (`tests/service_equivalence.rs` pins this at 1/2/8 lanes).
+//!   keep the run's tallies (limits uninstalled).
 //! * **Tripped** entries (their own deadline or budget) abort with the
-//!   typed error ([`GrbError::Cancelled`] / [`GrbError::BudgetExceeded`])
-//!   at the end of the level that tripped; their counters are restored to
-//!   the entry baseline so an immediate retry is bit-identical to a fresh
-//!   run. Sibling entries are untouched — the tripped entry's kernel rows
-//!   bail with identity results that are discarded here.
+//!   typed error ([`GrbError::Cancelled`] / [`GrbError::BudgetExceeded`]);
+//!   their counters are restored to the entry baseline so an immediate
+//!   retry is bit-identical to a fresh run, and their siblings' values are
+//!   untouched. Each entry charges its own output array to its bytes
+//!   budget before the first level; a shared group polls deadline and work
+//!   budget on each entry's counters at every level boundary, so a
+//!   coalesced entry overshoots its deadline by at most one level of its
+//!   group.
 //! * A **worker-chunk panic** or a batch-wide error (shared-counter trip,
 //!   dimension mismatch) aborts every still-live entry with the same
 //!   typed error ([`GrbError::WorkerPanicked`] carries the chunk); the
 //!   caller decides whether to de-coalesce and retry solo.
 //!
 //! Batch-scoped charges that no single request owns — storage-conversion
-//! bytes and `bitmap_degrades` of the batch's store — go to the `shared`
-//! counters, as they do in a solo run through this driver, so full
-//! per-entry snapshots compare equal between coalesced and solo
-//! executions.
+//! bytes and `bitmap_degrades` of the group's stores — go to the `shared`
+//! counters, which also receive the fold of every entry's bill.
 
 use std::panic::{self, AssertUnwindSafe};
 
-use graphblas_core::descriptor::{Descriptor, Direction};
-use graphblas_core::exec::stop_error;
-use graphblas_core::mask::Mask;
-use graphblas_core::ops::{BoolStructure, MinSecond};
+use graphblas_core::descriptor::Direction;
+use graphblas_core::exec::{panic_message, stop_error};
 use graphblas_core::vector::{MultiVector, Vector};
 use graphblas_core::{
-    mxv_batch_attributed, DenseVector, DirectionPolicy, ExecLimits, GrbError, GrbResult, MinPlus,
+    mxv_batch_attributed, DenseVector, Descriptor, DirectionPolicy, ExecLimits, GrbError,
+    GrbResult, MinPlus, MAX_LANES,
 };
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
-use graphblas_primitives::BitVec;
 
-use crate::bfs_parents::{ParentBfsOpts, NO_PARENT};
-use crate::msbfs::{MsBfsOpts, UNREACHED};
+use crate::bfs::{try_bfs_with_opts, BfsOpts};
+use crate::bfs_parents::{try_bfs_parents_with_opts, ParentBfsOpts};
+use crate::msbfs::{run_group, GroupSpec, LaneDone, LaneValues, MsBfsOpts, Record};
 use crate::sssp::SsspOpts;
 
 /// One coalesced query: a source plus its own limits and counter set.
@@ -87,7 +98,8 @@ impl<'a> BatchEntry<'a> {
 /// [`MsBfsResult`](crate::msbfs::MsBfsResult)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EntryBfs {
-    /// `depths[v]` = depth of `v`; [`UNREACHED`] where unreached.
+    /// `depths[v]` = depth of `v`; [`UNREACHED`](crate::msbfs::UNREACHED)
+    /// where unreached.
     pub depths: Vec<i32>,
     /// Levels this source executed (its frontier emptied at this level).
     pub levels: usize,
@@ -96,7 +108,8 @@ pub struct EntryBfs {
 /// Per-entry parent-BFS result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EntryParents {
-    /// `parent[v]` = minimum-id BFS parent; [`NO_PARENT`] where unreached.
+    /// `parent[v]` = minimum-id BFS parent;
+    /// [`NO_PARENT`](crate::bfs_parents::NO_PARENT) where unreached.
     pub parent: Vec<u32>,
     /// Levels this source executed.
     pub levels: usize,
@@ -176,18 +189,6 @@ impl<'a, 'b, R> Board<'a, 'b, R> {
     }
 }
 
-/// Best-effort rendering of a panic payload (mirrors `exec`'s private
-/// helper) for [`GrbError::WorkerPanicked`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// One batched kernel call with the `run_guarded` panic contract: a pool
 /// chunk panic becomes a typed batch-wide error; any other panic cleans
 /// up the still-live entries and re-throws (caller bug).
@@ -213,240 +214,147 @@ fn catch_batch<R, T>(
     }
 }
 
-/// Coalesced multi-source BFS: each entry's depths and counter snapshot
-/// are bit-identical to a solo (`k = 1`) run through this same driver.
+/// Run BFS-family entries in consecutive lane groups of at most
+/// [`MAX_LANES`]. A group of one runs `solo` — the single-source fused
+/// path under the entry's own limits and counters — and its bill folds
+/// into `shared`; a larger group runs one shared traversal (`run_group`)
+/// with each entry's limits installed on its counters for the duration.
+fn run_entries<R>(
+    g: &Graph<bool>,
+    entries: &[BatchEntry<'_>],
+    spec: &GroupSpec<'_>,
+    solo: impl Fn(&BatchEntry<'_>) -> GrbResult<R>,
+    finish: impl Fn(LaneDone) -> R,
+) -> Vec<GrbResult<R>> {
+    let n = g.n_vertices();
+    for e in entries {
+        assert!((e.source as usize) < n, "source out of range");
+    }
+    let mut out = Vec::with_capacity(entries.len());
+    for chunk in entries.chunks(MAX_LANES) {
+        if let [e] = chunk {
+            let before = e.counters.snapshot();
+            out.push(solo(e));
+            if let Some(c) = spec.shared {
+                c.absorb(&e.counters.snapshot().delta_since(&before));
+            }
+            continue;
+        }
+        let mut board: Board<'_, '_, R> = Board::new(chunk);
+        let sources: Vec<VertexId> = chunk.iter().map(|e| e.source).collect();
+        let bills: Vec<&AccessCounters> = chunk.iter().map(|e| e.counters).collect();
+        let all: Vec<usize> = (0..chunk.len()).collect();
+        let group = GroupSpec {
+            sources: &sources,
+            policy: spec.policy.clone(),
+            bills: Some(&bills),
+            ..*spec
+        };
+        let lanes = match catch_batch(&mut board, &all, || Ok(run_group(g, &group))) {
+            Ok(lanes) => lanes,
+            Err(e) => all.iter().map(|_| Err(e.clone())).collect(),
+        };
+        for (i, lane) in lanes.into_iter().enumerate() {
+            match lane {
+                Ok(done) => board.complete(i, finish(done)),
+                Err(e) => board.abort(i, e),
+            }
+        }
+        out.extend(board.finish());
+    }
+    out
+}
+
+/// Coalesced multi-source BFS: each entry's depths, levels and push/pull
+/// steps equal its solo run's ([`crate::bfs::try_bfs_with_opts`] under
+/// `opts.solo()` and the entry's limits). In a group of two or more, the
+/// entries share one traversal and split its charges (see the module doc).
+///
+/// # Panics
+/// If an entry's source is out of range (the service validates first).
 pub fn multi_source_bfs_entries(
     g: &Graph<bool>,
     entries: &[BatchEntry<'_>],
     opts: &MsBfsOpts,
     shared: Option<&AccessCounters>,
 ) -> Vec<GrbResult<EntryBfs>> {
-    let n = g.n_vertices();
-    let k = entries.len();
-    for e in entries {
-        assert!((e.source as usize) < n, "source out of range");
-    }
-    let mut board: Board<'_, '_, EntryBfs> = Board::new(entries);
-
-    let mut frontiers: Vec<Vector<bool>> = entries
-        .iter()
-        .map(|e| Vector::singleton(n, false, e.source, true))
-        .collect();
-    let mut visited: Vec<BitVec> = entries
-        .iter()
-        .map(|e| {
-            let mut b = BitVec::new(n);
-            b.set(e.source as usize);
-            b
-        })
-        .collect();
-    let mut depths: Vec<Vec<i32>> = entries
-        .iter()
-        .map(|e| {
-            let mut d = vec![UNREACHED; n];
-            d[e.source as usize] = 0;
-            d
-        })
-        .collect();
-    let mut policies: Vec<DirectionPolicy> = (0..k)
-        .map(|_| match opts.force {
-            Some(d) => DirectionPolicy::fixed(d),
-            None => DirectionPolicy::hysteresis(opts.switch_threshold),
-        })
-        .collect();
-
-    let desc = match opts.force {
-        Some(d) => Descriptor::new().transpose(true).force(d),
-        None => Descriptor::new().transpose(true),
-    }
-    .format_choice(opts.format);
-
-    let mut alive: Vec<usize> = (0..k).collect();
-    let mut level = 0usize;
-    while !alive.is_empty() {
-        level += 1;
-        let batch = MultiVector::from_rows(
-            alive
-                .iter()
-                .map(|&r| std::mem::replace(&mut frontiers[r], Vector::new_sparse(n, false)))
-                .collect(),
-        );
-        let masks: Vec<Mask<'_>> = alive
-            .iter()
-            .map(|&r| Mask::complement(&visited[r]))
-            .collect();
-        let mut live_policies: Vec<DirectionPolicy> =
-            alive.iter().map(|&r| policies[r].clone()).collect();
-        let row_refs: Vec<&AccessCounters> = alive.iter().map(|&r| entries[r].counters).collect();
-
-        let next = catch_batch(&mut board, &alive, || {
-            mxv_batch_attributed(
-                Some(&masks),
-                BoolStructure,
-                g,
-                &batch,
-                &desc,
-                Some(&mut live_policies),
-                shared,
-                Some(&row_refs),
-            )
-        });
-        let next: MultiVector<bool> = match next {
-            Ok(v) => v,
-            Err(e) => {
-                board.abort_all(&alive, &e);
-                return board.finish();
-            }
-        };
-        for (p, &r) in live_policies.iter().zip(&alive) {
-            policies[r] = p.clone();
-        }
-
-        let mut still_alive = Vec::with_capacity(alive.len());
-        for (row, &r) in next.into_rows().into_iter().zip(&alive) {
-            if board.retire_if_tripped(r) {
-                continue; // its bailed row is identity-shaped — discard
-            }
-            let mut found = false;
-            for (v, _) in row.iter_explicit() {
-                depths[r][v as usize] = level as i32;
-                visited[r].set(v as usize);
-                found = true;
-            }
-            if found {
-                frontiers[r] = row;
-                still_alive.push(r);
-            } else {
-                board.complete(
-                    r,
-                    EntryBfs {
-                        depths: std::mem::take(&mut depths[r]),
-                        levels: level,
-                    },
-                );
-            }
-        }
-        alive = still_alive;
-    }
-    board.finish()
+    let spec = GroupSpec {
+        sources: &[],
+        policy: opts.policy(),
+        format: opts.format,
+        record: Record::Depths,
+        bills: None,
+        shared,
+    };
+    run_entries(
+        g,
+        entries,
+        &spec,
+        |e| {
+            let solo = BfsOpts {
+                limits: e.limits,
+                ..opts.solo()
+            };
+            try_bfs_with_opts(g, e.source, &solo, Some(e.counters)).map(|r| EntryBfs {
+                depths: r.depths,
+                levels: r.levels,
+            })
+        },
+        |done| match done.values {
+            LaneValues::Depths(depths) => EntryBfs {
+                depths,
+                levels: done.levels,
+            },
+            LaneValues::Parents(_) => unreachable!("a depth group records depths"),
+        },
+    )
 }
 
-/// Coalesced parent BFS (min-parent tie-breaking). The batched form runs
-/// the unfused (min, second) composition — `opts.fused` /
-/// `opts.first_hit_exit` only shape the solo pipeline — so coalesced and
-/// solo runs through *this* driver stay bit-identical in values and
-/// per-entry counters.
+/// Coalesced parent BFS (min-parent tie-breaking): each entry's parents,
+/// levels and push/pull steps equal its solo run's
+/// ([`crate::bfs_parents::try_bfs_parents_with_opts`] under `opts` and the
+/// entry's limits). `opts.fused` and `opts.first_hit_exit` shape only that
+/// solo path; a shared group takes the first (ascending) in-neighbour on
+/// pull and the minimum frontier id on push, the same tree.
+///
+/// # Panics
+/// If an entry's source is out of range (the service validates first).
 pub fn bfs_parents_entries(
     g: &Graph<bool>,
     entries: &[BatchEntry<'_>],
     opts: &ParentBfsOpts,
     shared: Option<&AccessCounters>,
 ) -> Vec<GrbResult<EntryParents>> {
-    let n = g.n_vertices();
-    let k = entries.len();
-    for e in entries {
-        assert!((e.source as usize) < n, "source out of range");
-    }
-    let mut board: Board<'_, '_, EntryParents> = Board::new(entries);
-
-    // Frontier rows carry each frontier vertex's own id as its value, the
-    // same invariant the solo loop keeps.
-    let mut frontiers: Vec<Vector<u32>> = entries
-        .iter()
-        .map(|e| Vector::singleton(n, NO_PARENT, e.source, e.source))
-        .collect();
-    let mut visited: Vec<BitVec> = entries
-        .iter()
-        .map(|e| {
-            let mut b = BitVec::new(n);
-            b.set(e.source as usize);
-            b
-        })
-        .collect();
-    let mut parents: Vec<Vec<u32>> = entries
-        .iter()
-        .map(|e| {
-            let mut p = vec![NO_PARENT; n];
-            p[e.source as usize] = e.source;
-            p
-        })
-        .collect();
-    let mut policies: Vec<DirectionPolicy> = (0..k)
-        .map(|_| DirectionPolicy::hysteresis(opts.switch_threshold))
-        .collect();
-
-    let desc = Descriptor::new().transpose(true).format_choice(opts.format);
-
-    let mut alive: Vec<usize> = (0..k).collect();
-    let mut level = 0usize;
-    while !alive.is_empty() {
-        level += 1;
-        let batch = MultiVector::from_rows(
-            alive
-                .iter()
-                .map(|&r| std::mem::replace(&mut frontiers[r], Vector::new_sparse(n, NO_PARENT)))
-                .collect(),
-        );
-        let masks: Vec<Mask<'_>> = alive
-            .iter()
-            .map(|&r| Mask::complement(&visited[r]))
-            .collect();
-        let mut live_policies: Vec<DirectionPolicy> =
-            alive.iter().map(|&r| policies[r].clone()).collect();
-        let row_refs: Vec<&AccessCounters> = alive.iter().map(|&r| entries[r].counters).collect();
-
-        let next = catch_batch(&mut board, &alive, || {
-            mxv_batch_attributed(
-                Some(&masks),
-                MinSecond,
-                g,
-                &batch,
-                &desc,
-                Some(&mut live_policies),
-                shared,
-                Some(&row_refs),
-            )
-        });
-        let next: MultiVector<u32> = match next {
-            Ok(v) => v,
-            Err(e) => {
-                board.abort_all(&alive, &e);
-                return board.finish();
-            }
-        };
-        for (p, &r) in live_policies.iter().zip(&alive) {
-            policies[r] = p.clone();
-        }
-
-        let mut still_alive = Vec::with_capacity(alive.len());
-        for (row, &r) in next.into_rows().into_iter().zip(&alive) {
-            if board.retire_if_tripped(r) {
-                continue;
-            }
-            let mut discovered: Vec<u32> = Vec::new();
-            for (v, p) in row.iter_explicit() {
-                debug_assert!(!visited[r].get(v as usize));
-                parents[r][v as usize] = p;
-                visited[r].set(v as usize);
-                discovered.push(v);
-            }
-            if discovered.is_empty() {
-                board.complete(
-                    r,
-                    EntryParents {
-                        parent: std::mem::take(&mut parents[r]),
-                        levels: level,
-                    },
-                );
-            } else {
-                let vals = discovered.clone();
-                frontiers[r] = Vector::from_sparse(n, NO_PARENT, discovered, vals);
-                still_alive.push(r);
-            }
-        }
-        alive = still_alive;
-    }
-    board.finish()
+    let spec = GroupSpec {
+        sources: &[],
+        policy: DirectionPolicy::hysteresis(opts.switch_threshold),
+        format: opts.format,
+        record: Record::Parents,
+        bills: None,
+        shared,
+    };
+    run_entries(
+        g,
+        entries,
+        &spec,
+        |e| {
+            let solo = ParentBfsOpts {
+                limits: e.limits,
+                ..*opts
+            };
+            try_bfs_parents_with_opts(g, e.source, &solo, Some(e.counters)).map(|r| EntryParents {
+                parent: r.parent,
+                levels: r.levels,
+            })
+        },
+        |done| match done.values {
+            LaneValues::Parents(parent) => EntryParents {
+                parent,
+                levels: done.levels,
+            },
+            LaneValues::Depths(_) => unreachable!("a parent group records parents"),
+        },
+    )
 }
 
 /// Coalesced SSSP (Bellman-Ford over min-plus with the §5.6 two-phase
@@ -574,7 +482,7 @@ pub fn sssp_entries(
 mod tests {
     use super::*;
     use crate::bfs_parents::verify_parents;
-    use crate::msbfs::multi_source_bfs;
+    use crate::msbfs::multi_source_bfs_with_opts;
     use crate::sssp::dijkstra_oracle;
     use graphblas_baselines::textbook::bfs_serial;
     use graphblas_gen::rmat::{rmat, RmatParams};
@@ -585,7 +493,7 @@ mod tests {
     }
 
     /// Run one entry solo through the same driver — the equivalence
-    /// baseline the service uses.
+    /// baseline the service uses (a group of one runs the fused solo path).
     fn solo_bfs(g: &Graph<bool>, source: VertexId) -> (EntryBfs, CounterSnapshot) {
         let c = AccessCounters::new();
         let shared = AccessCounters::new();
@@ -598,7 +506,25 @@ mod tests {
         .pop()
         .unwrap()
         .unwrap();
+        assert_eq!(
+            shared.snapshot(),
+            c.snapshot(),
+            "a solo bill folds into shared"
+        );
         (r, c.snapshot())
+    }
+
+    fn steps(s: &CounterSnapshot) -> (u64, u64) {
+        (s.push_steps, s.pull_steps)
+    }
+
+    /// Field-wise sum of snapshots.
+    fn sum(snaps: impl IntoIterator<Item = CounterSnapshot>) -> CounterSnapshot {
+        let total = AccessCounters::new();
+        for s in snaps {
+            total.absorb(&s);
+        }
+        total.snapshot()
     }
 
     #[test]
@@ -613,19 +539,33 @@ mod tests {
             .collect();
         let shared = AccessCounters::new();
         let rs = multi_source_bfs_entries(&g, &entries, &MsBfsOpts::default(), Some(&shared));
+        let mut solo_total = CounterSnapshot::default();
         for ((r, &src), c) in rs.iter().zip(&sources).zip(&cs) {
             let r = r.as_ref().unwrap();
             assert_eq!(r.depths, bfs_serial(&g, src), "source {src}");
             let (solo, solo_snap) = solo_bfs(&g, src);
             assert_eq!(r.depths, solo.depths);
             assert_eq!(r.levels, solo.levels);
-            assert_eq!(c.snapshot(), solo_snap, "source {src} counters");
+            assert_eq!(
+                steps(&c.snapshot()),
+                steps(&solo_snap),
+                "source {src} steps"
+            );
+            solo_total = sum([solo_total, solo_snap]);
         }
-        // And the whole-batch result matches the plain msbfs driver.
-        let plain = multi_source_bfs(&g, &sources);
+        // The bills sum exactly to the group total, which shared holds,
+        // and the group reads the matrix at most as often as the solo runs.
+        let bills = sum(cs.iter().map(AccessCounters::snapshot));
+        assert_eq!(bills, shared.snapshot());
+        assert!(bills.matrix <= solo_total.matrix);
+        // And the whole-batch result matches plain msbfs, whose
+        // counters hold the same group total.
+        let plain_c = AccessCounters::new();
+        let plain = multi_source_bfs_with_opts(&g, &sources, &MsBfsOpts::default(), Some(&plain_c));
         for (r, d) in rs.iter().zip(&plain.depths) {
             assert_eq!(&r.as_ref().unwrap().depths, d);
         }
+        assert_eq!(plain_c.snapshot(), bills);
     }
 
     #[test]
@@ -645,7 +585,12 @@ mod tests {
             let r = rs[i].as_ref().unwrap();
             let (solo, solo_snap) = solo_bfs(&g, src);
             assert_eq!(r.depths, solo.depths, "sibling {src}");
-            assert_eq!(cs[i].snapshot(), solo_snap, "sibling {src} counters");
+            assert_eq!(r.levels, solo.levels, "sibling {src}");
+            assert_eq!(
+                steps(&cs[i].snapshot()),
+                steps(&solo_snap),
+                "sibling {src} steps"
+            );
         }
         // Aborted entry's counters restored: an immediate retry is fresh.
         assert_eq!(cs[1].snapshot(), CounterSnapshot::default());
@@ -673,7 +618,9 @@ mod tests {
             .zip(&cs)
             .map(|(&s, c)| BatchEntry::new(s, c))
             .collect();
-        let rs = bfs_parents_entries(&g, &entries, &ParentBfsOpts::default(), None);
+        let shared = AccessCounters::new();
+        let rs = bfs_parents_entries(&g, &entries, &ParentBfsOpts::default(), Some(&shared));
+        let mut solo_total = CounterSnapshot::default();
         for ((r, &src), c) in rs.iter().zip(&sources).zip(&cs) {
             let r = r.as_ref().unwrap();
             assert!(verify_parents(&g, src, &r.parent), "source {src}");
@@ -688,8 +635,16 @@ mod tests {
             .unwrap()
             .unwrap();
             assert_eq!(r, &solo, "source {src}");
-            assert_eq!(c.snapshot(), solo_c.snapshot(), "source {src} counters");
+            assert_eq!(
+                steps(&c.snapshot()),
+                steps(&solo_c.snapshot()),
+                "source {src}"
+            );
+            solo_total = sum([solo_total, solo_c.snapshot()]);
         }
+        let bills = sum(cs.iter().map(AccessCounters::snapshot));
+        assert_eq!(bills, shared.snapshot());
+        assert!(bills.matrix <= solo_total.matrix);
     }
 
     #[test]

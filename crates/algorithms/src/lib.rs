@@ -12,15 +12,17 @@
 //! * [`cc`] — connected components by min-label propagation.
 //! * [`mis`] — Luby's maximal independent set (masked candidate updates).
 //! * [`tricount`] — triangle counting via masked SpGEMM `C⟨L⟩ = L·L`.
-//! * [`msbfs`] — multi-source BFS on the batched `mxv_batch` kernels: one
-//!   masked multi-vector matvec per level, direction switched per source.
+//! * [`msbfs`] — multi-source BFS as one shared traversal per group of up
+//!   to 64 sources: bit-packed lane words, one masked pull sweep and one
+//!   push sweep per level for every source, direction switched per source.
 //! * [`bc`] — batched Brandes betweenness centrality riding the same
 //!   batched kernels (masked forward σ sweeps, level-masked backward δ
 //!   accumulation, per-source push/pull switching in both phases).
-//! * [`mod@entries`] — coalesced query batches: BFS / parent-BFS / SSSP
-//!   entries advanced together through `mxv_batch_attributed`, each with
-//!   its own [`ExecLimits`](graphblas_core::ExecLimits) and counter set
-//!   (the service layer's algorithm face).
+//! * [`mod@entries`] — coalesced query batches: BFS / parent-BFS entries
+//!   sharing the msbfs lane traversal, SSSP entries advanced together
+//!   through `mxv_batch_attributed`, each with its own
+//!   [`ExecLimits`](graphblas_core::ExecLimits) and counter set (the
+//!   service layer's algorithm face).
 //!
 //! BFS, parent BFS ([`mod@bfs_parents`]), CC, SSSP, and PageRank all run their
 //! per-iteration `mxv · apply · assign` chain as a **fused pipeline**

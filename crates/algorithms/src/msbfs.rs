@@ -1,30 +1,50 @@
-//! Multi-source (batched) BFS — `k` frontiers advanced simultaneously as a
-//! [`MultiVector`], each step one **batched masked matvec**:
-//! `F'(s, :) = (Aᵀ F(s, :)) .∗ ¬V(s, :)` for every live source `s`, in a
-//! single [`mxv_batch`] call.
+//! Multi-source (batched) BFS — up to 64 sources share one traversal.
 //!
-//! This is the batched face of the paper's thesis: each source's row keeps
-//! its own sparse/dense storage and its own §6.3 [`DirectionPolicy`]
-//! hysteresis state, so within one batch step some sources run the
-//! column-based push kernel while others run the row-based masked pull
-//! kernel — the per-source direction switching that GraphBLAST observes
-//! generalizes to multi-vector operands. The kernels execute over a flat
-//! `(source, chunk)` work grid, so the pool's lanes stay busy even when
-//! one source's frontier is a thin wave and another's is mid-supervertex.
-//! The batched betweenness-centrality workload of §1 is the canonical
-//! consumer ([`crate::bc`] runs its Brandes forward sweeps through exactly
-//! this path); `tests/prop_core.rs` pins that a batch is bit-identical —
-//! depths *and* access counters — to `k` independent single-source runs.
+//! Sources run in groups of at most [`MAX_LANES`]; each group keeps one
+//! `u64` lane word of frontier bits and one of visited bits per vertex
+//! ([`LaneGroup`]), an `n × k` bit-packed Boolean matrix, and advances all
+//! of its lanes with one masked pull sweep and one push sweep per level:
+//! `F' = (Aᵀ F) .∗ ¬V`, the MS-BFS formulation (Then et al., VLDB 2015)
+//! that GraphBLAST writes as a masked mxm. The paper's three optimizations
+//! carry over lane by lane:
+//!
+//! * **change of direction** — every lane runs its own §6.3
+//!   [`DirectionPolicy`] on its own frontier count, exactly as its solo run
+//!   does, so one level may pull some lanes and push others, and each
+//!   lane's push/pull sequence equals its solo run's;
+//! * **masking** — a pull row is scanned only for the lanes that have not
+//!   seen it, and a push ORs its lanes only into unseen slots;
+//! * **early exit** — a pull row stops once every wanted lane has a hit.
+//!
+//! A group of one runs the single-source fused path instead
+//! ([`crate::bfs::bfs_with_opts`]), and a larger source set runs as
+//! consecutive groups. `run_group` is the one traversal behind this
+//! module's entry points and the BFS-family entries functions
+//! ([`crate::entries`]); batched BC ([`crate::bc`]) and coalesced SSSP keep
+//! the per-row [`mxv_batch`](graphblas_core::mxv_batch) kernels.
+//!
+//! **Counters.** Each lane's values and push/pull steps equal its solo
+//! run's. A group's charges are the sweeps' charges: a pull row scans the
+//! maximum of what its lanes would scan alone, and a push vertex is
+//! expanded once for all of its lanes, so a group's `matrix` accesses are
+//! at most the sum of its members' solo runs (`tests/prop_core.rs` pins
+//! this rule next to the step rule).
 
-use graphblas_core::descriptor::{Descriptor, Direction};
-use graphblas_core::mask::Mask;
-use graphblas_core::ops::BoolStructure;
-use graphblas_core::ops_mxv_batch::mxv_batch;
-use graphblas_core::vector::{MultiVector, Vector};
-use graphblas_core::{run_guarded, DirectionPolicy, ExecLimits, FormatChoice, GrbResult};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::AtomicU32;
+
+use graphblas_core::descriptor::Direction;
+use graphblas_core::exec::{panic_message, stop_error};
+use graphblas_core::ops_mxv_lanes::lanes;
+use graphblas_core::{
+    run_guarded, DirectionPolicy, ExecLimits, FormatChoice, GrbError, GrbResult, LaneCharges,
+    LaneGroup, StopReason, MAX_LANES,
+};
 use graphblas_matrix::{Csr, Graph, VertexId};
-use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::BitVec;
+use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
+
+use crate::bfs::{dispatch_bfs, BfsOpts};
+use crate::bfs_parents::NO_PARENT;
 
 /// Depth label for unreached (source, vertex) pairs.
 pub const UNREACHED: i32 = -1;
@@ -37,9 +57,9 @@ pub struct MsBfsOpts {
     /// Pin every source to one direction (ablation arms). `None` lets each
     /// source's hysteresis policy switch independently.
     pub force: Option<Direction>,
-    /// Matrix storage format for the batch (default auto). The batch rule
-    /// depends on the graph alone, so one store serves every step while
-    /// per-row directions stay independent.
+    /// Matrix storage format: each kernel face reads the store
+    /// [`graphblas_core::plan::auto_format`] picks for it (default), or the
+    /// forced one.
     pub format: FormatChoice,
     /// Execution limits enforced by [`try_multi_source_bfs_with_opts`];
     /// the infallible entry points ignore this field.
@@ -53,6 +73,30 @@ impl Default for MsBfsOpts {
             force: None,
             format: FormatChoice::Auto,
             limits: ExecLimits::none(),
+        }
+    }
+}
+
+impl MsBfsOpts {
+    /// The single-source options a group of one runs under.
+    #[must_use]
+    pub fn solo(&self) -> BfsOpts {
+        BfsOpts {
+            switch_threshold: self.switch_threshold,
+            force: self.force,
+            format: self.format,
+            limits: self.limits,
+            ..BfsOpts::default()
+        }
+    }
+
+    /// The direction policy every lane runs: the forced direction, or the
+    /// §6.3 hysteresis — what [`MsBfsOpts::solo`] runs.
+    #[must_use]
+    pub fn policy(&self) -> DirectionPolicy {
+        match self.force {
+            Some(d) => DirectionPolicy::fixed(d),
+            None => DirectionPolicy::hysteresis(self.switch_threshold),
         }
     }
 }
@@ -73,7 +117,7 @@ pub fn multi_source_bfs(g: &Graph<bool>, sources: &[VertexId]) -> MsBfsResult {
 }
 
 /// Batched BFS with explicit options and optional access counters — the
-/// counters record, besides the usual traffic, each source's per-level
+/// counters record, besides the groups' traffic, each source's per-level
 /// push/pull decision (`push_steps`/`pull_steps`).
 #[must_use]
 pub fn multi_source_bfs_with_opts(
@@ -88,6 +132,8 @@ pub fn multi_source_bfs_with_opts(
 
 /// Batched BFS under the options' [`ExecLimits`] with full fault isolation
 /// (see [`crate::bfs::try_bfs_with_opts`] for the abort/retry contract).
+/// Limits are polled at every level boundary, so a run overshoots its
+/// deadline or work budget by at most one level of its group.
 pub fn try_multi_source_bfs_with_opts(
     g: &Graph<bool>,
     sources: &[VertexId],
@@ -103,106 +149,273 @@ fn msbfs_loop(
     opts: &MsBfsOpts,
     counters: Option<&AccessCounters>,
 ) -> GrbResult<MsBfsResult> {
+    assert!(!sources.is_empty(), "need at least one source");
+    let mut result = MsBfsResult {
+        depths: Vec::with_capacity(sources.len()),
+        levels: 0,
+    };
+    for group in sources.chunks(MAX_LANES) {
+        if let [source] = group {
+            let r = dispatch_bfs(g, *source, &opts.solo(), counters)?;
+            result.levels = result.levels.max(r.levels);
+            result.depths.push(r.depths);
+            continue;
+        }
+        let spec = GroupSpec {
+            sources: group,
+            policy: opts.policy(),
+            format: opts.format,
+            record: Record::Depths,
+            bills: None,
+            shared: counters,
+        };
+        for lane in run_group(g, &spec) {
+            let lane = lane?;
+            result.levels = result.levels.max(lane.levels);
+            let LaneValues::Depths(d) = lane.values else {
+                unreachable!("a depth group records depths")
+            };
+            result.depths.push(d);
+        }
+    }
+    Ok(result)
+}
+
+/// What a lane group records for each lane.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Record {
+    /// BFS depths ([`UNREACHED`] where unreached).
+    Depths,
+    /// Min-id BFS parents ([`NO_PARENT`] where unreached).
+    Parents,
+}
+
+/// One lane's recorded values.
+#[derive(Debug)]
+pub(crate) enum LaneValues {
+    Depths(Vec<i32>),
+    Parents(Vec<u32>),
+}
+
+/// A lane whose frontier emptied.
+#[derive(Debug)]
+pub(crate) struct LaneDone {
+    pub values: LaneValues,
+    /// Levels this lane executed (its frontier emptied at this level).
+    pub levels: usize,
+}
+
+/// One lane group's traversal.
+pub(crate) struct GroupSpec<'a> {
+    /// Lane `l` starts at `sources[l]`; at most [`MAX_LANES`].
+    pub sources: &'a [VertexId],
+    /// The policy every lane starts from.
+    pub policy: DirectionPolicy,
+    pub format: FormatChoice,
+    pub record: Record,
+    /// Per-lane counter sets with their limits installed (the `*_entries`
+    /// functions): each receives its lane's bill and is polled at every
+    /// level boundary. `None` bills `shared` alone.
+    pub bills: Option<&'a [&'a AccessCounters]>,
+    /// The group's batch scope: conversion bytes, bitmap degrades, the
+    /// group buffers' bytes, and the fold of every bill. Polled at every
+    /// level boundary; a trip there aborts every live lane.
+    pub shared: Option<&'a AccessCounters>,
+}
+
+/// Run one lane group to completion. Each lane resolves exactly once: `Ok`
+/// when its frontier empties, or the typed error of its own tripped
+/// limits, a `shared` trip, or a pool-chunk panic ([`GrbError::WorkerPanicked`]
+/// for every lane still live). Limits are polled at level boundaries, so a
+/// lane overshoots its deadline by at most one level of its group; a lane
+/// that leaves never changes its siblings' values.
+///
+/// Each sweep's charges are split evenly among the lanes it served, the
+/// remainder going to the lowest lane indices, so the bills sum exactly to
+/// the group's total; every lane is billed its own push/pull steps.
+pub(crate) fn run_group(g: &Graph<bool>, spec: &GroupSpec<'_>) -> Vec<GrbResult<LaneDone>> {
     let n = g.n_vertices();
-    let k = sources.len();
-    assert!(k > 0, "need at least one source");
-    for &s in sources {
-        assert!((s as usize) < n, "source out of range");
+    let k = spec.sources.len();
+    let mut out: Vec<Option<GrbResult<LaneDone>>> = (0..k).map(|_| None).collect();
+    let out_bytes = (n * std::mem::size_of::<u32>()) as u64;
+
+    // Each entry charges its own output array before the first level; the
+    // group buffers (three lane words per vertex) go to the batch scope.
+    if let Some(bills) = spec.bills {
+        for (l, c) in bills.iter().enumerate() {
+            if !c.try_charge_alloc(out_bytes) {
+                out[l] = Some(Err(stop_error(StopReason::BytesBudget)));
+            }
+        }
+    }
+    let group_bytes = 3 * (n * std::mem::size_of::<u64>()) as u64
+        + if spec.bills.is_none() {
+            k as u64 * out_bytes
+        } else {
+            0
+        };
+    if let Some(c) = spec.shared {
+        if !c.try_charge_alloc(group_bytes) {
+            return abort_unresolved(out, &stop_error(StopReason::BytesBudget));
+        }
     }
 
-    // Per-source traversal state: frontier row, visited bitmap, depths,
-    // and an independent direction policy.
-    let mut frontiers: Vec<Vector<bool>> = sources
-        .iter()
-        .map(|&s| Vector::singleton(n, false, s, true))
-        .collect();
-    let mut visited: Vec<BitVec> = sources
-        .iter()
-        .map(|&s| {
-            let mut b = BitVec::new(n);
-            b.set(s as usize);
-            b
-        })
-        .collect();
-    let mut depths: Vec<Vec<i32>> = sources
-        .iter()
-        .map(|&s| {
-            let mut d = vec![UNREACHED; n];
-            d[s as usize] = 0;
-            d
-        })
-        .collect();
-    let mut policies: Vec<DirectionPolicy> = (0..k)
-        .map(|_| match opts.force {
-            Some(d) => DirectionPolicy::fixed(d),
-            None => DirectionPolicy::hysteresis(opts.switch_threshold),
-        })
-        .collect();
-
-    // Algorithm 1's descriptor: multiply by Aᵀ; direction stays Auto so
-    // each row follows its own policy (a forced run pins the descriptor).
-    let desc = match opts.force {
-        Some(d) => Descriptor::new().transpose(true).force(d),
-        None => Descriptor::new().transpose(true),
+    let mut group = LaneGroup::new(n, spec.sources);
+    let mut policies = vec![spec.policy.clone(); k];
+    let mut counts = vec![1usize; k];
+    let mut depths: Vec<Vec<i32>> = Vec::new();
+    let mut parents: Vec<Vec<AtomicU32>> = Vec::new();
+    for &s in spec.sources {
+        match spec.record {
+            Record::Depths => {
+                let mut d = vec![UNREACHED; n];
+                d[s as usize] = 0;
+                depths.push(d);
+            }
+            Record::Parents => {
+                let p: Vec<AtomicU32> = (0..n as u32)
+                    .map(|v| AtomicU32::new(if v == s { s } else { NO_PARENT }))
+                    .collect();
+                parents.push(p);
+            }
+        }
     }
-    .format_choice(opts.format);
 
-    let mut alive: Vec<usize> = (0..k).collect();
     let mut level = 0usize;
-    while !alive.is_empty() {
+    loop {
+        // Level boundary: the batch scope first, then each lane's own
+        // limits; lanes whose frontier emptied complete.
+        if let Some(reason) = spec.shared.and_then(tripped) {
+            return abort_unresolved(out, &stop_error(reason));
+        }
+        let mut leaving = 0u64;
+        for l in lanes(group.live()) {
+            let stop = spec.bills.and_then(|b| tripped(b[l]));
+            if out[l].is_none() && stop.is_none() && counts[l] > 0 {
+                continue;
+            }
+            leaving |= 1 << l;
+            if out[l].is_none() {
+                out[l] = Some(match stop {
+                    Some(reason) => Err(stop_error(reason)),
+                    None => Ok(LaneDone {
+                        values: match spec.record {
+                            Record::Depths => LaneValues::Depths(std::mem::take(&mut depths[l])),
+                            Record::Parents => LaneValues::Parents(
+                                std::mem::take(&mut parents[l])
+                                    .into_iter()
+                                    .map(AtomicU32::into_inner)
+                                    .collect(),
+                            ),
+                        },
+                        levels: level,
+                    }),
+                });
+            }
+        }
+        group.retire(leaving);
+        let live = group.live();
+        if live == 0 {
+            break;
+        }
+
         level += 1;
-        // Assemble the live sub-batch by moving rows out of the state
-        // (restored or replaced below), with one mask and one policy per
-        // live source.
-        let batch = MultiVector::from_rows(
-            alive
-                .iter()
-                .map(|&r| std::mem::replace(&mut frontiers[r], Vector::new_sparse(n, false)))
-                .collect(),
-        );
-        let masks: Vec<Mask<'_>> = alive
-            .iter()
-            .map(|&r| Mask::complement(&visited[r]))
-            .collect();
-        let mut live_policies: Vec<DirectionPolicy> =
-            alive.iter().map(|&r| policies[r].clone()).collect();
-
-        let next: MultiVector<bool> = mxv_batch(
-            Some(&masks),
-            BoolStructure,
-            g,
-            &batch,
-            &desc,
-            Some(&mut live_policies),
-            counters,
-        )?;
-
-        for (p, &r) in live_policies.iter().zip(&alive) {
-            policies[r] = p.clone();
-        }
-
-        // GrB_assign per live source: record depths, fold the discoveries
-        // into the visited set, retire sources whose frontier emptied.
-        let mut still_alive = Vec::with_capacity(alive.len());
-        for (row, &r) in next.into_rows().into_iter().zip(&alive) {
-            let mut found = false;
-            for (v, _) in row.iter_explicit() {
-                depths[r][v as usize] = level as i32;
-                visited[r].set(v as usize);
-                found = true;
+        let (mut pull, mut push) = (0u64, 0u64);
+        for l in lanes(live) {
+            let dir = policies[l].update(counts[l], n);
+            let bill = spec.bills.map(|b| b[l]);
+            for c in bill.into_iter().chain(spec.shared) {
+                match dir {
+                    Direction::Push => c.add_push_step(),
+                    Direction::Pull => c.add_pull_step(),
+                }
             }
-            if found {
-                frontiers[r] = row;
-                still_alive.push(r);
+            match dir {
+                Direction::Push => push |= 1 << l,
+                Direction::Pull => pull |= 1 << l,
             }
         }
-        alive = still_alive;
+        let slots = (spec.record == Record::Parents).then_some(parents.as_slice());
+        let step = panic::catch_unwind(AssertUnwindSafe(|| {
+            group.step(g, pull, push, spec.format, slots, spec.shared)
+        }));
+        let charges: LaneCharges = match step {
+            Ok(c) => c,
+            Err(payload) => {
+                let Some(chunk) = rayon::take_last_panic_chunk() else {
+                    panic::resume_unwind(payload)
+                };
+                let err = GrbError::WorkerPanicked {
+                    chunk,
+                    message: panic_message(payload.as_ref()),
+                };
+                return abort_unresolved(out, &err);
+            }
+        };
+        bill(&charges.pull, pull, spec);
+        bill(&charges.push, push, spec);
+
+        for l in lanes(live) {
+            counts[l] = 0;
+        }
+        let (ids, words) = group.frontier();
+        for (&v, &w) in ids.iter().zip(words) {
+            for l in lanes(w) {
+                counts[l] += 1;
+                if spec.record == Record::Depths {
+                    depths[l][v as usize] = level as i32;
+                }
+            }
+        }
     }
+    out.into_iter()
+        .map(|r| r.expect("every lane resolved"))
+        .collect()
+}
 
-    Ok(MsBfsResult {
-        depths,
-        levels: level,
-    })
+/// A counter set's poll at a level boundary (the deadline clock is read
+/// every time): its trip reason, if any.
+fn tripped(c: &AccessCounters) -> Option<StopReason> {
+    if c.checkpoint_now() {
+        None
+    } else {
+        c.stop_reason()
+    }
+}
+
+/// Resolve every lane still unresolved with `err`.
+fn abort_unresolved(
+    out: Vec<Option<GrbResult<LaneDone>>>,
+    err: &GrbError,
+) -> Vec<GrbResult<LaneDone>> {
+    out.into_iter()
+        .map(|r| r.unwrap_or_else(|| Err(err.clone())))
+        .collect()
+}
+
+/// Split one sweep's charges among the lanes it `served`: evenly, the
+/// remainder to the lowest lane indices, so the bills sum to the total.
+/// `shared` receives the total.
+fn bill(total: &CounterSnapshot, served: u64, spec: &GroupSpec<'_>) {
+    if served == 0 {
+        return;
+    }
+    if let Some(bills) = spec.bills {
+        let m = u64::from(served.count_ones());
+        for (i, l) in lanes(served).enumerate() {
+            let share = |x: u64| x / m + u64::from((i as u64) < x % m);
+            bills[l].absorb(&CounterSnapshot {
+                matrix: share(total.matrix),
+                vector: share(total.vector),
+                mask: share(total.mask),
+                sort: share(total.sort),
+                ..CounterSnapshot::default()
+            });
+        }
+    }
+    if let Some(c) = spec.shared {
+        c.absorb(total);
+    }
 }
 
 /// The batch frontier after `steps` synchronous steps, materialized as a
@@ -231,6 +444,7 @@ pub fn frontier_matrix(g: &Graph<bool>, sources: &[VertexId], steps: usize) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::bfs_with_opts;
     use graphblas_baselines::textbook::bfs_serial;
     use graphblas_gen::grid::{road_mesh, RoadParams};
     use graphblas_gen::rmat::{rmat, RmatParams};
@@ -294,10 +508,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_counters_equal_sum_of_single_source_runs() {
-        // The equivalence contract at the algorithm level: a k-batch costs
-        // exactly what k independent runs cost (depths AND counters), and
-        // its per-source direction decisions are visible.
+    fn batch_steps_equal_solo_runs_and_matrix_stays_under_their_sum() {
+        // The shared-traversal contract at the algorithm level: a k-batch
+        // returns each source's solo depths, makes exactly the solo runs'
+        // push/pull decisions, and reads the matrix at most as often as
+        // the k solo runs together.
         let g = rmat(10, 16, RmatParams::default(), 19);
         let sources = [0u32, 5, 123];
         let opts = MsBfsOpts::default();
@@ -306,14 +521,15 @@ mod tests {
 
         let single_c = AccessCounters::new();
         for (s, &src) in sources.iter().enumerate() {
-            let r = multi_source_bfs_with_opts(&g, &[src], &opts, Some(&single_c));
-            assert_eq!(r.depths[0], batch.depths[s], "source {src}");
+            let r = bfs_with_opts(&g, src, &opts.solo(), Some(&single_c));
+            assert_eq!(r.depths, batch.depths[s], "source {src}");
         }
-        assert_eq!(batch_c.snapshot(), single_c.snapshot());
-        let snap = batch_c.snapshot();
-        assert!(snap.push_steps > 0, "early thin frontiers push");
+        let (b, s) = (batch_c.snapshot(), single_c.snapshot());
+        assert_eq!((b.push_steps, b.pull_steps), (s.push_steps, s.pull_steps));
+        assert!(b.matrix <= s.matrix, "{} > {}", b.matrix, s.matrix);
+        assert!(b.push_steps > 0, "early thin frontiers push");
         assert!(
-            snap.pull_steps > 0,
+            b.pull_steps > 0,
             "the scale-free supervertex phase must pull"
         );
     }

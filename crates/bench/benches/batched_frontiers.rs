@@ -1,12 +1,11 @@
-//! Batched-frontier bench: `k`-source multi-source BFS through the
-//! `mxv_batch` kernels vs `k` sequential single-source runs of the same
-//! machinery, at several lane counts.
+//! Batched-frontier bench: `k`-source multi-source BFS through the shared
+//! bit-lane traversal vs `k` sequential single-source runs (a one-source
+//! batch runs the fused single-source path), at several lane counts.
 //!
 //! The batch and the sequential loop compute bit-identical depths (pinned
-//! by `tests/prop_core.rs` and the msbfs suite), so the delta is pure
-//! `(source, chunk)` grid occupancy: the batch keeps lanes busy across
-//! sources even when one source's frontier is tiny. The machine-readable
-//! companion is `results/BENCH_batched.json`
+//! by `tests/prop_core.rs` and the msbfs suite), so the delta is the
+//! shared traversal: one matrix sweep per face and level serves every
+//! source. The machine-readable companion is `results/BENCH_batched.json`
 //! (`cargo run --release -p graphblas_bench --bin paper -- batched`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

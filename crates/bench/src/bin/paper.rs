@@ -644,15 +644,15 @@ fn scaling(cfg: &Config) {
     }
 }
 
-/// Batched-frontier study: multi-source BFS (and batched BC) through the
-/// `mxv_batch` kernels at increasing batch sizes, against `k` sequential
-/// single-source runs of the same machinery, with each batch's per-source
-/// push/pull switch decisions from the access counters. Emits the
-/// machine-readable `BENCH_batched.json` companion artifact.
+/// Batched-frontier study: multi-source BFS through the shared bit-lane
+/// traversal (and batched BC through `mxv_batch`) at increasing batch
+/// sizes, against `k` sequential `bfs_with_opts` runs, with each batch's
+/// per-source push/pull switch decisions from the access counters. Emits
+/// the machine-readable `BENCH_batched.json` companion artifact.
 fn batched(cfg: &Config) {
     let ks = [1usize, 4, 16];
     let mut t = Table::new(
-        "Batched frontiers — k-source msbfs vs k × 1-source, per-source switching",
+        "Batched frontiers — k-source msbfs vs k × bfs_with_opts, per-source switching",
         &[
             "Dataset",
             "k",
@@ -716,9 +716,9 @@ fn batched(cfg: &Config) {
     }
     t.print();
     println!(
-        "batch results are bit-identical to the k×1 runs (pinned by tests); the\n\
-         push/pull step counts show each source switching direction independently\n\
-         inside one batch step."
+        "batch depths and push/pull steps equal the k solo runs' (pinned by tests);\n\
+         the step counts show each source switching direction independently inside\n\
+         one shared level."
     );
     let _ = t.write_csv(&cfg.out, "batched_frontiers");
     let doc = Json::Obj(vec![
@@ -846,8 +846,8 @@ fn serve(cfg: &Config) {
     println!(
         "each scenario replays the identical seeded trace; the speedup column\n\
          isolates coalesced admission against one-at-a-time dispatch of the\n\
-         same queries (per-request values and counters are pinned identical\n\
-         by tests/service_equivalence.rs)."
+         same queries (per-request values and push/pull steps are pinned\n\
+         identical to solo by tests/service_equivalence.rs)."
     );
     let _ = t.write_csv(&cfg.out, "serve");
     let doc = Json::Obj(vec![

@@ -8,6 +8,11 @@
 //! abort with siblings bit-identical to solo. Its machine fields (qps,
 //! latency) move with the host, so they only get sanity checks.
 //!
+//! The batched artifact (`BENCH_batched.json`, `paper -- batched --shrink 6
+//! --seed 42`) is pinned exactly on its deterministic fields: per dataset
+//! and batch size, the levels and the push/pull steps of the multi-source
+//! traversal. Its wall-clock speedups are reported, never gated.
+//!
 //! Every `BENCH_*.json` the `paper` binary writes must be committed under
 //! `results/`; a guard test fails when one is missing.
 //!
@@ -168,6 +173,113 @@ fn committed_serve_artifact_machine_fields_are_sane() {
             s.p95_ms,
             s.p99_ms
         );
+    }
+}
+
+/// `(dataset, k, levels, push_steps, pull_steps)` of the fixed-seed
+/// regeneration (`paper -- batched --shrink 6 --seed 42`): each source's
+/// steps equal its solo run's, so these follow from the graphs and the
+/// §6.3 rule alone.
+const BATCHED_PIN: [(&str, u64, u64, u64, u64); 33] = [
+    ("soc-orkut", 1, 4, 2, 2),
+    ("soc-orkut", 4, 5, 9, 8),
+    ("soc-orkut", 16, 5, 35, 32),
+    ("soc-lj", 1, 6, 3, 3),
+    ("soc-lj", 4, 6, 12, 12),
+    ("soc-lj", 16, 7, 58, 44),
+    ("h09", 1, 4, 2, 2),
+    ("h09", 4, 4, 8, 8),
+    ("h09", 16, 4, 32, 32),
+    ("i04", 1, 5, 3, 2),
+    ("i04", 4, 6, 15, 8),
+    ("i04", 16, 6, 59, 36),
+    ("kron", 1, 5, 2, 3),
+    ("kron", 4, 6, 14, 10),
+    ("kron", 16, 6, 52, 39),
+    ("rmat-22", 1, 5, 3, 2),
+    ("rmat-22", 4, 6, 10, 11),
+    ("rmat-22", 16, 5, 43, 37),
+    ("rmat-23", 1, 6, 3, 3),
+    ("rmat-23", 4, 7, 17, 9),
+    ("rmat-23", 16, 6, 52, 42),
+    ("rmat-24", 1, 6, 3, 3),
+    ("rmat-24", 4, 6, 14, 10),
+    ("rmat-24", 16, 6, 53, 43),
+    ("rgg", 1, 235, 235, 0),
+    ("rgg", 4, 309, 1194, 0),
+    ("rgg", 16, 346, 4464, 0),
+    ("roadnet", 1, 292, 292, 0),
+    ("roadnet", 4, 310, 1068, 0),
+    ("roadnet", 16, 298, 3821, 0),
+    ("road_usa", 1, 809, 809, 0),
+    ("road_usa", 4, 864, 3032, 0),
+    ("road_usa", 16, 996, 13183, 0),
+];
+
+/// `(dataset, k, levels, push_steps, pull_steps)` of one batched sample.
+type BatchedSample = (String, u64, u64, u64, u64);
+
+/// Scrape every sample, plus the artifact's `shrink` and `seed`.
+fn scrape_batched(text: &str) -> (Vec<BatchedSample>, u64, u64) {
+    let (mut samples, mut shrink, mut seed) = (Vec::new(), 0, 0);
+    let mut dataset = String::new();
+    for line in text.lines() {
+        let line = line.trim().trim_end_matches(',');
+        let Some((key, value)) = line.split_once(':') else {
+            continue;
+        };
+        let value = value.trim();
+        let int = || value.parse::<u64>().ok();
+        match key.trim().trim_matches('"') {
+            "name" => dataset = value.trim_matches('"').to_string(),
+            "shrink" => shrink = int().unwrap_or(0),
+            "seed" => seed = int().unwrap_or(0),
+            "k" => samples.push((dataset.clone(), int().unwrap_or(0), 0, 0, 0)),
+            "levels" => {
+                if let (Some(s), Some(v)) = (samples.last_mut(), int()) {
+                    s.2 = v;
+                }
+            }
+            "push_steps" => {
+                if let (Some(s), Some(v)) = (samples.last_mut(), int()) {
+                    s.3 = v;
+                }
+            }
+            "pull_steps" => {
+                if let (Some(s), Some(v)) = (samples.last_mut(), int()) {
+                    s.4 = v;
+                }
+            }
+            _ => {}
+        }
+    }
+    (samples, shrink, seed)
+}
+
+#[test]
+fn committed_batched_artifact_pins_levels_and_steps() {
+    let (samples, shrink, seed) = scrape_batched(&read_artifact("BENCH_batched.json"));
+    assert_eq!((shrink, seed), (6, 42), "pinned against shrink 6, seed 42");
+    let pinned: Vec<BatchedSample> = BATCHED_PIN
+        .iter()
+        .map(|&(d, k, l, push, pull)| (d.to_string(), k, l, push, pull))
+        .collect();
+    assert_eq!(
+        samples, pinned,
+        "levels and push/pull steps per dataset and k"
+    );
+    for (d, k, levels, push, pull) in &samples {
+        // One source takes one step per level; a batch's sources each take
+        // one per level they ran, the longest running every level.
+        if *k == 1 {
+            assert_eq!(push + pull, *levels, "{d}: k = 1 steps once per level");
+        } else {
+            assert!(push + pull >= *levels, "{d} k={k}: fewer steps than levels");
+            assert!(
+                push + pull <= k * levels,
+                "{d} k={k}: more steps than k × levels"
+            );
+        }
     }
 }
 

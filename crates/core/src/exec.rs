@@ -123,7 +123,8 @@ pub fn check_stop(counters: Option<&AccessCounters>) -> GrbResult<()> {
 }
 
 /// Best-effort rendering of a panic payload for [`GrbError::WorkerPanicked`].
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+#[must_use]
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -47,7 +47,7 @@ use crate::descriptor::{Descriptor, Direction};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::ops_mxv::{col_kernel_parts, reduce_row, SendPtr, ROW_GRAIN};
+use crate::ops_mxv::{col_kernel_parts, reduce_row, RowTally, SendPtr, ROW_GRAIN};
 use crate::vector::{DenseVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, StoreRef, VertexId};
 use graphblas_primitives::counters::AccessCounters;
@@ -475,6 +475,7 @@ where
         .into_par_iter()
         .map(|range| {
             let mut touched = Vec::new();
+            let mut tally = RowTally::new(base.counters);
             for idx in range {
                 let (i, allowed) = match (base.mask, active) {
                     (_, Some(list)) => {
@@ -495,9 +496,9 @@ where
                     continue;
                 }
                 let y = if base.first_hit_exit {
-                    reduce_row_first_hit(s, op, v, i, identity, base.counters)
+                    reduce_row_first_hit(s, op, v, i, identity, &mut tally)
                 } else {
-                    reduce_row(s, op, v, i, identity, early_exit, base.counters)
+                    reduce_row(s, op, v, i, identity, early_exit, base.counters, &mut tally)
                 };
                 if base.keep_identity || y != identity {
                     let z = apply(y);
@@ -514,6 +515,7 @@ where
                     }
                 }
             }
+            tally.flush(base.counters);
             touched
         })
         .collect();
@@ -527,7 +529,8 @@ where
 
 /// Reduce one row stopping at the first explicit input hit (the
 /// [`FusedMxv::first_hit_exit`] contract). Counter bookkeeping matches
-/// [`reduce_row`]: one matrix access per examined neighbor.
+/// [`reduce_row`]: one matrix access per examined neighbor, tallied on the
+/// chunk.
 #[inline]
 fn reduce_row_first_hit<A, X, Y, S, M>(
     s: S,
@@ -535,7 +538,7 @@ fn reduce_row_first_hit<A, X, Y, S, M>(
     v: &DenseVector<X>,
     i: usize,
     identity: Y,
-    counters: Option<&AccessCounters>,
+    tally: &mut RowTally,
 ) -> Y
 where
     A: Scalar,
@@ -556,10 +559,7 @@ where
             break;
         }
     }
-    if let Some(c) = counters {
-        c.add_matrix(examined);
-        c.add_vector(examined + 1);
-    }
+    tally.row(examined);
     acc
 }
 

@@ -27,8 +27,10 @@
 //! [`ops_mxv_batch`] generalizes the direction machinery to `k × n`
 //! frontier *batches* ([`vector::MultiVector`]): [`ops_mxv_batch::mxv_batch`]
 //! resolves a direction per row and runs the batched row/column kernels
-//! over a flat `(source, chunk)` grid — the multi-source BFS and batched
-//! Brandes BC workload the paper's §1 motivates.
+//! over a flat `(source, chunk)` grid — the batched Brandes BC and
+//! multi-source SSSP workloads. [`ops_mxv_lanes`] serves the BFS family
+//! instead: up to 64 sources share one `u64` lane word per vertex, and one
+//! pull sweep plus one push sweep per level serve every lane.
 //!
 //! [`fused`] adds the kernel-fusion layer on top of the same dispatch: the
 //! lazy [`fused::FusedMxv`] builder compiles a masked `mxv` + elementwise
@@ -49,6 +51,7 @@ pub mod mxm;
 pub mod ops;
 pub mod ops_mxv;
 pub mod ops_mxv_batch;
+pub mod ops_mxv_lanes;
 pub mod plan;
 pub mod vector;
 pub mod vector_ops;
@@ -64,6 +67,7 @@ pub use ops_mxv::{col_masked_mxv, col_mxv, mxv, row_masked_mxv, row_mxv};
 pub use ops_mxv_batch::{
     col_masked_mxv_batch, mxv_batch, mxv_batch_attributed, row_masked_mxv_batch,
 };
+pub use ops_mxv_lanes::{LaneCharges, LaneGroup, MAX_LANES};
 pub use plan::{
     resolve_direction, resolve_plan, CostConstants, CostModelInputs, DirectionPolicy, ExecPlan,
     Planner,

@@ -63,6 +63,7 @@ where
         return DenseVector::from_values(Vec::new(), identity);
     }
     let mut vals = vec![identity; op.n_rows()];
+    let out = SendPtr(vals.as_mut_ptr());
     if let Some(rows) = op.nonempty_rows() {
         // Hypersparse store: scan only the non-empty rows — the DCSR win.
         // Empty rows contribute the ⊕ identity (already the fill) and
@@ -72,18 +73,17 @@ where
         if let Some(c) = counters {
             c.add_vector((op.n_rows() - rows.len()) as u64);
         }
-        let out = SendPtr(vals.as_mut_ptr());
-        rows.par_iter().with_min_len(ROW_GRAIN).for_each(|&i| {
-            let y = reduce_row(s, op, v, i as usize, identity, false, counters);
+        par_row_chunks(rows.len(), counters, |idx, tally| {
+            let i = rows[idx] as usize;
+            let y = reduce_row(s, op, v, i, identity, false, counters, tally);
             // SAFETY: non-empty row ids are unique, so writes are disjoint.
-            unsafe { *out.get().add(i as usize) = y };
+            unsafe { *out.get().add(i) = y };
         });
     } else {
-        // Row-range chunking with direct per-chunk output slices: each
-        // worker writes its rows straight into the dense output, no
-        // reassembly copy.
-        pool::par_fill_with(&mut vals, ROW_GRAIN, |i| {
-            reduce_row(s, op, v, i, identity, false, counters)
+        par_row_chunks(op.n_rows(), counters, |i, tally| {
+            let y = reduce_row(s, op, v, i, identity, false, counters, tally);
+            // SAFETY: chunks partition the rows, so writes are disjoint.
+            unsafe { *out.get().add(i) = y };
         });
     }
     DenseVector::from_values(vals, identity)
@@ -115,43 +115,103 @@ where
         return DenseVector::from_values(Vec::new(), identity);
     }
 
+    let mut vals = vec![identity; op.n_rows()];
+    let out = SendPtr(vals.as_mut_ptr());
     if let Some(active) = mask.active_list() {
         // O(nnz(m)) row iteration: only the listed rows are touched. This
         // is the amortized-SPA path of §3.2.
         if let Some(c) = counters {
             c.add_mask(active.len() as u64);
         }
-        let mut vals = vec![identity; op.n_rows()];
-        let out = SendPtr(vals.as_mut_ptr());
-        active.par_iter().with_min_len(ROW_GRAIN).for_each(|&i| {
-            debug_assert!(mask.allows(i as usize), "active list disagrees with mask");
-            let y = reduce_row(s, op, v, i as usize, identity, early_exit, counters);
+        par_row_chunks(active.len(), counters, |idx, tally| {
+            let i = active[idx] as usize;
+            debug_assert!(mask.allows(i), "active list disagrees with mask");
+            let y = reduce_row(s, op, v, i, identity, early_exit, counters, tally);
             // SAFETY: active-list entries are unique, so writes are disjoint.
-            unsafe { *out.get().add(i as usize) = y };
+            unsafe { *out.get().add(i) = y };
         });
-        DenseVector::from_values(vals, identity)
     } else {
         // No active list: scan all rows but skip masked-out ones before
         // touching the matrix (mask reads cost O(M), matrix cost O(d·nnz(m))).
         if let Some(c) = counters {
             c.add_mask(op.n_rows() as u64);
         }
-        let mut vals = vec![identity; op.n_rows()];
-        pool::par_fill_with(&mut vals, ROW_GRAIN, |i| {
+        par_row_chunks(op.n_rows(), counters, |i, tally| {
             if mask.allows(i) {
-                reduce_row(s, op, v, i, identity, early_exit, counters)
-            } else {
-                identity
+                let y = reduce_row(s, op, v, i, identity, early_exit, counters, tally);
+                // SAFETY: chunks partition the rows, so writes are disjoint.
+                unsafe { *out.get().add(i) = y };
             }
         });
-        DenseVector::from_values(vals, identity)
     }
+    DenseVector::from_values(vals, identity)
+}
+
+/// Row-kernel charges tallied on the worker and added to the counters
+/// once per chunk. Totals equal a per-row charge (matrix: one per examined
+/// entry; vector: one per examined entry plus the row's output write), but
+/// workers do not make two atomic adds per row on one shared counter set —
+/// a cache line every lane would otherwise fight over. An unmetered run
+/// tallies nothing.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RowTally {
+    metered: bool,
+    examined: u64,
+    rows: u64,
+}
+
+impl RowTally {
+    /// An empty tally for one chunk of a run metered through `counters`.
+    #[inline]
+    pub(crate) fn new(counters: Option<&AccessCounters>) -> Self {
+        Self {
+            metered: counters.is_some(),
+            examined: 0,
+            rows: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn row(&mut self, examined: u64) {
+        if self.metered {
+            self.examined += examined;
+            self.rows += 1;
+        }
+    }
+
+    /// Add this chunk's tally to the counters (one add per category).
+    pub(crate) fn flush(self, counters: Option<&AccessCounters>) {
+        if let (Some(c), true) = (counters, self.rows > 0) {
+            c.add_matrix(self.examined);
+            c.add_vector(self.examined + self.rows);
+        }
+    }
+}
+
+/// Run `body(idx, tally)` over `0..len` in size-derived row chunks
+/// ([`pool::index_chunks`]), each with its own [`RowTally`] flushed to
+/// `counters` when the chunk ends.
+pub(crate) fn par_row_chunks<F>(len: usize, counters: Option<&AccessCounters>, body: F)
+where
+    F: Fn(usize, &mut RowTally) + Sync + Send,
+{
+    pool::index_chunks(len, ROW_GRAIN)
+        .into_par_iter()
+        .for_each(|range| {
+            let mut tally = RowTally::new(counters);
+            for idx in range {
+                body(idx, &mut tally);
+            }
+            tally.flush(counters);
+        });
 }
 
 /// Reduce one operand row against a dense input vector. Shared with the
 /// batched row kernel, so per-row work and counter bookkeeping are
-/// identical between single-source and batched pulls.
+/// identical between single-source and batched pulls. `counters` is only
+/// polled here; the row's charges go to the chunk's `tally`.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn reduce_row<A, X, Y, S, M>(
     s: S,
     op: &M,
@@ -160,6 +220,7 @@ pub(crate) fn reduce_row<A, X, Y, S, M>(
     identity: Y,
     early_exit: bool,
     counters: Option<&AccessCounters>,
+    tally: &mut RowTally,
 ) -> Y
 where
     A: Scalar,
@@ -190,10 +251,7 @@ where
             }
         }
     }
-    if let Some(c) = counters {
-        c.add_matrix(examined);
-        c.add_vector(examined + 1);
-    }
+    tally.row(examined);
     acc
 }
 

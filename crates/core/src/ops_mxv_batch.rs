@@ -29,6 +29,12 @@
 //! bookkeeping are shared code, and chunk layouts derive from sizes only
 //! (never the lane count), so results are also identical at every thread
 //! count.
+//!
+//! Each row still reads the matrix on its own, so the consumers are the
+//! traversals whose rows carry values a bit lane cannot: batched Brandes
+//! BC (σ/δ sums) and coalesced SSSP (distances). The BFS family runs the
+//! lane kernel of [`crate::ops_mxv_lanes`] instead, where one sweep per
+//! face serves every source.
 
 use crate::descriptor::{Descriptor, Direction, DirectionChoice};
 use crate::error::{GrbError, GrbResult};
@@ -36,7 +42,7 @@ use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::ops_mxv::{
     expansion_offsets, filter_col_output, reduce_row, spa_chunk_ranges, spa_harvest_chunk,
-    spa_merge_parts, SendPtr, ROW_GRAIN,
+    spa_merge_parts, RowTally, SendPtr, ROW_GRAIN,
 };
 use crate::plan::DirectionPolicy;
 use crate::vector::{DenseVector, MultiVector, SparseVector, Vector};
@@ -182,6 +188,8 @@ where
     grid.into_par_iter().for_each(|(j, range)| {
         let v = vs[j];
         let mask = masks.map(|ms| &ms[j]);
+        let c = row_charge(counters, row_counters, j);
+        let mut tally = RowTally::new(c);
         for idx in range {
             // Resolve the output row this grid index names.
             let (i, allowed) = match mask {
@@ -204,14 +212,14 @@ where
                 },
             };
             if allowed {
-                let c = row_charge(counters, row_counters, j);
-                let y = reduce_row(s, op, v, i, identity, early_exit, c);
+                let y = reduce_row(s, op, v, i, identity, early_exit, c, &mut tally);
                 // SAFETY: within a source, grid indices (and the unique
                 // active-list or non-empty rows they map to) are disjoint;
                 // across sources the output buffers are distinct.
                 unsafe { *ptrs[j].get().add(i) = y };
             }
         }
+        tally.flush(c);
     });
 
     outs.into_iter()

@@ -165,8 +165,10 @@ pub fn resolve_direction<X: Scalar>(v: &Vector<X>, desc: &Descriptor) -> Directi
 
 /// Resolve one face's format under a [`FormatChoice`]: a forced format
 /// (with an infeasible bitmap degraded to CSR, so the plan always names
-/// what executes) or the [`auto_format`] rule.
-fn resolve_format<A: Scalar>(
+/// what executes) or the [`auto_format`] rule. The lane kernels of
+/// [`crate::ops_mxv_lanes`] resolve each of their two faces with it.
+#[must_use]
+pub fn resolve_format<A: Scalar>(
     graph: &Graph<A>,
     transpose: bool,
     direction: Direction,

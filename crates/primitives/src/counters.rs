@@ -309,13 +309,29 @@ impl AccessCounters {
         if !self.limit_active.load(Ordering::Relaxed) {
             return true;
         }
-        self.checkpoint_slow()
+        self.checkpoint_slow(false)
+    }
+
+    /// [`AccessCounters::checkpoint`] that reads the deadline clock on
+    /// every call, not every `DEADLINE_CHECK_PERIOD`-th: the poll for
+    /// boundaries few enough that the clock read is free, such as the
+    /// levels of a multi-source group, which may then overshoot a deadline
+    /// by at most one boundary.
+    #[must_use]
+    pub fn checkpoint_now(&self) -> bool {
+        if self.tripped.load(Ordering::Relaxed) != 0 {
+            return false;
+        }
+        if !self.limit_active.load(Ordering::Relaxed) {
+            return true;
+        }
+        self.checkpoint_slow(true)
     }
 
     #[cold]
-    fn checkpoint_slow(&self) -> bool {
+    fn checkpoint_slow(&self, read_clock: bool) -> bool {
         let tick = self.check_ticks.fetch_add(1, Ordering::Relaxed);
-        if tick.is_multiple_of(DEADLINE_CHECK_PERIOD) {
+        if read_clock || tick.is_multiple_of(DEADLINE_CHECK_PERIOD) {
             let expired = self.deadline_slot().is_some_and(|at| Instant::now() >= at);
             if expired {
                 self.trip(StopReason::Deadline);
@@ -595,6 +611,18 @@ mod tests {
         c.uninstall_limits();
         assert_eq!(c.stop_reason(), None);
         assert!(c.checkpoint());
+    }
+
+    #[test]
+    fn checkpoint_now_reads_the_deadline_clock_every_call() {
+        let c = AccessCounters::new();
+        c.install_limits(&ExecLimits::none().with_deadline(std::time::Duration::from_millis(1)));
+        assert!(c.checkpoint(), "tick 0 reads the clock before the deadline");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert!(c.checkpoint(), "tick 1 skips the throttled clock read");
+        assert!(!c.checkpoint_now(), "the unthrottled poll sees the expiry");
+        assert_eq!(c.stop_reason(), Some(StopReason::Deadline));
+        c.uninstall_limits();
     }
 
     #[test]

@@ -75,8 +75,9 @@ where
 
 /// The standard size-derived chunk list over `0..n`: one chunk per `grain`
 /// items, at most [`MAX_CHUNKS`], never empty ranges. This is the shared
-/// chunking rule of [`par_for_ranges`] and the fused-pipeline pull kernel —
-/// boundaries depend on `n` and `grain` only, never on the lane count, so
+/// chunking rule of [`par_for_ranges`], the row (pull) kernels and the
+/// lane-group pull sweep — boundaries depend on `n` and `grain` only,
+/// never on the lane count, so
 /// per-chunk results recombined in list order are deterministic.
 #[must_use]
 pub fn index_chunks(n: usize, grain: usize) -> Vec<Range<usize>> {
@@ -104,23 +105,6 @@ where
         return;
     }
     index_chunks(n, grain).into_par_iter().for_each(body);
-}
-
-/// Fill `out[i] = body(i)` for every index, in parallel over contiguous
-/// chunks when `out` is large enough to amortize the fork/join cost.
-///
-/// Each chunk writes its own disjoint output slice directly — no per-chunk
-/// temporary vectors, no reassembly copy — which is how the row-based
-/// (pull) matvec kernel materializes its dense output.
-pub fn par_fill_with<T, F>(out: &mut [T], grain: usize, body: F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync + Send,
-{
-    out.par_iter_mut()
-        .with_min_len(grain.max(1))
-        .enumerate()
-        .for_each(|(i, slot)| *slot = body(i));
 }
 
 /// Map each contiguous chunk of `0..n` through `body` and collect the
@@ -207,19 +191,6 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_fill_with_writes_every_slot() {
-        let mut out = vec![0usize; 50_000];
-        rayon::with_num_threads(4, || {
-            par_fill_with(&mut out, 256, |i| i * 3);
-        });
-        assert!(out.iter().enumerate().all(|(i, &x)| x == i * 3));
-        // Small input (sequential path) behaves identically.
-        let mut small = vec![0usize; 7];
-        par_fill_with(&mut small, 256, |i| i + 1);
-        assert_eq!(small, vec![1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Batch execution: same-kind single-source queries coalesce into one
-//! batched traversal (the entries drivers), everything else runs solo
-//! under `run_guarded` — in both paths each request is metered and
-//! limited through its own counter set.
+//! batched traversal (the `*_entries` functions: BFS and parent BFS share one
+//! bit-lane traversal per group of up to 64, SSSP one attributed
+//! `mxv_batch` per round), everything else runs solo under `run_guarded`
+//! — in both paths each request is metered and limited through its own
+//! counter set. Every vertex id a query carries is checked before
+//! grouping: an out-of-range id answers its request alone with
+//! `GrbError::IndexOutOfBounds` and zero counters.
 
 use graphblas_algo::bc::{try_betweenness_with_opts, BcOpts};
 use graphblas_algo::bfs_parents::ParentBfsOpts;
@@ -55,12 +59,14 @@ pub struct ExecOpts {
     pub bc: BcOpts,
 }
 
-/// Execute one admitted batch. Coalescible kinds run as one entries
-/// batch per kind; a request whose coalesced group hit a worker-chunk
-/// panic is de-coalesced and retried solo once (transient chunk faults
-/// don't condemn innocent passengers); its retry failure is returned
-/// typed. `shared` receives the batch-scoped charges (format planning,
-/// conversions) plus the fold of all per-request work.
+/// Execute one admitted batch. A request carrying an out-of-range vertex
+/// id is answered with `GrbError::IndexOutOfBounds` and zero counters and
+/// joins no group. Coalescible kinds run as one entries batch per kind; a
+/// request whose coalesced group hit a worker-chunk panic is de-coalesced
+/// and retried solo once (transient chunk faults don't condemn innocent
+/// passengers); its retry failure is returned typed. `shared` receives
+/// the batch-scoped charges (format planning, conversions) plus the fold
+/// of all coalescible per-request work.
 pub fn execute_batch(
     graphs: &ServiceGraphs,
     opts: &ExecOpts,
@@ -72,6 +78,11 @@ pub fn execute_batch(
     let mut results: Vec<Option<GrbResult<QueryOutput>>> = (0..k).map(|_| None).collect();
     let mut group_sizes = vec![1usize; k];
     let mut retried = vec![false; k];
+    for (i, req) in batch.iter().enumerate() {
+        if let Err(e) = check_vertices(&req.query, graphs.n_vertices()) {
+            results[i] = Some(Err(e));
+        }
+    }
 
     for kind in [
         QueryKind::Bfs,
@@ -80,7 +91,9 @@ pub fn execute_batch(
         QueryKind::PageRank,
         QueryKind::Bc,
     ] {
-        let idxs: Vec<usize> = (0..k).filter(|&i| batch[i].query.kind() == kind).collect();
+        let idxs: Vec<usize> = (0..k)
+            .filter(|&i| results[i].is_none() && batch[i].query.kind() == kind)
+            .collect();
         if idxs.is_empty() {
             continue;
         }
@@ -166,6 +179,25 @@ pub fn execute_batch(
             retried_solo: retried[i],
         })
         .collect()
+}
+
+/// Reject a query carrying a vertex id outside `0..n` with the typed
+/// error, before it can reach a range assertion in the algorithms crate.
+fn check_vertices(q: &Query, n: usize) -> GrbResult<()> {
+    let ids: &[VertexId] = match q {
+        Query::Bfs { source } | Query::Parents { source } | Query::Sssp { source } => {
+            std::slice::from_ref(source)
+        }
+        Query::Bc { sources } => sources,
+        Query::PageRank => &[],
+    };
+    match ids.iter().find(|&&v| v as usize >= n) {
+        Some(&v) => Err(GrbError::IndexOutOfBounds {
+            index: v as usize,
+            dim: n,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Source vertex of a coalescible query.

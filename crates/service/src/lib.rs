@@ -13,9 +13,12 @@
 //!   count.
 //! * [`executor`] — same-kind single-source queries (BFS / parent BFS /
 //!   SSSP) coalesce into one batched traversal through the algorithms
-//!   crate's entry drivers ([`graphblas_algo::entries`]); PageRank and BC
-//!   dispatch solo under `run_guarded`. A tripped request aborts with its
-//!   typed error without touching siblings; a worker-chunk panic
+//!   crate's entry functions ([`graphblas_algo::entries`]): BFS and parent
+//!   BFS share one bit-lane traversal per group of up to 64 sources, SSSP
+//!   one attributed `mxv_batch` per round. PageRank and BC dispatch solo
+//!   under `run_guarded`. A query carrying an out-of-range vertex id is
+//!   answered `IndexOutOfBounds` before grouping. A tripped request aborts
+//!   with its typed error without touching siblings; a worker-chunk panic
 //!   de-coalesces the survivors for a solo retry.
 //! * [`trace`] / [`stats`] — deterministic trace replay on a virtual
 //!   clock, reduced to queries/sec, latency percentiles, batch-size
@@ -25,9 +28,12 @@
 //! * [`service`] — the live front: a `Mutex`/`Condvar` queue and a
 //!   dispatcher thread admitting under a real-time window.
 //!
-//! `tests/service_equivalence.rs` pins the core contract: a coalesced
-//! request's values *and* counter snapshot are bit-identical to its solo
-//! run, at 1/2/8 lanes.
+//! `tests/service_equivalence.rs` pins the core contract at 1/2/8 lanes:
+//! a coalesced request's values and push/pull steps are bit-identical to
+//! its solo run; a BFS-family group's bills sum to the group's total and
+//! read the matrix at most as often as the members' solo runs together;
+//! SSSP, PageRank and BC requests keep their solo run's full counter
+//! snapshot.
 
 pub mod admission;
 pub mod executor;

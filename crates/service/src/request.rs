@@ -34,7 +34,9 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
-    /// Kinds the executor coalesces into one `MultiVector` batch.
+    /// Kinds the executor coalesces into one batched traversal: BFS and
+    /// parent BFS share one bit-lane traversal per group of up to 64,
+    /// SSSP runs one attributed `mxv_batch` per round.
     #[must_use]
     pub fn coalescible(self) -> bool {
         matches!(self, Self::Bfs | Self::Parents | Self::Sssp)

@@ -108,25 +108,34 @@ impl Service {
     }
 
     /// Stop accepting work, drain the queue, and join the dispatcher.
+    ///
+    /// # Panics
+    /// Re-raises a panic that ended the dispatcher thread.
     pub fn shutdown(mut self) {
-        self.stop();
+        if let Err(payload) = self.stop() {
+            std::panic::resume_unwind(payload);
+        }
     }
 
-    fn stop(&mut self) {
+    /// Flag shutdown, wake the dispatcher, and join it, returning its
+    /// join result (`Drop` discards it; `shutdown` re-raises a panic).
+    fn stop(&mut self) -> std::thread::Result<()> {
         {
-            let mut st = self.inner.state.lock().expect("service state");
+            let mut st = self
+                .inner
+                .state
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             st.shutdown = true;
         }
         self.inner.cv.notify_all();
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
+        self.worker.take().map_or(Ok(()), JoinHandle::join)
     }
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        self.stop();
+        let _ = self.stop();
     }
 }
 

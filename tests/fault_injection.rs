@@ -171,9 +171,10 @@ proptest! {
 }
 
 /// An armed allocation fault inside a coalesced service batch fells
-/// exactly one request with the typed bytes error; every sibling's
-/// values and per-request counters are bit-identical to a disarmed solo
-/// run, and the disarmed re-dispatch of the full batch is clean.
+/// exactly one request with the typed bytes error and restored counters;
+/// every sibling's values and push/pull steps are bit-identical to a
+/// disarmed solo run, and the disarmed re-dispatch of the full batch is
+/// clean.
 #[test]
 fn alloc_fault_in_coalesced_batch_fells_exactly_one_request() {
     use push_pull::core::ExecLimits;
@@ -181,8 +182,9 @@ fn alloc_fault_in_coalesced_batch_fells_exactly_one_request() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let g = test_graph();
     let gs = ServiceGraphs::new(g.clone(), push_pull::gen::with_uniform_weights(&g, 7));
-    // Unfused parent BFS charges its per-level output buffers, giving the
-    // allocation countdown real sites inside the coalesced traversal.
+    // Every entry of a shared group charges its parent array before the
+    // first level, giving the allocation countdown one site per request;
+    // unfused parent BFS also charges per-level buffers on solo runs.
     let opts = ExecOpts {
         parents: push_pull::algo::bfs_parents::ParentBfsOpts {
             fused: false,
@@ -245,8 +247,9 @@ fn alloc_fault_in_coalesced_batch_fells_exactly_one_request() {
                 let alone = solo_disarmed(s);
                 assert_eq!(rs[i].result, alone.result, "sibling {i} at {lanes} lanes");
                 assert_eq!(
-                    rs[i].counters, alone.counters,
-                    "sibling {i} counters at {lanes} lanes"
+                    (rs[i].counters.push_steps, rs[i].counters.pull_steps),
+                    (alone.counters.push_steps, alone.counters.pull_steps),
+                    "sibling {i} steps at {lanes} lanes"
                 );
             }
 
@@ -262,7 +265,7 @@ fn alloc_fault_in_coalesced_batch_fells_exactly_one_request() {
 /// An injected worker-chunk panic inside a coalesced group triggers the
 /// executor's de-coalescing path: every passenger is re-run solo (the
 /// one-shot fault is spent), flagged `retried_solo`, and returns values
-/// identical to a disarmed solo dispatch.
+/// and counters identical to a disarmed solo dispatch.
 #[test]
 fn chunk_panic_decoalesces_group_and_solo_retries_succeed() {
     use push_pull::algo::msbfs::MsBfsOpts;
@@ -289,9 +292,14 @@ fn chunk_panic_decoalesces_group_and_solo_retries_succeed() {
     for lanes in LANES {
         rayon::with_num_threads(lanes, || {
             fault::clear();
-            let disarmed: Vec<_> = execute_batch(&gs, &opts, &batch, None)
-                .into_iter()
-                .map(|r| (r.result, r.counters))
+            let disarmed: Vec<_> = batch
+                .iter()
+                .map(|req| {
+                    let r = execute_batch(&gs, &opts, std::slice::from_ref(req), None)
+                        .pop()
+                        .expect("one request, one response");
+                    (r.result, r.counters)
+                })
                 .collect();
 
             let plan = FaultPlan {
@@ -310,6 +318,7 @@ fn chunk_panic_decoalesces_group_and_solo_retries_succeed() {
                 "the group must have de-coalesced at {lanes} lanes"
             );
             for (i, r) in rs.iter().enumerate() {
+                assert!(r.retried_solo, "request {i} retried solo at {lanes} lanes");
                 assert_eq!(
                     r.result, disarmed[i].0,
                     "request {i} values after retry at {lanes} lanes"
