@@ -22,8 +22,11 @@
 //! * **operand reuse** — pull iterations feed the dense *visited* vector as
 //!   the input (`Aᵀv .∗ ¬v`), so push→pull switches skip the sparse→dense
 //!   frontier conversion (§5.4, Gunrock's trick).
-//! * **structure-only** — the Boolean semiring ignores matrix values and
-//!   the push kernel key-only sorts (§5.5).
+//! * **structure-only** — the Boolean semiring ignores matrix values
+//!   (§5.5), so a push level is the claim kernel: each frontier edge tests
+//!   `¬v`, claims its unvisited endpoint in a bit set the run allocates
+//!   once, and only the level's discoveries are sorted. With masking, a
+//!   push level does no `O(M)` work.
 //!
 //! [`BfsOpts::ladder`] reproduces Table 2's cumulative configurations.
 //!
@@ -47,7 +50,7 @@ use graphblas_core::{
 };
 use graphblas_matrix::{Graph, StorageFormat, VertexId};
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::BitVec;
+use graphblas_primitives::{AtomicBitVec, BitVec};
 use std::time::Instant;
 
 /// Depth label for unreached vertices (matches `graphblas_baselines`).
@@ -65,7 +68,8 @@ pub struct BfsOpts {
     pub early_exit: bool,
     /// Optimization 4 (§5.4): pull input is the visited vector.
     pub operand_reuse: bool,
-    /// Optimization 5 (§5.5): pattern-only semiring + key-only sort.
+    /// Optimization 5 (§5.5): pattern-only semiring; push levels claim
+    /// unvisited vertices instead of sorting every expanded edge.
     pub structure_only: bool,
     /// The §6.3 switch ratio (α = β). Paper default 0.01.
     pub switch_threshold: f64,
@@ -326,6 +330,9 @@ where
     };
     let mut unvisited_stale = false;
     let mut unvisited_count = n - 1;
+    // The structure-only push kernel's claim set, lent to every masked
+    // push level: allocated once here, handed back all-clear by each level.
+    let claims = (opts.masking && semiring.product_hint().is_some()).then(|| AtomicBitVec::new(n));
 
     let mut f: Vector<bool> = Vector::singleton(n, false, source, true);
     let mut frontier_nnz = 1usize;
@@ -387,15 +394,14 @@ where
             unvisited.retain(|&v| !visited.get(v as usize));
         }
         // Optimization 2's kernel mask (¬visited, with the amortized
-        // active list on pull) and the §5.4 operand choice — with reuse,
-        // the pull input is the dense visited vector (Aᵀv .∗ ¬v; f ⊂ v
-        // makes it equivalent) — shared by both execution forms below.
-        let mask = opts.masking.then(|| {
-            if dir == Direction::Pull {
-                Mask::complement(&visited).with_active_list(&unvisited)
-            } else {
-                Mask::complement(&visited)
-            }
+        // active list on pull and the run's claim set on push) and the
+        // §5.4 operand choice — with reuse, the pull input is the dense
+        // visited vector (Aᵀv .∗ ¬v; f ⊂ v makes it equivalent) — shared
+        // by both execution forms below.
+        let mask = opts.masking.then(|| match (dir, &claims) {
+            (Direction::Pull, _) => Mask::complement(&visited).with_active_list(&unvisited),
+            (Direction::Push, Some(set)) => Mask::complement(&visited).with_claim_set(set),
+            (Direction::Push, None) => Mask::complement(&visited),
         });
         let input = if use_reuse { &visited_vec } else { &f };
 

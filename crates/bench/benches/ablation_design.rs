@@ -1,8 +1,9 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! 1. column-kernel merge strategy — radix sort (§6.2) vs per-worker SPAs
-//!    vs bitmask culling (§7.3);
-//! 2. key-only vs key-value sort in the expansion (structure-only, §5.5);
+//! 1. column-kernel merge strategy for valued semirings — radix sort
+//!    (§6.2) vs per-worker SPAs;
+//! 2. key-value sort vs the structure-only claim kernel (§5.5, with
+//!    Gunrock's §7.3 culling as the claim);
 //! 3. masked row kernel with the amortized active list (§3.2) vs plain
 //!    dense bit scan;
 //! 4. α = β switch-threshold sensitivity around the paper's 0.01;
@@ -52,21 +53,6 @@ fn bench_merge_strategy(c: &mut Criterion) {
             })
         });
     }
-    // Gunrock's §7.3 alternative: bitmask culling, no sort at all (needs a
-    // constant-product semiring).
-    {
-        let desc = Descriptor::new()
-            .transpose(true)
-            .force(Direction::Push)
-            .merge_strategy(MergeStrategy::BitmaskCull);
-        group.bench_function("bitmask_cull", |b| {
-            b.iter(|| {
-                let w: Vector<bool> =
-                    mxv(None, BoolStructure, &g, black_box(&f), &desc, None).unwrap();
-                black_box(w)
-            })
-        });
-    }
     group.finish();
 }
 
@@ -92,7 +78,7 @@ fn bench_structure_only_sort(c: &mut Criterion) {
             black_box(w)
         })
     });
-    group.bench_function("key_only_sort", |b| {
+    group.bench_function("claim_kernel", |b| {
         let desc = Descriptor::new()
             .transpose(true)
             .force(Direction::Push)

@@ -10,8 +10,9 @@
 //!
 //! The batched artifact (`BENCH_batched.json`, `paper -- batched --shrink 6
 //! --seed 42`) is pinned exactly on its deterministic fields: per dataset
-//! and batch size, the levels and the push/pull steps of the multi-source
-//! traversal. Its wall-clock speedups are reported, never gated.
+//! and batch size, the levels, the push/pull steps and the four contract
+//! charges (matrix, vector, mask, sort) of the multi-source traversal. Its
+//! wall-clock speedups are reported, never gated.
 //!
 //! Every `BENCH_*.json` the `paper` binary writes must be committed under
 //! `results/`; a guard test fails when one is missing.
@@ -176,48 +177,118 @@ fn committed_serve_artifact_machine_fields_are_sane() {
     }
 }
 
-/// `(dataset, k, levels, push_steps, pull_steps)` of the fixed-seed
-/// regeneration (`paper -- batched --shrink 6 --seed 42`): each source's
-/// steps equal its solo run's, so these follow from the graphs and the
-/// §6.3 rule alone.
-const BATCHED_PIN: [(&str, u64, u64, u64, u64); 33] = [
-    ("soc-orkut", 1, 4, 2, 2),
-    ("soc-orkut", 4, 5, 9, 8),
-    ("soc-orkut", 16, 5, 35, 32),
-    ("soc-lj", 1, 6, 3, 3),
-    ("soc-lj", 4, 6, 12, 12),
-    ("soc-lj", 16, 7, 58, 44),
-    ("h09", 1, 4, 2, 2),
-    ("h09", 4, 4, 8, 8),
-    ("h09", 16, 4, 32, 32),
-    ("i04", 1, 5, 3, 2),
-    ("i04", 4, 6, 15, 8),
-    ("i04", 16, 6, 59, 36),
-    ("kron", 1, 5, 2, 3),
-    ("kron", 4, 6, 14, 10),
-    ("kron", 16, 6, 52, 39),
-    ("rmat-22", 1, 5, 3, 2),
-    ("rmat-22", 4, 6, 10, 11),
-    ("rmat-22", 16, 5, 43, 37),
-    ("rmat-23", 1, 6, 3, 3),
-    ("rmat-23", 4, 7, 17, 9),
-    ("rmat-23", 16, 6, 52, 42),
-    ("rmat-24", 1, 6, 3, 3),
-    ("rmat-24", 4, 6, 14, 10),
-    ("rmat-24", 16, 6, 53, 43),
-    ("rgg", 1, 235, 235, 0),
-    ("rgg", 4, 309, 1194, 0),
-    ("rgg", 16, 346, 4464, 0),
-    ("roadnet", 1, 292, 292, 0),
-    ("roadnet", 4, 310, 1068, 0),
-    ("roadnet", 16, 298, 3821, 0),
-    ("road_usa", 1, 809, 809, 0),
-    ("road_usa", 4, 864, 3032, 0),
-    ("road_usa", 16, 996, 13183, 0),
+/// `(dataset, k, levels, push_steps, pull_steps, [matrix, vector, mask,
+/// sort])` of the fixed-seed regeneration (`paper -- batched --shrink 6
+/// --seed 42`). Each source's steps equal its solo run's, so the steps
+/// follow from the graphs and the §6.3 rule alone. The four contract
+/// charges are the counted pass's: a k = 1 row is a solo BFS (claim-kernel
+/// push levels), a larger k one shared lane traversal; both are identical
+/// at every lane count.
+const BATCHED_PIN: [PinnedSample; 33] = [
+    ("soc-orkut", 1, 4, 2, 2, [50018, 87877, 49976, 17956]),
+    ("soc-orkut", 4, 5, 9, 8, [261610, 307144, 260963, 87120]),
+    ("soc-orkut", 16, 5, 35, 32, [396191, 443597, 395275, 93550]),
+    ("soc-lj", 1, 6, 3, 3, [159436, 242422, 86498, 9477]),
+    ("soc-lj", 4, 6, 12, 12, [387290, 494575, 128561, 45648]),
+    ("soc-lj", 16, 7, 58, 44, [735595, 876156, 391181, 82134]),
+    ("h09", 1, 4, 2, 2, [21802, 31373, 21802, 15076]),
+    ("h09", 4, 4, 8, 8, [84712, 98644, 84712, 32546]),
+    ("h09", 16, 4, 32, 32, [288147, 305748, 288143, 36796]),
+    ("i04", 1, 5, 3, 2, [263802, 297820, 264029, 241803]),
+    ("i04", 4, 6, 15, 8, [314250, 425507, 313120, 224907]),
+    ("i04", 16, 6, 59, 36, [1593035, 1721271, 1579399, 277647]),
+    ("kron", 1, 5, 2, 3, [35352, 70641, 49804, 15310]),
+    ("kron", 4, 6, 14, 10, [270578, 319369, 286953, 38740]),
+    ("kron", 16, 6, 52, 39, [587802, 664705, 589992, 6438]),
+    ("rmat-22", 1, 5, 3, 2, [104769, 157705, 122104, 42546]),
+    ("rmat-22", 4, 6, 10, 11, [314927, 405567, 314066, 69752]),
+    (
+        "rmat-22",
+        16,
+        5,
+        43,
+        37,
+        [1748313, 1835836, 1767467, 103524],
+    ),
+    ("rmat-23", 1, 6, 3, 3, [127081, 299238, 213337, 60408]),
+    ("rmat-23", 4, 7, 17, 9, [868647, 1123591, 948379, 138495]),
+    (
+        "rmat-23",
+        16,
+        6,
+        52,
+        42,
+        [1370694, 1583887, 1407950, 234279],
+    ),
+    ("rmat-24", 1, 6, 3, 3, [205818, 630443, 460828, 69087]),
+    ("rmat-24", 4, 6, 14, 10, [1412921, 1933943, 1679249, 165573]),
+    (
+        "rmat-24",
+        16,
+        6,
+        53,
+        43,
+        [2281977, 2822168, 2460978, 310710],
+    ),
+    ("rgg", 1, 235, 235, 0, [4181044, 1340209, 4181044, 787497]),
+    (
+        "rgg",
+        4,
+        309,
+        1194,
+        0,
+        [16635929, 17680314, 16635929, 3133143],
+    ),
+    (
+        "rgg",
+        16,
+        346,
+        4464,
+        0,
+        [64620313, 68677863, 64620313, 12172602],
+    ),
+    ("roadnet", 1, 292, 292, 0, [117712, 85587, 117712, 62656]),
+    ("roadnet", 4, 310, 1068, 0, [467788, 592287, 467788, 248990]),
+    (
+        "roadnet",
+        16,
+        298,
+        3821,
+        0,
+        [1792056, 2269034, 1792056, 953924],
+    ),
+    (
+        "road_usa",
+        1,
+        809,
+        809,
+        0,
+        [1408796, 985709, 1408796, 1119912],
+    ),
+    (
+        "road_usa",
+        4,
+        864,
+        3032,
+        0,
+        [5627463, 7118643, 5627463, 4473528],
+    ),
+    (
+        "road_usa",
+        16,
+        996,
+        13183,
+        0,
+        [22289568, 28195973, 22289568, 17719167],
+    ),
 ];
 
-/// `(dataset, k, levels, push_steps, pull_steps)` of one batched sample.
-type BatchedSample = (String, u64, u64, u64, u64);
+/// `(dataset, k, levels, push_steps, pull_steps, [matrix, vector, mask,
+/// sort])` of one batched sample.
+type BatchedSample = (String, u64, u64, u64, u64, [u64; 4]);
+
+/// A [`BatchedSample`] as pinned in source.
+type PinnedSample = (&'static str, u64, u64, u64, u64, [u64; 4]);
 
 /// Scrape every sample, plus the artifact's `shrink` and `seed`.
 fn scrape_batched(text: &str) -> (Vec<BatchedSample>, u64, u64) {
@@ -234,7 +305,7 @@ fn scrape_batched(text: &str) -> (Vec<BatchedSample>, u64, u64) {
             "name" => dataset = value.trim_matches('"').to_string(),
             "shrink" => shrink = int().unwrap_or(0),
             "seed" => seed = int().unwrap_or(0),
-            "k" => samples.push((dataset.clone(), int().unwrap_or(0), 0, 0, 0)),
+            "k" => samples.push((dataset.clone(), int().unwrap_or(0), 0, 0, 0, [0; 4])),
             "levels" => {
                 if let (Some(s), Some(v)) = (samples.last_mut(), int()) {
                     s.2 = v;
@@ -250,6 +321,18 @@ fn scrape_batched(text: &str) -> (Vec<BatchedSample>, u64, u64) {
                     s.4 = v;
                 }
             }
+            charge
+            @ ("matrix_accesses" | "vector_accesses" | "mask_accesses" | "sort_accesses") => {
+                let slot = match charge {
+                    "matrix_accesses" => 0,
+                    "vector_accesses" => 1,
+                    "mask_accesses" => 2,
+                    _ => 3,
+                };
+                if let (Some(s), Some(v)) = (samples.last_mut(), int()) {
+                    s.5[slot] = v;
+                }
+            }
             _ => {}
         }
     }
@@ -262,13 +345,13 @@ fn committed_batched_artifact_pins_levels_and_steps() {
     assert_eq!((shrink, seed), (6, 42), "pinned against shrink 6, seed 42");
     let pinned: Vec<BatchedSample> = BATCHED_PIN
         .iter()
-        .map(|&(d, k, l, push, pull)| (d.to_string(), k, l, push, pull))
+        .map(|&(d, k, l, push, pull, charges)| (d.to_string(), k, l, push, pull, charges))
         .collect();
     assert_eq!(
         samples, pinned,
-        "levels and push/pull steps per dataset and k"
+        "levels, push/pull steps and contract charges per dataset and k"
     );
-    for (d, k, levels, push, pull) in &samples {
+    for (d, k, levels, push, pull, _) in &samples {
         // One source takes one step per level; a batch's sources each take
         // one per level they ran, the longest running every level.
         if *k == 1 {

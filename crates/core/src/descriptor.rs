@@ -4,8 +4,9 @@
 //! In the GraphBLAS C API a `GrB_Descriptor` carries transpose/replace/
 //! complement switches and implementation hints. Ours additionally exposes
 //! the paper's optimizations so each can be disabled in isolation:
-//! direction choice (force push/pull or auto), early-exit, structure-only,
-//! and the multiway merge strategy of §6.2 (radix sort, bitmask culling,
+//! direction choice (force push/pull or auto), early-exit, structure-only
+//! (a constant-product semiring's push runs the mask-first claim kernel),
+//! and the multiway merge strategy of §6.2 for valued pushes (radix sort
 //! or per-worker SPAs). With the transpose flag and the storage-format
 //! choice that makes six fields. The §6.3 switch threshold
 //! (`α = β = 0.01`) is a traversal-level setting: it lives in the
@@ -57,19 +58,16 @@ pub enum FormatChoice {
     Force(StorageFormat),
 }
 
-/// How the column kernel resolves its multiway merge (§6.2 discussion).
+/// How the column kernel resolves a valued semiring's multiway merge
+/// (§6.2 discussion). A structure-only push has no values to merge: it
+/// runs the claim kernel whatever the strategy (see
+/// [`Descriptor::structure_only`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MergeStrategy {
     /// Concatenate all lists, radix sort, segmented-reduce — the paper's
     /// GPU-friendly choice, `O(nnz(m_f⁺) log M)`.
     #[default]
     SortBased,
-    /// Gunrock's local culling (§7.3): dedup through a bitmask claim
-    /// instead of sorting, `O(nnz(m_f⁺))` with no log factor. Only valid
-    /// when the semiring provides a constant product hint (BFS-style
-    /// traversals where duplicate products are all equal); the kernel
-    /// falls back to [`MergeStrategy::SortBased`] otherwise.
-    BitmaskCull,
     /// Per-worker sparse accumulators (Gilbert–Moler–Schreiber SPA, §3.2):
     /// the frontier is cut into expansion-balanced chunks, each chunk
     /// scatters its products into a private SPA (`O(1)` per product, no
@@ -92,10 +90,12 @@ pub struct Descriptor {
     /// Optimization 3: allow the row kernel to break out of a row once the
     /// ⊕ accumulator reaches the monoid's annihilator.
     pub early_exit: bool,
-    /// Optimization 5: let the column kernel sort keys only, using the
-    /// semiring's constant product hint instead of carrying values.
+    /// Optimization 5: when the semiring has a constant product hint, the
+    /// column kernel carries no values at all. It tests the mask on each
+    /// expanded edge, claims the survivors in an atomic bit set (Gunrock's
+    /// culling, §7.3, made mask-first) and sorts only the claimed vertices.
     pub structure_only: bool,
-    /// Column-kernel merge implementation.
+    /// Column-kernel merge implementation for valued semirings.
     pub merge_strategy: MergeStrategy,
     /// Matrix storage-format selection policy.
     pub format: FormatChoice,

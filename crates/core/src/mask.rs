@@ -8,9 +8,15 @@
 //! `O(d·nnz(m))` bound instead of `O(dM + work)`: the paper's SPA trick of
 //! keeping "a sparse vector containing indices where the zeroes are
 //! located", built once and amortized across BFS iterations.
+//!
+//! The push face has its own amortized companion: a **claim set**, an
+//! all-clear atomic bit vector over the output dimension that the
+//! structure-only column kernel claims survivors in (see
+//! [`Mask::with_claim_set`]). A traversal allocates it once per run, so no
+//! push level pays for an `O(M)` buffer.
 
 use graphblas_matrix::VertexId;
-use graphblas_primitives::BitVec;
+use graphblas_primitives::{AtomicBitVec, BitVec};
 
 /// A structural Boolean mask over vertex indices.
 #[derive(Clone, Copy, Debug)]
@@ -18,6 +24,7 @@ pub struct Mask<'a> {
     bits: &'a BitVec,
     complement: bool,
     active_list: Option<&'a [VertexId]>,
+    claim_set: Option<&'a AtomicBitVec>,
 }
 
 impl<'a> Mask<'a> {
@@ -28,6 +35,7 @@ impl<'a> Mask<'a> {
             bits,
             complement: false,
             active_list: None,
+            claim_set: None,
         }
     }
 
@@ -38,6 +46,7 @@ impl<'a> Mask<'a> {
             bits,
             complement: true,
             active_list: None,
+            claim_set: None,
         }
     }
 
@@ -58,6 +67,29 @@ impl<'a> Mask<'a> {
         self
     }
 
+    /// Lend the structure-only push kernel a claim set: an **all-clear**
+    /// atomic bit vector of the mask's dimension. The kernel claims each
+    /// mask-passing output vertex in it, sorts only the winners, and
+    /// clears exactly those bits again before it returns, so the set
+    /// comes back all-clear and the call does no `O(M)` work.
+    /// Without one, the kernel allocates (and charges) a fresh set per
+    /// call.
+    ///
+    /// Contract: the set's length equals [`Mask::dim`] (asserted here);
+    /// it is all-clear whenever it is lent (debug-asserted on use); and it
+    /// serves one call at a time. A call that panicked may leave claims
+    /// behind, so a set must not outlive the run it was lent to — a
+    /// traversal allocates its own once per run.
+    ///
+    /// # Panics
+    /// If the set's length differs from the mask's dimension.
+    #[must_use]
+    pub fn with_claim_set(mut self, set: &'a AtomicBitVec) -> Self {
+        assert_eq!(set.len(), self.dim(), "claim set must cover the mask");
+        self.claim_set = Some(set);
+        self
+    }
+
     /// Whether the mask passes index `i` through to the output.
     #[inline]
     #[must_use]
@@ -75,6 +107,12 @@ impl<'a> Mask<'a> {
     #[must_use]
     pub fn active_list(&self) -> Option<&'a [VertexId]> {
         self.active_list
+    }
+
+    /// The lent claim set, when present.
+    #[must_use]
+    pub fn claim_set(&self) -> Option<&'a AtomicBitVec> {
+        self.claim_set
     }
 
     /// Number of allowed indices: `nnz(m)` in the Table 1 cost model.
@@ -137,6 +175,14 @@ mod tests {
         let m = Mask::new(&b).with_active_list(&list);
         assert_eq!(m.active_count(), 3);
         assert_eq!(m.active_list(), Some(&list[..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "claim set must cover the mask")]
+    fn claim_set_of_another_dimension_is_rejected() {
+        let b = bits_with(&[1], 5);
+        let set = AtomicBitVec::new(4);
+        let _ = Mask::complement(&b).with_claim_set(&set);
     }
 
     #[test]

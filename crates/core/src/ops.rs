@@ -10,8 +10,10 @@
 //!   `z`; that is the paper's *early-exit* (Optimization 3), the
 //!   short-circuit `OR` of Algorithm 2 line 8, generalized beyond Booleans.
 //! * **`MULT_IGNORES_A`** — the ⊗ operator never reads the matrix value.
-//!   When true, kernels skip loading matrix values and the column kernel
-//!   runs a key-only sort; that is *structure-only* (Optimization 5).
+//!   When true, kernels skip loading matrix values; with a constant
+//!   [`Semiring::product_hint`] the column kernel merges no values at all
+//!   (it claims output vertices instead); that is *structure-only*
+//!   (Optimization 5).
 
 use std::fmt::Debug;
 
@@ -46,9 +48,12 @@ pub trait Semiring<A: Scalar, X: Scalar, Y: Scalar>: Copy + Send + Sync {
     const MULT_IGNORES_A: bool = false;
     /// When `Some(c)`, the caller may assume every product of a stored
     /// matrix entry with an *explicit* input entry equals `c`. This is the
-    /// structure-only contract (§5.5): with it, the column kernel drops the
-    /// value payload entirely and radix-sorts bare keys. `BoolStructure`
-    /// over an all-`true` BFS frontier satisfies it with `c = true`.
+    /// structure-only contract (§5.5): with it, the output pattern is all
+    /// the column kernel has to find, so it drops the value payload and
+    /// runs the claim kernel — a mask test and an atomic claim per
+    /// expanded edge, then a sort of the claimed vertices only.
+    /// `BoolStructure` over an all-`true` BFS frontier satisfies it with
+    /// `c = true`.
     fn product_hint(&self) -> Option<Y> {
         None
     }

@@ -10,9 +10,18 @@
 //! [`mxv`] is the public entry point (GrB_mxv): it resolves the operand
 //! orientation from the descriptor's transpose flag, picks row vs. column
 //! by the input vector's storage (or a forced direction), and applies the
-//! mask inside the kernel (row) or as a post-filter (column) — exactly the
-//! asymmetry Figure 4 illustrates: masking accelerates the row kernel but
-//! merely filters the column kernel's output.
+//! mask inside the kernel.
+//!
+//! Figure 4 shows the paper's asymmetry: the mask prunes the row kernel's
+//! rows but only filters the column kernel's merged output. This crate
+//! closes that gap for structure-only semirings (BFS's
+//! [`BoolStructure`](crate::ops::BoolStructure)): every product is the same
+//! constant, so the column kernel becomes a **claim kernel**. Each
+//! expanded edge tests the mask, a survivor is claimed in an atomic bit
+//! set, and only the winners are sorted — the masked
+//! product `q⟨¬v⟩ = Aᵀq` costs the frontier's edges plus its discoveries,
+//! not a sort of every edge. Valued semirings keep Algorithm 3's merge
+//! and its post-filter.
 
 use crate::descriptor::{Descriptor, Direction, MergeStrategy};
 use crate::error::{GrbError, GrbResult};
@@ -262,7 +271,8 @@ where
 /// Column-based matvec without a mask: gathers the operand columns selected
 /// by the sparse input's nonzeros and resolves collisions by multiway merge
 /// (radix sort + segmented reduce, Algorithm 3, unless the descriptor picks
-/// another [`MergeStrategy`]). `O(d·nnz(f)·log nnz(f))`.
+/// another [`MergeStrategy`]). `O(d·nnz(f)·log nnz(f))`. A structure-only
+/// semiring runs the claim kernel instead (see [`col_masked_mxv`]).
 ///
 /// `op_t` must be the *transpose* of the logical operand: its rows are the
 /// operand's columns, which is how CSC access is realized (§3).
@@ -283,10 +293,15 @@ where
     col_kernel(s, op_t, v, None, desc, counters)
 }
 
-/// Column-based **masked** matvec — Algorithm 3 with the final mask filter
-/// (lines 17–24). The mask does *not* reduce work here (Fig. 4d): the full
-/// expansion, sort, and reduction happen first; the mask only gates which
-/// entries reach the output.
+/// Column-based **masked** matvec — Algorithm 3.
+///
+/// For a valued semiring the mask is the final filter (lines 17–24, Fig.
+/// 4d): the full expansion, merge and reduction happen first. For a
+/// structure-only semiring (a constant [`Semiring::product_hint`] under
+/// [`Descriptor::structure_only`]) the mask is tested *before* any merge
+/// work: each expanded edge that passes it claims its output vertex in a
+/// bit set, and only the claimed vertices are sorted. Lend the claim set
+/// through [`Mask::with_claim_set`] to keep a call free of `O(M)` work.
 pub fn col_masked_mxv<A, X, Y, S, M>(
     s: S,
     op_t: &M,
@@ -326,8 +341,9 @@ where
 }
 
 /// The column kernel up to (but not including) output materialization:
-/// expansion, merge under the descriptor's [`MergeStrategy`], mask filter,
-/// and identity drop, returning the raw sorted `(ids, vals)` pair lists.
+/// the structure-only claim kernel, or expansion and merge under the
+/// descriptor's [`MergeStrategy`] followed by the mask filter and identity
+/// drop, returning the raw sorted `(ids, vals)` pair lists.
 ///
 /// [`col_kernel`] wraps this into a [`SparseVector`]; the fused pipeline
 /// ([`crate::fused::FusedMxv`]) consumes the parts directly so the applied/
@@ -358,31 +374,22 @@ where
         c.add_vector(v.nnz() as u64);
     }
 
-    // Structure-only fast path: all products are a known constant, so the
-    // expansion carries bare keys and the sort is key-only (§5.5).
-    let structure_hint = if desc.structure_only {
-        s.product_hint()
-    } else {
-        None
-    };
+    // Structure-only: every product is the known constant, so the output
+    // pattern is the set of mask-passing expanded rows (§5.5) — claim it.
+    if let Some(hint) = s.product_hint().filter(|_| desc.structure_only) {
+        let mut ids = claim_kernel(op_t, v, mask, counters);
+        if hint == identity {
+            ids.clear();
+        }
+        let vals = vec![hint; ids.len()];
+        return (ids, vals);
+    }
 
-    let sort_based = |counters: Option<&AccessCounters>| -> (Vec<u32>, Vec<Y>) {
-        if let Some(hint) = structure_hint {
-            let mut keys = expand_keys_only(op_t, v, counters);
-            if let Some(c) = counters {
-                c.add_sort(
-                    keys.len() as u64 * sort::passes_for(op_t.n_rows().max(1) as u32 - 1) as u64,
-                );
-            }
-            sort::sort_keys(&mut keys, op_t.n_rows().max(1) as u32 - 1);
-            keys.dedup();
-            let vals = vec![hint; keys.len()];
-            (keys, vals)
-        } else {
+    let (mut ids, mut vals) = match desc.merge_strategy {
+        MergeStrategy::SortBased => {
             let (mut keys, mut prods) = expand_pairs(s, op_t, v, counters);
             if let Some(c) = counters {
-                // Key-value sort moves twice the data of a key-only sort —
-                // the factor structure-only removes.
+                // A key-value sort moves two words per product.
                 c.add_sort(
                     2 * keys.len() as u64
                         * sort::passes_for(op_t.n_rows().max(1) as u32 - 1) as u64,
@@ -390,36 +397,6 @@ where
             }
             sort::sort_pairs(&mut keys, &mut prods, op_t.n_rows().max(1) as u32 - 1);
             segreduce::segmented_reduce_by_key(&keys, &prods, |a, b| add.op(a, b))
-        }
-    };
-
-    let (mut ids, mut vals) = match desc.merge_strategy {
-        MergeStrategy::SortBased => sort_based(counters),
-        MergeStrategy::BitmaskCull => {
-            // Gunrock-style local culling (§7.3): claim output slots in a
-            // bitmask instead of sorting. Requires every surviving product
-            // to be the same constant; fall back to sorting otherwise.
-            match s.product_hint() {
-                Some(hint) => {
-                    let (offsets, total) = expansion_offsets(op_t, v);
-                    if let Some(c) = counters {
-                        c.add_vector(total as u64);
-                        c.add_matrix(total as u64);
-                    }
-                    let claimed = AtomicBitVec::new(op_t.n_rows());
-                    let ids_ref = v.ids();
-                    gather::interval_gather(&offsets, pool::DEFAULT_GRAIN, |seg, within, _pos| {
-                        let src = ids_ref[seg] as usize;
-                        claimed.set(op_t.row(src)[within] as usize);
-                    });
-                    // Bit iteration yields sorted unique indices for free.
-                    let keys: Vec<u32> =
-                        claimed.to_bitvec().iter_ones().map(|i| i as u32).collect();
-                    let vals = vec![hint; keys.len()];
-                    (keys, vals)
-                }
-                None => sort_based(counters),
-            }
         }
         MergeStrategy::SpaMerge => {
             if v.nnz() == 0 {
@@ -432,6 +409,150 @@ where
 
     filter_col_output(&mut ids, &mut vals, mask, identity, counters);
     (ids, vals)
+}
+
+/// Expanded products one claim-kernel chunk owns. A push level that
+/// expands no more is one chunk, run on the caller thread.
+const CLAIM_GRAIN: usize = pool::DEFAULT_GRAIN;
+
+/// The structure-only push: the output pattern of `Aᵀf .∗ m`, ascending.
+///
+/// Every expanded row index is tested against the mask, and a survivor is
+/// claimed in the claim set; the claimant keeps the index. Only the
+/// winners — each output vertex once — are sorted, and their bits are
+/// cleared again, so a lent set comes back all-clear. A level expanding at
+/// most [`CLAIM_GRAIN`] products runs on the caller thread, which owns the
+/// set and claims without atomic read-modify-writes. A larger level is cut
+/// into size-derived chunks of [`CLAIM_GRAIN`] positions (a hub's row may
+/// span several), which claim with a `fetch_or`. The output is the sorted
+/// set of mask-passing rows whichever chunk won each claim, so results and
+/// charges are identical at every lane count.
+///
+/// Charges: `matrix` one per expanded product, `mask` one test per product
+/// when masked, `vector` one claim-set access per product that passes the
+/// mask, `sort` the winners' radix passes. Both buffers — the winners (at
+/// most `min(expanded, M)` keys) and, when no set is lent, a per-call
+/// claim set — are charged on the caller thread before any chunk runs.
+fn claim_kernel<A, X, M>(
+    op_t: &M,
+    v: &SparseVector<X>,
+    mask: Option<&Mask<'_>>,
+    counters: Option<&AccessCounters>,
+) -> Vec<u32>
+where
+    A: Scalar,
+    X: Scalar,
+    M: RowAccess<A>,
+{
+    let n = op_t.n_rows();
+    let ids = v.ids();
+    let total: usize = ids.iter().map(|&u| op_t.degree(u as usize)).sum();
+    let lent = mask.and_then(Mask::claim_set);
+    let set_bytes = if lent.is_some() {
+        0
+    } else {
+        output_bytes::<u64>(n.div_ceil(64))
+    };
+    if !crate::exec::charge_alloc(counters, output_bytes::<u32>(total.min(n)) + set_bytes) {
+        return Vec::new();
+    }
+    let owned;
+    let claims = match lent {
+        Some(set) => set,
+        None => {
+            owned = AtomicBitVec::new(n);
+            &owned
+        }
+    };
+    debug_assert_eq!(claims.len(), n, "claim set must cover the output");
+    debug_assert_eq!(claims.count_ones(), 0, "claim set must be all-clear");
+
+    let (mut winners, passed) = if total <= CLAIM_GRAIN {
+        let mut won = Vec::with_capacity(total.min(n));
+        let mut passed = 0;
+        // One chunk's work: a single checkpoint, then every frontier row.
+        if crate::exec::live(counters) {
+            for &u in ids {
+                let row = op_t.row(u as usize);
+                passed += claim_row(row, mask, |i| claims.set_unshared(i), &mut won);
+            }
+        }
+        (won, passed)
+    } else {
+        let (offsets, _) = expansion_offsets(op_t, v);
+        let parts: Vec<(Vec<u32>, u64)> = pool::index_chunks(total, CLAIM_GRAIN)
+            .into_par_iter()
+            .map(|range| {
+                let mut won = Vec::new();
+                let mut passed = 0;
+                // Per-chunk checkpoint: a tripped run claims nothing more.
+                if !crate::exec::live(counters) {
+                    return (won, passed);
+                }
+                // The segment holding the chunk's first position (past any
+                // empty segments that share its offset).
+                let mut seg = offsets.partition_point(|&o| o <= range.start) - 1;
+                let mut p = range.start;
+                while p < range.end {
+                    while offsets[seg + 1] <= p {
+                        seg += 1;
+                    }
+                    let hi = offsets[seg + 1].min(range.end);
+                    let row = &op_t.row(ids[seg] as usize)[p - offsets[seg]..hi - offsets[seg]];
+                    // Test before the `fetch_or`: most repeats find the
+                    // bit already set and skip the atomic write.
+                    let claim = |i| !claims.get(i) && claims.set(i);
+                    passed += claim_row(row, mask, claim, &mut won);
+                    p = hi;
+                }
+                (won, passed)
+            })
+            .collect();
+        let mut winners = Vec::with_capacity(parts.iter().map(|(w, _)| w.len()).sum());
+        let mut passed = 0;
+        for (won, k) in parts {
+            winners.extend(won);
+            passed += k;
+        }
+        (winners, passed)
+    };
+
+    let max_key = n.max(1) as u32 - 1;
+    if let Some(c) = counters {
+        c.add_matrix(total as u64);
+        if mask.is_some() {
+            c.add_mask(total as u64);
+        }
+        c.add_vector(passed);
+        c.add_sort(winners.len() as u64 * sort::passes_for(max_key) as u64);
+    }
+    sort::sort_keys(&mut winners, max_key);
+    for &j in &winners {
+        claims.clear(j as usize);
+    }
+    winners
+}
+
+/// Claim the mask-passing indices of one row slice through `claim`,
+/// appending the ones this call won to `won`; returns how many passed.
+#[inline]
+fn claim_row(
+    cols: &[u32],
+    mask: Option<&Mask<'_>>,
+    claim: impl Fn(usize) -> bool,
+    won: &mut Vec<u32>,
+) -> u64 {
+    let mut passed = 0;
+    for &j in cols {
+        let i = j as usize;
+        if mask.is_none_or(|m| m.allows(i)) {
+            passed += 1;
+            if claim(i) {
+                won.push(j);
+            }
+        }
+    }
+    passed
 }
 
 /// Mask filter (lines 17–24 of Algorithm 3) and identity drop, in place.
@@ -640,38 +761,6 @@ where
         }
     });
     (keys, prods)
-}
-
-/// Expand the selected columns into bare row indices (structure-only path:
-/// no matrix values, no products).
-fn expand_keys_only<A, X, M>(
-    op_t: &M,
-    v: &SparseVector<X>,
-    counters: Option<&AccessCounters>,
-) -> Vec<u32>
-where
-    A: Scalar,
-    X: Scalar,
-    M: RowAccess<A>,
-{
-    let (offsets, total) = expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        c.add_matrix(total as u64);
-    }
-    // Caller-thread charge for the bare-key expansion buffer.
-    if !crate::exec::charge_alloc(counters, output_bytes::<u32>(total)) {
-        return Vec::new();
-    }
-    let mut keys = vec![0u32; total];
-    let kp = SendPtr(keys.as_mut_ptr());
-    let ids = v.ids();
-    gather::interval_gather(&offsets, pool::DEFAULT_GRAIN, |seg, within, pos| {
-        let src = ids[seg] as usize;
-        let j = op_t.row(src)[within];
-        // SAFETY: positions partition 0..total; writes are disjoint.
-        unsafe { *kp.get().add(pos) = j };
-    });
-    keys
 }
 
 // ---------------------------------------------------------------------------
@@ -1133,72 +1222,44 @@ mod tests {
     }
 
     #[test]
-    fn bitmask_cull_matches_sort_based() {
+    fn claim_kernel_charges_follow_the_contract() {
+        // Frontier {B, C, D} expands five edges: B→A, B→E, C→F, D→A, D→F.
+        // ¬visited passes E, C→F and D→F (three products); two distinct
+        // vertices win their claims.
         let g = fig3_graph();
         let f = frontier_bcd();
         let visited = visited_abcd();
-        let mask = Mask::complement(&visited);
-        // With a product hint (BoolStructure), culling is exact.
-        let sorted: Vector<bool> = mxv(
-            Some(&mask),
-            crate::ops::BoolStructure,
-            &g,
-            &f,
-            &desc_bfs().force(Direction::Push),
-            None,
-        )
-        .unwrap();
-        let culled: Vector<bool> = mxv(
-            Some(&mask),
-            crate::ops::BoolStructure,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .merge_strategy(MergeStrategy::BitmaskCull),
-            None,
-        )
-        .unwrap();
-        let a: Vec<_> = sorted.iter_explicit().collect();
-        let b: Vec<_> = culled.iter_explicit().collect();
-        assert_eq!(a, b);
-        // Without a hint (BoolOrAnd under structure_only=false) the kernel
-        // silently falls back to the sort path and stays correct.
-        let fallback: Vector<bool> = mxv(
-            Some(&mask),
-            BoolOrAnd,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .structure_only(false)
-                .merge_strategy(MergeStrategy::BitmaskCull),
-            None,
-        )
-        .unwrap();
-        let c: Vec<_> = fallback.iter_explicit().collect();
-        assert_eq!(a, c);
-    }
-
-    #[test]
-    fn bitmask_cull_avoids_sort_traffic() {
-        let g = fig3_graph();
-        let f = frontier_bcd();
-        let count_sort = |strategy: MergeStrategy| {
+        let claims = AtomicBitVec::new(8);
+        let run = |mask: Option<&Mask<'_>>| {
             let c = AccessCounters::new();
-            let _: Vector<bool> = mxv(
-                None,
-                crate::ops::BoolStructure,
+            let out: Vector<bool> = mxv(
+                mask,
+                BoolStructure,
                 &g,
                 &f,
-                &desc_bfs().force(Direction::Push).merge_strategy(strategy),
+                &desc_bfs().force(Direction::Push),
                 Some(&c),
             )
             .unwrap();
-            c.snapshot().sort
+            let found: Vec<u32> = out.iter_explicit().map(|(i, _)| i).collect();
+            (found, c.snapshot().accesses_only())
         };
-        assert!(count_sort(MergeStrategy::SortBased) > 0);
-        assert_eq!(count_sort(MergeStrategy::BitmaskCull), 0);
+        let passes = sort::passes_for(7) as u64;
+        let masked = Mask::complement(&visited);
+        for mask in [masked, masked.with_claim_set(&claims)] {
+            let (found, charges) = run(Some(&mask));
+            assert_eq!(found, vec![4, 5]);
+            assert_eq!(charges.matrix, 5, "one per expanded product");
+            assert_eq!(charges.mask, 5, "one test per expanded product");
+            assert_eq!(charges.vector, 3 + 3, "nnz(f) + one claim per survivor");
+            assert_eq!(charges.sort, 2 * passes, "only the winners are sorted");
+            assert_eq!(claims.count_ones(), 0, "a lent claim set comes back clear");
+        }
+        // Unmasked: every product claims, no mask tests; A, E, F win.
+        let (found, charges) = run(None);
+        assert_eq!(found, vec![0, 4, 5]);
+        assert_eq!((charges.mask, charges.vector), (0, 3 + 5));
+        assert_eq!(charges.sort, 3 * passes);
     }
 
     #[test]

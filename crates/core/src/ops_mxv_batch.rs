@@ -24,8 +24,8 @@
 //! **Equivalence contract** (pinned by `tests/prop_core.rs`): a batched
 //! call produces bit-identical values *and access counters* to `k`
 //! independent single-source [`mxv`](crate::mxv) calls — push rows match
-//! the [`crate::MergeStrategy::SpaMerge`] column kernel, pull rows match the row
-//! kernel — because the per-row work, chunk boundaries, and counter
+//! the [`crate::MergeStrategy::SpaMerge`] column kernel of a valued
+//! semiring, pull rows match the row kernel — because the per-row work, chunk boundaries, and counter
 //! bookkeeping are shared code, and chunk layouts derive from sizes only
 //! (never the lane count), so results are also identical at every thread
 //! count.
@@ -233,9 +233,11 @@ where
 /// deterministic chunk-order merge.
 ///
 /// Per-source semantics and counter bookkeeping are identical to the
-/// single-source column kernel under [`crate::MergeStrategy::SpaMerge`] — the
-/// CPU-parallel merge arm — including the final mask filter of
-/// Algorithm 3 (a mask never reduces push work, Fig. 4d).
+/// single-source column kernel of a valued semiring under
+/// [`crate::MergeStrategy::SpaMerge`] — the CPU-parallel merge arm —
+/// including the final mask filter of Algorithm 3 (Fig. 4d). The batch
+/// has no claim kernel: a structure-only single-source push runs one, so
+/// its charges differ from a batch row's.
 pub fn col_masked_mxv_batch<A, X, Y, S, M>(
     s: S,
     op_t: &M,

@@ -167,6 +167,32 @@ impl AtomicBitVec {
         prev & mask == 0
     }
 
+    /// Set bit `i` with a plain load and store instead of a `fetch_or`;
+    /// returns `true` when this call flipped it. Cheaper than
+    /// [`AtomicBitVec::set`], but a claim only while no other thread
+    /// writes the same word — e.g. when the caller thread owns the set.
+    #[inline]
+    pub fn set_unshared(&self, i: usize) -> bool {
+        debug_assert!(i < self.len);
+        let word = &self.words[i / BITS];
+        let mask = 1u64 << (i % BITS);
+        let prev = word.load(Ordering::Relaxed);
+        word.store(prev | mask, Ordering::Relaxed);
+        prev & mask == 0
+    }
+
+    /// Clear bit `i` with a plain load and store (not thread-safe against
+    /// concurrent setters of the same word).
+    #[inline]
+    pub fn clear(&self, i: usize) {
+        debug_assert!(i < self.len);
+        let word = &self.words[i / BITS];
+        word.store(
+            word.load(Ordering::Relaxed) & !(1u64 << (i % BITS)),
+            Ordering::Relaxed,
+        );
+    }
+
     /// Reset every bit to zero (not thread-safe against concurrent setters).
     pub fn clear_all(&mut self) {
         for w in &mut self.words {
@@ -272,6 +298,11 @@ mod tests {
         assert!(b.set(100));
         assert!(!b.set(100));
         assert!(b.get(100));
+        assert_eq!(b.count_ones(), 1);
+        b.clear(100);
+        assert!(!b.get(100));
+        assert!(b.set_unshared(100), "a cleared bit can be claimed again");
+        assert!(!b.set_unshared(100) && !b.set(100));
         assert_eq!(b.count_ones(), 1);
     }
 

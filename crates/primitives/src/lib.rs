@@ -10,8 +10,8 @@
 //! * [`scan`] — sequential and parallel exclusive/inclusive prefix sums.
 //! * [`gather`] — load-balanced interval gather over CSR-style segments.
 //! * [`sort`] — LSD radix sort, key-only and key-value. The key-only /
-//!   key-value distinction is exactly the paper's *structure-only*
-//!   optimization (§5.5): dropping the value payload halves sort traffic.
+//!   key-value distinction is the paper's *structure-only* optimization
+//!   (§5.5): dropping the value payload halves sort traffic.
 //! * [`segreduce`] — segmented reduction under an arbitrary monoid.
 //! * [`merge`] — heap-based multiway merge, `O(n log k)`; combines the
 //!   per-chunk SPA harvests of the `SpaMerge` column kernel in chunk order.

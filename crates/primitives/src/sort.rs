@@ -6,10 +6,12 @@
 //! is the number of matrix rows. Two entry points matter to the paper:
 //!
 //! * [`sort_pairs`] — (key, value) sort, used by the generic semiring path;
-//! * [`sort_keys`] — key-only sort, used when the *structure-only*
-//!   optimization (§5.5) applies: BFS never reads values, and dropping the
-//!   payload roughly halves the memory traffic of the sort, which the paper
-//!   measures as a 1.62× end-to-end speedup.
+//! * [`sort_keys`] — key-only sort. The paper's *structure-only*
+//!   optimization (§5.5) sorts bare keys because BFS never reads values;
+//!   dropping the payload roughly halves the sort's memory traffic, which
+//!   the paper measures as a 1.62× end-to-end speedup. Here the
+//!   structure-only push goes further and sorts only the vertices it
+//!   claimed, not every expanded edge.
 //!
 //! The implementation is a stable LSD radix sort with 8-bit digits and a
 //! chunked parallel counting/scatter phase per digit. The number of passes

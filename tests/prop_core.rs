@@ -65,7 +65,6 @@ proptest! {
         structure_only in any::<bool>(),
         strategy in prop::sample::select(vec![
             MergeStrategy::SortBased,
-            MergeStrategy::BitmaskCull,
             MergeStrategy::SpaMerge,
         ]),
         early_exit in any::<bool>(),
@@ -114,7 +113,6 @@ proptest! {
         transpose in any::<bool>(),
         strategy in prop::sample::select(vec![
             MergeStrategy::SortBased,
-            MergeStrategy::BitmaskCull,
             MergeStrategy::SpaMerge,
         ]),
     ) {

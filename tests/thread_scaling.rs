@@ -79,11 +79,7 @@ fn push_mxv_identical_across_thread_counts() {
     let (f, bits) = frontier_and_visited(n);
     for transpose in [false, true] {
         for masked in [false, true] {
-            for strategy in [
-                MergeStrategy::SortBased,
-                MergeStrategy::BitmaskCull,
-                MergeStrategy::SpaMerge,
-            ] {
+            for strategy in [MergeStrategy::SortBased, MergeStrategy::SpaMerge] {
                 let desc = Descriptor::new()
                     .transpose(transpose)
                     .force(Direction::Push)
