@@ -15,9 +15,11 @@
 //!
 //! * **change of direction** — frontier storage follows the §6.3 hysteresis
 //!   rule (`r = nnz(f)/M` vs. `α = β = 0.01`); off ⇒ push-only.
-//! * **masking** — `¬v` passed as a kernel mask (with the amortized
-//!   unvisited active list of §3.2); off ⇒ unmasked matvec followed by an
-//!   elementwise filter.
+//! * **masking** — `¬v` passed as a kernel mask; off ⇒ unmasked matvec
+//!   followed by an elementwise filter. A pull level reads the unvisited
+//!   rows straight from the visited bitmap, 64 per word, so the run keeps
+//!   no list of unvisited vertices (the §3.2 "list of zeroes") and pays
+//!   no compaction before a pull.
 //! * **early-exit** — pull rows stop at the first frontier parent.
 //! * **operand reuse** — pull iterations feed the dense *visited* vector as
 //!   the input (`Aᵀv .∗ ¬v`), so push→pull switches skip the sparse→dense
@@ -62,7 +64,9 @@ pub const UNREACHED: i32 = -1;
 pub struct BfsOpts {
     /// Optimization 1 (§5.1): push↔pull switching. Off ⇒ push-only.
     pub change_of_direction: bool,
-    /// Optimization 2 (§5.2): `¬v` as a kernel-level mask.
+    /// Optimization 2 (§5.2): `¬v` as a kernel-level mask. Pull levels
+    /// find their unvisited rows by scanning the visited bitmap's words;
+    /// push levels test `¬v` on each expanded edge.
     pub masking: bool,
     /// Optimization 3 (§5.3): pull rows stop at the first frontier parent.
     pub early_exit: bool,
@@ -321,14 +325,6 @@ where
         .as_dense_mut()
         .expect("dense by construction")
         .set(source as usize, true);
-    // The §3.2 amortized list of unvisited vertices: built once at cost
-    // O(M), compacted lazily (only when a pull iteration will use it).
-    let mut unvisited: Vec<VertexId> = if opts.masking {
-        (0..n as VertexId).filter(|&i| i != source).collect()
-    } else {
-        Vec::new()
-    };
-    let mut unvisited_stale = false;
     let mut unvisited_count = n - 1;
     // The structure-only push kernel's claim set, lent to every masked
     // push level: allocated once here, handed back all-clear by each level.
@@ -388,20 +384,14 @@ where
         // With operand reuse the frontier is not an operand this level, so
         // its storage is left alone — the "free conversion" of §5.4.
 
-        // Optimization 2's amortized active list: compaction only needs to
-        // happen on the first pull after new discoveries.
-        if opts.masking && dir == Direction::Pull && unvisited_stale {
-            unvisited.retain(|&v| !visited.get(v as usize));
-        }
-        // Optimization 2's kernel mask (¬visited, with the amortized
-        // active list on pull and the run's claim set on push) and the
-        // §5.4 operand choice — with reuse, the pull input is the dense
-        // visited vector (Aᵀv .∗ ¬v; f ⊂ v makes it equivalent) — shared
-        // by both execution forms below.
+        // Optimization 2's kernel mask (¬visited: a pull reads its
+        // unvisited rows from the bit words, a push claims in the run's
+        // claim set) and the §5.4 operand choice — with reuse, the pull
+        // input is the dense visited vector (Aᵀv .∗ ¬v; f ⊂ v makes it
+        // equivalent) — shared by both execution forms below.
         let mask = opts.masking.then(|| match (dir, &claims) {
-            (Direction::Pull, _) => Mask::complement(&visited).with_active_list(&unvisited),
             (Direction::Push, Some(set)) => Mask::complement(&visited).with_claim_set(set),
-            (Direction::Push, None) => Mask::complement(&visited),
+            _ => Mask::complement(&visited),
         });
         let input = if use_reuse { &visited_vec } else { &f };
 
@@ -465,7 +455,6 @@ where
             count
         };
         unvisited_count -= new_count;
-        unvisited_stale = new_count > 0;
 
         if let Some(t0) = t0 {
             trace.push(IterRecord {

@@ -173,7 +173,7 @@ pub fn per_level_study(g: &Graph<bool>, source: VertexId, repeats: usize) -> Vec
     let n = g.n_vertices();
     let mut visited = BitVec::new(n);
     visited.set(source as usize);
-    let mut unvisited_list: Vec<VertexId> = (0..n as VertexId).filter(|&v| v != source).collect();
+    let mut unvisited = n - 1;
     let mut frontier = Vector::singleton(n, false, source, true);
     let desc_push = Descriptor::new().transpose(true).force(Direction::Push);
     let desc_pull = Descriptor::new().transpose(true).force(Direction::Pull);
@@ -183,15 +183,15 @@ pub fn per_level_study(g: &Graph<bool>, source: VertexId, repeats: usize) -> Vec
     loop {
         level += 1;
         let frontier_nnz = frontier.nnz();
-        let unvisited = unvisited_list.len();
 
-        // Timed pull (masked row with early exit + active list).
+        // Timed pull (masked row with early exit; the kernel reads the
+        // unvisited rows from the visited bitmap's words, as BFS's does).
         let mut dense_f = frontier.clone();
         dense_f.make_dense();
         let pull_times: Vec<f64> = (0..repeats)
             .map(|_| {
                 time_ms(|| {
-                    let mask = Mask::complement(&visited).with_active_list(&unvisited_list);
+                    let mask = Mask::complement(&visited);
                     let w: Vector<bool> =
                         mxv(Some(&mask), BoolOrAnd, g, &dense_f, &desc_pull, None).expect("dims");
                     w
@@ -232,7 +232,7 @@ pub fn per_level_study(g: &Graph<bool>, source: VertexId, repeats: usize) -> Vec
         for (i, _) in next.iter_explicit() {
             visited.set(i as usize);
         }
-        unvisited_list.retain(|&v| !visited.get(v as usize));
+        unvisited -= next.nnz();
         frontier = next;
     }
     out

@@ -47,11 +47,10 @@ use crate::descriptor::{Descriptor, Direction};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::ops_mxv::{col_kernel_parts, reduce_row, RowTally, SendPtr, ROW_GRAIN};
+use crate::ops_mxv::{col_kernel_parts, reduce_row, PullRows, RowTally, SendPtr};
 use crate::vector::{DenseVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, StoreRef, VertexId};
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::pool;
 use rayon::prelude::*;
 use std::marker::PhantomData;
 
@@ -247,11 +246,10 @@ where
     /// assigns from the merged harvest — neither face materializes an
     /// intermediate [`Vector`].
     ///
-    /// An attached mask's active list must honor the
-    /// [`Mask::with_active_list`] contract (strictly ascending, hence
-    /// unique — debug-asserted here): the pull face partitions the list
-    /// across workers and writes each listed row's state slot without
-    /// synchronization.
+    /// An attached mask's active list has passed the
+    /// [`Mask::with_active_list`] checks (strictly ascending and in range),
+    /// which is what lets the pull face partition it across workers and
+    /// write each listed row's state slot without synchronization.
     pub fn assign_into<U>(self, state: &mut [Z], update: U) -> GrbResult<FusedOutput>
     where
         U: Fn(Z, Z) -> Option<Z> + Sync + Send,
@@ -406,9 +404,11 @@ where
 
 /// Pull face: row chunks reduce, apply, and assign in one pass, writing the
 /// caller's state slice directly — the `O(M)` dense intermediate of the
-/// unfused row kernel is never allocated. Chunk boundaries derive from the
-/// work-list size only ([`pool::index_chunks`]), so `touched` and every
-/// state write are identical at any lane count.
+/// unfused row kernel is never allocated. It visits, chunks and charges
+/// the same rows as the unfused row kernel (a mask's allowed rows read
+/// from its bit words or its active list); chunk boundaries derive from
+/// the visited-row count only, so `touched` and every state write are
+/// identical at any lane count.
 fn fused_pull<A, X, Y, Z, S, F, U, M>(
     base: &FusedMxv<'_, A, X, S>,
     op: &M,
@@ -430,22 +430,18 @@ where
     let s = base.s;
     let identity = s.add_monoid().identity();
     let n = op.n_rows();
-    // Same mask charges as the unfused row kernels: the active list when
-    // present, a full row scan otherwise, nothing when unmasked.
-    let active = base.mask.and_then(|m| m.active_list());
-    // The with_active_list contract — strictly ascending, hence unique —
-    // is what makes the unsynchronized per-row *caller-state* writes below
-    // race-free: a duplicated row split across two chunks would be a data
-    // race on state[i]. Checked unconditionally (not just in debug) because
-    // the list arrives through safe public API and the consequence is UB;
-    // the O(len) scan is noise next to the per-row reductions.
-    assert!(
-        active.is_none_or(|list| list.windows(2).all(|w| w[0] < w[1])),
-        "mask active list must be strictly ascending (unique)"
-    );
-    if let (Some(c), Some(m)) = (base.counters, base.mask) {
-        c.add_mask(m.active_list().map_or(n, <[u32]>::len) as u64);
-    }
+    // The unfused row kernels' rows and charges: a mask's allowed rows.
+    // Unmasked, not keep-identity: a hypersparse store's empty rows reduce
+    // to the ⊕ identity and are skipped before apply/assign anyway, so
+    // only the non-empty rows are visited (their skipped bookkeeping is
+    // charged in bulk). `keep_identity` consumers (PageRank) assign
+    // identity rows too, so they visit every row.
+    let rows = match base.mask {
+        Some(m) => PullRows::Masked(*m),
+        None if base.keep_identity => PullRows::All(n),
+        None => PullRows::unmasked(op),
+    };
+    rows.charge(base.counters);
     if let Some(c) = base.counters {
         // The unfused composition materializes (and identity-fills) a dense
         // n-slot output buffer every pull step; fusion skips all of it.
@@ -454,47 +450,14 @@ where
     // Early-exit applies to masked pulls only, mirroring the `mxv`
     // dispatch; first-hit exit is the caller's stronger opt-in.
     let early_exit = base.mask.is_some() && base.desc.early_exit;
-    // Unmasked, not keep-identity: a hypersparse store's empty rows reduce
-    // to the ⊕ identity and are skipped before apply/assign anyway, so
-    // scan only the non-empty rows and bulk-charge the skipped rows'
-    // bookkeeping (`examined + 1` = 1 vector touch each in `reduce_row`) —
-    // counter totals stay bit-identical to the full scan. `keep_identity`
-    // consumers (PageRank) assign identity rows too, so they keep the
-    // full scan.
-    let hyper = if base.mask.is_none() && !base.keep_identity {
-        op.nonempty_rows()
-    } else {
-        None
-    };
-    if let (Some(c), Some(rows)) = (base.counters, hyper) {
-        c.add_vector((n - rows.len()) as u64);
-    }
-    let work_len = active.or(hyper).map_or(n, <[u32]>::len);
     let out = SendPtr(state.as_mut_ptr());
-    let parts: Vec<Vec<u32>> = pool::index_chunks(work_len, ROW_GRAIN)
+    let parts: Vec<Vec<u32>> = rows
+        .chunks()
         .into_par_iter()
-        .map(|range| {
+        .map(|chunk| {
             let mut touched = Vec::new();
             let mut tally = RowTally::new(base.counters);
-            for idx in range {
-                let (i, allowed) = match (base.mask, active) {
-                    (_, Some(list)) => {
-                        let i = list[idx] as usize;
-                        debug_assert!(
-                            base.mask.is_none_or(|m| m.allows(i)),
-                            "active list disagrees with mask"
-                        );
-                        (i, true)
-                    }
-                    (Some(m), None) => (idx, m.allows(idx)),
-                    (None, None) => match hyper {
-                        Some(rows) => (rows[idx] as usize, true),
-                        None => (idx, true),
-                    },
-                };
-                if !allowed {
-                    continue;
-                }
+            rows.for_each(chunk, |i| {
                 let y = if base.first_hit_exit {
                     reduce_row_first_hit(s, op, v, i, identity, &mut tally)
                 } else {
@@ -503,9 +466,10 @@ where
                 if base.keep_identity || y != identity {
                     let z = apply(y);
                     // SAFETY: each output row belongs to exactly one chunk
-                    // (ranges partition the work list; active-list entries
-                    // are strictly ascending, asserted above), so
-                    // reads/writes of state[i] are disjoint across workers.
+                    // (chunks partition the visited rows, which are unique
+                    // and in bounds — an active list is checked when
+                    // attached), so reads/writes of state[i] are disjoint
+                    // across workers.
                     let old = unsafe { *out.get().add(i) };
                     if let Some(next) = update(old, z) {
                         unsafe { *out.get().add(i) = next };
@@ -514,7 +478,7 @@ where
                         }
                     }
                 }
-            }
+            });
             tally.flush(base.counters);
             touched
         })

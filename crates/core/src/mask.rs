@@ -3,11 +3,14 @@
 //! A masked matvec `f' = (Af) .∗ m` only materializes outputs where the
 //! mask allows. The *structural complement* `¬m` (§3.2) flips the rule —
 //! BFS pulls into the complement of the visited set. Masks here are
-//! structural Booleans over a bit vector; a pre-computed **active list**
-//! (the sorted indices the mask allows) gives the row kernel its
-//! `O(d·nnz(m))` bound instead of `O(dM + work)`: the paper's SPA trick of
-//! keeping "a sparse vector containing indices where the zeroes are
-//! located", built once and amortized across BFS iterations.
+//! structural Booleans over a bit vector, and the masked row kernels read
+//! the allowed rows straight from its words, 64 rows per word (`!word` for
+//! a complement): `O(M/64 + d·nnz(m))` instead of the `O(dM)` unmasked
+//! scan. That word scan stands in for the paper's amortized "list of
+//! zeroes", so a traversal keeps no index list of its unvisited vertices.
+//! A caller that already holds the exact allowed list (PageRank's active
+//! set, MIS's candidates) may attach it with [`Mask::with_active_list`]
+//! and skip the word scan.
 //!
 //! The push face has its own amortized companion: a **claim set**, an
 //! all-clear atomic bit vector over the output dimension that the
@@ -16,7 +19,11 @@
 //! push level pays for an `O(M)` buffer.
 
 use graphblas_matrix::VertexId;
-use graphblas_primitives::{AtomicBitVec, BitVec};
+use graphblas_primitives::{pool, AtomicBitVec, BitVec};
+use std::ops::Range;
+
+/// Indices per mask word.
+const WORD: usize = 64;
 
 /// A structural Boolean mask over vertex indices.
 #[derive(Clone, Copy, Debug)]
@@ -50,19 +57,36 @@ impl<'a> Mask<'a> {
         }
     }
 
-    /// Attach a sorted list of exactly the allowed indices. The masked row
-    /// kernel then iterates this list instead of scanning all `M` rows.
+    /// Attach the sorted list of exactly the allowed indices, for a caller
+    /// that already holds one. The masked row kernels then walk this list
+    /// instead of scanning the mask's words; results and charges are the
+    /// same either way, so a traversal need not keep such a list.
     ///
-    /// Correctness contract (debug-asserted on use): the list must be
-    /// **strictly ascending** — so in particular duplicate-free — and
-    /// every listed index must satisfy [`Mask::allows`]. Uniqueness is
-    /// load-bearing, not just tidiness: the row kernels (and the fused
-    /// pipeline's `assign_into`, which writes caller state) partition the
-    /// list across parallel workers and write each listed row's output
-    /// slot without synchronization, which is only race-free when no row
-    /// appears twice.
+    /// Contract: the list is **strictly ascending** — so duplicate-free —
+    /// and every entry is below [`Mask::dim`] (both asserted here, in
+    /// release too), and every entry satisfies [`Mask::allows`]
+    /// (debug-asserted). The first two are load-bearing: the row kernels
+    /// (and the fused pipeline's `assign_into`, which writes caller state)
+    /// partition the list across parallel workers and write each listed
+    /// row's output slot without synchronization or bounds checks, which
+    /// is only sound when no row appears twice and every row exists.
+    ///
+    /// # Panics
+    /// If the list is not strictly ascending or names an index `>= dim()`.
     #[must_use]
     pub fn with_active_list(mut self, list: &'a [VertexId]) -> Self {
+        assert!(
+            list.windows(2).all(|w| w[0] < w[1]),
+            "mask active list must be strictly ascending (unique)"
+        );
+        assert!(
+            list.last().is_none_or(|&i| (i as usize) < self.dim()),
+            "mask active list entry out of range"
+        );
+        debug_assert!(
+            list.iter().all(|&i| self.allows(i as usize)),
+            "active list disagrees with mask"
+        );
         self.active_list = Some(list);
         self
     }
@@ -116,8 +140,8 @@ impl<'a> Mask<'a> {
     }
 
     /// Number of allowed indices: `nnz(m)` in the Table 1 cost model.
-    /// O(1) words when no active list is attached (popcount); O(1) when
-    /// attached.
+    /// `O(1)` with an active list attached; otherwise a popcount over the
+    /// mask's words, `O(M/64)`.
     #[must_use]
     pub fn active_count(&self) -> usize {
         if let Some(list) = self.active_list {
@@ -134,6 +158,95 @@ impl<'a> Mask<'a> {
     pub fn dim(&self) -> usize {
         self.bits.len()
     }
+
+    /// Cut the allowed indices into the row kernels' chunks: one chunk per
+    /// `grain` allowed indices, at most [`pool::MAX_CHUNKS`], exactly as
+    /// [`pool::index_chunks`] cuts a list of [`Mask::active_count`]
+    /// entries. With an active list a chunk is a range of list positions.
+    /// Without one it is a range of indices that holds the same allowed
+    /// indices as that list chunk, found in one pass over the words, so
+    /// both forms run the same rows in the same chunks. Hand each chunk to
+    /// [`Mask::for_each_allowed`]. No chunk is empty of allowed indices.
+    pub(crate) fn allowed_chunks(&self, grain: usize) -> Vec<Range<usize>> {
+        let ranks = pool::index_chunks(self.active_count(), grain);
+        if self.active_list.is_some() || ranks.is_empty() {
+            return ranks;
+        }
+        // Each later chunk starts at the index holding its first rank.
+        let mut starts = ranks[1..].iter().map(|r| r.start).peekable();
+        let mut bounds = Vec::with_capacity(ranks.len() + 1);
+        bounds.push(0);
+        let mut seen = 0;
+        for w in 0..self.dim().div_ceil(WORD) {
+            if starts.peek().is_none() {
+                break;
+            }
+            let word = self.word(w);
+            let ones = word.count_ones() as usize;
+            while let Some(rank) = starts.next_if(|&r| r < seen + ones) {
+                bounds.push(w * WORD + select(word, rank - seen));
+            }
+            seen += ones;
+        }
+        bounds.push(self.dim());
+        bounds.windows(2).map(|b| b[0]..b[1]).collect()
+    }
+
+    /// Call `f` on every allowed index of one chunk from
+    /// [`Mask::allowed_chunks`], ascending. Without an active list the
+    /// chunk's words are read whole and their set bits taken one by one;
+    /// the words cut by the chunk's edges (the tail word among them) are
+    /// masked first.
+    #[inline]
+    pub(crate) fn for_each_allowed(&self, chunk: Range<usize>, mut f: impl FnMut(usize)) {
+        if let Some(list) = self.active_list {
+            list[chunk].iter().for_each(|&i| f(i as usize));
+            return;
+        }
+        if chunk.is_empty() {
+            return;
+        }
+        let (first, last) = (chunk.start / WORD, (chunk.end - 1) / WORD);
+        let head = u64::MAX << (chunk.start % WORD);
+        let tail = u64::MAX >> (WORD - 1 - (chunk.end - 1) % WORD);
+        for w in first..=last {
+            let mut word = self.word(w);
+            if w == first {
+                word &= head;
+            }
+            if w == last {
+                word &= tail;
+            }
+            while word != 0 {
+                f(w * WORD + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+    }
+
+    /// Word `w` with its allowed indices set: the stored word, flipped for
+    /// a complement. A complement's tail word also sets the indices past
+    /// [`Mask::dim`], which no caller reaches: every chunk ends at or
+    /// before `dim`, and only ranks below the allowed count are selected.
+    #[inline]
+    fn word(&self, w: usize) -> u64 {
+        let word = self.bits.words()[w];
+        if self.complement {
+            !word
+        } else {
+            word
+        }
+    }
+}
+
+/// Position of the `k`-th set bit (0-based) of `word`; `k` must be below
+/// its popcount.
+#[inline]
+fn select(mut word: u64, k: usize) -> usize {
+    for _ in 0..k {
+        word &= word - 1;
+    }
+    word.trailing_zeros() as usize
 }
 
 #[cfg(test)]
@@ -187,12 +300,90 @@ mod tests {
 
     #[test]
     fn bfs_unvisited_mask_shape() {
-        // visited = {0,1}; pull mask = ¬visited with active list {2,3,4}.
+        // visited = {0,1}; the pull mask ¬visited allows {2,3,4} with no
+        // list attached.
         let visited = bits_with(&[0, 1], 5);
-        let unvisited: Vec<u32> = vec![2, 3, 4];
-        let m = Mask::complement(&visited).with_active_list(&unvisited);
+        let m = Mask::complement(&visited);
         assert!(m.allows(2) && !m.allows(0));
         assert_eq!(m.active_count(), 3);
         assert_eq!(m.dim(), 5);
+        let mut rows = Vec::new();
+        for chunk in m.allowed_chunks(512) {
+            m.for_each_allowed(chunk, |i| rows.push(i));
+        }
+        assert_eq!(rows, vec![2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn active_list_with_a_duplicate_is_rejected() {
+        let b = bits_with(&[], 8);
+        let _ = Mask::complement(&b).with_active_list(&[2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn active_list_past_the_dimension_is_rejected() {
+        let b = bits_with(&[], 8);
+        let _ = Mask::complement(&b).with_active_list(&[1, 8]);
+    }
+
+    /// A 200-index mask (three full words and an 8-bit tail word) with an
+    /// irregular pattern, so runs of set and clear bits cross word edges.
+    fn word_scan_bits() -> BitVec {
+        let set: Vec<usize> = (0..200).filter(|i| (i * 7 + i / 13) % 5 < 2).collect();
+        bits_with(&set, 200)
+    }
+
+    #[test]
+    fn word_scan_ranges_cut_mid_word_and_at_the_tail() {
+        let b = word_scan_bits();
+        let edges = [
+            0, 1, 5, 63, 64, 65, 100, 127, 128, 129, 191, 192, 193, 199, 200,
+        ];
+        for m in [Mask::new(&b), Mask::complement(&b)] {
+            for &lo in &edges {
+                for &hi in edges.iter().filter(|&&hi| hi >= lo) {
+                    let mut got = Vec::new();
+                    m.for_each_allowed(lo..hi, |i| got.push(i));
+                    let expect: Vec<usize> = (lo..hi).filter(|&i| m.allows(i)).collect();
+                    assert_eq!(got, expect, "{lo}..{hi}, complement {}", m.is_complement());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_scan_chunks_hold_the_list_chunks() {
+        // Every grain from one index per chunk (capped at MAX_CHUNKS) to a
+        // single chunk: the list-less chunks hold exactly the allowed
+        // indices the exact list's chunks hold, in order.
+        for bits in [
+            word_scan_bits(),
+            bits_with(&[], 200),
+            bits_with(&[199], 200),
+        ] {
+            for m in [Mask::new(&bits), Mask::complement(&bits)] {
+                let list: Vec<u32> = (0..200u32).filter(|&i| m.allows(i as usize)).collect();
+                let listed = m.with_active_list(&list);
+                for grain in [1, 2, 3, 7, 64, 100, 512] {
+                    let scan = |mask: &Mask<'_>| -> Vec<Vec<usize>> {
+                        let chunks = mask.allowed_chunks(grain);
+                        chunks
+                            .into_iter()
+                            .map(|c| {
+                                let mut rows = Vec::new();
+                                mask.for_each_allowed(c, |i| rows.push(i));
+                                rows
+                            })
+                            .collect()
+                    };
+                    let by_words = scan(&m);
+                    assert_eq!(by_words, scan(&listed), "grain {grain}");
+                    assert!(by_words.iter().all(|rows| !rows.is_empty()));
+                    assert_eq!(by_words.len(), pool::index_chunks(list.len(), grain).len());
+                }
+            }
+        }
     }
 }

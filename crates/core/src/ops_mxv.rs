@@ -3,7 +3,7 @@
 //! | kernel            | paper name                | cost (Table 1)                  |
 //! |-------------------|---------------------------|---------------------------------|
 //! | [`row_mxv`]       | row-based, no mask        | `O(dM)`                         |
-//! | [`row_masked_mxv`]| row-based, mask (Alg. 2)  | `O(d·nnz(m))`                   |
+//! | [`row_masked_mxv`]| row-based, mask (Alg. 2)  | `O(M/64 + d·nnz(m))`            |
 //! | [`col_mxv`]       | column-based, no mask     | `O(d·nnz(f)·log nnz(f))`        |
 //! | [`col_masked_mxv`]| column-based, mask (Alg.3)| `O(d·nnz(f)·log nnz(f))`        |
 //!
@@ -32,6 +32,7 @@ use graphblas_matrix::{Graph, RowAccess, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::{gather, merge, pool, scan, segreduce, sort, AtomicBitVec, Spa};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Row grain for parallel row-kernel loops (shared with the batched row
 /// kernel so single-source and batched chunking agree).
@@ -73,34 +74,24 @@ where
     }
     let mut vals = vec![identity; op.n_rows()];
     let out = SendPtr(vals.as_mut_ptr());
-    if let Some(rows) = op.nonempty_rows() {
-        // Hypersparse store: scan only the non-empty rows — the DCSR win.
-        // Empty rows contribute the ⊕ identity (already the fill) and
-        // their per-row bookkeeping (`reduce_row` charges `examined + 1`
-        // vector touches, i.e. exactly 1 for an empty row) is charged in
-        // bulk, so totals equal the full-scan CSR run bit-for-bit.
-        if let Some(c) = counters {
-            c.add_vector((op.n_rows() - rows.len()) as u64);
-        }
-        par_row_chunks(rows.len(), counters, |idx, tally| {
-            let i = rows[idx] as usize;
-            let y = reduce_row(s, op, v, i, identity, false, counters, tally);
-            // SAFETY: non-empty row ids are unique, so writes are disjoint.
-            unsafe { *out.get().add(i) = y };
-        });
-    } else {
-        par_row_chunks(op.n_rows(), counters, |i, tally| {
-            let y = reduce_row(s, op, v, i, identity, false, counters, tally);
-            // SAFETY: chunks partition the rows, so writes are disjoint.
-            unsafe { *out.get().add(i) = y };
-        });
-    }
+    par_rows(PullRows::unmasked(op), counters, |i, tally| {
+        let y = reduce_row(s, op, v, i, identity, false, counters, tally);
+        // SAFETY: the visited rows are unique and in bounds, and chunks
+        // partition them, so writes are disjoint.
+        unsafe { *out.get().add(i) = y };
+    });
     DenseVector::from_values(vals, identity)
 }
 
 /// Row-based **masked** matvec — Algorithm 2. Only rows the mask allows are
 /// computed; with `early_exit`, a row's reduction stops at the monoid's
-/// annihilator (the short-circuit OR of line 8). `O(d·nnz(m))`.
+/// annihilator (the short-circuit OR of line 8).
+///
+/// The allowed rows come from the mask's bit words, 64 rows per word, cut
+/// into size-derived chunks by their count, so the kernel costs
+/// `O(M/64 + d·nnz(m))` and never tests a blocked row; an attached active
+/// list is walked instead (`O(d·nnz(m))`). Either way the `mask` counter
+/// is charged one access per allowed row.
 pub fn row_masked_mxv<A, X, Y, S, M>(
     s: S,
     op: &M,
@@ -126,33 +117,13 @@ where
 
     let mut vals = vec![identity; op.n_rows()];
     let out = SendPtr(vals.as_mut_ptr());
-    if let Some(active) = mask.active_list() {
-        // O(nnz(m)) row iteration: only the listed rows are touched. This
-        // is the amortized-SPA path of §3.2.
-        if let Some(c) = counters {
-            c.add_mask(active.len() as u64);
-        }
-        par_row_chunks(active.len(), counters, |idx, tally| {
-            let i = active[idx] as usize;
-            debug_assert!(mask.allows(i), "active list disagrees with mask");
-            let y = reduce_row(s, op, v, i, identity, early_exit, counters, tally);
-            // SAFETY: active-list entries are unique, so writes are disjoint.
-            unsafe { *out.get().add(i) = y };
-        });
-    } else {
-        // No active list: scan all rows but skip masked-out ones before
-        // touching the matrix (mask reads cost O(M), matrix cost O(d·nnz(m))).
-        if let Some(c) = counters {
-            c.add_mask(op.n_rows() as u64);
-        }
-        par_row_chunks(op.n_rows(), counters, |i, tally| {
-            if mask.allows(i) {
-                let y = reduce_row(s, op, v, i, identity, early_exit, counters, tally);
-                // SAFETY: chunks partition the rows, so writes are disjoint.
-                unsafe { *out.get().add(i) = y };
-            }
-        });
-    }
+    par_rows(PullRows::Masked(*mask), counters, |i, tally| {
+        let y = reduce_row(s, op, v, i, identity, early_exit, counters, tally);
+        // SAFETY: allowed rows are unique and below the mask's dimension
+        // (an active list is checked when attached), and chunks partition
+        // them, so writes are disjoint and in bounds.
+        unsafe { *out.get().add(i) = y };
+    });
     DenseVector::from_values(vals, identity)
 }
 
@@ -197,22 +168,76 @@ impl RowTally {
     }
 }
 
-/// Run `body(idx, tally)` over `0..len` in size-derived row chunks
-/// ([`pool::index_chunks`]), each with its own [`RowTally`] flushed to
-/// `counters` when the chunk ends.
-pub(crate) fn par_row_chunks<F>(len: usize, counters: Option<&AccessCounters>, body: F)
+/// The rows one row-kernel call visits. Every row kernel — unfused,
+/// fused and batched — walks one of these, so they all visit, chunk and
+/// charge the same rows.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum PullRows<'a> {
+    /// A mask's allowed rows, read from its bit words or its active list.
+    Masked(Mask<'a>),
+    /// An unmasked hypersparse store's non-empty rows (the DCSR win), out
+    /// of its `n` rows.
+    NonEmpty(&'a [u32], usize),
+    /// Every row `0..n`.
+    All(usize),
+}
+
+impl<'a> PullRows<'a> {
+    /// The rows an unmasked pull over `op` visits: a hypersparse store's
+    /// non-empty rows, every row otherwise.
+    pub(crate) fn unmasked<A: Scalar, M: RowAccess<A>>(op: &'a M) -> Self {
+        let n = op.n_rows();
+        op.nonempty_rows()
+            .map_or(Self::All(n), |rows| Self::NonEmpty(rows, n))
+    }
+
+    /// The charges a call makes before visiting any row: one `mask`
+    /// access per allowed row; for skipped empty rows, the bookkeeping
+    /// `reduce_row` would charge them (`examined + 1` = 1 vector touch
+    /// each), so totals equal the full-scan CSR run.
+    pub(crate) fn charge(&self, counters: Option<&AccessCounters>) {
+        match (counters, self) {
+            (Some(c), Self::Masked(m)) => c.add_mask(m.active_count() as u64),
+            (Some(c), Self::NonEmpty(rows, n)) => c.add_vector((n - rows.len()) as u64),
+            _ => {}
+        }
+    }
+
+    /// Size-derived chunks of [`ROW_GRAIN`] visited rows
+    /// ([`pool::index_chunks`] over their count), never the lane count.
+    pub(crate) fn chunks(&self) -> Vec<Range<usize>> {
+        match self {
+            Self::Masked(m) => m.allowed_chunks(ROW_GRAIN),
+            Self::NonEmpty(rows, _) => pool::index_chunks(rows.len(), ROW_GRAIN),
+            Self::All(n) => pool::index_chunks(*n, ROW_GRAIN),
+        }
+    }
+
+    /// Call `f` on every row of one chunk from [`PullRows::chunks`],
+    /// ascending.
+    #[inline]
+    pub(crate) fn for_each(&self, chunk: Range<usize>, mut f: impl FnMut(usize)) {
+        match self {
+            Self::Masked(m) => m.for_each_allowed(chunk, f),
+            Self::NonEmpty(rows, _) => rows[chunk].iter().for_each(|&i| f(i as usize)),
+            Self::All(_) => chunk.for_each(f),
+        }
+    }
+}
+
+/// Charge `rows`, then run `body(i, tally)` on each of them in their
+/// chunks, each chunk with its own [`RowTally`] flushed to `counters` when
+/// it ends.
+pub(crate) fn par_rows<F>(rows: PullRows<'_>, counters: Option<&AccessCounters>, body: F)
 where
     F: Fn(usize, &mut RowTally) + Sync + Send,
 {
-    pool::index_chunks(len, ROW_GRAIN)
-        .into_par_iter()
-        .for_each(|range| {
-            let mut tally = RowTally::new(counters);
-            for idx in range {
-                body(idx, &mut tally);
-            }
-            tally.flush(counters);
-        });
+    rows.charge(counters);
+    rows.chunks().into_par_iter().for_each(|chunk| {
+        let mut tally = RowTally::new(counters);
+        rows.for_each(chunk, |i| body(i, &mut tally));
+        tally.flush(counters);
+    });
 }
 
 /// Reduce one operand row against a dense input vector. Shared with the
@@ -1363,7 +1388,9 @@ mod tests {
     }
 
     #[test]
-    fn mask_active_list_reduces_mask_accesses() {
+    fn word_scan_charges_what_the_active_list_charges() {
+        // One mask access per allowed row (E, F, G, H) with or without the
+        // list: the word scan never tests the four blocked rows.
         let g = fig3_graph();
         let mut f = frontier_bcd();
         f.make_dense();
@@ -1398,7 +1425,7 @@ mod tests {
             c.snapshot().mask
         };
         assert_eq!(with_list, 4);
-        assert_eq!(without_list, 8);
+        assert_eq!(without_list, 4);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! row* (from a per-source [`DirectionPolicy`], or from each row's storage,
 //! or forced by the descriptor), then runs
 //!
-//! * [`row_masked_mxv_batch`] — the pull face: every pull row's
-//!   (active-listed) output rows flattened into one `(source, chunk)`
-//!   grid ([`pool::grid_chunks`]) the worker pool drains by index
+//! * [`row_masked_mxv_batch`] — the pull face: every pull row's allowed
+//!   output rows, cut into the single-source row kernel's chunks, flattened
+//!   into one `(source, chunk)` list the worker pool drains by index
 //!   stealing, so lanes stay busy even when one source's frontier is tiny;
 //! * [`col_masked_mxv_batch`] — the push face: every push row's frontier
 //!   cut into expansion-balanced SPA chunks (the same boundaries as the
@@ -42,21 +42,20 @@ use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::ops_mxv::{
     expansion_offsets, filter_col_output, reduce_row, spa_chunk_ranges, spa_harvest_chunk,
-    spa_merge_parts, RowTally, SendPtr, ROW_GRAIN,
+    spa_merge_parts, PullRows, RowTally, SendPtr,
 };
 use crate::plan::DirectionPolicy;
 use crate::vector::{DenseVector, MultiVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::pool;
 use rayon::prelude::*;
 
 /// Batched row-based (pull) masked matvec: one dense input and one mask
 /// per source, outputs computed over a flat `(source, row-chunk)` grid.
 ///
 /// Per-source semantics and counter bookkeeping are identical to
-/// [`crate::ops_mxv::row_masked_mxv`] (with an active list when the mask
-/// carries one) / [`crate::ops_mxv::row_mxv`] (when `masks` is `None`).
+/// [`crate::ops_mxv::row_masked_mxv`] (whether or not a mask carries an
+/// active list) / [`crate::ops_mxv::row_mxv`] (when `masks` is `None`).
 pub fn row_masked_mxv_batch<A, X, Y, S, M>(
     s: S,
     op: &M,
@@ -148,77 +147,34 @@ where
         }
     }
 
-    // Per-source work extents: the mask's active list when present (the
-    // §3.2 amortized unvisited list); otherwise all rows — or, on a
-    // hypersparse store with no masks, just the non-empty rows, with the
-    // skipped empty rows' bookkeeping (`examined + 1` = 1 vector touch
-    // each in `reduce_row`) charged in bulk so counter totals stay
-    // bit-identical to the full-scan CSR run.
-    let hyper_rows = if masks.is_none() {
-        op.nonempty_rows()
-    } else {
-        None
-    };
-    let lens: Vec<usize> = match masks {
-        Some(ms) => ms
-            .iter()
-            .map(|m| m.active_list().map_or(n, <[u32]>::len))
-            .collect(),
-        None => vec![hyper_rows.map_or(n, <[u32]>::len); vs.len()],
-    };
-    if masks.is_some() {
-        for (j, &len) in lens.iter().enumerate() {
-            if let Some(c) = row_charge(counters, row_counters, j) {
-                c.add_mask(len as u64);
-            }
-        }
-    }
-    if let Some(rows) = hyper_rows {
-        for j in 0..vs.len() {
-            if let Some(c) = row_charge(counters, row_counters, j) {
-                c.add_vector((n - rows.len()) as u64);
-            }
-        }
+    // Each source visits, chunks and charges the rows its single-source
+    // row kernel would: a mask's allowed rows, or (with no masks) every
+    // row — only the non-empty rows on a hypersparse store.
+    let mut sources = Vec::with_capacity(vs.len());
+    let mut grid = Vec::new();
+    for j in 0..vs.len() {
+        let rows = masks.map_or(PullRows::unmasked(op), |ms| PullRows::Masked(ms[j]));
+        rows.charge(row_charge(counters, row_counters, j));
+        grid.extend(rows.chunks().into_iter().map(|chunk| (j, chunk)));
+        sources.push(rows);
     }
 
     let mut outs: Vec<Vec<Y>> = vs.iter().map(|_| vec![identity; n]).collect();
     let ptrs: Vec<SendPtr<Y>> = outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())).collect();
 
-    let grid = pool::grid_chunks(&lens, ROW_GRAIN);
-    grid.into_par_iter().for_each(|(j, range)| {
+    // One flat `(source, chunk)` list the pool drains by index stealing,
+    // so lanes stay busy even when one source's work is tiny.
+    grid.into_par_iter().for_each(|(j, chunk)| {
         let v = vs[j];
-        let mask = masks.map(|ms| &ms[j]);
         let c = row_charge(counters, row_counters, j);
         let mut tally = RowTally::new(c);
-        for idx in range {
-            // Resolve the output row this grid index names.
-            let (i, allowed) = match mask {
-                Some(m) => match m.active_list() {
-                    Some(active) => {
-                        let i = active[idx] as usize;
-                        debug_assert!(m.allows(i), "active list disagrees with mask");
-                        (i, true)
-                    }
-                    None => {
-                        // The hypersparse skip is unmasked-only: with a
-                        // mask present it would bypass `m.allows`.
-                        debug_assert!(hyper_rows.is_none(), "skip is gated on masks.is_none()");
-                        (idx, m.allows(idx))
-                    }
-                },
-                None => match hyper_rows {
-                    Some(rows) => (rows[idx] as usize, true),
-                    None => (idx, true),
-                },
-            };
-            if allowed {
-                let y = reduce_row(s, op, v, i, identity, early_exit, c, &mut tally);
-                // SAFETY: within a source, grid indices (and the unique
-                // active-list or non-empty rows they map to) are disjoint;
-                // across sources the output buffers are distinct.
-                unsafe { *ptrs[j].get().add(i) = y };
-            }
-        }
+        sources[j].for_each(chunk, |i| {
+            let y = reduce_row(s, op, v, i, identity, early_exit, c, &mut tally);
+            // SAFETY: within a source, chunks partition its visited rows,
+            // which are unique and in bounds; across sources the output
+            // buffers are distinct.
+            unsafe { *ptrs[j].get().add(i) = y };
+        });
         tally.flush(c);
     });
 

@@ -15,8 +15,7 @@
 //! * [`segreduce`] — segmented reduction under an arbitrary monoid.
 //! * [`merge`] — heap-based multiway merge, `O(n log k)`; combines the
 //!   per-chunk SPA harvests of the `SpaMerge` column kernel in chunk order.
-//! * [`spa`] — the sparse accumulator of Gilbert, Moler & Schreiber, with the
-//!   §3.2 "list of zeroes" variant that amortizes the `O(M)` mask setup.
+//! * [`spa`] — the sparse accumulator of Gilbert, Moler & Schreiber.
 //! * [`bitvec`] — plain and atomic bit vectors for visited sets and masks.
 //! * [`counters`] — memory-access counters used to *measure* the Table 1
 //!   cost model directly instead of inferring it from wall clock.

@@ -117,32 +117,6 @@ where
     split_ranges(n, pieces).into_par_iter().map(body).collect()
 }
 
-/// Flatten a 2-D `(row, index)` grid of independent work — row `r` owning
-/// `lens[r]` items — into one chunk list for the worker pool.
-///
-/// This is the batched-kernel work distribution: instead of parallelizing
-/// over rows (which starves lanes when one row's frontier is tiny and
-/// another's is huge), every row is cut into size-derived chunks of at
-/// least `grain` items (at most [`MAX_CHUNKS`] per row), and all chunks
-/// land in a single flat list the pool drains by index stealing. Rows with
-/// zero items contribute no chunks. Chunk order is row-major — boundaries
-/// derive from `lens` only, never the lane count, so any per-row
-/// recombination that consumes chunks in list order is deterministic.
-#[must_use]
-pub fn grid_chunks(lens: &[usize], grain: usize) -> Vec<(usize, Range<usize>)> {
-    let mut out = Vec::new();
-    for (r, &len) in lens.iter().enumerate() {
-        if len == 0 {
-            continue;
-        }
-        let pieces = (len / grain.max(1)).clamp(1, MAX_CHUNKS);
-        for range in split_ranges(len, pieces) {
-            out.push((r, range));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,36 +165,6 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn grid_chunks_partitions_every_row() {
-        let lens = [0usize, 5, 10_000, 1, 0, 4096];
-        let chunks = grid_chunks(&lens, 256);
-        // Every (row, index) pair covered exactly once, rows in order.
-        let mut seen: Vec<Vec<bool>> = lens.iter().map(|&l| vec![false; l]).collect();
-        let mut last_row = 0usize;
-        for (r, range) in &chunks {
-            assert!(*r >= last_row, "chunks are row-major");
-            last_row = *r;
-            assert!(!range.is_empty());
-            for i in range.clone() {
-                assert!(!seen[*r][i], "index covered twice");
-                seen[*r][i] = true;
-            }
-        }
-        assert!(seen.iter().flatten().all(|&s| s));
-        // Zero-length rows contribute nothing.
-        assert!(chunks.iter().all(|(r, _)| lens[*r] > 0));
-        // The large row split into multiple chunks; small rows into one.
-        assert!(chunks.iter().filter(|(r, _)| *r == 2).count() > 1);
-        assert_eq!(chunks.iter().filter(|(r, _)| *r == 1).count(), 1);
-    }
-
-    #[test]
-    fn grid_chunks_respects_max_chunks_per_row() {
-        let chunks = grid_chunks(&[1_000_000], 1);
-        assert_eq!(chunks.len(), MAX_CHUNKS);
     }
 
     #[test]

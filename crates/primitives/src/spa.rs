@@ -5,8 +5,9 @@
 //! into a sorted sparse vector. The paper uses a SPA-like structure in two
 //! places: Gustavson SpGEMM rows (our `mxm`), and the §3.2 trick where the
 //! mask keeps a *sparse list of its zero positions* so the masked row-based
-//! matvec touches `O(nnz(m))` rows instead of `M` after a one-time setup
-//! amortized over BFS iterations.
+//! matvec touches `O(nnz(m))` rows instead of `M`. This workspace's masked
+//! row kernels get that bound by scanning the mask's bit words instead
+//! (`graphblas_core::Mask`), so no such list is kept.
 
 /// Dense-backed sparse accumulator over value type `V`.
 #[derive(Debug)]

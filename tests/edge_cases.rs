@@ -14,7 +14,7 @@ use push_pull::baselines::textbook::bfs_serial;
 use push_pull::core::descriptor::{Descriptor, Direction};
 use push_pull::core::error::GrbError;
 use push_pull::core::ops::{BoolOrAnd, MinSecond};
-use push_pull::core::{mxv, FusedMxv, Mask, Vector};
+use push_pull::core::{mxv, mxv_batch, FusedMxv, Mask, MultiVector, Vector};
 use push_pull::matrix::{Coo, Csr, Graph};
 use push_pull::primitives::counters::AccessCounters;
 use push_pull::primitives::BitVec;
@@ -340,8 +340,9 @@ fn fused_empty_frontier_assigns_nothing() {
 
 #[test]
 fn fused_full_mask_blocks_every_assignment() {
-    // A mask allowing nothing: the pull face still charges its mask scan,
-    // but no state slot may change and touched stays empty.
+    // A mask allowing nothing: no state slot may change, touched stays
+    // empty, and the pull face charges nothing — the mask is charged one
+    // access per allowed row, and none is allowed.
     let g = star(32);
     let mut f = Vector::from_sparse(32, false, vec![0], vec![true]);
     f.make_dense();
@@ -364,8 +365,57 @@ fn fused_full_mask_blocks_every_assignment() {
         .expect("dims fine");
     assert!(out.touched.is_empty());
     assert!(state.iter().all(|&x| x == -1));
-    assert_eq!(c.snapshot().mask, 32, "full-row mask scan still charged");
+    assert_eq!(c.snapshot().mask, 0, "no allowed row, no mask charge");
     assert_eq!(c.snapshot().matrix, 0, "no allowed row touches the matrix");
+}
+
+/// A forced pull on a 64-vertex graph with one edge (`Auto` plans DCSR,
+/// whose absent rows read as empty) under `¬{0}` with the given active
+/// list, through `mxv` or `mxv_batch`. The row kernels write each listed
+/// row's output slot unchecked, so a bad list must be refused where it is
+/// attached — before either call can run.
+fn pull_with_active_list(list: &[u32], batched: bool) {
+    let n = 64;
+    let mut coo = Coo::new(n, n);
+    coo.push(0, 1, true);
+    let g = Graph::from_coo(&coo);
+    let mut visited = BitVec::new(n);
+    visited.set(0);
+    let mut f = Vector::singleton(n, false, 0, true);
+    f.make_dense();
+    let desc = Descriptor::new().transpose(true).force(Direction::Pull);
+    let mask = Mask::complement(&visited).with_active_list(list);
+    if batched {
+        let batch = MultiVector::from_rows(vec![f]);
+        let _: MultiVector<bool> =
+            mxv_batch(Some(&[mask]), BoolOrAnd, &g, &batch, &desc, None, None).unwrap();
+    } else {
+        let _: Vector<bool> = mxv(Some(&mask), BoolOrAnd, &g, &f, &desc, None).unwrap();
+    }
+}
+
+#[test]
+#[should_panic(expected = "strictly ascending")]
+fn mxv_rejects_a_duplicated_active_list() {
+    pull_with_active_list(&[1, 1], false);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn mxv_rejects_an_out_of_range_active_list() {
+    pull_with_active_list(&[1, 1 << 28], false);
+}
+
+#[test]
+#[should_panic(expected = "strictly ascending")]
+fn mxv_batch_rejects_a_duplicated_active_list() {
+    pull_with_active_list(&[1, 1], true);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn mxv_batch_rejects_an_out_of_range_active_list() {
+    pull_with_active_list(&[1, 1 << 28], true);
 }
 
 #[test]
