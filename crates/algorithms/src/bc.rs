@@ -27,7 +27,7 @@ use graphblas_core::mask::Mask;
 use graphblas_core::ops::PlusSecond;
 use graphblas_core::ops_mxv_batch::mxv_batch;
 use graphblas_core::vector::{MultiVector, Vector};
-use graphblas_core::{run_guarded, DirectionPolicy, ExecLimits, FormatChoice, GrbResult};
+use graphblas_core::{run_guarded, DirectionPolicy, ExecLimits, GrbResult};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::BitVec;
@@ -35,12 +35,8 @@ use graphblas_primitives::BitVec;
 /// Options for batched betweenness centrality.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BcOpts {
-    /// Matrix storage format both sweeps' batched matvecs run under
-    /// (default auto; `Force(Csr)` is the tested oracle). Scores and access
-    /// counters are format-invariant.
-    pub format: FormatChoice,
     /// Execution limits enforced by [`try_betweenness_with_opts`]; the
-    /// infallible entry points ignore this field.
+    /// infallible entry points run unlimited.
     pub limits: ExecLimits,
 }
 
@@ -59,19 +55,7 @@ pub fn betweenness_with_counters(
     sources: &[VertexId],
     counters: Option<&AccessCounters>,
 ) -> Vec<f64> {
-    betweenness_with_opts(g, sources, &BcOpts::default(), counters)
-}
-
-/// [`betweenness`] with explicit options and optional access counters.
-#[must_use]
-pub fn betweenness_with_opts(
-    g: &Graph<bool>,
-    sources: &[VertexId],
-    opts: &BcOpts,
-    counters: Option<&AccessCounters>,
-) -> Vec<f64> {
-    bc_loop(g, sources, opts, counters)
-        .expect("unlimited betweenness with verified dims cannot abort")
+    bc_loop(g, sources, counters).expect("unlimited betweenness with verified dims cannot abort")
 }
 
 /// Betweenness under the options' [`ExecLimits`] with full fault isolation
@@ -82,13 +66,12 @@ pub fn try_betweenness_with_opts(
     opts: &BcOpts,
     counters: Option<&AccessCounters>,
 ) -> GrbResult<Vec<f64>> {
-    run_guarded(counters, &opts.limits, |c| bc_loop(g, sources, opts, c))
+    run_guarded(counters, &opts.limits, |c| bc_loop(g, sources, c))
 }
 
 fn bc_loop(
     g: &Graph<bool>,
     sources: &[VertexId],
-    opts: &BcOpts,
     counters: Option<&AccessCounters>,
 ) -> GrbResult<Vec<f64>> {
     let n = g.n_vertices();
@@ -100,11 +83,10 @@ fn bc_loop(
     for &s in sources {
         assert!((s as usize) < n, "source out of range");
     }
-    // One descriptor per sweep: the sweeps iterate opposite orientations,
-    // so each resolves its store against its own occupancy statistics.
-    let desc_fwd = Descriptor::new().transpose(true).format_choice(opts.format);
+    // One descriptor per sweep: the sweeps iterate opposite orientations.
+    let desc_fwd = Descriptor::new().transpose(true);
     // Children direction: A, not Aᵀ.
-    let desc_bwd = Descriptor::new().format_choice(opts.format);
+    let desc_bwd = Descriptor::new();
 
     // ---- Forward phase: batched per-level σ frontiers. ----
     let mut visited: Vec<BitVec> = sources

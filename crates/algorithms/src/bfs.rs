@@ -47,10 +47,10 @@ use graphblas_core::ops::{BoolOrAnd, BoolStructure, Semiring};
 use graphblas_core::vector::Vector;
 use graphblas_core::vector_ops::filter_by_mask;
 use graphblas_core::{
-    mxv, run_guarded, CostConstants, CostModelInputs, DirectionPolicy, ExecLimits, FormatChoice,
-    FusedMxv, GrbResult, Planner,
+    mxv, run_guarded, CostConstants, CostModelInputs, DirectionPolicy, ExecLimits, FusedMxv,
+    GrbResult,
 };
-use graphblas_matrix::{Graph, StorageFormat, VertexId};
+use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::{AtomicBitVec, BitVec};
 use std::time::Instant;
@@ -87,10 +87,6 @@ pub struct BfsOpts {
     /// optimizations: results and access counters are bit-identical either
     /// way.
     pub fused: bool,
-    /// Matrix storage format the per-level [`Planner`] runs under (default
-    /// [`FormatChoice::Auto`]; `Force(Csr)` is the tested oracle). Formats
-    /// never change results or access counters — only wall clock.
-    pub format: FormatChoice,
     /// Replace the ratio-threshold direction rule with the measured cost
     /// model: `pushwork = c_push · nnz(A(:, f))` against
     /// `pullwork = c_pull · d · |unvisited|`, per level (overridden by
@@ -114,7 +110,6 @@ impl Default for BfsOpts {
             force: None,
             record_trace: false,
             fused: true,
-            format: FormatChoice::Auto,
             cost_model: false,
             limits: ExecLimits::none(),
         }
@@ -136,7 +131,6 @@ impl BfsOpts {
             force: None,
             record_trace: false,
             fused: true,
-            format: FormatChoice::Auto,
             cost_model: false,
             limits: ExecLimits::none(),
         }
@@ -183,13 +177,6 @@ impl BfsOpts {
         self
     }
 
-    /// Builder: set the storage-format choice (see [`BfsOpts::format`]).
-    #[must_use]
-    pub fn format(mut self, c: FormatChoice) -> Self {
-        self.format = c;
-        self
-    }
-
     /// Builder: enable per-iteration telemetry.
     #[must_use]
     pub fn traced(mut self) -> Self {
@@ -212,8 +199,6 @@ pub struct IterRecord {
     pub level: usize,
     /// Kernel family this level ran.
     pub direction: Direction,
-    /// Matrix store the level's kernel ran over.
-    pub format: StorageFormat,
     /// `nnz(f)` entering the level.
     pub frontier_nnz: usize,
     /// Unvisited vertex count entering the level (`nnz(¬v)`).
@@ -333,14 +318,13 @@ where
     let mut f: Vector<bool> = Vector::singleton(n, false, source, true);
     let mut frontier_nnz = 1usize;
     // Optimization 1's switching rule lives in graphblas_core; BFS only
-    // chooses which policy variant its planner runs under.
-    let policy = match opts.force {
+    // chooses which policy variant runs, fed against a capacity of |V|.
+    let mut policy = match opts.force {
         Some(d) => DirectionPolicy::fixed(d),
         None if opts.cost_model => DirectionPolicy::cost_model(CostConstants::default()),
         None if opts.change_of_direction => DirectionPolicy::hysteresis(opts.switch_threshold),
         None => DirectionPolicy::fixed(Direction::Push),
     };
-    let mut planner = Planner::new(policy, opts.format);
     let mut level = 0usize;
     let mut trace = Vec::new();
 
@@ -355,8 +339,7 @@ where
         let t0 = opts.record_trace.then(Instant::now);
         level += 1;
 
-        // Optimization 1: the planner picks this level's direction and the
-        // matrix store its kernel face runs over.
+        // Optimization 1: the policy picks this level's direction.
         let measured = (opts.cost_model && opts.force.is_none()).then(|| {
             // Measured workloads for the Beamer-style rule: push expands the
             // out-rows of the frontier; pull scans into the unvisited set.
@@ -367,9 +350,11 @@ where
                 avg_degree: csr.avg_degree(),
             }
         });
-        let plan = planner.next(g, frontier_nnz, measured, counters);
-        let dir = plan.direction;
-        let desc = base_desc.force(dir).force_format(plan.format);
+        let dir = match measured {
+            Some(inputs) => policy.update_measured(frontier_nnz, n, inputs),
+            None => policy.update(frontier_nnz, n),
+        };
+        let desc = base_desc.force(dir);
 
         // Storage follows direction (the convert() of §6.3). With operand
         // reuse the pull input is the dense visited vector, so the frontier
@@ -460,7 +445,6 @@ where
             trace.push(IterRecord {
                 level,
                 direction: dir,
-                format: plan.format,
                 frontier_nnz,
                 unvisited: unvisited_count + new_count,
                 micros: t0.elapsed().as_micros(),

@@ -24,9 +24,7 @@ use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::ops::MinSecond;
 use graphblas_core::vector::Vector;
-use graphblas_core::{
-    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatChoice, FusedMxv, GrbResult, Planner,
-};
+use graphblas_core::{mxv, run_guarded, DirectionPolicy, ExecLimits, FusedMxv, GrbResult};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::BitVec;
@@ -46,9 +44,6 @@ pub struct ParentBfsOpts {
     /// by the ascending-scan argument in the module doc). Only meaningful
     /// with `fused`; identical parents either way, less matrix traffic.
     pub first_hit_exit: bool,
-    /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
-    /// Format-invariant results and counters.
-    pub format: FormatChoice,
     /// Execution limits enforced by [`try_bfs_parents_with_opts`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -60,7 +55,6 @@ impl Default for ParentBfsOpts {
             switch_threshold: 0.01,
             fused: true,
             first_hit_exit: true,
-            format: FormatChoice::Auto,
             limits: ExecLimits::none(),
         }
     }
@@ -128,18 +122,14 @@ fn parent_bfs_loop(
     // Frontier carries each frontier vertex's own id as its value — the
     // invariant the fused first-hit exit relies on.
     let mut f: Vector<u32> = Vector::singleton(n, NO_PARENT, source, source);
-    let mut planner = Planner::new(
-        DirectionPolicy::hysteresis(opts.switch_threshold),
-        opts.format,
-    );
+    let mut policy = DirectionPolicy::hysteresis(opts.switch_threshold);
     let mut levels = 0usize;
     let base = Descriptor::new().transpose(true);
 
     loop {
         levels += 1;
-        let plan = planner.next(g, f.nnz(), None, counters);
-        let dir = plan.direction;
-        let desc = base.force(dir).force_format(plan.format);
+        let dir = policy.update(f.nnz(), n);
+        let desc = base.force(dir);
         match dir {
             Direction::Pull => f.make_dense(),
             Direction::Push => f.make_sparse(),

@@ -16,9 +16,7 @@
 use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::ops::MinSecond;
 use graphblas_core::vector::{DenseVector, Vector};
-use graphblas_core::{
-    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatChoice, FusedMxv, GrbResult, Planner,
-};
+use graphblas_core::{mxv, run_guarded, DirectionPolicy, ExecLimits, FusedMxv, GrbResult};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 
@@ -49,9 +47,6 @@ pub struct CcOpts {
     /// Run each round as one fused mxv·assign pass (default) instead of
     /// materializing the candidate vector. Bit-identical either way.
     pub fused: bool,
-    /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
-    /// Format-invariant results and counters.
-    pub format: FormatChoice,
     /// Execution limits enforced by [`try_connected_components_with_opts`];
     /// the infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -62,7 +57,6 @@ impl Default for CcOpts {
         Self {
             switch_threshold: 0.01,
             fused: true,
-            format: FormatChoice::Auto,
             limits: ExecLimits::none(),
         }
     }
@@ -112,17 +106,13 @@ fn cc_loop(
     let mut rounds = 0usize;
     // Same hysteresis rule as BFS (§6.3), on the delta set; dense start
     // means the policy begins in pull.
-    let mut planner = Planner::new(
-        DirectionPolicy::hysteresis_from(Direction::Pull, opts.switch_threshold),
-        opts.format,
-    );
+    let mut policy = DirectionPolicy::hysteresis_from(Direction::Pull, opts.switch_threshold);
     let base = Descriptor::new().transpose(true);
 
     loop {
         rounds += 1;
-        let plan = planner.next(g, delta.nnz(), None, counters);
-        let dir = plan.direction;
-        let desc = base.force(dir).force_format(plan.format);
+        let dir = policy.update(delta.nnz(), n);
+        let desc = base.force(dir);
 
         // Pull rounds relax against the *full* label vector (min is
         // idempotent, so the superset of the delta is sound — operand

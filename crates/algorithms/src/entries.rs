@@ -38,9 +38,8 @@
 //!   typed error ([`GrbError::WorkerPanicked`] carries the chunk); the
 //!   caller decides whether to de-coalesce and retry solo.
 //!
-//! Batch-scoped charges that no single request owns — storage-conversion
-//! bytes and `bitmap_degrades` of the group's stores — go to the `shared`
-//! counters, which also receive the fold of every entry's bill.
+//! The `shared` counters are the batch's scope: they receive the bytes of
+//! a lane group's buffers and the fold of every entry's bill.
 
 use std::panic::{self, AssertUnwindSafe};
 
@@ -281,7 +280,6 @@ pub fn multi_source_bfs_entries(
     let spec = GroupSpec {
         sources: &[],
         policy: opts.policy(),
-        format: opts.format,
         record: Record::Depths,
         bills: None,
         shared,
@@ -328,7 +326,6 @@ pub fn bfs_parents_entries(
     let spec = GroupSpec {
         sources: &[],
         policy: DirectionPolicy::hysteresis(opts.switch_threshold),
-        format: opts.format,
         record: Record::Parents,
         bills: None,
         shared,
@@ -401,7 +398,7 @@ pub fn sssp_entries(
     let mut rounds = vec![0usize; k];
     let mut pull_rounds = vec![0usize; k];
 
-    let desc = Descriptor::new().transpose(true).format_choice(opts.format);
+    let desc = Descriptor::new().transpose(true);
 
     let mut alive: Vec<usize> = (0..k).collect();
     while !alive.is_empty() {

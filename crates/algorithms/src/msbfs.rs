@@ -37,8 +37,8 @@ use graphblas_core::descriptor::Direction;
 use graphblas_core::exec::{panic_message, stop_error};
 use graphblas_core::ops_mxv_lanes::lanes;
 use graphblas_core::{
-    run_guarded, DirectionPolicy, ExecLimits, FormatChoice, GrbError, GrbResult, LaneCharges,
-    LaneGroup, StopReason, MAX_LANES,
+    run_guarded, DirectionPolicy, ExecLimits, GrbError, GrbResult, LaneCharges, LaneGroup,
+    StopReason, MAX_LANES,
 };
 use graphblas_matrix::{Csr, Graph, VertexId};
 use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
@@ -57,10 +57,6 @@ pub struct MsBfsOpts {
     /// Pin every source to one direction (ablation arms). `None` lets each
     /// source's hysteresis policy switch independently.
     pub force: Option<Direction>,
-    /// Matrix storage format: each kernel face reads the store
-    /// [`graphblas_core::plan::auto_format`] picks for it (default), or the
-    /// forced one.
-    pub format: FormatChoice,
     /// Execution limits enforced by [`try_multi_source_bfs_with_opts`];
     /// the infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -71,7 +67,6 @@ impl Default for MsBfsOpts {
         Self {
             switch_threshold: 0.01,
             force: None,
-            format: FormatChoice::Auto,
             limits: ExecLimits::none(),
         }
     }
@@ -84,7 +79,6 @@ impl MsBfsOpts {
         BfsOpts {
             switch_threshold: self.switch_threshold,
             force: self.force,
-            format: self.format,
             limits: self.limits,
             ..BfsOpts::default()
         }
@@ -164,7 +158,6 @@ fn msbfs_loop(
         let spec = GroupSpec {
             sources: group,
             policy: opts.policy(),
-            format: opts.format,
             record: Record::Depths,
             bills: None,
             shared: counters,
@@ -211,15 +204,14 @@ pub(crate) struct GroupSpec<'a> {
     pub sources: &'a [VertexId],
     /// The policy every lane starts from.
     pub policy: DirectionPolicy,
-    pub format: FormatChoice,
     pub record: Record,
     /// Per-lane counter sets with their limits installed (the `*_entries`
     /// functions): each receives its lane's bill and is polled at every
     /// level boundary. `None` bills `shared` alone.
     pub bills: Option<&'a [&'a AccessCounters]>,
-    /// The group's batch scope: conversion bytes, bitmap degrades, the
-    /// group buffers' bytes, and the fold of every bill. Polled at every
-    /// level boundary; a trip there aborts every live lane.
+    /// The group's batch scope: the group buffers' bytes and the fold of
+    /// every bill. Polled at every level boundary; a trip there aborts
+    /// every live lane.
     pub shared: Option<&'a AccessCounters>,
 }
 
@@ -336,9 +328,7 @@ pub(crate) fn run_group(g: &Graph<bool>, spec: &GroupSpec<'_>) -> Vec<GrbResult<
             }
         }
         let slots = (spec.record == Record::Parents).then_some(parents.as_slice());
-        let step = panic::catch_unwind(AssertUnwindSafe(|| {
-            group.step(g, pull, push, spec.format, slots, spec.shared)
-        }));
+        let step = panic::catch_unwind(AssertUnwindSafe(|| group.step(g, pull, push, slots)));
         let charges: LaneCharges = match step {
             Ok(c) => c,
             Err(payload) => {

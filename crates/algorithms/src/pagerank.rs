@@ -14,7 +14,7 @@ use graphblas_core::mask::Mask;
 use graphblas_core::mxv;
 use graphblas_core::ops::PlusTimes;
 use graphblas_core::vector::{DenseVector, Vector};
-use graphblas_core::{run_guarded, ExecLimits, FormatChoice, FusedMxv, GrbResult};
+use graphblas_core::{run_guarded, ExecLimits, FusedMxv, GrbResult};
 use graphblas_matrix::{Csr, Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::BitVec;
@@ -37,10 +37,6 @@ pub struct PageRankOpts {
     /// either way (the fused pipeline assigns every allowed row, matching
     /// how the unfused loop reads its dense intermediate).
     pub fused: bool,
-    /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
-    /// Every iteration pulls, so the choice yields one store for the whole
-    /// run. Format-invariant ranks and counters.
-    pub format: FormatChoice,
     /// Execution limits enforced by [`try_pagerank_with_counters`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -54,7 +50,6 @@ impl Default for PageRankOpts {
             entry_tol: 1e-9,
             max_iters: 200,
             fused: true,
-            format: FormatChoice::Auto,
             limits: ExecLimits::none(),
         }
     }
@@ -148,10 +143,7 @@ fn pagerank_loop(
     let mut active_list: Vec<VertexId> = (0..n as VertexId).collect();
     let mut iters = 0usize;
     let mut row_updates = 0usize;
-    let desc = Descriptor::new()
-        .transpose(true)
-        .force(Direction::Pull)
-        .format_choice(opts.format);
+    let desc = Descriptor::new().transpose(true).force(Direction::Pull);
 
     while iters < opts.max_iters {
         iters += 1;

@@ -16,9 +16,7 @@
 use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::ops::MinPlus;
 use graphblas_core::vector::Vector;
-use graphblas_core::{
-    mxv, run_guarded, DirectionPolicy, ExecLimits, FormatChoice, FusedMxv, GrbResult, Planner,
-};
+use graphblas_core::{mxv, run_guarded, DirectionPolicy, ExecLimits, FusedMxv, GrbResult};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 
@@ -36,9 +34,6 @@ pub struct SsspOpts {
     /// rule and the candidate vector is never materialized. Bit-identical
     /// either way.
     pub fused: bool,
-    /// Matrix storage format (default auto; see [`graphblas_core::plan`]).
-    /// Format-invariant results and counters.
-    pub format: FormatChoice,
     /// Execution limits enforced by [`try_sssp_with_counters`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -51,7 +46,6 @@ impl Default for SsspOpts {
             change_of_direction: true,
             max_rounds: None,
             fused: true,
-            format: FormatChoice::Auto,
             limits: ExecLimits::none(),
         }
     }
@@ -112,24 +106,22 @@ fn sssp_loop(
     let mut delta: Vector<f32> = Vector::singleton(n, f32::INFINITY, source, 0.0);
     // 2-phase switch (§5.6): once the delta set crosses the threshold, stay
     // row-based for the remainder.
-    let policy = if opts.change_of_direction {
+    let mut policy = if opts.change_of_direction {
         DirectionPolicy::two_phase(opts.switch_threshold)
     } else {
         DirectionPolicy::fixed(Direction::Push)
     };
-    let mut planner = Planner::new(policy, opts.format);
     let mut rounds = 0usize;
     let mut pull_rounds = 0usize;
     let base = Descriptor::new().transpose(true);
 
     while rounds < max_rounds {
         rounds += 1;
-        let plan = planner.next(g, delta.nnz(), None, counters);
-        let dir = plan.direction;
+        let dir = policy.update(delta.nnz(), n);
         if dir == Direction::Pull {
             pull_rounds += 1;
         }
-        let desc = base.force(dir).force_format(plan.format);
+        let desc = base.force(dir);
 
         // Pull rounds relax against the full distance vector (superset of
         // the delta — idempotent min makes the extra relaxations

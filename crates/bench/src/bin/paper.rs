@@ -8,10 +8,10 @@
 //! ```
 //!
 //! Experiments: `table1` `table2` `table3` `fig2` `fig5` `fig6` `fig7`
-//! `heuristic` `scaling` `batched` `serve` `formats` `chaos` `validate`
-//! `all`. `bench-all` regenerates exactly the machine-readable
-//! `BENCH_*.json` artifacts (scaling, batched, serve, formats, and — when
-//! built with `--features fault-injection` — the chaos study).
+//! `heuristic` `scaling` `batched` `serve` `chaos` `validate` `all`.
+//! `bench-all` regenerates exactly the machine-readable `BENCH_*.json`
+//! artifacts (scaling, batched, serve, and — when built with
+//! `--features fault-injection` — the chaos study).
 //! CSVs land in `--out` (default `results/`).
 //!
 //! `--shrink N` divides every dataset's vertex count by 2^N (default 6;
@@ -22,8 +22,8 @@ use graphblas_algo::bfs::{bfs_with_opts, BfsOpts};
 use graphblas_bench::engines::figure7_lineup;
 use graphblas_bench::report::{f, Json, Table};
 use graphblas_bench::study::{
-    batched_study, formats_study, matvec_variant_sweep, per_level_study, random_sources,
-    thread_scaling_study, time_bfs,
+    batched_study, matvec_variant_sweep, per_level_study, random_sources, thread_scaling_study,
+    time_bfs,
 };
 use graphblas_bench::{geomean, median, mteps, time_ms};
 use graphblas_core::descriptor::Direction;
@@ -81,7 +81,6 @@ fn main() {
         "scaling" => scaling(&cfg),
         "batched" => batched(&cfg),
         "serve" => serve(&cfg),
-        "formats" => formats(&cfg),
         "chaos" => chaos(&cfg),
         "validate" => validate(&cfg),
         "bench-all" => {
@@ -89,7 +88,6 @@ fn main() {
             scaling(&cfg);
             batched(&cfg);
             serve(&cfg);
-            formats(&cfg);
             if cfg!(feature = "fault-injection") {
                 chaos(&cfg);
             } else {
@@ -111,13 +109,12 @@ fn main() {
             scaling(&cfg);
             batched(&cfg);
             serve(&cfg);
-            formats(&cfg);
         }
         other => {
             eprintln!(
                 "unknown experiment `{other}`; expected one of: \
                  table1 table2 table3 fig2 fig5 fig6 fig7 heuristic scaling batched serve \
-                 formats chaos validate bench-all all"
+                 chaos validate bench-all all"
             );
             std::process::exit(2);
         }
@@ -863,108 +860,9 @@ fn serve(cfg: &Config) {
     }
 }
 
-/// Storage-format study: the fixed-format arms (CSR oracle / bitmap /
-/// hypersparse DCSR) against the auto planner over the generator suite,
-/// with the hypersparse batched-frontier microbench where DCSR's
-/// compressed row list beats CSR's O(n) `row_ptr` scan. Emits the
-/// machine-readable `BENCH_formats.json` companion artifact. Results are
-/// asserted bit-identical across formats before timing.
-fn formats(cfg: &Config) {
-    let mut t = Table::new(
-        "Storage formats — per-format matvec/BFS and the hypersparse microbench",
-        &[
-            "Dataset",
-            "Format",
-            "pull ms",
-            "push ms",
-            "BFS ms",
-            "hyper-batch ms",
-            "hyper x vs csr",
-        ],
-    );
-    let mut dataset_objs: Vec<Json> = Vec::new();
-    for Dataset { name, graph, .. } in suite(cfg.shrink, cfg.seed) {
-        if let Some(only) = &cfg.dataset {
-            if only != name {
-                continue;
-            }
-        }
-        eprintln!(
-            "[formats] {name}: {} vertices, {} edges",
-            graph.n_vertices(),
-            graph.n_edges()
-        );
-        let study = formats_study(&graph, 3, cfg.seed);
-        let csr_hyper = study.arms[0].hyper_batch_ms;
-        let mut arm_objs: Vec<Json> = Vec::new();
-        for a in &study.arms {
-            let hyper_x = csr_hyper / a.hyper_batch_ms.max(1e-12);
-            t.row(vec![
-                name.to_string(),
-                a.format.to_string(),
-                f(a.pull_ms),
-                f(a.push_ms),
-                f(a.bfs_ms),
-                f(a.hyper_batch_ms),
-                format!("{hyper_x:.2}x"),
-            ]);
-            arm_objs.push(Json::Obj(vec![
-                ("format", Json::Str(a.format.to_string())),
-                ("pull_ms", Json::Num(a.pull_ms)),
-                ("push_ms", Json::Num(a.push_ms)),
-                ("bfs_ms", Json::Num(a.bfs_ms)),
-                ("hyper_batch_ms", Json::Num(a.hyper_batch_ms)),
-                ("hyper_speedup_vs_csr", Json::Num(hyper_x)),
-            ]));
-        }
-        t.row(vec![
-            name.to_string(),
-            "auto".to_string(),
-            "—".into(),
-            "—".into(),
-            f(study.auto_bfs_ms),
-            "—".into(),
-            format!("{} switches", study.auto_format_switches),
-        ]);
-        dataset_objs.push(Json::Obj(vec![
-            ("name", Json::Str(name.to_string())),
-            ("vertices", Json::Int(graph.n_vertices() as u64)),
-            ("edges", Json::Int(graph.n_edges() as u64)),
-            ("hyper_n", Json::Int(study.hyper_n as u64)),
-            (
-                "hyper_nonempty_rows",
-                Json::Int(study.hyper_nonempty as u64),
-            ),
-            ("hyper_k", Json::Int(study.hyper_k as u64)),
-            ("auto_bfs_ms", Json::Num(study.auto_bfs_ms)),
-            (
-                "auto_format_switches",
-                Json::Int(study.auto_format_switches),
-            ),
-            ("arms", Json::Arr(arm_objs)),
-        ]));
-    }
-    t.print();
-    println!(
-        "formats are bit-identical in results and access counters (pinned by tests);\n\
-         only wall clock moves. Expect dcsr to beat csr on the hypersparse\n\
-         batched-frontier microbench and to trail slightly on dense workloads."
-    );
-    let _ = t.write_csv(&cfg.out, "formats_study");
-    let doc = Json::Obj(vec![
-        ("shrink", Json::Int(u64::from(cfg.shrink))),
-        ("seed", Json::Int(cfg.seed)),
-        ("datasets", Json::Arr(dataset_objs)),
-    ]);
-    match doc.write_file(&cfg.out, "BENCH_formats.json") {
-        Ok(p) => eprintln!("[formats] wrote {}", p.display()),
-        Err(e) => eprintln!("[formats] could not write BENCH_formats.json: {e}"),
-    }
-}
-
 /// Chaos study (§robustness): drive every injected fault class — deadline
-/// expiry, work-budget exhaustion, bytes-budget degrade, fail-Nth
-/// allocation, panic-in-Kth-chunk, cost-model inflation — through the
+/// expiry, work-budget exhaustion, fail-Nth allocation,
+/// panic-in-Kth-chunk, cost-model inflation — through the
 /// guarded BFS entry point at 1/2/8 lanes, asserting typed-error survival
 /// and bit-identical post-fault recovery. Emits `BENCH_chaos.json` and
 /// exits non-zero if any scenario fails either contract.
@@ -981,7 +879,6 @@ fn chaos(cfg: &Config) {
             "Observed",
             "Survived",
             "Recovered",
-            "limit degrades",
         ],
     );
     let mut dataset_objs: Vec<Json> = Vec::new();
@@ -1016,7 +913,6 @@ fn chaos(cfg: &Config) {
                 o.observed.clone(),
                 o.survived.to_string(),
                 o.recovered.to_string(),
-                o.limit_degrades.to_string(),
             ]);
             outcome_objs.push(Json::Obj(vec![
                 ("fault", Json::Str(o.fault.name().to_string())),
@@ -1024,7 +920,6 @@ fn chaos(cfg: &Config) {
                 ("observed", Json::Str(o.observed.clone())),
                 ("survived", Json::Str(o.survived.to_string())),
                 ("recovered", Json::Str(o.recovered.to_string())),
-                ("limit_degrades", Json::Int(o.limit_degrades)),
             ]));
         }
         dataset_objs.push(Json::Obj(vec![
@@ -1037,12 +932,14 @@ fn chaos(cfg: &Config) {
     }
     t.print();
     println!(
-        "every fault class must surface as its typed GrbError (or a recorded\n\
-         graceful degrade) and every post-fault retry must be bit-identical —\n\
+        "every fault class must surface as its typed GrbError (or complete\n\
+         unchanged) and every post-fault retry must be bit-identical —\n\
          depths and counter snapshot — to the uninterrupted run."
     );
     let _ = t.write_csv(&cfg.out, "chaos_study");
+    let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
     let doc = Json::Obj(vec![
+        ("machine_parallelism", Json::Int(machine as u64)),
         (
             "thread_counts",
             Json::Arr(thread_counts.iter().map(|&t| Json::Int(t as u64)).collect()),

@@ -3,8 +3,8 @@
 //! check the two robustness contracts —
 //!
 //! * **survival** — the faulted run surfaces as the expected typed
-//!   [`GrbError`] (or completes with a recorded graceful degrade); the
-//!   process never aborts;
+//!   [`GrbError`] (or, for cost-model inflation, completes with the clean
+//!   run's depths); the process never aborts;
 //! * **recovery** — an immediate retry with the fault cleared is
 //!   bit-identical (depths *and* counter snapshot) to an uninterrupted
 //!   clean run, proving the abort left no poison behind.
@@ -14,17 +14,16 @@
 
 use graphblas_algo::bfs::{try_bfs_with_opts, BfsOpts};
 use graphblas_core::descriptor::Direction;
-use graphblas_core::{ExecLimits, FormatChoice, GrbError, StorageFormat};
-use graphblas_matrix::{Dcsr, Graph, VertexId};
+use graphblas_core::{ExecLimits, GrbError};
+use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::fault::{self, FaultPlan};
 use std::time::Duration;
 
 /// Every injected fault class the chaos study exercises.
-pub const FAULT_CLASSES: [FaultClass; 6] = [
+pub const FAULT_CLASSES: [FaultClass; 5] = [
     FaultClass::Deadline,
     FaultClass::WorkBudget,
-    FaultClass::BytesDegrade,
     FaultClass::AllocFail,
     FaultClass::ChunkPanic,
     FaultClass::CostInflate,
@@ -37,10 +36,6 @@ pub enum FaultClass {
     Deadline,
     /// Tiny charged-access work budget: trips mid-traversal.
     WorkBudget,
-    /// Bytes budget just under the DCSR conversion estimate: the
-    /// conversion is denied and the run degrades to the cached CSR,
-    /// recording `limit_degrades` — the graceful-degradation path.
-    BytesDegrade,
     /// The first charged kernel allocation reports failure: typed
     /// `BudgetExceeded { Bytes }` at a site with no fallback.
     AllocFail,
@@ -59,7 +54,6 @@ impl FaultClass {
         match self {
             FaultClass::Deadline => "deadline",
             FaultClass::WorkBudget => "work-budget",
-            FaultClass::BytesDegrade => "bytes-degrade",
             FaultClass::AllocFail => "alloc-fail",
             FaultClass::ChunkPanic => "chunk-panic",
             FaultClass::CostInflate => "cost-inflate",
@@ -76,20 +70,15 @@ pub struct ChaosOutcome {
     pub threads: usize,
     /// What the faulted run produced (typed error or completion note).
     pub observed: String,
-    /// The faulted run surfaced as the expected typed error / degrade.
+    /// The faulted run surfaced as the expected typed outcome.
     pub survived: bool,
     /// Retry after clearing the fault was bit-identical to the clean run
     /// (depths and counter snapshot) and the faulted run's counters were
     /// rolled back.
     pub recovered: bool,
-    /// `limit_degrades` recorded by the faulted run (non-zero only for
-    /// the graceful-degradation scenario).
-    pub limit_degrades: u64,
 }
 
-/// Options for one fault class: the degrade scenario pins the hypersparse
-/// DCSR store behind a pull-only fused traversal (so the conversion charge
-/// is the only bytes consumer), the alloc-fail scenario runs unfused (the
+/// Options for one fault class: the alloc-fail scenario runs unfused (the
 /// separate-op kernels charge their output buffers on the caller thread),
 /// the chunk-panic scenario forces the row kernel (whose per-row loop
 /// always chunks through the pool — a mesh's thin push frontiers can stay
@@ -98,11 +87,6 @@ pub struct ChaosOutcome {
 fn scenario_opts(fault: FaultClass) -> BfsOpts {
     let base = BfsOpts::default();
     match fault {
-        FaultClass::BytesDegrade => BfsOpts {
-            format: FormatChoice::Force(StorageFormat::Dcsr),
-            force: Some(Direction::Pull),
-            ..base
-        },
         FaultClass::AllocFail => BfsOpts {
             fused: false,
             ..base
@@ -120,7 +104,7 @@ fn scenario_opts(fault: FaultClass) -> BfsOpts {
 }
 
 /// Limits and fault plan that arm the scenario's failure.
-fn scenario_fault(fault: FaultClass, g: &Graph<bool>, seed: u64) -> (ExecLimits, FaultPlan) {
+fn scenario_fault(fault: FaultClass, seed: u64) -> (ExecLimits, FaultPlan) {
     let plan = FaultPlan {
         seed,
         ..FaultPlan::default()
@@ -128,13 +112,6 @@ fn scenario_fault(fault: FaultClass, g: &Graph<bool>, seed: u64) -> (ExecLimits,
     match fault {
         FaultClass::Deadline => (ExecLimits::none().with_deadline(Duration::ZERO), plan),
         FaultClass::WorkBudget => (ExecLimits::none().with_work_budget(512), plan),
-        FaultClass::BytesDegrade => {
-            // One byte short of the DCSR conversion estimate: the charge is
-            // denied, the traversal keeps the cached CSR, and nothing else
-            // in the pull-only fused pipeline charges bytes.
-            let conv = Dcsr::<bool>::estimate_bytes(g.nonempty_rows(true));
-            (ExecLimits::none().with_bytes_budget(conv - 1), plan)
-        }
         FaultClass::AllocFail => (
             ExecLimits::none(),
             FaultPlan {
@@ -195,7 +172,7 @@ fn run_scenario(
     let clean_snap = clean_c.snapshot();
 
     // 2. Faulted run.
-    let (limits, plan) = scenario_fault(fc, g, seed);
+    let (limits, plan) = scenario_fault(fc, seed);
     let fault_opts = BfsOpts {
         limits,
         ..clean_opts
@@ -216,11 +193,10 @@ fn run_scenario(
     }
     fault::clear();
     let fault_snap = fault_c.snapshot();
-    let limit_degrades = fault_snap.limit_degrades;
 
     // 3. Survival: the expected typed outcome, and (on error) counters
     // rolled back to the pre-run snapshot.
-    let (survived, observed) = classify(fc, &faulted, &clean.depths, limit_degrades);
+    let (survived, observed) = classify(fc, &faulted, &clean.depths);
     let rolled_back = match &faulted {
         Err(_) => fault_snap == baseline,
         Ok(_) => true,
@@ -240,7 +216,6 @@ fn run_scenario(
         observed,
         survived,
         recovered,
-        limit_degrades,
     }
 }
 
@@ -249,7 +224,6 @@ fn classify(
     fc: FaultClass,
     faulted: &Result<graphblas_algo::bfs::BfsResult, GrbError>,
     clean_depths: &[i32],
-    limit_degrades: u64,
 ) -> (bool, String) {
     use graphblas_core::BudgetResource;
     match (fc, faulted) {
@@ -271,10 +245,6 @@ fn classify(
             ),
         ) => (true, e.to_string()),
         (FaultClass::ChunkPanic, Err(e @ GrbError::WorkerPanicked { .. })) => (true, e.to_string()),
-        (FaultClass::BytesDegrade, Ok(r)) => (
-            r.depths == clean_depths && limit_degrades > 0,
-            format!("completed with {limit_degrades} limit degrade(s)"),
-        ),
         (FaultClass::CostInflate, Ok(r)) => (
             r.depths == clean_depths,
             "completed under 64x inflated cost model".to_string(),

@@ -52,8 +52,8 @@ struct Arm {
 /// coalescing win) and a pure-BFS trace that isolates the shared
 /// multi-source traversal coalesced BFS requests run through.
 ///
-/// One warm-up replay pays the shared graph's format-cache conversions
-/// before anything is timed; the arms (per-workload sequential baselines
+/// One warm-up replay warms caches and the worker pool before anything
+/// is timed; the arms (per-workload sequential baselines
 /// and scenarios) then replay in rotating order and each reports its
 /// best pass, so run-to-run jitter and position bias don't masquerade as
 /// coalescing effects. Composition, values, and per-request counters are
@@ -112,8 +112,8 @@ pub fn serve_study(graph: &Graph<bool>, seed: u64, n_requests: usize) -> Vec<Ser
         }));
     }
 
-    // Warm-up: first contact with the shared graphs pays the format
-    // conversions every later replay reuses.
+    // Warm-up: first contact with the shared graphs warms caches and the
+    // worker pool before any replay is timed.
     let _ = run_trace(&graphs, &opts, &traces[0], &seq_adm, TICK_NS, None);
 
     // Rotate which arm leads each pass, so slow drift, turbo decay, and

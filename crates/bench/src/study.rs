@@ -8,7 +8,7 @@ use graphblas_core::mask::Mask;
 use graphblas_core::mxv;
 use graphblas_core::ops::BoolOrAnd;
 use graphblas_core::vector::{DenseVector, Vector};
-use graphblas_matrix::{Graph, StorageFormat, VertexId};
+use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
 use graphblas_primitives::BitVec;
 use rand::rngs::StdRng;
@@ -429,211 +429,6 @@ pub fn batched_study(
             }
         })
         .collect()
-}
-
-/// One per-format arm of the storage-format study.
-#[derive(Clone, Copy, Debug)]
-pub struct FormatArm {
-    /// The storage format this arm forced.
-    pub format: StorageFormat,
-    /// Median unmasked pull matvec on the standard workload, ms.
-    pub pull_ms: f64,
-    /// Median push matvec on the standard workload, ms.
-    pub push_ms: f64,
-    /// Median full direction-optimized BFS under `FormatChoice::Force`, ms.
-    pub bfs_ms: f64,
-    /// Median hypersparse batched-frontier microbench (k dense frontiers
-    /// pulled through a mostly-empty-row operand), ms — the regime where
-    /// DCSR's compressed row list beats CSR's O(n) `row_ptr` scan.
-    pub hyper_batch_ms: f64,
-}
-
-/// Result of the storage-format study: one arm per fixed format plus the
-/// auto-planner run.
-#[derive(Clone, Debug)]
-pub struct FormatsStudy {
-    /// One arm per [`StorageFormat`], in [`StorageFormat::all`] order.
-    pub arms: Vec<FormatArm>,
-    /// Median BFS under the auto planner (`FormatChoice::Auto`), ms.
-    pub auto_bfs_ms: f64,
-    /// Store changes across the levels of one traced auto BFS, counted
-    /// from the CSR every graph starts in.
-    pub auto_format_switches: u64,
-    /// Vertex count of the hypersparse microbench graph.
-    pub hyper_n: usize,
-    /// Non-empty rows of the hypersparse operand.
-    pub hyper_nonempty: usize,
-    /// Batch size of the hypersparse microbench.
-    pub hyper_k: usize,
-}
-
-/// Embed a small graph's edges into a `stride`× larger vertex space
-/// (vertex `v` ↦ `v · stride`), producing a hypersparse operand: only
-/// `1/stride` of rows are non-empty — the batched-frontier regime where a
-/// k-source traversal's operand slice leaves most of `row_ptr` dead.
-#[must_use]
-pub fn hypersparse_embed(g: &Graph<bool>, stride: usize) -> Graph<bool> {
-    let n = g.n_vertices() * stride;
-    let mut coo = graphblas_matrix::Coo::new(n, n);
-    let a = g.csr();
-    for u in 0..g.n_vertices() {
-        for &v in a.row(u) {
-            coo.push((u * stride) as u32, (v as usize * stride) as u32, true);
-        }
-    }
-    Graph::from_coo(&coo)
-}
-
-/// The storage-format study: the fixed-format arms (CSR oracle, bitmap,
-/// hypersparse DCSR) each run the standard pull/push matvec workload, a
-/// full direction-optimized BFS, and the hypersparse batched-frontier
-/// microbench; the auto planner runs the BFS once more, traced, to count
-/// its store changes. Results are asserted bit-identical across arms
-/// before anything is timed — formats may only move wall clock.
-#[must_use]
-pub fn formats_study(g: &Graph<bool>, repeats: usize, seed: u64) -> FormatsStudy {
-    use graphblas_core::{mxv_batch, FormatChoice, MultiVector, StorageFormat};
-
-    let ScalingInputs {
-        dense_f,
-        sparse_f,
-        desc_pull,
-        desc_push,
-        ..
-    } = scaling_inputs(g, seed);
-    let sources = random_sources(g, 1, seed ^ 0xf0);
-
-    // Hypersparse microbench operand: embed a small slice of the workload
-    // graph at stride 64 (≈1.6 % row occupancy) and pull k dense
-    // frontiers through it — unmasked row kernel, the face whose full
-    // scan DCSR compresses.
-    let stride = 64usize;
-    let base = sub_graph(g, (g.n_vertices() / stride).clamp(64, 1024), seed);
-    let hyper = hypersparse_embed(&base, stride);
-    let hyper_n = hyper.n_vertices();
-    let hyper_k = 8usize;
-    let hyper_batch = MultiVector::from_rows(
-        (0..hyper_k)
-            .map(|_| Vector::Dense(DenseVector::from_values(vec![true; hyper_n], false)))
-            .collect(),
-    );
-    let hyper_desc = Descriptor::new().transpose(true).force(Direction::Pull);
-
-    let time_median = |f: &dyn Fn()| -> f64 {
-        f(); // warm-up (also pays any one-time format conversion)
-        let times: Vec<f64> = (0..repeats.max(1)).map(|_| time_ms(f).1).collect();
-        median(&times)
-    };
-
-    // Correctness gate before timing: every fixed format and the auto
-    // planner must reproduce the CSR oracle's BFS bit-for-bit.
-    let oracle = bfs_with_opts(
-        g,
-        sources[0],
-        &BfsOpts::default().format(FormatChoice::Force(StorageFormat::Csr)),
-        None,
-    )
-    .depths;
-    for format in StorageFormat::all() {
-        let got = bfs_with_opts(
-            g,
-            sources[0],
-            &BfsOpts::default().format(FormatChoice::Force(format)),
-            None,
-        );
-        assert_eq!(got.depths, oracle, "{format} must match the CSR oracle");
-    }
-
-    let arms = StorageFormat::all()
-        .into_iter()
-        .map(|format| {
-            let desc_pull = desc_pull.force_format(format);
-            let desc_push = desc_push.force_format(format);
-            let hyper_desc = hyper_desc.force_format(format);
-            let bfs_opts = BfsOpts::default().format(FormatChoice::Force(format));
-            let pull_ms = time_median(&|| {
-                let w: Vector<bool> =
-                    mxv(None, BoolOrAnd, g, &dense_f, &desc_pull, None).expect("dims");
-                std::hint::black_box(w);
-            });
-            let push_ms = time_median(&|| {
-                let w: Vector<bool> =
-                    mxv(None, BoolOrAnd, g, &sparse_f, &desc_push, None).expect("dims");
-                std::hint::black_box(w);
-            });
-            let bfs_ms = time_median(&|| {
-                std::hint::black_box(bfs_with_opts(g, sources[0], &bfs_opts, None));
-            });
-            let hyper_batch_ms = time_median(&|| {
-                let out: graphblas_core::MultiVector<bool> = mxv_batch(
-                    None,
-                    BoolOrAnd,
-                    &hyper,
-                    &hyper_batch,
-                    &hyper_desc,
-                    None,
-                    None,
-                )
-                .expect("dims");
-                std::hint::black_box(out);
-            });
-            FormatArm {
-                format,
-                pull_ms,
-                push_ms,
-                bfs_ms,
-                hyper_batch_ms,
-            }
-        })
-        .collect();
-
-    // Auto-planner arm: timed BFS plus one traced run for the switches.
-    let auto_opts = BfsOpts::default().format(FormatChoice::Auto);
-    let auto_bfs_ms = time_median(&|| {
-        std::hint::black_box(bfs_with_opts(g, sources[0], &auto_opts, None));
-    });
-    let auto = bfs_with_opts(g, sources[0], &auto_opts.traced(), None);
-    assert_eq!(
-        auto.depths, oracle,
-        "auto planner must match the CSR oracle"
-    );
-    let mut store = StorageFormat::Csr;
-    let mut auto_format_switches = 0;
-    for level in &auto.trace {
-        auto_format_switches += u64::from(level.format != store);
-        store = level.format;
-    }
-
-    FormatsStudy {
-        arms,
-        auto_bfs_ms,
-        auto_format_switches,
-        hyper_n,
-        hyper_nonempty: hyper.nonempty_rows(true),
-        hyper_k,
-    }
-}
-
-/// First-`k`-vertices induced subgraph (used to seed the hypersparse
-/// embedding from the workload graph's own edge structure).
-fn sub_graph(g: &Graph<bool>, k: usize, seed: u64) -> Graph<bool> {
-    let _ = seed;
-    let k = k.min(g.n_vertices()).max(1);
-    let mut coo = graphblas_matrix::Coo::new(k, k);
-    let a = g.csr();
-    for u in 0..k {
-        for &v in a.row(u) {
-            if (v as usize) < k {
-                coo.push(u as u32, v, true);
-            }
-        }
-    }
-    // Guarantee at least one edge so the microbench has work.
-    if coo.nnz() == 0 && k >= 2 {
-        coo.push(0, 1, true);
-        coo.push(1, 0, true);
-    }
-    Graph::from_coo(&coo)
 }
 
 /// Time a full BFS under given options, returning (ms, edges traversed).

@@ -7,12 +7,11 @@
 //! direction choice (force push/pull or auto), early-exit, structure-only
 //! (a constant-product semiring's push runs the mask-first claim kernel),
 //! and the multiway merge strategy of §6.2 for valued pushes (radix sort
-//! or per-worker SPAs). With the transpose flag and the storage-format
-//! choice that makes six fields. The §6.3 switch threshold
+//! or per-worker SPAs). With the transpose flag that makes five fields.
+//! Every kernel face reads the graph's resident CSR for its orientation,
+//! so there is no storage-format field. The §6.3 switch threshold
 //! (`α = β = 0.01`) is a traversal-level setting: it lives in the
 //! algorithm options and the [`crate::plan::DirectionPolicy`] they build.
-
-use graphblas_matrix::StorageFormat;
 
 /// Traversal direction ≡ matvec kernel family (§4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,27 +34,6 @@ pub enum DirectionChoice {
     /// (used by the per-iteration studies of Figs. 5–6 and the baselines).
     /// In a batch this forces *every* row.
     Force(Direction),
-}
-
-/// How `mxv` (and the batched/fused dispatchers) pick the matrix storage
-/// format the chosen kernel face runs over — the format half of an
-/// execution plan ([`crate::plan::ExecPlan`]), mirroring
-/// [`DirectionChoice`] for the direction half.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FormatChoice {
-    /// Let [`crate::plan::resolve_plan`] pick from the operand's static
-    /// shape: a hypersparse pull operand (row occupancy below the
-    /// planner's threshold) runs DCSR, everything else CSR; `Auto` never
-    /// plans the bitmap. Memoryless — the single-source loops drive a
-    /// [`crate::plan::Planner`], which holds the store for one level after
-    /// a direction change, and force its choice here per level.
-    #[default]
-    Auto,
-    /// Always run the given format (the per-format study arms and the
-    /// `Force(Csr)` test oracle). A forced bitmap runs the same scalar
-    /// kernels over the store's CSR rows; an infeasible one degrades to
-    /// CSR — see [`graphblas_matrix::Graph::effective_format`].
-    Force(StorageFormat),
 }
 
 /// How the column kernel resolves a valued semiring's multiway merge
@@ -97,8 +75,6 @@ pub struct Descriptor {
     pub structure_only: bool,
     /// Column-kernel merge implementation for valued semirings.
     pub merge_strategy: MergeStrategy,
-    /// Matrix storage-format selection policy.
-    pub format: FormatChoice,
 }
 
 impl Default for Descriptor {
@@ -109,7 +85,6 @@ impl Default for Descriptor {
             early_exit: true,
             structure_only: true,
             merge_strategy: MergeStrategy::SortBased,
-            format: FormatChoice::Auto,
         }
     }
 }
@@ -155,20 +130,6 @@ impl Descriptor {
         self.merge_strategy = s;
         self
     }
-
-    /// Builder: force a storage format.
-    #[must_use]
-    pub fn force_format(mut self, f: StorageFormat) -> Self {
-        self.format = FormatChoice::Force(f);
-        self
-    }
-
-    /// Builder: set the format-selection policy.
-    #[must_use]
-    pub fn format_choice(mut self, c: FormatChoice) -> Self {
-        self.format = c;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +143,6 @@ mod tests {
         assert!(d.structure_only);
         assert_eq!(d.direction, DirectionChoice::Auto);
         assert_eq!(d.merge_strategy, MergeStrategy::SortBased);
-        assert_eq!(d.format, FormatChoice::Auto);
         assert!(!d.transpose);
     }
 
@@ -193,13 +153,11 @@ mod tests {
             .force(Direction::Pull)
             .early_exit(false)
             .structure_only(false)
-            .merge_strategy(MergeStrategy::SpaMerge)
-            .force_format(StorageFormat::Dcsr);
+            .merge_strategy(MergeStrategy::SpaMerge);
         assert!(d.transpose);
         assert_eq!(d.direction, DirectionChoice::Force(Direction::Pull));
         assert!(!d.early_exit);
         assert!(!d.structure_only);
         assert_eq!(d.merge_strategy, MergeStrategy::SpaMerge);
-        assert_eq!(d.format, FormatChoice::Force(StorageFormat::Dcsr));
     }
 }

@@ -8,8 +8,8 @@ use std::fmt;
 pub enum BudgetResource {
     /// The charged-access work budget (`ExecLimits::work_budget`).
     Work,
-    /// The conversion/allocation bytes budget (`ExecLimits::bytes_budget`),
-    /// or an injected allocation failure at a site with no fallback.
+    /// The kernel-allocation bytes budget (`ExecLimits::bytes_budget`), or
+    /// an injected allocation failure.
     Bytes,
 }
 

@@ -30,8 +30,7 @@
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 
-use graphblas_matrix::{Dcsr, Graph, StorageFormat, StoreRef};
-use graphblas_primitives::{AccessCounters, ConversionKey};
+use graphblas_primitives::AccessCounters;
 pub use graphblas_primitives::{ExecLimits, StopReason};
 
 use crate::error::{BudgetResource, GrbError, GrbResult};
@@ -52,50 +51,6 @@ pub(crate) fn live(counters: Option<&AccessCounters>) -> bool {
 #[inline]
 pub(crate) fn charge_alloc(counters: Option<&AccessCounters>, bytes: u64) -> bool {
     counters.is_none_or(|c| c.try_charge_alloc(bytes))
-}
-
-/// Serve one orientation of the graph in the planned format, metering the
-/// bytes a Bitmap/DCSR materialization would cost against the run's bytes
-/// budget.
-///
-/// This is the graceful-degradation point of the limits layer: when the
-/// charge is denied the request falls back to the always-present CSR (no
-/// allocation, no conversion) and the fallback is recorded in the
-/// `limit_degrades` telemetry counter — mirroring how an infeasible bitmap
-/// degrades via `bitmap_degrades`. The charge is assessed once per
-/// (orientation, format) key per run whether or not the graph's
-/// [`FormatCache`](graphblas_matrix::Graph) is already warm, so a retry
-/// after an aborted run observes byte charges bit-identical to a fresh
-/// process.
-pub(crate) fn store_budgeted<'g, V: Copy + Send + Sync + PartialEq>(
-    graph: &'g Graph<V>,
-    transposed: bool,
-    format: StorageFormat,
-    counters: Option<&AccessCounters>,
-) -> StoreRef<'g, V> {
-    // An infeasible bitmap already degrades to CSR inside `store`; resolve
-    // that first so we never charge for a conversion that cannot happen.
-    let effective = graph.effective_format(transposed, format);
-    let c = match counters {
-        Some(c) if effective != StorageFormat::Csr => c,
-        _ => return graph.store(transposed, effective),
-    };
-    let bytes = match effective {
-        StorageFormat::Csr => unreachable!("handled above"),
-        // The cached tiling plan prices exactly what a build allocates.
-        StorageFormat::Bitmap => graph.bitmap_plan(transposed).bytes(),
-        StorageFormat::Dcsr => Dcsr::<V>::estimate_bytes(graph.nonempty_rows(transposed)),
-    };
-    let key = ConversionKey {
-        transposed,
-        dcsr: effective == StorageFormat::Dcsr,
-    };
-    if c.try_charge_conversion(key, bytes) {
-        graph.store(transposed, effective)
-    } else {
-        c.add_limit_degrade();
-        graph.store(transposed, StorageFormat::Csr)
-    }
 }
 
 /// Map a sticky [`StopReason`] to its typed error.

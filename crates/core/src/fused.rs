@@ -49,7 +49,7 @@ use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::ops_mxv::{col_kernel_parts, reduce_row, PullRows, RowTally, SendPtr};
 use crate::vector::{DenseVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, StoreRef, VertexId};
+use graphblas_matrix::{Graph, RowAccess, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use rayon::prelude::*;
 use std::marker::PhantomData;
@@ -255,12 +255,12 @@ where
         U: Fn(Z, Z) -> Option<Z> + Sync + Send,
     {
         let FusedPipeline { base, apply, .. } = self;
-        // Dims are validated on the baseline CSR; the executed face's
-        // store is served in the planned format below.
-        let operand = if base.desc.transpose {
-            base.graph.csr_t()
+        // Operand orientation, as in `mxv`: pull walks `operand`'s rows,
+        // push walks `operand_t`'s.
+        let (operand, operand_t) = if base.desc.transpose {
+            (base.graph.csr_t(), base.graph.csr())
         } else {
-            base.graph.csr()
+            (base.graph.csr(), base.graph.csr_t())
         };
         if operand.n_cols() != base.input.dim() {
             return Err(GrbError::DimensionMismatch {
@@ -289,17 +289,16 @@ where
         // Pre-flight stop poll, as in `mxv`.
         crate::exec::check_stop(base.counters)?;
 
-        // Same planner as `mxv`: direction by the §6.3 storage rule,
-        // storage format by the shape rule (or the descriptor's forces).
-        let plan = crate::plan::resolve_plan(base.graph, base.input, &base.desc);
-        crate::plan::note_bitmap_degrade(base.desc.format, plan.format, base.counters);
+        // Same plan as `mxv`: the direction by the §6.3 storage rule (or
+        // the descriptor's force).
+        let direction = crate::plan::resolve_plan(base.graph, base.input, &base.desc);
         if let Some(c) = base.counters {
-            match plan.direction {
+            match direction {
                 Direction::Push => c.add_push_step(),
                 Direction::Pull => c.add_pull_step(),
             }
         }
-        match plan.direction {
+        match direction {
             Direction::Push => {
                 let sparse_input;
                 let sv = match base.input.as_sparse() {
@@ -309,16 +308,7 @@ where
                         &sparse_input
                     }
                 };
-                let out = match crate::exec::store_budgeted(
-                    base.graph,
-                    !base.desc.transpose,
-                    plan.format,
-                    base.counters,
-                ) {
-                    StoreRef::Csr(m) => fused_push(&base, m, sv, &apply, &update, state),
-                    StoreRef::Bitmap(m) => fused_push(&base, m, sv, &apply, &update, state),
-                    StoreRef::Dcsr(m) => fused_push(&base, m, sv, &apply, &update, state),
-                };
+                let out = fused_push(&base, operand_t, sv, &apply, &update, state);
                 // Post-kernel poll: a checkpoint bail upstream must not
                 // let a partial assignment masquerade as success.
                 crate::exec::check_stop(base.counters)?;
@@ -333,16 +323,7 @@ where
                         &dense_input
                     }
                 };
-                let out = match crate::exec::store_budgeted(
-                    base.graph,
-                    base.desc.transpose,
-                    plan.format,
-                    base.counters,
-                ) {
-                    StoreRef::Csr(m) => fused_pull(&base, m, dv, &apply, &update, state),
-                    StoreRef::Bitmap(m) => fused_pull(&base, m, dv, &apply, &update, state),
-                    StoreRef::Dcsr(m) => fused_pull(&base, m, dv, &apply, &update, state),
-                };
+                let out = fused_pull(&base, operand, dv, &apply, &update, state);
                 // Post-kernel poll: see the push arm.
                 crate::exec::check_stop(base.counters)?;
                 Ok(out)
@@ -430,17 +411,9 @@ where
     let s = base.s;
     let identity = s.add_monoid().identity();
     let n = op.n_rows();
-    // The unfused row kernels' rows and charges: a mask's allowed rows.
-    // Unmasked, not keep-identity: a hypersparse store's empty rows reduce
-    // to the ⊕ identity and are skipped before apply/assign anyway, so
-    // only the non-empty rows are visited (their skipped bookkeeping is
-    // charged in bulk). `keep_identity` consumers (PageRank) assign
-    // identity rows too, so they visit every row.
-    let rows = match base.mask {
-        Some(m) => PullRows::Masked(*m),
-        None if base.keep_identity => PullRows::All(n),
-        None => PullRows::unmasked(op),
-    };
+    // The unfused row kernels' rows and charges: a mask's allowed rows,
+    // or every row of the operand.
+    let rows = base.mask.map_or(PullRows::All(n), |m| PullRows::Masked(*m));
     rows.charge(base.counters);
     if let Some(c) = base.counters {
         // The unfused composition materializes (and identity-fills) a dense

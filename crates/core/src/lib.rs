@@ -14,8 +14,9 @@
 //! through [`Descriptor`] so the Table 2 ablation can be reproduced:
 //!
 //! 1. **Change of direction** — [`ops_mxv::mxv`] dispatches on the input
-//!    vector's storage or a forced direction; [`plan::Planner`] implements
-//!    the `nnz/M >< 0.01` hysteresis switch for iterative algorithms.
+//!    vector's storage or a forced direction; [`plan::DirectionPolicy`]
+//!    implements the `nnz/M >< 0.01` hysteresis switch for iterative
+//!    algorithms.
 //! 2. **Masking** — [`mask::Mask`] plus the masked row/column kernels.
 //! 3. **Early-exit** — row-based masked kernel breaks out of a row when the
 //!    ⊕ monoid hits its annihilator (`OR` saturating at `true`).
@@ -56,11 +57,10 @@ pub mod plan;
 pub mod vector;
 pub mod vector_ops;
 
-pub use descriptor::{Descriptor, Direction, DirectionChoice, FormatChoice, MergeStrategy};
+pub use descriptor::{Descriptor, Direction, DirectionChoice, MergeStrategy};
 pub use error::{BudgetResource, GrbError, GrbResult};
 pub use exec::{check_stop, run_guarded, ExecLimits, StopReason};
 pub use fused::{FusedMxv, FusedOutput, FusedPipeline};
-pub use graphblas_matrix::StorageFormat;
 pub use mask::Mask;
 pub use ops::{BoolOrAnd, MinPlus, Monoid, PlusTimes, Scalar, Semiring, SemiringNum};
 pub use ops_mxv::{col_masked_mxv, col_mxv, mxv, row_masked_mxv, row_mxv};
@@ -68,8 +68,5 @@ pub use ops_mxv_batch::{
     col_masked_mxv_batch, mxv_batch, mxv_batch_attributed, row_masked_mxv_batch,
 };
 pub use ops_mxv_lanes::{LaneCharges, LaneGroup, MAX_LANES};
-pub use plan::{
-    resolve_direction, resolve_plan, CostConstants, CostModelInputs, DirectionPolicy, ExecPlan,
-    Planner,
-};
+pub use plan::{resolve_direction, resolve_plan, CostConstants, CostModelInputs, DirectionPolicy};
 pub use vector::{DenseVector, MultiVector, SparseVector, Vector};

@@ -28,7 +28,7 @@ use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::vector::{DenseVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, StoreRef};
+use graphblas_matrix::{Graph, RowAccess};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::{gather, merge, pool, scan, segreduce, sort, AtomicBitVec, Spa};
 use rayon::prelude::*;
@@ -834,13 +834,11 @@ where
     S: Semiring<A, X, Y>,
 {
     // Operand orientation: `operand` is what row-based iterates rows of;
-    // its transpose is what column-based iterates rows of. Dims are
-    // validated on the baseline CSR; the kernel's store is served in the
-    // planned format below.
-    let operand = if desc.transpose {
-        graph.csr_t()
+    // its transpose `operand_t` is what column-based iterates rows of.
+    let (operand, operand_t) = if desc.transpose {
+        (graph.csr_t(), graph.csr())
     } else {
-        graph.csr()
+        (graph.csr(), graph.csr_t())
     };
     if operand.n_cols() != v.dim() {
         return Err(GrbError::DimensionMismatch {
@@ -860,24 +858,19 @@ where
     }
 
     // Pre-flight stop poll: a limit tripped by an earlier operation in the
-    // same guarded run aborts before any planning or conversion work.
+    // same guarded run aborts before any kernel work.
     crate::exec::check_stop(counters)?;
 
     let identity = s.add_monoid().identity();
-    // The execution plan: direction by the §6.3 storage rule (or force),
-    // storage format by the planner's shape rule (or force). The face's
-    // operand is then served in that format from the graph's cache, and
-    // the same generic kernel runs whichever backend comes out — formats
-    // change wall clock, never results or counters.
-    let plan = crate::plan::resolve_plan(graph, v, desc);
-    crate::plan::note_bitmap_degrade(desc.format, plan.format, counters);
+    // The plan: the direction by the §6.3 storage rule (or force).
+    let direction = crate::plan::resolve_plan(graph, v, desc);
     if let Some(c) = counters {
-        match plan.direction {
+        match direction {
             Direction::Push => c.add_push_step(),
             Direction::Pull => c.add_pull_step(),
         }
     }
-    match plan.direction {
+    match direction {
         Direction::Push => {
             let sparse_input;
             let sv = match v.as_sparse() {
@@ -887,12 +880,7 @@ where
                     &sparse_input
                 }
             };
-            let (ids, vals) =
-                match crate::exec::store_budgeted(graph, !desc.transpose, plan.format, counters) {
-                    StoreRef::Csr(m) => col_kernel_parts(s, m, sv, mask, desc, counters),
-                    StoreRef::Bitmap(m) => col_kernel_parts(s, m, sv, mask, desc, counters),
-                    StoreRef::Dcsr(m) => col_kernel_parts(s, m, sv, mask, desc, counters),
-                };
+            let (ids, vals) = col_kernel_parts(s, operand_t, sv, mask, desc, counters);
             // Post-kernel poll: a checkpoint bail inside the kernel left an
             // identity-shaped partial result that must not escape.
             crate::exec::check_stop(counters)?;
@@ -907,39 +895,14 @@ where
                     &dense_input
                 }
             };
-            let out =
-                match crate::exec::store_budgeted(graph, desc.transpose, plan.format, counters) {
-                    StoreRef::Csr(m) => pull_face(s, m, dv, mask, desc.early_exit, counters),
-                    StoreRef::Bitmap(m) => pull_face(s, m, dv, mask, desc.early_exit, counters),
-                    StoreRef::Dcsr(m) => pull_face(s, m, dv, mask, desc.early_exit, counters),
-                };
+            let out = match mask {
+                Some(m) => row_masked_mxv(s, operand, dv, m, desc.early_exit, counters),
+                None => row_mxv(s, operand, dv, counters),
+            };
             // Post-kernel poll: see the push arm.
             crate::exec::check_stop(counters)?;
             Ok(Vector::Dense(out))
         }
-    }
-}
-
-/// The pull face for one concrete store: the masked or the unmasked row
-/// kernel.
-fn pull_face<A, X, Y, S, M>(
-    s: S,
-    op: &M,
-    dv: &DenseVector<X>,
-    mask: Option<&Mask<'_>>,
-    early_exit: bool,
-    counters: Option<&AccessCounters>,
-) -> DenseVector<Y>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    match mask {
-        Some(m) => row_masked_mxv(s, op, dv, m, early_exit, counters),
-        None => row_mxv(s, op, dv, counters),
     }
 }
 

@@ -46,7 +46,7 @@ use crate::ops_mxv::{
 };
 use crate::plan::DirectionPolicy;
 use crate::vector::{DenseVector, MultiVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, StoreRef};
+use graphblas_matrix::{Graph, RowAccess};
 use graphblas_primitives::counters::AccessCounters;
 use rayon::prelude::*;
 
@@ -379,10 +379,8 @@ where
 /// requests into one batch while each request keeps its own counter
 /// snapshot, deadline, and budget.
 ///
-/// Batch-scoped charges that no single row owns — the storage-conversion
-/// bytes of the batch's store and `bitmap_degrades` — stay on the shared
-/// `counters`. At the end of the
-/// call every row counter's growth is folded into `counters` via
+/// At the end of the call every row counter's growth is folded into
+/// `counters` via
 /// [`AccessCounters::absorb`], so the shared aggregate is identical to an
 /// unattributed `mxv_batch` of the same batch (the callers' existing
 /// batch ≡ k-singles counter contract is preserved; pinned by this
@@ -408,12 +406,12 @@ where
     Y: Scalar,
     S: Semiring<A, X, Y>,
 {
-    // Dims are validated on the baseline CSR; kernel stores come from the
-    // resolved format below.
-    let operand = if desc.transpose {
-        graph.csr_t()
+    // Operand orientation, as in `mxv`: pull rows walk `operand`'s rows,
+    // push rows walk `operand_t`'s.
+    let (operand, operand_t) = if desc.transpose {
+        (graph.csr_t(), graph.csr())
     } else {
-        graph.csr()
+        (graph.csr(), graph.csr_t())
     };
     let k = input.k();
     if operand.n_cols() != input.dim() {
@@ -500,13 +498,6 @@ where
     let identity = s.add_monoid().identity();
     let mut out_rows: Vec<Option<Vector<Y>>> = (0..k).map(|_| None).collect();
 
-    // One storage format serves the whole batch call (per-row directions
-    // stay independent); the faces below fetch their operand in it. As in
-    // `mxv`, the format changes wall clock only — per-row work and
-    // counters are format-invariant.
-    let format = crate::plan::resolve_format_batch(graph, desc);
-    crate::plan::note_bitmap_degrade(desc.format, format, counters);
-
     // Push face: sparse inputs (converting dense rows as `mxv` does),
     // masks subset in row order.
     if !push_rows.is_empty() {
@@ -529,32 +520,14 @@ where
             masks.map(|ms| push_rows.iter().map(|&r| ms[r]).collect());
         let sub_rc: Option<Vec<&AccessCounters>> =
             row_counters.map(|rc| push_rows.iter().map(|&r| rc[r]).collect());
-        let outs = match crate::exec::store_budgeted(graph, !desc.transpose, format, counters) {
-            StoreRef::Csr(m) => col_masked_mxv_batch_impl(
-                s,
-                m,
-                &svs,
-                sub_masks.as_deref(),
-                counters,
-                sub_rc.as_deref(),
-            ),
-            StoreRef::Bitmap(m) => col_masked_mxv_batch_impl(
-                s,
-                m,
-                &svs,
-                sub_masks.as_deref(),
-                counters,
-                sub_rc.as_deref(),
-            ),
-            StoreRef::Dcsr(m) => col_masked_mxv_batch_impl(
-                s,
-                m,
-                &svs,
-                sub_masks.as_deref(),
-                counters,
-                sub_rc.as_deref(),
-            ),
-        };
+        let outs = col_masked_mxv_batch_impl(
+            s,
+            operand_t,
+            &svs,
+            sub_masks.as_deref(),
+            counters,
+            sub_rc.as_deref(),
+        );
         for (&r, sv) in push_rows.iter().zip(outs) {
             let (ids, vals) = (sv.ids().to_vec(), sv.vals().to_vec());
             out_rows[r] = Some(Vector::from_sparse(operand.n_rows(), identity, ids, vals));
@@ -584,35 +557,15 @@ where
         let sub_rc: Option<Vec<&AccessCounters>> =
             row_counters.map(|rc| pull_rows.iter().map(|&r| rc[r]).collect());
         let early_exit = masks.is_some() && desc.early_exit;
-        let outs = match crate::exec::store_budgeted(graph, desc.transpose, format, counters) {
-            StoreRef::Csr(m) => row_masked_mxv_batch_impl(
-                s,
-                m,
-                &dvs,
-                sub_masks.as_deref(),
-                early_exit,
-                counters,
-                sub_rc.as_deref(),
-            ),
-            StoreRef::Bitmap(m) => row_masked_mxv_batch_impl(
-                s,
-                m,
-                &dvs,
-                sub_masks.as_deref(),
-                early_exit,
-                counters,
-                sub_rc.as_deref(),
-            ),
-            StoreRef::Dcsr(m) => row_masked_mxv_batch_impl(
-                s,
-                m,
-                &dvs,
-                sub_masks.as_deref(),
-                early_exit,
-                counters,
-                sub_rc.as_deref(),
-            ),
-        };
+        let outs = row_masked_mxv_batch_impl(
+            s,
+            operand,
+            &dvs,
+            sub_masks.as_deref(),
+            early_exit,
+            counters,
+            sub_rc.as_deref(),
+        );
         for (&r, dv) in pull_rows.iter().zip(outs) {
             out_rows[r] = Some(Vector::Dense(dv));
         }
@@ -837,9 +790,7 @@ mod tests {
         )
         .unwrap();
         for (r, row) in rows.iter().enumerate() {
-            // Solo = the same row as a k=1 attributed batch on a fresh graph
-            // (fresh FormatCache keeps batch-scoped conversion charges out of
-            // the comparison; they live on the shared set either way).
+            // Solo = the same row as a k=1 attributed batch.
             let solo_row = AccessCounters::new();
             let solo_shared = AccessCounters::new();
             let single = MultiVector::from_rows(vec![batch.row(r).clone()]);

@@ -42,12 +42,10 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::descriptor::{Direction, FormatChoice};
 use crate::ops::Scalar;
 use crate::ops_mxv::{spa_chunk_ranges, ROW_GRAIN};
-use crate::plan::{note_bitmap_degrade, resolve_format};
-use graphblas_matrix::{Graph, RowAccess, StoreRef, VertexId};
-use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
+use graphblas_matrix::{Graph, RowAccess, VertexId};
+use graphblas_primitives::counters::CounterSnapshot;
 use graphblas_primitives::{pool, scan, sort};
 use rayon::prelude::*;
 
@@ -80,7 +78,7 @@ pub struct LaneCharges {
 /// push rows out-neighbour lists.
 ///
 /// ```
-/// use graphblas_core::{FormatChoice, LaneGroup};
+/// use graphblas_core::LaneGroup;
 /// use graphblas_matrix::{Coo, Graph};
 ///
 /// // 0 → 1 → 2: lane 0 starts at 0, lane 1 at 1; both push one level.
@@ -89,7 +87,7 @@ pub struct LaneCharges {
 /// coo.push(1, 2, true);
 /// let g = Graph::from_coo(&coo);
 /// let mut group = LaneGroup::new(3, &[0, 1]);
-/// let _ = group.step(&g, 0, 0b11, FormatChoice::Auto, None, None);
+/// let _ = group.step(&g, 0, 0b11, None);
 /// assert_eq!(group.frontier(), (&[1u32, 2][..], &[0b01u64, 0b10][..]));
 /// ```
 #[derive(Debug)]
@@ -172,9 +170,8 @@ impl LaneGroup {
 
     /// Run one level: pull the lanes in `pull`, push the lanes in `push`
     /// (disjoint subsets of [`LaneGroup::live`]), then advance every served
-    /// lane's frontier and visited words. Each face reads the store
-    /// [`resolve_format`] picks for it under `format`; conversion bytes and
-    /// bitmap degrades are charged to `shared`, the group's batch scope.
+    /// lane's frontier and visited words. The pull sweep reads `Aᵀ` rows
+    /// ([`Graph::csr_t`]), the push sweep `A` rows ([`Graph::csr`]).
     /// `parents`, when given, holds one slot array per lane, `u32::MAX`
     /// wherever the lane has not visited; each discovery stores its min-id
     /// parent there.
@@ -183,9 +180,7 @@ impl LaneGroup {
         graph: &Graph<A>,
         pull: u64,
         push: u64,
-        format: FormatChoice,
         parents: Option<&[Vec<AtomicU32>]>,
-        shared: Option<&AccessCounters>,
     ) -> LaneCharges {
         debug_assert_eq!(pull & push, 0, "a lane runs one face per level");
         debug_assert_eq!((pull | push) & !self.live, 0, "only live lanes run");
@@ -202,11 +197,7 @@ impl LaneGroup {
                 next: &self.next,
                 parents,
             };
-            (pulled, charges.pull) = match face_store(graph, Direction::Pull, format, shared) {
-                StoreRef::Csr(m) => sweep.run(m),
-                StoreRef::Bitmap(m) => sweep.run(m),
-                StoreRef::Dcsr(m) => sweep.run(m),
-            };
+            (pulled, charges.pull) = sweep.run(graph.csr_t());
         }
         let mut pushed = Vec::new();
         if push != 0 {
@@ -218,11 +209,7 @@ impl LaneGroup {
                 next: &self.next,
                 parents,
             };
-            (pushed, charges.push) = match face_store(graph, Direction::Push, format, shared) {
-                StoreRef::Csr(m) => sweep.run(m),
-                StoreRef::Bitmap(m) => sweep.run(m),
-                StoreRef::Dcsr(m) => sweep.run(m),
-            };
+            (pushed, charges.push) = sweep.run(graph.csr());
         }
 
         // Advance: the discoveries, ascending, become the next frontier.
@@ -253,19 +240,6 @@ impl LaneGroup {
         }
         self.open_stale = false;
     }
-}
-
-/// The store one face reads: `Aᵀ` rows for pull, `A` rows for push.
-fn face_store<'g, A: Scalar>(
-    graph: &'g Graph<A>,
-    direction: Direction,
-    format: FormatChoice,
-    shared: Option<&AccessCounters>,
-) -> StoreRef<'g, A> {
-    let fmt = resolve_format(graph, true, direction, format);
-    note_bitmap_degrade(format, fmt, shared);
-    let side = crate::plan::operand_side(true, direction);
-    crate::exec::store_budgeted(graph, side, fmt, shared)
 }
 
 /// Union of two ascending, disjoint vertex lists.
@@ -426,7 +400,7 @@ impl PushSweep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas_matrix::{Coo, StorageFormat};
+    use graphblas_matrix::Coo;
 
     /// 0 → {1, 2} → 3 → 4, plus 5 isolated.
     fn chain() -> Graph<bool> {
@@ -437,14 +411,14 @@ mod tests {
         Graph::from_coo(&coo)
     }
 
-    fn run(pull: bool, format: FormatChoice) -> Vec<(Vec<VertexId>, Vec<u64>)> {
+    fn run(pull: bool) -> Vec<(Vec<VertexId>, Vec<u64>)> {
         let g = chain();
         let mut group = LaneGroup::new(6, &[0, 2, 5]);
         let mut levels = Vec::new();
         while group.live() != 0 {
             let live = group.live();
             let (pull_mask, push_mask) = if pull { (live, 0) } else { (0, live) };
-            let _ = group.step(&g, pull_mask, push_mask, format, None, None);
+            let _ = group.step(&g, pull_mask, push_mask, None);
             let (ids, words) = group.frontier();
             levels.push((ids.to_vec(), words.to_vec()));
             let mut done = live;
@@ -465,7 +439,7 @@ mod tests {
 
     #[test]
     fn pull_and_push_sweeps_discover_the_same_levels() {
-        let push = run(false, FormatChoice::Auto);
+        let push = run(false);
         assert_eq!(
             push,
             vec![
@@ -475,13 +449,7 @@ mod tests {
                 (vec![], vec![]),
             ]
         );
-        for format in [
-            FormatChoice::Auto,
-            FormatChoice::Force(StorageFormat::Dcsr),
-            FormatChoice::Force(StorageFormat::Bitmap),
-        ] {
-            assert_eq!(run(true, format), push, "{format:?}");
-        }
+        assert_eq!(run(true), push);
     }
 
     #[test]
@@ -499,7 +467,7 @@ mod tests {
             let mut group = LaneGroup::new(4, &[0, 0]);
             for _ in 0..2 {
                 let (p, q) = if pull { (0b11, 0) } else { (0, 0b11) };
-                let _ = group.step(&g, p, q, FormatChoice::Auto, Some(&slots), None);
+                let _ = group.step(&g, p, q, Some(&slots));
             }
             for lane in &slots {
                 let got: Vec<u32> = lane.iter().map(|s| s.load(Ordering::Relaxed)).collect();
@@ -512,7 +480,7 @@ mod tests {
     fn push_level_charges_only_frontier_edges() {
         let g = chain();
         let mut group = LaneGroup::new(6, &[0, 0]);
-        let charges = group.step(&g, 0, 0b11, FormatChoice::Auto, None, None);
+        let charges = group.step(&g, 0, 0b11, None);
         assert_eq!(charges.pull, CounterSnapshot::default());
         assert_eq!(
             charges.push.matrix, 2,

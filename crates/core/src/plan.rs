@@ -1,64 +1,41 @@
-//! The execution planner: direction × storage format as one decision.
+//! The execution planner: which kernel face runs, push or pull.
 //!
-//! The paper resolves *direction* from the input vector's storage (§6.3);
-//! SuiteSparse:GraphBLAS and GraphBLAST additionally resolve the *matrix
-//! format* per operation, and the nonblocking-GraphBLAS line of work
-//! argues this selection belongs in a planner rather than in each
-//! algorithm. This module holds every rule that decides "which kernel,
-//! over which store":
+//! The paper decides one thing per level — the input vector's storage, and
+//! with it the kernel face (§6.3) — over the matrix and its transpose,
+//! both held as CSR by [`graphblas_matrix::Graph`]. This module holds the
+//! two rules that decide it:
 //!
 //! * **Per call** — [`resolve_plan`]: what `mxv` and the fused pipeline
 //!   apply when handed a descriptor. The direction follows the input's
-//!   storage ([`resolve_direction`]) unless forced, and the format follows
-//!   [`auto_format`] unless forced. [`resolve_format_batch`] is the
-//!   `mxv_batch` variant, whose rows pick their directions separately.
-//! * **Per traversal** — [`Planner`]: what the single-source loops (BFS,
-//!   parent BFS, CC, SSSP) thread through their levels. It feeds each
-//!   level's activity to a [`DirectionPolicy`] (the §6.3 hysteresis and
-//!   its variants) and takes the store from [`auto_format`], except on the
-//!   first level after a direction change, which keeps the previous
-//!   level's store. That one hold damps both decisions: a single bounced
-//!   level never pays a format conversion.
-//!
-//! The format rule (documented in `docs/ARCHITECTURE.md`):
-//!
-//! 1. pull over an operand whose row occupancy is
-//!    `< `[`HYPERSPARSE_OCCUPANCY`] ⇒ **DCSR** — full scans then touch
-//!    only the non-empty rows;
-//! 2. else **CSR**.
-//!
-//! The bitmap store is served only under `FormatChoice::Force(Bitmap)`,
-//! where the same scalar kernels read its CSR rows.
-//!
-//! Formats never change results or access counters — the kernels are
-//! generic over [`graphblas_matrix::RowAccess`] and charge identically on
-//! every backend (`tests/prop_core.rs` pins values *and* counters against
-//! the `Force(Csr)` oracle) — so the planner is free to chase wall clock.
+//!   storage (sparse → push, dense → pull) unless the descriptor forces
+//!   one. `mxv_batch` applies the same rule per row.
+//! * **Per traversal** — [`DirectionPolicy`]: what the single-source loops
+//!   (BFS, parent BFS, CC, SSSP) feed each level's activity to, measured
+//!   against `|V|` — the §6.3 hysteresis and its variants. The loop then
+//!   forces the policy's direction on the level's descriptor.
 
-use crate::descriptor::{Descriptor, Direction, DirectionChoice, FormatChoice};
+use crate::descriptor::{Descriptor, Direction, DirectionChoice};
 use crate::ops::Scalar;
 use crate::vector::Vector;
-use graphblas_matrix::{Graph, StorageFormat};
-use graphblas_primitives::counters::AccessCounters;
-
-/// Row-occupancy threshold below which an operand counts as hypersparse
-/// and the planner selects DCSR (1/8 of rows non-empty).
-pub const HYPERSPARSE_OCCUPANCY: f64 = 0.125;
+use graphblas_matrix::Graph;
 
 /// Calibration constants of the measured push/pull cost model — the
 /// per-edge charge weights that turn the raw measurements of
 /// [`CostModelInputs`] into comparable work estimates:
 ///
-/// * `pushwork = push_edge · nnz(A(:, f))` — each expanded edge pays its
-///   matrix read plus the radix-sort passes of the sort-based merge;
+/// * `pushwork = push_edge · nnz(A(:, f))` — each expanded edge's cost;
 /// * `pullwork = pull_edge · d · |unvisited|` — each unvisited row pays an
 ///   average row scan.
 ///
-/// Defaults come from the charged-access shape of the kernels themselves
-/// (an expanded push edge costs its read + ~3 radix passes).
+/// The defaults come from the charged-access shape the push kernel had
+/// before the structure-only claim kernel: an expanded edge paid its
+/// matrix read plus ~3 radix passes of the sort-based merge. A
+/// structure-only push now sorts only the vertices it claims, so these
+/// weights overprice push; they are kept until a fit against measured
+/// level times replaces them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostConstants {
-    /// Work per expanded push edge (matrix read + sort traffic).
+    /// Work per expanded push edge.
     pub push_edge: f64,
     /// Work per examined pull edge on a row scan.
     pub pull_edge: f64,
@@ -73,82 +50,21 @@ impl Default for CostConstants {
     }
 }
 
-/// Charge the `bitmap_degrades` telemetry event when a format choice asked
-/// for the bitmap store but the planner had to serve another format — the
-/// silent `MAX_BITS` degrade of [`Graph::effective_format`] made visible.
-/// Every plan resolution that degrades charges once.
-pub fn note_bitmap_degrade(
-    choice: FormatChoice,
-    resolved: StorageFormat,
-    counters: Option<&AccessCounters>,
-) {
-    if choice == FormatChoice::Force(StorageFormat::Bitmap) && resolved != StorageFormat::Bitmap {
-        if let Some(c) = counters {
-            c.add_bitmap_degrade();
-        }
-    }
-}
-
-/// A resolved execution plan: which kernel face runs, over which storage
-/// backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecPlan {
-    /// The kernel face (push = column-based, pull = row-based).
-    pub direction: Direction,
-    /// The storage format the face's operand will be served in.
-    pub format: StorageFormat,
-}
-
-/// Which physical orientation the chosen kernel face iterates rows of:
-/// pull walks rows of the operand, push walks rows of its transpose.
-/// Returns the `transposed` flag for [`Graph::store`].
+/// The kernel face a `mxv`-shaped call over `graph` runs under the
+/// descriptor: the forced direction, or the §6.3 storage rule (sparse
+/// input → push, dense → pull). Every face reads the graph's resident CSR
+/// for its orientation, so the direction is the whole plan.
 #[must_use]
-pub fn operand_side(transpose: bool, direction: Direction) -> bool {
-    match direction {
-        Direction::Pull => transpose,
-        Direction::Push => !transpose,
-    }
+pub fn resolve_plan<A: Scalar, X: Scalar>(
+    _graph: &Graph<A>,
+    v: &Vector<X>,
+    desc: &Descriptor,
+) -> Direction {
+    resolve_direction(v, desc)
 }
 
-/// The memoryless format rule for one orientation of a graph, given the
-/// resolved direction — the [`FormatChoice::Auto`] arm of
-/// [`resolve_plan`].
-#[must_use]
-pub fn auto_format<A: Scalar>(
-    graph: &Graph<A>,
-    transpose: bool,
-    direction: Direction,
-) -> StorageFormat {
-    let side = operand_side(transpose, direction);
-    // DCSR only pays off where a full scan happens — the pull face, whose
-    // unmasked kernels skip the empty rows. The push face looks up only
-    // frontier-selected rows, where CSR's O(1) `row_ptr` beats DCSR's
-    // per-row binary search, so hypersparsity never steers push off CSR.
-    if direction == Direction::Pull && graph.row_occupancy(side) < HYPERSPARSE_OCCUPANCY {
-        StorageFormat::Dcsr
-    } else {
-        StorageFormat::Csr
-    }
-}
-
-/// The batched variant of [`auto_format`]: one format serves a whole
-/// `mxv_batch` call whose rows may split across both kernel faces, so
-/// only the direction-independent hypersparse rule applies (DCSR when
-/// *both* orientations are hypersparse, since push and pull rows iterate
-/// opposite orientations).
-#[must_use]
-pub fn auto_format_batch<A: Scalar>(graph: &Graph<A>, transpose: bool) -> StorageFormat {
-    let both_hypersparse = graph.row_occupancy(transpose) < HYPERSPARSE_OCCUPANCY
-        && graph.row_occupancy(!transpose) < HYPERSPARSE_OCCUPANCY;
-    if both_hypersparse {
-        StorageFormat::Dcsr
-    } else {
-        StorageFormat::Csr
-    }
-}
-
-/// The direction a given call would take under the descriptor: the forced
-/// one, or the §6.3 storage rule (sparse input → push, dense → pull).
+/// [`resolve_plan`] without the graph: the forced direction, or the §6.3
+/// storage rule.
 #[must_use]
 pub fn resolve_direction<X: Scalar>(v: &Vector<X>, desc: &Descriptor) -> Direction {
     match desc.direction {
@@ -160,49 +76,6 @@ pub fn resolve_direction<X: Scalar>(v: &Vector<X>, desc: &Descriptor) -> Directi
                 Direction::Pull
             }
         }
-    }
-}
-
-/// Resolve one face's format under a [`FormatChoice`]: a forced format
-/// (with an infeasible bitmap degraded to CSR, so the plan always names
-/// what executes) or the [`auto_format`] rule. The lane kernels of
-/// [`crate::ops_mxv_lanes`] resolve each of their two faces with it.
-#[must_use]
-pub fn resolve_format<A: Scalar>(
-    graph: &Graph<A>,
-    transpose: bool,
-    direction: Direction,
-    choice: FormatChoice,
-) -> StorageFormat {
-    match choice {
-        FormatChoice::Force(f) => graph.effective_format(operand_side(transpose, direction), f),
-        FormatChoice::Auto => auto_format(graph, transpose, direction),
-    }
-}
-
-/// Resolve the full execution plan for a `mxv`-shaped call: the direction
-/// by [`resolve_direction`], the format by the descriptor's
-/// [`FormatChoice`].
-#[must_use]
-pub fn resolve_plan<A: Scalar, X: Scalar>(
-    graph: &Graph<A>,
-    v: &Vector<X>,
-    desc: &Descriptor,
-) -> ExecPlan {
-    let direction = resolve_direction(v, desc);
-    let format = resolve_format(graph, desc.transpose, direction, desc.format);
-    ExecPlan { direction, format }
-}
-
-/// Resolve the format for a batched call (`mxv_batch`), whose per-row
-/// directions are decided separately.
-#[must_use]
-pub fn resolve_format_batch<A: Scalar>(graph: &Graph<A>, desc: &Descriptor) -> StorageFormat {
-    match desc.format {
-        // Both faces may run; use the operand side for feasibility (the
-        // orientations of a graph share their shape, so the check agrees).
-        FormatChoice::Force(f) => graph.effective_format(desc.transpose, f),
-        FormatChoice::Auto => auto_format_batch(graph, desc.transpose),
     }
 }
 
@@ -248,10 +121,10 @@ pub struct CostModelInputs {
 /// [`resolve_direction`] is the *storage→direction* rule `mxv` dispatches
 /// on; `DirectionPolicy` is the *activity→direction* heuristic that decides
 /// which kernel an iterative algorithm should steer toward next. The
-/// single-source loops drive it through a [`Planner`]; the batched loops
-/// (one policy per source row) and the Ligra-like / Gunrock-like
-/// comparator engines drive it directly, so the Table 2 "change of
-/// direction" ablation toggles exactly one rule.
+/// single-source loops feed it their activity against a capacity of
+/// `|V|`, the batched loops keep one policy per source row, and the
+/// Ligra-like / Gunrock-like comparator engines drive it too, so the
+/// Table 2 "change of direction" ablation toggles exactly one rule.
 ///
 /// `update` takes the iteration's *activity* (frontier nnz, delta-set size,
 /// frontier-edge count — whatever the traversal's work measure is) and the
@@ -398,216 +271,27 @@ impl DirectionPolicy {
     }
 }
 
-/// The per-traversal planner the single-source loops thread through their
-/// levels: one [`DirectionPolicy`] for the kernel face, one
-/// [`FormatChoice`] for the store, and the previous level's plan.
-///
-/// Every such loop multiplies by `Aᵀ` (descriptor `transpose = true`,
-/// Algorithm 1) and measures its activity against `|V|`, so the planner
-/// fixes both: stores are resolved for the transposed orientation and the
-/// policy's capacity is the graph's vertex count.
-///
-/// [`Planner::next`] takes the direction from the policy. Under
-/// [`FormatChoice::Auto`] the store is [`auto_format`]'s — DCSR for a
-/// hypersparse pull, CSR otherwise — except on the first level after a
-/// direction change, which keeps the previous level's store: matrix shape
-/// is static, but the direction flaps at phase boundaries, and each format
-/// change costs a one-time conversion, so a single bounced level never
-/// pays for one — the format-side twin of §6.3's hysteresis. The hold can
-/// only change a store on a graph whose pull face prefers DCSR. Under
-/// [`FormatChoice::Force`] every level runs the forced store (an
-/// infeasible bitmap degrades to CSR and charges `bitmap_degrades` once
-/// per level).
-#[derive(Clone, Debug)]
-pub struct Planner {
-    policy: DirectionPolicy,
-    format: FormatChoice,
-    last: Option<ExecPlan>,
-}
-
-impl Planner {
-    /// A planner that has not planned a level yet.
-    #[must_use]
-    pub fn new(policy: DirectionPolicy, format: FormatChoice) -> Self {
-        Self {
-            policy,
-            format,
-            last: None,
-        }
-    }
-
-    /// Plan the next level of a traversal over `graph`. `activity` feeds
-    /// [`DirectionPolicy::update`] against a capacity of `|V|`;
-    /// `measured`, when supplied, feeds
-    /// [`DirectionPolicy::update_measured`] instead.
-    pub fn next<A: Scalar>(
-        &mut self,
-        graph: &Graph<A>,
-        activity: usize,
-        measured: Option<CostModelInputs>,
-        counters: Option<&AccessCounters>,
-    ) -> ExecPlan {
-        let capacity = graph.n_vertices();
-        let direction = match measured {
-            Some(inputs) => self.policy.update_measured(activity, capacity, inputs),
-            None => self.policy.update(activity, capacity),
-        };
-        let format = match self.last {
-            Some(prev) if self.format == FormatChoice::Auto && prev.direction != direction => {
-                prev.format
-            }
-            _ => resolve_format(graph, true, direction, self.format),
-        };
-        note_bitmap_degrade(self.format, format, counters);
-        let plan = ExecPlan { direction, format };
-        self.last = Some(plan);
-        plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphblas_matrix::Coo;
 
-    /// Dense 16-vertex clique: occupancy 1.0, degree 15 — CSR on both
-    /// faces.
-    fn dense_graph() -> Graph<bool> {
-        let n = 16;
-        let mut coo = Coo::new(n, n);
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                if u != v {
-                    coo.push(u, v, true);
-                }
-            }
-        }
-        Graph::from_coo(&coo)
-    }
-
-    /// 3 non-empty rows embedded in 64 vertices: occupancy < 1/8.
-    fn hypersparse_graph() -> Graph<bool> {
-        let mut coo = Coo::new(64, 64);
-        for &(u, v) in &[(0u32, 40u32), (1, 41), (2, 42)] {
-            coo.push(u, v, true);
-            coo.push(v, u, true);
-        }
-        Graph::from_coo(&coo)
-    }
-
-    /// A 64-vertex ring: full occupancy, degree 2 — CSR on both faces.
-    fn ring_graph() -> Graph<bool> {
-        let n = 64u32;
-        let mut coo = Coo::new(n as usize, n as usize);
-        for u in 0..n {
-            coo.push(u, (u + 1) % n, true);
-            coo.push((u + 1) % n, u, true);
-        }
-        Graph::from_coo(&coo)
-    }
-
     #[test]
-    fn auto_rule_picks_dcsr_for_hypersparse_pull_only() {
-        let g = hypersparse_graph();
-        assert_eq!(
-            auto_format(&g, true, Direction::Pull),
-            StorageFormat::Dcsr,
-            "pull full scans win from the compressed row list"
-        );
-        assert_eq!(
-            auto_format(&g, true, Direction::Push),
-            StorageFormat::Csr,
-            "push row lookups stay on O(1) CSR"
-        );
-        assert_eq!(auto_format_batch(&g, true), StorageFormat::Dcsr);
-    }
-
-    #[test]
-    fn auto_rule_never_plans_the_bitmap_for_a_dense_pull() {
-        let g = dense_graph();
-        assert_eq!(auto_format(&g, true, Direction::Pull), StorageFormat::Csr);
-        assert_eq!(auto_format(&g, true, Direction::Push), StorageFormat::Csr);
-        assert_eq!(auto_format_batch(&g, true), StorageFormat::Csr);
-    }
-
-    #[test]
-    fn resolve_plan_combines_direction_and_format() {
-        let g = hypersparse_graph();
-        let sparse = Vector::singleton(64, false, 0, true);
+    fn resolve_plan_follows_storage_unless_forced() {
+        let mut coo = Coo::new(4, 4);
+        coo.push(0, 1, true);
+        let g = Graph::from_coo(&coo);
+        let sparse = Vector::singleton(4, false, 0, true);
         let desc = Descriptor::new().transpose(true);
-        let plan = resolve_plan(&g, &sparse, &desc);
-        assert_eq!(plan.direction, Direction::Push);
-        assert_eq!(plan.format, StorageFormat::Csr);
+        assert_eq!(resolve_plan(&g, &sparse, &desc), Direction::Push);
 
         let mut dense = sparse.clone();
         dense.make_dense();
-        let plan = resolve_plan(&g, &dense, &desc);
-        assert_eq!(plan.direction, Direction::Pull);
-        assert_eq!(plan.format, StorageFormat::Dcsr);
+        assert_eq!(resolve_plan(&g, &dense, &desc), Direction::Pull);
 
-        // A forced format wins over the auto rule.
-        let forced = resolve_plan(&g, &dense, &desc.force_format(StorageFormat::Csr));
-        assert_eq!(forced.format, StorageFormat::Csr);
-    }
-
-    #[test]
-    fn operand_side_maps_face_to_orientation() {
-        // BFS (transpose = true): pull walks Aᵀ rows, push walks A rows.
-        assert!(operand_side(true, Direction::Pull));
-        assert!(!operand_side(true, Direction::Push));
-        assert!(!operand_side(false, Direction::Pull));
-        assert!(operand_side(false, Direction::Push));
-    }
-
-    #[test]
-    fn infeasible_bitmap_degrades_to_csr_everywhere() {
-        // Allocation too large for a bitmap even under tiling: one row per
-        // 64-row tile spans the full column range, so every tile plans a
-        // full-width window — 2^13 tiles × 64 rows × 2^13 words = 2^38
-        // bits > MAX_BITS, on both orientations (symmetric construction).
-        // Force(Bitmap) must degrade identically in the plan and planner.
-        let n = 1 << 19;
-        let mut coo = Coo::new(n, n);
-        for t in (0..n as u32).step_by(64) {
-            coo.push(t, 0, true);
-            coo.push(t, (n - 1) as u32, true);
-            coo.push(0, t, true);
-            coo.push((n - 1) as u32, t, true);
-        }
-        coo.dedup(|a, _| a);
-        let g = Graph::from_coo(&coo);
-        assert!(!g.bitmap_plan(true).feasible(), "construction over budget");
-        assert!(!g.bitmap_plan(false).feasible(), "on both orientations");
-        let desc = Descriptor::new()
-            .transpose(true)
-            .force_format(StorageFormat::Bitmap);
-        let mut dense = Vector::singleton(n, false, 0, true);
-        dense.make_dense();
-        assert_eq!(resolve_plan(&g, &dense, &desc).format, StorageFormat::Csr);
-
-        // The planner charges one degrade per degraded level, on either
-        // face: pull serves the Aᵀ side, push the A side.
-        let c = AccessCounters::new();
-        let mut charged = 0;
-        for face in [Direction::Pull, Direction::Push] {
-            let mut p = Planner::new(
-                DirectionPolicy::fixed(face),
-                FormatChoice::Force(StorageFormat::Bitmap),
-            );
-            for _ in 0..3 {
-                let plan = p.next(&g, 1, None, Some(&c));
-                assert_eq!((plan.direction, plan.format), (face, StorageFormat::Csr));
-                charged += 1;
-                assert_eq!(c.snapshot().bitmap_degrades, charged, "one per level");
-            }
-        }
-        // The mxv-level plan note (direct descriptor force) records too.
-        note_bitmap_degrade(desc.format, StorageFormat::Csr, Some(&c));
-        assert_eq!(c.snapshot().bitmap_degrades, 7);
-        // A served bitmap (or a non-bitmap request) records nothing.
-        note_bitmap_degrade(desc.format, StorageFormat::Bitmap, Some(&c));
-        note_bitmap_degrade(FormatChoice::Auto, StorageFormat::Csr, Some(&c));
-        assert_eq!(c.snapshot().bitmap_degrades, 7);
+        // A forced direction wins over the storage rule.
+        let forced = desc.force(Direction::Push);
+        assert_eq!(resolve_plan(&g, &dense, &forced), Direction::Push);
     }
 
     #[test]
@@ -659,98 +343,5 @@ mod tests {
         assert_eq!(p.update(1000, 1000), Direction::Pull);
         // Delta collapses: falling below threshold switches to push.
         assert_eq!(p.update(3, 1000), Direction::Push);
-    }
-
-    #[test]
-    fn planner_holds_the_store_for_one_level_after_a_flip() {
-        let g = hypersparse_graph();
-        // Memoryless at ½: activity |V| pulls, 0 pushes.
-        let mut p = Planner::new(DirectionPolicy::memoryless(0.5), FormatChoice::Auto);
-        let mut step = |pull: bool| p.next(&g, g.n_vertices() * usize::from(pull), None, None);
-        let plan = |direction, format| ExecPlan { direction, format };
-        use Direction::{Pull, Push};
-        use StorageFormat::{Csr, Dcsr};
-        assert_eq!(step(false), plan(Push, Csr), "first level adopts");
-        assert_eq!(step(true), plan(Pull, Csr), "flip: store held");
-        assert_eq!(step(true), plan(Pull, Dcsr), "second pull level");
-        assert_eq!(step(false), plan(Push, Dcsr), "flip back: held");
-        assert_eq!(step(false), plan(Push, Csr));
-    }
-
-    /// The two-consecutive debounce the planner's hold rule replaced: leave
-    /// the current store only when the memoryless rule prefers the same
-    /// other store on two consecutive levels.
-    fn debounce_reference(prefs: &[StorageFormat]) -> Vec<StorageFormat> {
-        let (mut current, mut pending) = (None, None);
-        prefs
-            .iter()
-            .map(|&preferred| {
-                let next = match current {
-                    None => preferred,
-                    Some(cur) if cur == preferred => {
-                        pending = None;
-                        cur
-                    }
-                    Some(_) if pending == Some(preferred) => {
-                        pending = None;
-                        preferred
-                    }
-                    Some(cur) => {
-                        pending = Some(preferred);
-                        cur
-                    }
-                };
-                current = Some(next);
-                next
-            })
-            .collect()
-    }
-
-    #[test]
-    fn planner_hold_rule_equals_two_consecutive_debounce() {
-        // The two graphs give the auto rule both pull preferences (DCSR,
-        // CSR; push is always CSR). Every direction sequence of 1–10
-        // levels must yield the same stores as the reference debounce.
-        for g in [hypersparse_graph(), ring_graph()] {
-            for len in 1..=10u32 {
-                for bits in 0..(1u32 << len) {
-                    let dirs: Vec<Direction> = (0..len)
-                        .map(|i| {
-                            if bits >> i & 1 == 1 {
-                                Direction::Pull
-                            } else {
-                                Direction::Push
-                            }
-                        })
-                        .collect();
-                    let prefs: Vec<StorageFormat> =
-                        dirs.iter().map(|&d| auto_format(&g, true, d)).collect();
-                    let mut p = Planner::new(DirectionPolicy::memoryless(0.5), FormatChoice::Auto);
-                    let got: Vec<StorageFormat> = dirs
-                        .iter()
-                        .map(|&d| {
-                            let activity = g.n_vertices() * usize::from(d == Direction::Pull);
-                            let plan = p.next(&g, activity, None, None);
-                            assert_eq!(plan.direction, d);
-                            plan.format
-                        })
-                        .collect();
-                    assert_eq!(got, debounce_reference(&prefs), "directions {dirs:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forced_planner_ignores_direction_flips() {
-        let g = hypersparse_graph();
-        let mut p = Planner::new(
-            DirectionPolicy::memoryless(0.5),
-            FormatChoice::Force(StorageFormat::Dcsr),
-        );
-        for pull in [false, true, false, true, true] {
-            let plan = p.next(&g, g.n_vertices() * usize::from(pull), None, None);
-            assert_eq!(plan.format, StorageFormat::Dcsr);
-        }
     }
 }

@@ -220,14 +220,6 @@ impl<V: Copy + Send + Sync> Csr<V> {
         self.row_ptr[i + 1] - self.row_ptr[i]
     }
 
-    /// Number of rows with at least one stored entry — the occupancy the
-    /// execution planner's hypersparse rule keys on. O(n) scan of
-    /// `row_ptr`; [`crate::Graph`] caches the result per orientation.
-    #[must_use]
-    pub fn count_nonempty_rows(&self) -> usize {
-        self.row_ptr.windows(2).filter(|w| w[0] < w[1]).count()
-    }
-
     /// Explicit transpose. `Aᵀ` in CSR form (= CSC of `A`). Parallel
     /// histogram + scatter; within-row column order comes out sorted because
     /// rows are visited in order per column bucket.
@@ -471,20 +463,6 @@ mod tests {
         // After collapsing, the same COO builds fine.
         dup.dedup(|a, _| a);
         assert!(Csr::try_from_coo(&dup).is_ok());
-    }
-
-    #[test]
-    fn count_nonempty_rows_ignores_gaps() {
-        let m = sample_csr();
-        assert_eq!(m.count_nonempty_rows(), 4);
-        let mut coo = Coo::new(5, 5);
-        coo.push(1, 2, 1.0f32);
-        coo.push(4, 0, 1.0);
-        assert_eq!(Csr::from_coo(&coo).count_nonempty_rows(), 2);
-        assert_eq!(
-            Csr::<f32>::from_coo(&Coo::new(3, 3)).count_nonempty_rows(),
-            0
-        );
     }
 
     #[test]

@@ -14,15 +14,14 @@
 //! Each orientation additionally carries a lazy cache of alternate storage
 //! formats ([`crate::storage::BitmapStore`], [`crate::storage::Dcsr`]):
 //! [`Graph::store`] serves any orientation in any format, converting on
-//! first request and reusing the cached store afterwards, which is what
-//! makes the execution planner's per-operation format switching cheap.
+//! first request and reusing the cached store afterwards. The
+//! `graphblas_core` dispatchers read only the resident CSR orientations.
 
 use crate::storage::{BitmapPlan, BitmapStore, Dcsr, StorageFormat};
 use crate::{Coo, Csr, VertexId};
 use std::sync::{Arc, OnceLock};
 
-/// Lazily-built alternate-format representations of one orientation, plus
-/// the row-occupancy statistic the execution planner keys on. Shared via
+/// Lazily-built alternate-format representations of one orientation. Shared via
 /// `Arc` so clones of a [`Graph`] (and its symmetric orientation aliases)
 /// convert at most once per format. The tiled-bitmap [`BitmapPlan`] is
 /// memoized here too, so the feasibility verdict for one orientation is
@@ -32,7 +31,6 @@ struct FormatCache<V> {
     bitmap: OnceLock<Option<Arc<BitmapStore<V>>>>,
     bitmap_plan: OnceLock<BitmapPlan>,
     dcsr: OnceLock<Arc<Dcsr<V>>>,
-    nonempty_rows: OnceLock<usize>,
 }
 
 impl<V> Default for FormatCache<V> {
@@ -41,14 +39,13 @@ impl<V> Default for FormatCache<V> {
             bitmap: OnceLock::new(),
             bitmap_plan: OnceLock::new(),
             dcsr: OnceLock::new(),
-            nonempty_rows: OnceLock::new(),
         }
     }
 }
 
 /// A borrowed view of one orientation of a [`Graph`] in a concrete
-/// storage format — what the `mxv`/`mxv_batch`/fused dispatchers match on
-/// to monomorphize the generic kernels per backend.
+/// storage format; match on it to hand the store to a kernel generic over
+/// [`crate::RowAccess`].
 #[derive(Debug)]
 pub enum StoreRef<'a, V> {
     /// The baseline CSR (always resident).
@@ -207,9 +204,7 @@ impl<V: Copy + Send + Sync + PartialEq> Graph<V> {
     /// first request and cached for the graph's lifetime, so an iterative
     /// algorithm pays each conversion at most once. A bitmap request whose
     /// tiling plan is infeasible ([`BitmapPlan::feasible`]) degrades to
-    /// the resident CSR — the same rule [`Graph::effective_format`]
-    /// reports, so the planner, the counters, and the executed kernel
-    /// always agree on the format.
+    /// the resident CSR.
     #[must_use]
     pub fn store(&self, transposed: bool, format: StorageFormat) -> StoreRef<'_, V> {
         let (csr, cache) = self.side(transposed);
@@ -232,45 +227,12 @@ impl<V: Copy + Send + Sync + PartialEq> Graph<V> {
     }
 
     /// The cached tiled-bitmap allocation plan for one orientation — the
-    /// feasibility verdict and byte cost the planner and the budget
-    /// enforcement both consult (computed once per orientation, O(n_rows),
-    /// without building the bitmap).
+    /// feasibility verdict and byte cost of a bitmap build (computed once
+    /// per orientation, O(n_rows), without building the bitmap).
     #[must_use]
     pub fn bitmap_plan(&self, transposed: bool) -> &BitmapPlan {
         let (csr, cache) = self.side(transposed);
         cache.bitmap_plan.get_or_init(|| BitmapPlan::from_csr(csr))
-    }
-
-    /// The format [`Graph::store`] will actually serve for a request —
-    /// identical to the request except that an infeasible bitmap degrades
-    /// to [`StorageFormat::Csr`].
-    #[must_use]
-    pub fn effective_format(&self, transposed: bool, format: StorageFormat) -> StorageFormat {
-        match format {
-            StorageFormat::Bitmap if !self.bitmap_plan(transposed).feasible() => StorageFormat::Csr,
-            other => other,
-        }
-    }
-
-    /// Number of non-empty rows in one orientation (cached; the planner's
-    /// hypersparse-occupancy statistic).
-    #[must_use]
-    pub fn nonempty_rows(&self, transposed: bool) -> usize {
-        let (csr, cache) = self.side(transposed);
-        *cache
-            .nonempty_rows
-            .get_or_init(|| csr.count_nonempty_rows())
-    }
-
-    /// Fraction of rows in one orientation that hold at least one entry.
-    #[must_use]
-    pub fn row_occupancy(&self, transposed: bool) -> f64 {
-        let n = self.side(transposed).0.n_rows();
-        if n == 0 {
-            0.0
-        } else {
-            self.nonempty_rows(transposed) as f64 / n as f64
-        }
     }
 }
 
@@ -340,11 +302,6 @@ mod tests {
                     .collect();
                 let expect: Vec<Vec<u32>> = (0..4).map(|i| oracle.row(i).to_vec()).collect();
                 assert_eq!(rows, expect, "{format} transposed={transposed}");
-                assert_eq!(
-                    g.effective_format(transposed, format),
-                    format,
-                    "4×4 all fit"
-                );
             }
         }
         // Cached stores are shared across clones (conversion happens once).
@@ -364,17 +321,6 @@ mod tests {
             StoreRef::Dcsr(x) => Some(std::ptr::from_ref(x)),
             StoreRef::Csr(_) | StoreRef::Bitmap(_) => None,
         }
-    }
-
-    #[test]
-    fn occupancy_statistics_cached_per_orientation() {
-        // 0->1 only: A has 1 non-empty row of 3; Aᵀ likewise.
-        let mut coo = Coo::new(3, 3);
-        coo.push(0, 1, true);
-        let g = Graph::from_coo(&coo);
-        assert_eq!(g.nonempty_rows(false), 1);
-        assert_eq!(g.nonempty_rows(true), 1);
-        assert!((g.row_occupancy(false) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! * [`storage`] — the multi-format layer: [`storage::RowAccess`] (the
 //!   kernel-facing read surface), [`storage::BitmapStore`] and
 //!   [`storage::Dcsr`] alternate backends, and the [`Storage`] enum with
-//!   conversions. The execution planner in `graphblas_core::plan` picks a
-//!   [`StorageFormat`] per operation the way it picks a direction.
+//!   conversions. `graphblas_core`'s dispatchers run every kernel face on
+//!   the resident CSR; the alternate stores feed the generic kernels
+//!   only when a caller hands them over.
 //! * [`graph`] — the dual-orientation [`Graph`] handle with a lazy
 //!   per-orientation format cache ([`Graph::store`]).
 //! * [`mmio`] — Matrix Market I/O so real datasets can be dropped in.

@@ -34,7 +34,7 @@
 
 use crate::{Coo, Csr, VertexId};
 
-/// The storage backends the execution planner selects between.
+/// The storage backends a [`crate::Graph`] can serve an orientation in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum StorageFormat {
     /// Compressed sparse row — the baseline every graph is born in.
@@ -57,7 +57,7 @@ impl StorageFormat {
         }
     }
 
-    /// All formats, in planner preference order for reports.
+    /// All formats, in a fixed order for reports.
     #[must_use]
     pub fn all() -> [StorageFormat; 3] {
         [
@@ -582,8 +582,8 @@ pub enum Storage<V> {
 impl<V: Copy + Send + Sync> Storage<V> {
     /// Wrap a CSR in the requested format. A bitmap request whose plan is
     /// infeasible ([`BitmapPlan::feasible`]) degrades to [`Storage::Csr`]
-    /// — the same fallback the planner applies, so requested and effective
-    /// formats only diverge on infeasible bitmaps.
+    /// — the same fallback [`crate::Graph::store`] applies, so requested
+    /// and effective formats only diverge on infeasible bitmaps.
     #[must_use]
     pub fn from_csr(csr: Csr<V>, format: StorageFormat) -> Self {
         match format {
@@ -890,7 +890,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_bitmap_degrades_when_infeasible() {
+    fn infeasible_bitmap_storage_falls_back_to_csr() {
         // A tile spanning the full u32 column range: bitmap cannot fit.
         let s = Storage::from_csr(infeasible_wide_csr(), StorageFormat::Bitmap);
         assert_eq!(s.format(), StorageFormat::Csr, "fallback to CSR");

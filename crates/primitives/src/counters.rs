@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::limits::{ConversionKey, ExecLimits, StopReason};
+use crate::limits::{ExecLimits, StopReason};
 
 /// Tallies of memory accesses by category, shared across worker threads.
 ///
@@ -56,20 +56,6 @@ pub struct AccessCounters {
     /// unfused runs; excluded from [`AccessCounters::total`] because it
     /// records work *not* done.
     pub fused_saved_writes: AtomicU64,
-    /// Plan resolutions that were asked for bitmap storage but had to
-    /// serve CSR because the bit grid would exceed `MAX_BITS` — one per
-    /// degraded call. Makes the silent `BitmapStore` fallback observable in
-    /// planner decisions. A decision, not an access; excluded from
-    /// [`AccessCounters::total`] and zeroed by
-    /// [`CounterSnapshot::accesses_only`].
-    pub bitmap_degrades: AtomicU64,
-    /// Times a storage conversion was denied by the bytes budget (or an
-    /// injected allocation fault) and the run gracefully fell back to the
-    /// cached CSR instead of aborting — the budget-side analogue of
-    /// `bitmap_degrades`. A decision, not an access; excluded from
-    /// [`AccessCounters::total`] and zeroed by
-    /// [`CounterSnapshot::accesses_only`].
-    pub limit_degrades: AtomicU64,
 
     // ---- limit-enforcement state (not counters; never snapshotted) ----
     // Installed by `install_limits`, polled by `checkpoint` at the kernels'
@@ -84,16 +70,10 @@ pub struct AccessCounters {
     work_budget: AtomicU64,
     /// `total()` at install time — the budget meters accesses *since* then.
     base_work: AtomicU64,
-    /// Conversion/allocation bytes budget; `u64::MAX` = unlimited.
+    /// Kernel-allocation bytes budget; `u64::MAX` = unlimited.
     bytes_budget: AtomicU64,
     /// Bytes charged against `bytes_budget` so far this run.
     bytes_charged: AtomicU64,
-    /// `ConversionKey::bit` mask of conversions already charged this run.
-    conv_charged: AtomicU8,
-    /// `ConversionKey::bit` mask of conversions already *denied* this run —
-    /// memoized so a retry on a warm `FormatCache` denies (and degrades)
-    /// exactly like a fresh process.
-    conv_denied: AtomicU8,
     /// Checkpoint calls since install; throttles the deadline clock read.
     check_ticks: AtomicU64,
     /// Absolute deadline. A mutex, not an atomic, but locked only every
@@ -156,18 +136,6 @@ impl AccessCounters {
         self.fused_saved_writes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record one bitmap→CSR degrade the planner was forced into.
-    #[inline]
-    pub fn add_bitmap_degrade(&self) {
-        self.bitmap_degrades.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one budget-denied conversion that fell back to cached CSR.
-    #[inline]
-    pub fn add_limit_degrade(&self) {
-        self.limit_degrades.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Sum of all access categories (direction steps are decisions, not
     /// accesses, and are excluded).
     #[must_use]
@@ -189,8 +157,6 @@ impl AccessCounters {
             push_steps: self.push_steps.load(Ordering::Relaxed),
             pull_steps: self.pull_steps.load(Ordering::Relaxed),
             fused_saved_writes: self.fused_saved_writes.load(Ordering::Relaxed),
-            bitmap_degrades: self.bitmap_degrades.load(Ordering::Relaxed),
-            limit_degrades: self.limit_degrades.load(Ordering::Relaxed),
         }
     }
 
@@ -203,8 +169,6 @@ impl AccessCounters {
         self.push_steps.store(0, Ordering::Relaxed);
         self.pull_steps.store(0, Ordering::Relaxed);
         self.fused_saved_writes.store(0, Ordering::Relaxed);
-        self.bitmap_degrades.store(0, Ordering::Relaxed);
-        self.limit_degrades.store(0, Ordering::Relaxed);
     }
 
     /// Overwrite every counter category from a snapshot. The abort path of
@@ -220,10 +184,6 @@ impl AccessCounters {
         self.pull_steps.store(s.pull_steps, Ordering::Relaxed);
         self.fused_saved_writes
             .store(s.fused_saved_writes, Ordering::Relaxed);
-        self.bitmap_degrades
-            .store(s.bitmap_degrades, Ordering::Relaxed);
-        self.limit_degrades
-            .store(s.limit_degrades, Ordering::Relaxed);
     }
 
     /// Add every category of `delta` into these counters (one relaxed
@@ -242,10 +202,6 @@ impl AccessCounters {
             .fetch_add(delta.pull_steps, Ordering::Relaxed);
         self.fused_saved_writes
             .fetch_add(delta.fused_saved_writes, Ordering::Relaxed);
-        self.bitmap_degrades
-            .fetch_add(delta.bitmap_degrades, Ordering::Relaxed);
-        self.limit_degrades
-            .fetch_add(delta.limit_degrades, Ordering::Relaxed);
     }
 
     // ---- limit enforcement ----
@@ -261,8 +217,6 @@ impl AccessCounters {
         self.bytes_budget
             .store(limits.bytes_budget.unwrap_or(u64::MAX), Ordering::SeqCst);
         self.bytes_charged.store(0, Ordering::SeqCst);
-        self.conv_charged.store(0, Ordering::SeqCst);
-        self.conv_denied.store(0, Ordering::SeqCst);
         self.check_ticks.store(0, Ordering::SeqCst);
         *self.deadline_slot() = limits.deadline.map(|d| Instant::now() + d);
         self.limit_active
@@ -279,8 +233,6 @@ impl AccessCounters {
         self.work_budget.store(u64::MAX, Ordering::SeqCst);
         self.bytes_budget.store(u64::MAX, Ordering::SeqCst);
         self.bytes_charged.store(0, Ordering::SeqCst);
-        self.conv_charged.store(0, Ordering::SeqCst);
-        self.conv_denied.store(0, Ordering::SeqCst);
         *self.deadline_slot() = None;
     }
 
@@ -380,48 +332,6 @@ impl AccessCounters {
         true
     }
 
-    /// Charge a storage conversion's bytes against the bytes budget.
-    /// Unlike [`AccessCounters::try_charge_alloc`], a denial here does
-    /// *not* trip the run: conversions always have the cached CSR as a
-    /// fallback, so the caller degrades gracefully (recording it via
-    /// [`AccessCounters::add_limit_degrade`]) and continues.
-    ///
-    /// Each [`ConversionKey`] is charged at most once per run and a denial
-    /// is memoized per key, so the charge/deny pattern is a function of the
-    /// run alone — independent of whether the shared `FormatCache` already
-    /// holds the converted store. That makes a post-abort retry degrade
-    /// exactly like a fresh process.
-    #[must_use]
-    pub fn try_charge_conversion(&self, key: ConversionKey, bytes: u64) -> bool {
-        let bit = key.bit();
-        if self.conv_denied.load(Ordering::Relaxed) & bit != 0 {
-            return false;
-        }
-        if self.conv_charged.load(Ordering::Relaxed) & bit != 0 {
-            return true;
-        }
-        #[cfg(feature = "fault-injection")]
-        if crate::fault::alloc_fault_fires() {
-            self.conv_denied.fetch_or(bit, Ordering::Relaxed);
-            return false;
-        }
-        if !self.limit_active.load(Ordering::Relaxed) {
-            self.conv_charged.fetch_or(bit, Ordering::Relaxed);
-            return true;
-        }
-        let budget = self.bytes_budget.load(Ordering::Relaxed);
-        if budget != u64::MAX {
-            let charged = self.bytes_charged.load(Ordering::Relaxed);
-            if charged + bytes > budget {
-                self.conv_denied.fetch_or(bit, Ordering::Relaxed);
-                return false;
-            }
-            self.bytes_charged.fetch_add(bytes, Ordering::Relaxed);
-        }
-        self.conv_charged.fetch_or(bit, Ordering::Relaxed);
-        true
-    }
-
     /// Record the first trip reason; later trips keep the original.
     fn trip(&self, reason: StopReason) {
         let _ = self
@@ -456,12 +366,6 @@ pub struct CounterSnapshot {
     /// Intermediate writes avoided by fused pipelines (not an access; see
     /// [`AccessCounters::fused_saved_writes`]).
     pub fused_saved_writes: u64,
-    /// Bitmap→CSR planner degrades (a decision, not an access; see
-    /// [`AccessCounters::bitmap_degrades`]).
-    pub bitmap_degrades: u64,
-    /// Budget-denied conversions served from cached CSR (a decision, not
-    /// an access; see [`AccessCounters::limit_degrades`]).
-    pub limit_degrades: u64,
 }
 
 impl CounterSnapshot {
@@ -487,25 +391,19 @@ impl CounterSnapshot {
             fused_saved_writes: self
                 .fused_saved_writes
                 .saturating_sub(earlier.fused_saved_writes),
-            bitmap_degrades: self.bitmap_degrades.saturating_sub(earlier.bitmap_degrades),
-            limit_degrades: self.limit_degrades.saturating_sub(earlier.limit_degrades),
         }
     }
 
-    /// This snapshot with the pure-telemetry fields (`fused_saved_writes`,
-    /// `bitmap_degrades`, `limit_degrades`) zeroed — the Table 1 access
-    /// categories plus direction steps only. Fused and unfused runs of the
-    /// same computation must agree on this projection (the equivalence
-    /// contract `tests/fused_pipelines.rs` pins), and so must runs over
-    /// different storage formats (`tests/prop_core.rs`); the telemetry
-    /// tallies themselves differ by construction (only fused runs save
-    /// writes, only forced-bitmap runs can degrade).
+    /// This snapshot with the pure-telemetry field `fused_saved_writes`
+    /// zeroed — the Table 1 access categories plus direction steps only.
+    /// Fused and unfused runs of the same computation must agree on this
+    /// projection (the equivalence contract `tests/fused_pipelines.rs`
+    /// pins); the saved-write tally itself differs by construction (only
+    /// fused runs save writes).
     #[must_use]
     pub fn accesses_only(&self) -> CounterSnapshot {
         CounterSnapshot {
             fused_saved_writes: 0,
-            bitmap_degrades: 0,
-            limit_degrades: 0,
             ..*self
         }
     }
@@ -527,8 +425,6 @@ mod tests {
         c.add_push_step();
         c.add_pull_step();
         c.add_fused_saved_writes(9);
-        c.add_bitmap_degrade();
-        c.add_limit_degrade();
         let s = c.snapshot();
         assert_eq!(
             s,
@@ -540,22 +436,16 @@ mod tests {
                 push_steps: 2,
                 pull_steps: 1,
                 fused_saved_writes: 9,
-                bitmap_degrades: 1,
-                limit_degrades: 1,
             }
         );
         assert_eq!(s.total(), 27, "steps and saved writes are not accesses");
         assert_eq!(c.total(), 27);
         assert_eq!(s.accesses_only().fused_saved_writes, 0);
-        assert_eq!(s.accesses_only().bitmap_degrades, 0);
-        assert_eq!(s.accesses_only().limit_degrades, 0);
         assert_eq!(s.accesses_only().matrix, 15);
         c.reset();
         assert_eq!(c.total(), 0);
         assert_eq!(c.snapshot().push_steps, 0);
         assert_eq!(c.snapshot().fused_saved_writes, 0);
-        assert_eq!(c.snapshot().bitmap_degrades, 0);
-        assert_eq!(c.snapshot().limit_degrades, 0);
     }
 
     #[test]
@@ -566,7 +456,7 @@ mod tests {
         let before = c.snapshot();
         c.add_matrix(99);
         c.add_vector(3);
-        c.add_limit_degrade();
+        c.add_fused_saved_writes(2);
         assert_ne!(c.snapshot(), before);
         c.restore(&before);
         assert_eq!(c.snapshot(), before);
@@ -649,34 +539,6 @@ mod tests {
         assert_eq!(c.stop_reason(), Some(StopReason::BytesBudget));
         assert!(!c.checkpoint());
         c.uninstall_limits();
-    }
-
-    #[test]
-    fn conversion_charge_is_once_per_key_and_denial_is_memoized() {
-        let c = AccessCounters::new();
-        let k_bit = ConversionKey {
-            transposed: false,
-            dcsr: false,
-        };
-        let k_dcsr = ConversionKey {
-            transposed: false,
-            dcsr: true,
-        };
-        c.install_limits(&ExecLimits::none().with_bytes_budget(100));
-        assert!(c.try_charge_conversion(k_bit, 80));
-        // Same key again: already charged, no double spend.
-        assert!(c.try_charge_conversion(k_bit, 80));
-        // Different key over the remaining budget: denied, but NOT a trip —
-        // the caller degrades to CSR instead.
-        assert!(!c.try_charge_conversion(k_dcsr, 80));
-        assert_eq!(c.stop_reason(), None);
-        assert!(c.checkpoint());
-        // Denial is memoized: the same key is denied again even though a
-        // warm cache would make the conversion free now.
-        assert!(!c.try_charge_conversion(k_dcsr, 0));
-        c.uninstall_limits();
-        // Unlimited: conversions always succeed.
-        assert!(c.try_charge_conversion(k_dcsr, 1 << 40));
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! points so robustness tests and the `paper -- chaos` study can exercise
 //! every failure class on demand:
 //!
-//! * **allocation failure** — the Nth charged allocation/conversion (see
+//! * **allocation failure** — the Nth charged kernel allocation (see
 //!   [`AccessCounters::try_charge_alloc`]) reports failure, surfacing as a
-//!   typed `BudgetExceeded` where no fallback exists and as a charged
-//!   degrade where one does;
+//!   typed `BudgetExceeded`;
 //! * **worker-chunk panic** — the Kth pool chunk executed after arming
 //!   panics inside the pool's per-chunk catch (installed into the vendored
 //!   `rayon` via [`rayon::set_chunk_fault_countdown`]), surfacing as
@@ -32,7 +31,7 @@ pub struct FaultPlan {
     /// Seed recorded with the plan (reported by the chaos study so a
     /// failing scenario can be replayed exactly).
     pub seed: u64,
-    /// Fail the Nth charged allocation/conversion (1-based). `None` = off.
+    /// Fail the Nth charged allocation (1-based). `None` = off.
     pub fail_alloc_nth: Option<u64>,
     /// Panic in the Kth worker-pool chunk executed (1-based). `None` = off.
     pub panic_chunk_nth: Option<u64>,
@@ -67,7 +66,7 @@ pub fn clear() {
     rayon::set_chunk_fault_countdown(None);
 }
 
-/// Called by every charged allocation/conversion: returns `true` exactly
+/// Called by every charged allocation: returns `true` exactly
 /// when the armed Nth-allocation failure fires (and disarms it).
 #[must_use]
 pub fn alloc_fault_fires() -> bool {

@@ -42,5 +42,5 @@ pub mod spa;
 
 pub use bitvec::{AtomicBitVec, BitVec};
 pub use counters::{AccessCounters, CounterSnapshot};
-pub use limits::{ConversionKey, ExecLimits, StopReason};
+pub use limits::{ExecLimits, StopReason};
 pub use spa::Spa;

@@ -3,8 +3,8 @@
 //! A production service sharing one graph across many tenants needs every
 //! query to be *bounded*: a wall-clock deadline, a cap on charged memory
 //! accesses (the same measured-work currency the push/pull cost model
-//! already uses), and a cap on bytes the run may spend on storage-format
-//! conversions. [`ExecLimits`] is the caller-facing description of those
+//! already uses), and a cap on bytes the run may spend on kernel buffers.
+//! [`ExecLimits`] is the caller-facing description of those
 //! bounds; the enforcement state lives inside
 //! [`AccessCounters`](crate::counters::AccessCounters), which every kernel
 //! already threads, so installing limits changes no kernel signatures.
@@ -15,8 +15,8 @@
 //! chunk, per expansion preamble). Because those boundaries never depend on
 //! the lane count, a run that completes under limits is bit-identical to an
 //! unlimited run; a run that trips aborts with a typed error and leaves
-//! caller state, format caches, and (after the guard restores them) the
-//! counters untouched.
+//! caller state and (after the guard restores them) the counters
+//! untouched.
 
 use std::time::Duration;
 
@@ -28,7 +28,7 @@ pub enum StopReason {
     Deadline,
     /// The charged-access work budget was exhausted.
     WorkBudget,
-    /// The bytes budget for conversions/allocations was exhausted (or an
+    /// The bytes budget for kernel allocations was exhausted (or an
     /// injected allocation failure fired).
     BytesBudget,
 }
@@ -75,8 +75,8 @@ pub struct ExecLimits {
     ///
     /// [`total`]: crate::counters::AccessCounters::total
     pub work_budget: Option<u64>,
-    /// Budget on bytes the run may spend on storage conversions and kernel
-    /// buffer allocations. `None` = unlimited.
+    /// Budget on bytes the run may spend on kernel buffer allocations
+    /// (outputs, expansion buffers, claim sets). `None` = unlimited.
     pub bytes_budget: Option<u64>,
 }
 
@@ -105,7 +105,7 @@ impl ExecLimits {
         self
     }
 
-    /// Builder: set the conversion/allocation bytes budget.
+    /// Builder: set the kernel-allocation bytes budget.
     #[must_use]
     pub const fn with_bytes_budget(mut self, bytes: u64) -> Self {
         self.bytes_budget = Some(bytes);
@@ -116,25 +116,6 @@ impl ExecLimits {
     #[must_use]
     pub const fn is_limited(&self) -> bool {
         self.deadline.is_some() || self.work_budget.is_some() || self.bytes_budget.is_some()
-    }
-}
-
-/// Identifies one charged storage-conversion site, so a conversion's bytes
-/// are charged exactly once per guarded run — independent of whether the
-/// shared `FormatCache` already holds the converted store. That invariant
-/// is what makes a retry after an abort charge (and degrade) exactly like
-/// a fresh process even on a warm cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConversionKey {
-    /// Which orientation of the graph is being converted.
-    pub transposed: bool,
-    /// `false` = bitmap store, `true` = hypersparse DCSR store.
-    pub dcsr: bool,
-}
-
-impl ConversionKey {
-    pub(crate) const fn bit(self) -> u8 {
-        1 << ((self.transposed as u8) | ((self.dcsr as u8) << 1))
     }
 }
 
@@ -152,18 +133,5 @@ mod tests {
             assert_eq!(StopReason::from_code(r.code()), Some(r));
         }
         assert_eq!(StopReason::from_code(0), None);
-    }
-
-    #[test]
-    fn conversion_keys_are_distinct_bits() {
-        let mut seen = 0u8;
-        for transposed in [false, true] {
-            for dcsr in [false, true] {
-                let b = ConversionKey { transposed, dcsr }.bit();
-                assert_eq!(seen & b, 0, "duplicate bit");
-                seen |= b;
-            }
-        }
-        assert_eq!(seen.count_ones(), 4);
     }
 }

@@ -21,8 +21,8 @@ use crate::request::{Query, QueryKind, QueryOutput, Request, Response};
 
 /// The shared operands every query runs against: one Boolean structure
 /// (BFS / parent BFS / PageRank / BC) and one weighted view of the same
-/// topology (SSSP). Both carry their own `FormatCache`, shared across
-/// all concurrent queries — a tripped request never poisons it.
+/// topology (SSSP). Both are read-only and shared across all concurrent
+/// queries — a tripped request never poisons them.
 #[derive(Debug)]
 pub struct ServiceGraphs {
     pub boolean: Graph<bool>,
@@ -65,8 +65,8 @@ pub struct ExecOpts {
 /// request whose coalesced group hit a worker-chunk panic is de-coalesced
 /// and retried solo once (transient chunk faults don't condemn innocent
 /// passengers); its retry failure is returned typed. `shared` receives
-/// the batch-scoped charges (format planning, conversions) plus the fold
-/// of all coalescible per-request work.
+/// the batch-scoped charges (lane-group buffers) plus the fold of all
+/// coalescible per-request work.
 pub fn execute_batch(
     graphs: &ServiceGraphs,
     opts: &ExecOpts,

@@ -32,7 +32,7 @@
 //! |---|---|
 //! | [`primitives`] | scan, radix sort, gather, segmented reduce, SPA, bit vectors, access counters |
 //! | [`matrix`] | COO/CSR storage, the dual-orientation [`matrix::Graph`], Matrix Market I/O, stats |
-//! | [`core`] | semirings, vectors, masks, descriptors, the four matvec kernels, `mxv`/`vxm`/`mxm`, the per-traversal `Planner` (§6.3 hysteresis + store choice), batched `mxv_batch` over `MultiVector` frontiers, fused `FusedMxv` pipelines |
+//! | [`core`] | semirings, vectors, masks, descriptors, the four matvec kernels, `mxv`/`vxm`/`mxm`, the push/pull `DirectionPolicy` (§6.3 hysteresis), batched `mxv_batch` over `MultiVector` frontiers, fused `FusedMxv` pipelines |
 //! | [`algo`] | BFS (Algorithm 1 + Table 2 ladder), SSSP, PageRank (+adaptive), CC, MIS, triangle counting, multi-source BFS, batched BC |
 //! | [`gen`] | R-MAT/Kronecker, Chung-Lu power-law, RGG, road meshes, the Table 3 dataset suite |
 //! | [`baselines`] | reimplemented comparators: SuiteSparse-like, CuSha-like, Ligra-like, Gunrock-like, push baseline, serial oracle |

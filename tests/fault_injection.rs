@@ -3,8 +3,8 @@
 //! injected fault — Nth-allocation failure, Kth-chunk worker panic,
 //! cost-model inflation — the guarded entry points must surface a typed
 //! [`GrbError`] (never a process abort), roll shared counters back to
-//! their entry snapshot, and leave the pool, the format cache, and the
-//! counters so unpoisoned that an immediate retry is **bit-identical** —
+//! their entry snapshot, and leave the pool and the counters so
+//! unpoisoned that an immediate retry is **bit-identical** —
 //! values and counter snapshot — to an uninterrupted clean run, at 1, 2,
 //! and 8 lanes.
 //!
@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use push_pull::algo::bfs::{try_bfs_with_opts, BfsOpts};
 use push_pull::core::descriptor::Direction;
-use push_pull::core::{BudgetResource, FormatChoice, GrbError, StorageFormat};
+use push_pull::core::{BudgetResource, GrbError};
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::matrix::Graph;
 use push_pull::primitives::counters::{AccessCounters, CounterSnapshot};
@@ -131,7 +131,6 @@ proptest! {
         // kernel's grain).
         let opts = BfsOpts {
             force: Some(Direction::Pull),
-            format: FormatChoice::Force(StorageFormat::Csr),
             ..BfsOpts::default()
         };
         let plan = FaultPlan { panic_chunk_nth: Some(kth), ..FaultPlan::default() };
@@ -278,7 +277,6 @@ fn chunk_panic_decoalesces_group_and_solo_retries_succeed() {
     let opts = ExecOpts {
         bfs: MsBfsOpts {
             force: Some(Direction::Pull),
-            format: FormatChoice::Force(StorageFormat::Csr),
             ..Default::default()
         },
         ..Default::default()
@@ -341,7 +339,6 @@ fn identical_plans_inject_identically_at_one_lane() {
     let g = test_graph();
     let opts = BfsOpts {
         force: Some(Direction::Pull),
-        format: FormatChoice::Force(StorageFormat::Csr),
         ..BfsOpts::default()
     };
     let plan = FaultPlan {

@@ -42,30 +42,24 @@ fn forced_directions_agree_on_every_dataset_class() {
 }
 
 #[test]
-fn default_bfs_direction_format_plans_match_golden_sequences() {
-    // Default BFS's per-level (direction, store) plans on three suite
-    // graphs. `P`/`L` = push/pull, `c`/`d` = CSR/DCSR, `*k` = k levels in
-    // a row.
-    use push_pull::core::StorageFormat;
+fn default_bfs_direction_plans_match_golden_sequences() {
+    // Default BFS's per-level directions on three suite graphs. `P`/`L` =
+    // push/pull, `*k` = k levels in a row.
     let golden = [
         (
             "kron",
-            [
-                (0, "Pc Lc*2 Pc"),
-                (1365, "Pc*2 Lc*2 Pc"),
-                (2730, "Pc*2 Lc*2 Pc"),
-            ],
+            [(0, "P L*2 P"), (1365, "P*2 L*2 P"), (2730, "P*2 L*2 P")],
         ),
         (
             "soc-lj",
-            [(0, "Pc Lc*3"), (3125, "Pc*2 Lc*3 Pc"), (6250, "Pc*2 Lc*3")],
+            [(0, "P L*3"), (3125, "P*2 L*3 P"), (6250, "P*2 L*3")],
         ),
         (
             "roadnet",
             [
-                (0, "Pc*30 Lc Pc Lc*46 Pc*26"),
-                (1281, "Pc*10 Lc*42 Pc*31"),
-                (2562, "Pc*10 Lc*43 Pc*30"),
+                (0, "P*30 L P L*46 P*26"),
+                (1281, "P*10 L*42 P*31"),
+                (2562, "P*10 L*43 P*30"),
             ],
         ),
     ];
@@ -73,30 +67,21 @@ fn default_bfs_direction_format_plans_match_golden_sequences() {
         let g = dataset(name, TEST_SHRINK, 7).expect("known dataset").graph;
         for (source, expect) in cases {
             let r = bfs_with_opts(&g, source, &BfsOpts::default().traced(), None);
-            let codes: Vec<String> = r
+            let codes: Vec<char> = r
                 .trace
                 .iter()
-                .map(|t| {
-                    let dir = if t.direction == Direction::Push {
-                        'P'
-                    } else {
-                        'L'
-                    };
-                    let store = match t.format {
-                        StorageFormat::Csr => 'c',
-                        StorageFormat::Bitmap => 'b',
-                        StorageFormat::Dcsr => 'd',
-                    };
-                    format!("{dir}{store}")
+                .map(|t| match t.direction {
+                    Direction::Push => 'P',
+                    Direction::Pull => 'L',
                 })
                 .collect();
-            let mut runs: Vec<String> = Vec::new();
-            for group in codes.chunk_by(|a, b| a == b) {
-                runs.push(match group.len() {
-                    1 => group[0].clone(),
+            let runs: Vec<String> = codes
+                .chunk_by(|a, b| a == b)
+                .map(|group| match group.len() {
+                    1 => group[0].to_string(),
                     k => format!("{}*{k}", group[0]),
-                });
-            }
+                })
+                .collect();
             assert_eq!(runs.join(" "), expect, "{name} from source {source}");
         }
     }

@@ -18,7 +18,7 @@ use push_pull::algo::msbfs::{multi_source_bfs_with_opts, MsBfsOpts};
 use push_pull::algo::{bfs_parents_entries, multi_source_bfs_entries, BatchEntry};
 use push_pull::baselines::textbook::bfs_serial;
 use push_pull::core::descriptor::Direction;
-use push_pull::core::{FormatChoice, StorageFormat, MAX_LANES};
+use push_pull::core::MAX_LANES;
 use push_pull::gen::erdos::erdos_renyi;
 use push_pull::gen::powerlaw::{chung_lu, PowerLawParams};
 use push_pull::gen::rmat::{rmat, RmatParams};
@@ -39,16 +39,6 @@ struct Outcome {
 
 fn steps(s: &CounterSnapshot) -> (u64, u64) {
     (s.push_steps, s.pull_steps)
-}
-
-/// Accesses and steps: what a bill carries (degrade tallies are the batch
-/// scope's).
-fn billed(s: &CounterSnapshot) -> CounterSnapshot {
-    CounterSnapshot {
-        bitmap_degrades: 0,
-        limit_degrades: 0,
-        ..*s
-    }
 }
 
 fn sum(snaps: &[CounterSnapshot]) -> CounterSnapshot {
@@ -91,8 +81,8 @@ fn run_case(g: &Graph<bool>, sources: &[u32], opts: &MsBfsOpts) -> Outcome {
         "msbfs total = entries total"
     );
     assert_eq!(
-        billed(&sum(&out.bills)),
-        billed(&out.shared),
+        sum(&out.bills),
+        out.shared,
         "bills sum exactly to the group total"
     );
     out
@@ -222,29 +212,6 @@ fn msbfs_forced_push_and_pull_match_solo() {
             (0, levels)
         };
         assert_eq!((push, pull), want, "{d:?}: every level on the forced face");
-    }
-}
-
-#[test]
-fn msbfs_forced_dcsr_and_bitmap_match_solo_and_csr() {
-    let g = directed();
-    let sources = spread(g.n_vertices(), 9);
-    let csr = MsBfsOpts {
-        format: FormatChoice::Force(StorageFormat::Csr),
-        ..MsBfsOpts::default()
-    };
-    let oracle = check(&g, &sources, &csr);
-    for f in [StorageFormat::Dcsr, StorageFormat::Bitmap] {
-        let opts = MsBfsOpts {
-            format: FormatChoice::Force(f),
-            ..MsBfsOpts::default()
-        };
-        let out = check(&g, &sources, &opts);
-        assert_eq!(out.depths, oracle.depths, "{f:?}");
-        assert_eq!(
-            out.bills, oracle.bills,
-            "{f:?}: stores never change charges"
-        );
     }
 }
 

@@ -443,175 +443,17 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Storage-format equivalence: the Force(Bitmap) / Force(Dcsr) / Auto plans
-// against the Force(Csr) oracle — values AND access counters bit-identical.
-// Kernel-level and whole-algorithm.
+// Whole-traversal oracles: BFS and parent BFS against the serial oracle.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `mxv` under every forced format and the Auto plan produces the CSR
-    /// oracle's explicit set and counter snapshot, both faces, masked and
-    /// unmasked.
+    /// BFS depths equal the serial oracle, fused and unfused, and so do the
+    /// measured cost-model direction rule's; the min-parent tree is a valid
+    /// BFS tree, fused and unfused.
     #[test]
-    fn mxv_formats_match_csr_oracle(
-        g in arb_graph(50, 400),
-        f_ids in prop::collection::vec(0usize..50, 0..25),
-        m_ids in prop::collection::vec(0usize..50, 0..25),
-        transpose in any::<bool>(),
-        masked in any::<bool>(),
-    ) {
-        use push_pull::core::StorageFormat;
-        let n = g.n_vertices();
-        let f = sparse_bool_vector(n, &f_ids);
-        let mut bits = BitVec::new(n);
-        for &i in &m_ids {
-            if i < n {
-                bits.set(i);
-            }
-        }
-        for dir in [Direction::Push, Direction::Pull] {
-            let run = |fmt: Option<StorageFormat>| {
-                let desc = Descriptor::new().transpose(transpose).force(dir);
-                let desc = match fmt {
-                    Some(fmt) => desc.force_format(fmt),
-                    None => desc, // the planner's Auto rule
-                };
-                let mask = Mask::complement(&bits);
-                let c = AccessCounters::new();
-                let w: Vector<bool> =
-                    mxv(masked.then_some(&mask), BoolOrAnd, &g, &f, &desc, Some(&c)).unwrap();
-                (explicit_set(&w), c.snapshot())
-            };
-            let oracle = run(Some(StorageFormat::Csr));
-            for arm in [
-                Some(StorageFormat::Bitmap),
-                Some(StorageFormat::Dcsr),
-                None,
-            ] {
-                let got = run(arm);
-                prop_assert_eq!(&got.0, &oracle.0, "values: {:?} {:?}", dir, arm);
-                prop_assert_eq!(got.1, oracle.1, "counters: {:?} {:?}", dir, arm);
-            }
-        }
-    }
-
-    /// Whole-algorithm format equivalence on random power-law/Erdős
-    /// graphs: BFS, parent BFS, CC, SSSP, PageRank, msbfs, and batched BC
-    /// under `Force(Bitmap)`, `Force(Dcsr)`, and `Auto` are bit-identical
-    /// in results and in every counter except the degrade tallies to the
-    /// `Force(Csr)` oracle.
-    #[test]
-    fn algorithms_formats_match_csr_oracle(
-        seed in 0u64..500,
-        power_law in any::<bool>(),
-        n_raw in 24usize..96,
-        source_bits in 0usize..24,
-    ) {
-        use push_pull::algo::bc::{betweenness_with_opts, BcOpts};
-        use push_pull::algo::bfs::{bfs_with_opts, BfsOpts};
-        use push_pull::algo::bfs_parents::{bfs_parents_with_opts, ParentBfsOpts};
-        use push_pull::algo::cc::{connected_components_with_opts, CcOpts};
-        use push_pull::algo::pagerank::{pagerank_with_counters, PageRankOpts};
-        use push_pull::algo::sssp::{sssp_with_counters, SsspOpts};
-        use push_pull::core::{FormatChoice, StorageFormat};
-        use push_pull::gen::with_uniform_weights;
-        use push_pull::primitives::counters::CounterSnapshot;
-
-        let g = if power_law {
-            chung_lu(n_raw, 5, PowerLawParams::default(), seed)
-        } else {
-            erdos_renyi(n_raw, n_raw * 3, seed)
-        };
-        let gw = with_uniform_weights(&g, seed ^ 0x5eed);
-        let n = g.n_vertices();
-        let source = (source_bits % n) as u32;
-        let sources = [source, ((source_bits * 7 + 1) % n) as u32];
-
-        let policies = [
-            FormatChoice::Force(StorageFormat::Csr),
-            FormatChoice::Force(StorageFormat::Bitmap),
-            FormatChoice::Force(StorageFormat::Dcsr),
-            FormatChoice::Auto,
-        ];
-
-        // Each closure returns (comparable result bits, projected counter
-        // snapshot). Formats never change what is charged, so the
-        // projection keeps `fused_saved_writes` alongside the accesses.
-        fn format_projection(c: &AccessCounters) -> CounterSnapshot {
-            CounterSnapshot {
-                bitmap_degrades: 0,
-                limit_degrades: 0,
-                ..c.snapshot()
-            }
-        }
-        type Arm<'a> =
-            Box<dyn Fn(FormatChoice) -> (Vec<u64>, CounterSnapshot) + 'a>;
-        let arms: Vec<Arm<'_>> = vec![
-            Box::new(|p| {
-                let c = AccessCounters::new();
-                let r = bfs_with_opts(&g, source, &BfsOpts { format: p, ..BfsOpts::default() }, Some(&c));
-                (r.depths.iter().map(|&d| d as u64).collect(), format_projection(&c))
-            }),
-            Box::new(|p| {
-                let c = AccessCounters::new();
-                let r = bfs_parents_with_opts(
-                    &g, source, &ParentBfsOpts { format: p, ..ParentBfsOpts::default() }, Some(&c));
-                (r.parent.iter().map(|&x| u64::from(x)).collect(), format_projection(&c))
-            }),
-            Box::new(|p| {
-                let c = AccessCounters::new();
-                let r = connected_components_with_opts(
-                    &g, &CcOpts { format: p, ..CcOpts::default() }, Some(&c));
-                (r.labels.iter().map(|&x| u64::from(x)).collect(), format_projection(&c))
-            }),
-            Box::new(|p| {
-                let c = AccessCounters::new();
-                let r = sssp_with_counters(
-                    &gw, source, &SsspOpts { format: p, ..SsspOpts::default() }, Some(&c));
-                (r.dist.iter().map(|x| u64::from(x.to_bits())).collect(), format_projection(&c))
-            }),
-            Box::new(|p| {
-                let c = AccessCounters::new();
-                let r = pagerank_with_counters(
-                    &g, &PageRankOpts { format: p, ..PageRankOpts::default() }, true, Some(&c));
-                (r.ranks.iter().map(|x| x.to_bits()).collect(), format_projection(&c))
-            }),
-            Box::new(|p| {
-                let c = AccessCounters::new();
-                let r = multi_source_bfs_with_opts(
-                    &g, &sources, &MsBfsOpts { format: p, ..MsBfsOpts::default() }, Some(&c));
-                (
-                    r.depths.iter().flatten().map(|&d| d as u64).collect(),
-                    format_projection(&c),
-                )
-            }),
-            Box::new(|p| {
-                let c = AccessCounters::new();
-                let opts = BcOpts { format: p, ..BcOpts::default() };
-                let bc = betweenness_with_opts(&g, &sources, &opts, Some(&c));
-                (bc.iter().map(|x| x.to_bits()).collect(), format_projection(&c))
-            }),
-        ];
-
-        for (idx, arm) in arms.iter().enumerate() {
-            let oracle = arm(policies[0]);
-            for &p in &policies[1..] {
-                let got = arm(p);
-                prop_assert_eq!(&got.0, &oracle.0, "algorithm {} values under {:?}", idx, p);
-                prop_assert_eq!(got.1, oracle.1, "algorithm {} counters under {:?}", idx, p);
-            }
-        }
-    }
-
-    /// BFS depths and min-parent trees under `Force(Bitmap)` (the scalar
-    /// kernels over the store's CSR rows) equal the `Force(Csr)` run in
-    /// values and projected charges, fused and unfused, and the depths
-    /// equal the serial oracle; the measured cost-model direction rule
-    /// reaches the same depths.
-    #[test]
-    fn bit_algorithms_match_scalar_oracle(
+    fn bfs_and_parents_match_serial_oracle(
         seed in 0u64..1000,
         power_law in any::<bool>(),
         n_raw in 24usize..96,
@@ -619,8 +461,7 @@ proptest! {
         fused in any::<bool>(),
     ) {
         use push_pull::algo::bfs::{bfs_with_opts, BfsOpts};
-        use push_pull::algo::bfs_parents::{bfs_parents_with_opts, ParentBfsOpts};
-        use push_pull::core::{FormatChoice, StorageFormat};
+        use push_pull::algo::bfs_parents::{bfs_parents_with_opts, verify_parents, ParentBfsOpts};
 
         let g = if power_law {
             chung_lu(n_raw, 5, PowerLawParams::default(), seed)
@@ -629,39 +470,17 @@ proptest! {
         };
         let n = g.n_vertices();
         let source = (source_bits % n) as u32;
+        let oracle = push_pull::baselines::textbook::bfs_serial(&g, source);
 
-        let bfs_run = |fmt: StorageFormat| {
-            let c = AccessCounters::new();
-            let opts = BfsOpts { fused, ..BfsOpts::default() }.format(FormatChoice::Force(fmt));
-            let r = bfs_with_opts(&g, source, &opts, Some(&c));
-            (r.depths, c.snapshot().accesses_only())
-        };
-        let (d_bitmap, a_bitmap) = bfs_run(StorageFormat::Bitmap);
-        let (d_csr, a_csr) = bfs_run(StorageFormat::Csr);
-        prop_assert_eq!(&d_bitmap, &d_csr, "bitmap BFS depths");
-        prop_assert_eq!(a_bitmap, a_csr, "bitmap BFS projected charges");
-        prop_assert_eq!(
-            &d_csr,
-            &push_pull::baselines::textbook::bfs_serial(&g, source)
-        );
+        let r = bfs_with_opts(&g, source, &BfsOpts { fused, ..BfsOpts::default() }, None);
+        prop_assert_eq!(&r.depths, &oracle, "BFS depths");
 
-        let parents_run = |fmt: StorageFormat| {
-            let c = AccessCounters::new();
-            let opts = ParentBfsOpts {
-                fused,
-                format: FormatChoice::Force(fmt),
-                ..ParentBfsOpts::default()
-            };
-            let r = bfs_parents_with_opts(&g, source, &opts, Some(&c));
-            (r.parent, c.snapshot().accesses_only())
-        };
-        let (p_bitmap, pa_bitmap) = parents_run(StorageFormat::Bitmap);
-        let (p_csr, pa_csr) = parents_run(StorageFormat::Csr);
-        prop_assert_eq!(p_bitmap, p_csr, "bitmap parent tree");
-        prop_assert_eq!(pa_bitmap, pa_csr, "bitmap parents projected charges");
+        let opts = ParentBfsOpts { fused, ..ParentBfsOpts::default() };
+        let p = bfs_parents_with_opts(&g, source, &opts, None);
+        prop_assert!(verify_parents(&g, source, &p.parent), "parent tree");
 
         // The measured cost-model direction rule stays exact too.
         let r = bfs_with_opts(&g, source, &BfsOpts::default().cost_model(true), None);
-        prop_assert_eq!(&r.depths, &d_csr, "cost-model depths");
+        prop_assert_eq!(&r.depths, &oracle, "cost-model depths");
     }
 }

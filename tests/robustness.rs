@@ -15,13 +15,10 @@ use push_pull::algo::cc::{try_connected_components_with_opts, CcOpts};
 use push_pull::algo::msbfs::{try_multi_source_bfs_with_opts, MsBfsOpts};
 use push_pull::algo::pagerank::{try_pagerank_with_counters, PageRankOpts};
 use push_pull::algo::sssp::{try_sssp_with_counters, SsspOpts};
-use push_pull::core::descriptor::Direction;
-use push_pull::core::{
-    run_guarded, BudgetResource, ExecLimits, FormatChoice, GrbError, GrbResult, StorageFormat,
-};
+use push_pull::core::{run_guarded, BudgetResource, ExecLimits, GrbError, GrbResult};
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::gen::with_uniform_weights;
-use push_pull::matrix::{Dcsr, Graph};
+use push_pull::matrix::Graph;
 use push_pull::primitives::counters::AccessCounters;
 use std::time::Duration;
 
@@ -84,10 +81,7 @@ fn zero_deadline_cancels_every_algorithm() {
         cancelled
     );
 
-    let bc_opts = push_pull::algo::bc::BcOpts {
-        limits: dead,
-        ..Default::default()
-    };
+    let bc_opts = push_pull::algo::bc::BcOpts { limits: dead };
     assert_eq!(
         try_betweenness_with_opts(&g, &[0, 1], &bc_opts, None).map(|b| b.len()),
         cancelled
@@ -173,42 +167,77 @@ fn work_budget_abort_then_retry_is_bit_identical() {
     }
 }
 
-/// A bytes budget too small for the hypersparse conversion denies the
-/// format change instead of aborting: the run completes on the cached CSR
-/// with identical values and records the denial in `limit_degrades`.
+/// The bytes budget meters every kernel allocation. A budget below the
+/// first level's output buffer aborts a solo traversal — BFS fused and
+/// unfused, parent BFS — with the typed bytes error, rolls its counters
+/// back to the entry snapshot, and leaves an immediate unlimited retry on
+/// the same counters bit-identical to a clean run, at 1 and 4 lanes.
 #[test]
-fn bytes_budget_degrades_format_instead_of_aborting() {
-    let g = test_graph();
-    let base = BfsOpts {
-        format: FormatChoice::Force(StorageFormat::Dcsr),
-        force: Some(Direction::Pull),
-        ..BfsOpts::default()
+fn bytes_budget_aborts_a_solo_traversal_and_retry_is_clean() {
+    let g = &test_graph();
+    let degree = g.csr().degree(0) as u64;
+    assert!(degree > 0, "the source has out-edges");
+    // Level 1 pushes from the source: its output buffer holds at least one
+    // u32 per expanded edge.
+    let pinched = ExecLimits::none().with_bytes_budget(4 * degree - 1);
+    let bytes = GrbError::BudgetExceeded {
+        resource: BudgetResource::Bytes,
     };
-    let clean_c = AccessCounters::new();
-    let clean =
-        try_bfs_with_opts(&g, 0, &base, Some(&clean_c)).expect("unlimited run cannot abort");
+    // One closure per traversal: run it under the given limits and
+    // counters, returning its values as one comparable list.
+    type Run<'a> = Box<dyn Fn(ExecLimits, &AccessCounters) -> GrbResult<Vec<u32>> + 'a>;
+    let bfs = |fused: bool| -> Run<'_> {
+        Box::new(move |limits, c| {
+            let opts = BfsOpts {
+                fused,
+                limits,
+                ..BfsOpts::default()
+            };
+            try_bfs_with_opts(g, 0, &opts, Some(c))
+                .map(|r| r.depths.iter().map(|&d| d as u32).collect())
+        })
+    };
+    let parents: Run<'_> = Box::new(|limits, c| {
+        let opts = ParentBfsOpts {
+            limits,
+            ..ParentBfsOpts::default()
+        };
+        try_bfs_parents_with_opts(g, 0, &opts, Some(c)).map(|r| r.parent)
+    });
+    let runs = [
+        ("fused BFS", bfs(true)),
+        ("unfused BFS", bfs(false)),
+        ("parent BFS", parents),
+    ];
+    for lanes in [1, 4] {
+        rayon::with_num_threads(lanes, || {
+            for (name, run) in &runs {
+                let clean_c = AccessCounters::new();
+                let clean = run(ExecLimits::none(), &clean_c).expect("unlimited run cannot abort");
 
-    // One byte short of the DCSR conversion estimate: the charge is denied
-    // and nothing else in the pull-only fused pipeline consumes bytes.
-    let conv = Dcsr::<bool>::estimate_bytes(g.nonempty_rows(true));
-    let pinched = BfsOpts {
-        limits: ExecLimits::none().with_bytes_budget(conv - 1),
-        ..base
-    };
-    let degraded_c = AccessCounters::new();
-    let degraded = try_bfs_with_opts(&g, 0, &pinched, Some(&degraded_c))
-        .expect("denied conversion must degrade, not abort");
-    assert_eq!(degraded.depths, clean.depths, "degrade is value-neutral");
-    let snap = degraded_c.snapshot();
-    assert!(
-        snap.limit_degrades > 0,
-        "the denial must be visible in telemetry"
-    );
-    assert_eq!(
-        clean_c.snapshot().limit_degrades,
-        0,
-        "unlimited runs never degrade"
-    );
+                let c = AccessCounters::new();
+                let entry = c.snapshot();
+                assert_eq!(
+                    run(pinched, &c),
+                    Err(bytes.clone()),
+                    "{name} at {lanes} lanes"
+                );
+                assert_eq!(
+                    c.snapshot(),
+                    entry,
+                    "{name}: abort rolled back at {lanes} lanes"
+                );
+
+                let retry = run(ExecLimits::none(), &c).expect("retry cannot abort");
+                assert_eq!(retry, clean, "{name}: retry values at {lanes} lanes");
+                assert_eq!(
+                    c.snapshot(),
+                    clean_c.snapshot(),
+                    "{name}: retry counters at {lanes} lanes"
+                );
+            }
+        });
+    }
 }
 
 /// A panicking worker chunk is caught at the chunk boundary, surfaces as

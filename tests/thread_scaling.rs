@@ -364,73 +364,6 @@ fn fused_algorithms_with_counters_identical_across_thread_counts() {
 }
 
 #[test]
-fn mxv_formats_identical_across_thread_counts() {
-    // Every storage format (and the Auto plan) must produce the identical
-    // explicit set and counter snapshot at 1/2/8 lanes, both faces — the
-    // format axis composes with the lane-count axis.
-    use push_pull::core::StorageFormat;
-    let g = test_graph();
-    let n = g.n_vertices();
-    let (f, bits) = frontier_and_visited(n);
-    let mut dense_f = f.clone();
-    dense_f.make_dense();
-    for format in StorageFormat::all() {
-        for (input, dir) in [(&f, Direction::Push), (&dense_f, Direction::Pull)] {
-            for masked in [false, true] {
-                let desc = Descriptor::new()
-                    .transpose(true)
-                    .force(dir)
-                    .force_format(format);
-                identical_across_lanes(|| {
-                    let mask = Mask::complement(&bits);
-                    let c = AccessCounters::new();
-                    let w: Vector<bool> = mxv(
-                        masked.then_some(&mask),
-                        BoolOrAnd,
-                        &g,
-                        input,
-                        &desc,
-                        Some(&c),
-                    )
-                    .unwrap();
-                    (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn algorithms_under_fixed_formats_identical_across_thread_counts() {
-    // BFS and msbfs under Force(Bitmap) / Force(Dcsr) / Auto: results and
-    // full counter snapshots pinned at 1/2/8 lanes.
-    use push_pull::algo::msbfs::{multi_source_bfs_with_opts, MsBfsOpts};
-    use push_pull::core::{FormatChoice, StorageFormat};
-    let g = test_graph();
-    for policy in [
-        FormatChoice::Force(StorageFormat::Bitmap),
-        FormatChoice::Force(StorageFormat::Dcsr),
-        FormatChoice::Auto,
-    ] {
-        identical_across_lanes(|| {
-            let c = AccessCounters::new();
-            let opts = BfsOpts::default().format(policy);
-            let r = bfs_with_opts(&g, 3, &opts, Some(&c));
-            (r.depths, c.snapshot())
-        });
-        identical_across_lanes(|| {
-            let c = AccessCounters::new();
-            let opts = MsBfsOpts {
-                format: policy,
-                ..MsBfsOpts::default()
-            };
-            let r = multi_source_bfs_with_opts(&g, &[0, 7, 1234], &opts, Some(&c));
-            (r.depths, c.snapshot())
-        });
-    }
-}
-
-#[test]
 fn cost_model_bfs_identical_across_thread_counts() {
     // The measured cost-model direction rule: depths and the full counter
     // snapshot pinned at 1/2/8 lanes.
@@ -487,10 +420,11 @@ fn service_trace_identical_across_thread_counts() {
 
 #[test]
 fn hypersparse_pull_skip_matches_csr_across_thread_counts() {
-    // The DCSR unmasked-pull fast path (non-empty-row scan with bulk
-    // counter charges) against the CSR full scan: same values, same
-    // counters, at every lane count.
-    use push_pull::core::StorageFormat;
+    // The public row kernel over a DCSR store (non-empty-row scan with bulk
+    // counter charges) against the same kernel over the CSR full scan:
+    // same values, same counters, at every lane count.
+    use push_pull::core::{row_mxv, DenseVector};
+    use push_pull::matrix::{Dcsr, RowAccess};
     let g = {
         // Hypersparse operand: a few edges in a large vertex space.
         let mut coo = push_pull::matrix::Coo::new(5000, 5000);
@@ -501,32 +435,26 @@ fn hypersparse_pull_skip_matches_csr_across_thread_counts() {
         push_pull::matrix::Graph::from_coo(&coo)
     };
     let n = g.n_vertices();
-    let dense = Vector::Dense(push_pull::core::DenseVector::from_values(
-        vec![true; n],
-        false,
-    ));
-    let run_format = |format: StorageFormat| {
-        identical_across_lanes(|| {
-            let desc = Descriptor::new()
-                .transpose(true)
-                .force(Direction::Pull)
-                .force_format(format);
-            let c = AccessCounters::new();
-            let w: Vector<bool> = mxv(None, BoolOrAnd, &g, &dense, &desc, Some(&c)).unwrap();
-            (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
-        });
-        let desc = Descriptor::new()
-            .transpose(true)
-            .force(Direction::Pull)
-            .force_format(format);
+    let dense = DenseVector::from_values(vec![true; n], false);
+    let dcsr = Dcsr::from_csr(g.csr_t());
+    assert!(
+        dcsr.nonempty_rows().is_some_and(|rows| rows.len() * 8 < n),
+        "the DCSR store takes the non-empty-row path"
+    );
+    fn pull<M: RowAccess<bool>>(
+        op: &M,
+        dense: &DenseVector<bool>,
+    ) -> (Vec<(u32, bool)>, push_pull::primitives::CounterSnapshot) {
         let c = AccessCounters::new();
-        let w: Vector<bool> = mxv(None, BoolOrAnd, &g, &dense, &desc, Some(&c)).unwrap();
-        (w.iter_explicit().collect::<Vec<_>>(), c.snapshot())
-    };
-    let csr = run_format(StorageFormat::Csr);
-    let dcsr = run_format(StorageFormat::Dcsr);
+        let w: DenseVector<bool> = row_mxv(BoolOrAnd, op, dense, Some(&c));
+        let explicit = Vector::Dense(w).iter_explicit().collect();
+        (explicit, c.snapshot())
+    }
+    identical_across_lanes(|| pull(g.csr_t(), &dense));
+    identical_across_lanes(|| pull(&dcsr, &dense));
     assert_eq!(
-        csr, dcsr,
+        pull(g.csr_t(), &dense),
+        pull(&dcsr, &dense),
         "skip path must be invisible in values and counters"
     );
 }
