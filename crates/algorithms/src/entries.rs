@@ -17,8 +17,10 @@
 //! each sweep's charges are split evenly among the lanes that sweep
 //! served, the remainder to the lowest entry indices, so the entries'
 //! bills sum exactly to the group's total; that total reads the matrix at
-//! most as often as the members' solo runs together. SSSP entries keep the
-//! per-row bill of a solo run exactly.
+//! most as often as the members' solo runs together. An SSSP entry's bill
+//! equals its solo [`try_sssp_with_counters`](crate::sssp::try_sssp_with_counters)
+//! run's (`accesses_only()`): each batch row runs the single-source kernel
+//! of the face its phase chose, charged to that entry alone.
 //!
 //! Each entry resolves independently:
 //!
@@ -480,7 +482,7 @@ mod tests {
     use super::*;
     use crate::bfs_parents::verify_parents;
     use crate::msbfs::multi_source_bfs_with_opts;
-    use crate::sssp::dijkstra_oracle;
+    use crate::sssp::{dijkstra_oracle, try_sssp_with_counters};
     use graphblas_baselines::textbook::bfs_serial;
     use graphblas_gen::rmat::{rmat, RmatParams};
     use graphblas_gen::with_uniform_weights;
@@ -678,6 +680,20 @@ mod tests {
             .unwrap();
             assert_eq!(r, &solo, "source {src} (values bit-identical)");
             assert_eq!(c.snapshot(), solo_c.snapshot(), "source {src} counters");
+            // The bill of a plain solo SSSP run (the fused default).
+            let plain_c = AccessCounters::new();
+            let plain =
+                try_sssp_with_counters(&g, src, &SsspOpts::default(), Some(&plain_c)).unwrap();
+            assert_eq!(
+                (r.rounds, r.pull_rounds),
+                (plain.rounds, plain.pull_rounds),
+                "source {src} rounds"
+            );
+            assert_eq!(
+                c.snapshot().accesses_only(),
+                plain_c.snapshot().accesses_only(),
+                "source {src} bill ≠ its solo SSSP run's"
+            );
         }
     }
 

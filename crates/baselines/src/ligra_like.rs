@@ -11,13 +11,18 @@
 //! the |E|/20 threshold.
 
 use crate::{BfsEngine, UNREACHED};
-use graphblas_core::{Direction, DirectionPolicy};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::AtomicBitVec;
 use rayon::prelude::*;
 
 /// Ligra's edgeMap threshold: dense mode when frontier work > |E| / 20.
 const DENSE_FRACTION: usize = 20;
+
+/// Beamer's memoryless rule as Ligra applies it: a level runs dense exactly
+/// when the frontier's vertices plus their out-edges exceed `|E| / 20`.
+fn dense_mode(activity: usize, n_edges: usize) -> bool {
+    activity * DENSE_FRACTION > n_edges
+}
 
 /// Vertex-centric push-pull BFS with Ligra's switching rule.
 #[derive(Default)]
@@ -41,16 +46,11 @@ impl BfsEngine for LigraLike {
         depth[source as usize] = 0;
         let mut frontier: Vec<VertexId> = vec![source];
         let mut d = 0i32;
-        // Beamer's memoryless rule, |frontier ∪ out-edges| > |E|/20, as a
-        // core DirectionPolicy: threshold 1/20 on the edge-capacity ratio.
-        let mut policy = DirectionPolicy::memoryless(1.0 / DENSE_FRACTION as f64);
 
         while !frontier.is_empty() {
             d += 1;
             let frontier_edges: usize = frontier.iter().map(|&u| a.degree(u as usize)).sum();
-            let dense_mode =
-                policy.update(frontier.len() + frontier_edges, g.n_edges()) == Direction::Pull;
-            let next: Vec<VertexId> = if dense_mode {
+            let next: Vec<VertexId> = if dense_mode(frontier.len() + frontier_edges, g.n_edges()) {
                 // edgeMapDense: every unvisited vertex scans in-neighbors,
                 // breaking at the first frontier parent.
                 let in_frontier = {
@@ -109,6 +109,13 @@ mod tests {
     fn sorted(mut d: Vec<i32>) -> Vec<i32> {
         d.sort_unstable();
         d
+    }
+
+    #[test]
+    fn dense_mode_boundary_is_strict() {
+        assert!(!dense_mode(1, 1000));
+        assert!(dense_mode(51, 1000));
+        assert!(!dense_mode(50, 1000), "boundary is strict >");
     }
 
     #[test]

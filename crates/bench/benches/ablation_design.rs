@@ -1,20 +1,19 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the kernel design choices (docs/ARCHITECTURE.md
+//! walks through the kernels they compare):
 //!
-//! 1. column-kernel merge strategy for valued semirings — radix sort
-//!    (§6.2) vs per-worker SPAs;
-//! 2. key-value sort vs the structure-only claim kernel (§5.5, with
+//! 1. key-value sort vs the structure-only claim kernel (§5.5, with
 //!    Gunrock's §7.3 culling as the claim);
-//! 3. masked row kernel walking an exact active list (§3.2) vs the word
+//! 2. masked row kernel walking an exact active list (§3.2) vs the word
 //!    scan, which reads the allowed rows from the mask's bit words, 64
 //!    rows per word;
-//! 4. α = β switch-threshold sensitivity around the paper's 0.01;
-//! 5. masked vs unmasked SpGEMM for triangle counting (§5.6 generality).
+//! 3. α = β switch-threshold sensitivity around the paper's 0.01;
+//! 4. masked vs unmasked SpGEMM for triangle counting (§5.6 generality).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphblas_algo::bfs::{bfs_with_opts, BfsOpts};
 use graphblas_algo::tricount::{triangle_count, triangle_count_unmasked};
 use graphblas_bench::study::random_ids;
-use graphblas_core::descriptor::{Descriptor, Direction, MergeStrategy};
+use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::mxv;
 use graphblas_core::ops::{BoolOrAnd, BoolStructure};
@@ -25,37 +24,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
-
-fn bench_merge_strategy(c: &mut Criterion) {
-    let g = rmat(13, 16, RmatParams::default(), 11);
-    let n = g.n_vertices();
-    let mut rng = StdRng::seed_from_u64(3);
-    let ids = random_ids(n, n / 20, &mut rng);
-    let f = Vector::from_sparse(n, false, ids.clone(), vec![true; ids.len()]);
-
-    let mut group = c.benchmark_group("ablation_merge_strategy");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    for (name, strategy) in [
-        ("radix_sort", MergeStrategy::SortBased),
-        ("spa_merge", MergeStrategy::SpaMerge),
-    ] {
-        let desc = Descriptor::new()
-            .transpose(true)
-            .force(Direction::Push)
-            .merge_strategy(strategy)
-            .structure_only(false);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let w: Vector<bool> = mxv(None, BoolOrAnd, &g, black_box(&f), &desc, None).unwrap();
-                black_box(w)
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_structure_only_sort(c: &mut Criterion) {
     let g = rmat(13, 16, RmatParams::default(), 11);
@@ -178,7 +146,6 @@ fn bench_masked_tricount(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_merge_strategy,
     bench_structure_only_sort,
     bench_mask_active_list,
     bench_alpha_sensitivity,

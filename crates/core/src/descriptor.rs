@@ -4,12 +4,12 @@
 //! In the GraphBLAS C API a `GrB_Descriptor` carries transpose/replace/
 //! complement switches and implementation hints. Ours additionally exposes
 //! the paper's optimizations so each can be disabled in isolation:
-//! direction choice (force push/pull or auto), early-exit, structure-only
-//! (a constant-product semiring's push runs the mask-first claim kernel),
-//! and the multiway merge strategy of §6.2 for valued pushes (radix sort
-//! or per-worker SPAs). With the transpose flag that makes five fields.
-//! Every kernel face reads the graph's resident CSR for its orientation,
-//! so there is no storage-format field. The §6.3 switch threshold
+//! direction choice (force push/pull or auto), early-exit and
+//! structure-only (a constant-product semiring's push runs the mask-first
+//! claim kernel). With the transpose flag that makes four fields. A valued
+//! push always merges as §6.2 does (radix sort and segmented reduce), so
+//! there is no merge field; every kernel face reads the graph's resident
+//! CSR for its orientation, so there is no storage-format field. The §6.3 switch threshold
 //! (`α = β = 0.01`) is a traversal-level setting: it lives in the
 //! algorithm options and the [`crate::plan::DirectionPolicy`] they build.
 
@@ -36,27 +36,6 @@ pub enum DirectionChoice {
     Force(Direction),
 }
 
-/// How the column kernel resolves a valued semiring's multiway merge
-/// (§6.2 discussion). A structure-only push has no values to merge: it
-/// runs the claim kernel whatever the strategy (see
-/// [`Descriptor::structure_only`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MergeStrategy {
-    /// Concatenate all lists, radix sort, segmented-reduce — the paper's
-    /// GPU-friendly choice, `O(nnz(m_f⁺) log M)`.
-    #[default]
-    SortBased,
-    /// Per-worker sparse accumulators (Gilbert–Moler–Schreiber SPA, §3.2):
-    /// the frontier is cut into expansion-balanced chunks, each chunk
-    /// scatters its products into a private SPA (`O(1)` per product, no
-    /// sort), and the per-chunk sorted harvests are combined by a
-    /// deterministic k-way merge in chunk order — the CPU shared-memory
-    /// analogue of the paper's sort-based GPU merge. `O(nnz(m_f⁺) +
-    /// nnz(w') log k)` for `k` chunks, at the cost of an `O(M)`-sized
-    /// accumulator per worker chunk.
-    SpaMerge,
-}
-
 /// Per-call options for `mxv` and friends.
 #[derive(Clone, Copy, Debug)]
 pub struct Descriptor {
@@ -73,8 +52,6 @@ pub struct Descriptor {
     /// expanded edge, claims the survivors in an atomic bit set (Gunrock's
     /// culling, §7.3, made mask-first) and sorts only the claimed vertices.
     pub structure_only: bool,
-    /// Column-kernel merge implementation for valued semirings.
-    pub merge_strategy: MergeStrategy,
 }
 
 impl Default for Descriptor {
@@ -84,7 +61,6 @@ impl Default for Descriptor {
             direction: DirectionChoice::Auto,
             early_exit: true,
             structure_only: true,
-            merge_strategy: MergeStrategy::SortBased,
         }
     }
 }
@@ -123,13 +99,6 @@ impl Descriptor {
         self.structure_only = on;
         self
     }
-
-    /// Builder: set the merge strategy.
-    #[must_use]
-    pub fn merge_strategy(mut self, s: MergeStrategy) -> Self {
-        self.merge_strategy = s;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +111,6 @@ mod tests {
         assert!(d.early_exit);
         assert!(d.structure_only);
         assert_eq!(d.direction, DirectionChoice::Auto);
-        assert_eq!(d.merge_strategy, MergeStrategy::SortBased);
         assert!(!d.transpose);
     }
 
@@ -152,12 +120,10 @@ mod tests {
             .transpose(true)
             .force(Direction::Pull)
             .early_exit(false)
-            .structure_only(false)
-            .merge_strategy(MergeStrategy::SpaMerge);
+            .structure_only(false);
         assert!(d.transpose);
         assert_eq!(d.direction, DirectionChoice::Force(Direction::Pull));
         assert!(!d.early_exit);
         assert!(!d.structure_only);
-        assert_eq!(d.merge_strategy, MergeStrategy::SpaMerge);
     }
 }

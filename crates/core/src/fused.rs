@@ -29,9 +29,9 @@
 //!   `min`'s annihilator (vertex id 0) almost never occurs.
 //! * **Push** (column kernel): the kernel of [`col_mxv`](crate::col_mxv)
 //!   runs unchanged (the same claim kernel for a structure-only semiring,
-//!   the same [`MergeStrategy`](crate::MergeStrategy) merge otherwise, the
-//!   same counters), but its output flows through apply + assign instead
-//!   of being materialized as a sparse vector.
+//!   the same sort-based merge otherwise, the same counters), but its
+//!   output flows through apply + assign instead of being materialized as
+//!   a sparse vector.
 //!
 //! Direction resolution, [`DirectionPolicy`](crate::DirectionPolicy)
 //! interplay, and the [`AccessCounters`] contract are unchanged: a fused
@@ -140,8 +140,8 @@ impl<'a, A: Scalar, X: Scalar, S> FusedMxv<'a, A, X, S> {
         self
     }
 
-    /// Set the operation descriptor (transpose, direction policy,
-    /// early-exit, merge strategy, …).
+    /// Set the operation descriptor (transpose, direction, early-exit,
+    /// structure-only).
     #[must_use]
     pub fn descriptor(mut self, d: Descriptor) -> Self {
         self.desc = d;
@@ -243,8 +243,8 @@ where
     /// Runs the push or pull kernel face per
     /// [`resolve_direction`](crate::resolve_direction); pull chunks write
     /// `state` directly in parallel (rows are disjoint across chunks), push
-    /// assigns from the merged harvest — neither face materializes an
-    /// intermediate [`Vector`].
+    /// assigns from the column kernel's sorted output — neither face
+    /// materializes an intermediate [`Vector`].
     ///
     /// An attached mask's active list has passed the
     /// [`Mask::with_active_list`] checks (strictly ascending and in range),
@@ -503,7 +503,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::MergeStrategy;
     use crate::ops::{BoolOrAnd, MinSecond};
     use crate::{mxv, Mask};
     use graphblas_matrix::Coo;
@@ -586,24 +585,6 @@ mod tests {
             assert!(cf.snapshot().fused_saved_writes > 0, "{dir:?} saved writes");
             assert_eq!(cu.snapshot().fused_saved_writes, 0);
         }
-    }
-
-    #[test]
-    fn fused_push_honors_merge_strategy() {
-        let g = fig3_graph();
-        let (f, visited) = setup();
-        let mask = Mask::complement(&visited);
-        let run = |strategy: MergeStrategy| {
-            let mut d = vec![-1i32; 8];
-            let out = FusedMxv::new(BoolOrAnd, &g, &f)
-                .mask(&mask)
-                .descriptor(bfs_desc().force(Direction::Push).merge_strategy(strategy))
-                .apply(|_: bool| 1i32)
-                .assign_into(&mut d, |_, z| Some(z))
-                .unwrap();
-            (out.touched, d)
-        };
-        assert_eq!(run(MergeStrategy::SpaMerge), run(MergeStrategy::SortBased));
     }
 
     #[test]

@@ -22,14 +22,15 @@
 //!    ⊕ monoid hits its annihilator (`OR` saturating at `true`).
 //! 4. **Operand reuse** — enabled by the algorithm layer, which may pass the
 //!    visited vector in place of the frontier (Gunrock's trick, §5.4).
-//! 5. **Structure-only** — column kernel sorts keys instead of (key, value)
-//!    pairs when the semiring ignores matrix values (§5.5).
+//! 5. **Structure-only** — when the semiring ignores matrix values (§5.5),
+//!    the column kernel claims mask-passing outputs in a bit set and sorts
+//!    only the winners instead of merging (key, value) pairs.
 //!
 //! [`ops_mxv_batch`] generalizes the direction machinery to `k × n`
 //! frontier *batches* ([`vector::MultiVector`]): [`ops_mxv_batch::mxv_batch`]
-//! resolves a direction per row and runs the batched row/column kernels
-//! over a flat `(source, chunk)` grid — the batched Brandes BC and
-//! multi-source SSSP workloads. [`ops_mxv_lanes`] serves the BFS family
+//! resolves a direction per row, runs the pull rows over a flat
+//! `(source, row-chunk)` grid and each push row through the single-source
+//! column kernel — the batched Brandes BC and multi-source SSSP workloads. [`ops_mxv_lanes`] serves the BFS family
 //! instead: up to 64 sources share one `u64` lane word per vertex, and one
 //! pull sweep plus one push sweep per level serve every lane.
 //!
@@ -57,16 +58,14 @@ pub mod plan;
 pub mod vector;
 pub mod vector_ops;
 
-pub use descriptor::{Descriptor, Direction, DirectionChoice, MergeStrategy};
+pub use descriptor::{Descriptor, Direction, DirectionChoice};
 pub use error::{BudgetResource, GrbError, GrbResult};
 pub use exec::{check_stop, run_guarded, ExecLimits, StopReason};
 pub use fused::{FusedMxv, FusedOutput, FusedPipeline};
 pub use mask::Mask;
 pub use ops::{BoolOrAnd, MinPlus, Monoid, PlusTimes, Scalar, Semiring, SemiringNum};
 pub use ops_mxv::{col_masked_mxv, col_mxv, mxv, row_masked_mxv, row_mxv};
-pub use ops_mxv_batch::{
-    col_masked_mxv_batch, mxv_batch, mxv_batch_attributed, row_masked_mxv_batch,
-};
+pub use ops_mxv_batch::{mxv_batch, mxv_batch_attributed};
 pub use ops_mxv_lanes::{LaneCharges, LaneGroup, MAX_LANES};
 pub use plan::{resolve_direction, resolve_plan, CostConstants, CostModelInputs, DirectionPolicy};
 pub use vector::{DenseVector, MultiVector, SparseVector, Vector};

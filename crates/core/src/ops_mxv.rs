@@ -20,31 +20,23 @@
 //! expanded edge tests the mask, a survivor is claimed in an atomic bit
 //! set, and only the winners are sorted — the masked
 //! product `q⟨¬v⟩ = Aᵀq` costs the frontier's edges plus its discoveries,
-//! not a sort of every edge. Valued semirings keep Algorithm 3's merge
-//! and its post-filter.
+//! not a sort of every edge. Valued semirings keep Algorithm 3's merge —
+//! concatenate, radix sort, segmented reduce (§6.2) — and its post-filter.
 
-use crate::descriptor::{Descriptor, Direction, MergeStrategy};
+use crate::descriptor::{Descriptor, Direction};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::vector::{DenseVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess};
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::{gather, merge, pool, scan, segreduce, sort, AtomicBitVec, Spa};
+use graphblas_primitives::{gather, pool, scan, segreduce, sort, AtomicBitVec};
 use rayon::prelude::*;
 use std::ops::Range;
 
 /// Row grain for parallel row-kernel loops (shared with the batched row
 /// kernel so single-source and batched chunking agree).
 pub(crate) const ROW_GRAIN: usize = 512;
-
-/// Expanded products each column-kernel SPA chunk should own (shared with
-/// the batched column kernel, which must produce identical chunk bounds).
-pub(crate) const SPA_GRAIN: usize = 8192;
-
-/// Ceiling on private SPAs alive at once per source — each is `O(M)`
-/// memory.
-pub(crate) const MAX_SPAS: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Row-based (pull) kernels
@@ -295,9 +287,9 @@ where
 
 /// Column-based matvec without a mask: gathers the operand columns selected
 /// by the sparse input's nonzeros and resolves collisions by multiway merge
-/// (radix sort + segmented reduce, Algorithm 3, unless the descriptor picks
-/// another [`MergeStrategy`]). `O(d·nnz(f)·log nnz(f))`. A structure-only
-/// semiring runs the claim kernel instead (see [`col_masked_mxv`]).
+/// (radix sort + segmented reduce, Algorithm 3 and §6.2).
+/// `O(d·nnz(f)·log nnz(f))`. A structure-only semiring runs the claim
+/// kernel instead (see [`col_masked_mxv`]).
 ///
 /// `op_t` must be the *transpose* of the logical operand: its rows are the
 /// operand's columns, which is how CSC access is realized (§3).
@@ -366,14 +358,15 @@ where
 }
 
 /// The column kernel up to (but not including) output materialization:
-/// the structure-only claim kernel, or expansion and merge under the
-/// descriptor's [`MergeStrategy`] followed by the mask filter and identity
-/// drop, returning the raw sorted `(ids, vals)` pair lists.
+/// the structure-only claim kernel, or expansion, radix sort and segmented
+/// reduce followed by the mask filter and identity drop, returning the raw
+/// sorted `(ids, vals)` pair lists.
 ///
 /// [`col_kernel`] wraps this into a [`SparseVector`]; the fused pipeline
 /// ([`crate::fused::FusedMxv`]) consumes the parts directly so the applied/
-/// assigned chain never materializes an intermediate vector. Counter
-/// bookkeeping is identical either way.
+/// assigned chain never materializes an intermediate vector, and
+/// [`crate::mxv_batch`] runs it once per push row. Counter bookkeeping is
+/// identical in all three.
 pub(crate) fn col_kernel_parts<A, X, Y, S, M>(
     s: S,
     op_t: &M,
@@ -410,27 +403,15 @@ where
         return (ids, vals);
     }
 
-    let (mut ids, mut vals) = match desc.merge_strategy {
-        MergeStrategy::SortBased => {
-            let (mut keys, mut prods) = expand_pairs(s, op_t, v, counters);
-            if let Some(c) = counters {
-                // A key-value sort moves two words per product.
-                c.add_sort(
-                    2 * keys.len() as u64
-                        * sort::passes_for(op_t.n_rows().max(1) as u32 - 1) as u64,
-                );
-            }
-            sort::sort_pairs(&mut keys, &mut prods, op_t.n_rows().max(1) as u32 - 1);
-            segreduce::segmented_reduce_by_key(&keys, &prods, |a, b| add.op(a, b))
-        }
-        MergeStrategy::SpaMerge => {
-            if v.nnz() == 0 {
-                (Vec::new(), Vec::new())
-            } else {
-                spa_merge_kernel(s, op_t, v, counters)
-            }
-        }
-    };
+    let (mut keys, mut prods) = expand_pairs(s, op_t, v, counters);
+    let max_key = op_t.n_rows().max(1) as u32 - 1;
+    if let Some(c) = counters {
+        // A key-value sort moves two words per product.
+        c.add_sort(2 * keys.len() as u64 * sort::passes_for(max_key) as u64);
+    }
+    sort::sort_pairs(&mut keys, &mut prods, max_key);
+    let (mut ids, mut vals) =
+        segreduce::segmented_reduce_by_key(&keys, &prods, |a, b| add.op(a, b));
 
     filter_col_output(&mut ids, &mut vals, mask, identity, counters);
     (ids, vals)
@@ -582,9 +563,8 @@ fn claim_row(
 
 /// Mask filter (lines 17–24 of Algorithm 3) and identity drop, in place.
 /// Entries whose reduced value equals the ⊕ identity are implicit zeros
-/// and are not materialized. Shared with the batched column kernel so the
-/// per-source mask bookkeeping is identical.
-pub(crate) fn filter_col_output<Y: Scalar>(
+/// and are not materialized.
+fn filter_col_output<Y: Scalar>(
     ids: &mut Vec<u32>,
     vals: &mut Vec<Y>,
     mask: Option<&Mask<'_>>,
@@ -609,10 +589,10 @@ pub(crate) fn filter_col_output<Y: Scalar>(
     vals.truncate(write);
 }
 
-/// The expansion preamble every column-kernel arm shares: scatter offsets
-/// over the frontier's selected columns (CSR-style, trailing total) and
-/// the expanded product count.
-pub(crate) fn expansion_offsets<A, X, M>(op_t: &M, v: &SparseVector<X>) -> (Vec<usize>, usize)
+/// The expansion preamble of both column kernels: scatter offsets over the
+/// frontier's selected columns (CSR-style, trailing total) and the expanded
+/// product count.
+fn expansion_offsets<A, X, M>(op_t: &M, v: &SparseVector<X>) -> (Vec<usize>, usize)
 where
     A: Scalar,
     X: Scalar,
@@ -622,128 +602,6 @@ where
     let offsets = scan::exclusive_scan_offsets(&lengths);
     let total = *offsets.last().expect("non-empty offsets");
     (offsets, total)
-}
-
-/// Per-worker SPA accumulation with a deterministic merge — the
-/// [`MergeStrategy::SpaMerge`] arm of the column kernel.
-///
-/// The frontier is cut into expansion-balanced chunks (boundaries derived
-/// from the scanned neighbor-list lengths, never from the thread count, so
-/// results are identical at every lane count). Each chunk scatters its
-/// products into a private [`Spa`] in frontier order; the per-chunk sorted
-/// harvests are then combined by [`merge::multiway_merge_reduce`], whose
-/// tie-breaking by list order makes the whole reduction group operands
-/// exactly as a left-to-right walk of each chunk — deterministic for any
-/// associative ⊕.
-fn spa_merge_kernel<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    counters: Option<&AccessCounters>,
-) -> (Vec<u32>, Vec<Y>)
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    let (offsets, total) = expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        c.add_matrix(total as u64);
-        // One SPA scatter per product plus the harvest.
-        c.add_vector(2 * total as u64);
-    }
-
-    let seg_ranges = spa_chunk_ranges(&offsets, total);
-    let parts: Vec<Vec<(u32, Y)>> = seg_ranges
-        .into_par_iter()
-        .map(|(s0, s1)| spa_harvest_chunk(s, op_t, v, s0, s1, counters))
-        .collect();
-    spa_merge_parts(s.add_monoid(), &parts, counters)
-}
-
-/// Expansion-balanced chunk boundaries over frontier segments: each chunk
-/// owns ≈ [`SPA_GRAIN`] expanded products, at most [`MAX_SPAS`] chunks.
-/// Shared with the batched column kernel so a batch row's chunking is
-/// bit-identical to its single-source run.
-pub(crate) fn spa_chunk_ranges(offsets: &[usize], total: usize) -> Vec<(usize, usize)> {
-    let pieces = (total / SPA_GRAIN).clamp(1, MAX_SPAS);
-    let n_seg = offsets.len() - 1;
-    let mut bounds = vec![0usize];
-    for j in 1..pieces {
-        let target = total * j / pieces;
-        let idx = offsets[..=n_seg]
-            .partition_point(|&o| o < target)
-            .min(n_seg);
-        if idx > *bounds.last().expect("non-empty bounds") {
-            bounds.push(idx);
-        }
-    }
-    // Guard against a duplicate trailing bound: an empty (n_seg, n_seg)
-    // chunk would still allocate and drain a full O(M) SPA for zero work.
-    if *bounds.last().expect("non-empty bounds") != n_seg {
-        bounds.push(n_seg);
-    }
-    bounds.windows(2).map(|w| (w[0], w[1])).collect()
-}
-
-/// Scatter one chunk of frontier segments `[s0, s1)` into a private SPA
-/// and harvest the sorted (row, value) pairs.
-pub(crate) fn spa_harvest_chunk<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    s0: usize,
-    s1: usize,
-    counters: Option<&AccessCounters>,
-) -> Vec<(u32, Y)>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    // Per-chunk checkpoint before the O(M) private SPA is even built.
-    if !crate::exec::live(counters) {
-        return Vec::new();
-    }
-    let add = s.add_monoid();
-    let identity = add.identity();
-    let ids = v.ids();
-    let xs = v.vals();
-    let mut spa = Spa::new(op_t.n_rows(), identity);
-    for seg in s0..s1 {
-        let src = ids[seg] as usize;
-        let x = xs[seg];
-        let cols = op_t.row(src);
-        let avals = op_t.row_values(src);
-        for (idx, &j) in cols.iter().enumerate() {
-            spa.accumulate(j, s.mult(avals[idx], x), |a, b| add.op(a, b));
-        }
-    }
-    spa.drain_sorted_pairs()
-}
-
-/// Combine per-chunk sorted harvests by the deterministic k-way merge in
-/// chunk order, charging the merge's sort traffic.
-pub(crate) fn spa_merge_parts<Y, M>(
-    add: M,
-    parts: &[Vec<(u32, Y)>],
-    counters: Option<&AccessCounters>,
-) -> (Vec<u32>, Vec<Y>)
-where
-    Y: Scalar,
-    M: Monoid<Y>,
-{
-    if let Some(c) = counters {
-        let merged_in: usize = parts.iter().map(Vec::len).sum();
-        c.add_sort((merged_in as f64 * (parts.len().max(2) as f64).log2()) as u64);
-    }
-    let refs: Vec<&[(u32, Y)]> = parts.iter().map(Vec::as_slice).collect();
-    let merged = merge::multiway_merge_reduce(&refs, |a, b| add.op(a, b));
-    merged.into_iter().unzip()
 }
 
 /// Expand the selected columns into a flat (row-index, product) pair list.
@@ -904,53 +762,6 @@ where
             Ok(Vector::Dense(out))
         }
     }
-}
-
-/// GrB_mxv with an accumulator: `w = w accum (op(A) · v)` — the `+=` form
-/// of the C API. New products merge into the existing output under
-/// `accum`; entries untouched by the product keep their old values.
-///
-/// Used by accumulating algorithms (dependency sums in betweenness,
-/// batched scores) where replacing the output vector would lose state.
-// The arity mirrors the GraphBLAS C signature (output, mask, accum, op,
-// A, u, desc) plus the instrumentation handle; collapsing it would only
-// move the argument count into an options struct at every call site.
-#[allow(clippy::too_many_arguments)]
-pub fn mxv_accum<A, X, Y, S, F>(
-    w: &mut Vector<Y>,
-    mask: Option<&Mask<'_>>,
-    accum: F,
-    s: S,
-    graph: &Graph<A>,
-    v: &Vector<X>,
-    desc: &Descriptor,
-    counters: Option<&AccessCounters>,
-) -> GrbResult<()>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    F: Fn(Y, Y) -> Y,
-{
-    let t: Vector<Y> = mxv(mask, s, graph, v, desc, counters)?;
-    if w.dim() != t.dim() {
-        return Err(GrbError::DimensionMismatch {
-            context: "mxv_accum output",
-            expected: t.dim(),
-            actual: w.dim(),
-        });
-    }
-    // Merge: entries explicit in t combine with w's current value.
-    let fill = w.fill();
-    let mut merged = w.to_dense();
-    for (i, y) in t.iter_explicit() {
-        let old = merged.get(i as usize);
-        let new = if old == fill { y } else { accum(old, y) };
-        merged.set(i as usize, new);
-    }
-    *w = Vector::Dense(merged);
-    Ok(())
 }
 
 /// GrB_vxm: `w = v · op(A)`, the row-vector form. Equivalent to `mxv` with
@@ -1117,96 +928,6 @@ mod tests {
         let a: Vec<_> = generic.iter_explicit().collect();
         let b: Vec<_> = structural.iter_explicit().collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn spa_merge_matches_sort_based() {
-        let g = fig3_graph();
-        let f = frontier_bcd();
-        let visited = visited_abcd();
-        let mask = Mask::complement(&visited);
-        let run = |strategy: MergeStrategy, masked: bool| -> Vec<(u32, bool)> {
-            let out: Vector<bool> = mxv(
-                masked.then_some(&mask),
-                BoolOrAnd,
-                &g,
-                &f,
-                &desc_bfs().force(Direction::Push).merge_strategy(strategy),
-                None,
-            )
-            .unwrap();
-            out.iter_explicit().collect()
-        };
-        for masked in [false, true] {
-            assert_eq!(
-                run(MergeStrategy::SpaMerge, masked),
-                run(MergeStrategy::SortBased, masked),
-                "masked = {masked}"
-            );
-        }
-    }
-
-    #[test]
-    fn spa_merge_matches_sort_based_on_weighted_min_plus() {
-        // Collisions under a non-trivial ⊕ (min): 0 and 1 both reach 2.
-        let mut coo = Coo::new(3, 3);
-        coo.push(0, 1, 2.0f64);
-        coo.push(0, 2, 5.0);
-        coo.push(1, 2, 1.0);
-        let g = Graph::from_coo(&coo);
-        let d = Vector::from_sparse(3, f64::INFINITY, vec![0, 1], vec![0.0, 2.0]);
-        let desc = Descriptor::new().transpose(true).force(Direction::Push);
-        let run = |strategy: MergeStrategy| -> Vec<(u32, f64)> {
-            let out: Vector<f64> =
-                mxv(None, MinPlus, &g, &d, &desc.merge_strategy(strategy), None).unwrap();
-            out.iter_explicit().collect()
-        };
-        assert_eq!(run(MergeStrategy::SpaMerge), run(MergeStrategy::SortBased));
-    }
-
-    #[test]
-    fn spa_merge_single_heavy_segment() {
-        // One hub whose expansion exceeds the per-chunk grain: the balanced
-        // boundaries collapse to a single chunk (no empty trailing chunk)
-        // and the result still matches the sort-based path.
-        let n = 20_000;
-        let mut coo = Coo::new(n, n);
-        for c in 1..n as u32 {
-            coo.push(0, c, true);
-        }
-        let g = Graph::from_coo(&coo);
-        let f = Vector::singleton(n, false, 0, true);
-        let run = |strategy: MergeStrategy| -> usize {
-            let out: Vector<bool> = mxv(
-                None,
-                BoolOrAnd,
-                &g,
-                &f,
-                &desc_bfs().force(Direction::Push).merge_strategy(strategy),
-                None,
-            )
-            .unwrap();
-            out.nnz()
-        };
-        assert_eq!(run(MergeStrategy::SpaMerge), run(MergeStrategy::SortBased));
-    }
-
-    #[test]
-    fn spa_merge_empty_frontier() {
-        let g = fig3_graph();
-        let f = Vector::new_sparse(8, false);
-        let out: Vector<bool> = mxv(
-            None,
-            BoolOrAnd,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .merge_strategy(MergeStrategy::SpaMerge),
-            None,
-        )
-        .unwrap();
-        assert_eq!(out.nnz(), 0);
     }
 
     #[test]
@@ -1439,51 +1160,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.nnz(), 0);
-    }
-
-    #[test]
-    fn accum_merges_instead_of_replacing() {
-        // Weighted counts: accumulate in-neighbor contributions into an
-        // existing tally (min-plus style on plus-times data).
-        let mut coo = Coo::new(3, 3);
-        coo.push(0, 1, 1.0f64);
-        coo.push(0, 2, 1.0);
-        let g = Graph::from_coo(&coo);
-        // Existing state: w = [10, 20, 0-as-fill].
-        let mut w = Vector::from_sparse(3, 0.0f64, vec![0, 1], vec![10.0, 20.0]);
-        let x = Vector::singleton(3, 0.0f64, 0, 5.0);
-        // Aᵀx over plus-times: t(1) = 5, t(2) = 5.
-        mxv_accum(
-            &mut w,
-            None,
-            |a, b| a + b,
-            PlusTimes,
-            &g,
-            &x,
-            &Descriptor::new().transpose(true),
-            None,
-        )
-        .unwrap();
-        assert_eq!(w.get(0), 10.0, "untouched entries keep state");
-        assert_eq!(w.get(1), 25.0, "accumulated");
-        assert_eq!(w.get(2), 5.0, "fill slots adopt the product");
-    }
-
-    #[test]
-    fn accum_dimension_mismatch_reported() {
-        let g = fig3_graph();
-        let mut w: Vector<bool> = Vector::new_sparse(5, false);
-        let f = frontier_bcd();
-        let r = mxv_accum(
-            &mut w,
-            None,
-            |a, b| a || b,
-            BoolOrAnd,
-            &g,
-            &f,
-            &desc_bfs(),
-            None,
-        );
-        assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
     }
 }

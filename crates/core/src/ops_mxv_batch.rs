@@ -11,24 +11,23 @@
 //! row* (from a per-source [`DirectionPolicy`], or from each row's storage,
 //! or forced by the descriptor), then runs
 //!
-//! * [`row_masked_mxv_batch`] — the pull face: every pull row's allowed
-//!   output rows, cut into the single-source row kernel's chunks, flattened
-//!   into one `(source, chunk)` list the worker pool drains by index
-//!   stealing, so lanes stay busy even when one source's frontier is tiny;
-//! * [`col_masked_mxv_batch`] — the push face: every push row's frontier
-//!   cut into expansion-balanced SPA chunks (the same boundaries as the
-//!   single-source [`crate::MergeStrategy::SpaMerge`] kernel), all chunks drained
-//!   from one flat grid, then combined per source by the deterministic
-//!   k-way merge in chunk order.
+//! * the pull face: every pull row's allowed output rows, cut into the
+//!   single-source row kernel's chunks, flattened into one
+//!   `(source, row-chunk)` list the worker pool drains by index stealing,
+//!   so lanes stay busy even when one source's frontier is tiny;
+//! * the push face: the single-source column kernel once per push row —
+//!   the claim kernel for a structure-only semiring, the sort-based merge
+//!   otherwise. Rows run in parallel with each other; a row's own parallel
+//!   regions run inline on the worker that took it.
 //!
 //! **Equivalence contract** (pinned by `tests/prop_core.rs`): a batched
 //! call produces bit-identical values *and access counters* to `k`
-//! independent single-source [`mxv`](crate::mxv) calls — push rows match
-//! the [`crate::MergeStrategy::SpaMerge`] column kernel of a valued
-//! semiring, pull rows match the row kernel — because the per-row work, chunk boundaries, and counter
-//! bookkeeping are shared code, and chunk layouts derive from sizes only
-//! (never the lane count), so results are also identical at every thread
-//! count.
+//! independent single-source [`mxv`](crate::mxv) calls under the same
+//! descriptor, for every semiring — because the per-row work, chunk
+//! boundaries, and counter bookkeeping are shared code (a push row *is*
+//! the single-source column kernel), and chunk layouts derive from sizes
+//! only (never the lane count), so results are also identical at every
+//! thread count.
 //!
 //! Each row still reads the matrix on its own, so the consumers are the
 //! traversals whose rows carry values a bit lane cannot: batched Brandes
@@ -40,39 +39,12 @@ use crate::descriptor::{Descriptor, Direction, DirectionChoice};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::ops_mxv::{
-    expansion_offsets, filter_col_output, reduce_row, spa_chunk_ranges, spa_harvest_chunk,
-    spa_merge_parts, PullRows, RowTally, SendPtr,
-};
+use crate::ops_mxv::{col_kernel_parts, reduce_row, PullRows, RowTally, SendPtr};
 use crate::plan::DirectionPolicy;
-use crate::vector::{DenseVector, MultiVector, SparseVector, Vector};
+use crate::vector::{DenseVector, MultiVector, Vector};
 use graphblas_matrix::{Graph, RowAccess};
 use graphblas_primitives::counters::AccessCounters;
 use rayon::prelude::*;
-
-/// Batched row-based (pull) masked matvec: one dense input and one mask
-/// per source, outputs computed over a flat `(source, row-chunk)` grid.
-///
-/// Per-source semantics and counter bookkeeping are identical to
-/// [`crate::ops_mxv::row_masked_mxv`] (whether or not a mask carries an
-/// active list) / [`crate::ops_mxv::row_mxv`] (when `masks` is `None`).
-pub fn row_masked_mxv_batch<A, X, Y, S, M>(
-    s: S,
-    op: &M,
-    vs: &[&DenseVector<X>],
-    masks: Option<&[Mask<'_>]>,
-    early_exit: bool,
-    counters: Option<&AccessCounters>,
-) -> Vec<DenseVector<Y>>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    row_masked_mxv_batch_impl(s, op, vs, masks, early_exit, counters, None)
-}
 
 /// Resolve the counters row `j` of an attributed batch charges: its own
 /// per-row set when attribution is on, the shared set otherwise.
@@ -88,13 +60,18 @@ fn row_charge<'a>(
     }
 }
 
-/// [`row_masked_mxv_batch`] with optional per-source counter attribution.
+/// The pull face: one dense input and (optionally) one mask per source,
+/// outputs computed over a flat `(source, row-chunk)` grid. Per-source
+/// semantics and counter bookkeeping are identical to
+/// [`crate::ops_mxv::row_masked_mxv`] (whether or not a mask carries an
+/// active list) / [`crate::ops_mxv::row_mxv`] (when `masks` is `None`).
+///
 /// When `row_counters` is present (one per source), each source's
 /// row-scoped charges — output-buffer allocation, mask/vector traffic, and
 /// every `reduce_row` — land on that source's counters instead of the
 /// shared set, and each source's chunks poll *its* checkpoints, so one
 /// source's tripped limit stops only its own rows.
-fn row_masked_mxv_batch_impl<A, X, Y, S, M>(
+fn pull_face<A, X, Y, S, M>(
     s: S,
     op: &M,
     vs: &[&DenseVector<X>],
@@ -183,136 +160,6 @@ where
         .collect()
 }
 
-/// Batched column-based (push) masked matvec: one sparse frontier and
-/// (optionally) one mask per source, expanded over a flat
-/// `(source, SPA-chunk)` grid and recombined per source by the
-/// deterministic chunk-order merge.
-///
-/// Per-source semantics and counter bookkeeping are identical to the
-/// single-source column kernel of a valued semiring under
-/// [`crate::MergeStrategy::SpaMerge`] — the CPU-parallel merge arm —
-/// including the final mask filter of Algorithm 3 (Fig. 4d). The batch
-/// has no claim kernel: a structure-only single-source push runs one, so
-/// its charges differ from a batch row's.
-pub fn col_masked_mxv_batch<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    vs: &[&SparseVector<X>],
-    masks: Option<&[Mask<'_>]>,
-    counters: Option<&AccessCounters>,
-) -> Vec<SparseVector<Y>>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    col_masked_mxv_batch_impl(s, op_t, vs, masks, counters, None)
-}
-
-/// [`col_masked_mxv_batch`] with optional per-source counter attribution:
-/// each source's expansion preamble, SPA harvests, merge, and mask filter
-/// charge (and poll) that source's counters, so a tripped source bails out
-/// of its own chunks without touching its siblings.
-fn col_masked_mxv_batch_impl<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    vs: &[&SparseVector<X>],
-    masks: Option<&[Mask<'_>]>,
-    counters: Option<&AccessCounters>,
-    row_counters: Option<&[&AccessCounters]>,
-) -> Vec<SparseVector<Y>>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    if let Some(rc) = row_counters {
-        assert_eq!(rc.len(), vs.len(), "one counter set per batch row");
-    }
-    if let Some(ms) = masks {
-        assert_eq!(ms.len(), vs.len(), "one mask per batch row");
-        for m in ms {
-            assert_eq!(m.dim(), op_t.n_rows(), "mask must cover output dim");
-        }
-    }
-    let add = s.add_monoid();
-    let identity = add.identity();
-    // Entry checkpoint: the batched column kernel's pre-expansion boundary.
-    if !crate::exec::live(counters) {
-        return vs
-            .iter()
-            .map(|_| SparseVector::from_sorted(Vec::new(), Vec::new()))
-            .collect();
-    }
-
-    // Expansion preamble per source, then one flat chunk grid. Chunk
-    // boundaries come from `spa_chunk_ranges`, so each source's chunking
-    // is bit-identical to its single-source SpaMerge run.
-    let mut items: Vec<(usize, usize, usize)> = Vec::new();
-    let mut chunk_counts = vec![0usize; vs.len()];
-    for (j, v) in vs.iter().enumerate() {
-        let cj = row_charge(counters, row_counters, j);
-        if let Some(c) = cj {
-            c.add_vector(v.nnz() as u64);
-        }
-        if v.nnz() == 0 {
-            continue;
-        }
-        let (offsets, total) = expansion_offsets(op_t, v);
-        if let Some(c) = cj {
-            c.add_matrix(total as u64);
-            // One SPA scatter per product plus the harvest.
-            c.add_vector(2 * total as u64);
-        }
-        let ranges = spa_chunk_ranges(&offsets, total);
-        chunk_counts[j] = ranges.len();
-        items.extend(ranges.into_iter().map(|(s0, s1)| (j, s0, s1)));
-    }
-
-    // The (source, chunk) grid: every chunk is an independent SPA harvest,
-    // drained from one flat list so lanes stay busy even when one
-    // source's frontier is tiny.
-    let harvests: Vec<Vec<(u32, Y)>> = items
-        .into_par_iter()
-        .map(|(j, s0, s1)| {
-            spa_harvest_chunk(
-                s,
-                op_t,
-                vs[j],
-                s0,
-                s1,
-                row_charge(counters, row_counters, j),
-            )
-        })
-        .collect();
-
-    // Per-source recombination: merge that source's chunk harvests in
-    // chunk order, then apply the Algorithm 3 mask filter + identity drop.
-    let mut starts = Vec::with_capacity(vs.len() + 1);
-    starts.push(0usize);
-    for &count in &chunk_counts {
-        starts.push(starts.last().expect("non-empty") + count);
-    }
-    (0..vs.len())
-        .into_par_iter()
-        .map(|j| {
-            if vs[j].nnz() == 0 {
-                return SparseVector::from_sorted(Vec::new(), Vec::new());
-            }
-            let cj = row_charge(counters, row_counters, j);
-            let parts = &harvests[starts[j]..starts[j + 1]];
-            let (mut ids, mut vals) = spa_merge_parts(add, parts, cj);
-            let mask = masks.map(|ms| &ms[j]);
-            filter_col_output(&mut ids, &mut vals, mask, identity, cj);
-            SparseVector::from_sorted(ids, vals)
-        })
-        .collect()
-}
-
 /// GrB_mxv over a `k × n` batch: `W(r, :) = op(A) · input(r, :)` with an
 /// optional per-row mask, each row's kernel chosen independently.
 ///
@@ -320,8 +167,8 @@ where
 ///
 /// * `desc.direction == Force(d)` — every row runs `d` (ablation arms);
 /// * `policies == Some(ps)` — `ps[r].update(nnz(row r), n)` decides, so
-///   each source carries its own §6.3 hysteresis (or two-phase, or
-///   memoryless) state across iterations;
+///   each source carries its own §6.3 hysteresis (or two-phase) state
+///   across iterations;
 /// * otherwise — each row's *storage* decides, the same
 ///   [`resolve_direction`](crate::resolve_direction) rule as `mxv`.
 ///
@@ -330,6 +177,9 @@ where
 /// observable. Output rows adopt the kernel's natural storage: push rows
 /// come back sparse, pull rows dense — so a direction-optimized batched
 /// loop hands each source the representation its next iteration wants.
+///
+/// Push rows run concurrently, so a mask that lends a claim set
+/// ([`Mask::with_claim_set`]) must lend one no other row's mask lends.
 ///
 /// ```
 /// use graphblas_core::{mxv_batch, BoolOrAnd, Descriptor, MultiVector};
@@ -371,7 +221,7 @@ where
 /// [`mxv_batch`] with **per-row counter attribution**: `row_counters[r]`
 /// (one set per batch row) receives every charge row `r`'s work causes —
 /// its direction step, output-buffer allocation, mask/vector/matrix
-/// traffic, SPA harvests and merge — and row `r`'s
+/// traffic, expansion and merge (or claims) — and row `r`'s
 /// kernel chunks poll *those* counters' checkpoints, so per-row
 /// [`ExecLimits`](crate::ExecLimits) installed on `row_counters[r]` stop
 /// only row `r` (its chunks bail with identity results; siblings are
@@ -498,40 +348,26 @@ where
     let identity = s.add_monoid().identity();
     let mut out_rows: Vec<Option<Vector<Y>>> = (0..k).map(|_| None).collect();
 
-    // Push face: sparse inputs (converting dense rows as `mxv` does),
-    // masks subset in row order.
-    if !push_rows.is_empty() {
-        let owned: Vec<Option<SparseVector<X>>> = push_rows
-            .iter()
-            .map(|&r| match input.row(r).as_sparse() {
-                Some(_) => None,
-                None => Some(input.row(r).to_sparse()),
-            })
-            .collect();
-        let svs: Vec<&SparseVector<X>> = push_rows
-            .iter()
-            .zip(&owned)
-            .map(|(&r, o)| {
-                o.as_ref()
-                    .unwrap_or_else(|| input.row(r).as_sparse().expect("sparse by construction"))
-            })
-            .collect();
-        let sub_masks: Option<Vec<Mask<'_>>> =
-            masks.map(|ms| push_rows.iter().map(|&r| ms[r]).collect());
-        let sub_rc: Option<Vec<&AccessCounters>> =
-            row_counters.map(|rc| push_rows.iter().map(|&r| rc[r]).collect());
-        let outs = col_masked_mxv_batch_impl(
-            s,
-            operand_t,
-            &svs,
-            sub_masks.as_deref(),
-            counters,
-            sub_rc.as_deref(),
-        );
-        for (&r, sv) in push_rows.iter().zip(outs) {
-            let (ids, vals) = (sv.ids().to_vec(), sv.vals().to_vec());
-            out_rows[r] = Some(Vector::from_sparse(operand.n_rows(), identity, ids, vals));
-        }
+    // Push face: each row runs the single-source column kernel on its own
+    // counters (converting a dense row as `mxv` does), one row per worker.
+    let pushed: Vec<(Vec<u32>, Vec<Y>)> = push_rows
+        .par_iter()
+        .map(|&r| {
+            let sparse_input;
+            let sv = match input.row(r).as_sparse() {
+                Some(sv) => sv,
+                None => {
+                    sparse_input = input.row(r).to_sparse();
+                    &sparse_input
+                }
+            };
+            let mask = masks.map(|ms| &ms[r]);
+            let c = row_charge(counters, row_counters, r);
+            col_kernel_parts(s, operand_t, sv, mask, desc, c)
+        })
+        .collect();
+    for (&r, (ids, vals)) in push_rows.iter().zip(pushed) {
+        out_rows[r] = Some(Vector::from_sparse(operand.n_rows(), identity, ids, vals));
     }
 
     // Pull face: dense inputs; early-exit only applies to masked pulls,
@@ -557,7 +393,7 @@ where
         let sub_rc: Option<Vec<&AccessCounters>> =
             row_counters.map(|rc| pull_rows.iter().map(|&r| rc[r]).collect());
         let early_exit = masks.is_some() && desc.early_exit;
-        let outs = row_masked_mxv_batch_impl(
+        let outs = pull_face(
             s,
             operand,
             &dvs,
@@ -599,7 +435,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::MergeStrategy;
     use crate::ops::{BoolOrAnd, PlusSecond};
     use crate::{mxv, resolve_direction};
     use graphblas_matrix::Coo;
@@ -633,15 +468,8 @@ mod tests {
             let out: MultiVector<bool> =
                 mxv_batch(Some(&masks), BoolOrAnd, &g, &batch, &desc, None, None).unwrap();
             for (r, mask) in masks.iter().enumerate() {
-                let single: Vector<bool> = mxv(
-                    Some(mask),
-                    BoolOrAnd,
-                    &g,
-                    batch.row(r),
-                    &desc.merge_strategy(MergeStrategy::SpaMerge),
-                    None,
-                )
-                .unwrap();
+                let single: Vector<bool> =
+                    mxv(Some(mask), BoolOrAnd, &g, batch.row(r), &desc, None).unwrap();
                 assert_eq!(explicit(out.row(r)), explicit(&single), "{dir:?} row {r}");
             }
         }

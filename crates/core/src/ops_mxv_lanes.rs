@@ -43,7 +43,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::ops::Scalar;
-use crate::ops_mxv::{spa_chunk_ranges, ROW_GRAIN};
+use crate::ops_mxv::ROW_GRAIN;
 use graphblas_matrix::{Graph, RowAccess, VertexId};
 use graphblas_primitives::counters::CounterSnapshot;
 use graphblas_primitives::{pool, scan, sort};
@@ -325,6 +325,33 @@ impl PullSweep<'_> {
     }
 }
 
+/// Expanded products each push-sweep chunk should own.
+const PUSH_GRAIN: usize = 8192;
+
+/// Ceiling on push-sweep chunks per level.
+const MAX_PUSH_CHUNKS: usize = 16;
+
+/// Expansion-balanced chunk boundaries over the selected frontier vertices,
+/// whose degrees `offsets` scans (trailing total): each chunk owns about
+/// [`PUSH_GRAIN`] expanded products, at most [`MAX_PUSH_CHUNKS`] chunks,
+/// none empty. The bounds come from sizes only, never the lane count.
+fn push_chunks(offsets: &[usize], total: usize) -> Vec<(usize, usize)> {
+    let pieces = (total / PUSH_GRAIN).clamp(1, MAX_PUSH_CHUNKS);
+    let n_seg = offsets.len() - 1;
+    let mut bounds = vec![0usize];
+    for j in 1..pieces {
+        let target = total * j / pieces;
+        let idx = offsets.partition_point(|&o| o < target).min(n_seg);
+        if idx > *bounds.last().expect("non-empty bounds") {
+            bounds.push(idx);
+        }
+    }
+    if *bounds.last().expect("non-empty bounds") != n_seg {
+        bounds.push(n_seg);
+    }
+    bounds.windows(2).map(|w| (w[0], w[1])).collect()
+}
+
 /// One level's push sweep over the frontier vertices carrying a pushing
 /// lane.
 struct PushSweep<'a> {
@@ -352,7 +379,7 @@ impl PushSweep<'_> {
             .collect();
         let offsets = scan::exclusive_scan_offsets(&lengths);
         let total = *offsets.last().expect("non-empty offsets") as u64;
-        let parts: Vec<Vec<VertexId>> = spa_chunk_ranges(&offsets, total as usize)
+        let parts: Vec<Vec<VertexId>> = push_chunks(&offsets, total as usize)
             .into_par_iter()
             .map(|(s0, s1)| {
                 let mut touched = Vec::new();

@@ -88,9 +88,6 @@ enum PolicyMode {
     /// §5.6 two-phase: switch push→pull once the threshold is crossed and
     /// stay there (SSSP's delta-set rule).
     TwoPhase { threshold: f64 },
-    /// Memoryless: pull iff the ratio exceeds the threshold this iteration
-    /// (Beamer's rule as used by Ligra, `|frontier ∪ its edges| > |E|/20`).
-    Memoryless { threshold: f64 },
     /// Never switch.
     Fixed,
     /// Measured work comparison: `pushwork = c_push · nnz(frontier rows)`
@@ -123,8 +120,9 @@ pub struct CostModelInputs {
 /// which kernel an iterative algorithm should steer toward next. The
 /// single-source loops feed it their activity against a capacity of
 /// `|V|`, the batched loops keep one policy per source row, and the
-/// Ligra-like / Gunrock-like comparator engines drive it too, so the
-/// Table 2 "change of direction" ablation toggles exactly one rule.
+/// Gunrock-like comparator engine drives it too, so the Table 2 "change
+/// of direction" ablation toggles exactly one rule. Four modes:
+/// hysteresis, two-phase, fixed and the measured cost model.
 ///
 /// `update` takes the iteration's *activity* (frontier nnz, delta-set size,
 /// frontier-edge count — whatever the traversal's work measure is) and the
@@ -161,18 +159,6 @@ impl DirectionPolicy {
     pub fn two_phase(threshold: f64) -> Self {
         DirectionPolicy {
             mode: PolicyMode::TwoPhase { threshold },
-            dir: Direction::Push,
-            last_activity: 0,
-        }
-    }
-
-    /// Memoryless threshold rule: pull exactly when `activity / capacity`
-    /// exceeds the threshold (Beamer/Ligra's `> |E|/20` with
-    /// `threshold = 1/20`).
-    #[must_use]
-    pub fn memoryless(threshold: f64) -> Self {
-        DirectionPolicy {
-            mode: PolicyMode::Memoryless { threshold },
             dir: Direction::Push,
             last_activity: 0,
         }
@@ -215,13 +201,6 @@ impl DirectionPolicy {
                 if self.dir == Direction::Push && r > threshold {
                     self.dir = Direction::Pull;
                 }
-            }
-            PolicyMode::Memoryless { threshold } => {
-                self.dir = if r > threshold {
-                    Direction::Pull
-                } else {
-                    Direction::Push
-                };
             }
             PolicyMode::Fixed => {}
             // The ratio alone cannot price push against pull; hold the
@@ -318,14 +297,6 @@ mod tests {
         assert_eq!(p.update(100, 1000), Direction::Pull);
         // Tiny delta set again — two-phase stays pull (§5.6).
         assert_eq!(p.update(1, 1000), Direction::Pull);
-    }
-
-    #[test]
-    fn memoryless_policy_follows_ratio_exactly() {
-        let mut p = DirectionPolicy::memoryless(1.0 / 20.0);
-        assert_eq!(p.update(1, 1000), Direction::Push);
-        assert_eq!(p.update(51, 1000), Direction::Pull);
-        assert_eq!(p.update(50, 1000), Direction::Push, "boundary is strict >");
     }
 
     #[test]

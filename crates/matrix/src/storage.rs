@@ -492,18 +492,6 @@ impl<V: Copy + Send + Sync> Dcsr<V> {
         self.rows.len()
     }
 
-    /// Bytes a DCSR conversion of a CSR with `nonempty` non-empty rows
-    /// would allocate for its compression structure (row list + compressed
-    /// pointers; column/value payload is copied CSR payload and scales the
-    /// same in every format) — what the execution layer charges against a
-    /// bytes budget before converting.
-    #[must_use]
-    pub fn estimate_bytes(nonempty: usize) -> u64 {
-        (nonempty as u64)
-            * (std::mem::size_of::<VertexId>() as u64 + std::mem::size_of::<usize>() as u64)
-            + std::mem::size_of::<usize>() as u64
-    }
-
     /// Fraction of rows that are non-empty (`nnz_rows / n_rows`).
     #[must_use]
     pub fn occupancy(&self) -> f64 {

@@ -9,13 +9,13 @@
 //!
 //! * [`scan`] — sequential and parallel exclusive/inclusive prefix sums.
 //! * [`gather`] — load-balanced interval gather over CSR-style segments.
-//! * [`sort`] — LSD radix sort, key-only and key-value. The key-only /
-//!   key-value distinction is the paper's *structure-only* optimization
-//!   (§5.5): dropping the value payload halves sort traffic.
-//! * [`segreduce`] — segmented reduction under an arbitrary monoid.
-//! * [`merge`] — heap-based multiway merge, `O(n log k)`; combines the
-//!   per-chunk SPA harvests of the `SpaMerge` column kernel in chunk order.
-//! * [`spa`] — the sparse accumulator of Gilbert, Moler & Schreiber.
+//! * [`sort`] — LSD radix sort, key-only and key-value: a valued push's
+//!   merge sorts (key, product) pairs (§6.2), a structure-only push sorts
+//!   only the vertices it claimed (§5.5).
+//! * [`segreduce`] — segmented reduction under an arbitrary monoid; with
+//!   the key-value sort it is the one merge a valued push runs.
+//! * [`spa`] — the sparse accumulator of Gilbert, Moler & Schreiber, which
+//!   `mxm`'s Gustavson rows accumulate into.
 //! * [`bitvec`] — plain and atomic bit vectors for visited sets and masks.
 //! * [`counters`] — memory-access counters used to *measure* the Table 1
 //!   cost model directly instead of inferring it from wall clock.
@@ -33,7 +33,6 @@ pub mod counters;
 pub mod fault;
 pub mod gather;
 pub mod limits;
-pub mod merge;
 pub mod pool;
 pub mod scan;
 pub mod segreduce;

@@ -11,12 +11,12 @@
 //!
 //! Enforcement is cooperative and chunk-grained: kernels poll
 //! [`AccessCounters::checkpoint`](crate::counters::AccessCounters::checkpoint)
-//! at their existing size-derived chunk boundaries (per pull row, per SPA
-//! chunk, per expansion preamble). Because those boundaries never depend on
-//! the lane count, a run that completes under limits is bit-identical to an
-//! unlimited run; a run that trips aborts with a typed error and leaves
-//! caller state and (after the guard restores them) the counters
-//! untouched.
+//! at their existing size-derived chunk boundaries (per pull row, per
+//! claim chunk, per expansion preamble). Because those boundaries never
+//! depend on the lane count, a run that completes under limits is
+//! bit-identical to an unlimited run; a run that trips aborts with a typed
+//! error and leaves caller state and (after the guard restores them) the
+//! counters untouched.
 
 use std::time::Duration;
 

@@ -97,23 +97,6 @@ impl<V: Copy> Spa<V> {
         (ids, vals)
     }
 
-    /// Drain into a sorted `(index, value)` pair list and reset for reuse.
-    ///
-    /// The pair form is the harvest hook the column-kernel SPA chunks (and
-    /// their fused variants) feed straight into the deterministic k-way
-    /// merge — one allocation instead of the zip of [`Spa::drain_sorted`]'s
-    /// two.
-    pub fn drain_sorted_pairs(&mut self) -> Vec<(u32, V)> {
-        self.nonzeros.sort_unstable();
-        let ids = std::mem::take(&mut self.nonzeros);
-        let out = ids.iter().map(|&i| (i, self.values[i as usize])).collect();
-        for &i in &ids {
-            self.occupied[i as usize] = false;
-            self.values[i as usize] = self.fill;
-        }
-        out
-    }
-
     /// Reset without harvesting.
     pub fn clear(&mut self) {
         for &i in &self.nonzeros {

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use push_pull::algo::msbfs::multi_source_bfs_with_opts;
 use push_pull::algo::msbfs::MsBfsOpts;
-use push_pull::core::descriptor::{Descriptor, Direction, MergeStrategy};
-use push_pull::core::ops::{BoolOrAnd, MinPlus};
+use push_pull::core::descriptor::{Descriptor, Direction};
+use push_pull::core::ops::{BoolOrAnd, BoolStructure, MinPlus, Semiring};
 use push_pull::core::vector_ops::{ewise_add, ewise_mult, filter_by_mask};
 use push_pull::core::{mxv, mxv_batch, DirectionPolicy, Mask, MultiVector, Vector};
 use push_pull::gen::erdos::erdos_renyi;
@@ -50,6 +50,54 @@ fn explicit_set(v: &Vector<bool>) -> Vec<u32> {
     v.iter_explicit().map(|(i, _)| i).collect()
 }
 
+/// One `mxv_batch` call under semiring `s` against `k` single-source `mxv`
+/// runs under the same descriptor, each forced to the direction the batch
+/// resolved for its row (the batch gets them as fixed per-row policies):
+/// explicit sets and every counter, steps included, must match.
+fn assert_batch_equals_singles<S: Semiring<bool, bool, bool>>(
+    s: S,
+    g: &Graph<bool>,
+    rows: &[Vector<bool>],
+    masks: Option<&[Mask<'_>]>,
+    dirs: &[Direction],
+) {
+    let desc = Descriptor::new().transpose(true);
+    let mut policies: Vec<DirectionPolicy> =
+        dirs.iter().map(|&d| DirectionPolicy::fixed(d)).collect();
+    let batch_counters = AccessCounters::new();
+    let out: MultiVector<bool> = mxv_batch(
+        masks,
+        s,
+        g,
+        &MultiVector::from_rows(rows.to_vec()),
+        &desc,
+        Some(&mut policies),
+        Some(&batch_counters),
+    )
+    .unwrap();
+
+    let single_counters = AccessCounters::new();
+    for (r, row) in rows.iter().enumerate() {
+        let mask = masks.map(|ms| &ms[r]);
+        let single: Vector<bool> = mxv(
+            mask,
+            s,
+            g,
+            row,
+            &desc.force(dirs[r]),
+            Some(&single_counters),
+        )
+        .unwrap();
+        assert_eq!(
+            explicit_set(out.row(r)),
+            explicit_set(&single),
+            "row {r} dir {:?}",
+            dirs[r]
+        );
+    }
+    assert_eq!(batch_counters.snapshot(), single_counters.snapshot());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -63,10 +111,6 @@ proptest! {
         complement in any::<bool>(),
         transpose in any::<bool>(),
         structure_only in any::<bool>(),
-        strategy in prop::sample::select(vec![
-            MergeStrategy::SortBased,
-            MergeStrategy::SpaMerge,
-        ]),
         early_exit in any::<bool>(),
     ) {
         let n = g.n_vertices();
@@ -81,8 +125,7 @@ proptest! {
         let base = Descriptor::new()
             .transpose(transpose)
             .structure_only(structure_only)
-            .early_exit(early_exit)
-            .merge_strategy(strategy);
+            .early_exit(early_exit);
 
         let push: Vector<bool> =
             mxv(Some(&mask), BoolOrAnd, &g, &f, &base.force(Direction::Push), None).unwrap();
@@ -103,18 +146,14 @@ proptest! {
     }
 
     /// Parallel kernels ≡ sequential kernels on arbitrary graphs: the same
-    /// mxv run at 1 and at 4 lanes must agree entry-for-entry, masked and
-    /// unmasked, push and pull, under every merge strategy.
+    /// mxv run at 1 and at 4 lanes must agree entry-for-entry, push and
+    /// pull.
     #[test]
     fn parallel_equals_sequential_kernels(
         g in arb_graph(60, 500),
         f_ids in prop::collection::vec(0usize..60, 0..30),
         m_ids in prop::collection::vec(0usize..60, 0..30),
         transpose in any::<bool>(),
-        strategy in prop::sample::select(vec![
-            MergeStrategy::SortBased,
-            MergeStrategy::SpaMerge,
-        ]),
     ) {
         let n = g.n_vertices();
         let f = sparse_bool_vector(n, &f_ids);
@@ -126,32 +165,23 @@ proptest! {
         }
         let mask = Mask::complement(&bits);
         for dir in [Direction::Push, Direction::Pull] {
-            let desc = Descriptor::new()
-                .transpose(transpose)
-                .force(dir)
-                .merge_strategy(strategy);
+            let desc = Descriptor::new().transpose(transpose).force(dir);
             let seq: Vector<bool> = rayon::with_num_threads(1, || {
                 mxv(Some(&mask), BoolOrAnd, &g, &f, &desc, None).unwrap()
             });
             let par: Vector<bool> = rayon::with_num_threads(4, || {
                 mxv(Some(&mask), BoolOrAnd, &g, &f, &desc, None).unwrap()
             });
-            prop_assert_eq!(
-                explicit_set(&seq),
-                explicit_set(&par),
-                "dir {:?} strategy {:?}",
-                dir,
-                strategy
-            );
+            prop_assert_eq!(explicit_set(&seq), explicit_set(&par), "dir {:?}", dir);
         }
     }
 
     /// The batched-kernel equivalence contract on random Erdős–Rényi and
-    /// power-law graphs: one `mxv_batch` call is bit-identical — explicit
-    /// sets *and* access counters (including the per-row push/pull step
-    /// decisions) — to `k` independent single-source `mxv` runs, each
-    /// forced to the direction the batch resolved for that row (push rows
-    /// take the SpaMerge column kernel, the batch's merge arm).
+    /// power-law graphs, for a valued and a structure-only semiring: one
+    /// `mxv_batch` call is bit-identical — explicit sets *and* access
+    /// counters (including the per-row push/pull step decisions) — to `k`
+    /// independent single-source `mxv` runs. A `BoolStructure` push row runs
+    /// the claim kernel, a `BoolOrAnd` one the sort-based merge.
     #[test]
     fn batched_kernel_equals_k_single_source_runs(
         seed in 0u64..2000,
@@ -162,6 +192,7 @@ proptest! {
         complement in any::<bool>(),
         masked in any::<bool>(),
         dir_bits in 0u32..64,
+        structural in any::<bool>(),
     ) {
         let g = if power_law {
             chung_lu(n_raw, 6, PowerLawParams::default(), seed)
@@ -172,14 +203,9 @@ proptest! {
         let k = rows_ids.len();
         let rows: Vec<Vector<bool>> =
             rows_ids.iter().map(|ids| sparse_bool_vector(n, ids)).collect();
-        let batch = MultiVector::from_rows(rows.clone());
-        // Per-row directions from the proptest bits, realized as fixed
-        // per-row policies under an Auto descriptor.
         let dirs: Vec<Direction> = (0..k)
             .map(|r| if dir_bits >> r & 1 == 1 { Direction::Pull } else { Direction::Push })
             .collect();
-        let mut policies: Vec<DirectionPolicy> =
-            dirs.iter().map(|&d| DirectionPolicy::fixed(d)).collect();
         let bits: Vec<BitVec> = (0..k)
             .map(|r| {
                 let mut b = BitVec::new(n);
@@ -195,43 +221,12 @@ proptest! {
             .iter()
             .map(|b| if complement { Mask::complement(b) } else { Mask::new(b) })
             .collect();
-        let desc = Descriptor::new().transpose(true);
-
-        let batch_counters = AccessCounters::new();
-        let out: MultiVector<bool> = mxv_batch(
-            masked.then_some(masks.as_slice()),
-            BoolOrAnd,
-            &g,
-            &batch,
-            &desc,
-            Some(&mut policies),
-            Some(&batch_counters),
-        )
-        .unwrap();
-
-        let single_counters = AccessCounters::new();
-        for r in 0..k {
-            let single_desc = desc
-                .force(dirs[r])
-                .merge_strategy(MergeStrategy::SpaMerge);
-            let single: Vector<bool> = mxv(
-                masked.then_some(&masks[r]),
-                BoolOrAnd,
-                &g,
-                &rows[r],
-                &single_desc,
-                Some(&single_counters),
-            )
-            .unwrap();
-            prop_assert_eq!(
-                explicit_set(out.row(r)),
-                explicit_set(&single),
-                "row {} dir {:?}",
-                r,
-                dirs[r]
-            );
+        let masks = masked.then_some(masks.as_slice());
+        if structural {
+            assert_batch_equals_singles(BoolStructure, &g, &rows, masks, &dirs);
+        } else {
+            assert_batch_equals_singles(BoolOrAnd, &g, &rows, masks, &dirs);
         }
-        prop_assert_eq!(batch_counters.snapshot(), single_counters.snapshot());
     }
 
     /// The algorithm-level equivalence contract on random graphs: a

@@ -3,7 +3,7 @@
 //! arbitrary inputs.
 
 use proptest::prelude::*;
-use push_pull::primitives::{gather, merge, scan, segreduce, sort, BitVec, Spa};
+use push_pull::primitives::{gather, scan, segreduce, sort, BitVec, Spa};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -62,32 +62,6 @@ proptest! {
             uniq.dedup();
             uniq.len()
         });
-    }
-
-    #[test]
-    fn multiway_merge_equals_concat_sort_reduce(
-        lists in prop::collection::vec(
-            prop::collection::btree_map(0u32..200, 1u64..10, 0..40),
-            0..8,
-        )
-    ) {
-        let materialized: Vec<Vec<(u32, u64)>> = lists
-            .iter()
-            .map(|m| m.iter().map(|(&k, &v)| (k, v)).collect())
-            .collect();
-        let refs: Vec<&[(u32, u64)]> = materialized.iter().map(Vec::as_slice).collect();
-        let got = merge::multiway_merge_reduce(&refs, |a, b| a + b);
-
-        let mut flat: Vec<(u32, u64)> = materialized.iter().flatten().copied().collect();
-        flat.sort_by_key(|&(k, _)| k);
-        let mut expect: Vec<(u32, u64)> = Vec::new();
-        for (k, v) in flat {
-            match expect.last_mut() {
-                Some(last) if last.0 == k => last.1 += v,
-                _ => expect.push((k, v)),
-            }
-        }
-        prop_assert_eq!(got, expect);
     }
 
     #[test]

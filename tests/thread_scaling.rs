@@ -12,7 +12,7 @@ use push_pull::algo::cc::connected_components;
 use push_pull::algo::msbfs::multi_source_bfs;
 use push_pull::algo::pagerank::{pagerank, PageRankOpts};
 use push_pull::algo::sssp::{sssp, SsspOpts};
-use push_pull::core::descriptor::{Descriptor, Direction, MergeStrategy};
+use push_pull::core::descriptor::{Descriptor, Direction};
 use push_pull::core::ops::{BoolOrAnd, MinPlus, PlusTimes};
 use push_pull::core::{mxv, mxv_batch, DirectionPolicy, FusedMxv, Mask, MultiVector, Vector};
 use push_pull::gen::powerlaw::{chung_lu, PowerLawParams};
@@ -79,18 +79,15 @@ fn push_mxv_identical_across_thread_counts() {
     let (f, bits) = frontier_and_visited(n);
     for transpose in [false, true] {
         for masked in [false, true] {
-            for strategy in [MergeStrategy::SortBased, MergeStrategy::SpaMerge] {
-                let desc = Descriptor::new()
-                    .transpose(transpose)
-                    .force(Direction::Push)
-                    .merge_strategy(strategy);
-                identical_across_lanes(|| {
-                    let mask = Mask::complement(&bits);
-                    let w: Vector<bool> =
-                        mxv(masked.then_some(&mask), BoolOrAnd, &g, &f, &desc, None).unwrap();
-                    w.iter_explicit().collect::<Vec<_>>()
-                });
-            }
+            let desc = Descriptor::new()
+                .transpose(transpose)
+                .force(Direction::Push);
+            identical_across_lanes(|| {
+                let mask = Mask::complement(&bits);
+                let w: Vector<bool> =
+                    mxv(masked.then_some(&mask), BoolOrAnd, &g, &f, &desc, None).unwrap();
+                w.iter_explicit().collect::<Vec<_>>()
+            });
         }
     }
 }
@@ -152,10 +149,10 @@ fn algorithms_identical_across_thread_counts() {
 
 #[test]
 fn batched_kernels_identical_across_thread_counts() {
-    // The batched (source, chunk) grids — pull row chunks and push SPA
-    // chunks — are size-derived, so a whole batch (values and counters,
-    // including per-row direction decisions) is bit-identical at every
-    // lane count, forced and policy-driven alike.
+    // The pull face's (source, row-chunk) grid and each push row's
+    // single-source column kernel chunk by size alone, so a whole batch
+    // (values and counters, including per-row direction decisions) is
+    // bit-identical at every lane count, forced and policy-driven alike.
     let g = test_graph();
     let n = g.n_vertices();
     let rows: Vec<Vector<bool>> = (0..4)
