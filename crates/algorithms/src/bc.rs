@@ -7,22 +7,29 @@
 //!
 //! * forward — `Σ'(s, :) = (Aᵀ Σ(s, :)) .∗ ¬visited(s, :)` for every live
 //!   source in one [`mxv_batch`] call: the multi-source BFS pattern with
-//!   counts instead of Booleans, each source carrying its own
-//!   [`DirectionPolicy`] hysteresis state (one source can pull through its
-//!   supervertex level while another still pushes a thin wave);
+//!   counts instead of Booleans;
 //! * backward — level by level from the deepest, each live source's row
 //!   pulls `(1 + δ_w)/σ_w` from its level-`l+1` children through `A`,
 //!   masked by level-`l` membership (output sparsity known a priori), then
 //!   scales by `σ_v`.
 //!
+//! Each source carries one [`DirectionPolicy`] per sweep (§6.3
+//! hysteresis), so one source can pull through its supervertex level while
+//! another still pushes a thin wave. The loop calls those policies itself
+//! and hands the kernel each row in the chosen direction's storage —
+//! sparse to push, dense to pull — which the batch kernel's storage rule
+//! honours.
+//!
 //! Per-source work — values and access counters — is bit-identical to `k`
-//! independent single-source runs: both kernel faces reduce each output
-//! vertex's contributions in ascending neighbor order, so even the f64
+//! independent single-source runs: every batch row is a single-source
+//! `mxv` dispatch, and both kernel faces reduce each output vertex's
+//! contributions in ascending neighbor order, so even the f64
 //! accumulations agree bit-for-bit across direction choices and batch
-//! sizes (`tests/thread_scaling.rs` additionally pins lane-count
-//! invariance).
+//! sizes. A batched run's counters are the field-wise sum of its sources'
+//! solo runs, steps included (this module's tests pin both;
+//! `tests/thread_scaling.rs` additionally pins lane-count invariance).
 
-use graphblas_core::descriptor::Descriptor;
+use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::ops::PlusSecond;
 use graphblas_core::ops_mxv_batch::mxv_batch;
@@ -115,34 +122,27 @@ fn bc_loop(
     let mut alive: Vec<usize> = (0..k).collect();
     while !alive.is_empty() {
         // Move each live source's last level into the batch (mxv_batch
-        // only borrows it); restored below — no O(n) clone per source per
-        // level on the hot path.
+        // only borrows it), stored as its policy steers this level;
+        // restored below — no O(n) clone per source per level on the hot
+        // path.
         let batch = MultiVector::from_rows(
             alive
                 .iter()
-                .map(|&s| levels[s].pop().expect("non-empty"))
+                .map(|&s| {
+                    let mut row = levels[s].pop().expect("non-empty");
+                    steer(&mut policies[s], &mut row, n);
+                    row
+                })
                 .collect(),
         );
         let masks: Vec<Mask<'_>> = alive
             .iter()
             .map(|&s| Mask::complement(&visited[s]))
             .collect();
-        let mut live_policies: Vec<DirectionPolicy> =
-            alive.iter().map(|&s| policies[s].clone()).collect();
-        let next: MultiVector<f64> = mxv_batch(
-            Some(&masks),
-            PlusSecond,
-            g,
-            &batch,
-            &desc_fwd,
-            Some(&mut live_policies),
-            counters,
-        )?;
+        let next: MultiVector<f64> =
+            mxv_batch(Some(&masks), PlusSecond, g, &batch, &desc_fwd, counters)?;
         for (row, &s) in batch.into_rows().into_iter().zip(&alive) {
             levels[s].push(row);
-        }
-        for (p, &s) in live_policies.iter().zip(&alive) {
-            policies[s] = p.clone();
         }
 
         let mut still_alive = Vec::with_capacity(alive.len());
@@ -182,7 +182,9 @@ fn bc_loop(
                     .iter()
                     .map(|&w| (1.0 + delta[s][w as usize]) / sigma[s][w as usize])
                     .collect();
-                Vector::from_sparse(n, 0.0, ids, vals)
+                let mut row = Vector::from_sparse(n, 0.0, ids, vals);
+                steer(&mut bwd_policies[s], &mut row, n);
+                row
             })
             .collect();
         // Level-l membership masks: only that level's vertices update.
@@ -197,8 +199,6 @@ fn bc_loop(
             })
             .collect();
         let masks: Vec<Mask<'_>> = level_bits.iter().map(Mask::new).collect();
-        let mut live_policies: Vec<DirectionPolicy> =
-            active.iter().map(|&s| bwd_policies[s].clone()).collect();
         // Pull from children through A (row v of A lists v's children).
         let contrib: MultiVector<f64> = mxv_batch(
             Some(&masks),
@@ -206,12 +206,8 @@ fn bc_loop(
             g,
             &MultiVector::from_rows(rows),
             &desc_bwd,
-            Some(&mut live_policies),
             counters,
         )?;
-        for (p, &s) in live_policies.iter().zip(&active) {
-            bwd_policies[s] = p.clone();
-        }
         for (row, &s) in contrib.rows().iter().zip(&active) {
             for (v, c) in row.iter_explicit() {
                 delta[s][v as usize] += sigma[s][v as usize] * c;
@@ -229,6 +225,16 @@ fn bc_loop(
         }
     }
     Ok(bc)
+}
+
+/// Feed a source's policy its row's activity and store the row the way
+/// the chosen face reads it (sparse to push, dense to pull), so the batch
+/// kernel's storage rule runs that face.
+fn steer(policy: &mut DirectionPolicy, row: &mut Vector<f64>, n: usize) {
+    match policy.update(row.nnz(), n) {
+        Direction::Push => row.make_sparse(),
+        Direction::Pull => row.make_dense(),
+    }
 }
 
 /// Serial Brandes oracle (exact, queue-based).
@@ -353,6 +359,26 @@ mod tests {
         let a: Vec<u64> = batch.iter().map(|x| x.to_bits()).collect();
         let b: Vec<u64> = summed.iter().map(|x| x.to_bits()).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn batched_betweenness_bills_the_sum_of_its_sources() {
+        // Each batch row is a single-source dispatch, so a batched run
+        // bills exactly what its sources bill alone: every access category
+        // and both step counts, on a graph whose levels push and pull.
+        let g = chung_lu(600, 12, PowerLawParams::default(), 5);
+        let sources: Vec<u32> = vec![1, 2, 3, 4, 250];
+        let batched = AccessCounters::new();
+        let _ = betweenness_with_counters(&g, &sources, Some(&batched));
+        let summed = AccessCounters::new();
+        for &s in &sources {
+            let solo = AccessCounters::new();
+            let _ = betweenness_with_counters(&g, &[s], Some(&solo));
+            summed.absorb(&solo.snapshot());
+        }
+        let snap = batched.snapshot();
+        assert!(snap.push_steps > 0 && snap.pull_steps > 0, "both faces run");
+        assert_eq!(snap, summed.snapshot());
     }
 
     #[test]

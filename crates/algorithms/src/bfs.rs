@@ -72,8 +72,10 @@ pub struct BfsOpts {
     pub early_exit: bool,
     /// Optimization 4 (§5.4): pull input is the visited vector.
     pub operand_reuse: bool,
-    /// Optimization 5 (§5.5): pattern-only semiring; push levels claim
-    /// unvisited vertices instead of sorting every expanded edge.
+    /// Optimization 5 (§5.5): run the pattern-only `BoolStructure`
+    /// semiring instead of `BoolOrAnd`; its constant product makes push
+    /// levels claim unvisited vertices instead of sorting every expanded
+    /// edge.
     pub structure_only: bool,
     /// The §6.3 switch ratio (α = β). Paper default 0.01.
     pub switch_threshold: f64,
@@ -332,8 +334,7 @@ where
     // true: Algorithm 1 multiplies by Aᵀ.
     let base_desc = Descriptor::new()
         .transpose(true)
-        .early_exit(opts.early_exit)
-        .structure_only(opts.structure_only);
+        .early_exit(opts.early_exit);
 
     loop {
         let t0 = opts.record_trace.then(Instant::now);

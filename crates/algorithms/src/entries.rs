@@ -425,16 +425,7 @@ pub fn sssp_entries(
         let row_refs: Vec<&AccessCounters> = alive.iter().map(|&r| entries[r].counters).collect();
 
         let out = catch_batch(&mut board, &alive, || {
-            mxv_batch_attributed(
-                None,
-                MinPlus,
-                g,
-                &batch,
-                &desc,
-                None,
-                shared,
-                Some(&row_refs),
-            )
+            mxv_batch_attributed(None, MinPlus, g, &batch, &desc, shared, Some(&row_refs))
         });
         let out: MultiVector<f32> = match out {
             Ok(v) => v,

@@ -15,9 +15,9 @@
 //! * [`msbfs`] — multi-source BFS as one shared traversal per group of up
 //!   to 64 sources: bit-packed lane words, one masked pull sweep and one
 //!   push sweep per level for every source, direction switched per source.
-//! * [`bc`] — batched Brandes betweenness centrality riding the same
-//!   batched kernels (masked forward σ sweeps, level-masked backward δ
-//!   accumulation, per-source push/pull switching in both phases).
+//! * [`bc`] — batched Brandes betweenness centrality over `mxv_batch`
+//!   (masked forward σ sweeps, level-masked backward δ accumulation,
+//!   per-source push/pull switching in both phases).
 //! * [`mod@entries`] — coalesced query batches: BFS / parent-BFS entries
 //!   sharing the msbfs lane traversal, SSSP entries advanced together
 //!   through `mxv_batch_attributed`, each with its own

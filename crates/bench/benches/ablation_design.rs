@@ -37,21 +37,16 @@ fn bench_structure_only_sort(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
+    // The semiring alone picks the kernel: `BoolOrAnd` merges key-value
+    // pairs, `BoolStructure`'s constant product claims.
+    let desc = Descriptor::new().transpose(true).force(Direction::Push);
     group.bench_function("key_value_sort", |b| {
-        let desc = Descriptor::new()
-            .transpose(true)
-            .force(Direction::Push)
-            .structure_only(false);
         b.iter(|| {
             let w: Vector<bool> = mxv(None, BoolOrAnd, &g, black_box(&f), &desc, None).unwrap();
             black_box(w)
         })
     });
     group.bench_function("claim_kernel", |b| {
-        let desc = Descriptor::new()
-            .transpose(true)
-            .force(Direction::Push)
-            .structure_only(true);
         b.iter(|| {
             let w: Vector<bool> = mxv(None, BoolStructure, &g, black_box(&f), &desc, None).unwrap();
             black_box(w)

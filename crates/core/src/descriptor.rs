@@ -3,15 +3,17 @@
 //!
 //! In the GraphBLAS C API a `GrB_Descriptor` carries transpose/replace/
 //! complement switches and implementation hints. Ours additionally exposes
-//! the paper's optimizations so each can be disabled in isolation:
-//! direction choice (force push/pull or auto), early-exit and
-//! structure-only (a constant-product semiring's push runs the mask-first
-//! claim kernel). With the transpose flag that makes four fields. A valued
-//! push always merges as §6.2 does (radix sort and segmented reduce), so
-//! there is no merge field; every kernel face reads the graph's resident
-//! CSR for its orientation, so there is no storage-format field. The §6.3 switch threshold
-//! (`α = β = 0.01`) is a traversal-level setting: it lives in the
-//! algorithm options and the [`crate::plan::DirectionPolicy`] they build.
+//! the paper's call-level optimizations so each can be disabled in
+//! isolation: direction choice (force push/pull or auto) and early-exit.
+//! With the transpose flag that makes three fields. Structure-only is the
+//! semiring's to declare, not a switch: a semiring with a constant
+//! [`Semiring::product_hint`](crate::ops::Semiring::product_hint) pushes
+//! through the mask-first claim kernel, any other merges as §6.2 does
+//! (radix sort and segmented reduce). Every kernel face reads the graph's
+//! resident CSR for its orientation, so there is no storage-format field.
+//! The §6.3 switch threshold (`α = β = 0.01`) is a traversal-level
+//! setting: it lives in the algorithm options and the
+//! [`crate::plan::DirectionPolicy`] they build.
 
 /// Traversal direction ≡ matvec kernel family (§4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,8 +28,7 @@ pub enum Direction {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DirectionChoice {
     /// Follow the input vector's storage: sparse → push, dense → pull.
-    /// The batched dispatcher applies the same rule per row (or per-row
-    /// `DirectionPolicy` state when supplied).
+    /// The batched dispatcher applies the same rule to each row.
     #[default]
     Auto,
     /// Always use the given kernel, converting the input if needed
@@ -47,11 +48,6 @@ pub struct Descriptor {
     /// Optimization 3: allow the row kernel to break out of a row once the
     /// ⊕ accumulator reaches the monoid's annihilator.
     pub early_exit: bool,
-    /// Optimization 5: when the semiring has a constant product hint, the
-    /// column kernel carries no values at all. It tests the mask on each
-    /// expanded edge, claims the survivors in an atomic bit set (Gunrock's
-    /// culling, §7.3, made mask-first) and sorts only the claimed vertices.
-    pub structure_only: bool,
 }
 
 impl Default for Descriptor {
@@ -60,7 +56,6 @@ impl Default for Descriptor {
             transpose: false,
             direction: DirectionChoice::Auto,
             early_exit: true,
-            structure_only: true,
         }
     }
 }
@@ -92,13 +87,6 @@ impl Descriptor {
         self.early_exit = on;
         self
     }
-
-    /// Builder: set structure-only.
-    #[must_use]
-    pub fn structure_only(mut self, on: bool) -> Self {
-        self.structure_only = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +97,6 @@ mod tests {
     fn defaults_match_paper() {
         let d = Descriptor::default();
         assert!(d.early_exit);
-        assert!(d.structure_only);
         assert_eq!(d.direction, DirectionChoice::Auto);
         assert!(!d.transpose);
     }
@@ -119,11 +106,9 @@ mod tests {
         let d = Descriptor::new()
             .transpose(true)
             .force(Direction::Pull)
-            .early_exit(false)
-            .structure_only(false);
+            .early_exit(false);
         assert!(d.transpose);
         assert_eq!(d.direction, DirectionChoice::Force(Direction::Pull));
         assert!(!d.early_exit);
-        assert!(!d.structure_only);
     }
 }

@@ -33,21 +33,23 @@
 //!   output flows through apply + assign instead of being materialized as
 //!   a sparse vector.
 //!
-//! Direction resolution, [`DirectionPolicy`](crate::DirectionPolicy)
-//! interplay, and the [`AccessCounters`] contract are unchanged: a fused
-//! call charges **exactly** the accesses its unfused composition would
-//! (same kernels, same bookkeeping), records its push/pull decision the
-//! same way, and additionally tallies the intermediate writes it skipped
+//! Direction resolution and the [`AccessCounters`] contract are `mxv`'s
+//! own: a fused call resolves its face through the function `mxv` uses,
+//! charges **exactly** the accesses its unfused composition would (same
+//! kernels, same bookkeeping), records its push/pull decision the same
+//! way, and additionally tallies the intermediate writes it skipped
 //! in the `fused_saved_writes` counter — so
 //! `snapshot().accesses_only()` of a fused run equals the unfused run's
 //! bit-for-bit, which `tests/fused_pipelines.rs` pins at 1, 2, and 8
 //! lanes.
 
-use crate::descriptor::{Descriptor, Direction};
+use crate::descriptor::Descriptor;
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::ops_mxv::{col_kernel_parts, reduce_row, PullRows, RowTally, SendPtr};
+use crate::ops_mxv::{
+    col_kernel_parts, face, operands, reduce_row, Face, PullRows, RowTally, SendPtr,
+};
 use crate::vector::{DenseVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, VertexId};
 use graphblas_primitives::counters::AccessCounters;
@@ -67,9 +69,8 @@ pub struct FusedOutput {
 /// Nothing executes until the terminal
 /// [`assign_into`](FusedPipeline::assign_into); until then the builder just
 /// records operands, so constructing one is free and the kernel face (push
-/// or pull) is resolved at execution time by the same
-/// [`resolve_direction`](crate::resolve_direction) rule as
-/// [`mxv`](crate::mxv) — the paper's Optimization 1 composes with fusion
+/// or pull) is resolved at execution time by the function that resolves
+/// [`mxv`](crate::mxv)'s — the paper's Optimization 1 composes with fusion
 /// unchanged.
 ///
 /// ```
@@ -140,8 +141,7 @@ impl<'a, A: Scalar, X: Scalar, S> FusedMxv<'a, A, X, S> {
         self
     }
 
-    /// Set the operation descriptor (transpose, direction, early-exit,
-    /// structure-only).
+    /// Set the operation descriptor (transpose, direction, early-exit).
     #[must_use]
     pub fn descriptor(mut self, d: Descriptor) -> Self {
         self.desc = d;
@@ -240,11 +240,11 @@ where
     /// slot alone. `update` is the fused `GrB_assign`(-with-accumulator):
     /// always-write for BFS, write-if-smaller for CC/SSSP relaxations.
     ///
-    /// Runs the push or pull kernel face per
-    /// [`resolve_direction`](crate::resolve_direction); pull chunks write
-    /// `state` directly in parallel (rows are disjoint across chunks), push
-    /// assigns from the column kernel's sorted output — neither face
-    /// materializes an intermediate [`Vector`].
+    /// Runs the push or pull kernel face `mxv` would run on the same
+    /// operands (see [`resolve_direction`](crate::resolve_direction)); pull
+    /// chunks write `state` directly in parallel (rows are disjoint across
+    /// chunks), push assigns from the column kernel's sorted output —
+    /// neither face materializes an intermediate [`Vector`].
     ///
     /// An attached mask's active list has passed the
     /// [`Mask::with_active_list`] checks (strictly ascending and in range),
@@ -255,13 +255,7 @@ where
         U: Fn(Z, Z) -> Option<Z> + Sync + Send,
     {
         let FusedPipeline { base, apply, .. } = self;
-        // Operand orientation, as in `mxv`: pull walks `operand`'s rows,
-        // push walks `operand_t`'s.
-        let (operand, operand_t) = if base.desc.transpose {
-            (base.graph.csr_t(), base.graph.csr())
-        } else {
-            (base.graph.csr(), base.graph.csr_t())
-        };
+        let (operand, _) = operands(base.graph, &base.desc);
         if operand.n_cols() != base.input.dim() {
             return Err(GrbError::DimensionMismatch {
                 context: "fused mxv input vector",
@@ -288,47 +282,15 @@ where
 
         // Pre-flight stop poll, as in `mxv`.
         crate::exec::check_stop(base.counters)?;
-
-        // Same plan as `mxv`: the direction by the §6.3 storage rule (or
-        // the descriptor's force).
-        let direction = crate::plan::resolve_plan(base.graph, base.input, &base.desc);
-        if let Some(c) = base.counters {
-            match direction {
-                Direction::Push => c.add_push_step(),
-                Direction::Pull => c.add_pull_step(),
-            }
-        }
-        match direction {
-            Direction::Push => {
-                let sparse_input;
-                let sv = match base.input.as_sparse() {
-                    Some(sv) => sv,
-                    None => {
-                        sparse_input = base.input.to_sparse();
-                        &sparse_input
-                    }
-                };
-                let out = fused_push(&base, operand_t, sv, &apply, &update, state);
-                // Post-kernel poll: a checkpoint bail upstream must not
-                // let a partial assignment masquerade as success.
-                crate::exec::check_stop(base.counters)?;
-                Ok(out)
-            }
-            Direction::Pull => {
-                let dense_input;
-                let dv = match base.input.as_dense() {
-                    Some(dv) => dv,
-                    None => {
-                        dense_input = base.input.to_dense();
-                        &dense_input
-                    }
-                };
-                let out = fused_pull(&base, operand, dv, &apply, &update, state);
-                // Post-kernel poll: see the push arm.
-                crate::exec::check_stop(base.counters)?;
-                Ok(out)
-            }
-        }
+        // Same plan as `mxv`, resolved by the same function.
+        let out = match face(base.graph, base.input, &base.desc, base.counters) {
+            Face::Push(op_t, sv) => fused_push(&base, op_t, &sv, &apply, &update, state),
+            Face::Pull(op, dv) => fused_pull(&base, op, &dv, &apply, &update, state),
+        };
+        // Post-kernel poll: a checkpoint bail upstream must not let a
+        // partial assignment masquerade as success.
+        crate::exec::check_stop(base.counters)?;
+        Ok(out)
     }
 }
 
@@ -355,7 +317,7 @@ where
     M: RowAccess<A>,
 {
     let (ids, vals): (Vec<u32>, Vec<Y>) =
-        col_kernel_parts(base.s, op_t, v, base.mask, &base.desc, base.counters);
+        col_kernel_parts(base.s, op_t, v, base.mask, base.counters);
     // A trip during the kernel leaves partial parts: skip the assign pass
     // entirely so the caller's state sees as little of the aborted run as
     // possible (the dispatcher converts the sticky trip into an error, and
@@ -504,7 +466,7 @@ where
 mod tests {
     use super::*;
     use crate::ops::{BoolOrAnd, MinSecond};
-    use crate::{mxv, Mask};
+    use crate::{mxv, Direction, Mask};
     use graphblas_matrix::Coo;
     use graphblas_primitives::BitVec;
 

@@ -10,8 +10,9 @@
 //! (see `graphblas_algo`'s BFS, a direct transcription of Algorithm 1);
 //! the backend here picks the kernel.
 //!
-//! Each of the paper's five optimizations is independently switchable
-//! through [`Descriptor`] so the Table 2 ablation can be reproduced:
+//! Each of the paper's five optimizations can be switched off on its own,
+//! so the Table 2 ablation can be reproduced — through [`Descriptor`], the
+//! algorithm layer, or the choice of semiring:
 //!
 //! 1. **Change of direction** — [`ops_mxv::mxv`] dispatches on the input
 //!    vector's storage or a forced direction; [`plan::DirectionPolicy`]
@@ -22,17 +23,19 @@
 //!    ⊕ monoid hits its annihilator (`OR` saturating at `true`).
 //! 4. **Operand reuse** — enabled by the algorithm layer, which may pass the
 //!    visited vector in place of the frontier (Gunrock's trick, §5.4).
-//! 5. **Structure-only** — when the semiring ignores matrix values (§5.5),
-//!    the column kernel claims mask-passing outputs in a bit set and sorts
-//!    only the winners instead of merging (key, value) pairs.
+//! 5. **Structure-only** — when the semiring declares a constant product
+//!    (§5.5, [`ops::Semiring::product_hint`]), the column kernel claims
+//!    mask-passing outputs in a bit set and sorts only the winners instead
+//!    of merging (key, value) pairs.
 //!
 //! [`ops_mxv_batch`] generalizes the direction machinery to `k × n`
 //! frontier *batches* ([`vector::MultiVector`]): [`ops_mxv_batch::mxv_batch`]
-//! resolves a direction per row, runs the pull rows over a flat
-//! `(source, row-chunk)` grid and each push row through the single-source
-//! column kernel — the batched Brandes BC and multi-source SSSP workloads. [`ops_mxv_lanes`] serves the BFS family
-//! instead: up to 64 sources share one `u64` lane word per vertex, and one
-//! pull sweep plus one push sweep per level serve every lane.
+//! runs every row through `mxv`'s own dispatch and single-source kernel,
+//! push rows side by side and pull rows one at a time across every lane —
+//! the batched Brandes BC and multi-source SSSP workloads.
+//! [`ops_mxv_lanes`] serves the BFS family instead: up to 64 sources share
+//! one `u64` lane word per vertex, and one pull sweep plus one push sweep
+//! per level serve every lane.
 //!
 //! [`fused`] adds the kernel-fusion layer on top of the same dispatch: the
 //! lazy [`fused::FusedMxv`] builder compiles a masked `mxv` + elementwise

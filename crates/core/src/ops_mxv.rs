@@ -10,7 +10,8 @@
 //! [`mxv`] is the public entry point (GrB_mxv): it resolves the operand
 //! orientation from the descriptor's transpose flag, picks row vs. column
 //! by the input vector's storage (or a forced direction), and applies the
-//! mask inside the kernel.
+//! mask inside the kernel. That resolution is one function, which the
+//! fused pipeline and every row of a batched call go through too.
 //!
 //! Figure 4 shows the paper's asymmetry: the mask prunes the row kernel's
 //! rows but only filters the column kernel's merged output. This crate
@@ -28,14 +29,15 @@ use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::vector::{DenseVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess};
+use graphblas_matrix::{Csr, Graph, RowAccess};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::{gather, pool, scan, segreduce, sort, AtomicBitVec};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::ops::Range;
 
-/// Row grain for parallel row-kernel loops (shared with the batched row
-/// kernel so single-source and batched chunking agree).
+/// Row grain for parallel row-kernel loops (shared with the fused pull and
+/// the lane kernel's pull sweep).
 pub(crate) const ROW_GRAIN: usize = 512;
 
 // ---------------------------------------------------------------------------
@@ -160,9 +162,9 @@ impl RowTally {
     }
 }
 
-/// The rows one row-kernel call visits. Every row kernel — unfused,
-/// fused and batched — walks one of these, so they all visit, chunk and
-/// charge the same rows.
+/// The rows one row-kernel call visits. Every row kernel — unfused and
+/// fused — walks one of these, so they all visit, chunk and charge the
+/// same rows.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum PullRows<'a> {
     /// A mask's allowed rows, read from its bit words or its active list.
@@ -220,7 +222,7 @@ impl<'a> PullRows<'a> {
 /// Charge `rows`, then run `body(i, tally)` on each of them in their
 /// chunks, each chunk with its own [`RowTally`] flushed to `counters` when
 /// it ends.
-pub(crate) fn par_rows<F>(rows: PullRows<'_>, counters: Option<&AccessCounters>, body: F)
+fn par_rows<F>(rows: PullRows<'_>, counters: Option<&AccessCounters>, body: F)
 where
     F: Fn(usize, &mut RowTally) + Sync + Send,
 {
@@ -233,9 +235,9 @@ where
 }
 
 /// Reduce one operand row against a dense input vector. Shared with the
-/// batched row kernel, so per-row work and counter bookkeeping are
-/// identical between single-source and batched pulls. `counters` is only
-/// polled here; the row's charges go to the chunk's `tally`.
+/// fused pull, so per-row work and counter bookkeeping are identical
+/// between fused and unfused pulls. `counters` is only polled here; the
+/// row's charges go to the chunk's `tally`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reduce_row<A, X, Y, S, M>(
@@ -297,7 +299,6 @@ pub fn col_mxv<A, X, Y, S, M>(
     s: S,
     op_t: &M,
     v: &SparseVector<X>,
-    desc: &Descriptor,
     counters: Option<&AccessCounters>,
 ) -> SparseVector<Y>
 where
@@ -307,24 +308,23 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    col_kernel(s, op_t, v, None, desc, counters)
+    col_kernel(s, op_t, v, None, counters)
 }
 
 /// Column-based **masked** matvec — Algorithm 3.
 ///
 /// For a valued semiring the mask is the final filter (lines 17–24, Fig.
 /// 4d): the full expansion, merge and reduction happen first. For a
-/// structure-only semiring (a constant [`Semiring::product_hint`] under
-/// [`Descriptor::structure_only`]) the mask is tested *before* any merge
-/// work: each expanded edge that passes it claims its output vertex in a
-/// bit set, and only the claimed vertices are sorted. Lend the claim set
-/// through [`Mask::with_claim_set`] to keep a call free of `O(M)` work.
+/// structure-only semiring (a constant [`Semiring::product_hint`]) the
+/// mask is tested *before* any merge work: each expanded edge that passes
+/// it claims its output vertex in a bit set, and only the claimed vertices
+/// are sorted. Lend the claim set through [`Mask::with_claim_set`] to keep
+/// a call free of `O(M)` work.
 pub fn col_masked_mxv<A, X, Y, S, M>(
     s: S,
     op_t: &M,
     v: &SparseVector<X>,
     mask: &Mask<'_>,
-    desc: &Descriptor,
     counters: Option<&AccessCounters>,
 ) -> SparseVector<Y>
 where
@@ -335,7 +335,7 @@ where
     M: RowAccess<A>,
 {
     assert_eq!(op_t.n_rows(), mask.dim(), "mask must cover output dim");
-    col_kernel(s, op_t, v, Some(mask), desc, counters)
+    col_kernel(s, op_t, v, Some(mask), counters)
 }
 
 fn col_kernel<A, X, Y, S, M>(
@@ -343,7 +343,6 @@ fn col_kernel<A, X, Y, S, M>(
     op_t: &M,
     v: &SparseVector<X>,
     mask: Option<&Mask<'_>>,
-    desc: &Descriptor,
     counters: Option<&AccessCounters>,
 ) -> SparseVector<Y>
 where
@@ -353,7 +352,7 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    let (ids, vals) = col_kernel_parts(s, op_t, v, mask, desc, counters);
+    let (ids, vals) = col_kernel_parts(s, op_t, v, mask, counters);
     SparseVector::from_sorted(ids, vals)
 }
 
@@ -362,17 +361,16 @@ where
 /// reduce followed by the mask filter and identity drop, returning the raw
 /// sorted `(ids, vals)` pair lists.
 ///
-/// [`col_kernel`] wraps this into a [`SparseVector`]; the fused pipeline
+/// [`col_kernel`] and the `mxv` dispatch (so every push row of
+/// [`crate::mxv_batch`]) wrap this into a sparse output; the fused pipeline
 /// ([`crate::fused::FusedMxv`]) consumes the parts directly so the applied/
-/// assigned chain never materializes an intermediate vector, and
-/// [`crate::mxv_batch`] runs it once per push row. Counter bookkeeping is
-/// identical in all three.
+/// assigned chain never materializes an intermediate vector. Counter
+/// bookkeeping is identical in all of them.
 pub(crate) fn col_kernel_parts<A, X, Y, S, M>(
     s: S,
     op_t: &M,
     v: &SparseVector<X>,
     mask: Option<&Mask<'_>>,
-    desc: &Descriptor,
     counters: Option<&AccessCounters>,
 ) -> (Vec<u32>, Vec<Y>)
 where
@@ -394,7 +392,7 @@ where
 
     // Structure-only: every product is the known constant, so the output
     // pattern is the set of mask-passing expanded rows (§5.5) — claim it.
-    if let Some(hint) = s.product_hint().filter(|_| desc.structure_only) {
+    if let Some(hint) = s.product_hint() {
         let mut ids = claim_kernel(op_t, v, mask, counters);
         if hint == identity {
             ids.clear();
@@ -650,6 +648,95 @@ where
 // Dispatch (GrB_mxv)
 // ---------------------------------------------------------------------------
 
+/// The operands a call's two kernel faces walk, by the descriptor's
+/// transpose flag: the pull face reads the rows of `op(A)`, the push face
+/// the rows of its transpose — the columns of `op(A)` (§3).
+pub(crate) fn operands<'g, A: Scalar>(
+    graph: &'g Graph<A>,
+    desc: &Descriptor,
+) -> (&'g Csr<A>, &'g Csr<A>) {
+    if desc.transpose {
+        (graph.csr_t(), graph.csr())
+    } else {
+        (graph.csr(), graph.csr_t())
+    }
+}
+
+/// One call's resolved plan: the kernel face, the operand it walks, and
+/// the input in that face's storage — borrowed when the vector is stored
+/// that way already, converted otherwise.
+pub(crate) enum Face<'a, A, X: Clone> {
+    /// The column kernel over the rows of `op(A)ᵀ`.
+    Push(&'a Csr<A>, Cow<'a, SparseVector<X>>),
+    /// The row kernel over the rows of `op(A)`.
+    Pull(&'a Csr<A>, Cow<'a, DenseVector<X>>),
+}
+
+/// Resolve the face of one `mxv`-shaped call. [`mxv`],
+/// [`FusedMxv`](crate::FusedMxv) and every [`mxv_batch`](crate::mxv_batch)
+/// row dispatch through here: the operand orientation, the direction by
+/// the §6.3 storage rule or the descriptor's force (charged to `counters`
+/// as a push or pull step), and the input in that face's storage.
+pub(crate) fn face<'a, A: Scalar, X: Scalar>(
+    graph: &'a Graph<A>,
+    v: &'a Vector<X>,
+    desc: &Descriptor,
+    counters: Option<&AccessCounters>,
+) -> Face<'a, A, X> {
+    let (op, op_t) = operands(graph, desc);
+    match crate::plan::resolve_direction(v, desc) {
+        Direction::Push => {
+            if let Some(c) = counters {
+                c.add_push_step();
+            }
+            let sv = v
+                .as_sparse()
+                .map_or_else(|| Cow::Owned(v.to_sparse()), Cow::Borrowed);
+            Face::Push(op_t, sv)
+        }
+        Direction::Pull => {
+            if let Some(c) = counters {
+                c.add_pull_step();
+            }
+            let dv = v
+                .as_dense()
+                .map_or_else(|| Cow::Owned(v.to_dense()), Cow::Borrowed);
+            Face::Pull(op, dv)
+        }
+    }
+}
+
+impl<A: Scalar, X: Scalar> Face<'_, A, X> {
+    /// Run this face's unfused kernel — the body of `mxv` and of every
+    /// `mxv_batch` row. A push returns the column kernel's sorted output as
+    /// a sparse vector; a pull returns the row kernel's dense output,
+    /// masked when a mask is given (early exit applies to masked pulls
+    /// only).
+    pub(crate) fn mxv<Y, S>(
+        &self,
+        s: S,
+        mask: Option<&Mask<'_>>,
+        desc: &Descriptor,
+        counters: Option<&AccessCounters>,
+    ) -> Vector<Y>
+    where
+        Y: Scalar,
+        S: Semiring<A, X, Y>,
+    {
+        match self {
+            Face::Push(op_t, sv) => {
+                let (ids, vals) = col_kernel_parts(s, *op_t, sv, mask, counters);
+                let identity = s.add_monoid().identity();
+                Vector::from_sparse(op_t.n_cols(), identity, ids, vals)
+            }
+            Face::Pull(op, dv) => Vector::Dense(match mask {
+                Some(m) => row_masked_mxv(s, *op, dv, m, desc.early_exit, counters),
+                None => row_mxv(s, *op, dv, counters),
+            }),
+        }
+    }
+}
+
 /// GrB_mxv: `w = op(A) · v` under a semiring, with optional mask.
 ///
 /// Both push and pull compute the same expression; which kernel runs is an
@@ -691,13 +778,7 @@ where
     Y: Scalar,
     S: Semiring<A, X, Y>,
 {
-    // Operand orientation: `operand` is what row-based iterates rows of;
-    // its transpose `operand_t` is what column-based iterates rows of.
-    let (operand, operand_t) = if desc.transpose {
-        (graph.csr_t(), graph.csr())
-    } else {
-        (graph.csr(), graph.csr_t())
-    };
+    let (operand, _) = operands(graph, desc);
     if operand.n_cols() != v.dim() {
         return Err(GrbError::DimensionMismatch {
             context: "mxv input vector",
@@ -718,50 +799,11 @@ where
     // Pre-flight stop poll: a limit tripped by an earlier operation in the
     // same guarded run aborts before any kernel work.
     crate::exec::check_stop(counters)?;
-
-    let identity = s.add_monoid().identity();
-    // The plan: the direction by the §6.3 storage rule (or force).
-    let direction = crate::plan::resolve_plan(graph, v, desc);
-    if let Some(c) = counters {
-        match direction {
-            Direction::Push => c.add_push_step(),
-            Direction::Pull => c.add_pull_step(),
-        }
-    }
-    match direction {
-        Direction::Push => {
-            let sparse_input;
-            let sv = match v.as_sparse() {
-                Some(sv) => sv,
-                None => {
-                    sparse_input = v.to_sparse();
-                    &sparse_input
-                }
-            };
-            let (ids, vals) = col_kernel_parts(s, operand_t, sv, mask, desc, counters);
-            // Post-kernel poll: a checkpoint bail inside the kernel left an
-            // identity-shaped partial result that must not escape.
-            crate::exec::check_stop(counters)?;
-            Ok(Vector::from_sparse(operand.n_rows(), identity, ids, vals))
-        }
-        Direction::Pull => {
-            let dense_input;
-            let dv = match v.as_dense() {
-                Some(dv) => dv,
-                None => {
-                    dense_input = v.to_dense();
-                    &dense_input
-                }
-            };
-            let out = match mask {
-                Some(m) => row_masked_mxv(s, operand, dv, m, desc.early_exit, counters),
-                None => row_mxv(s, operand, dv, counters),
-            };
-            // Post-kernel poll: see the push arm.
-            crate::exec::check_stop(counters)?;
-            Ok(Vector::Dense(out))
-        }
-    }
+    let out = face(graph, v, desc, counters).mxv(s, mask, desc, counters);
+    // Post-kernel poll: a checkpoint bail inside the kernel left an
+    // identity-shaped partial result that must not escape.
+    crate::exec::check_stop(counters)?;
+    Ok(out)
 }
 
 /// GrB_vxm: `w = v · op(A)`, the row-vector form. Equivalent to `mxv` with
@@ -791,7 +833,7 @@ where
 /// allocation charge the kernels assess before materializing outputs and
 /// expansion buffers.
 #[inline]
-pub(crate) fn output_bytes<T>(n: usize) -> u64 {
+fn output_bytes<T>(n: usize) -> u64 {
     (n as u64) * (std::mem::size_of::<T>() as u64)
 }
 
@@ -912,7 +954,7 @@ mod tests {
             BoolOrAnd,
             &g,
             &f,
-            &desc_bfs().force(Direction::Push).structure_only(false),
+            &desc_bfs().force(Direction::Push),
             None,
         )
         .unwrap();
@@ -921,7 +963,7 @@ mod tests {
             BoolStructure,
             &g,
             &f,
-            &desc_bfs().force(Direction::Push).structure_only(true),
+            &desc_bfs().force(Direction::Push),
             None,
         )
         .unwrap();

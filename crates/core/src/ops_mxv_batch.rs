@@ -1,5 +1,5 @@
-//! Batched (multi-vector) matvec kernels: the paper's push/pull machinery
-//! applied to a `k × n` frontier batch, one direction decision per row.
+//! Batched (multi-vector) matvec: the paper's push/pull machinery applied
+//! to a `k × n` frontier batch, one direction decision per row.
 //!
 //! GraphBLAST (Yang et al.) observes that direction optimization
 //! generalizes from SpMV/SpMSpV to multi-vector operands, and Besta et
@@ -7,27 +7,29 @@
 //! per source: in a batched traversal one source can sit mid-supervertex
 //! (dense frontier → row-based pull) while another is still a thin wave
 //! (sparse frontier → column-based push). [`mxv_batch`] is therefore
-//! `GrB_mxv` over a [`MultiVector`]: it resolves a [`Direction`] *per
-//! row* (from a per-source [`DirectionPolicy`], or from each row's storage,
-//! or forced by the descriptor), then runs
+//! `GrB_mxv` over a [`MultiVector`], and each row runs `mxv`'s dispatch:
+//! the function that resolves a single call's face resolves the row's
+//! (its storage or the descriptor's force), charges its push or pull step
+//! and hands over its input in that face's storage. Then the row runs the
+//! single-source kernel of that face on its own counters:
 //!
-//! * the pull face: every pull row's allowed output rows, cut into the
-//!   single-source row kernel's chunks, flattened into one
-//!   `(source, row-chunk)` list the worker pool drains by index stealing,
-//!   so lanes stay busy even when one source's frontier is tiny;
-//! * the push face: the single-source column kernel once per push row —
-//!   the claim kernel for a structure-only semiring, the sort-based merge
-//!   otherwise. Rows run in parallel with each other; a row's own parallel
-//!   regions run inline on the worker that took it.
+//! * push rows side by side, one row per worker; a row's own parallel
+//!   regions run inline on the worker that took it;
+//! * pull rows one at a time, each across every lane: a single pull's row
+//!   chunks already fill the pool.
+//!
+//! The kernel holds no traversal state. A loop that steers each source
+//! with its own [`DirectionPolicy`](crate::DirectionPolicy) calls those
+//! policies itself and hands each row over in the chosen direction's
+//! storage, as batched BC and coalesced SSSP do.
 //!
 //! **Equivalence contract** (pinned by `tests/prop_core.rs`): a batched
 //! call produces bit-identical values *and access counters* to `k`
 //! independent single-source [`mxv`](crate::mxv) calls under the same
-//! descriptor, for every semiring — because the per-row work, chunk
-//! boundaries, and counter bookkeeping are shared code (a push row *is*
-//! the single-source column kernel), and chunk layouts derive from sizes
-//! only (never the lane count), so results are also identical at every
-//! thread count.
+//! descriptor, for every semiring — by construction, since each row *is*
+//! such a call's dispatch and kernel. Chunk layouts derive from sizes only
+//! (never the lane count), so results are also identical at every thread
+//! count.
 //!
 //! Each row still reads the matrix on its own, so the consumers are the
 //! traversals whose rows carry values a bit lane cannot: batched Brandes
@@ -35,142 +37,25 @@
 //! lane kernel of [`crate::ops_mxv_lanes`] instead, where one sweep per
 //! face serves every source.
 
-use crate::descriptor::{Descriptor, Direction, DirectionChoice};
+use crate::descriptor::Descriptor;
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::ops_mxv::{col_kernel_parts, reduce_row, PullRows, RowTally, SendPtr};
-use crate::plan::DirectionPolicy;
-use crate::vector::{DenseVector, MultiVector, Vector};
-use graphblas_matrix::{Graph, RowAccess};
+use crate::ops_mxv::{face, operands, Face};
+use crate::vector::{MultiVector, Vector};
+use graphblas_matrix::Graph;
 use graphblas_primitives::counters::AccessCounters;
 use rayon::prelude::*;
 
-/// Resolve the counters row `j` of an attributed batch charges: its own
-/// per-row set when attribution is on, the shared set otherwise.
-#[inline]
-fn row_charge<'a>(
-    counters: Option<&'a AccessCounters>,
-    row_counters: Option<&'a [&'a AccessCounters]>,
-    j: usize,
-) -> Option<&'a AccessCounters> {
-    match row_counters {
-        Some(rc) => Some(rc[j]),
-        None => counters,
-    }
-}
-
-/// The pull face: one dense input and (optionally) one mask per source,
-/// outputs computed over a flat `(source, row-chunk)` grid. Per-source
-/// semantics and counter bookkeeping are identical to
-/// [`crate::ops_mxv::row_masked_mxv`] (whether or not a mask carries an
-/// active list) / [`crate::ops_mxv::row_mxv`] (when `masks` is `None`).
-///
-/// When `row_counters` is present (one per source), each source's
-/// row-scoped charges — output-buffer allocation, mask/vector traffic, and
-/// every `reduce_row` — land on that source's counters instead of the
-/// shared set, and each source's chunks poll *its* checkpoints, so one
-/// source's tripped limit stops only its own rows.
-fn pull_face<A, X, Y, S, M>(
-    s: S,
-    op: &M,
-    vs: &[&DenseVector<X>],
-    masks: Option<&[Mask<'_>]>,
-    early_exit: bool,
-    counters: Option<&AccessCounters>,
-    row_counters: Option<&[&AccessCounters]>,
-) -> Vec<DenseVector<Y>>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    if let Some(ms) = masks {
-        assert_eq!(ms.len(), vs.len(), "one mask per batch row");
-        for m in ms {
-            assert_eq!(m.dim(), op.n_rows(), "mask must cover output dim");
-        }
-    }
-    for v in vs {
-        assert_eq!(op.n_cols(), v.dim(), "operand columns must match input dim");
-    }
-    if let Some(rc) = row_counters {
-        assert_eq!(rc.len(), vs.len(), "one counter set per batch row");
-    }
-    let add = s.add_monoid();
-    let identity = add.identity();
-    let n = op.n_rows();
-    // Caller-thread charge for the batch's dense output buffers; the
-    // per-row checkpoints below stop the sweep itself. Attributed batches
-    // charge each source for its own buffer (same aggregate bytes): a
-    // denied row trips only its own counters and its chunks then bail
-    // with identity results while siblings proceed.
-    match row_counters {
-        None => {
-            if !crate::exec::charge_alloc(counters, crate::ops_mxv::output_bytes::<Y>(vs.len() * n))
-            {
-                return vs
-                    .iter()
-                    .map(|_| DenseVector::from_values(Vec::new(), identity))
-                    .collect();
-            }
-        }
-        Some(rc) => {
-            for c in rc {
-                let _ = c.try_charge_alloc(crate::ops_mxv::output_bytes::<Y>(n));
-            }
-        }
-    }
-
-    // Each source visits, chunks and charges the rows its single-source
-    // row kernel would: a mask's allowed rows, or (with no masks) every
-    // row — only the non-empty rows on a hypersparse store.
-    let mut sources = Vec::with_capacity(vs.len());
-    let mut grid = Vec::new();
-    for j in 0..vs.len() {
-        let rows = masks.map_or(PullRows::unmasked(op), |ms| PullRows::Masked(ms[j]));
-        rows.charge(row_charge(counters, row_counters, j));
-        grid.extend(rows.chunks().into_iter().map(|chunk| (j, chunk)));
-        sources.push(rows);
-    }
-
-    let mut outs: Vec<Vec<Y>> = vs.iter().map(|_| vec![identity; n]).collect();
-    let ptrs: Vec<SendPtr<Y>> = outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())).collect();
-
-    // One flat `(source, chunk)` list the pool drains by index stealing,
-    // so lanes stay busy even when one source's work is tiny.
-    grid.into_par_iter().for_each(|(j, chunk)| {
-        let v = vs[j];
-        let c = row_charge(counters, row_counters, j);
-        let mut tally = RowTally::new(c);
-        sources[j].for_each(chunk, |i| {
-            let y = reduce_row(s, op, v, i, identity, early_exit, c, &mut tally);
-            // SAFETY: within a source, chunks partition its visited rows,
-            // which are unique and in bounds; across sources the output
-            // buffers are distinct.
-            unsafe { *ptrs[j].get().add(i) = y };
-        });
-        tally.flush(c);
-    });
-
-    outs.into_iter()
-        .map(|vals| DenseVector::from_values(vals, identity))
-        .collect()
-}
-
 /// GrB_mxv over a `k × n` batch: `W(r, :) = op(A) · input(r, :)` with an
-/// optional per-row mask, each row's kernel chosen independently.
-///
-/// Direction resolution per row `r`:
+/// optional per-row mask, each row dispatched as [`mxv`](crate::mxv)
+/// dispatches one call:
 ///
 /// * `desc.direction == Force(d)` — every row runs `d` (ablation arms);
-/// * `policies == Some(ps)` — `ps[r].update(nnz(row r), n)` decides, so
-///   each source carries its own §6.3 hysteresis (or two-phase) state
-///   across iterations;
-/// * otherwise — each row's *storage* decides, the same
-///   [`resolve_direction`](crate::resolve_direction) rule as `mxv`.
+/// * otherwise — each row's *storage* decides, the
+///   [`resolve_direction`](crate::resolve_direction) rule of `mxv`. A loop
+///   with a [`DirectionPolicy`](crate::DirectionPolicy) per source updates
+///   it itself and converts the row to the chosen direction's storage.
 ///
 /// Every resolved decision is recorded in the counters
 /// (`push_steps`/`pull_steps`), making per-source switch behaviour
@@ -194,8 +79,7 @@ where
 /// let batch = MultiVector::singletons(4, false, &[(0, true), (1, true)]);
 /// let desc = Descriptor::new().transpose(true);
 ///
-/// let next: MultiVector<bool> =
-///     mxv_batch(None, BoolOrAnd, &g, &batch, &desc, None, None).unwrap();
+/// let next: MultiVector<bool> = mxv_batch(None, BoolOrAnd, &g, &batch, &desc, None).unwrap();
 /// let frontier = |r: usize| next.row(r).iter_explicit().map(|(i, _)| i).collect::<Vec<_>>();
 /// assert_eq!(frontier(0), vec![1, 2], "source 0 reaches 1 and 2");
 /// assert_eq!(frontier(1), vec![3], "source 1 reaches 3");
@@ -206,7 +90,6 @@ pub fn mxv_batch<A, X, Y, S>(
     graph: &Graph<A>,
     input: &MultiVector<X>,
     desc: &Descriptor,
-    policies: Option<&mut [DirectionPolicy]>,
     counters: Option<&AccessCounters>,
 ) -> GrbResult<MultiVector<Y>>
 where
@@ -215,7 +98,7 @@ where
     Y: Scalar,
     S: Semiring<A, X, Y>,
 {
-    mxv_batch_attributed(masks, s, graph, input, desc, policies, counters, None)
+    mxv_batch_attributed(masks, s, graph, input, desc, counters, None)
 }
 
 /// [`mxv_batch`] with **per-row counter attribution**: `row_counters[r]`
@@ -224,10 +107,10 @@ where
 /// traffic, expansion and merge (or claims) — and row `r`'s
 /// kernel chunks poll *those* counters' checkpoints, so per-row
 /// [`ExecLimits`](crate::ExecLimits) installed on `row_counters[r]` stop
-/// only row `r` (its chunks bail with identity results; siblings are
-/// untouched). This is what lets a query service coalesce independent
-/// requests into one batch while each request keeps its own counter
-/// snapshot, deadline, and budget.
+/// only row `r` (it comes back empty; siblings are untouched). This is
+/// what lets a query service coalesce independent requests into one batch
+/// while each request keeps its own counter snapshot, deadline, and
+/// budget.
 ///
 /// At the end of the call every row counter's growth is folded into
 /// `counters` via
@@ -239,14 +122,12 @@ where
 /// `row_counters` must be disjoint from `counters` (folding into an
 /// aliased set would double-charge). With `row_counters = None` this is
 /// exactly [`mxv_batch`].
-#[allow(clippy::too_many_arguments)]
 pub fn mxv_batch_attributed<A, X, Y, S>(
     masks: Option<&[Mask<'_>]>,
     s: S,
     graph: &Graph<A>,
     input: &MultiVector<X>,
     desc: &Descriptor,
-    mut policies: Option<&mut [DirectionPolicy]>,
     counters: Option<&AccessCounters>,
     row_counters: Option<&[&AccessCounters]>,
 ) -> GrbResult<MultiVector<Y>>
@@ -256,13 +137,7 @@ where
     Y: Scalar,
     S: Semiring<A, X, Y>,
 {
-    // Operand orientation, as in `mxv`: pull rows walk `operand`'s rows,
-    // push rows walk `operand_t`'s.
-    let (operand, operand_t) = if desc.transpose {
-        (graph.csr_t(), graph.csr())
-    } else {
-        (graph.csr(), graph.csr_t())
-    };
+    let (operand, _) = operands(graph, desc);
     let k = input.k();
     if operand.n_cols() != input.dim() {
         return Err(GrbError::DimensionMismatch {
@@ -289,15 +164,6 @@ where
             }
         }
     }
-    if let Some(ps) = policies.as_deref() {
-        if ps.len() != k {
-            return Err(GrbError::DimensionMismatch {
-                context: "mxv_batch policies",
-                expected: k,
-                actual: ps.len(),
-            });
-        }
-    }
     if let Some(rc) = row_counters {
         if rc.len() != k {
             return Err(GrbError::DimensionMismatch {
@@ -317,95 +183,39 @@ where
     let baselines: Option<Vec<graphblas_primitives::counters::CounterSnapshot>> =
         row_counters.map(|rc| rc.iter().map(|c| c.snapshot()).collect());
 
-    // Per-row direction resolution.
-    let n = input.dim();
-    let dirs: Vec<Direction> = (0..k)
-        .map(|r| match desc.direction {
-            DirectionChoice::Force(d) => d,
-            DirectionChoice::Auto => match policies.as_deref_mut() {
-                Some(ps) => ps[r].update(input.row(r).nnz(), n),
-                None => {
-                    if input.row(r).is_sparse() {
-                        Direction::Push
-                    } else {
-                        Direction::Pull
-                    }
-                }
-            },
-        })
+    // Each row's plan, resolved and charged as `mxv` resolves one call's,
+    // and its kernel, run on the row's own counters (its attributed set,
+    // or the shared one).
+    let charge = |r: usize| row_counters.map_or(counters, |rc| Some(rc[r]));
+    let faces: Vec<Face<'_, A, X>> = (0..k)
+        .map(|r| face(graph, input.row(r), desc, charge(r)))
         .collect();
-    for (r, d) in dirs.iter().enumerate() {
-        if let Some(c) = row_charge(counters, row_counters, r) {
-            match d {
-                Direction::Push => c.add_push_step(),
-                Direction::Pull => c.add_pull_step(),
-            }
-        }
-    }
-    let push_rows: Vec<usize> = (0..k).filter(|&r| dirs[r] == Direction::Push).collect();
-    let pull_rows: Vec<usize> = (0..k).filter(|&r| dirs[r] == Direction::Pull).collect();
+    let run = |r: usize| faces[r].mxv(s, masks.map(|ms| &ms[r]), desc, charge(r));
 
+    // Push rows side by side, one row per worker; then each pull row in
+    // turn, across every lane.
+    let is_push = |r: usize| matches!(faces[r], Face::Push(..));
+    let push_rows: Vec<usize> = (0..k).filter(|&r| is_push(r)).collect();
+    let pushed: Vec<Vector<Y>> = push_rows.par_iter().map(|&r| run(r)).collect();
+    let mut pushed = pushed.into_iter();
     let identity = s.add_monoid().identity();
-    let mut out_rows: Vec<Option<Vector<Y>>> = (0..k).map(|_| None).collect();
-
-    // Push face: each row runs the single-source column kernel on its own
-    // counters (converting a dense row as `mxv` does), one row per worker.
-    let pushed: Vec<(Vec<u32>, Vec<Y>)> = push_rows
-        .par_iter()
-        .map(|&r| {
-            let sparse_input;
-            let sv = match input.row(r).as_sparse() {
-                Some(sv) => sv,
-                None => {
-                    sparse_input = input.row(r).to_sparse();
-                    &sparse_input
-                }
+    let out: Vec<Vector<Y>> = (0..k)
+        .map(|r| {
+            let row = if is_push(r) {
+                pushed.next().expect("one output per push row")
+            } else {
+                run(r)
             };
-            let mask = masks.map(|ms| &ms[r]);
-            let c = row_charge(counters, row_counters, r);
-            col_kernel_parts(s, operand_t, sv, mask, desc, c)
+            // A row stopped by its own limits comes back empty: its partial
+            // output (a denied pull buffer has no slots at all) must not
+            // escape, and the caller retires the row.
+            if charge(r).is_some_and(|c| c.stop_reason().is_some()) {
+                Vector::new_sparse(operand.n_rows(), identity)
+            } else {
+                row
+            }
         })
         .collect();
-    for (&r, (ids, vals)) in push_rows.iter().zip(pushed) {
-        out_rows[r] = Some(Vector::from_sparse(operand.n_rows(), identity, ids, vals));
-    }
-
-    // Pull face: dense inputs; early-exit only applies to masked pulls,
-    // exactly as in the single-source dispatch.
-    if !pull_rows.is_empty() {
-        let owned: Vec<Option<DenseVector<X>>> = pull_rows
-            .iter()
-            .map(|&r| match input.row(r).as_dense() {
-                Some(_) => None,
-                None => Some(input.row(r).to_dense()),
-            })
-            .collect();
-        let dvs: Vec<&DenseVector<X>> = pull_rows
-            .iter()
-            .zip(&owned)
-            .map(|(&r, o)| {
-                o.as_ref()
-                    .unwrap_or_else(|| input.row(r).as_dense().expect("dense by construction"))
-            })
-            .collect();
-        let sub_masks: Option<Vec<Mask<'_>>> =
-            masks.map(|ms| pull_rows.iter().map(|&r| ms[r]).collect());
-        let sub_rc: Option<Vec<&AccessCounters>> =
-            row_counters.map(|rc| pull_rows.iter().map(|&r| rc[r]).collect());
-        let early_exit = masks.is_some() && desc.early_exit;
-        let outs = pull_face(
-            s,
-            operand,
-            &dvs,
-            sub_masks.as_deref(),
-            early_exit,
-            counters,
-            sub_rc.as_deref(),
-        );
-        for (&r, dv) in pull_rows.iter().zip(outs) {
-            out_rows[r] = Some(Vector::Dense(dv));
-        }
-    }
 
     // Fold each row's attributed work into the shared aggregate (before
     // the stop poll, so even an aborting batch accounts the work it did).
@@ -419,24 +229,19 @@ where
         }
     }
 
-    // Post-kernel poll: a checkpoint bail inside either face left
-    // identity-shaped partial rows that must not escape. Per-row trips are
-    // *not* batch errors: the caller inspects each row counter's
+    // Post-kernel poll: a checkpoint bail inside a shared-counter row left
+    // an identity-shaped partial result that must not escape. Per-row
+    // trips are *not* batch errors: the caller inspects each row counter's
     // `stop_reason` and retires tripped rows individually.
     crate::exec::check_stop(counters)?;
-    Ok(MultiVector::from_rows(
-        out_rows
-            .into_iter()
-            .map(|r| r.expect("every row dispatched"))
-            .collect(),
-    ))
+    Ok(MultiVector::from_rows(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::{BoolOrAnd, PlusSecond};
-    use crate::{mxv, resolve_direction};
+    use crate::{mxv, resolve_direction, Direction};
     use graphblas_matrix::Coo;
     use graphblas_primitives::BitVec;
 
@@ -466,45 +271,13 @@ mod tests {
         for dir in [Direction::Push, Direction::Pull] {
             let desc = desc_bfs().force(dir);
             let out: MultiVector<bool> =
-                mxv_batch(Some(&masks), BoolOrAnd, &g, &batch, &desc, None, None).unwrap();
+                mxv_batch(Some(&masks), BoolOrAnd, &g, &batch, &desc, None).unwrap();
             for (r, mask) in masks.iter().enumerate() {
                 let single: Vector<bool> =
                     mxv(Some(mask), BoolOrAnd, &g, batch.row(r), &desc, None).unwrap();
                 assert_eq!(explicit(out.row(r)), explicit(&single), "{dir:?} row {r}");
             }
         }
-    }
-
-    #[test]
-    fn per_row_policies_switch_independently() {
-        let g = diamond();
-        // Row 0: dense-ish frontier (3 of 5 > threshold, rising) → pull.
-        // Row 1: singleton (1/5 < threshold with high bar) → push.
-        let rows = vec![
-            Vector::from_sparse(5, false, vec![0, 1, 2], vec![true; 3]),
-            Vector::singleton(5, false, 4, true),
-        ];
-        let batch = MultiVector::from_rows(rows);
-        let mut policies = vec![DirectionPolicy::hysteresis(0.25); 2];
-        let c = AccessCounters::new();
-        let out: MultiVector<bool> = mxv_batch(
-            None,
-            BoolOrAnd,
-            &g,
-            &batch,
-            &desc_bfs(),
-            Some(&mut policies),
-            Some(&c),
-        )
-        .unwrap();
-        assert_eq!(policies[0].current(), Direction::Pull);
-        assert_eq!(policies[1].current(), Direction::Push);
-        let snap = c.snapshot();
-        assert_eq!(snap.pull_steps, 1, "one row pulled");
-        assert_eq!(snap.push_steps, 1, "one row pushed");
-        // Output storage follows the per-row kernel.
-        assert!(!out.row(0).is_sparse());
-        assert!(out.row(1).is_sparse());
     }
 
     #[test]
@@ -520,10 +293,13 @@ mod tests {
         );
         let batch = MultiVector::from_rows(vec![dense_row, sparse_row]);
         let c = AccessCounters::new();
-        let _: MultiVector<bool> =
-            mxv_batch(None, BoolOrAnd, &g, &batch, &desc_bfs(), None, Some(&c)).unwrap();
+        let out: MultiVector<bool> =
+            mxv_batch(None, BoolOrAnd, &g, &batch, &desc_bfs(), Some(&c)).unwrap();
         let snap = c.snapshot();
         assert_eq!((snap.pull_steps, snap.push_steps), (1, 1));
+        // Output storage follows each row's kernel.
+        assert!(!out.row(0).is_sparse(), "the pulled row comes back dense");
+        assert!(out.row(1).is_sparse(), "the pushed row comes back sparse");
     }
 
     #[test]
@@ -540,8 +316,7 @@ mod tests {
         ];
         let batch = MultiVector::from_rows(rows);
         let desc = desc_bfs().force(Direction::Push);
-        let out: MultiVector<f64> =
-            mxv_batch(None, PlusSecond, &g, &batch, &desc, None, None).unwrap();
+        let out: MultiVector<f64> = mxv_batch(None, PlusSecond, &g, &batch, &desc, None).unwrap();
         assert_eq!(out.row(0).get(2), 3.0, "σ(2) = 1 + 2");
         assert_eq!(out.row(0).get(3), 1.0);
         assert_eq!(out.row(1).get(3), 5.0);
@@ -552,26 +327,14 @@ mod tests {
         let g = diamond();
         let wrong = MultiVector::<bool>::new_sparse(2, 4, false);
         let r: GrbResult<MultiVector<bool>> =
-            mxv_batch(None, BoolOrAnd, &g, &wrong, &desc_bfs(), None, None);
+            mxv_batch(None, BoolOrAnd, &g, &wrong, &desc_bfs(), None);
         assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
 
         let ok = MultiVector::<bool>::new_sparse(2, 5, false);
         let bits = BitVec::new(5);
         let one_mask = [Mask::new(&bits)];
         let r: GrbResult<MultiVector<bool>> =
-            mxv_batch(Some(&one_mask), BoolOrAnd, &g, &ok, &desc_bfs(), None, None);
-        assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
-
-        let mut short_policies = vec![DirectionPolicy::hysteresis(0.01)];
-        let r: GrbResult<MultiVector<bool>> = mxv_batch(
-            None,
-            BoolOrAnd,
-            &g,
-            &ok,
-            &desc_bfs(),
-            Some(&mut short_policies),
-            None,
-        );
+            mxv_batch(Some(&one_mask), BoolOrAnd, &g, &ok, &desc_bfs(), None);
         assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
     }
 
@@ -582,7 +345,7 @@ mod tests {
         let c = AccessCounters::new();
         let desc = desc_bfs().force(Direction::Push);
         let out: MultiVector<bool> =
-            mxv_batch(None, BoolOrAnd, &g, &batch, &desc, None, Some(&c)).unwrap();
+            mxv_batch(None, BoolOrAnd, &g, &batch, &desc, Some(&c)).unwrap();
         assert_eq!(out.nnz(), 0);
         let snap = c.snapshot();
         assert_eq!(snap.matrix, 0, "no expansion for empty frontiers");
@@ -612,7 +375,6 @@ mod tests {
             &diamond(),
             &batch,
             &desc_bfs(),
-            None,
             Some(&shared),
             Some(&row_refs),
         )
@@ -628,7 +390,6 @@ mod tests {
                 &diamond(),
                 &single,
                 &desc_bfs(),
-                None,
                 Some(&solo_shared),
                 Some(&[&solo_row]),
             )
@@ -658,7 +419,6 @@ mod tests {
             &diamond(),
             &batch,
             &desc_bfs(),
-            None,
             Some(&attributed_shared),
             Some(&row_refs),
         )
@@ -670,7 +430,6 @@ mod tests {
             &diamond(),
             &batch,
             &desc_bfs(),
-            None,
             Some(&plain_shared),
         )
         .unwrap();
@@ -703,7 +462,6 @@ mod tests {
             &diamond(),
             &batch,
             &desc_bfs(),
-            None,
             Some(&shared),
             Some(&row_refs),
         )
@@ -714,9 +472,39 @@ mod tests {
 
         // Siblings are bit-identical to an untripped run.
         let clean: MultiVector<bool> =
-            mxv_batch(None, BoolOrAnd, &diamond(), &batch, &desc_bfs(), None, None).unwrap();
+            mxv_batch(None, BoolOrAnd, &diamond(), &batch, &desc_bfs(), None).unwrap();
         assert_eq!(explicit(out.row(0)), explicit(clean.row(0)));
         assert_eq!(explicit(out.row(2)), explicit(clean.row(2)));
+    }
+
+    #[test]
+    fn denied_pull_buffer_stops_only_its_row() {
+        use crate::{ExecLimits, StopReason};
+
+        // Row 0 pulls (dense input) under a bytes budget its output buffer
+        // overruns: the kernel allocates nothing and the row comes back
+        // empty, at full dimension, while its siblings run as if alone.
+        let batch = attribution_batch();
+        let rows: Vec<AccessCounters> = (0..3).map(|_| AccessCounters::new()).collect();
+        rows[0].install_limits(&ExecLimits::none().with_bytes_budget(1));
+        let row_refs: Vec<&AccessCounters> = rows.iter().collect();
+        let out: MultiVector<bool> = mxv_batch_attributed(
+            None,
+            BoolOrAnd,
+            &diamond(),
+            &batch,
+            &desc_bfs(),
+            None,
+            Some(&row_refs),
+        )
+        .unwrap();
+        assert_eq!(rows[0].stop_reason(), Some(StopReason::BytesBudget));
+        assert_eq!((out.row(0).dim(), out.row(0).nnz()), (5, 0));
+        let clean: MultiVector<bool> =
+            mxv_batch(None, BoolOrAnd, &diamond(), &batch, &desc_bfs(), None).unwrap();
+        for r in [1, 2] {
+            assert_eq!(explicit(out.row(r)), explicit(clean.row(r)), "row {r}");
+        }
     }
 
     #[test]
@@ -730,7 +518,6 @@ mod tests {
             &g,
             &batch,
             &desc_bfs(),
-            None,
             None,
             Some(&[&one]),
         );

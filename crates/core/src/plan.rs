@@ -5,14 +5,17 @@
 //! both held as CSR by [`graphblas_matrix::Graph`]. This module holds the
 //! two rules that decide it:
 //!
-//! * **Per call** — [`resolve_plan`]: what `mxv` and the fused pipeline
-//!   apply when handed a descriptor. The direction follows the input's
-//!   storage (sparse → push, dense → pull) unless the descriptor forces
-//!   one. `mxv_batch` applies the same rule per row.
-//! * **Per traversal** — [`DirectionPolicy`]: what the single-source loops
-//!   (BFS, parent BFS, CC, SSSP) feed each level's activity to, measured
-//!   against `|V|` — the §6.3 hysteresis and its variants. The loop then
-//!   forces the policy's direction on the level's descriptor.
+//! * **Per call** — [`resolve_direction`]: what `mxv`, the fused pipeline
+//!   and every `mxv_batch` row dispatch on when handed a descriptor. The
+//!   direction follows the input's storage (sparse → push, dense → pull)
+//!   unless the descriptor forces one.
+//! * **Per traversal** — [`DirectionPolicy`]: what the traversal loops
+//!   feed each level's activity to, measured against `|V|` — the §6.3
+//!   hysteresis and its variants. A single-source loop (BFS, parent BFS,
+//!   CC, SSSP) forces the policy's direction on the level's descriptor; a
+//!   batched one (BC, coalesced SSSP) keeps one policy per source and
+//!   stores that source's row in the chosen direction's storage. No kernel
+//!   holds a policy.
 
 use crate::descriptor::{Descriptor, Direction, DirectionChoice};
 use crate::ops::Scalar;
@@ -54,6 +57,11 @@ impl Default for CostConstants {
 /// descriptor: the forced direction, or the §6.3 storage rule (sparse
 /// input → push, dense → pull). Every face reads the graph's resident CSR
 /// for its orientation, so the direction is the whole plan.
+///
+/// No library code calls this: the dispatch resolves its face through
+/// [`resolve_direction`]. It stays, graph argument and all, only for the
+/// `plan.resolve` span of the benchmark's traced replay
+/// (`benchmark/src/traced.rs`), which times it with three arguments.
 #[must_use]
 pub fn resolve_plan<A: Scalar, X: Scalar>(
     _graph: &Graph<A>,
@@ -63,8 +71,9 @@ pub fn resolve_plan<A: Scalar, X: Scalar>(
     resolve_direction(v, desc)
 }
 
-/// [`resolve_plan`] without the graph: the forced direction, or the §6.3
-/// storage rule.
+/// The forced direction, or the §6.3 storage rule: what `mxv`, `FusedMxv`
+/// and every `mxv_batch` row dispatch on ([`resolve_plan`] without the
+/// graph).
 #[must_use]
 pub fn resolve_direction<X: Scalar>(v: &Vector<X>, desc: &Descriptor) -> Direction {
     match desc.direction {
@@ -119,9 +128,11 @@ pub struct CostModelInputs {
 /// on; `DirectionPolicy` is the *activity→direction* heuristic that decides
 /// which kernel an iterative algorithm should steer toward next. The
 /// single-source loops feed it their activity against a capacity of
-/// `|V|`, the batched loops keep one policy per source row, and the
-/// Gunrock-like comparator engine drives it too, so the Table 2 "change
-/// of direction" ablation toggles exactly one rule. Four modes:
+/// `|V|`, the batched loops (BC, coalesced SSSP) call one policy per
+/// source themselves and hand the batch kernel each row in the chosen
+/// direction's storage, and the Gunrock-like comparator engine drives it
+/// too, so the Table 2 "change of direction" ablation toggles exactly one
+/// rule. Four modes:
 /// hysteresis, two-phase, fixed and the measured cost model.
 ///
 /// `update` takes the iteration's *activity* (frontier nnz, delta-set size,

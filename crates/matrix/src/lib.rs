@@ -8,8 +8,9 @@
 //! so the runtime direction switch never *computes* a transpose on the fly —
 //! a `Descriptor::transpose` request is satisfied by swapping which of the
 //! two prebuilt CSRs plays the `operand`/`operand_t` role (see the operand
-//! resolution at the top of `graphblas_core`'s `mxv` and `mxv_batch`
-//! dispatchers), so honoring the flag costs a pointer swap, not a rebuild.
+//! resolution in `graphblas_core`'s `mxv` dispatch, which `FusedMxv` and
+//! `mxv_batch` share), so honoring the flag costs a pointer swap, not a
+//! rebuild.
 //!
 //! * [`coo`] — triplet builder with the paper's §7.1 dataset cleaning
 //!   (self-loop removal, duplicate removal, symmetrization).

@@ -388,7 +388,7 @@ fn pull_with_active_list(list: &[u32], batched: bool) {
     if batched {
         let batch = MultiVector::from_rows(vec![f]);
         let _: MultiVector<bool> =
-            mxv_batch(Some(&[mask]), BoolOrAnd, &g, &batch, &desc, None, None).unwrap();
+            mxv_batch(Some(&[mask]), BoolOrAnd, &g, &batch, &desc, None).unwrap();
     } else {
         let _: Vector<bool> = mxv(Some(&mask), BoolOrAnd, &g, &f, &desc, None).unwrap();
     }

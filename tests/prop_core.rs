@@ -9,7 +9,7 @@ use push_pull::algo::msbfs::MsBfsOpts;
 use push_pull::core::descriptor::{Descriptor, Direction};
 use push_pull::core::ops::{BoolOrAnd, BoolStructure, MinPlus, Semiring};
 use push_pull::core::vector_ops::{ewise_add, ewise_mult, filter_by_mask};
-use push_pull::core::{mxv, mxv_batch, DirectionPolicy, Mask, MultiVector, Vector};
+use push_pull::core::{mxv, mxv_batch, Mask, MultiVector, Vector};
 use push_pull::gen::erdos::erdos_renyi;
 use push_pull::gen::powerlaw::{chung_lu, PowerLawParams};
 use push_pull::matrix::{Coo, Graph};
@@ -51,9 +51,10 @@ fn explicit_set(v: &Vector<bool>) -> Vec<u32> {
 }
 
 /// One `mxv_batch` call under semiring `s` against `k` single-source `mxv`
-/// runs under the same descriptor, each forced to the direction the batch
-/// resolved for its row (the batch gets them as fixed per-row policies):
-/// explicit sets and every counter, steps included, must match.
+/// runs. Each batch row carries its direction in its storage (dense to
+/// pull, sparse to push) under the `Auto` descriptor; each single run gets
+/// the original sparse row with that direction forced. Explicit sets and
+/// every counter, steps included, must match.
 fn assert_batch_equals_singles<S: Semiring<bool, bool, bool>>(
     s: S,
     g: &Graph<bool>,
@@ -62,16 +63,24 @@ fn assert_batch_equals_singles<S: Semiring<bool, bool, bool>>(
     dirs: &[Direction],
 ) {
     let desc = Descriptor::new().transpose(true);
-    let mut policies: Vec<DirectionPolicy> =
-        dirs.iter().map(|&d| DirectionPolicy::fixed(d)).collect();
+    let stored: Vec<Vector<bool>> = rows
+        .iter()
+        .zip(dirs)
+        .map(|(row, &d)| {
+            let mut row = row.clone();
+            if d == Direction::Pull {
+                row.make_dense();
+            }
+            row
+        })
+        .collect();
     let batch_counters = AccessCounters::new();
     let out: MultiVector<bool> = mxv_batch(
         masks,
         s,
         g,
-        &MultiVector::from_rows(rows.to_vec()),
+        &MultiVector::from_rows(stored),
         &desc,
-        Some(&mut policies),
         Some(&batch_counters),
     )
     .unwrap();
@@ -101,8 +110,8 @@ fn assert_batch_equals_singles<S: Semiring<bool, bool, bool>>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Push ≡ pull, masked and unmasked, with and without every
-    /// column-kernel option — the paper's central claim.
+    /// Push ≡ pull, masked and unmasked, on `A` and `Aᵀ`, with and
+    /// without early exit — the paper's central claim.
     #[test]
     fn push_equals_pull_everywhere(
         g in arb_graph(40, 300),
@@ -110,7 +119,6 @@ proptest! {
         m_ids in prop::collection::vec(0usize..40, 0..20),
         complement in any::<bool>(),
         transpose in any::<bool>(),
-        structure_only in any::<bool>(),
         early_exit in any::<bool>(),
     ) {
         let n = g.n_vertices();
@@ -122,10 +130,7 @@ proptest! {
             }
         }
         let mask = if complement { Mask::complement(&bits) } else { Mask::new(&bits) };
-        let base = Descriptor::new()
-            .transpose(transpose)
-            .structure_only(structure_only)
-            .early_exit(early_exit);
+        let base = Descriptor::new().transpose(transpose).early_exit(early_exit);
 
         let push: Vector<bool> =
             mxv(Some(&mask), BoolOrAnd, &g, &f, &base.force(Direction::Push), None).unwrap();

@@ -14,7 +14,7 @@ use push_pull::algo::pagerank::{pagerank, PageRankOpts};
 use push_pull::algo::sssp::{sssp, SsspOpts};
 use push_pull::core::descriptor::{Descriptor, Direction};
 use push_pull::core::ops::{BoolOrAnd, MinPlus, PlusTimes};
-use push_pull::core::{mxv, mxv_batch, DirectionPolicy, FusedMxv, Mask, MultiVector, Vector};
+use push_pull::core::{mxv, mxv_batch, FusedMxv, Mask, MultiVector, Vector};
 use push_pull::gen::powerlaw::{chung_lu, PowerLawParams};
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::gen::with_uniform_weights;
@@ -149,17 +149,22 @@ fn algorithms_identical_across_thread_counts() {
 
 #[test]
 fn batched_kernels_identical_across_thread_counts() {
-    // The pull face's (source, row-chunk) grid and each push row's
-    // single-source column kernel chunk by size alone, so a whole batch
-    // (values and counters, including per-row direction decisions) is
-    // bit-identical at every lane count, forced and policy-driven alike.
+    // Each row runs the single-source kernel of its face, and every kernel
+    // chunks by size alone, so a whole batch (values and counters,
+    // including per-row direction decisions) is bit-identical at every
+    // lane count, forced and storage-driven alike. Under `Auto` the dense
+    // rows pull and the sparse rows push.
     let g = test_graph();
     let n = g.n_vertices();
     let rows: Vec<Vector<bool>> = (0..4)
         .map(|r| {
             let ids: Vec<u32> = (r as u32..n as u32).step_by(3 + r).collect();
             let k = ids.len();
-            Vector::from_sparse(n, false, ids, vec![true; k])
+            let mut row = Vector::from_sparse(n, false, ids, vec![true; k]);
+            if r % 2 == 0 {
+                row.make_dense();
+            }
+            row
         })
         .collect();
     let bits: Vec<BitVec> = (0..4)
@@ -180,7 +185,6 @@ fn batched_kernels_identical_across_thread_counts() {
             identical_across_lanes(|| {
                 let batch = MultiVector::from_rows(rows.clone());
                 let masks: Vec<Mask<'_>> = bits.iter().map(Mask::complement).collect();
-                let mut policies = vec![DirectionPolicy::hysteresis(0.01); 4];
                 let c = AccessCounters::new();
                 let out: MultiVector<bool> = mxv_batch(
                     masked.then_some(masks.as_slice()),
@@ -188,7 +192,6 @@ fn batched_kernels_identical_across_thread_counts() {
                     &g,
                     &batch,
                     &desc,
-                    Some(&mut policies),
                     Some(&c),
                 )
                 .unwrap();

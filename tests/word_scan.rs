@@ -205,7 +205,7 @@ fn check_batch_pull(
     let run = |ms: &[Mask<'_>]| -> (Vec<Vec<(u32, u32)>>, CounterSnapshot) {
         let c = AccessCounters::new();
         let out: MultiVector<u32> =
-            mxv_batch(Some(ms), MinSecond, g, &batch, desc, None, Some(&c)).unwrap();
+            mxv_batch(Some(ms), MinSecond, g, &batch, desc, Some(&c)).unwrap();
         let vals = (0..rows.len())
             .map(|r| out.row(r).iter_explicit().collect())
             .collect();
