@@ -33,7 +33,7 @@ use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::ops::PlusSecond;
 use graphblas_core::ops_mxv_batch::mxv_batch;
-use graphblas_core::vector::{MultiVector, Vector};
+use graphblas_core::vector::Vector;
 use graphblas_core::{run_guarded, DirectionPolicy, ExecLimits, GrbResult};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
@@ -125,28 +125,33 @@ fn bc_loop(
         // only borrows it), stored as its policy steers this level;
         // restored below — no O(n) clone per source per level on the hot
         // path.
-        let batch = MultiVector::from_rows(
-            alive
-                .iter()
-                .map(|&s| {
-                    let mut row = levels[s].pop().expect("non-empty");
-                    steer(&mut policies[s], &mut row, n);
-                    row
-                })
-                .collect(),
-        );
+        let batch: Vec<Vector<f64>> = alive
+            .iter()
+            .map(|&s| {
+                let mut row = levels[s].pop().expect("non-empty");
+                steer(&mut policies[s], &mut row, n);
+                row
+            })
+            .collect();
         let masks: Vec<Mask<'_>> = alive
             .iter()
             .map(|&s| Mask::complement(&visited[s]))
             .collect();
-        let next: MultiVector<f64> =
-            mxv_batch(Some(&masks), PlusSecond, g, &batch, &desc_fwd, counters)?;
-        for (row, &s) in batch.into_rows().into_iter().zip(&alive) {
+        let next: Vec<Vector<f64>> = mxv_batch(
+            Some(&masks),
+            PlusSecond,
+            g,
+            &batch,
+            &desc_fwd,
+            counters,
+            None,
+        )?;
+        for (row, &s) in batch.into_iter().zip(&alive) {
             levels[s].push(row);
         }
 
         let mut still_alive = Vec::with_capacity(alive.len());
-        for (row, &s) in next.into_rows().into_iter().zip(&alive) {
+        for (row, &s) in next.into_iter().zip(&alive) {
             let mut found = false;
             for (i, sg) in row.iter_explicit() {
                 visited[s].set(i as usize);
@@ -200,15 +205,16 @@ fn bc_loop(
             .collect();
         let masks: Vec<Mask<'_>> = level_bits.iter().map(Mask::new).collect();
         // Pull from children through A (row v of A lists v's children).
-        let contrib: MultiVector<f64> = mxv_batch(
+        let contrib: Vec<Vector<f64>> = mxv_batch(
             Some(&masks),
             PlusSecond,
             g,
-            &MultiVector::from_rows(rows),
+            &rows,
             &desc_bwd,
             counters,
+            None,
         )?;
-        for (row, &s) in contrib.rows().iter().zip(&active) {
+        for (row, &s) in contrib.iter().zip(&active) {
             for (v, c) in row.iter_explicit() {
                 delta[s][v as usize] += sigma[s][v as usize] * c;
             }

@@ -9,7 +9,7 @@
 //! for every lane, each lane under its own §6.3 direction policy. A group
 //! of one runs the single-source fused path instead, with the entry's
 //! counters and limits. [`sssp_entries`] advances its entries through one
-//! attributed [`mxv_batch_attributed`] call per round, each row's charges
+//! [`mxv_batch`] call per round with per-row counters, each row's charges
 //! landing on its entry.
 //!
 //! **Counter contract.** Every entry's values, level count and push/pull
@@ -47,10 +47,10 @@ use std::panic::{self, AssertUnwindSafe};
 
 use graphblas_core::descriptor::Direction;
 use graphblas_core::exec::{panic_message, stop_error};
-use graphblas_core::vector::{MultiVector, Vector};
+use graphblas_core::vector::Vector;
 use graphblas_core::{
-    mxv_batch_attributed, DenseVector, Descriptor, DirectionPolicy, ExecLimits, GrbError,
-    GrbResult, MinPlus, MAX_LANES,
+    mxv_batch, DenseVector, Descriptor, DirectionPolicy, ExecLimits, GrbError, GrbResult, MinPlus,
+    MAX_LANES,
 };
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
@@ -421,13 +421,12 @@ pub fn sssp_entries(
                 }
             })
             .collect();
-        let batch = MultiVector::from_rows(rows);
         let row_refs: Vec<&AccessCounters> = alive.iter().map(|&r| entries[r].counters).collect();
 
         let out = catch_batch(&mut board, &alive, || {
-            mxv_batch_attributed(None, MinPlus, g, &batch, &desc, shared, Some(&row_refs))
+            mxv_batch(None, MinPlus, g, &rows, &desc, shared, Some(&row_refs))
         });
-        let out: MultiVector<f32> = match out {
+        let out: Vec<Vector<f32>> = match out {
             Ok(v) => v,
             Err(e) => {
                 board.abort_all(&alive, &e);
@@ -436,7 +435,7 @@ pub fn sssp_entries(
         };
 
         let mut still_alive = Vec::with_capacity(alive.len());
-        for (row, &r) in out.into_rows().into_iter().zip(&alive) {
+        for (row, &r) in out.into_iter().zip(&alive) {
             if board.retire_if_tripped(r) {
                 continue;
             }

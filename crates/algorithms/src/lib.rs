@@ -20,7 +20,7 @@
 //!   per-source push/pull switching in both phases).
 //! * [`mod@entries`] — coalesced query batches: BFS / parent-BFS entries
 //!   sharing the msbfs lane traversal, SSSP entries advanced together
-//!   through `mxv_batch_attributed`, each with its own
+//!   through `mxv_batch` with per-row counters, each with its own
 //!   [`ExecLimits`](graphblas_core::ExecLimits) and counter set (the
 //!   service layer's algorithm face).
 //!

@@ -27,7 +27,7 @@
 //!   additionally stops at the *first* explicit input hit — parent-BFS's
 //!   per-row early exit, a win the unfused path cannot express because
 //!   `min`'s annihilator (vertex id 0) almost never occurs.
-//! * **Push** (column kernel): the kernel of [`col_mxv`](crate::col_mxv)
+//! * **Push** (column kernel): the kernel of a push [`mxv`](crate::mxv)
 //!   runs unchanged (the same claim kernel for a structure-only semiring,
 //!   the same sort-based merge otherwise, the same counters), but its
 //!   output flows through apply + assign instead of being materialized as
@@ -51,7 +51,7 @@ use crate::ops_mxv::{
     col_kernel_parts, face, operands, reduce_row, Face, PullRows, RowTally, SendPtr,
 };
 use crate::vector::{DenseVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, VertexId};
+use graphblas_matrix::{Csr, Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use rayon::prelude::*;
 use std::marker::PhantomData;
@@ -298,9 +298,9 @@ where
 /// so counters match the unfused kernel exactly), then apply + assign
 /// consume the harvested parts in one sequential pass — the sparse output
 /// vector is never built.
-fn fused_push<A, X, Y, Z, S, F, U, M>(
+fn fused_push<A, X, Y, Z, S, F, U>(
     base: &FusedMxv<'_, A, X, S>,
-    op_t: &M,
+    op_t: &Csr<A>,
     v: &SparseVector<X>,
     apply: &F,
     update: &U,
@@ -314,7 +314,6 @@ where
     S: Semiring<A, X, Y>,
     F: Fn(Y) -> Z,
     U: Fn(Z, Z) -> Option<Z>,
-    M: RowAccess<A>,
 {
     let (ids, vals): (Vec<u32>, Vec<Y>) =
         col_kernel_parts(base.s, op_t, v, base.mask, base.counters);
@@ -352,9 +351,9 @@ where
 /// from its bit words or its active list); chunk boundaries derive from
 /// the visited-row count only, so `touched` and every state write are
 /// identical at any lane count.
-fn fused_pull<A, X, Y, Z, S, F, U, M>(
+fn fused_pull<A, X, Y, Z, S, F, U>(
     base: &FusedMxv<'_, A, X, S>,
-    op: &M,
+    op: &Csr<A>,
     v: &DenseVector<X>,
     apply: &F,
     update: &U,
@@ -368,7 +367,6 @@ where
     S: Semiring<A, X, Y>,
     F: Fn(Y) -> Z + Sync + Send,
     U: Fn(Z, Z) -> Option<Z> + Sync + Send,
-    M: RowAccess<A>,
 {
     let s = base.s;
     let identity = s.add_monoid().identity();
@@ -431,9 +429,9 @@ where
 /// [`reduce_row`]: one matrix access per examined neighbor, tallied on the
 /// chunk.
 #[inline]
-fn reduce_row_first_hit<A, X, Y, S, M>(
+fn reduce_row_first_hit<A, X, Y, S>(
     s: S,
-    op: &M,
+    op: &Csr<A>,
     v: &DenseVector<X>,
     i: usize,
     identity: Y,
@@ -444,7 +442,6 @@ where
     X: Scalar,
     Y: Scalar,
     S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
 {
     let add = s.add_monoid();
     let cols = op.row(i);

@@ -3,6 +3,11 @@
 //! four matvec kernels of Table 1 behind a single `mxv` entry point that
 //! performs the paper's push-pull direction optimization at runtime.
 //!
+//! Every kernel reads the graph's CSR of `A` or of `Aᵀ` — the paper's
+//! storage (§3) — and takes it as a concrete [`graphblas_matrix::Csr`].
+//! The matrix crate's alternate stores (bitmap, DCSR) are built only for
+//! the benchmark's build-time metrics; no core call reads them.
+//!
 //! The library follows the paper's central isomorphism (§4): *push* is
 //! column-based matvec over a sparse input vector, *pull* is row-based
 //! masked matvec over a dense input vector, and both are the same GraphBLAS
@@ -18,7 +23,8 @@
 //!    vector's storage or a forced direction; [`plan::DirectionPolicy`]
 //!    implements the `nnz/M >< 0.01` hysteresis switch for iterative
 //!    algorithms.
-//! 2. **Masking** — [`mask::Mask`] plus the masked row/column kernels.
+//! 2. **Masking** — [`mask::Mask`], applied inside the row and column
+//!    kernels of a masked `mxv`.
 //! 3. **Early-exit** — row-based masked kernel breaks out of a row when the
 //!    ⊕ monoid hits its annihilator (`OR` saturating at `true`).
 //! 4. **Operand reuse** — enabled by the algorithm layer, which may pass the
@@ -28,8 +34,8 @@
 //!    mask-passing outputs in a bit set and sorts only the winners instead
 //!    of merging (key, value) pairs.
 //!
-//! [`ops_mxv_batch`] generalizes the direction machinery to `k × n`
-//! frontier *batches* ([`vector::MultiVector`]): [`ops_mxv_batch::mxv_batch`]
+//! [`ops_mxv_batch`] generalizes the direction machinery to frontier
+//! *batches* (a slice of `k` vectors): [`ops_mxv_batch::mxv_batch`]
 //! runs every row through `mxv`'s own dispatch and single-source kernel,
 //! push rows side by side and pull rows one at a time across every lane —
 //! the batched Brandes BC and multi-source SSSP workloads.
@@ -67,8 +73,8 @@ pub use exec::{check_stop, run_guarded, ExecLimits, StopReason};
 pub use fused::{FusedMxv, FusedOutput, FusedPipeline};
 pub use mask::Mask;
 pub use ops::{BoolOrAnd, MinPlus, Monoid, PlusTimes, Scalar, Semiring, SemiringNum};
-pub use ops_mxv::{col_masked_mxv, col_mxv, mxv, row_masked_mxv, row_mxv};
-pub use ops_mxv_batch::{mxv_batch, mxv_batch_attributed};
+pub use ops_mxv::mxv;
+pub use ops_mxv_batch::mxv_batch;
 pub use ops_mxv_lanes::{LaneCharges, LaneGroup, MAX_LANES};
 pub use plan::{resolve_direction, resolve_plan, CostConstants, CostModelInputs, DirectionPolicy};
-pub use vector::{DenseVector, MultiVector, SparseVector, Vector};
+pub use vector::{DenseVector, SparseVector, Vector};

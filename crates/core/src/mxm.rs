@@ -9,7 +9,7 @@
 //! kernel and is what `graphblas_algo::tricount` builds on.
 
 use crate::ops::{Monoid, Scalar, Semiring};
-use graphblas_matrix::{Csr, RowAccess};
+use graphblas_matrix::Csr;
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::Spa;
 use rayon::prelude::*;
@@ -29,11 +29,11 @@ use rayon::prelude::*;
 /// plus harvests. Counting is bulk per row, never per element in the hot
 /// loop, so instrumented runs stay exact and cheap under concurrency.
 #[must_use]
-pub fn mxm<A, B, Y, S, M, MA, MB, MM>(
-    mask: Option<&MM>,
+pub fn mxm<A, B, Y, S, M>(
+    mask: Option<&Csr<M>>,
     s: S,
-    a: &MA,
-    b: &MB,
+    a: &Csr<A>,
+    b: &Csr<B>,
     y_zero: Y,
     counters: Option<&AccessCounters>,
 ) -> Csr<Y>
@@ -43,9 +43,6 @@ where
     Y: Scalar,
     M: Scalar,
     S: Semiring<A, B, Y>,
-    MA: RowAccess<A>,
-    MB: RowAccess<B>,
-    MM: RowAccess<M>,
 {
     assert_eq!(a.n_cols(), b.n_rows(), "inner dimensions must agree");
     if let Some(m) = mask {
@@ -86,11 +83,11 @@ where
 }
 
 #[allow(clippy::too_many_arguments)]
-fn unmasked_row<A, B, Y, S, Add, MA, MB>(
+fn unmasked_row<A, B, Y, S, Add>(
     s: S,
     add: Add,
-    a: &MA,
-    b: &MB,
+    a: &Csr<A>,
+    b: &Csr<B>,
     i: usize,
     spa: &mut Spa<Y>,
     counters: Option<&AccessCounters>,
@@ -101,8 +98,6 @@ where
     Y: Scalar,
     S: Semiring<A, B, Y>,
     Add: Monoid<Y>,
-    MA: RowAccess<A>,
-    MB: RowAccess<B>,
 {
     let identity = add.identity();
     let mut examined = 0u64;
@@ -134,12 +129,12 @@ where
 }
 
 #[allow(clippy::too_many_arguments)]
-fn masked_row<A, B, Y, S, Add, M, MA, MB, MM>(
+fn masked_row<A, B, Y, S, Add, M>(
     s: S,
     add: Add,
-    a: &MA,
-    b: &MB,
-    mask: &MM,
+    a: &Csr<A>,
+    b: &Csr<B>,
+    mask: &Csr<M>,
     i: usize,
     spa: &mut Spa<Y>,
     counters: Option<&AccessCounters>,
@@ -151,9 +146,6 @@ where
     M: Scalar,
     S: Semiring<A, B, Y>,
     Add: Monoid<Y>,
-    MA: RowAccess<A>,
-    MB: RowAccess<B>,
-    MM: RowAccess<M>,
 {
     let allowed = mask.row(i);
     if allowed.is_empty() {

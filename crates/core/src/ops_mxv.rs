@@ -1,17 +1,19 @@
-//! The four matvec kernels of Table 1 and the push-pull dispatcher.
+//! Table 1's four matvec kernels behind the push-pull dispatcher.
 //!
-//! | kernel            | paper name                | cost (Table 1)                  |
-//! |-------------------|---------------------------|---------------------------------|
-//! | [`row_mxv`]       | row-based, no mask        | `O(dM)`                         |
-//! | [`row_masked_mxv`]| row-based, mask (Alg. 2)  | `O(M/64 + d·nnz(m))`            |
-//! | [`col_mxv`]       | column-based, no mask     | `O(d·nnz(f)·log nnz(f))`        |
-//! | [`col_masked_mxv`]| column-based, mask (Alg.3)| `O(d·nnz(f)·log nnz(f))`        |
+//! [`mxv`] is the public entry point (GrB_mxv) and the one way into the
+//! kernels: it resolves the operand orientation from the descriptor's
+//! transpose flag, picks row vs. column by the input vector's storage (or
+//! [`Descriptor::force`]), and applies the mask inside the kernel. That
+//! resolution is one function, which the fused pipeline and every row of a
+//! batched call go through too. Each face reads the graph's CSR of `op(A)`
+//! or of its transpose.
 //!
-//! [`mxv`] is the public entry point (GrB_mxv): it resolves the operand
-//! orientation from the descriptor's transpose flag, picks row vs. column
-//! by the input vector's storage (or a forced direction), and applies the
-//! mask inside the kernel. That resolution is one function, which the
-//! fused pipeline and every row of a batched call go through too.
+//! | `mxv` call                       | paper name                | cost (Table 1)                  |
+//! |----------------------------------|---------------------------|---------------------------------|
+//! | pull (dense `v`), no mask        | row-based, no mask        | `O(dM)`                         |
+//! | pull (dense `v`), mask           | row-based, mask (Alg. 2)  | `O(M/64 + d·nnz(m))`            |
+//! | push (sparse `v`), no mask       | column-based, no mask     | `O(d·nnz(f)·log nnz(f))`        |
+//! | push (sparse `v`), mask          | column-based, mask (Alg.3)| `O(d·nnz(f)·log nnz(f))`        |
 //!
 //! Figure 4 shows the paper's asymmetry: the mask prunes the row kernel's
 //! rows but only filters the column kernel's merged output. This crate
@@ -29,7 +31,7 @@ use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::vector::{DenseVector, SparseVector, Vector};
-use graphblas_matrix::{Csr, Graph, RowAccess};
+use graphblas_matrix::{Csr, Graph};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::{gather, pool, scan, segreduce, sort, AtomicBitVec};
 use rayon::prelude::*;
@@ -47,9 +49,9 @@ pub(crate) const ROW_GRAIN: usize = 512;
 /// Row-based matvec without a mask: `w(i) = ⊕_j op(i,j) ⊗ v(j)` for every
 /// row. Touches every stored entry regardless of input sparsity — the
 /// `O(dM)` row of Table 1.
-pub fn row_mxv<A, X, Y, S, M>(
+pub(crate) fn row_mxv<A, X, Y, S>(
     s: S,
-    op: &M,
+    op: &Csr<A>,
     v: &DenseVector<X>,
     counters: Option<&AccessCounters>,
 ) -> DenseVector<Y>
@@ -58,7 +60,6 @@ where
     X: Scalar,
     Y: Scalar,
     S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
 {
     assert_eq!(op.n_cols(), v.dim(), "operand columns must match input dim");
     let add = s.add_monoid();
@@ -68,7 +69,7 @@ where
     }
     let mut vals = vec![identity; op.n_rows()];
     let out = SendPtr(vals.as_mut_ptr());
-    par_rows(PullRows::unmasked(op), counters, |i, tally| {
+    par_rows(PullRows::All(op.n_rows()), counters, |i, tally| {
         let y = reduce_row(s, op, v, i, identity, false, counters, tally);
         // SAFETY: the visited rows are unique and in bounds, and chunks
         // partition them, so writes are disjoint.
@@ -86,9 +87,9 @@ where
 /// `O(M/64 + d·nnz(m))` and never tests a blocked row; an attached active
 /// list is walked instead (`O(d·nnz(m))`). Either way the `mask` counter
 /// is charged one access per allowed row.
-pub fn row_masked_mxv<A, X, Y, S, M>(
+pub(crate) fn row_masked_mxv<A, X, Y, S>(
     s: S,
-    op: &M,
+    op: &Csr<A>,
     v: &DenseVector<X>,
     mask: &Mask<'_>,
     early_exit: bool,
@@ -99,7 +100,6 @@ where
     X: Scalar,
     Y: Scalar,
     S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
 {
     assert_eq!(op.n_cols(), v.dim(), "operand columns must match input dim");
     assert_eq!(op.n_rows(), mask.dim(), "mask must cover output dim");
@@ -169,31 +169,16 @@ impl RowTally {
 pub(crate) enum PullRows<'a> {
     /// A mask's allowed rows, read from its bit words or its active list.
     Masked(Mask<'a>),
-    /// An unmasked hypersparse store's non-empty rows (the DCSR win), out
-    /// of its `n` rows.
-    NonEmpty(&'a [u32], usize),
     /// Every row `0..n`.
     All(usize),
 }
 
-impl<'a> PullRows<'a> {
-    /// The rows an unmasked pull over `op` visits: a hypersparse store's
-    /// non-empty rows, every row otherwise.
-    pub(crate) fn unmasked<A: Scalar, M: RowAccess<A>>(op: &'a M) -> Self {
-        let n = op.n_rows();
-        op.nonempty_rows()
-            .map_or(Self::All(n), |rows| Self::NonEmpty(rows, n))
-    }
-
+impl PullRows<'_> {
     /// The charges a call makes before visiting any row: one `mask`
-    /// access per allowed row; for skipped empty rows, the bookkeeping
-    /// `reduce_row` would charge them (`examined + 1` = 1 vector touch
-    /// each), so totals equal the full-scan CSR run.
+    /// access per allowed row.
     pub(crate) fn charge(&self, counters: Option<&AccessCounters>) {
-        match (counters, self) {
-            (Some(c), Self::Masked(m)) => c.add_mask(m.active_count() as u64),
-            (Some(c), Self::NonEmpty(rows, n)) => c.add_vector((n - rows.len()) as u64),
-            _ => {}
+        if let (Some(c), Self::Masked(m)) = (counters, self) {
+            c.add_mask(m.active_count() as u64);
         }
     }
 
@@ -202,7 +187,6 @@ impl<'a> PullRows<'a> {
     pub(crate) fn chunks(&self) -> Vec<Range<usize>> {
         match self {
             Self::Masked(m) => m.allowed_chunks(ROW_GRAIN),
-            Self::NonEmpty(rows, _) => pool::index_chunks(rows.len(), ROW_GRAIN),
             Self::All(n) => pool::index_chunks(*n, ROW_GRAIN),
         }
     }
@@ -211,10 +195,11 @@ impl<'a> PullRows<'a> {
     /// ascending.
     #[inline]
     pub(crate) fn for_each(&self, chunk: Range<usize>, mut f: impl FnMut(usize)) {
+        // `f` is lent, not moved: moved into `for_each_allowed`, the fused
+        // pull's row closure was compiled out of line, one call per row.
         match self {
-            Self::Masked(m) => m.for_each_allowed(chunk, f),
-            Self::NonEmpty(rows, _) => rows[chunk].iter().for_each(|&i| f(i as usize)),
-            Self::All(_) => chunk.for_each(f),
+            Self::Masked(m) => m.for_each_allowed(chunk, &mut f),
+            Self::All(_) => chunk.for_each(&mut f),
         }
     }
 }
@@ -240,9 +225,9 @@ where
 /// row's charges go to the chunk's `tally`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn reduce_row<A, X, Y, S, M>(
+pub(crate) fn reduce_row<A, X, Y, S>(
     s: S,
-    op: &M,
+    op: &Csr<A>,
     v: &DenseVector<X>,
     i: usize,
     identity: Y,
@@ -255,7 +240,6 @@ where
     X: Scalar,
     Y: Scalar,
     S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
 {
     // Per-row checkpoint: rows are the row kernels' size-derived work
     // units, so a tripped limit stops the sweep within one row's work.
@@ -287,88 +271,27 @@ where
 // Column-based (push) kernels
 // ---------------------------------------------------------------------------
 
-/// Column-based matvec without a mask: gathers the operand columns selected
-/// by the sparse input's nonzeros and resolves collisions by multiway merge
-/// (radix sort + segmented reduce, Algorithm 3 and §6.2).
-/// `O(d·nnz(f)·log nnz(f))`. A structure-only semiring runs the claim
-/// kernel instead (see [`col_masked_mxv`]).
-///
-/// `op_t` must be the *transpose* of the logical operand: its rows are the
-/// operand's columns, which is how CSC access is realized (§3).
-pub fn col_mxv<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    counters: Option<&AccessCounters>,
-) -> SparseVector<Y>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    col_kernel(s, op_t, v, None, counters)
-}
-
-/// Column-based **masked** matvec — Algorithm 3.
+/// The column kernel — Algorithm 3 and §6.2 — up to (but not including)
+/// output materialization: gathers the rows of `op_t` (the operand's
+/// columns, which is how CSC access is realized, §3) selected by the
+/// sparse input's nonzeros, and returns the raw sorted `(ids, vals)` pair
+/// lists. `O(d·nnz(f)·log nnz(f))`.
 ///
 /// For a valued semiring the mask is the final filter (lines 17–24, Fig.
-/// 4d): the full expansion, merge and reduction happen first. For a
-/// structure-only semiring (a constant [`Semiring::product_hint`]) the
-/// mask is tested *before* any merge work: each expanded edge that passes
-/// it claims its output vertex in a bit set, and only the claimed vertices
-/// are sorted. Lend the claim set through [`Mask::with_claim_set`] to keep
-/// a call free of `O(M)` work.
-pub fn col_masked_mxv<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    mask: &Mask<'_>,
-    counters: Option<&AccessCounters>,
-) -> SparseVector<Y>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    assert_eq!(op_t.n_rows(), mask.dim(), "mask must cover output dim");
-    col_kernel(s, op_t, v, Some(mask), counters)
-}
-
-fn col_kernel<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    mask: Option<&Mask<'_>>,
-    counters: Option<&AccessCounters>,
-) -> SparseVector<Y>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    let (ids, vals) = col_kernel_parts(s, op_t, v, mask, counters);
-    SparseVector::from_sorted(ids, vals)
-}
-
-/// The column kernel up to (but not including) output materialization:
-/// the structure-only claim kernel, or expansion, radix sort and segmented
-/// reduce followed by the mask filter and identity drop, returning the raw
-/// sorted `(ids, vals)` pair lists.
+/// 4d): expansion, radix sort and segmented reduce happen first, then the
+/// mask filter and identity drop. For a structure-only semiring (a
+/// constant [`Semiring::product_hint`]) the mask is tested *before* any
+/// merge work, in the claim kernel. Lend the claim set through
+/// [`Mask::with_claim_set`] to keep a call free of `O(M)` work.
 ///
-/// [`col_kernel`] and the `mxv` dispatch (so every push row of
-/// [`crate::mxv_batch`]) wrap this into a sparse output; the fused pipeline
-/// ([`crate::fused::FusedMxv`]) consumes the parts directly so the applied/
+/// The `mxv` dispatch (so every push row of [`crate::mxv_batch`]) wraps
+/// the parts into a sparse output; the fused pipeline
+/// ([`crate::fused::FusedMxv`]) consumes them directly so the applied/
 /// assigned chain never materializes an intermediate vector. Counter
-/// bookkeeping is identical in all of them.
-pub(crate) fn col_kernel_parts<A, X, Y, S, M>(
+/// bookkeeping is identical in both.
+pub(crate) fn col_kernel_parts<A, X, Y, S>(
     s: S,
-    op_t: &M,
+    op_t: &Csr<A>,
     v: &SparseVector<X>,
     mask: Option<&Mask<'_>>,
     counters: Option<&AccessCounters>,
@@ -378,7 +301,6 @@ where
     X: Scalar,
     Y: Scalar,
     S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
 {
     let add = s.add_monoid();
     let identity = add.identity();
@@ -402,7 +324,7 @@ where
     }
 
     let (mut keys, mut prods) = expand_pairs(s, op_t, v, counters);
-    let max_key = op_t.n_rows().max(1) as u32 - 1;
+    let max_key = op_t.n_cols().max(1) as u32 - 1;
     if let Some(c) = counters {
         // A key-value sort moves two words per product.
         c.add_sort(2 * keys.len() as u64 * sort::passes_for(max_key) as u64);
@@ -437,18 +359,14 @@ const CLAIM_GRAIN: usize = pool::DEFAULT_GRAIN;
 /// mask, `sort` the winners' radix passes. Both buffers — the winners (at
 /// most `min(expanded, M)` keys) and, when no set is lent, a per-call
 /// claim set — are charged on the caller thread before any chunk runs.
-fn claim_kernel<A, X, M>(
-    op_t: &M,
+fn claim_kernel<A: Scalar, X: Scalar>(
+    op_t: &Csr<A>,
     v: &SparseVector<X>,
     mask: Option<&Mask<'_>>,
     counters: Option<&AccessCounters>,
-) -> Vec<u32>
-where
-    A: Scalar,
-    X: Scalar,
-    M: RowAccess<A>,
-{
-    let n = op_t.n_rows();
+) -> Vec<u32> {
+    // Output ids are the columns of `op_t`.
+    let n = op_t.n_cols();
     let ids = v.ids();
     let total: usize = ids.iter().map(|&u| op_t.degree(u as usize)).sum();
     let lent = mask.and_then(Mask::claim_set);
@@ -590,12 +508,10 @@ fn filter_col_output<Y: Scalar>(
 /// The expansion preamble of both column kernels: scatter offsets over the
 /// frontier's selected columns (CSR-style, trailing total) and the expanded
 /// product count.
-fn expansion_offsets<A, X, M>(op_t: &M, v: &SparseVector<X>) -> (Vec<usize>, usize)
-where
-    A: Scalar,
-    X: Scalar,
-    M: RowAccess<A>,
-{
+fn expansion_offsets<A: Scalar, X: Scalar>(
+    op_t: &Csr<A>,
+    v: &SparseVector<X>,
+) -> (Vec<usize>, usize) {
     let lengths: Vec<usize> = v.ids().iter().map(|&k| op_t.degree(k as usize)).collect();
     let offsets = scan::exclusive_scan_offsets(&lengths);
     let total = *offsets.last().expect("non-empty offsets");
@@ -603,9 +519,9 @@ where
 }
 
 /// Expand the selected columns into a flat (row-index, product) pair list.
-fn expand_pairs<A, X, Y, S, M>(
+fn expand_pairs<A, X, Y, S>(
     s: S,
-    op_t: &M,
+    op_t: &Csr<A>,
     v: &SparseVector<X>,
     counters: Option<&AccessCounters>,
 ) -> (Vec<u32>, Vec<Y>)
@@ -614,7 +530,6 @@ where
     X: Scalar,
     Y: Scalar,
     S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
 {
     let (offsets, total) = expansion_offsets(op_t, v);
     if let Some(c) = counters {
@@ -725,13 +640,13 @@ impl<A: Scalar, X: Scalar> Face<'_, A, X> {
     {
         match self {
             Face::Push(op_t, sv) => {
-                let (ids, vals) = col_kernel_parts(s, *op_t, sv, mask, counters);
+                let (ids, vals) = col_kernel_parts(s, op_t, sv, mask, counters);
                 let identity = s.add_monoid().identity();
                 Vector::from_sparse(op_t.n_cols(), identity, ids, vals)
             }
             Face::Pull(op, dv) => Vector::Dense(match mask {
-                Some(m) => row_masked_mxv(s, *op, dv, m, desc.early_exit, counters),
-                None => row_mxv(s, *op, dv, counters),
+                Some(m) => row_masked_mxv(s, op, dv, m, desc.early_exit, counters),
+                None => row_mxv(s, op, dv, counters),
             }),
         }
     }

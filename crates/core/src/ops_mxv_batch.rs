@@ -1,5 +1,5 @@
-//! Batched (multi-vector) matvec: the paper's push/pull machinery applied
-//! to a `k × n` frontier batch, one direction decision per row.
+//! Batched matvec: the paper's push/pull machinery applied to a batch of
+//! `k` frontiers, one direction decision per row.
 //!
 //! GraphBLAST (Yang et al.) observes that direction optimization
 //! generalizes from SpMV/SpMSpV to multi-vector operands, and Besta et
@@ -7,11 +7,12 @@
 //! per source: in a batched traversal one source can sit mid-supervertex
 //! (dense frontier → row-based pull) while another is still a thin wave
 //! (sparse frontier → column-based push). [`mxv_batch`] is therefore
-//! `GrB_mxv` over a [`MultiVector`], and each row runs `mxv`'s dispatch:
-//! the function that resolves a single call's face resolves the row's
-//! (its storage or the descriptor's force), charges its push or pull step
-//! and hands over its input in that face's storage. Then the row runs the
-//! single-source kernel of that face on its own counters:
+//! `GrB_mxv` over a slice of row vectors, each stored sparse or dense on
+//! its own, and each row runs `mxv`'s dispatch: the function that resolves
+//! a single call's face resolves the row's (its storage or the
+//! descriptor's force), charges its push or pull step and hands over its
+//! input in that face's storage. Then the row runs the single-source
+//! kernel of that face on its own counters:
 //!
 //! * push rows side by side, one row per worker; a row's own parallel
 //!   regions run inline on the worker that took it;
@@ -42,14 +43,14 @@ use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::ops_mxv::{face, operands, Face};
-use crate::vector::{MultiVector, Vector};
+use crate::vector::Vector;
 use graphblas_matrix::Graph;
 use graphblas_primitives::counters::AccessCounters;
 use rayon::prelude::*;
 
-/// GrB_mxv over a `k × n` batch: `W(r, :) = op(A) · input(r, :)` with an
-/// optional per-row mask, each row dispatched as [`mxv`](crate::mxv)
-/// dispatches one call:
+/// GrB_mxv over a batch: `w[r] = op(A) · rows[r]` with an optional
+/// per-row mask, each row dispatched as [`mxv`](crate::mxv) dispatches
+/// one call:
 ///
 /// * `desc.direction == Force(d)` — every row runs `d` (ablation arms);
 /// * otherwise — each row's *storage* decides, the
@@ -62,12 +63,29 @@ use rayon::prelude::*;
 /// observable. Output rows adopt the kernel's natural storage: push rows
 /// come back sparse, pull rows dense — so a direction-optimized batched
 /// loop hands each source the representation its next iteration wants.
+/// Every row must match the operand's column count; a row that does not
+/// is a [`GrbError::DimensionMismatch`].
 ///
 /// Push rows run concurrently, so a mask that lends a claim set
 /// ([`Mask::with_claim_set`]) must lend one no other row's mask lends.
 ///
+/// **Per-row attribution.** With `row_counters`, `row_counters[r]` (one
+/// set per row) receives every charge row `r`'s work causes — its
+/// direction step, output-buffer allocation, mask/vector/matrix traffic,
+/// expansion and merge (or claims) — and row `r`'s kernel chunks poll
+/// *those* counters' checkpoints, so per-row
+/// [`ExecLimits`](crate::ExecLimits) installed on `row_counters[r]` stop
+/// only row `r` (it comes back empty; siblings are untouched). This is
+/// what lets a query service coalesce independent requests into one batch
+/// while each request keeps its own counter snapshot, deadline, and
+/// budget. At the end of the call every row counter's growth is folded
+/// into `counters` via [`AccessCounters::absorb`], so the shared aggregate
+/// is identical to an unattributed call on the same rows.
+/// `row_counters` must be disjoint from `counters` (folding into an
+/// aliased set would double-charge).
+///
 /// ```
-/// use graphblas_core::{mxv_batch, BoolOrAnd, Descriptor, MultiVector};
+/// use graphblas_core::{mxv_batch, BoolOrAnd, Descriptor, Vector};
 /// use graphblas_matrix::{Coo, Graph};
 ///
 /// // Diamond 0 → {1, 2} → 3: one BFS step for two sources at once.
@@ -76,11 +94,14 @@ use rayon::prelude::*;
 ///     coo.push(u, v, true);
 /// }
 /// let g = Graph::from_coo(&coo);
-/// let batch = MultiVector::singletons(4, false, &[(0, true), (1, true)]);
+/// let rows = [
+///     Vector::singleton(4, false, 0, true),
+///     Vector::singleton(4, false, 1, true),
+/// ];
 /// let desc = Descriptor::new().transpose(true);
 ///
-/// let next: MultiVector<bool> = mxv_batch(None, BoolOrAnd, &g, &batch, &desc, None).unwrap();
-/// let frontier = |r: usize| next.row(r).iter_explicit().map(|(i, _)| i).collect::<Vec<_>>();
+/// let next: Vec<Vector<bool>> = mxv_batch(None, BoolOrAnd, &g, &rows, &desc, None, None).unwrap();
+/// let frontier = |r: usize| next[r].iter_explicit().map(|(i, _)| i).collect::<Vec<_>>();
 /// assert_eq!(frontier(0), vec![1, 2], "source 0 reaches 1 and 2");
 /// assert_eq!(frontier(1), vec![3], "source 1 reaches 3");
 /// ```
@@ -88,49 +109,11 @@ pub fn mxv_batch<A, X, Y, S>(
     masks: Option<&[Mask<'_>]>,
     s: S,
     graph: &Graph<A>,
-    input: &MultiVector<X>,
-    desc: &Descriptor,
-    counters: Option<&AccessCounters>,
-) -> GrbResult<MultiVector<Y>>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-{
-    mxv_batch_attributed(masks, s, graph, input, desc, counters, None)
-}
-
-/// [`mxv_batch`] with **per-row counter attribution**: `row_counters[r]`
-/// (one set per batch row) receives every charge row `r`'s work causes —
-/// its direction step, output-buffer allocation, mask/vector/matrix
-/// traffic, expansion and merge (or claims) — and row `r`'s
-/// kernel chunks poll *those* counters' checkpoints, so per-row
-/// [`ExecLimits`](crate::ExecLimits) installed on `row_counters[r]` stop
-/// only row `r` (it comes back empty; siblings are untouched). This is
-/// what lets a query service coalesce independent requests into one batch
-/// while each request keeps its own counter snapshot, deadline, and
-/// budget.
-///
-/// At the end of the call every row counter's growth is folded into
-/// `counters` via
-/// [`AccessCounters::absorb`], so the shared aggregate is identical to an
-/// unattributed `mxv_batch` of the same batch (the callers' existing
-/// batch ≡ k-singles counter contract is preserved; pinned by this
-/// module's tests).
-///
-/// `row_counters` must be disjoint from `counters` (folding into an
-/// aliased set would double-charge). With `row_counters = None` this is
-/// exactly [`mxv_batch`].
-pub fn mxv_batch_attributed<A, X, Y, S>(
-    masks: Option<&[Mask<'_>]>,
-    s: S,
-    graph: &Graph<A>,
-    input: &MultiVector<X>,
+    rows: &[Vector<X>],
     desc: &Descriptor,
     counters: Option<&AccessCounters>,
     row_counters: Option<&[&AccessCounters]>,
-) -> GrbResult<MultiVector<Y>>
+) -> GrbResult<Vec<Vector<Y>>>
 where
     A: Scalar,
     X: Scalar,
@@ -138,13 +121,15 @@ where
     S: Semiring<A, X, Y>,
 {
     let (operand, _) = operands(graph, desc);
-    let k = input.k();
-    if operand.n_cols() != input.dim() {
-        return Err(GrbError::DimensionMismatch {
-            context: "mxv_batch input batch",
-            expected: operand.n_cols(),
-            actual: input.dim(),
-        });
+    let k = rows.len();
+    for row in rows {
+        if row.dim() != operand.n_cols() {
+            return Err(GrbError::DimensionMismatch {
+                context: "mxv_batch input row",
+                expected: operand.n_cols(),
+                actual: row.dim(),
+            });
+        }
     }
     if let Some(ms) = masks {
         if ms.len() != k {
@@ -187,8 +172,10 @@ where
     // and its kernel, run on the row's own counters (its attributed set,
     // or the shared one).
     let charge = |r: usize| row_counters.map_or(counters, |rc| Some(rc[r]));
-    let faces: Vec<Face<'_, A, X>> = (0..k)
-        .map(|r| face(graph, input.row(r), desc, charge(r)))
+    let faces: Vec<Face<'_, A, X>> = rows
+        .iter()
+        .enumerate()
+        .map(|(r, row)| face(graph, row, desc, charge(r)))
         .collect();
     let run = |r: usize| faces[r].mxv(s, masks.map(|ms| &ms[r]), desc, charge(r));
 
@@ -234,7 +221,7 @@ where
     // trips are *not* batch errors: the caller inspects each row counter's
     // `stop_reason` and retires tripped rows individually.
     crate::exec::check_stop(counters)?;
-    Ok(MultiVector::from_rows(out))
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -265,17 +252,19 @@ mod tests {
     #[test]
     fn batch_matches_per_row_mxv_both_directions() {
         let g = diamond();
-        let batch = MultiVector::singletons(5, false, &[(0, true), (1, true), (4, true)]);
+        let batch: Vec<Vector<bool>> = [0, 1, 4]
+            .map(|s| Vector::singleton(5, false, s, true))
+            .to_vec();
         let bits: Vec<BitVec> = (0..3).map(|_| BitVec::new(5)).collect();
         let masks: Vec<Mask<'_>> = bits.iter().map(Mask::complement).collect();
         for dir in [Direction::Push, Direction::Pull] {
             let desc = desc_bfs().force(dir);
-            let out: MultiVector<bool> =
-                mxv_batch(Some(&masks), BoolOrAnd, &g, &batch, &desc, None).unwrap();
+            let out: Vec<Vector<bool>> =
+                mxv_batch(Some(&masks), BoolOrAnd, &g, &batch, &desc, None, None).unwrap();
             for (r, mask) in masks.iter().enumerate() {
                 let single: Vector<bool> =
-                    mxv(Some(mask), BoolOrAnd, &g, batch.row(r), &desc, None).unwrap();
-                assert_eq!(explicit(out.row(r)), explicit(&single), "{dir:?} row {r}");
+                    mxv(Some(mask), BoolOrAnd, &g, &batch[r], &desc, None).unwrap();
+                assert_eq!(explicit(&out[r]), explicit(&single), "{dir:?} row {r}");
             }
         }
     }
@@ -291,15 +280,15 @@ mod tests {
             Direction::Pull,
             "sanity: same rule as mxv"
         );
-        let batch = MultiVector::from_rows(vec![dense_row, sparse_row]);
+        let batch = [dense_row, sparse_row];
         let c = AccessCounters::new();
-        let out: MultiVector<bool> =
-            mxv_batch(None, BoolOrAnd, &g, &batch, &desc_bfs(), Some(&c)).unwrap();
+        let out: Vec<Vector<bool>> =
+            mxv_batch(None, BoolOrAnd, &g, &batch, &desc_bfs(), Some(&c), None).unwrap();
         let snap = c.snapshot();
         assert_eq!((snap.pull_steps, snap.push_steps), (1, 1));
         // Output storage follows each row's kernel.
-        assert!(!out.row(0).is_sparse(), "the pulled row comes back dense");
-        assert!(out.row(1).is_sparse(), "the pushed row comes back sparse");
+        assert!(!out[0].is_sparse(), "the pulled row comes back dense");
+        assert!(out[1].is_sparse(), "the pushed row comes back sparse");
     }
 
     #[test]
@@ -314,53 +303,55 @@ mod tests {
             Vector::from_sparse(4, 0.0f64, vec![0, 1], vec![1.0, 2.0]),
             Vector::from_sparse(4, 0.0f64, vec![2], vec![5.0]),
         ];
-        let batch = MultiVector::from_rows(rows);
         let desc = desc_bfs().force(Direction::Push);
-        let out: MultiVector<f64> = mxv_batch(None, PlusSecond, &g, &batch, &desc, None).unwrap();
-        assert_eq!(out.row(0).get(2), 3.0, "σ(2) = 1 + 2");
-        assert_eq!(out.row(0).get(3), 1.0);
-        assert_eq!(out.row(1).get(3), 5.0);
+        let out: Vec<Vector<f64>> =
+            mxv_batch(None, PlusSecond, &g, &rows, &desc, None, None).unwrap();
+        assert_eq!(out[0].get(2), 3.0, "σ(2) = 1 + 2");
+        assert_eq!(out[0].get(3), 1.0);
+        assert_eq!(out[1].get(3), 5.0);
     }
 
     #[test]
     fn batch_dimension_mismatches_reported() {
         let g = diamond();
-        let wrong = MultiVector::<bool>::new_sparse(2, 4, false);
-        let r: GrbResult<MultiVector<bool>> =
-            mxv_batch(None, BoolOrAnd, &g, &wrong, &desc_bfs(), None);
-        assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
-
-        let ok = MultiVector::<bool>::new_sparse(2, 5, false);
+        let empty = |dim: usize| Vector::<bool>::new_sparse(dim, false);
         let bits = BitVec::new(5);
         let one_mask = [Mask::new(&bits)];
-        let r: GrbResult<MultiVector<bool>> =
-            mxv_batch(Some(&one_mask), BoolOrAnd, &g, &ok, &desc_bfs(), None);
-        assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
+        let run = |rows: &[Vector<bool>], masks: Option<&[Mask<'_>]>| {
+            mxv_batch::<bool, bool, bool, _>(masks, BoolOrAnd, &g, rows, &desc_bfs(), None, None)
+        };
+        for r in [
+            run(&[empty(4), empty(4)], None),
+            run(&[empty(5), empty(4)], None),
+            run(&[empty(5), empty(5)], Some(&one_mask)),
+        ] {
+            assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
+        }
     }
 
     #[test]
     fn empty_rows_cost_nothing_and_stay_empty() {
         let g = diamond();
-        let batch = MultiVector::<bool>::new_sparse(3, 5, false);
+        let batch = vec![Vector::<bool>::new_sparse(5, false); 3];
         let c = AccessCounters::new();
         let desc = desc_bfs().force(Direction::Push);
-        let out: MultiVector<bool> =
-            mxv_batch(None, BoolOrAnd, &g, &batch, &desc, Some(&c)).unwrap();
-        assert_eq!(out.nnz(), 0);
+        let out: Vec<Vector<bool>> =
+            mxv_batch(None, BoolOrAnd, &g, &batch, &desc, Some(&c), None).unwrap();
+        assert!(out.iter().all(|row| row.nnz() == 0));
         let snap = c.snapshot();
         assert_eq!(snap.matrix, 0, "no expansion for empty frontiers");
         assert_eq!(snap.sort, 0);
     }
 
     /// A mixed-direction batch (row 0 dense → pull, rows 1–2 sparse → push).
-    fn attribution_batch() -> MultiVector<bool> {
+    fn attribution_batch() -> Vec<Vector<bool>> {
         let mut dense_row = Vector::from_sparse(5, false, vec![0, 1, 2], vec![true; 3]);
         dense_row.make_dense();
-        MultiVector::from_rows(vec![
+        vec![
             dense_row,
             Vector::singleton(5, false, 0, true),
             Vector::singleton(5, false, 2, true),
-        ])
+        ]
     }
 
     #[test]
@@ -369,7 +360,7 @@ mod tests {
         let rows: Vec<AccessCounters> = (0..3).map(|_| AccessCounters::new()).collect();
         let row_refs: Vec<&AccessCounters> = rows.iter().collect();
         let shared = AccessCounters::new();
-        let out: MultiVector<bool> = mxv_batch_attributed(
+        let out: Vec<Vector<bool>> = mxv_batch(
             None,
             BoolOrAnd,
             &diamond(),
@@ -383,22 +374,17 @@ mod tests {
             // Solo = the same row as a k=1 attributed batch.
             let solo_row = AccessCounters::new();
             let solo_shared = AccessCounters::new();
-            let single = MultiVector::from_rows(vec![batch.row(r).clone()]);
-            let solo: MultiVector<bool> = mxv_batch_attributed(
+            let solo: Vec<Vector<bool>> = mxv_batch(
                 None,
                 BoolOrAnd,
                 &diamond(),
-                &single,
+                &batch[r..=r],
                 &desc_bfs(),
                 Some(&solo_shared),
                 Some(&[&solo_row]),
             )
             .unwrap();
-            assert_eq!(
-                explicit(out.row(r)),
-                explicit(solo.row(0)),
-                "row {r} values"
-            );
+            assert_eq!(explicit(&out[r]), explicit(&solo[0]), "row {r} values");
             assert_eq!(
                 row.snapshot(),
                 solo_row.snapshot(),
@@ -413,7 +399,7 @@ mod tests {
         let rows: Vec<AccessCounters> = (0..3).map(|_| AccessCounters::new()).collect();
         let row_refs: Vec<&AccessCounters> = rows.iter().collect();
         let attributed_shared = AccessCounters::new();
-        let a: MultiVector<bool> = mxv_batch_attributed(
+        let a: Vec<Vector<bool>> = mxv_batch(
             None,
             BoolOrAnd,
             &diamond(),
@@ -424,17 +410,18 @@ mod tests {
         )
         .unwrap();
         let plain_shared = AccessCounters::new();
-        let b: MultiVector<bool> = mxv_batch(
+        let b: Vec<Vector<bool>> = mxv_batch(
             None,
             BoolOrAnd,
             &diamond(),
             &batch,
             &desc_bfs(),
             Some(&plain_shared),
+            None,
         )
         .unwrap();
         for r in 0..3 {
-            assert_eq!(explicit(a.row(r)), explicit(b.row(r)), "row {r}");
+            assert_eq!(explicit(&a[r]), explicit(&b[r]), "row {r}");
         }
         assert_eq!(
             attributed_shared.snapshot(),
@@ -456,7 +443,7 @@ mod tests {
         rows[1].install_limits(&ExecLimits::none().with_deadline(std::time::Duration::ZERO));
         let row_refs: Vec<&AccessCounters> = rows.iter().collect();
         let shared = AccessCounters::new();
-        let out: MultiVector<bool> = mxv_batch_attributed(
+        let out: Vec<Vector<bool>> = mxv_batch(
             None,
             BoolOrAnd,
             &diamond(),
@@ -471,10 +458,10 @@ mod tests {
         assert_eq!(rows[2].stop_reason(), None);
 
         // Siblings are bit-identical to an untripped run.
-        let clean: MultiVector<bool> =
-            mxv_batch(None, BoolOrAnd, &diamond(), &batch, &desc_bfs(), None).unwrap();
-        assert_eq!(explicit(out.row(0)), explicit(clean.row(0)));
-        assert_eq!(explicit(out.row(2)), explicit(clean.row(2)));
+        let clean: Vec<Vector<bool>> =
+            mxv_batch(None, BoolOrAnd, &diamond(), &batch, &desc_bfs(), None, None).unwrap();
+        assert_eq!(explicit(&out[0]), explicit(&clean[0]));
+        assert_eq!(explicit(&out[2]), explicit(&clean[2]));
     }
 
     #[test]
@@ -488,7 +475,7 @@ mod tests {
         let rows: Vec<AccessCounters> = (0..3).map(|_| AccessCounters::new()).collect();
         rows[0].install_limits(&ExecLimits::none().with_bytes_budget(1));
         let row_refs: Vec<&AccessCounters> = rows.iter().collect();
-        let out: MultiVector<bool> = mxv_batch_attributed(
+        let out: Vec<Vector<bool>> = mxv_batch(
             None,
             BoolOrAnd,
             &diamond(),
@@ -499,20 +486,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rows[0].stop_reason(), Some(StopReason::BytesBudget));
-        assert_eq!((out.row(0).dim(), out.row(0).nnz()), (5, 0));
-        let clean: MultiVector<bool> =
-            mxv_batch(None, BoolOrAnd, &diamond(), &batch, &desc_bfs(), None).unwrap();
+        assert_eq!((out[0].dim(), out[0].nnz()), (5, 0));
+        let clean: Vec<Vector<bool>> =
+            mxv_batch(None, BoolOrAnd, &diamond(), &batch, &desc_bfs(), None, None).unwrap();
         for r in [1, 2] {
-            assert_eq!(explicit(out.row(r)), explicit(clean.row(r)), "row {r}");
+            assert_eq!(explicit(&out[r]), explicit(&clean[r]), "row {r}");
         }
     }
 
     #[test]
     fn row_counter_count_mismatch_reported() {
         let g = diamond();
-        let batch = MultiVector::<bool>::new_sparse(2, 5, false);
+        let batch = vec![Vector::<bool>::new_sparse(5, false); 2];
         let one = AccessCounters::new();
-        let r: GrbResult<MultiVector<bool>> = mxv_batch_attributed(
+        let r: GrbResult<Vec<Vector<bool>>> = mxv_batch(
             None,
             BoolOrAnd,
             &g,

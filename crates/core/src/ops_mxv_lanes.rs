@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::ops::Scalar;
 use crate::ops_mxv::ROW_GRAIN;
-use graphblas_matrix::{Graph, RowAccess, VertexId};
+use graphblas_matrix::{Csr, Graph, VertexId};
 use graphblas_primitives::counters::CounterSnapshot;
 use graphblas_primitives::{pool, scan, sort};
 use rayon::prelude::*;
@@ -273,7 +273,7 @@ struct PullSweep<'a> {
 impl PullSweep<'_> {
     /// Scan the open rows in size-derived chunks; returns the rows some
     /// lane discovered (ascending) and the sweep's charges.
-    fn run<A, M: RowAccess<A>>(&self, op: &M) -> (Vec<VertexId>, CounterSnapshot) {
+    fn run<A: Scalar>(&self, op: &Csr<A>) -> (Vec<VertexId>, CounterSnapshot) {
         let parts: Vec<(Vec<VertexId>, u64, u64)> = pool::index_chunks(self.rows.len(), ROW_GRAIN)
             .into_par_iter()
             .map(|range| {
@@ -366,7 +366,7 @@ struct PushSweep<'a> {
 impl PushSweep<'_> {
     /// Expand the selected frontier in expansion-balanced chunks; returns
     /// the vertices this sweep touched first (ascending) and its charges.
-    fn run<A, M: RowAccess<A>>(&self, op_t: &M) -> (Vec<VertexId>, CounterSnapshot) {
+    fn run<A: Scalar>(&self, op_t: &Csr<A>) -> (Vec<VertexId>, CounterSnapshot) {
         let sel: Vec<usize> = (0..self.ids.len())
             .filter(|&i| self.words[i] & self.want != 0)
             .collect();

@@ -355,105 +355,6 @@ impl<T: Scalar> Vector<T> {
     }
 }
 
-/// A batch of `k` vectors over the same dimension — the `k × n` frontier
-/// object of a batched traversal (multi-source BFS, batched Brandes BC).
-///
-/// Each row is an independent [`Vector`], so each source's frontier is
-/// sparse or dense on its own: one source can be mid-supervertex (dense,
-/// pull) while another is still a thin wave (sparse, push). The batched
-/// kernels in [`crate::ops_mxv_batch`] dispatch per row on exactly this
-/// storage, generalizing the paper's Optimization 1 from one frontier to a
-/// batch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MultiVector<T> {
-    dim: usize,
-    fill: T,
-    rows: Vec<Vector<T>>,
-}
-
-impl<T: Scalar> MultiVector<T> {
-    /// A `k × dim` batch of empty sparse rows.
-    #[must_use]
-    pub fn new_sparse(k: usize, dim: usize, fill: T) -> Self {
-        Self {
-            dim,
-            fill,
-            rows: (0..k).map(|_| Vector::new_sparse(dim, fill)).collect(),
-        }
-    }
-
-    /// Wrap existing rows; all must share `dim` and `fill`.
-    #[must_use]
-    pub fn from_rows(rows: Vec<Vector<T>>) -> Self {
-        let first = rows.first().expect("batch needs at least one row");
-        let (dim, fill) = (first.dim(), first.fill());
-        for r in &rows {
-            assert_eq!(r.dim(), dim, "all batch rows must share the dimension");
-            assert_eq!(r.fill(), fill, "all batch rows must share the fill");
-        }
-        Self { dim, fill, rows }
-    }
-
-    /// One singleton row per `(id, value)` entry — the batch analogue of
-    /// [`Vector::singleton`], seeding a multi-source traversal (duplicate
-    /// ids allowed: each gets its own independent row).
-    #[must_use]
-    pub fn singletons(dim: usize, fill: T, entries: &[(VertexId, T)]) -> Self {
-        let rows = entries
-            .iter()
-            .map(|&(id, v)| Vector::singleton(dim, fill, id, v))
-            .collect();
-        Self { dim, fill, rows }
-    }
-
-    /// Number of rows (`k`).
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Shared row dimension (`n`).
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The shared implicit-zero element.
-    #[must_use]
-    pub fn fill(&self) -> T {
-        self.fill
-    }
-
-    /// Borrow row `r`.
-    #[must_use]
-    pub fn row(&self, r: usize) -> &Vector<T> {
-        &self.rows[r]
-    }
-
-    /// Mutably borrow row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut Vector<T> {
-        &mut self.rows[r]
-    }
-
-    /// All rows in order.
-    #[must_use]
-    pub fn rows(&self) -> &[Vector<T>] {
-        &self.rows
-    }
-
-    /// Consume the batch into its rows.
-    #[must_use]
-    pub fn into_rows(self) -> Vec<Vector<T>> {
-        self.rows
-    }
-
-    /// Total explicit entries across the batch (`nnz` of the k × n object).
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.rows.iter().map(Vector::nnz).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,25 +413,5 @@ mod tests {
     #[should_panic(expected = "index beyond dimension")]
     fn from_sparse_checks_bounds() {
         let _ = Vector::from_sparse(4, 0u8, vec![9], vec![1]);
-    }
-
-    #[test]
-    fn multivector_singletons_and_accessors() {
-        let mv = MultiVector::singletons(10, false, &[(3, true), (7, true), (3, true)]);
-        assert_eq!(mv.k(), 3);
-        assert_eq!(mv.dim(), 10);
-        assert_eq!(mv.nnz(), 3);
-        assert!(mv.row(0).get(3));
-        assert!(mv.row(2).get(3), "duplicate sources get independent rows");
-        assert!(mv.rows().iter().all(Vector::is_sparse));
-    }
-
-    #[test]
-    #[should_panic(expected = "share the dimension")]
-    fn multivector_rejects_mixed_dims() {
-        let _ = MultiVector::from_rows(vec![
-            Vector::<bool>::new_sparse(4, false),
-            Vector::<bool>::new_sparse(5, false),
-        ]);
     }
 }

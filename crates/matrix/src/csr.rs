@@ -2,13 +2,11 @@
 //!
 //! CSR of `A` is simultaneously CSC of `Aᵀ`: row `i` of the structure holds
 //! the out-neighbors of vertex `i` when it stores `A`, and the in-neighbors
-//! when it stores `Aᵀ`. The matvec kernels in `graphblas_core` are generic
-//! over the [`crate::storage::RowAccess`] surface, so they run on a `Csr`,
-//! a [`crate::storage::BitmapStore`], or a hypersparse
-//! [`crate::storage::Dcsr`] interchangeably — `Csr` is the baseline format
-//! every graph is born in and the oracle the other formats are tested
-//! against; a flag at the dispatch layer says which orientation (`A` or
-//! `Aᵀ`) a given store represents.
+//! when it stores `Aᵀ`. Every kernel in `graphblas_core` reads a `Csr` and
+//! nothing else; a flag at the dispatch layer says which orientation (`A`
+//! or `Aᵀ`) it reads. `Csr` is also the format every graph is born in and
+//! the oracle the alternate stores of [`crate::storage`] are tested
+//! against.
 //!
 //! Column indices within each row are kept sorted — the paper's sparse
 //! vectors and matrix slices are "sorted lists of indices and values" (§3),

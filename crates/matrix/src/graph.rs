@@ -11,11 +11,13 @@
 //! evaluation — the two orientations are identical and the CSR is shared
 //! via `Arc`, halving memory.
 //!
-//! Each orientation additionally carries a lazy cache of alternate storage
-//! formats ([`crate::storage::BitmapStore`], [`crate::storage::Dcsr`]):
+//! The `graphblas_core` kernels read only these two CSRs. Each orientation
+//! additionally carries a lazy cache of alternate storage formats
+//! ([`crate::storage::BitmapStore`], [`crate::storage::Dcsr`]):
 //! [`Graph::store`] serves any orientation in any format, converting on
-//! first request and reusing the cached store afterwards. The
-//! `graphblas_core` dispatchers read only the resident CSR orientations.
+//! first request and reusing the cached store afterwards. No core call
+//! reads those stores; they remain for the benchmark, which times their
+//! builds (`matrix.bitmap_build_ms`, `matrix.dcsr_build_ms`).
 
 use crate::storage::{BitmapPlan, BitmapStore, Dcsr, StorageFormat};
 use crate::{Coo, Csr, VertexId};
@@ -44,7 +46,7 @@ impl<V> Default for FormatCache<V> {
 }
 
 /// A borrowed view of one orientation of a [`Graph`] in a concrete
-/// storage format; match on it to hand the store to a kernel generic over
+/// storage format; match on it to read the store through
 /// [`crate::RowAccess`].
 #[derive(Debug)]
 pub enum StoreRef<'a, V> {

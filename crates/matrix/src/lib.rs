@@ -16,11 +16,10 @@
 //!   (self-loop removal, duplicate removal, symmetrization).
 //! * [`csr`] — compressed sparse row storage with parallel construction.
 //! * [`storage`] — the multi-format layer: [`storage::RowAccess`] (the
-//!   kernel-facing read surface), [`storage::BitmapStore`] and
+//!   stores' shared read surface), [`storage::BitmapStore`] and
 //!   [`storage::Dcsr`] alternate backends, and the [`Storage`] enum with
-//!   conversions. `graphblas_core`'s dispatchers run every kernel face on
-//!   the resident CSR; the alternate stores feed the generic kernels
-//!   only when a caller hands them over.
+//!   conversions. `graphblas_core` reads CSR only; the alternate stores
+//!   remain for the benchmark's build-time metrics.
 //! * [`graph`] — the dual-orientation [`Graph`] handle with a lazy
 //!   per-orientation format cache ([`Graph::store`]).
 //! * [`mmio`] — Matrix Market I/O so real datasets can be dropped in.

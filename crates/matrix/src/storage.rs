@@ -4,9 +4,12 @@
 //! The paper's push/pull switch is a *data-structure* decision on the
 //! vector side (sparse list ↔ dense array, §6.3); SuiteSparse:GraphBLAS
 //! and GraphBLAST extend the same decision to the *matrix* side by keeping
-//! several storage formats and picking per operation. This module supplies
-//! the three formats an execution plan in `graphblas_core::plan` can name
-//! (its `Auto` rule picks CSR or DCSR; the bitmap runs only when forced):
+//! several storage formats and picking per operation. This crate does not:
+//! every `graphblas_core` kernel reads the [`Csr`] of `A` or `Aᵀ` and
+//! takes it as that concrete type. The bitmap and DCSR stores below remain
+//! only because the benchmark times their builds
+//! (`matrix.bitmap_build_ms`, `matrix.dcsr_build_ms`) through
+//! [`crate::Graph::store`]; no core call reads them. The three formats:
 //!
 //! * [`Csr`] — the baseline: dense `row_ptr` over all rows. O(1) row
 //!   lookup, `O(n)` pointer memory, every full-matrix scan walks all `n`
@@ -23,14 +26,9 @@
 //!   the k-source batched-frontier regime where most of a scale-free
 //!   graph's embedding is empty rows.
 //!
-//! Every format implements [`RowAccess`], the exact surface the matvec /
-//! mxm kernels in `graphblas_core` consume (`row`, `row_values`, `degree`,
-//! dims). The kernels are generic over it, so **results and access
-//! counters are bit-identical across formats by construction** — formats
-//! change memory layout and wall clock, never the computation. The one
-//! format-aware hook is [`RowAccess::nonempty_rows`]: a store that tracks
-//! its non-empty rows lets the unmasked pull kernel skip empty rows while
-//! charging the identical counter totals in bulk.
+//! Every format implements [`RowAccess`] (`row`, `row_values`, `degree`,
+//! dims), so the stores can be read — and tested against their CSR —
+//! through one surface.
 
 use crate::{Coo, Csr, VertexId};
 
@@ -74,10 +72,10 @@ impl std::fmt::Display for StorageFormat {
     }
 }
 
-/// The read surface the matvec/mxm kernels consume, implemented by every
-/// storage backend. Kernels in `graphblas_core` are generic over this
-/// trait, which is what makes results and counters format-independent:
-/// the same kernel code runs over every backend.
+/// The row-read surface every storage backend implements. The
+/// `graphblas_core` kernels do not use it — they read [`Csr`] directly —
+/// so it serves the stores' own tests and callers that read a
+/// [`crate::StoreRef`] generically.
 pub trait RowAccess<V>: Sync {
     /// Number of rows.
     fn n_rows(&self) -> usize;
@@ -98,13 +96,6 @@ pub trait RowAccess<V>: Sync {
         } else {
             self.nnz() as f64 / self.n_rows() as f64
         }
-    }
-    /// Sorted ids of the non-empty rows, when the store tracks them
-    /// (hypersparse DCSR does; CSR and bitmap return `None`). Kernels may
-    /// use this to skip empty rows in full scans, provided they charge the
-    /// same counter totals the unskipped scan would.
-    fn nonempty_rows(&self) -> Option<&[VertexId]> {
-        None
     }
 }
 
@@ -509,7 +500,7 @@ impl<V: Copy + Send + Sync> Dcsr<V> {
     }
 
     /// Column indices of the `p`-th *non-empty* row (positional access —
-    /// no binary search; pair with [`Dcsr::nonempty_rows`]).
+    /// no binary search).
     #[inline]
     #[must_use]
     pub fn compressed_row(&self, p: usize) -> &[VertexId] {
@@ -543,9 +534,6 @@ impl<V: Copy + Send + Sync> RowAccess<V> for Dcsr<V> {
     }
     fn row_values(&self, i: usize) -> &[V] {
         self.find(i).map_or(&[], |p| self.compressed_row_values(p))
-    }
-    fn nonempty_rows(&self) -> Option<&[VertexId]> {
-        Some(&self.rows)
     }
 }
 
@@ -669,12 +657,6 @@ impl<V: Copy + Send + Sync> RowAccess<V> for Storage<V> {
             Storage::Dcsr(d) => RowAccess::<V>::row_values(d, i),
         }
     }
-    fn nonempty_rows(&self) -> Option<&[VertexId]> {
-        match self {
-            Storage::Csr(_) | Storage::Bitmap(_) => None,
-            Storage::Dcsr(d) => RowAccess::<V>::nonempty_rows(d),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -709,7 +691,6 @@ mod tests {
         let csr = gappy_csr();
         let d = Dcsr::from_csr(&csr);
         assert_eq!(d.n_nonempty(), 2);
-        assert_eq!(d.nonempty_rows(), Some(&[0u32, 2][..]));
         assert!((d.occupancy() - 0.5).abs() < 1e-12);
         same_rows(&csr, &d);
         assert_eq!(d.to_csr(), csr);

@@ -13,8 +13,8 @@ use push_pull::algo::tricount::triangle_count;
 use push_pull::baselines::textbook::bfs_serial;
 use push_pull::core::descriptor::{Descriptor, Direction};
 use push_pull::core::error::GrbError;
-use push_pull::core::ops::{BoolOrAnd, MinSecond};
-use push_pull::core::{mxv, mxv_batch, FusedMxv, Mask, MultiVector, Vector};
+use push_pull::core::ops::{BoolOrAnd, BoolStructure, MinSecond, PlusTimes, Scalar, Semiring};
+use push_pull::core::{mxv, mxv_batch, FusedMxv, Mask, Vector};
 use push_pull::matrix::{Coo, Csr, Graph};
 use push_pull::primitives::counters::AccessCounters;
 use push_pull::primitives::BitVec;
@@ -104,6 +104,62 @@ fn mxv_rejects_dimension_mismatches() {
         None,
     );
     assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
+}
+
+/// Forced push and forced pull of one `mxv` over `A` (no transpose): the
+/// push output must come out ascending and equal the pull's.
+fn push_equals_pull<A, X, Y, S>(s: S, g: &Graph<A>, f: &Vector<X>, mask: Option<&Mask<'_>>)
+where
+    A: Scalar,
+    X: Scalar,
+    Y: Scalar,
+    S: Semiring<A, X, Y>,
+{
+    let run = |d: Direction| -> Vec<(u32, Y)> {
+        let desc = Descriptor::new().force(d);
+        let w: Vector<Y> = mxv(mask, s, g, f, &desc, None).unwrap();
+        w.iter_explicit().collect()
+    };
+    let push = run(Direction::Push);
+    assert!(
+        push.windows(2).all(|w| w[0].0 < w[1].0),
+        "push output ascending"
+    );
+    assert_eq!(push, run(Direction::Pull), "push equals pull");
+}
+
+#[test]
+fn push_on_a_non_square_operand_matches_pull() {
+    // A is 3,000 × 3: a push walks the three rows of Aᵀ and emits output
+    // ids up to 2,999, so its sort keys and claim set span the output
+    // dimension, not the input's. The 6,000 expanded products exceed the
+    // radix sort's comparison-sort cutoff (4,096 keys), so the valued
+    // pushes run the radix passes.
+    let (rows, cols) = (3000usize, 3usize);
+    let mut pattern = Coo::new(rows, cols);
+    let mut weighted = Coo::new(rows, cols);
+    for i in 0..rows as u32 {
+        for j in 0..cols as u32 {
+            if (i + j) % 3 != 0 {
+                pattern.push(i, j, true);
+                weighted.push(i, j, f64::from(i % 7 + j));
+            }
+        }
+    }
+    let g = Graph::from_coo(&pattern);
+    let gw = Graph::from_coo(&weighted);
+    let mut blocked = BitVec::new(rows);
+    for i in (0..rows).step_by(5) {
+        blocked.set(i);
+    }
+    let mask = Mask::complement(&blocked);
+    let f = Vector::from_sparse(cols, false, vec![0, 1, 2], vec![true; 3]);
+    for m in [None, Some(&mask)] {
+        push_equals_pull(BoolOrAnd, &g, &f, m);
+        push_equals_pull(BoolStructure, &g, &f, m);
+    }
+    let fw = Vector::from_sparse(cols, 0.0, vec![0, 1, 2], vec![1.5, 2.0, 0.5]);
+    push_equals_pull(PlusTimes, &gw, &fw, None);
 }
 
 #[test]
@@ -369,11 +425,11 @@ fn fused_full_mask_blocks_every_assignment() {
     assert_eq!(c.snapshot().matrix, 0, "no allowed row touches the matrix");
 }
 
-/// A forced pull on a 64-vertex graph with one edge (`Auto` plans DCSR,
-/// whose absent rows read as empty) under `¬{0}` with the given active
-/// list, through `mxv` or `mxv_batch`. The row kernels write each listed
-/// row's output slot unchecked, so a bad list must be refused where it is
-/// attached — before either call can run.
+/// A forced pull on a 64-vertex graph with one edge (almost every CSR row
+/// empty) under `¬{0}` with the given active list, through `mxv` or
+/// `mxv_batch`. The row kernels write each listed row's output slot
+/// unchecked, so a bad list must be refused where it is attached — before
+/// either call can run.
 fn pull_with_active_list(list: &[u32], batched: bool) {
     let n = 64;
     let mut coo = Coo::new(n, n);
@@ -386,9 +442,8 @@ fn pull_with_active_list(list: &[u32], batched: bool) {
     let desc = Descriptor::new().transpose(true).force(Direction::Pull);
     let mask = Mask::complement(&visited).with_active_list(list);
     if batched {
-        let batch = MultiVector::from_rows(vec![f]);
-        let _: MultiVector<bool> =
-            mxv_batch(Some(&[mask]), BoolOrAnd, &g, &batch, &desc, None).unwrap();
+        let _: Vec<Vector<bool>> =
+            mxv_batch(Some(&[mask]), BoolOrAnd, &g, &[f], &desc, None, None).unwrap();
     } else {
         let _: Vector<bool> = mxv(Some(&mask), BoolOrAnd, &g, &f, &desc, None).unwrap();
     }

@@ -9,7 +9,7 @@ use push_pull::algo::msbfs::MsBfsOpts;
 use push_pull::core::descriptor::{Descriptor, Direction};
 use push_pull::core::ops::{BoolOrAnd, BoolStructure, MinPlus, Semiring};
 use push_pull::core::vector_ops::{ewise_add, ewise_mult, filter_by_mask};
-use push_pull::core::{mxv, mxv_batch, Mask, MultiVector, Vector};
+use push_pull::core::{mxv, mxv_batch, Mask, Vector};
 use push_pull::gen::erdos::erdos_renyi;
 use push_pull::gen::powerlaw::{chung_lu, PowerLawParams};
 use push_pull::matrix::{Coo, Graph};
@@ -75,15 +75,8 @@ fn assert_batch_equals_singles<S: Semiring<bool, bool, bool>>(
         })
         .collect();
     let batch_counters = AccessCounters::new();
-    let out: MultiVector<bool> = mxv_batch(
-        masks,
-        s,
-        g,
-        &MultiVector::from_rows(stored),
-        &desc,
-        Some(&batch_counters),
-    )
-    .unwrap();
+    let out: Vec<Vector<bool>> =
+        mxv_batch(masks, s, g, &stored, &desc, Some(&batch_counters), None).unwrap();
 
     let single_counters = AccessCounters::new();
     for (r, row) in rows.iter().enumerate() {
@@ -98,7 +91,7 @@ fn assert_batch_equals_singles<S: Semiring<bool, bool, bool>>(
         )
         .unwrap();
         assert_eq!(
-            explicit_set(out.row(r)),
+            explicit_set(&out[r]),
             explicit_set(&single),
             "row {r} dir {:?}",
             dirs[r]

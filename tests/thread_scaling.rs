@@ -14,7 +14,7 @@ use push_pull::algo::pagerank::{pagerank, PageRankOpts};
 use push_pull::algo::sssp::{sssp, SsspOpts};
 use push_pull::core::descriptor::{Descriptor, Direction};
 use push_pull::core::ops::{BoolOrAnd, MinPlus, PlusTimes};
-use push_pull::core::{mxv, mxv_batch, FusedMxv, Mask, MultiVector, Vector};
+use push_pull::core::{mxv, mxv_batch, FusedMxv, Mask, Vector};
 use push_pull::gen::powerlaw::{chung_lu, PowerLawParams};
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::gen::with_uniform_weights;
@@ -183,23 +183,20 @@ fn batched_kernels_identical_across_thread_counts() {
                 None => Descriptor::new().transpose(true),
             };
             identical_across_lanes(|| {
-                let batch = MultiVector::from_rows(rows.clone());
                 let masks: Vec<Mask<'_>> = bits.iter().map(Mask::complement).collect();
                 let c = AccessCounters::new();
-                let out: MultiVector<bool> = mxv_batch(
+                let out: Vec<Vector<bool>> = mxv_batch(
                     masked.then_some(masks.as_slice()),
                     BoolOrAnd,
                     &g,
-                    &batch,
+                    &rows,
                     &desc,
                     Some(&c),
+                    None,
                 )
                 .unwrap();
-                let sets: Vec<Vec<(u32, bool)>> = out
-                    .rows()
-                    .iter()
-                    .map(|r| r.iter_explicit().collect())
-                    .collect();
+                let sets: Vec<Vec<(u32, bool)>> =
+                    out.iter().map(|r| r.iter_explicit().collect()).collect();
                 (sets, c.snapshot())
             });
         }
@@ -416,45 +413,4 @@ fn service_trace_identical_across_thread_counts() {
             .collect();
         (out.batches, per_request)
     });
-}
-
-#[test]
-fn hypersparse_pull_skip_matches_csr_across_thread_counts() {
-    // The public row kernel over a DCSR store (non-empty-row scan with bulk
-    // counter charges) against the same kernel over the CSR full scan:
-    // same values, same counters, at every lane count.
-    use push_pull::core::{row_mxv, DenseVector};
-    use push_pull::matrix::{Dcsr, RowAccess};
-    let g = {
-        // Hypersparse operand: a few edges in a large vertex space.
-        let mut coo = push_pull::matrix::Coo::new(5000, 5000);
-        for i in 0..40u32 {
-            coo.push(i * 100, ((i + 1) % 40) * 100, true);
-        }
-        coo.clean_undirected();
-        push_pull::matrix::Graph::from_coo(&coo)
-    };
-    let n = g.n_vertices();
-    let dense = DenseVector::from_values(vec![true; n], false);
-    let dcsr = Dcsr::from_csr(g.csr_t());
-    assert!(
-        dcsr.nonempty_rows().is_some_and(|rows| rows.len() * 8 < n),
-        "the DCSR store takes the non-empty-row path"
-    );
-    fn pull<M: RowAccess<bool>>(
-        op: &M,
-        dense: &DenseVector<bool>,
-    ) -> (Vec<(u32, bool)>, push_pull::primitives::CounterSnapshot) {
-        let c = AccessCounters::new();
-        let w: DenseVector<bool> = row_mxv(BoolOrAnd, op, dense, Some(&c));
-        let explicit = Vector::Dense(w).iter_explicit().collect();
-        (explicit, c.snapshot())
-    }
-    identical_across_lanes(|| pull(g.csr_t(), &dense));
-    identical_across_lanes(|| pull(&dcsr, &dense));
-    assert_eq!(
-        pull(g.csr_t(), &dense),
-        pull(&dcsr, &dense),
-        "skip path must be invisible in values and counters"
-    );
 }

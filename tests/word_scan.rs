@@ -4,17 +4,15 @@
 //! the unfused `mxv` pull, the fused pipeline's pull and `mxv_batch`'s
 //! pull rows — must then compute and charge exactly what the same call
 //! computes with the exact active list attached: the same values, the same
-//! `touched` order and the same counters, at every lane count. The public
-//! `row_masked_mxv` is checked the same way over a hypersparse DCSR store.
+//! `touched` order and the same counters, at every lane count.
 //! The dimensions here are never multiples of 64, so every mask has a
 //! partial tail word, and the allowed sets run from empty to full.
 
 use proptest::prelude::*;
 use push_pull::core::ops::{BoolOrAnd, MinSecond};
 use push_pull::core::{mxv, mxv_batch, Descriptor, Direction, FusedMxv, Mask, Vector};
-use push_pull::core::{row_masked_mxv, MultiVector};
 use push_pull::gen::erdos::erdos_renyi;
-use push_pull::matrix::{Coo, Dcsr, Graph};
+use push_pull::matrix::{Coo, Graph};
 use push_pull::primitives::counters::{AccessCounters, CounterSnapshot};
 use push_pull::primitives::BitVec;
 
@@ -103,41 +101,26 @@ fn at_every_lane_count<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// Unfused pull: values and every counter. `mxv` over the graph's CSR,
-/// or, given a DCSR store of `Aᵀ`, the public row kernel over that store.
+/// Unfused pull through `mxv`: values and every counter.
 fn check_mxv_pull(
     g: &Graph<bool>,
     f: &Vector<u32>,
     mask: &Mask<'_>,
     list: &[u32],
     desc: &Descriptor,
-    dcsr: Option<&Dcsr<bool>>,
 ) {
     let fb = bool_frontier(f);
-    let fd = Vector::Dense(f.to_dense());
     let listed = mask.with_active_list(list);
     for early_exit in [false, true] {
         let desc = desc.early_exit(early_exit);
         let bool_run = |m: &Mask<'_>| -> (Vec<(u32, bool)>, CounterSnapshot) {
             let c = AccessCounters::new();
-            let w: Vector<bool> = match dcsr {
-                Some(op) => {
-                    let dv = fb.as_dense().expect("dense frontier");
-                    Vector::Dense(row_masked_mxv(BoolOrAnd, op, dv, m, early_exit, Some(&c)))
-                }
-                None => mxv(Some(m), BoolOrAnd, g, &fb, &desc, Some(&c)).unwrap(),
-            };
+            let w: Vector<bool> = mxv(Some(m), BoolOrAnd, g, &fb, &desc, Some(&c)).unwrap();
             (w.iter_explicit().collect(), c.snapshot())
         };
         let min_run = |m: &Mask<'_>| -> (Vec<(u32, u32)>, CounterSnapshot) {
             let c = AccessCounters::new();
-            let w: Vector<u32> = match dcsr {
-                Some(op) => {
-                    let dv = fd.as_dense().expect("dense frontier");
-                    Vector::Dense(row_masked_mxv(MinSecond, op, dv, m, early_exit, Some(&c)))
-                }
-                None => mxv(Some(m), MinSecond, g, f, &desc, Some(&c)).unwrap(),
-            };
+            let w: Vector<u32> = mxv(Some(m), MinSecond, g, f, &desc, Some(&c)).unwrap();
             (w.iter_explicit().collect(), c.snapshot())
         };
         let reference = rayon::with_num_threads(1, || bool_run(&listed));
@@ -196,7 +179,6 @@ fn check_batch_pull(
     lists: &[Vec<u32>],
     desc: &Descriptor,
 ) {
-    let batch = MultiVector::from_rows(rows.to_vec());
     let listed: Vec<Mask<'_>> = masks
         .iter()
         .zip(lists)
@@ -204,11 +186,9 @@ fn check_batch_pull(
         .collect();
     let run = |ms: &[Mask<'_>]| -> (Vec<Vec<(u32, u32)>>, CounterSnapshot) {
         let c = AccessCounters::new();
-        let out: MultiVector<u32> =
-            mxv_batch(Some(ms), MinSecond, g, &batch, desc, Some(&c)).unwrap();
-        let vals = (0..rows.len())
-            .map(|r| out.row(r).iter_explicit().collect())
-            .collect();
+        let out: Vec<Vector<u32>> =
+            mxv_batch(Some(ms), MinSecond, g, rows, desc, Some(&c), None).unwrap();
+        let vals = out.iter().map(|r| r.iter_explicit().collect()).collect();
         (vals, c.snapshot())
     };
     let reference = rayon::with_num_threads(1, || run(&listed));
@@ -223,8 +203,7 @@ proptest! {
     /// enough for several row chunks: every masked pull kernel computes and
     /// charges the same with and without the exact active list, under
     /// plain and complement masks allowing nothing, everything, a sparse
-    /// or a dense set, at 1 and 4 lanes. The `dcsr` arm runs the unfused
-    /// leg's public row kernel over a DCSR store of `Aᵀ` instead of `mxv`.
+    /// or a dense set, at 1 and 4 lanes.
     #[test]
     fn word_scan_pull_equals_the_active_list_pull(
         seed in 0u64..5000,
@@ -234,7 +213,6 @@ proptest! {
         frontier_pct in 0usize..100,
         allowed in 0usize..4,
         complement in any::<bool>(),
-        dcsr in any::<bool>(),
     ) {
         let n = words * 64 + tail;
         let g = erdos_renyi(n, n * degree, seed);
@@ -243,10 +221,9 @@ proptest! {
         let mask = mask_of(&bits, complement);
         let list = exact_list(&mask);
         let desc = pull_desc();
-        let store = dcsr.then(|| Dcsr::from_csr(g.csr_t()));
         let f = id_frontier(n, seed as usize, frontier_pct);
 
-        check_mxv_pull(&g, &f, &mask, &list, &desc, store.as_ref());
+        check_mxv_pull(&g, &f, &mask, &list, &desc);
         check_fused_pull(&g, &f, &mask, &list, &desc);
 
         // A batch of three rows, each with its own allowed set.
@@ -274,7 +251,7 @@ fn word_scan_every_allowed_set_on_a_many_chunk_graph() {
             let bits = mask_bits(n, allowed, complement, 9);
             let mask = mask_of(&bits, complement);
             let list = exact_list(&mask);
-            check_mxv_pull(&g, &f, &mask, &list, &desc, None);
+            check_mxv_pull(&g, &f, &mask, &list, &desc);
             check_fused_pull(&g, &f, &mask, &list, &desc);
         }
     }
@@ -283,9 +260,7 @@ fn word_scan_every_allowed_set_on_a_many_chunk_graph() {
 #[test]
 fn word_scan_pull_on_a_hypersparse_store() {
     // 64 + 3 vertices and one edge: a hypersparse operand, almost every
-    // row empty. The word scan must still visit exactly the allowed rows,
-    // through `mxv` on the CSR and through the row kernel on a DCSR store,
-    // whose absent rows are empty.
+    // row empty. The word scan must still visit exactly the allowed rows.
     let n = 67;
     let mut coo = Coo::new(n, n);
     coo.push(0, 66, true);
@@ -295,8 +270,6 @@ fn word_scan_pull_on_a_hypersparse_store() {
     visited.set(0);
     let mask = Mask::complement(&visited);
     let list = exact_list(&mask);
-    check_mxv_pull(&g, &f, &mask, &list, &pull_desc(), None);
-    let dcsr = Dcsr::from_csr(g.csr_t());
-    check_mxv_pull(&g, &f, &mask, &list, &pull_desc(), Some(&dcsr));
+    check_mxv_pull(&g, &f, &mask, &list, &pull_desc());
     check_fused_pull(&g, &f, &mask, &list, &pull_desc());
 }
