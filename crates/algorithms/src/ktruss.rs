@@ -33,7 +33,7 @@ pub fn ktruss(g: &Graph<bool>, k: u32) -> KtrussResult {
     loop {
         rounds += 1;
         // Support: s(u,v) = #common neighbors = (A·A)(u,v), masked to A.
-        let support = mxm(Some(&a), PlusTimes, &a, &a, 0u64, None);
+        let support = mxm(Some(&a), PlusTimes, &a, &a, None);
         // Keep edges with support ≥ k−2. `support` only holds entries with
         // ≥1 triangle; edges of A absent from `support` have support 0.
         let keep = |i: usize, j: u32| -> bool {

@@ -45,7 +45,7 @@ pub fn triangle_count(g: &Graph<bool>) -> u64 {
 #[must_use]
 pub fn triangle_count_with_counters(g: &Graph<bool>, counters: Option<&AccessCounters>) -> u64 {
     let l = lower_triangle(g);
-    let c = mxm(Some(&l), PlusTimes, &l, &l, 0u64, counters);
+    let c = mxm(Some(&l), PlusTimes, &l, &l, counters);
     c.values().iter().sum()
 }
 
@@ -54,7 +54,7 @@ pub fn triangle_count_with_counters(g: &Graph<bool>, counters: Option<&AccessCou
 #[must_use]
 pub fn triangle_count_unmasked(g: &Graph<bool>) -> u64 {
     let l = lower_triangle(g);
-    let full = mxm(None::<&Csr<u64>>, PlusTimes, &l, &l, 0u64, None);
+    let full = mxm(None::<&Csr<u64>>, PlusTimes, &l, &l, None);
     let mut total = 0u64;
     for i in 0..full.n_rows() {
         let allowed = l.row(i);

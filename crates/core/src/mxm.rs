@@ -34,7 +34,6 @@ pub fn mxm<A, B, Y, S, M>(
     s: S,
     a: &Csr<A>,
     b: &Csr<B>,
-    y_zero: Y,
     counters: Option<&AccessCounters>,
 ) -> Csr<Y>
 where
@@ -78,7 +77,6 @@ where
         col_ind.extend(ids);
         values.extend(vals);
     }
-    let _ = y_zero;
     Csr::from_parts(a.n_rows(), b.n_cols(), row_ptr, col_ind, values)
 }
 
@@ -220,7 +218,7 @@ mod tests {
     fn small_dense_product() {
         let a = dense_to_csr(&[&[1.0, 2.0], &[0.0, 3.0]]);
         let b = dense_to_csr(&[&[4.0, 0.0], &[1.0, 5.0]]);
-        let c = mxm(None::<&Csr<f64>>, PlusTimes, &a, &b, 0.0, None);
+        let c = mxm(None::<&Csr<f64>>, PlusTimes, &a, &b, None);
         assert_eq!(csr_to_dense(&c), vec![vec![6.0, 10.0], vec![3.0, 15.0]]);
     }
 
@@ -228,7 +226,7 @@ mod tests {
     fn product_with_empty_rows() {
         let a = dense_to_csr(&[&[0.0, 0.0], &[1.0, 0.0]]);
         let b = dense_to_csr(&[&[0.0, 2.0], &[0.0, 0.0]]);
-        let c = mxm(None::<&Csr<f64>>, PlusTimes, &a, &b, 0.0, None);
+        let c = mxm(None::<&Csr<f64>>, PlusTimes, &a, &b, None);
         assert_eq!(csr_to_dense(&c), vec![vec![0.0, 0.0], vec![0.0, 2.0]]);
         assert_eq!(c.nnz(), 1);
     }
@@ -239,7 +237,7 @@ mod tests {
         let b = dense_to_csr(&[&[1.0, 1.0], &[1.0, 1.0]]);
         // Mask allows only the diagonal.
         let mask = dense_to_csr(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let c = mxm(Some(&mask), PlusTimes, &a, &b, 0.0, None);
+        let c = mxm(Some(&mask), PlusTimes, &a, &b, None);
         assert_eq!(csr_to_dense(&c), vec![vec![2.0, 0.0], vec![0.0, 2.0]]);
     }
 
@@ -262,8 +260,8 @@ mod tests {
             &[1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
             &[0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         ]);
-        let masked = mxm(Some(&mask), PlusTimes, &a, &a, 0.0, None);
-        let full = mxm(None::<&Csr<f64>>, PlusTimes, &a, &a, 0.0, None);
+        let masked = mxm(Some(&mask), PlusTimes, &a, &a, None);
+        let full = mxm(None::<&Csr<f64>>, PlusTimes, &a, &a, None);
         let fd = csr_to_dense(&full);
         let md = csr_to_dense(&masked);
         for i in 0..6 {
@@ -288,7 +286,7 @@ mod tests {
             .flat_map(|i| a.row(i).iter().map(|&k| a.row(k as usize).len() as u64))
             .sum();
         let unmasked = AccessCounters::new();
-        let _ = mxm(None::<&Csr<f64>>, PlusTimes, &a, &a, 0.0, Some(&unmasked));
+        let _ = mxm(None::<&Csr<f64>>, PlusTimes, &a, &a, Some(&unmasked));
         let u = unmasked.snapshot();
         assert_eq!(u.matrix, expected);
         assert_eq!(u.vector, 2 * expected, "scatter + harvest per product");
@@ -303,7 +301,7 @@ mod tests {
             &[0.0, 0.0, 0.0, 1.0],
         ]);
         let masked = AccessCounters::new();
-        let _ = mxm(Some(&mask), PlusTimes, &a, &a, 0.0, Some(&masked));
+        let _ = mxm(Some(&mask), PlusTimes, &a, &a, Some(&masked));
         let m = masked.snapshot();
         assert_eq!(m.matrix, expected, "a mask cannot reduce expansion work");
         assert_eq!(m.mask, expected, "every product probes the mask");
@@ -329,7 +327,7 @@ mod tests {
             }
         }
         let l = Csr::from_coo(&lcoo);
-        let c = mxm(Some(&l), PlusTimes, &l, &l, 0.0, None);
+        let c = mxm(Some(&l), PlusTimes, &l, &l, None);
         let total: f64 = c.values().iter().sum();
         assert_eq!(total, 1.0, "exactly one triangle");
     }

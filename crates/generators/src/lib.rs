@@ -48,12 +48,14 @@ use rand::{Rng, SeedableRng};
 /// every realistic lane count busy.
 pub const RNG_CHUNKS: usize = 64;
 
-/// Finish a raw edge list into an undirected Boolean graph: §7.1 cleaning
-/// then CSR conversion with the transpose shared.
+/// Finish a raw edge list into an undirected Boolean graph: §7.1 cleaning,
+/// then CSR conversion through [`Graph::from_coo`], whose read-only O(nnz)
+/// symmetry merge (no transpose is built) confirms the cleaned graph is
+/// symmetric, so both orientations share the one CSR.
 #[must_use]
 pub fn finish_undirected(mut coo: Coo<bool>) -> Graph<bool> {
     coo.clean_undirected();
-    Graph::from_symmetric_csr(Csr::from_coo(&coo))
+    Graph::from_coo(&coo)
 }
 
 /// Attach uniform-random edge weights in `(0, 1]` to a Boolean graph,

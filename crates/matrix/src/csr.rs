@@ -58,43 +58,58 @@ impl<V: Copy + Send + Sync> Csr<V> {
     }
 
     fn build_from_coo(coo: &Coo<V>) -> Self {
-        let n_rows = coo.n_rows();
-        let mut lengths = vec![0usize; n_rows];
-        for &(r, _, _) in coo.entries() {
-            lengths[r as usize] += 1;
-        }
-        let row_ptr = scan::exclusive_scan_offsets(&lengths);
-        // `exclusive_scan_offsets` always returns `lengths.len() + 1` ≥ 1
-        // offsets; an empty result would mean zero entries.
-        let nnz = row_ptr.last().copied().unwrap_or(0);
-        let mut col_ind = vec![0 as VertexId; nnz];
-        let mut values: Vec<V> = Vec::with_capacity(nnz);
-        // SAFETY: every slot is written exactly once below.
-        #[allow(clippy::uninit_vec)]
-        unsafe {
-            values.set_len(nnz)
-        };
-        let mut cursor = row_ptr[..n_rows].to_vec();
-        for &(r, c, v) in coo.entries() {
-            let slot = cursor[r as usize];
-            cursor[r as usize] += 1;
-            col_ind[slot] = c;
-            values[slot] = v;
-        }
-        // Sort each row by column index (entries may arrive unsorted).
-        let mut me = Self {
-            n_rows,
-            n_cols: coo.n_cols(),
-            row_ptr,
-            col_ind,
-            values,
-        };
+        let entries = || coo.entries().iter().map(|&(r, c, v)| (r as usize, c, v));
+        // Entries may arrive unsorted within a row.
+        let mut me = Self::bucket_by_row(coo.n_rows(), coo.n_cols(), entries);
         me.sort_rows();
         me
     }
 
+    /// Counting sort of `entries` into CSR by row, each row keeping the
+    /// order its entries arrive in. `entries` is walked twice, to count
+    /// and to place. Row `r`'s entries are counted into `row_ptr[r + 1]`;
+    /// after the prefix sum `row_ptr[r]` is row `r`'s write cursor, and once
+    /// every entry is placed each cursor stands at its row's end, so one
+    /// shift by a slot restores the row starts. No array besides the
+    /// output is allocated.
+    fn bucket_by_row<I>(n_rows: usize, n_cols: usize, entries: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (usize, VertexId, V)>,
+    {
+        // `for_each` rather than `for`: internal iteration runs a nested
+        // iterator (`transpose`'s `flat_map`) as plain nested loops.
+        let mut row_ptr = vec![0usize; n_rows + 1];
+        entries().for_each(|(r, _, _)| row_ptr[r + 1] += 1);
+        let nnz = scan::inclusive_scan_in_place(&mut row_ptr);
+        let mut col_ind = vec![0 as VertexId; nnz];
+        // Any entry's value fills the slots; each is overwritten below.
+        let mut values = entries()
+            .next()
+            .map_or_else(Vec::new, |(_, _, v)| vec![v; nnz]);
+        entries().for_each(|(r, c, v)| {
+            let slot = row_ptr[r];
+            row_ptr[r] += 1;
+            col_ind[slot] = c;
+            values[slot] = v;
+        });
+        row_ptr.copy_within(..n_rows, 1);
+        row_ptr[0] = 0;
+        Self {
+            n_rows,
+            n_cols,
+            row_ptr,
+            col_ind,
+            values,
+        }
+    }
+
     /// Build directly from raw parts (used by generators that construct
     /// CSR without materializing a COO). Rows are sorted on entry.
+    ///
+    /// # Panics
+    /// When `row_ptr` does not hold `n_rows + 1` non-decreasing offsets
+    /// ending at the length of `col_ind` and of `values`: the row sort's
+    /// unsafe slicing relies on every row window lying inside the arrays.
     #[must_use]
     pub fn from_parts(
         n_rows: usize,
@@ -104,6 +119,10 @@ impl<V: Copy + Send + Sync> Csr<V> {
         values: Vec<V>,
     ) -> Self {
         assert_eq!(row_ptr.len(), n_rows + 1);
+        assert!(
+            row_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "row_ptr decreases"
+        );
         assert_eq!(col_ind.len(), row_ptr.last().copied().unwrap_or(0));
         assert_eq!(col_ind.len(), values.len());
         let mut me = Self {
@@ -128,9 +147,12 @@ impl<V: Copy + Send + Sync> Csr<V> {
             if end - start < 2 {
                 return;
             }
-            // SAFETY: row windows are disjoint.
+            // SAFETY: `start..end` lies inside `col_ind` (`row_ptr` rises to
+            // its length), and row windows are disjoint, so no other task
+            // touches these elements.
             let cols =
                 unsafe { std::slice::from_raw_parts_mut(col_ptr.get().add(start), end - start) };
+            // SAFETY: as above; `values` has `col_ind`'s length.
             let vals =
                 unsafe { std::slice::from_raw_parts_mut(val_ptr.get().add(start), end - start) };
             if cols.windows(2).all(|w| w[0] < w[1]) {
@@ -218,43 +240,34 @@ impl<V: Copy + Send + Sync> Csr<V> {
         self.row_ptr[i + 1] - self.row_ptr[i]
     }
 
-    /// Explicit transpose. `Aᵀ` in CSR form (= CSC of `A`). Parallel
-    /// histogram + scatter; within-row column order comes out sorted because
-    /// rows are visited in order per column bucket.
+    /// Explicit transpose. `Aᵀ` in CSR form (= CSC of `A`). A serial
+    /// counting sort by column; within-row column order comes out sorted
+    /// because rows of `A` are visited in order.
     #[must_use]
     pub fn transpose(&self) -> Self {
-        let mut lengths = vec![0usize; self.n_cols];
-        for &c in &self.col_ind {
-            lengths[c as usize] += 1;
-        }
-        let row_ptr = scan::exclusive_scan_offsets(&lengths);
-        let nnz = self.nnz();
-        let mut col_ind = vec![0 as VertexId; nnz];
-        let mut values: Vec<V> = Vec::with_capacity(nnz);
-        #[allow(clippy::uninit_vec)]
-        // SAFETY: every slot is written exactly once below.
-        unsafe {
-            values.set_len(nnz)
-        };
-        let mut cursor = row_ptr[..self.n_cols].to_vec();
-        for r in 0..self.n_rows {
-            for (idx, &c) in self.row(r).iter().enumerate() {
-                let slot = cursor[c as usize];
-                cursor[c as usize] += 1;
-                col_ind[slot] = r as VertexId;
-                values[slot] = self.values[self.row_ptr[r] + idx];
-            }
-        }
-        Self {
-            n_rows: self.n_cols,
-            n_cols: self.n_rows,
-            row_ptr,
-            col_ind,
-            values,
-        }
+        Self::bucket_by_row(self.n_cols, self.n_rows, || {
+            (0..self.n_rows).flat_map(move |r| {
+                self.row(r)
+                    .iter()
+                    .zip(self.row_values(r))
+                    .map(move |(&c, &v)| (c as usize, r as VertexId, v))
+            })
+        })
     }
 
-    /// `true` when the sparsity pattern and values equal the transpose's.
+    /// `true` when the sparsity pattern and values equal the transpose's,
+    /// exactly as `*self == self.transpose()` would say, but found by one
+    /// serial, read-only O(nnz) merge that builds no transpose and stops at
+    /// the first mismatch. A non-square matrix is not symmetric, and
+    /// neither is one holding a value unequal to itself (a float NaN).
+    ///
+    /// Rows are visited in order with one cursor per row, starting at the
+    /// row's first entry. Every entry must equal its mirror: an upper entry
+    /// `(i, j)` must be the entry at row `j`'s cursor, with column `i`,
+    /// which advances that cursor over row `j`'s lower entries in column
+    /// order; a diagonal entry is its own mirror. When row `i`'s turn comes
+    /// its cursor must stand at its first column ≥ `i`, i.e. every lower
+    /// entry was some upper entry's mirror.
     #[must_use]
     pub fn is_symmetric(&self) -> bool
     where
@@ -263,8 +276,31 @@ impl<V: Copy + Send + Sync> Csr<V> {
         if self.n_rows != self.n_cols {
             return false;
         }
-        let t = self.transpose();
-        self.row_ptr == t.row_ptr && self.col_ind == t.col_ind && self.values == t.values
+        let mut cursor = self.row_ptr[..self.n_rows].to_vec();
+        for i in 0..self.n_rows {
+            let end = self.row_ptr[i + 1];
+            let first_upper = cursor[i];
+            if first_upper < end && (self.col_ind[first_upper] as usize) < i {
+                return false;
+            }
+            for k in first_upper..end {
+                let j = self.col_ind[k] as usize;
+                let mirror = if j == i {
+                    k
+                } else {
+                    let m = cursor[j];
+                    if m == self.row_ptr[j + 1] || self.col_ind[m] as usize != i {
+                        return false;
+                    }
+                    cursor[j] = m + 1;
+                    m
+                };
+                if self.values[mirror] != self.values[k] {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// GrB_select-style structural filter: keep entry `(i, j, v)` iff
@@ -309,9 +345,18 @@ impl<V: Copy + Send + Sync> Csr<V> {
     }
 }
 
+/// A raw pointer into one of a CSR's arrays, shared by the tasks of
+/// `Csr::sort_rows`, each of which writes only its own row window.
 struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: the pointer field is only dereferenced in `sort_rows`, where the
+// task that receives it writes `T`s (hence `T: Send`) inside its own row
+// window, disjoint from every other task's, while the owning `Vec` is
+// borrowed mutably for the whole parallel loop.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: a shared `&SendPtr` only hands out a copy of the pointer field
+// (`get`); writes through it obey the same disjoint-window rule as above,
+// so no two threads ever touch one element.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 impl<T> SendPtr<T> {
     #[inline]
     fn get(&self) -> *mut T {
@@ -400,6 +445,30 @@ mod tests {
         coo.clean_undirected();
         let u = Csr::from_coo(&coo);
         assert!(u.is_symmetric());
+
+        // Each verdict agrees with transpose equality: two symmetric
+        // inputs, then asymmetric values, an unmatched pair, a lone lower
+        // entry, a NaN on the diagonal, a NaN pair, and a non-square shape.
+        type Cells = &'static [(u32, u32, f32)];
+        let cases: [(Cells, usize, bool); 8] = [
+            (&[], 3, true),
+            (&[(0, 2, 1.0), (2, 0, 1.0), (1, 1, 5.0)], 3, true),
+            (&[(0, 2, 1.0), (2, 0, 2.0)], 3, false),
+            (&[(0, 2, 1.0), (2, 1, 1.0)], 3, false),
+            (&[(2, 0, 1.0)], 3, false),
+            (&[(1, 1, f32::NAN)], 3, false),
+            (&[(0, 1, f32::NAN), (1, 0, f32::NAN)], 3, false),
+            (&[], 4, false),
+        ];
+        for (cells, n_cols, want) in cases {
+            let mut coo = Coo::new(3, n_cols);
+            for &(r, c, v) in cells {
+                coo.push(r, c, v);
+            }
+            let m = Csr::from_coo(&coo);
+            assert_eq!(m.is_symmetric(), want, "{cells:?}");
+            assert_eq!(m == m.transpose(), want, "{cells:?}");
+        }
     }
 
     #[test]

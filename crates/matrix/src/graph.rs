@@ -9,7 +9,10 @@
 //!
 //! For undirected (symmetric) graphs — all datasets in the paper's
 //! evaluation — the two orientations are identical and the CSR is shared
-//! via `Arc`, halving memory.
+//! via `Arc`, halving memory. Symmetry is found by [`Csr::is_symmetric`], a
+//! read-only O(nnz) merge that builds no transpose, so a symmetric graph's
+//! set-up never holds more than one CSR; a directed graph pays the merge up
+//! to its first mismatch, then the transpose.
 //!
 //! The `graphblas_core` kernels read only these two CSRs. Each orientation
 //! additionally carries a lazy cache of alternate storage formats
@@ -101,16 +104,19 @@ impl<V> Clone for Graph<V> {
 }
 
 impl<V: Copy + Send + Sync + PartialEq> Graph<V> {
-    /// Build from CSR of `A`, computing `Aᵀ` (or sharing, when symmetric).
+    /// Build from CSR of `A`. When `A` is symmetric (checked by
+    /// [`Csr::is_symmetric`]'s read-only merge, which builds no transpose)
+    /// both orientations share its storage; otherwise `Aᵀ` is computed, so
+    /// a directed graph pays the merge up to its first mismatch plus the
+    /// transpose.
     #[must_use]
     pub fn from_csr(a: Csr<V>) -> Self {
-        let t = a.transpose();
         let a = Arc::new(a);
         let a_cache = Arc::new(FormatCache::default());
-        let (at, at_cache) = if *a == t {
+        let (at, at_cache) = if a.is_symmetric() {
             (Arc::clone(&a), Arc::clone(&a_cache))
         } else {
-            (Arc::new(t), Arc::new(FormatCache::default()))
+            (Arc::new(a.transpose()), Arc::new(FormatCache::default()))
         };
         Self {
             a,
@@ -124,20 +130,6 @@ impl<V: Copy + Send + Sync + PartialEq> Graph<V> {
     #[must_use]
     pub fn from_coo(coo: &Coo<V>) -> Self {
         Self::from_csr(Csr::from_coo(coo))
-    }
-
-    /// Build from a CSR already known to be symmetric, sharing storage
-    /// without verification cost.
-    #[must_use]
-    pub fn from_symmetric_csr(a: Csr<V>) -> Self {
-        let a = Arc::new(a);
-        let a_cache = Arc::new(FormatCache::default());
-        Self {
-            at: Arc::clone(&a),
-            at_cache: Arc::clone(&a_cache),
-            a,
-            a_cache,
-        }
     }
 
     /// CSR of `A`: row `u` lists children (out-neighbors) of `u`.
@@ -283,6 +275,15 @@ mod tests {
         assert!(g.is_symmetric());
         assert_eq!(g.children(1), g.parents(1));
         assert_eq!(g.n_edges(), 4);
+
+        // A valued symmetric CSR shares too, and serves the right parents.
+        let mut coo = Coo::new(3, 3);
+        coo.push(0, 2, 1.0f32);
+        coo.push(1, 2, 1.0);
+        coo.clean_undirected();
+        let g = Graph::from_csr(Csr::from_coo(&coo));
+        assert!(g.is_symmetric());
+        assert_eq!(g.parents(2), &[0, 1]);
     }
 
     #[test]
@@ -336,17 +337,5 @@ mod tests {
         let b = dcsr_addr(g.store(true, StorageFormat::Dcsr));
         assert!(a.is_some(), "Dcsr request serves a Dcsr store");
         assert_eq!(a, b, "one conversion serves both orientations");
-    }
-
-    #[test]
-    fn from_symmetric_csr_skips_transpose() {
-        let mut coo = Coo::new(3, 3);
-        coo.push(0, 2, 1.0f32);
-        coo.push(1, 2, 1.0);
-        coo.clean_undirected();
-        let csr = Csr::from_coo(&coo);
-        let g = Graph::from_symmetric_csr(csr);
-        assert!(g.is_symmetric());
-        assert_eq!(g.parents(2), &[0, 1]);
     }
 }

@@ -280,6 +280,11 @@ fn csr_rejects_malformed_parts() {
         Csr::from_parts(1, 2, vec![0, 2], vec![0], vec![true])
     });
     assert!(bad.is_err());
+    let bad = std::panic::catch_unwind(|| {
+        // row_ptr must not decrease: row 0's window would overrun col_ind.
+        Csr::from_parts(2, 2, vec![0, 2, 1], vec![0], vec![true])
+    });
+    assert!(bad.is_err());
 }
 
 #[test]

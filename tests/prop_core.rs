@@ -436,6 +436,61 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The transpose-free symmetry check against transpose equality.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `Csr::is_symmetric`'s transpose-free merge says exactly what
+    /// `a == a.transpose()` says — on square and non-square matrices, with
+    /// unmirrored cells, mirrors holding another value, and NaNs on and off
+    /// the diagonal — and `Graph::from_csr` shares storage exactly then,
+    /// holding the true transpose either way.
+    #[test]
+    fn is_symmetric_matches_transpose_equality(
+        n_rows in 1usize..7,
+        n_cols in 1usize..7,
+        square in prop::sample::select(vec![true, true, true, false]),
+        cells in prop::collection::btree_map(
+            (0usize..7, 0usize..7),
+            prop::sample::select(vec![0.0f32, 1.0, 2.0, f32::NAN]),
+            0..8,
+        ),
+        // Per cell: 0 leaves it unmirrored, 1 mirrors it with the drawn
+        // value, anything else mirrors it exactly.
+        mirrors in prop::collection::vec(
+            (0u8..8, prop::sample::select(vec![0.0f32, 1.0, 2.0, f32::NAN])),
+            8..9,
+        ),
+    ) {
+        use push_pull::matrix::Csr;
+        let n_cols = if square { n_rows } else { n_cols };
+        let mut placed = std::collections::BTreeMap::new();
+        for ((&(r, c), &v), &(roll, other)) in cells.iter().zip(&mirrors) {
+            let (r, c) = (r % n_rows, c % n_cols);
+            placed.insert((r, c), v);
+            if r != c && c < n_rows && r < n_cols && roll != 0 {
+                placed.insert((c, r), if roll == 1 { other } else { v });
+            }
+        }
+        let mut coo = Coo::new(n_rows, n_cols);
+        for (&(r, c), &v) in &placed {
+            coo.push(r as u32, c as u32, v);
+        }
+        let a = Csr::from_coo(&coo);
+        let t = a.transpose();
+        let symmetric = a == t;
+        prop_assert_eq!(a.is_symmetric(), symmetric, "{:?}", placed);
+        let g = Graph::from_csr(a.clone());
+        prop_assert_eq!(g.is_symmetric(), symmetric, "{:?}", placed);
+        // Compared as bit patterns, so a NaN equals itself.
+        let bits = |m: &Csr<f32>| m.map_values(f32::to_bits);
+        prop_assert!(bits(g.csr_t()) == bits(&t), "{:?}", placed);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Whole-traversal oracles: BFS and parent BFS against the serial oracle.
 // ---------------------------------------------------------------------------
 
