@@ -19,7 +19,7 @@
 //! bills sum exactly to the group's total; that total reads the matrix at
 //! most as often as the members' solo runs together. An SSSP entry's bill
 //! equals its solo [`try_sssp_with_counters`](crate::sssp::try_sssp_with_counters)
-//! run's (`accesses_only()`): each batch row runs the single-source kernel
+//! run's: each batch row runs the single-source kernel
 //! of the face its phase chose, charged to that entry alone.
 //!
 //! Each entry resolves independently:
@@ -34,7 +34,10 @@
 //!   budget before the first level; a shared group polls deadline and work
 //!   budget on each entry's counters at every level boundary, so a
 //!   coalesced entry overshoots its deadline by at most one level of its
-//!   group.
+//!   group. A lone entry and every SSSP entry run the single-source
+//!   kernels, which poll once per chunk of a pull and on entry to a valued
+//!   push: such an entry overshoots by at most one chunk per lane of a
+//!   pull, or one whole push step.
 //! * A **worker-chunk panic** or a batch-wide error (shared-counter trip,
 //!   dimension mismatch) aborts every still-live entry with the same
 //!   typed error ([`GrbError::WorkerPanicked`] carries the chunk); the
@@ -680,8 +683,8 @@ mod tests {
                 "source {src} rounds"
             );
             assert_eq!(
-                c.snapshot().accesses_only(),
-                plain_c.snapshot().accesses_only(),
+                c.snapshot(),
+                plain_c.snapshot(),
                 "source {src} bill ≠ its solo SSSP run's"
             );
         }

@@ -363,10 +363,9 @@ pub(crate) fn run_group(g: &Graph<bool>, spec: &GroupSpec<'_>) -> Vec<GrbResult<
         .collect()
 }
 
-/// A counter set's poll at a level boundary (the deadline clock is read
-/// every time): its trip reason, if any.
+/// A counter set's poll at a level boundary: its trip reason, if any.
 fn tripped(c: &AccessCounters) -> Option<StopReason> {
-    if c.checkpoint_now() {
+    if c.checkpoint() {
         None
     } else {
         c.stop_reason()

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! Experiments: `table1` `table2` `table3` `fig2` `fig5` `fig6` `fig7`
-//! `heuristic` `scaling` `batched` `serve` `chaos` `validate` `all`.
-//! `bench-all` regenerates exactly the machine-readable `BENCH_*.json`
-//! artifacts (scaling, batched, serve, and — when built with
-//! `--features fault-injection` — the chaos study).
+//! `heuristic` `scaling` `batched` `serve` `limits` `chaos` `validate`
+//! `all`. `bench-all` regenerates exactly the machine-readable
+//! `BENCH_*.json` artifacts (scaling, batched, serve, limits, and — when
+//! built with `--features fault-injection` — the chaos study).
 //! CSVs land in `--out` (default `results/`).
 //!
 //! `--shrink N` divides every dataset's vertex count by 2^N (default 6;
@@ -81,6 +81,7 @@ fn main() {
         "scaling" => scaling(&cfg),
         "batched" => batched(&cfg),
         "serve" => serve(&cfg),
+        "limits" => limits(&cfg),
         "chaos" => chaos(&cfg),
         "validate" => validate(&cfg),
         "bench-all" => {
@@ -88,6 +89,7 @@ fn main() {
             scaling(&cfg);
             batched(&cfg);
             serve(&cfg);
+            limits(&cfg);
             if cfg!(feature = "fault-injection") {
                 chaos(&cfg);
             } else {
@@ -109,12 +111,13 @@ fn main() {
             scaling(&cfg);
             batched(&cfg);
             serve(&cfg);
+            limits(&cfg);
         }
         other => {
             eprintln!(
                 "unknown experiment `{other}`; expected one of: \
                  table1 table2 table3 fig2 fig5 fig6 fig7 heuristic scaling batched serve \
-                 chaos validate bench-all all"
+                 limits chaos validate bench-all all"
             );
             std::process::exit(2);
         }
@@ -857,6 +860,122 @@ fn serve(cfg: &Config) {
     match doc.write_file(&cfg.out, "BENCH_serve.json") {
         Ok(p) => eprintln!("[serve] wrote {}", p.display()),
         Err(e) => eprintln!("[serve] could not write BENCH_serve.json: {e}"),
+    }
+}
+
+/// Limits study: BFS with an armed but untripped limit against unguarded
+/// BFS (arms rotated, each source's best of 5), and how far past deadlines
+/// of 100 µs, 300 µs and 1 ms a cancelled BFS, parent BFS and SSSP return.
+/// Emits `BENCH_limits.json`.
+fn limits(cfg: &Config) {
+    use graphblas_bench::limits::{armed_cost, deadline_overshoot};
+    use graphblas_gen::with_uniform_weights;
+    let deadlines_us = [100u64, 300, 1000];
+    let mut cost = Table::new(
+        "Limits — armed but untripped: BFS ms and ratio to unguarded (per-source range)",
+        &["Dataset", "arm", "ms/BFS", "ratio", "min", "max"],
+    );
+    let mut over = Table::new(
+        "Limits — deadline overshoot: time from the call to Cancelled, minus the deadline",
+        &[
+            "Dataset",
+            "algorithm",
+            "deadline µs",
+            "cancelled",
+            "late Ok",
+            "median ms",
+            "max ms",
+        ],
+    );
+    let mut dataset_objs: Vec<Json> = Vec::new();
+    for name in ["kron", "soc-lj", "roadnet"] {
+        if let Some(only) = &cfg.dataset {
+            if only != name {
+                continue;
+            }
+        }
+        let graph = dataset(name, cfg.shrink, cfg.seed)
+            .expect("known dataset")
+            .graph;
+        let weighted = with_uniform_weights(&graph, cfg.seed);
+        let sources = random_sources(&graph, cfg.sources.max(8), cfg.seed ^ 0x1137);
+        eprintln!(
+            "[limits] {name}: {} vertices, {} edges, {} sources",
+            graph.n_vertices(),
+            graph.n_edges(),
+            sources.len()
+        );
+        let arms = armed_cost(&graph, &sources, 5);
+        let mut arm_objs: Vec<Json> = Vec::new();
+        for a in &arms {
+            cost.row(vec![
+                name.to_string(),
+                a.arm.to_string(),
+                f(a.ms_per_bfs),
+                format!("{:.2}x", a.ratio),
+                format!("{:.2}x", a.ratio_min),
+                format!("{:.2}x", a.ratio_max),
+            ]);
+            arm_objs.push(Json::Obj(vec![
+                ("arm", Json::Str(a.arm.to_string())),
+                ("ms_per_bfs", Json::Num(a.ms_per_bfs)),
+                ("ratio", Json::Num(a.ratio)),
+                ("ratio_min", Json::Num(a.ratio_min)),
+                ("ratio_max", Json::Num(a.ratio_max)),
+            ]));
+        }
+        let mut over_objs: Vec<Json> = Vec::new();
+        for o in deadline_overshoot(&graph, &weighted, &sources, &deadlines_us) {
+            over.row(vec![
+                name.to_string(),
+                o.algo.to_string(),
+                o.deadline_us.to_string(),
+                format!("{}/{}", o.cancelled, o.sources),
+                o.completed_late.to_string(),
+                f(o.median_ms),
+                f(o.max_ms),
+            ]);
+            over_objs.push(Json::Obj(vec![
+                ("algorithm", Json::Str(o.algo.to_string())),
+                ("deadline_us", Json::Int(o.deadline_us)),
+                ("sources", Json::Int(o.sources as u64)),
+                ("cancelled", Json::Int(o.cancelled as u64)),
+                ("completed_late", Json::Int(o.completed_late as u64)),
+                ("median_overshoot_ms", Json::Num(o.median_ms)),
+                ("max_overshoot_ms", Json::Num(o.max_ms)),
+            ]));
+        }
+        dataset_objs.push(Json::Obj(vec![
+            ("name", Json::Str(name.to_string())),
+            ("vertices", Json::Int(graph.n_vertices() as u64)),
+            ("edges", Json::Int(graph.n_edges() as u64)),
+            ("sources", Json::Int(sources.len() as u64)),
+            ("arms", Json::Arr(arm_objs)),
+            ("overshoot", Json::Arr(over_objs)),
+        ]));
+    }
+    cost.print();
+    over.print();
+    println!(
+        "an armed run overruns a tripped limit by at most one chunk per lane in the\n\
+         row and claim kernels, one whole step in a valued push, one level in a lane group."
+    );
+    let _ = cost.write_csv(&cfg.out, "limits_cost");
+    let _ = over.write_csv(&cfg.out, "limits_overshoot");
+    let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let doc = Json::Obj(vec![
+        ("machine_parallelism", Json::Int(machine as u64)),
+        ("shrink", Json::Int(u64::from(cfg.shrink))),
+        ("seed", Json::Int(cfg.seed)),
+        (
+            "deadlines_us",
+            Json::Arr(deadlines_us.iter().map(|&d| Json::Int(d)).collect()),
+        ),
+        ("datasets", Json::Arr(dataset_objs)),
+    ]);
+    match doc.write_file(&cfg.out, "BENCH_limits.json") {
+        Ok(p) => eprintln!("[limits] wrote {}", p.display()),
+        Err(e) => eprintln!("[limits] could not write BENCH_limits.json: {e}"),
     }
 }
 

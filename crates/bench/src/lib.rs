@@ -4,6 +4,7 @@
 #[cfg(feature = "fault-injection")]
 pub mod chaos;
 pub mod engines;
+pub mod limits;
 pub mod report;
 pub mod serve;
 pub mod study;

@@ -14,6 +14,11 @@
 //! charges (matrix, vector, mask, sort) of the multi-source traversal. Its
 //! wall-clock speedups are reported, never gated.
 //!
+//! The limits artifact (`BENCH_limits.json`, `paper -- limits --shrink 6
+//! --seed 42`) holds only machine fields: its armed-to-unguarded ratios
+//! must be finite and positive, and its cancelled and late runs at most
+//! its sources. Its milliseconds are reported, never gated.
+//!
 //! Every `BENCH_*.json` the `paper` binary writes must be committed under
 //! `results/`; a guard test fails when one is missing.
 //!
@@ -363,6 +368,76 @@ fn committed_batched_artifact_pins_levels_and_steps() {
                 "{d} k={k}: more steps than k × levels"
             );
         }
+    }
+}
+
+/// One overshoot row of `BENCH_limits.json`: dataset, algorithm, sources,
+/// cancelled runs and runs that completed past their deadline.
+type OvershootRow = (String, String, u64, u64, u64);
+
+/// Scrape the arms' ratio fields (dataset, field, value) and the
+/// overshoot rows, plus `machine_parallelism`.
+fn scrape_limits(text: &str) -> (Vec<(String, String, f64)>, Vec<OvershootRow>, u64) {
+    let (mut ratios, mut rows, mut machine) = (Vec::new(), Vec::<OvershootRow>::new(), 0);
+    let mut dataset = String::new();
+    let mut in_row = false;
+    for line in text.lines() {
+        let line = line.trim().trim_end_matches(',');
+        let Some((key, value)) = line.split_once(':') else {
+            continue;
+        };
+        let (key, value) = (key.trim().trim_matches('"'), value.trim());
+        let int = || value.parse::<u64>().unwrap_or(u64::MAX);
+        match key {
+            "machine_parallelism" => machine = int(),
+            "name" => {
+                dataset = value.trim_matches('"').to_string();
+                in_row = false;
+            }
+            "ratio" | "ratio_min" | "ratio_max" => ratios.push((
+                dataset.clone(),
+                key.to_string(),
+                value.parse().unwrap_or(f64::NAN),
+            )),
+            "algorithm" => {
+                rows.push((
+                    dataset.clone(),
+                    value.trim_matches('"').to_string(),
+                    0,
+                    0,
+                    0,
+                ));
+                in_row = true;
+            }
+            "sources" if in_row => rows.last_mut().expect("row").2 = int(),
+            "cancelled" => rows.last_mut().expect("row").3 = int(),
+            "completed_late" => rows.last_mut().expect("row").4 = int(),
+            _ => {}
+        }
+    }
+    (ratios, rows, machine)
+}
+
+#[test]
+fn committed_limits_artifact_is_sane() {
+    let (ratios, rows, machine) = scrape_limits(&read_artifact("BENCH_limits.json"));
+    assert!(machine >= 1, "machine_parallelism recorded");
+    // Three graphs, each with three arms of three ratio fields and three
+    // algorithms under three deadlines.
+    assert_eq!(ratios.len(), 27, "ratio fields scraped: {ratios:?}");
+    assert_eq!(rows.len(), 27, "overshoot rows scraped: {rows:?}");
+    for (d, field, v) in &ratios {
+        assert!(v.is_finite() && *v > 0.0, "{d} {field} = {v}");
+    }
+    for (d, algo, sources, cancelled, late) in &rows {
+        assert!(
+            *sources >= 8,
+            "{d} {algo}: at least 8 sources, got {sources}"
+        );
+        assert!(
+            cancelled + late <= *sources,
+            "{d} {algo}: {cancelled} cancelled and {late} late of {sources}"
+        );
     }
 }
 

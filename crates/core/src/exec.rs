@@ -21,11 +21,22 @@
 //!
 //! Kernels participate by polling
 //! [`AccessCounters::checkpoint`](graphblas_primitives::AccessCounters::checkpoint)
-//! at their existing size-derived chunk boundaries and bailing with cheap
-//! identity results once it returns `false`; the dispatchers then convert
-//! the sticky stop reason into the typed error via [`check_stop`]. Because
-//! those boundaries never depend on the lane count, a run that *completes*
-//! under limits is still bit-identical across threads.
+//! once per size-derived chunk and bailing with cheap identity results
+//! once it returns `false`; the dispatchers then convert the sticky stop
+//! reason into the typed error via [`check_stop`]. Because those
+//! boundaries never depend on the lane count, a run that *completes* under
+//! limits is still bit-identical across threads. Every armed poll reads
+//! the deadline clock and the work spent, so a run overruns a tripped
+//! limit by at most:
+//!
+//! * one chunk per lane in the row kernels (unfused and fused pulls, every
+//!   `ROW_GRAIN` visited rows) and in the claim kernel (every
+//!   `CLAIM_GRAIN` expanded products);
+//! * one whole step in a valued push (parent BFS's min-second, SSSP's
+//!   min-plus), which polls once on entry and then expands, sorts and
+//!   reduces without a poll;
+//! * one level in a lane group, which polls each lane at level
+//!   boundaries.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};

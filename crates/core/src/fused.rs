@@ -36,12 +36,11 @@
 //! Direction resolution and the [`AccessCounters`] contract are `mxv`'s
 //! own: a fused call resolves its face through the function `mxv` uses,
 //! charges **exactly** the accesses its unfused composition would (same
-//! kernels, same bookkeeping), records its push/pull decision the same
-//! way, and additionally tallies the intermediate writes it skipped
-//! in the `fused_saved_writes` counter — so
-//! `snapshot().accesses_only()` of a fused run equals the unfused run's
+//! kernels, same bookkeeping) and records its push/pull decision the same
+//! way — so the counter snapshot of a fused run equals the unfused run's
 //! bit-for-bit, which `tests/fused_pipelines.rs` pins at 1, 2, and 8
-//! lanes.
+//! lanes. Limits are polled where the unfused kernels poll them: once per
+//! pull chunk, and on entry to the push.
 
 use crate::descriptor::Descriptor;
 use crate::error::{GrbError, GrbResult};
@@ -149,7 +148,7 @@ impl<'a, A: Scalar, X: Scalar, S> FusedMxv<'a, A, X, S> {
     }
 
     /// Attach access counters. The fused execution charges exactly what the
-    /// unfused `mxv` would, plus `fused_saved_writes`.
+    /// unfused `mxv` would.
     #[must_use]
     pub fn counters(mut self, c: Option<&'a AccessCounters>) -> Self {
         self.counters = c;
@@ -326,11 +325,6 @@ where
             touched: Vec::new(),
         };
     }
-    if let Some(c) = base.counters {
-        // The unfused composition would write each filtered entry into a
-        // sparse output vector the caller immediately re-reads.
-        c.add_fused_saved_writes(ids.len() as u64);
-    }
     let mut touched = Vec::with_capacity(if base.collect_touched { ids.len() } else { 0 });
     for (&i, &y) in ids.iter().zip(vals.iter()) {
         let z = apply(y);
@@ -348,9 +342,10 @@ where
 /// caller's state slice directly — the `O(M)` dense intermediate of the
 /// unfused row kernel is never allocated. It visits, chunks and charges
 /// the same rows as the unfused row kernel (a mask's allowed rows read
-/// from its bit words or its active list); chunk boundaries derive from
-/// the visited-row count only, so `touched` and every state write are
-/// identical at any lane count.
+/// from its bit words or its active list), and polls the limits once per
+/// chunk as it does; chunk boundaries derive from the visited-row count
+/// only, so `touched` and every state write are identical at any lane
+/// count.
 fn fused_pull<A, X, Y, Z, S, F, U>(
     base: &FusedMxv<'_, A, X, S>,
     op: &Csr<A>,
@@ -375,11 +370,6 @@ where
     // or every row of the operand.
     let rows = base.mask.map_or(PullRows::All(n), |m| PullRows::Masked(*m));
     rows.charge(base.counters);
-    if let Some(c) = base.counters {
-        // The unfused composition materializes (and identity-fills) a dense
-        // n-slot output buffer every pull step; fusion skips all of it.
-        c.add_fused_saved_writes(n as u64);
-    }
     // Early-exit applies to masked pulls only, mirroring the `mxv`
     // dispatch; first-hit exit is the caller's stronger opt-in.
     let early_exit = base.mask.is_some() && base.desc.early_exit;
@@ -389,12 +379,16 @@ where
         .into_par_iter()
         .map(|chunk| {
             let mut touched = Vec::new();
+            // Per-chunk checkpoint: a tripped run assigns nothing more.
+            if !crate::exec::live(base.counters) {
+                return touched;
+            }
             let mut tally = RowTally::new(base.counters);
             rows.for_each(chunk, |i| {
                 let y = if base.first_hit_exit {
                     reduce_row_first_hit(s, op, v, i, identity, &mut tally)
                 } else {
-                    reduce_row(s, op, v, i, identity, early_exit, base.counters, &mut tally)
+                    reduce_row(s, op, v, i, identity, early_exit, &mut tally)
                 };
                 if base.keep_identity || y != identity {
                     let z = apply(y);
@@ -536,13 +530,7 @@ mod tests {
 
             assert_eq!(got.touched, expect, "{dir:?} touched set");
             assert_eq!(d_fused, d_unfused, "{dir:?} state");
-            assert_eq!(
-                cf.snapshot().accesses_only(),
-                cu.snapshot().accesses_only(),
-                "{dir:?} counters"
-            );
-            assert!(cf.snapshot().fused_saved_writes > 0, "{dir:?} saved writes");
-            assert_eq!(cu.snapshot().fused_saved_writes, 0);
+            assert_eq!(cf.snapshot(), cu.snapshot(), "{dir:?} counters");
         }
     }
 

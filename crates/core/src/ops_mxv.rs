@@ -70,7 +70,7 @@ where
     let mut vals = vec![identity; op.n_rows()];
     let out = SendPtr(vals.as_mut_ptr());
     par_rows(PullRows::All(op.n_rows()), counters, |i, tally| {
-        let y = reduce_row(s, op, v, i, identity, false, counters, tally);
+        let y = reduce_row(s, op, v, i, identity, false, tally);
         // SAFETY: the visited rows are unique and in bounds, and chunks
         // partition them, so writes are disjoint.
         unsafe { *out.get().add(i) = y };
@@ -112,7 +112,7 @@ where
     let mut vals = vec![identity; op.n_rows()];
     let out = SendPtr(vals.as_mut_ptr());
     par_rows(PullRows::Masked(*mask), counters, |i, tally| {
-        let y = reduce_row(s, op, v, i, identity, early_exit, counters, tally);
+        let y = reduce_row(s, op, v, i, identity, early_exit, tally);
         // SAFETY: allowed rows are unique and below the mask's dimension
         // (an active list is checked when attached), and chunks partition
         // them, so writes are disjoint and in bounds.
@@ -206,13 +206,19 @@ impl PullRows<'_> {
 
 /// Charge `rows`, then run `body(i, tally)` on each of them in their
 /// chunks, each chunk with its own [`RowTally`] flushed to `counters` when
-/// it ends.
+/// it ends. Each chunk polls the limits once before its first row.
 fn par_rows<F>(rows: PullRows<'_>, counters: Option<&AccessCounters>, body: F)
 where
     F: Fn(usize, &mut RowTally) + Sync + Send,
 {
     rows.charge(counters);
     rows.chunks().into_par_iter().for_each(|chunk| {
+        // Per-chunk checkpoint: a tripped run skips the chunk, whose rows
+        // keep the ⊕ identity — never observed, because the dispatcher
+        // converts the sticky trip into an error.
+        if !crate::exec::live(counters) {
+            return;
+        }
         let mut tally = RowTally::new(counters);
         rows.for_each(chunk, |i| body(i, &mut tally));
         tally.flush(counters);
@@ -221,10 +227,9 @@ where
 
 /// Reduce one operand row against a dense input vector. Shared with the
 /// fused pull, so per-row work and counter bookkeeping are identical
-/// between fused and unfused pulls. `counters` is only polled here; the
-/// row's charges go to the chunk's `tally`.
+/// between fused and unfused pulls. The row's charges go to the chunk's
+/// `tally`; the limits are polled per chunk, not here.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn reduce_row<A, X, Y, S>(
     s: S,
     op: &Csr<A>,
@@ -232,7 +237,6 @@ pub(crate) fn reduce_row<A, X, Y, S>(
     i: usize,
     identity: Y,
     early_exit: bool,
-    counters: Option<&AccessCounters>,
     tally: &mut RowTally,
 ) -> Y
 where
@@ -241,13 +245,6 @@ where
     Y: Scalar,
     S: Semiring<A, X, Y>,
 {
-    // Per-row checkpoint: rows are the row kernels' size-derived work
-    // units, so a tripped limit stops the sweep within one row's work.
-    // The bail value is the ⊕ identity — cheap, and never observed because
-    // the dispatcher converts the sticky trip into an error.
-    if !crate::exec::live(counters) {
-        return identity;
-    }
     let add = s.add_monoid();
     let annihilator = add.annihilator();
     let cols = op.row(i);
@@ -908,7 +905,7 @@ mod tests {
             )
             .unwrap();
             let found: Vec<u32> = out.iter_explicit().map(|(i, _)| i).collect();
-            (found, c.snapshot().accesses_only())
+            (found, c.snapshot())
         };
         let passes = sort::passes_for(7) as u64;
         let masked = Mask::complement(&visited);
@@ -1067,6 +1064,85 @@ mod tests {
         };
         assert_eq!(with_list, 4);
         assert_eq!(without_list, 4);
+    }
+
+    #[test]
+    fn work_budget_overshoot_is_at_most_one_chunk_per_lane() {
+        use graphblas_primitives::{ExecLimits, StopReason};
+        // Uneven rows over a dozen chunks: every third row is blocked and
+        // every fifth column is in the input.
+        let n = 9_000;
+        let mut coo = Coo::new(n, n);
+        let mut x = 7u64;
+        for i in 0..n {
+            for _ in 0..(i * 7_919) % 23 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                coo.push(i as u32, (x >> 33) as u32 % n as u32, true);
+            }
+        }
+        coo.dedup(|a, _| a);
+        let g = Graph::from_coo(&coo);
+        let mut visited = BitVec::new(n);
+        for i in (0..n).step_by(3) {
+            visited.set(i);
+        }
+        let mask = Mask::complement(&visited);
+        let ids: Vec<u32> = (0..n as u32).step_by(5).collect();
+        let mut f = Vector::from_sparse(n, false, ids.clone(), vec![true; ids.len()]);
+        f.make_dense();
+        let desc = Descriptor::new().force(Direction::Pull).early_exit(false);
+
+        // Charges from the CSR: the up-front mask charge, then per chunk
+        // one matrix and one vector access per entry plus the row's write.
+        let rows = PullRows::Masked(mask);
+        let mask_charge = mask.active_count() as u64;
+        let chunk_charges: Vec<u64> = rows
+            .chunks()
+            .into_iter()
+            .map(|chunk| {
+                let mut charge = 0;
+                rows.for_each(chunk, |i| charge += 2 * g.csr().degree(i) as u64 + 1);
+                charge
+            })
+            .collect();
+        assert!(chunk_charges.len() >= 10, "the rows span many chunks");
+        let max_chunk = *chunk_charges.iter().max().expect("chunks");
+        let total = mask_charge + chunk_charges.iter().sum::<u64>();
+
+        for lanes in [1u64, 4] {
+            rayon::with_num_threads(lanes as usize, || {
+                for budget in [
+                    0,
+                    1,
+                    mask_charge,
+                    mask_charge + 1,
+                    total / 3,
+                    total / 2,
+                    total - 1,
+                ] {
+                    let c = AccessCounters::new();
+                    c.install_limits(&ExecLimits::none().with_work_budget(budget));
+                    let out: GrbResult<Vector<bool>> =
+                        mxv(Some(&mask), BoolOrAnd, &g, &f, &desc, Some(&c));
+                    let spent = c.total();
+                    let tripped = c.stop_reason() == Some(StopReason::WorkBudget);
+                    c.uninstall_limits();
+                    assert_eq!(out.is_err(), tripped, "budget {budget}, {lanes} lanes");
+                    // A chunk starts only while the spent work is below the
+                    // budget, and at most one chunk per lane is in flight.
+                    assert!(
+                        spent.saturating_sub(budget) <= lanes * max_chunk + mask_charge,
+                        "budget {budget}: spent {spent} at {lanes} lanes"
+                    );
+                    if budget <= total.saturating_sub(lanes * max_chunk) {
+                        assert!(tripped, "budget {budget} must trip at {lanes} lanes");
+                    }
+                    if budget <= mask_charge {
+                        assert_eq!(spent, mask_charge, "no chunk runs past the mask charge");
+                    }
+                }
+            });
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! thread count, which `tests/thread_scaling.rs` pins.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::limits::{ExecLimits, StopReason};
@@ -50,18 +50,14 @@ pub struct AccessCounters {
     pub push_steps: AtomicU64,
     /// Matvec steps resolved to the row-based (pull) kernel.
     pub pull_steps: AtomicU64,
-    /// Intermediate-vector slot writes a fused mxv·apply·assign pipeline
-    /// avoided materializing: the full dense output buffer for a fused
-    /// pull step, the filtered entry list for a fused push step. Zero on
-    /// unfused runs; excluded from [`AccessCounters::total`] because it
-    /// records work *not* done.
-    pub fused_saved_writes: AtomicU64,
 
     // ---- limit-enforcement state (not counters; never snapshotted) ----
     // Installed by `install_limits`, polled by `checkpoint` at the kernels'
     // size-derived chunk boundaries. Kept inside AccessCounters because
     // every kernel already threads `Option<&AccessCounters>`, so limits
-    // reach every chunk boundary with zero signature changes.
+    // reach every chunk boundary with zero signature changes. The polls
+    // load these fields `Relaxed`: they publish no other data, and the
+    // guard installs them before the run's kernels hand out any chunk.
     /// Sticky first-trip reason (`StopReason::code`); 0 = not tripped.
     tripped: AtomicU8,
     /// Fast-path gate: true only while limits are installed.
@@ -74,18 +70,17 @@ pub struct AccessCounters {
     bytes_budget: AtomicU64,
     /// Bytes charged against `bytes_budget` so far this run.
     bytes_charged: AtomicU64,
-    /// Checkpoint calls since install; throttles the deadline clock read.
-    check_ticks: AtomicU64,
-    /// Absolute deadline. A mutex, not an atomic, but locked only every
-    /// `DEADLINE_CHECK_PERIOD` checkpoints; accessed poison-tolerantly.
-    deadline: Mutex<Option<Instant>>,
+    /// Absolute deadline in [`now_ns`] nanoseconds; `u64::MAX` = none.
+    deadline_ns: AtomicU64,
 }
 
-/// Checkpoints between deadline clock reads. Work/trip checks run on every
-/// checkpoint (plain atomics); only the `Instant::now` + mutex lock is
-/// throttled. Tick 0 checks immediately so a zero deadline trips at the
-/// first boundary.
-const DEADLINE_CHECK_PERIOD: u64 = 64;
+/// Nanoseconds since a process-wide monotonic epoch (the first call), the
+/// clock the deadline is stored and polled in.
+fn now_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
 
 impl AccessCounters {
     /// Fresh zeroed counters.
@@ -130,12 +125,6 @@ impl AccessCounters {
         self.pull_steps.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `n` intermediate-vector writes a fused pipeline avoided.
-    #[inline]
-    pub fn add_fused_saved_writes(&self, n: u64) {
-        self.fused_saved_writes.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Sum of all access categories (direction steps are decisions, not
     /// accesses, and are excluded).
     #[must_use]
@@ -156,19 +145,7 @@ impl AccessCounters {
             sort: self.sort.load(Ordering::Relaxed),
             push_steps: self.push_steps.load(Ordering::Relaxed),
             pull_steps: self.pull_steps.load(Ordering::Relaxed),
-            fused_saved_writes: self.fused_saved_writes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Reset all categories to zero.
-    pub fn reset(&self) {
-        self.matrix.store(0, Ordering::Relaxed);
-        self.vector.store(0, Ordering::Relaxed);
-        self.mask.store(0, Ordering::Relaxed);
-        self.sort.store(0, Ordering::Relaxed);
-        self.push_steps.store(0, Ordering::Relaxed);
-        self.pull_steps.store(0, Ordering::Relaxed);
-        self.fused_saved_writes.store(0, Ordering::Relaxed);
     }
 
     /// Overwrite every counter category from a snapshot. The abort path of
@@ -182,8 +159,6 @@ impl AccessCounters {
         self.sort.store(s.sort, Ordering::Relaxed);
         self.push_steps.store(s.push_steps, Ordering::Relaxed);
         self.pull_steps.store(s.pull_steps, Ordering::Relaxed);
-        self.fused_saved_writes
-            .store(s.fused_saved_writes, Ordering::Relaxed);
     }
 
     /// Add every category of `delta` into these counters (one relaxed
@@ -200,8 +175,6 @@ impl AccessCounters {
             .fetch_add(delta.push_steps, Ordering::Relaxed);
         self.pull_steps
             .fetch_add(delta.pull_steps, Ordering::Relaxed);
-        self.fused_saved_writes
-            .fetch_add(delta.fused_saved_writes, Ordering::Relaxed);
     }
 
     // ---- limit enforcement ----
@@ -217,8 +190,10 @@ impl AccessCounters {
         self.bytes_budget
             .store(limits.bytes_budget.unwrap_or(u64::MAX), Ordering::SeqCst);
         self.bytes_charged.store(0, Ordering::SeqCst);
-        self.check_ticks.store(0, Ordering::SeqCst);
-        *self.deadline_slot() = limits.deadline.map(|d| Instant::now() + d);
+        let deadline = limits.deadline.map_or(u64::MAX, |d| {
+            now_ns().saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+        });
+        self.deadline_ns.store(deadline, Ordering::SeqCst);
         self.limit_active
             .store(limits.is_limited(), Ordering::SeqCst);
     }
@@ -233,7 +208,7 @@ impl AccessCounters {
         self.work_budget.store(u64::MAX, Ordering::SeqCst);
         self.bytes_budget.store(u64::MAX, Ordering::SeqCst);
         self.bytes_charged.store(0, Ordering::SeqCst);
-        *self.deadline_slot() = None;
+        self.deadline_ns.store(u64::MAX, Ordering::SeqCst);
     }
 
     /// Why this run was stopped, if a limit has tripped.
@@ -242,16 +217,23 @@ impl AccessCounters {
         StopReason::from_code(self.tripped.load(Ordering::SeqCst))
     }
 
-    /// Poll the installed limits at a chunk boundary. Returns `true` when
-    /// execution may continue, `false` once any limit has tripped (kernels
-    /// then bail out with a cheap identity result and the dispatcher maps
-    /// the sticky [`StopReason`] to a typed error).
+    /// Poll the installed limits. Returns `true` when execution may
+    /// continue, `false` once any limit has tripped (kernels then bail out
+    /// with a cheap identity result and the dispatcher maps the sticky
+    /// [`StopReason`] to a typed error).
     ///
-    /// The unlimited fast path is two relaxed loads — cheap enough for the
-    /// per-row pull loop at every lane count. The deadline clock is read
-    /// only every `DEADLINE_CHECK_PERIOD` calls (and on the first call,
-    /// so zero deadlines trip at the first boundary); the work budget is
-    /// compared on every call.
+    /// The unlimited fast path is two relaxed loads. An armed poll reads
+    /// the deadline clock (when a deadline is set) and compares the work
+    /// spent since install with the budget, every call. The kernels poll
+    /// once per size-derived chunk, so an armed run overruns a tripped
+    /// limit by at most:
+    ///
+    /// * one chunk per lane for the row kernels (`ROW_GRAIN` visited rows)
+    ///   and the claim kernel (`CLAIM_GRAIN` expanded products), whose
+    ///   charges land when the chunk ends;
+    /// * one whole step for a valued push, which polls once on entry and
+    ///   then expands, sorts and reduces without a poll;
+    /// * one level for a lane group, polled at each level boundary.
     #[inline]
     #[must_use]
     pub fn checkpoint(&self) -> bool {
@@ -261,34 +243,15 @@ impl AccessCounters {
         if !self.limit_active.load(Ordering::Relaxed) {
             return true;
         }
-        self.checkpoint_slow(false)
-    }
-
-    /// [`AccessCounters::checkpoint`] that reads the deadline clock on
-    /// every call, not every `DEADLINE_CHECK_PERIOD`-th: the poll for
-    /// boundaries few enough that the clock read is free, such as the
-    /// levels of a multi-source group, which may then overshoot a deadline
-    /// by at most one boundary.
-    #[must_use]
-    pub fn checkpoint_now(&self) -> bool {
-        if self.tripped.load(Ordering::Relaxed) != 0 {
-            return false;
-        }
-        if !self.limit_active.load(Ordering::Relaxed) {
-            return true;
-        }
-        self.checkpoint_slow(true)
+        self.checkpoint_slow()
     }
 
     #[cold]
-    fn checkpoint_slow(&self, read_clock: bool) -> bool {
-        let tick = self.check_ticks.fetch_add(1, Ordering::Relaxed);
-        if read_clock || tick.is_multiple_of(DEADLINE_CHECK_PERIOD) {
-            let expired = self.deadline_slot().is_some_and(|at| Instant::now() >= at);
-            if expired {
-                self.trip(StopReason::Deadline);
-                return false;
-            }
+    fn checkpoint_slow(&self) -> bool {
+        let deadline = self.deadline_ns.load(Ordering::Relaxed);
+        if deadline != u64::MAX && now_ns() >= deadline {
+            self.trip(StopReason::Deadline);
+            return false;
         }
         let budget = self.work_budget.load(Ordering::Relaxed);
         if budget != u64::MAX {
@@ -338,14 +301,6 @@ impl AccessCounters {
             .tripped
             .compare_exchange(0, reason.code(), Ordering::SeqCst, Ordering::SeqCst);
     }
-
-    /// Poison-tolerant access to the deadline slot: a worker panic while
-    /// the (briefly held) lock is taken must not wedge later runs.
-    fn deadline_slot(&self) -> std::sync::MutexGuard<'_, Option<Instant>> {
-        self.deadline
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 /// Plain-integer snapshot of [`AccessCounters`].
@@ -363,9 +318,6 @@ pub struct CounterSnapshot {
     pub push_steps: u64,
     /// Steps the dispatcher resolved to pull (row kernel).
     pub pull_steps: u64,
-    /// Intermediate writes avoided by fused pipelines (not an access; see
-    /// [`AccessCounters::fused_saved_writes`]).
-    pub fused_saved_writes: u64,
 }
 
 impl CounterSnapshot {
@@ -388,23 +340,6 @@ impl CounterSnapshot {
             sort: self.sort.saturating_sub(earlier.sort),
             push_steps: self.push_steps.saturating_sub(earlier.push_steps),
             pull_steps: self.pull_steps.saturating_sub(earlier.pull_steps),
-            fused_saved_writes: self
-                .fused_saved_writes
-                .saturating_sub(earlier.fused_saved_writes),
-        }
-    }
-
-    /// This snapshot with the pure-telemetry field `fused_saved_writes`
-    /// zeroed — the Table 1 access categories plus direction steps only.
-    /// Fused and unfused runs of the same computation must agree on this
-    /// projection (the equivalence contract `tests/fused_pipelines.rs`
-    /// pins); the saved-write tally itself differs by construction (only
-    /// fused runs save writes).
-    #[must_use]
-    pub fn accesses_only(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            fused_saved_writes: 0,
-            ..*self
         }
     }
 }
@@ -414,7 +349,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_accumulate_and_reset() {
+    fn counts_accumulate() {
         let c = AccessCounters::new();
         c.add_matrix(10);
         c.add_matrix(5);
@@ -424,7 +359,6 @@ mod tests {
         c.add_push_step();
         c.add_push_step();
         c.add_pull_step();
-        c.add_fused_saved_writes(9);
         let s = c.snapshot();
         assert_eq!(
             s,
@@ -435,17 +369,10 @@ mod tests {
                 sort: 7,
                 push_steps: 2,
                 pull_steps: 1,
-                fused_saved_writes: 9,
             }
         );
-        assert_eq!(s.total(), 27, "steps and saved writes are not accesses");
+        assert_eq!(s.total(), 27, "direction steps are not accesses");
         assert_eq!(c.total(), 27);
-        assert_eq!(s.accesses_only().fused_saved_writes, 0);
-        assert_eq!(s.accesses_only().matrix, 15);
-        c.reset();
-        assert_eq!(c.total(), 0);
-        assert_eq!(c.snapshot().push_steps, 0);
-        assert_eq!(c.snapshot().fused_saved_writes, 0);
     }
 
     #[test]
@@ -456,7 +383,6 @@ mod tests {
         let before = c.snapshot();
         c.add_matrix(99);
         c.add_vector(3);
-        c.add_fused_saved_writes(2);
         assert_ne!(c.snapshot(), before);
         c.restore(&before);
         assert_eq!(c.snapshot(), before);
@@ -504,15 +430,15 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_now_reads_the_deadline_clock_every_call() {
+    fn every_poll_reads_the_deadline_clock() {
         let c = AccessCounters::new();
         c.install_limits(&ExecLimits::none().with_deadline(std::time::Duration::from_millis(1)));
-        assert!(c.checkpoint(), "tick 0 reads the clock before the deadline");
+        assert!(c.checkpoint(), "the first poll comes before the deadline");
         std::thread::sleep(std::time::Duration::from_millis(5));
-        assert!(c.checkpoint(), "tick 1 skips the throttled clock read");
-        assert!(!c.checkpoint_now(), "the unthrottled poll sees the expiry");
+        assert!(!c.checkpoint(), "the next poll sees the expiry");
         assert_eq!(c.stop_reason(), Some(StopReason::Deadline));
         c.uninstall_limits();
+        assert!(c.checkpoint(), "uninstalled limits no longer trip");
     }
 
     #[test]

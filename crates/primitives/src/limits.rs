@@ -11,9 +11,10 @@
 //!
 //! Enforcement is cooperative and chunk-grained: kernels poll
 //! [`AccessCounters::checkpoint`](crate::counters::AccessCounters::checkpoint)
-//! at their existing size-derived chunk boundaries (per pull row, per
-//! claim chunk, per expansion preamble). Because those boundaries never
-//! depend on the lane count, a run that completes under limits is
+//! at their existing size-derived chunk boundaries (per pull chunk, per
+//! claim chunk, per expansion preamble), which bounds how far a run
+//! overruns a tripped limit (see `checkpoint`). Because those boundaries
+//! never depend on the lane count, a run that completes under limits is
 //! bit-identical to an unlimited run; a run that trips aborts with a typed
 //! error and leaves caller state and (after the guard restores them) the
 //! counters untouched.

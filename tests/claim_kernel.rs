@@ -93,7 +93,7 @@ fn claim_push(
     if let Some(set) = claims {
         assert_eq!(set.count_ones(), 0, "a lent claim set comes back all-clear");
     }
-    (ids, c.snapshot().accesses_only())
+    (ids, c.snapshot())
 }
 
 /// Check every mask shape, with and without a lent claim set, against the

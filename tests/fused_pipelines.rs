@@ -1,8 +1,7 @@
 //! The fused-pipeline equivalence contract: every algorithm rewritten on
 //! `FusedMxv` must produce **bit-identical results and access counters**
-//! (modulo `fused_saved_writes`, which only the fused run records) against
-//! its unfused separate-operation composition — on arbitrary graphs, under
-//! every direction regime, and at 1, 2, and 8 worker lanes.
+//! against its unfused separate-operation composition — on arbitrary
+//! graphs, under every direction regime, and at 1, 2, and 8 worker lanes.
 
 use proptest::prelude::*;
 use push_pull::algo::bfs::{bfs_with_opts, BfsOpts};
@@ -12,10 +11,9 @@ use push_pull::algo::pagerank::{pagerank_with_counters, PageRankOpts};
 use push_pull::algo::sssp::{sssp_with_counters, SsspOpts};
 use push_pull::core::Direction;
 use push_pull::gen::rmat::{rmat, RmatParams};
-use push_pull::gen::suite::dataset;
 use push_pull::gen::with_uniform_weights;
 use push_pull::matrix::{Coo, Graph};
-use push_pull::primitives::counters::{AccessCounters, CounterSnapshot};
+use push_pull::primitives::counters::AccessCounters;
 
 const LANES: [usize; 3] = [1, 2, 8];
 
@@ -53,11 +51,6 @@ fn arb_directed(n: usize, max_edges: usize) -> impl Strategy<Value = Graph<bool>
         })
 }
 
-/// Snapshot projection fused and unfused runs must agree on.
-fn accesses(c: &AccessCounters) -> CounterSnapshot {
-    c.snapshot().accesses_only()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -84,13 +77,7 @@ proptest! {
         let fused = bfs_with_opts(&g, source, &base.fused(true), Some(&cf));
         prop_assert_eq!(&fused.depths, &unfused.depths, "depths, bits {:05b}", bits);
         prop_assert_eq!(fused.levels, unfused.levels);
-        prop_assert_eq!(accesses(&cf), accesses(&cu), "counters, bits {:05b}", bits);
-        prop_assert_eq!(cu.snapshot().fused_saved_writes, 0);
-        // An isolated source's single empty push level legitimately saves
-        // nothing; any actual discovery must save intermediate writes.
-        if fused.reached() > 1 {
-            prop_assert!(cf.snapshot().fused_saved_writes > 0);
-        }
+        prop_assert_eq!(cf.snapshot(), cu.snapshot(), "counters, bits {:05b}", bits);
     }
 
     #[test]
@@ -109,7 +96,7 @@ proptest! {
         let fused = bfs_parents_with_opts(&g, source, &fused_opts, Some(&cf));
         prop_assert_eq!(&fused.parent, &unfused.parent);
         prop_assert_eq!(fused.levels, unfused.levels);
-        prop_assert_eq!(accesses(&cf), accesses(&cu));
+        prop_assert_eq!(cf.snapshot(), cu.snapshot());
         // First-hit early exit: identical tree, never more matrix traffic.
         let ch = AccessCounters::new();
         let hit_opts = ParentBfsOpts { first_hit_exit: true, ..fused_opts };
@@ -131,7 +118,7 @@ proptest! {
             &g, &CcOpts { switch_threshold: threshold, fused: true, ..CcOpts::default() }, Some(&cf));
         prop_assert_eq!(&fused.labels, &unfused.labels);
         prop_assert_eq!(fused.rounds, unfused.rounds);
-        prop_assert_eq!(accesses(&cf), accesses(&cu));
+        prop_assert_eq!(cf.snapshot(), cu.snapshot());
     }
 
     #[test]
@@ -154,7 +141,7 @@ proptest! {
         );
         prop_assert_eq!(fused.rounds, unfused.rounds);
         prop_assert_eq!(fused.pull_rounds, unfused.pull_rounds);
-        prop_assert_eq!(accesses(&cf), accesses(&cu));
+        prop_assert_eq!(cf.snapshot(), cu.snapshot());
     }
 
     #[test]
@@ -175,7 +162,7 @@ proptest! {
         );
         prop_assert_eq!(fused.iters, unfused.iters);
         prop_assert_eq!(fused.row_updates, unfused.row_updates);
-        prop_assert_eq!(accesses(&cf), accesses(&cu));
+        prop_assert_eq!(cf.snapshot(), cu.snapshot());
     }
 }
 
@@ -188,7 +175,7 @@ fn bfs_and_parents_fused_identical_at_1_2_8_lanes() {
     let unfused_bfs = rayon::with_num_threads(1, || {
         let c = AccessCounters::new();
         let r = bfs_with_opts(&g, 0, &BfsOpts::default().fused(false), Some(&c));
-        (r.depths, accesses(&c))
+        (r.depths, c.snapshot())
     });
     let unfused_parents = rayon::with_num_threads(1, || {
         let c = AccessCounters::new();
@@ -198,17 +185,16 @@ fn bfs_and_parents_fused_identical_at_1_2_8_lanes() {
             ..ParentBfsOpts::default()
         };
         let r = bfs_parents_with_opts(&g, 0, &opts, Some(&c));
-        (r.parent, accesses(&c))
+        (r.parent, c.snapshot())
     });
     for lanes in LANES {
         let fused_bfs = rayon::with_num_threads(lanes, || {
             let c = AccessCounters::new();
             let r = bfs_with_opts(&g, 0, &BfsOpts::default(), Some(&c));
-            (r.depths, accesses(&c), c.snapshot().fused_saved_writes)
+            (r.depths, c.snapshot())
         });
         assert_eq!(fused_bfs.0, unfused_bfs.0, "BFS depths at {lanes} lanes");
         assert_eq!(fused_bfs.1, unfused_bfs.1, "BFS counters at {lanes} lanes");
-        assert!(fused_bfs.2 > 0, "BFS saved writes at {lanes} lanes");
 
         let fused_parents = rayon::with_num_threads(lanes, || {
             let c = AccessCounters::new();
@@ -217,7 +203,7 @@ fn bfs_and_parents_fused_identical_at_1_2_8_lanes() {
                 ..ParentBfsOpts::default()
             };
             let r = bfs_parents_with_opts(&g, 0, &opts, Some(&c));
-            (r.parent, accesses(&c), c.snapshot().fused_saved_writes)
+            (r.parent, c.snapshot())
         });
         assert_eq!(
             fused_parents.0, unfused_parents.0,
@@ -227,7 +213,6 @@ fn bfs_and_parents_fused_identical_at_1_2_8_lanes() {
             fused_parents.1, unfused_parents.1,
             "parent counters at {lanes} lanes"
         );
-        assert!(fused_parents.2 > 0, "parent saved writes at {lanes} lanes");
 
         // The production configuration (first-hit exit on) still yields
         // the identical tree at every lane count, with no more traffic.
@@ -238,20 +223,6 @@ fn bfs_and_parents_fused_identical_at_1_2_8_lanes() {
         });
         assert_eq!(hit.0, unfused_parents.0, "first-hit tree at {lanes} lanes");
         assert!(hit.1 <= unfused_parents.1.matrix);
-    }
-}
-
-/// Fused runs on the paper's Table 1 experiment graphs (generated Table 3
-/// stand-ins) must actually save intermediate writes.
-#[test]
-fn fused_saves_writes_on_table1_graphs() {
-    for name in ["kron", "roadnet"] {
-        let d = dataset(name, 10, 7).expect("known dataset");
-        let c = AccessCounters::new();
-        let r = bfs_with_opts(&d.graph, 0, &BfsOpts::default(), Some(&c));
-        assert!(r.reached() > 1, "{name}: traversal must reach something");
-        let saved = c.snapshot().fused_saved_writes;
-        assert!(saved > 0, "{name}: fused_saved_writes = {saved}");
     }
 }
 

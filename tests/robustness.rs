@@ -167,6 +167,35 @@ fn work_budget_abort_then_retry_is_bit_identical() {
     }
 }
 
+/// The work budget also stops the first-hit reducer parent BFS runs by
+/// default: an all-pull parent BFS over a budget smaller than one pull
+/// level's mask charge aborts with the typed work error at its first pull
+/// chunk, and rolls its counters back, at 1, 2 and 4 lanes.
+#[test]
+fn work_budget_stops_an_all_pull_parent_bfs() {
+    let g = rmat(10, 16, RmatParams::default(), 14);
+    let opts = ParentBfsOpts {
+        switch_threshold: 0.0,
+        limits: ExecLimits::none().with_work_budget(64),
+        ..ParentBfsOpts::default()
+    };
+    for lanes in [1, 2, 4] {
+        rayon::with_num_threads(lanes, || {
+            let c = AccessCounters::new();
+            c.add_matrix(5);
+            let entry = c.snapshot();
+            assert_eq!(
+                try_bfs_parents_with_opts(&g, 7, &opts, Some(&c)).map(|r| r.levels),
+                Err(GrbError::BudgetExceeded {
+                    resource: BudgetResource::Work
+                }),
+                "at {lanes} lanes"
+            );
+            assert_eq!(c.snapshot(), entry, "abort rolled back at {lanes} lanes");
+        });
+    }
+}
+
 /// The bytes budget meters every kernel allocation. A budget below the
 /// first level's output buffer aborts a solo traversal — BFS fused and
 /// unfused, parent BFS — with the typed bytes error, rolls its counters
