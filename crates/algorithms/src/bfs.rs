@@ -13,8 +13,17 @@
 //! The whole point of the paper is that this *one* expression covers both
 //! traversal directions; everything interesting happens in the options:
 //!
-//! * **change of direction** — frontier storage follows the §6.3 hysteresis
-//!   rule (`r = nnz(f)/M` vs. `α = β = 0.01`); off ⇒ push-only.
+//! * **change of direction** — each level's direction comes from the edge
+//!   rule ([`DirectionPolicy::edges`]): a growing push frontier turns to
+//!   pull once its out-edges `m_f` exceed both `d̄·|unvisited| / 24` (the
+//!   edges a pull would scan, over α) and `|V| / 8`, and a shrinking pull
+//!   frontier turns back below `|V| / 24` vertices. `m_f` is summed over
+//!   the frontier's ids only on growing push levels, the only ones that
+//!   can switch; `|unvisited|` is the count the run keeps anyway. The
+//!   paper's §6.3 rule (`nnz(f)/|V|` against `α = β = 0.01`) saw neither
+//!   side's edges: it pulled road-mesh frontiers just over 1% of `|V|`
+//!   that a push expands an order of magnitude faster, and pushed kron's
+//!   hub burst. Off ⇒ push-only.
 //! * **masking** — `¬v` passed as a kernel mask; off ⇒ unmasked matvec
 //!   followed by an elementwise filter. A pull level reads the unvisited
 //!   rows straight from the visited bitmap, 64 per word, so the run keeps
@@ -46,10 +55,7 @@ use graphblas_core::mask::Mask;
 use graphblas_core::ops::{BoolOrAnd, BoolStructure, Semiring};
 use graphblas_core::vector::Vector;
 use graphblas_core::vector_ops::filter_by_mask;
-use graphblas_core::{
-    mxv, run_guarded, CostConstants, CostModelInputs, DirectionPolicy, ExecLimits, FusedMxv,
-    GrbResult,
-};
+use graphblas_core::{mxv, run_guarded, DirectionPolicy, ExecLimits, FusedMxv, GrbResult};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::{AtomicBitVec, BitVec};
@@ -77,8 +83,6 @@ pub struct BfsOpts {
     /// levels claim unvisited vertices instead of sorting every expanded
     /// edge.
     pub structure_only: bool,
-    /// The §6.3 switch ratio (α = β). Paper default 0.01.
-    pub switch_threshold: f64,
     /// Force every iteration into one direction (Figs. 5–6 per-direction
     /// studies). Overrides `change_of_direction`.
     pub force: Option<Direction>,
@@ -89,11 +93,6 @@ pub struct BfsOpts {
     /// optimizations: results and access counters are bit-identical either
     /// way.
     pub fused: bool,
-    /// Replace the ratio-threshold direction rule with the measured cost
-    /// model: `pushwork = c_push · nnz(A(:, f))` against
-    /// `pullwork = c_pull · d · |unvisited|`, per level (overridden by
-    /// [`BfsOpts::force`]).
-    pub cost_model: bool,
     /// Execution limits (deadline, work budget, bytes budget) enforced by
     /// [`try_bfs_with_opts`]. The infallible entry points ignore this
     /// field — they cannot surface an abort.
@@ -108,11 +107,9 @@ impl Default for BfsOpts {
             early_exit: true,
             operand_reuse: true,
             structure_only: true,
-            switch_threshold: 0.01,
             force: None,
             record_trace: false,
             fused: true,
-            cost_model: false,
             limits: ExecLimits::none(),
         }
     }
@@ -129,11 +126,9 @@ impl BfsOpts {
             early_exit: false,
             operand_reuse: false,
             structure_only: false,
-            switch_threshold: 0.01,
             force: None,
             record_trace: false,
             fused: true,
-            cost_model: false,
             limits: ExecLimits::none(),
         }
     }
@@ -142,14 +137,6 @@ impl BfsOpts {
     #[must_use]
     pub fn fused(mut self, on: bool) -> Self {
         self.fused = on;
-        self
-    }
-
-    /// Builder: toggle the measured cost-model direction rule (see
-    /// [`BfsOpts::cost_model`]).
-    #[must_use]
-    pub fn cost_model(mut self, on: bool) -> Self {
-        self.cost_model = on;
         self
     }
 
@@ -275,6 +262,17 @@ pub fn try_bfs_with_opts(
     run_guarded(counters, &opts.limits, |c| dispatch_bfs(g, source, opts, c))
 }
 
+/// The direction policy a BFS under `opts` runs on an operand of average
+/// degree `avg_degree`: the forced direction, the edge rule, or push-only
+/// with change of direction off. A BFS lane runs the same policy.
+pub(crate) fn bfs_policy(opts: &BfsOpts, avg_degree: f64) -> DirectionPolicy {
+    match opts.force {
+        Some(d) => DirectionPolicy::fixed(d),
+        None if opts.change_of_direction => DirectionPolicy::edges(avg_degree),
+        None => DirectionPolicy::fixed(Direction::Push),
+    }
+}
+
 pub(crate) fn dispatch_bfs(
     g: &Graph<bool>,
     source: VertexId,
@@ -320,13 +318,9 @@ where
     let mut f: Vector<bool> = Vector::singleton(n, false, source, true);
     let mut frontier_nnz = 1usize;
     // Optimization 1's switching rule lives in graphblas_core; BFS only
-    // chooses which policy variant runs, fed against a capacity of |V|.
-    let mut policy = match opts.force {
-        Some(d) => DirectionPolicy::fixed(d),
-        None if opts.cost_model => DirectionPolicy::cost_model(CostConstants::default()),
-        None if opts.change_of_direction => DirectionPolicy::hysteresis(opts.switch_threshold),
-        None => DirectionPolicy::fixed(Direction::Push),
-    };
+    // chooses which policy variant runs.
+    let csr = g.csr();
+    let mut policy = bfs_policy(opts, csr.avg_degree());
     let mut level = 0usize;
     let mut trace = Vec::new();
 
@@ -340,21 +334,12 @@ where
         let t0 = opts.record_trace.then(Instant::now);
         level += 1;
 
-        // Optimization 1: the policy picks this level's direction.
-        let measured = (opts.cost_model && opts.force.is_none()).then(|| {
-            // Measured workloads for the Beamer-style rule: push expands the
-            // out-rows of the frontier; pull scans into the unvisited set.
-            let csr = g.csr();
-            CostModelInputs {
-                frontier_edges: f.iter_explicit().map(|(i, _)| csr.degree(i as usize)).sum(),
-                unvisited: unvisited_count,
-                avg_degree: csr.avg_degree(),
-            }
+        // Optimization 1: the policy picks this level's direction, reading
+        // the frontier's out-edges (the edges a push expands) only on a
+        // level that could switch.
+        let dir = policy.update_edges(frontier_nnz, n, unvisited_count, || {
+            f.iter_explicit().map(|(i, _)| csr.degree(i as usize)).sum()
         });
-        let dir = match measured {
-            Some(inputs) => policy.update_measured(frontier_nnz, n, inputs),
-            None => policy.update(frontier_nnz, n),
-        };
         let desc = base_desc.force(dir);
 
         // Storage follows direction (the convert() of §6.3). With operand
@@ -468,9 +453,11 @@ where
 mod tests {
     use super::*;
     use graphblas_baselines::textbook::bfs_serial;
+    use graphblas_core::plan::EDGE_ALPHA;
     use graphblas_gen::grid::{road_mesh, RoadParams};
     use graphblas_gen::powerlaw::{chung_lu, PowerLawParams};
     use graphblas_gen::rmat::{rmat, RmatParams};
+    use graphblas_gen::suite::dataset;
     use graphblas_matrix::Coo;
 
     fn check_against_oracle(g: &Graph<bool>, sources: &[u32], opts: &BfsOpts) {
@@ -559,16 +546,56 @@ mod tests {
 
     #[test]
     fn road_network_stays_push_only() {
-        // Road frontiers are O(side) waves while 1% of n is O(side²/100):
-        // at paper-like proportions (side ≥ ~150) the threshold is never
-        // crossed, which is why road networks run push-only (§7.3).
+        // Road frontiers are O(side) waves with O(side) out-edges, while
+        // the edge rule's floor is |V|/8 = O(side²/8) edges: the floor is
+        // never crossed, which is why road networks run push-only (§7.3).
         let g = road_mesh(200, 200, RoadParams::default(), 10);
         let r = bfs_with_opts(&g, 0, &BfsOpts::default().traced(), None);
         assert!(
             r.trace.iter().all(|t| t.direction == Direction::Push),
-            "thin frontiers never cross the 1% threshold on a road mesh"
+            "thin frontiers never cross the edge floor on a road mesh"
         );
         assert_eq!(r.depths, bfs_serial(&g, 0));
+    }
+
+    #[test]
+    fn edge_rule_keeps_a_mid_mesh_road_source_all_push() {
+        // roadnet (suite shrink 6, seed 1) from source 16715: its frontiers
+        // reach 316–362 vertices, just over 1% of |V| = 31,329, so the §6.3
+        // rule pulled 35 of its 194 levels, each scanning the unvisited
+        // rows at 10–19× the cost of a push of the same frontier.
+        let g = dataset("roadnet", 6, 1).expect("known dataset").graph;
+        let r = bfs_with_opts(&g, 16715, &BfsOpts::default().traced(), None);
+        assert_eq!(r.levels, 194);
+        assert!(
+            r.trace.iter().all(|t| t.direction == Direction::Push),
+            "a road frontier's edges stay under the |V|/8 floor"
+        );
+    }
+
+    #[test]
+    fn edge_rule_pulls_a_hub_burst_under_one_percent_of_v() {
+        // rmat(12, 16) from source 31: level 2's frontier holds 16 of 4,096
+        // vertices (0.4%, under §6.3's 1%), but its 5,358 out-edges exceed
+        // d̄·|unvisited|/α ≈ 4,027, so the edge rule pulls it.
+        let g = rmat(12, 16, RmatParams::default(), 4);
+        let n = g.n_vertices();
+        let r = bfs_with_opts(&g, 31, &BfsOpts::default().traced(), None);
+        assert_eq!(r.depths, bfs_serial(&g, 31));
+        let (first, burst) = (&r.trace[0], &r.trace[1]);
+        assert_eq!(first.direction, Direction::Push);
+        assert!(
+            burst.frontier_nnz * 100 < n,
+            "{} of {n}",
+            burst.frontier_nnz
+        );
+        let m_f: usize = (0..n)
+            .filter(|&v| r.depths[v] == 1)
+            .map(|v| g.csr().degree(v))
+            .sum();
+        let bound = g.csr().avg_degree() * burst.unvisited as f64 / EDGE_ALPHA;
+        assert!(m_f as f64 > bound, "m_f {m_f} vs {bound}");
+        assert_eq!(burst.direction, Direction::Pull, "the hub burst pulls");
     }
 
     #[test]
@@ -622,11 +649,11 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_matches_oracle_and_stays_competitive() {
-        // The measured rule must stay correct, and its charged accesses may
-        // not lose to the better of the two fixed directions by more than
-        // 10%: on a sparse scale-free graph and on a dense Erdős graph
-        // (average degree ≈ 64).
+    fn edge_rule_matches_oracle_and_stays_competitive() {
+        // Default BFS must stay exact, and its charged accesses may not
+        // lose to the better of the two fixed directions by more than 10%:
+        // on a sparse scale-free graph and on a dense Erdős graph (average
+        // degree ≈ 64).
         let graphs = [
             rmat(12, 16, RmatParams::default(), 4),
             graphblas_gen::erdos::erdos_renyi(256, 8192, 5),
@@ -638,14 +665,14 @@ mod tests {
                 let r = bfs_with_opts(g, 0, &opts, Some(&c));
                 (r, c.total())
             };
-            let (got, model_total) = run(BfsOpts::default().cost_model(true));
-            assert_eq!(got.depths, expect, "cost-model BFS must stay exact");
+            let (got, rule_total) = run(BfsOpts::default());
+            assert_eq!(got.depths, expect, "default BFS must stay exact");
             let (_, push_total) = run(BfsOpts::default().forced(Direction::Push));
             let (_, pull_total) = run(BfsOpts::default().forced(Direction::Pull));
             let best_fixed = push_total.min(pull_total);
             assert!(
-                model_total as f64 <= best_fixed as f64 * 1.1,
-                "cost model lost to best fixed direction on n = {}: {model_total} vs {best_fixed}",
+                rule_total as f64 <= best_fixed as f64 * 1.1,
+                "edge rule lost to best fixed direction on n = {}: {rule_total} vs {best_fixed}",
                 g.n_vertices()
             );
         }

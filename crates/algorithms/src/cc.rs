@@ -5,7 +5,7 @@
 //! Every vertex starts labeled with its own id; each round propagates the
 //! minimum label across edges. The *delta* set (vertices whose label
 //! changed) is the frontier: small deltas run the column kernel, large
-//! deltas the row kernel, with the same hysteresis switch BFS uses.
+//! deltas the row kernel, under the paper's §6.3 hysteresis switch.
 //!
 //! By default each round runs as a fused pipeline
 //! ([`graphblas_core::fused::FusedMxv`]): the matvec's candidate labels
@@ -104,8 +104,8 @@ fn cc_loop(
     // Initially every vertex is "changed".
     let mut delta: Vector<u32> = Vector::Dense(DenseVector::from_values(labels.clone(), u32::MAX));
     let mut rounds = 0usize;
-    // Same hysteresis rule as BFS (§6.3), on the delta set; dense start
-    // means the policy begins in pull.
+    // The §6.3 hysteresis rule on the delta set; dense start means the
+    // policy begins in pull.
     let mut policy = DirectionPolicy::hysteresis_from(Direction::Pull, opts.switch_threshold);
     let base = Descriptor::new().transpose(true);
 

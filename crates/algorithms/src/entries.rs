@@ -6,7 +6,9 @@
 //! ([`multi_source_bfs_entries`], [`bfs_parents_entries`]) run entries in
 //! lane groups of at most 64: one shared traversal over bit-packed lane
 //! words ([`crate::msbfs`]), one pull sweep and one push sweep per level
-//! for every lane, each lane under its own §6.3 direction policy. A group
+//! for every lane, each lane under its own direction policy (BFS's edge
+//! rule for a depth lane, parent BFS's §6.3 hysteresis for a parent
+//! lane). A group
 //! of one runs the single-source fused path instead, with the entry's
 //! counters and limits. [`sssp_entries`] advances its entries through one
 //! [`mxv_batch`] call per round with per-row counters, each row's charges
@@ -284,7 +286,7 @@ pub fn multi_source_bfs_entries(
 ) -> Vec<GrbResult<EntryBfs>> {
     let spec = GroupSpec {
         sources: &[],
-        policy: opts.policy(),
+        policy: opts.policy(g),
         record: Record::Depths,
         bills: None,
         shared,

@@ -8,10 +8,13 @@
 //! that GraphBLAST writes as a masked mxm. The paper's three optimizations
 //! carry over lane by lane:
 //!
-//! * **change of direction** — every lane runs its own §6.3
-//!   [`DirectionPolicy`] on its own frontier count, exactly as its solo run
-//!   does, so one level may pull some lanes and push others, and each
-//!   lane's push/pull sequence equals its solo run's;
+//! * **change of direction** — every lane runs its own [`DirectionPolicy`]
+//!   on exactly its solo run's inputs, so one level may pull some lanes and
+//!   push others, and each lane's push/pull sequence equals its solo run's.
+//!   A depth lane runs BFS's edge rule on its frontier count, its own
+//!   unvisited count, and its frontier's out-edges, which one pass over the
+//!   group frontier sums for exactly the lanes on a growing push level; a
+//!   parent lane runs parent BFS's §6.3 hysteresis on its frontier count;
 //! * **masking** — a pull row is scanned only for the lanes that have not
 //!   seen it, and a push ORs its lanes only into unseen slots;
 //! * **early exit** — a pull row stops once every wanted lane has a hit.
@@ -43,7 +46,7 @@ use graphblas_core::{
 use graphblas_matrix::{Csr, Graph, VertexId};
 use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
 
-use crate::bfs::{dispatch_bfs, BfsOpts};
+use crate::bfs::{bfs_policy, dispatch_bfs, BfsOpts};
 use crate::bfs_parents::NO_PARENT;
 
 /// Depth label for unreached (source, vertex) pairs.
@@ -52,10 +55,8 @@ pub const UNREACHED: i32 = -1;
 /// Options for a batched traversal.
 #[derive(Clone, Copy, Debug)]
 pub struct MsBfsOpts {
-    /// The §6.3 switch ratio (α = β) each source's policy runs under.
-    pub switch_threshold: f64,
     /// Pin every source to one direction (ablation arms). `None` lets each
-    /// source's hysteresis policy switch independently.
+    /// source's edge rule switch independently.
     pub force: Option<Direction>,
     /// Execution limits enforced by [`try_multi_source_bfs_with_opts`];
     /// the infallible entry points ignore this field.
@@ -65,7 +66,6 @@ pub struct MsBfsOpts {
 impl Default for MsBfsOpts {
     fn default() -> Self {
         Self {
-            switch_threshold: 0.01,
             force: None,
             limits: ExecLimits::none(),
         }
@@ -77,21 +77,17 @@ impl MsBfsOpts {
     #[must_use]
     pub fn solo(&self) -> BfsOpts {
         BfsOpts {
-            switch_threshold: self.switch_threshold,
             force: self.force,
             limits: self.limits,
             ..BfsOpts::default()
         }
     }
 
-    /// The direction policy every lane runs: the forced direction, or the
-    /// §6.3 hysteresis — what [`MsBfsOpts::solo`] runs.
+    /// The direction policy every lane runs over `g`: the forced direction,
+    /// or the edge rule — what [`MsBfsOpts::solo`] runs.
     #[must_use]
-    pub fn policy(&self) -> DirectionPolicy {
-        match self.force {
-            Some(d) => DirectionPolicy::fixed(d),
-            None => DirectionPolicy::hysteresis(self.switch_threshold),
-        }
+    pub fn policy(&self, g: &Graph<bool>) -> DirectionPolicy {
+        bfs_policy(&self.solo(), g.csr().avg_degree())
     }
 }
 
@@ -157,7 +153,7 @@ fn msbfs_loop(
         }
         let spec = GroupSpec {
             sources: group,
-            policy: opts.policy(),
+            policy: opts.policy(g),
             record: Record::Depths,
             bills: None,
             shared: counters,
@@ -255,6 +251,10 @@ pub(crate) fn run_group(g: &Graph<bool>, spec: &GroupSpec<'_>) -> Vec<GrbResult<
     let mut group = LaneGroup::new(n, spec.sources);
     let mut policies = vec![spec.policy.clone(); k];
     let mut counts = vec![1usize; k];
+    // Each lane's unvisited count and frontier out-edges: its solo run's
+    // edge-rule inputs.
+    let mut unvisited = vec![n - 1; k];
+    let mut edges = vec![0usize; k];
     let mut depths: Vec<Vec<i32>> = Vec::new();
     let mut parents: Vec<Vec<AtomicU32>> = Vec::new();
     for &s in spec.sources {
@@ -312,9 +312,15 @@ pub(crate) fn run_group(g: &Graph<bool>, spec: &GroupSpec<'_>) -> Vec<GrbResult<
         }
 
         level += 1;
+        let priced = lanes(live).fold(0u64, |m, l| {
+            m | u64::from(policies[l].wants_edges(counts[l])) << l
+        });
+        if priced != 0 {
+            frontier_edges(g, &group, priced, &mut edges);
+        }
         let (mut pull, mut push) = (0u64, 0u64);
         for l in lanes(live) {
-            let dir = policies[l].update(counts[l], n);
+            let dir = policies[l].update_edges(counts[l], n, unvisited[l], || edges[l]);
             let bill = spec.bills.map(|b| b[l]);
             for c in bill.into_iter().chain(spec.shared) {
                 match dir {
@@ -357,10 +363,32 @@ pub(crate) fn run_group(g: &Graph<bool>, spec: &GroupSpec<'_>) -> Vec<GrbResult<
                 }
             }
         }
+        for l in lanes(live) {
+            unvisited[l] -= counts[l];
+        }
     }
     out.into_iter()
         .map(|r| r.expect("every lane resolved"))
         .collect()
+}
+
+/// Sum the out-edges of the group frontier into `edges[l]` for each lane
+/// `l` in `priced`: what the lane's solo run sums over its own frontier.
+fn frontier_edges(g: &Graph<bool>, group: &LaneGroup, priced: u64, edges: &mut [usize]) {
+    for l in lanes(priced) {
+        edges[l] = 0;
+    }
+    let csr = g.csr();
+    let (ids, words) = group.frontier();
+    for (&v, &w) in ids.iter().zip(words) {
+        let w = w & priced;
+        if w != 0 {
+            let d = csr.degree(v as usize);
+            for l in lanes(w) {
+                edges[l] += d;
+            }
+        }
+    }
 }
 
 /// A counter set's poll at a level boundary: its trip reason, if any.

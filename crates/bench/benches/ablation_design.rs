@@ -6,11 +6,12 @@
 //! 2. masked row kernel walking an exact active list (§3.2) vs the word
 //!    scan, which reads the allowed rows from the mask's bit words, 64
 //!    rows per word;
-//! 3. α = β switch-threshold sensitivity around the paper's 0.01;
-//! 4. masked vs unmasked SpGEMM for triangle counting (§5.6 generality).
+//! 3. masked vs unmasked SpGEMM for triangle counting (§5.6 generality).
+//!
+//! The direction rule's sensitivity is the direction study's
+//! (`paper -- heuristic`, `results/BENCH_direction.json`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphblas_algo::bfs::{bfs_with_opts, BfsOpts};
+use criterion::{criterion_group, criterion_main, Criterion};
 use graphblas_algo::tricount::{triangle_count, triangle_count_unmasked};
 use graphblas_bench::study::random_ids;
 use graphblas_core::descriptor::{Descriptor, Direction};
@@ -104,25 +105,6 @@ fn bench_mask_active_list(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_alpha_sensitivity(c: &mut Criterion) {
-    let g = rmat(13, 24, RmatParams::default(), 13);
-    let mut group = c.benchmark_group("ablation_alpha");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    for alpha in [0.001, 0.01, 0.1] {
-        let opts = BfsOpts {
-            switch_threshold: alpha,
-            ..BfsOpts::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(alpha), &opts, |b, opts| {
-            b.iter(|| black_box(bfs_with_opts(&g, 0, opts, None)))
-        });
-    }
-    group.finish();
-}
-
 fn bench_masked_tricount(c: &mut Criterion) {
     let g = rmat(11, 8, RmatParams::default(), 17);
     let mut group = c.benchmark_group("ablation_tricount_mask");
@@ -143,7 +125,6 @@ criterion_group!(
     benches,
     bench_structure_only_sort,
     bench_mask_active_list,
-    bench_alpha_sensitivity,
     bench_masked_tricount
 );
 criterion_main!(benches);

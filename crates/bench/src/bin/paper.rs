@@ -10,8 +10,8 @@
 //! Experiments: `table1` `table2` `table3` `fig2` `fig5` `fig6` `fig7`
 //! `heuristic` `scaling` `batched` `serve` `limits` `chaos` `validate`
 //! `all`. `bench-all` regenerates exactly the machine-readable
-//! `BENCH_*.json` artifacts (scaling, batched, serve, limits, and — when
-//! built with `--features fault-injection` — the chaos study).
+//! `BENCH_*.json` artifacts (direction, scaling, batched, serve, limits,
+//! and — when built with `--features fault-injection` — the chaos study).
 //! CSVs land in `--out` (default `results/`).
 //!
 //! `--shrink N` divides every dataset's vertex count by 2^N (default 6;
@@ -22,11 +22,12 @@ use graphblas_algo::bfs::{bfs_with_opts, BfsOpts};
 use graphblas_bench::engines::figure7_lineup;
 use graphblas_bench::report::{f, Json, Table};
 use graphblas_bench::study::{
-    batched_study, matvec_variant_sweep, per_level_study, random_sources, thread_scaling_study,
-    time_bfs,
+    batched_study, direction_study, matvec_variant_sweep, per_level_study, random_sources,
+    thread_scaling_study, time_bfs,
 };
 use graphblas_bench::{geomean, median, mteps, time_ms};
 use graphblas_core::descriptor::Direction;
+use graphblas_core::plan::{EDGE_ALPHA, EDGE_BETA, EDGE_FLOOR};
 use graphblas_gen::suite::{dataset, suite, Dataset};
 use graphblas_matrix::{Graph, GraphStats};
 use std::collections::BTreeMap;
@@ -86,6 +87,7 @@ fn main() {
         "validate" => validate(&cfg),
         "bench-all" => {
             // Exactly the experiments that emit BENCH_*.json artifacts.
+            heuristic(&cfg);
             scaling(&cfg);
             batched(&cfg);
             serve(&cfg);
@@ -505,53 +507,82 @@ fn fig7(cfg: &Config) {
     let _ = summary.write_csv(&cfg.out, "fig7_summary");
 }
 
-/// §6.3 heuristic study: α = β sweep against the per-level oracle.
+/// The direction study: every suite dataset's BFS levels timed in both
+/// arms (`per_level_study`: the arms default BFS runs, alternated, each
+/// level's minimum kept), then push-only, pull-only, the per-level oracle,
+/// the §6.3 hysteresis at five thresholds and BFS's edge rule replayed
+/// over the same levels. Each row reads as a ratio to the oracle, with its
+/// switches per BFS. Emits `BENCH_direction.json`.
 fn heuristic(cfg: &Config) {
-    let g = cfg.kron();
-    let sources = random_sources(&g, 1, cfg.seed);
-    let levels = per_level_study(&g, sources[0], 3);
-    let oracle_ms: f64 = levels.iter().map(|l| l.push_ms.min(l.pull_ms)).sum();
-    let push_only_ms: f64 = levels.iter().map(|l| l.push_ms).sum();
-    let pull_only_ms: f64 = levels.iter().map(|l| l.pull_ms).sum();
-
+    const REPEATS: usize = 5;
+    let n_sources = cfg.sources.max(8);
+    let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut t = Table::new(
-        "§6.3 heuristic — α = β sweep vs per-level oracle (kron stand-in)",
-        &["policy", "total ms", "vs oracle"],
+        "Direction study — each rule's BFS time vs the per-level oracle",
+        &["Dataset", "rule", "total ms", "vs oracle", "switches / BFS"],
     );
-    t.row(vec![
-        "oracle (per-level best)".into(),
-        f(oracle_ms),
-        "1.00x".into(),
-    ]);
-    t.row(vec![
-        "push-only".into(),
-        f(push_only_ms),
-        format!("{:.2}x", push_only_ms / oracle_ms),
-    ]);
-    t.row(vec![
-        "pull-only".into(),
-        f(pull_only_ms),
-        format!("{:.2}x", pull_only_ms / oracle_ms),
-    ]);
-    for alpha in [0.002, 0.005, 0.01, 0.02, 0.05] {
-        let opts = BfsOpts {
-            switch_threshold: alpha,
-            ..BfsOpts::default()
-        };
-        let _ = time_bfs(&g, &sources, &opts); // warmup
-        let (ms, _) = time_bfs(&g, &sources, &opts);
-        t.row(vec![
-            format!("heuristic α = {alpha}"),
-            f(ms),
-            format!("{:.2}x", ms / oracle_ms),
-        ]);
+    let mut dataset_objs: Vec<Json> = Vec::new();
+    let (mut worst, mut most_switches) = (0.0f64, 0.0f64);
+    for Dataset { name, graph, .. } in suite(cfg.shrink, cfg.seed) {
+        if cfg.dataset.as_deref().is_some_and(|only| only != name) {
+            continue;
+        }
+        let sources = random_sources(&graph, n_sources, cfg.seed ^ 0xd1);
+        eprintln!(
+            "[heuristic] {name}: {} vertices, {} sources",
+            graph.n_vertices(),
+            sources.len()
+        );
+        let rows = direction_study(&graph, &sources, REPEATS);
+        let mut row_objs: Vec<Json> = Vec::new();
+        for r in &rows {
+            t.row(vec![
+                name.to_string(),
+                r.rule.clone(),
+                f(r.ms),
+                format!("{:.3}x", r.vs_oracle),
+                format!("{:.2}", r.switches_per_bfs),
+            ]);
+            row_objs.push(Json::Obj(vec![
+                ("rule", Json::Str(r.rule.clone())),
+                ("ms", Json::Num(r.ms)),
+                ("vs_oracle", Json::Num(r.vs_oracle)),
+                ("switches_per_bfs", Json::Num(r.switches_per_bfs)),
+            ]));
+        }
+        let edge = rows.last().expect("the edge rule is the last row");
+        worst = worst.max(edge.vs_oracle);
+        most_switches = most_switches.max(edge.switches_per_bfs);
+        dataset_objs.push(Json::Obj(vec![
+            ("name", Json::Str(name.to_string())),
+            ("vertices", Json::Int(graph.n_vertices() as u64)),
+            ("edges", Json::Int(graph.n_edges() as u64)),
+            ("sources", Json::Int(sources.len() as u64)),
+            ("rules", Json::Arr(row_objs)),
+        ]));
     }
     t.print();
     println!(
-        "paper finding: α = β = 0.01 is near-optimal on every studied graph except\n\
-         i04 and the meshes (whose optimum is push-only)."
+        "edge rule (α = {EDGE_ALPHA}, β = {EDGE_BETA}, floor |V|/{EDGE_FLOOR}): worst \
+         {worst:.3}x the per-level oracle, at most {most_switches:.2} switches per BFS"
     );
-    let _ = t.write_csv(&cfg.out, "heuristic_alpha_sweep");
+    let _ = t.write_csv(&cfg.out, "direction_study");
+    let doc = Json::Obj(vec![
+        ("machine_parallelism", Json::Int(machine as u64)),
+        ("shrink", Json::Int(u64::from(cfg.shrink))),
+        ("seed", Json::Int(cfg.seed)),
+        ("repeats", Json::Int(REPEATS as u64)),
+        ("edge_alpha", Json::Num(EDGE_ALPHA)),
+        ("edge_beta", Json::Num(EDGE_BETA)),
+        ("edge_floor", Json::Num(EDGE_FLOOR)),
+        ("edge_rule_worst_vs_oracle", Json::Num(worst)),
+        ("edge_rule_max_switches_per_bfs", Json::Num(most_switches)),
+        ("datasets", Json::Arr(dataset_objs)),
+    ]);
+    match doc.write_file(&cfg.out, "BENCH_direction.json") {
+        Ok(p) => eprintln!("[heuristic] wrote {}", p.display()),
+        Err(e) => eprintln!("[heuristic] could not write BENCH_direction.json: {e}"),
+    }
 }
 
 /// Thread-scaling study: pull and push matvec throughput at 1/2/4/8 lanes

@@ -3,7 +3,7 @@
 //! check the two robustness contracts —
 //!
 //! * **survival** — the faulted run surfaces as the expected typed
-//!   [`GrbError`] (or, for cost-model inflation, completes with the clean
+//!   [`GrbError`] (or, for cost inflation, completes with the clean
 //!   run's depths); the process never aborts;
 //! * **recovery** — an immediate retry with the fault cleared is
 //!   bit-identical (depths *and* counter snapshot) to an uninterrupted
@@ -42,8 +42,8 @@ pub enum FaultClass {
     /// The first worker-pool chunk panics: caught at the chunk boundary
     /// and surfaced as `WorkerPanicked`; the pool stays usable.
     ChunkPanic,
-    /// The measured cost model's push estimate is inflated 64×: direction
-    /// choices may flip but results must not change.
+    /// The frontier out-edges default BFS's edge rule prices are inflated
+    /// 64×: direction choices may flip but results must not change.
     CostInflate,
 }
 
@@ -83,7 +83,7 @@ pub struct ChaosOutcome {
 /// the chunk-panic scenario forces the row kernel (whose per-row loop
 /// always chunks through the pool — a mesh's thin push frontiers can stay
 /// under the column kernel's chunk grain and never arm a pool chunk), and
-/// the inflation scenario runs under the measured cost model it skews.
+/// every other scenario, inflation included, runs default BFS.
 fn scenario_opts(fault: FaultClass) -> BfsOpts {
     let base = BfsOpts::default();
     match fault {
@@ -93,10 +93,6 @@ fn scenario_opts(fault: FaultClass) -> BfsOpts {
         },
         FaultClass::ChunkPanic => BfsOpts {
             force: Some(Direction::Pull),
-            ..base
-        },
-        FaultClass::CostInflate => BfsOpts {
-            cost_model: true,
             ..base
         },
         _ => base,
@@ -247,7 +243,7 @@ fn classify(
         (FaultClass::ChunkPanic, Err(e @ GrbError::WorkerPanicked { .. })) => (true, e.to_string()),
         (FaultClass::CostInflate, Ok(r)) => (
             r.depths == clean_depths,
-            "completed under 64x inflated cost model".to_string(),
+            "completed under 64x inflated frontier edges".to_string(),
         ),
         (_, Ok(_)) => (false, "unexpected completion".to_string()),
         (_, Err(e)) => (false, format!("unexpected error: {e}")),

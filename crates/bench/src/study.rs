@@ -5,12 +5,12 @@ use crate::{median, time_ms};
 use graphblas_algo::bfs::{bfs_with_opts, BfsOpts};
 use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
-use graphblas_core::mxv;
-use graphblas_core::ops::BoolOrAnd;
+use graphblas_core::ops::{BoolOrAnd, BoolStructure};
 use graphblas_core::vector::{DenseVector, Vector};
+use graphblas_core::{mxv, DirectionPolicy, FusedMxv};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
-use graphblas_primitives::BitVec;
+use graphblas_primitives::{AtomicBitVec, BitVec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -156,86 +156,237 @@ pub fn matvec_variant_sweep(
 }
 
 /// One BFS level with both directions timed on identical state (Figure 5b,
-/// and the oracle for the §6.3 heuristic study).
+/// and the per-level oracle of the direction study).
 #[derive(Clone, Copy, Debug)]
 pub struct LevelTiming {
     pub level: usize,
     pub frontier_nnz: usize,
+    /// Σ out-degree over the frontier: the edges a push expands (`m_f`).
+    pub frontier_edges: usize,
     pub unvisited: usize,
     pub push_ms: f64,
     pub pull_ms: f64,
 }
 
-/// Replay a BFS from `source`, timing the push kernel and the pull kernel
-/// at every level on the same traversal state.
+/// Replay a BFS from `source`, timing at every level the two arms default
+/// BFS runs on the same traversal state: the fused `BoolStructure` push
+/// (the claim kernel, with a claim set lent for the whole run) on the
+/// sparse frontier, and the fused pull with early exit over the dense
+/// visited vector (operand reuse), both masked by `¬visited`. The arms
+/// alternate for `repeats` rounds, each starting with the other arm, and
+/// each level keeps each arm's minimum.
+///
+/// # Panics
+/// If the two arms discover different vertex counts at some level.
 #[must_use]
 pub fn per_level_study(g: &Graph<bool>, source: VertexId, repeats: usize) -> Vec<LevelTiming> {
     let n = g.n_vertices();
     let mut visited = BitVec::new(n);
     visited.set(source as usize);
+    let mut visited_vec: Vector<bool> = Vector::new_dense(n, false);
+    visited_vec
+        .as_dense_mut()
+        .expect("dense by construction")
+        .set(source as usize, true);
+    let claims = AtomicBitVec::new(n);
+    let mut depths = vec![-1i32; n];
+    depths[source as usize] = 0;
     let mut unvisited = n - 1;
     let mut frontier = Vector::singleton(n, false, source, true);
-    let desc_push = Descriptor::new().transpose(true).force(Direction::Push);
-    let desc_pull = Descriptor::new().transpose(true).force(Direction::Pull);
+    let desc = Descriptor::new().transpose(true).early_exit(true);
     let mut out = Vec::new();
     let mut level = 0usize;
 
     loop {
         level += 1;
+        let depth = level as i32;
         let frontier_nnz = frontier.nnz();
+        let frontier_edges = frontier
+            .iter_explicit()
+            .map(|(i, _)| g.csr().degree(i as usize))
+            .sum();
 
-        // Timed pull (masked row with early exit; the kernel reads the
-        // unvisited rows from the visited bitmap's words, as BFS's does).
-        let mut dense_f = frontier.clone();
-        dense_f.make_dense();
-        let pull_times: Vec<f64> = (0..repeats)
-            .map(|_| {
-                time_ms(|| {
-                    let mask = Mask::complement(&visited);
-                    let w: Vector<bool> =
-                        mxv(Some(&mask), BoolOrAnd, g, &dense_f, &desc_pull, None).expect("dims");
-                    w
-                })
-                .1
-            })
-            .collect();
-
-        // Timed push (masked column), also used to advance the state.
-        let mut sparse_f = frontier.clone();
-        sparse_f.make_sparse();
-        let mut next = None;
-        let push_times: Vec<f64> = (0..repeats)
-            .map(|_| {
-                let (w, ms) = time_ms(|| {
-                    let mask = Mask::complement(&visited);
-                    let w: Vector<bool> =
-                        mxv(Some(&mask), BoolOrAnd, g, &sparse_f, &desc_push, None).expect("dims");
-                    w
-                });
-                next = Some(w);
-                ms
-            })
-            .collect();
-        let next = next.expect("at least one repeat");
+        // One fused level into `depths`: repeats rewrite the same slots
+        // with the same depth, so every run sees the same state.
+        let mut arm = |dir: Direction| -> (Vec<VertexId>, f64) {
+            let (input, mask) = match dir {
+                Direction::Push => (
+                    &frontier,
+                    Mask::complement(&visited).with_claim_set(&claims),
+                ),
+                Direction::Pull => (&visited_vec, Mask::complement(&visited)),
+            };
+            let (touched, ms) = time_ms(|| {
+                FusedMxv::new(BoolStructure, g, input)
+                    .descriptor(desc.force(dir))
+                    .mask(&mask)
+                    .apply(move |_: bool| depth)
+                    .assign_into(&mut depths, |_, d| Some(d))
+                    .expect("dims")
+                    .touched
+            });
+            (touched, ms)
+        };
+        let (mut push_ms, mut pull_ms) = (f64::INFINITY, f64::INFINITY);
+        let mut next = Vec::new();
+        let mut pulled = 0usize;
+        for r in 0..repeats.max(1) {
+            let order = if r % 2 == 0 {
+                [Direction::Push, Direction::Pull]
+            } else {
+                [Direction::Pull, Direction::Push]
+            };
+            for dir in order {
+                let (touched, ms) = arm(dir);
+                match dir {
+                    Direction::Push => {
+                        push_ms = push_ms.min(ms);
+                        next = touched;
+                    }
+                    Direction::Pull => {
+                        pull_ms = pull_ms.min(ms);
+                        pulled = touched.len();
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            next.len(),
+            pulled,
+            "push and pull disagree at level {level}"
+        );
 
         out.push(LevelTiming {
             level,
             frontier_nnz,
+            frontier_edges,
             unvisited,
-            push_ms: median(&push_times),
-            pull_ms: median(&pull_times),
+            push_ms,
+            pull_ms,
         });
 
-        if next.nnz() == 0 {
+        if next.is_empty() {
             break;
         }
-        for (i, _) in next.iter_explicit() {
+        let vd = visited_vec.as_dense_mut().expect("dense by construction");
+        for &i in &next {
             visited.set(i as usize);
+            vd.set(i as usize, true);
         }
-        unvisited -= next.nnz();
-        frontier = next;
+        unvisited -= next.len();
+        let k = next.len();
+        frontier = Vector::from_sparse(n, false, next, vec![true; k]);
     }
     out
+}
+
+impl LevelTiming {
+    /// This level's time in direction `d`.
+    #[must_use]
+    pub fn ms(&self, d: Direction) -> f64 {
+        match d {
+            Direction::Push => self.push_ms,
+            Direction::Pull => self.pull_ms,
+        }
+    }
+}
+
+/// The directions `policy` picks when fed the levels in order, as BFS
+/// feeds it: the frontier's vertex count, `|V|`, the unvisited count and
+/// the frontier's out-edges. BFS's levels do not depend on their
+/// direction, so this is the rule's run on the same traversal.
+#[must_use]
+pub fn replay_policy(
+    levels: &[LevelTiming],
+    n: usize,
+    mut policy: DirectionPolicy,
+) -> Vec<Direction> {
+    levels
+        .iter()
+        .map(|l| policy.update_edges(l.frontier_nnz, n, l.unvisited, || l.frontier_edges))
+        .collect()
+}
+
+/// The §6.3 thresholds the direction study sweeps (the paper's 0.01 and
+/// the neighbouring values it studied).
+pub const HYSTERESIS_ALPHAS: [f64; 5] = [0.002, 0.005, 0.01, 0.02, 0.05];
+
+/// One rule's row in the direction study: its summed time over every
+/// source's levels, as a ratio to the per-level oracle, and its mean
+/// switches per BFS.
+#[derive(Clone, Debug)]
+pub struct DirectionRow {
+    pub rule: String,
+    pub ms: f64,
+    pub vs_oracle: f64,
+    pub switches_per_bfs: f64,
+}
+
+/// The direction study on one graph: each source's levels timed by
+/// [`per_level_study`], then the per-level oracle (each level's faster
+/// arm), push-only, pull-only, the §6.3 hysteresis at each of
+/// [`HYSTERESIS_ALPHAS`] and BFS's edge rule replayed over the same
+/// levels. The oracle is the first row.
+#[must_use]
+pub fn direction_study(g: &Graph<bool>, sources: &[VertexId], repeats: usize) -> Vec<DirectionRow> {
+    let n = g.n_vertices();
+    let runs: Vec<Vec<LevelTiming>> = sources
+        .iter()
+        .map(|&s| per_level_study(g, s, repeats))
+        .collect();
+    let mut rules: Vec<(String, Option<DirectionPolicy>)> = vec![
+        ("oracle".into(), None),
+        (
+            "push-only".into(),
+            Some(DirectionPolicy::fixed(Direction::Push)),
+        ),
+        (
+            "pull-only".into(),
+            Some(DirectionPolicy::fixed(Direction::Pull)),
+        ),
+    ];
+    for alpha in HYSTERESIS_ALPHAS {
+        rules.push((
+            format!("hysteresis α = {alpha}"),
+            Some(DirectionPolicy::hysteresis(alpha)),
+        ));
+    }
+    rules.push((
+        "edge rule".into(),
+        Some(DirectionPolicy::edges(g.csr().avg_degree())),
+    ));
+    let fastest = |l: &LevelTiming| {
+        if l.push_ms <= l.pull_ms {
+            Direction::Push
+        } else {
+            Direction::Pull
+        }
+    };
+    let mut rows: Vec<DirectionRow> = rules
+        .into_iter()
+        .map(|(rule, policy)| {
+            let (mut ms, mut switches) = (0.0, 0usize);
+            for levels in &runs {
+                let dirs = match &policy {
+                    Some(p) => replay_policy(levels, n, p.clone()),
+                    None => levels.iter().map(fastest).collect(),
+                };
+                ms += levels.iter().zip(&dirs).map(|(l, &d)| l.ms(d)).sum::<f64>();
+                switches += dirs.windows(2).filter(|w| w[0] != w[1]).count();
+            }
+            DirectionRow {
+                rule,
+                ms,
+                vs_oracle: 1.0,
+                switches_per_bfs: switches as f64 / runs.len().max(1) as f64,
+            }
+        })
+        .collect();
+    let oracle = rows[0].ms.max(1e-12);
+    for r in &mut rows {
+        r.vs_oracle = r.ms / oracle;
+    }
+    rows
 }
 
 /// One thread-count sample of the scaling study: median kernel times and
@@ -516,6 +667,35 @@ mod tests {
         assert_eq!(frontier_sum, reached);
         // Unvisited is strictly decreasing until the last level.
         assert!(levels.windows(2).all(|w| w[0].unvisited >= w[1].unvisited));
+    }
+
+    #[test]
+    fn edge_rule_replay_takes_default_bfs_directions() {
+        // The direction study replays the edge rule offline over timed
+        // levels; it must make exactly default BFS's decisions.
+        let graphs = [
+            rmat(12, 16, RmatParams::default(), 4),
+            graphblas_gen::grid::road_mesh(40, 40, graphblas_gen::grid::RoadParams::default(), 3),
+        ];
+        for g in &graphs {
+            let n = g.n_vertices();
+            for source in [0, 31] {
+                let levels = per_level_study(g, source, 1);
+                let policy = DirectionPolicy::edges(g.csr().avg_degree());
+                let replayed = replay_policy(&levels, n, policy);
+                let r = bfs_with_opts(g, source, &BfsOpts::default().traced(), None);
+                let ran: Vec<Direction> = r.trace.iter().map(|t| t.direction).collect();
+                assert_eq!(replayed, ran, "n = {n}, source {source}");
+            }
+        }
+        let rows = direction_study(&graphs[0], &[0, 31], 1);
+        let oracle = &rows[0];
+        assert_eq!(oracle.rule, "oracle");
+        assert!(
+            rows.iter().all(|r| r.ms >= oracle.ms * (1.0 - 1e-9)),
+            "{rows:?}"
+        );
+        assert_eq!(rows.len(), 4 + HYSTERESIS_ALPHAS.len());
     }
 
     #[test]

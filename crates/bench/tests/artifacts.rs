@@ -19,6 +19,12 @@
 //! must be finite and positive, and its cancelled and late runs at most
 //! its sources. Its milliseconds are reported, never gated.
 //!
+//! The direction artifact (`BENCH_direction.json`, `paper -- heuristic`)
+//! holds replayed rules over timed levels: its ratios to the per-level
+//! oracle must be finite and at least 1, and BFS's edge rule must sit
+//! within 1.1× the oracle with at most 2 switches per BFS on every suite
+//! dataset. Its milliseconds are reported, never gated.
+//!
 //! Every `BENCH_*.json` the `paper` binary writes must be committed under
 //! `results/`; a guard test fails when one is missing.
 //!
@@ -185,55 +191,41 @@ fn committed_serve_artifact_machine_fields_are_sane() {
 /// `(dataset, k, levels, push_steps, pull_steps, [matrix, vector, mask,
 /// sort])` of the fixed-seed regeneration (`paper -- batched --shrink 6
 /// --seed 42`). Each source's steps equal its solo run's, so the steps
-/// follow from the graphs and the §6.3 rule alone. The four contract
+/// follow from the graphs and BFS's edge rule alone. The four contract
 /// charges are the counted pass's: a k = 1 row is a solo BFS (claim-kernel
 /// push levels), a larger k one shared lane traversal; both are identical
 /// at every lane count.
 const BATCHED_PIN: [PinnedSample; 33] = [
     ("soc-orkut", 1, 4, 2, 2, [50018, 87877, 49976, 17956]),
-    ("soc-orkut", 4, 5, 9, 8, [261610, 307144, 260963, 87120]),
+    ("soc-orkut", 4, 5, 8, 9, [483344, 574937, 172941, 9704]),
     ("soc-orkut", 16, 5, 35, 32, [396191, 443597, 395275, 93550]),
     ("soc-lj", 1, 6, 3, 3, [159436, 242422, 86498, 9477]),
     ("soc-lj", 4, 6, 12, 12, [387290, 494575, 128561, 45648]),
-    ("soc-lj", 16, 7, 58, 44, [735595, 876156, 391181, 82134]),
+    ("soc-lj", 16, 7, 55, 47, [763985, 902889, 227179, 81996]),
     ("h09", 1, 4, 2, 2, [21802, 31373, 21802, 15076]),
     ("h09", 4, 4, 8, 8, [84712, 98644, 84712, 32546]),
     ("h09", 16, 4, 32, 32, [288147, 305748, 288143, 36796]),
-    ("i04", 1, 5, 3, 2, [263802, 297820, 264029, 241803]),
-    ("i04", 4, 6, 15, 8, [314250, 425507, 313120, 224907]),
-    ("i04", 16, 6, 59, 36, [1593035, 1721271, 1579399, 277647]),
-    ("kron", 1, 5, 2, 3, [35352, 70641, 49804, 15310]),
-    ("kron", 4, 6, 14, 10, [270578, 319369, 286953, 38740]),
-    ("kron", 16, 6, 52, 39, [587802, 664705, 589992, 6438]),
+    ("i04", 1, 5, 2, 3, [373410, 524164, 150910, 222]),
+    ("i04", 4, 6, 14, 9, [696034, 922817, 324643, 24138]),
+    ("i04", 16, 6, 61, 34, [539640, 670109, 497741, 276675]),
+    ("kron", 1, 5, 3, 2, [35730, 66062, 45251, 15310]),
+    ("kron", 4, 6, 15, 9, [163075, 215186, 132497, 33400]),
+    ("kron", 16, 6, 52, 39, [300668, 378226, 208201, 2190]),
     ("rmat-22", 1, 5, 3, 2, [104769, 157705, 122104, 42546]),
-    ("rmat-22", 4, 6, 10, 11, [314927, 405567, 314066, 69752]),
-    (
-        "rmat-22",
-        16,
-        5,
-        43,
-        37,
-        [1748313, 1835836, 1767467, 103524],
-    ),
-    ("rmat-23", 1, 6, 3, 3, [127081, 299238, 213337, 60408]),
-    ("rmat-23", 4, 7, 17, 9, [868647, 1123591, 948379, 138495]),
-    (
-        "rmat-23",
-        16,
-        6,
-        52,
-        42,
-        [1370694, 1583887, 1407950, 234279],
-    ),
-    ("rmat-24", 1, 6, 3, 3, [205818, 630443, 460828, 69087]),
-    ("rmat-24", 4, 6, 14, 10, [1412921, 1933943, 1679249, 165573]),
+    ("rmat-22", 4, 6, 12, 9, [316996, 409329, 316135, 69752]),
+    ("rmat-22", 16, 5, 43, 37, [766232, 919929, 656308, 3898]),
+    ("rmat-23", 1, 6, 4, 2, [129534, 271922, 186272, 60423]),
+    ("rmat-23", 4, 7, 16, 10, [686122, 945576, 551171, 124194]),
+    ("rmat-23", 16, 6, 56, 38, [1220538, 1569897, 847165, 12954]),
+    ("rmat-24", 1, 6, 4, 2, [215919, 550758, 382632, 69159]),
+    ("rmat-24", 4, 6, 14, 10, [743061, 1286951, 634734, 124875]),
     (
         "rmat-24",
         16,
         6,
-        53,
-        43,
-        [2281977, 2822168, 2460978, 310710],
+        57,
+        39,
+        [1494122, 2046310, 1361695, 308934],
     ),
     ("rgg", 1, 235, 235, 0, [4181044, 1340209, 4181044, 787497]),
     (
@@ -438,6 +430,64 @@ fn committed_limits_artifact_is_sane() {
             cancelled + late <= *sources,
             "{d} {algo}: {cancelled} cancelled and {late} late of {sources}"
         );
+    }
+}
+
+/// One rule row of `BENCH_direction.json`: dataset, rule, ratio to the
+/// per-level oracle, switches per BFS.
+type DirectionRow = (String, String, f64, f64);
+
+/// Scrape every rule row, plus each dataset's source count.
+fn scrape_direction(text: &str) -> (Vec<DirectionRow>, Vec<(String, u64)>) {
+    let (mut rows, mut sources) = (Vec::new(), Vec::new());
+    let mut dataset = String::new();
+    for line in text.lines() {
+        let line = line.trim().trim_end_matches(',');
+        let Some((key, value)) = line.split_once(':') else {
+            continue;
+        };
+        let (key, value) = (key.trim().trim_matches('"'), value.trim());
+        let num = || value.parse::<f64>().unwrap_or(f64::NAN);
+        match key {
+            "name" => dataset = value.trim_matches('"').to_string(),
+            "sources" => sources.push((dataset.clone(), value.parse().unwrap_or(0))),
+            "rule" => rows.push((
+                dataset.clone(),
+                value.trim_matches('"').to_string(),
+                f64::NAN,
+                f64::NAN,
+            )),
+            "vs_oracle" => rows.last_mut().expect("rule row").2 = num(),
+            "switches_per_bfs" => rows.last_mut().expect("rule row").3 = num(),
+            _ => {}
+        }
+    }
+    (rows, sources)
+}
+
+/// The direction artifact (`paper -- heuristic`): every suite dataset with
+/// at least 8 sources, every rule's row finite and no faster than the
+/// per-level oracle, and BFS's edge rule within 1.1× the oracle with at
+/// most 2 switches per BFS.
+#[test]
+fn committed_direction_artifact_holds_the_edge_rule_near_the_oracle() {
+    let (rows, sources) = scrape_direction(&read_artifact("BENCH_direction.json"));
+    assert_eq!(sources.len(), 11, "every suite dataset: {sources:?}");
+    for (d, k) in &sources {
+        assert!(*k >= 8, "{d}: at least 8 sources, got {k}");
+    }
+    // Oracle, push-only, pull-only, five hysteresis thresholds, edge rule.
+    assert_eq!(rows.len(), 11 * 9, "rule rows scraped: {rows:?}");
+    for (d, rule, ratio, switches) in &rows {
+        assert!(
+            ratio.is_finite() && *ratio >= 1.0 - 1e-9,
+            "{d} {rule}: {ratio}x the oracle"
+        );
+        assert!(switches.is_finite(), "{d} {rule}: {switches} switches");
+        if rule == "edge rule" {
+            assert!(*ratio <= 1.1, "{d}: edge rule at {ratio}x the oracle");
+            assert!(*switches <= 2.0, "{d}: {switches} switches per BFS");
+        }
     }
 }
 

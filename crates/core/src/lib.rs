@@ -21,8 +21,10 @@
 //!
 //! 1. **Change of direction** — [`ops_mxv::mxv`] dispatches on the input
 //!    vector's storage or a forced direction; [`plan::DirectionPolicy`]
-//!    implements the `nnz/M >< 0.01` hysteresis switch for iterative
-//!    algorithms.
+//!    decides each level of an iterative algorithm: BFS prices both
+//!    directions by the edges they read (`m_f` against `d̄·|unvisited|/α`),
+//!    the other traversals keep the paper's `nnz(f)/|V| >< 0.01`
+//!    hysteresis or its two-phase variant.
 //! 2. **Masking** — [`mask::Mask`], applied inside the row and column
 //!    kernels of a masked `mxv`.
 //! 3. **Early-exit** — row-based masked kernel breaks out of a row when the
@@ -76,5 +78,5 @@ pub use ops::{BoolOrAnd, MinPlus, Monoid, PlusTimes, Scalar, Semiring, SemiringN
 pub use ops_mxv::mxv;
 pub use ops_mxv_batch::mxv_batch;
 pub use ops_mxv_lanes::{LaneCharges, LaneGroup, MAX_LANES};
-pub use plan::{resolve_direction, resolve_plan, CostConstants, CostModelInputs, DirectionPolicy};
+pub use plan::{resolve_direction, resolve_plan, DirectionPolicy};
 pub use vector::{DenseVector, SparseVector, Vector};

@@ -10,9 +10,15 @@
 //!   direction follows the input's storage (sparse → push, dense → pull)
 //!   unless the descriptor forces one.
 //! * **Per traversal** — [`DirectionPolicy`]: what the traversal loops
-//!   feed each level's activity to, measured against `|V|` — the §6.3
-//!   hysteresis and its variants. A single-source loop (BFS, parent BFS,
-//!   CC, SSSP) forces the policy's direction on the level's descriptor; a
+//!   feed each level's activity to. BFS and its lane groups run the edge
+//!   rule, Beamer's switch priced by the edges each direction reads: a
+//!   growing push frontier turns to pull once its out-edges `m_f` exceed
+//!   both `d̄·|unvisited| / α` ([`EDGE_ALPHA`]) and `|V| / 8`
+//!   ([`EDGE_FLOOR`]), and a shrinking pull frontier turns back once it
+//!   holds fewer than `|V| / β` vertices ([`EDGE_BETA`]). Parent BFS, CC,
+//!   BC and the Gunrock-like engine keep the §6.3 hysteresis on
+//!   `nnz(f) / |V|`, and SSSP the §5.6 two-phase rule. A single-source
+//!   loop forces the policy's direction on the level's descriptor; a
 //!   batched one (BC, coalesced SSSP) keeps one policy per source and
 //!   stores that source's row in the chosen direction's storage. No kernel
 //!   holds a policy.
@@ -21,37 +27,6 @@ use crate::descriptor::{Descriptor, Direction, DirectionChoice};
 use crate::ops::Scalar;
 use crate::vector::Vector;
 use graphblas_matrix::Graph;
-
-/// Calibration constants of the measured push/pull cost model — the
-/// per-edge charge weights that turn the raw measurements of
-/// [`CostModelInputs`] into comparable work estimates:
-///
-/// * `pushwork = push_edge · nnz(A(:, f))` — each expanded edge's cost;
-/// * `pullwork = pull_edge · d · |unvisited|` — each unvisited row pays an
-///   average row scan.
-///
-/// The defaults come from the charged-access shape the push kernel had
-/// before the structure-only claim kernel: an expanded edge paid its
-/// matrix read plus ~3 radix passes of the sort-based merge. A
-/// structure-only push now sorts only the vertices it claims, so these
-/// weights overprice push; they are kept until a fit against measured
-/// level times replaces them.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostConstants {
-    /// Work per expanded push edge.
-    pub push_edge: f64,
-    /// Work per examined pull edge on a row scan.
-    pub pull_edge: f64,
-}
-
-impl Default for CostConstants {
-    fn default() -> Self {
-        Self {
-            push_edge: 4.0,
-            pull_edge: 1.0,
-        }
-    }
-}
 
 /// The kernel face a `mxv`-shaped call over `graph` runs under the
 /// descriptor: the forced direction, or the §6.3 storage rule (sparse
@@ -88,7 +63,23 @@ pub fn resolve_direction<X: Scalar>(v: &Vector<X>, desc: &Descriptor) -> Directi
     }
 }
 
-/// How a [`DirectionPolicy`] reacts to the per-iteration activity ratio.
+/// The edge rule's α: a growing push frontier switches to pull once its
+/// out-edges `m_f` exceed `d̄·|unvisited| / EDGE_ALPHA`, the edges a pull
+/// would scan (estimated from the average degree `d̄`) over α.
+pub const EDGE_ALPHA: f64 = 24.0;
+
+/// The edge rule's β: a shrinking pull frontier switches back to push once
+/// it holds fewer than `|V| / EDGE_BETA` vertices.
+pub const EDGE_BETA: f64 = 24.0;
+
+/// The edge rule's floor: a push→pull switch also needs
+/// `m_f > |V| / EDGE_FLOOR`. A pull pays at least its scan of the visited
+/// bitmap and of every unvisited row, so late in a mesh BFS, where
+/// `d̄·|unvisited| / α` has shrunk below a thin frontier's edges, the
+/// frontier stays a push.
+pub const EDGE_FLOOR: f64 = 8.0;
+
+/// How a [`DirectionPolicy`] reacts to the per-iteration activity.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum PolicyMode {
     /// §6.3 hysteresis: switch push→pull while activity is rising above the
@@ -99,41 +90,32 @@ enum PolicyMode {
     TwoPhase { threshold: f64 },
     /// Never switch.
     Fixed,
-    /// Measured work comparison: `pushwork = c_push · nnz(frontier rows)`
-    /// vs `pullwork = c_pull · d · |unvisited|`, the per-iteration rule of
-    /// the paper's comparator engines. Fed through
-    /// [`DirectionPolicy::update_measured`]; the ratio-only
-    /// [`DirectionPolicy::update`] keeps the current direction (like
-    /// [`PolicyMode::Fixed`]) because it lacks the measured inputs.
-    CostModel { constants: CostConstants },
+    /// The edge rule (Beamer's switch, priced by the edges each side
+    /// reads): push→pull while the frontier grows once
+    /// `m_f > d̄·|unvisited| / EDGE_ALPHA` and `m_f > |V| / EDGE_FLOOR`;
+    /// pull→push once it shrinks below `|V| / EDGE_BETA` vertices. Fed
+    /// through [`DirectionPolicy::update_edges`]; the activity-only
+    /// [`DirectionPolicy::update`] keeps the current direction.
+    Edges { avg_degree: f64 },
 }
 
-/// The measured per-iteration inputs of the `PolicyMode::CostModel`
-/// rule: what the traversal actually knows about the next step's work.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModelInputs {
-    /// Σ out-degree over the frontier's explicit vertices — exactly the
-    /// edges a push step would expand (`nnz(A(:, f))`).
-    pub frontier_edges: usize,
-    /// Vertices not yet finished — the rows a masked pull step would scan.
-    pub unvisited: usize,
-    /// Average degree `d` of the operand, so `pullwork ≈ d · unvisited`.
-    pub avg_degree: f64,
-}
-
-/// The workspace's one stateful push/pull switching rule (§6.3 and its
-/// variants).
+/// The workspace's one stateful push/pull switching rule, in four modes:
+/// the edge rule, §6.3 hysteresis, §5.6 two-phase and fixed.
 ///
 /// [`resolve_direction`] is the *storage→direction* rule `mxv` dispatches
-/// on; `DirectionPolicy` is the *activity→direction* heuristic that decides
-/// which kernel an iterative algorithm should steer toward next. The
-/// single-source loops feed it their activity against a capacity of
-/// `|V|`, the batched loops (BC, coalesced SSSP) call one policy per
-/// source themselves and hand the batch kernel each row in the chosen
-/// direction's storage, and the Gunrock-like comparator engine drives it
-/// too, so the Table 2 "change of direction" ablation toggles exactly one
-/// rule. Four modes:
-/// hysteresis, two-phase, fixed and the measured cost model.
+/// on; `DirectionPolicy` is the *activity→direction* rule that decides
+/// which kernel an iterative algorithm steers toward next.
+///
+/// * BFS and every depth lane of its lane groups run the edge rule
+///   ([`DirectionPolicy::edges`]), which prices each direction by the
+///   edges it reads.
+/// * Parent BFS and its lane groups, CC, BC and the Gunrock-like
+///   comparator engine run §6.3 hysteresis against a capacity of `|V|`.
+///   Parent BFS's valued push has a cost of its own (the radix sort), so
+///   it keeps the paper's rule until that push is priced.
+/// * SSSP (solo and coalesced) runs two-phase on its delta set.
+/// * The batched loops (BC, coalesced SSSP) call one policy per source
+///   and hand the batch kernel each row in the chosen direction's storage.
 ///
 /// `update` takes the iteration's *activity* (frontier nnz, delta-set size,
 /// frontier-edge count — whatever the traversal's work measure is) and the
@@ -185,12 +167,13 @@ impl DirectionPolicy {
         }
     }
 
-    /// Measured cost-model rule, starting from push (frontiers start
-    /// small). Drive it with [`DirectionPolicy::update_measured`].
+    /// The edge rule, starting from push. `avg_degree` is the operand's
+    /// `d̄ = nnz / |V|`, so `d̄·|unvisited|` estimates the edges a pull
+    /// scans. Drive it with [`DirectionPolicy::update_edges`].
     #[must_use]
-    pub fn cost_model(constants: CostConstants) -> Self {
+    pub fn edges(avg_degree: f64) -> Self {
         DirectionPolicy {
-            mode: PolicyMode::CostModel { constants },
+            mode: PolicyMode::Edges { avg_degree },
             dir: Direction::Push,
             last_activity: 0,
         }
@@ -213,45 +196,60 @@ impl DirectionPolicy {
                     self.dir = Direction::Pull;
                 }
             }
-            PolicyMode::Fixed => {}
-            // The ratio alone cannot price push against pull; hold the
-            // direction until measured inputs arrive via update_measured.
-            PolicyMode::CostModel { .. } => {}
+            // The activity alone cannot price the edge rule; hold the
+            // direction until update_edges brings the edge inputs.
+            PolicyMode::Fixed | PolicyMode::Edges { .. } => {}
         }
         self.last_activity = activity;
         self.dir
     }
 
-    /// Feed measured work estimates. Under `PolicyMode::CostModel` this
-    /// prices both faces directly — `pushwork = c_push · frontier_edges`
-    /// against `pullwork = c_pull · d · unvisited` — and picks the cheaper
-    /// one. Every other mode ignores the measurements and delegates to
-    /// [`DirectionPolicy::update`], so loops can call this unconditionally.
-    pub fn update_measured(
+    /// Whether [`DirectionPolicy::update_edges`] at this activity reads
+    /// the frontier's out-edges: only an edge rule on a push level whose
+    /// frontier grows can switch. A lane group sums the edges of exactly
+    /// these lanes in one pass over its frontier.
+    #[must_use]
+    pub fn wants_edges(&self, activity: usize) -> bool {
+        matches!(self.mode, PolicyMode::Edges { .. })
+            && self.dir == Direction::Push
+            && activity >= self.last_activity
+    }
+
+    /// Feed a level of the edge rule: the frontier's vertex count
+    /// (`activity`), `|V|` (`capacity`), the unvisited vertex count, and
+    /// the frontier's out-edge count `m_f`, which is read only when
+    /// [`DirectionPolicy::wants_edges`] holds. Every other mode ignores the
+    /// edge inputs and delegates to [`DirectionPolicy::update`], so a loop
+    /// can call this whatever mode it runs.
+    pub fn update_edges(
         &mut self,
         activity: usize,
         capacity: usize,
-        inputs: CostModelInputs,
+        unvisited: usize,
+        frontier_edges: impl FnOnce() -> usize,
     ) -> Direction {
-        if let PolicyMode::CostModel { constants } = self.mode {
-            // Chaos hook: inflating the push-edge cost lets the fault
-            // harness force direction flips without touching the graph.
+        let PolicyMode::Edges { avg_degree } = self.mode else {
+            return self.update(activity, capacity);
+        };
+        if self.wants_edges(activity) {
+            let m_f = frontier_edges() as f64;
+            // Chaos hook: inflating m_f lets the fault harness force
+            // direction flips without touching the graph.
             #[cfg(feature = "fault-injection")]
-            let push_edge = constants.push_edge * graphblas_primitives::fault::cost_inflation();
-            #[cfg(not(feature = "fault-injection"))]
-            let push_edge = constants.push_edge;
-            let pushwork = push_edge * inputs.frontier_edges as f64;
-            let pullwork = constants.pull_edge * inputs.avg_degree * inputs.unvisited as f64;
-            self.dir = if pushwork < pullwork {
-                Direction::Push
-            } else {
-                Direction::Pull
-            };
-            self.last_activity = activity;
-            self.dir
-        } else {
-            self.update(activity, capacity)
+            let m_f = m_f * graphblas_primitives::fault::cost_inflation();
+            if m_f > avg_degree * unvisited as f64 / EDGE_ALPHA
+                && m_f > capacity as f64 / EDGE_FLOOR
+            {
+                self.dir = Direction::Pull;
+            }
+        } else if self.dir == Direction::Pull
+            && activity < self.last_activity
+            && (activity as f64) < capacity as f64 / EDGE_BETA
+        {
+            self.dir = Direction::Push;
         }
+        self.last_activity = activity;
+        self.dir
     }
 
     /// The direction the last `update` settled on.
@@ -315,6 +313,104 @@ mod tests {
         let mut p = DirectionPolicy::fixed(Direction::Pull);
         assert_eq!(p.update(0, 10), Direction::Pull);
         assert_eq!(p.update(10, 10), Direction::Pull);
+    }
+
+    #[test]
+    fn edge_rule_pulls_a_growing_frontier_whose_edges_pass_both_bounds() {
+        // |V| = 10_000, d̄ = 10, 9_000 unvisited rows: ~90_000 edges a pull
+        // would scan, so m_f must pass 90_000/α (over the |V|/8 floor).
+        let alpha_bound = (10.0 * 9_000.0 / EDGE_ALPHA) as usize;
+        assert!(alpha_bound as f64 > 10_000.0 / EDGE_FLOOR);
+        let mut p = DirectionPolicy::edges(10.0);
+        assert_eq!(p.update_edges(1, 10_000, 9_000, || 10), Direction::Push);
+        assert_eq!(
+            p.update_edges(5, 10_000, 9_000, || alpha_bound),
+            Direction::Push
+        );
+        // Under 1% of |V| but over both bounds: a hub burst pulls.
+        assert_eq!(
+            p.update_edges(50, 10_000, 9_000, || alpha_bound + 1),
+            Direction::Pull
+        );
+        assert_eq!(p.current(), Direction::Pull);
+    }
+
+    #[test]
+    fn edge_rule_floor_keeps_thin_frontiers_pushing() {
+        // Late in a mesh BFS the α bound (d̄·|unvisited|/α, 2.5·400/α) is
+        // tiny; the |V|/8 floor keeps a growing frontier a push until its
+        // edges pass it.
+        let floor = (10_000.0 / EDGE_FLOOR) as usize;
+        assert!(floor as f64 > 2.5 * 400.0 / EDGE_ALPHA);
+        let mut p = DirectionPolicy::edges(2.5);
+        assert_eq!(p.update_edges(300, 10_000, 400, || 800), Direction::Push);
+        assert_eq!(p.update_edges(320, 10_000, 400, || floor), Direction::Push);
+        assert_eq!(
+            p.update_edges(330, 10_000, 400, || floor + 1),
+            Direction::Pull
+        );
+    }
+
+    #[test]
+    fn edge_rule_grow_guard_reads_edges_only_on_growing_push_levels() {
+        let mut p = DirectionPolicy::edges(10.0);
+        assert!(p.wants_edges(1));
+        assert_eq!(p.update_edges(100, 10_000, 9_000, || 10), Direction::Push);
+        // A shrinking push frontier cannot switch, so m_f is never read.
+        assert!(!p.wants_edges(99));
+        assert_eq!(
+            p.update_edges(99, 10_000, 9_000, || unreachable!(
+                "m_f read on a shrinking level"
+            )),
+            Direction::Push
+        );
+        // Equal activity counts as growing, as in the hysteresis.
+        assert!(p.wants_edges(99));
+        assert_eq!(
+            p.update_edges(99, 10_000, 9_000, || 100_000),
+            Direction::Pull
+        );
+        // A pull level never reads m_f.
+        assert!(!p.wants_edges(5_000));
+        // The activity-only update holds the edge rule's direction.
+        assert_eq!(p.update(1, 10_000), Direction::Pull);
+    }
+
+    #[test]
+    fn edge_rule_shrink_guard_returns_to_push_below_v_over_beta() {
+        // A pull frontier returns to push once it shrinks below |V|/β.
+        let n = 24_000;
+        let beta_bound = (n as f64 / EDGE_BETA) as usize;
+        let mut p = DirectionPolicy::edges(10.0);
+        assert_eq!(p.update_edges(1, n, n - 1, || 10), Direction::Push);
+        assert_eq!(
+            p.update_edges(beta_bound - 100, n, 23_000, || 200_000),
+            Direction::Pull
+        );
+        // Growing below the bound: stay pull.
+        assert_eq!(
+            p.update_edges(beta_bound - 50, n, 22_000, || 0),
+            Direction::Pull
+        );
+        // Shrinking, but still at the bound: stay pull.
+        assert_eq!(p.update_edges(5_000, n, 17_000, || 0), Direction::Pull);
+        assert_eq!(p.update_edges(beta_bound, n, 16_000, || 0), Direction::Pull);
+        // Shrinking below the bound: back to push.
+        assert_eq!(
+            p.update_edges(beta_bound - 1, n, 15_000, || 0),
+            Direction::Push
+        );
+    }
+
+    #[test]
+    fn edge_rule_inputs_are_ignored_by_other_modes() {
+        let mut h = DirectionPolicy::hysteresis(0.01);
+        assert!(!h.wants_edges(1));
+        let edges = || unreachable!("only the edge rule reads m_f");
+        assert_eq!(h.update_edges(5, 1000, 995, edges), Direction::Push);
+        assert_eq!(h.update_edges(100, 1000, 900, edges), Direction::Pull);
+        let mut f = DirectionPolicy::fixed(Direction::Push);
+        assert_eq!(f.update_edges(1000, 1000, 0, edges), Direction::Push);
     }
 
     #[test]

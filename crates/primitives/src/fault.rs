@@ -12,9 +12,10 @@
 //!   panics inside the pool's per-chunk catch (installed into the vendored
 //!   `rayon` via [`rayon::set_chunk_fault_countdown`]), surfacing as
 //!   `WorkerPanicked { chunk }`;
-//! * **cost-model inflation** — the measured push/pull cost comparison is
-//!   multiplied by a factor, exercising graceful survival of a wildly
-//!   wrong planner (direction choices never change results).
+//! * **cost inflation** — the frontier out-edges that default BFS's edge
+//!   direction rule prices are multiplied by a factor, exercising graceful
+//!   survival of a wildly wrong planner (direction choices never change
+//!   results).
 //!
 //! All trigger state is plain atomics: arming the same plan before two
 //! runs injects the same faults at the same logical points, which is what
@@ -35,8 +36,8 @@ pub struct FaultPlan {
     pub fail_alloc_nth: Option<u64>,
     /// Panic in the Kth worker-pool chunk executed (1-based). `None` = off.
     pub panic_chunk_nth: Option<u64>,
-    /// Multiply the measured cost model's push-work estimate by this
-    /// factor. `None` = off.
+    /// Multiply the out-edges `m_f` that BFS's edge direction rule reads
+    /// off a growing push frontier by this factor. `None` = off.
     pub cost_inflation: Option<f64>,
 }
 
@@ -76,7 +77,7 @@ pub fn alloc_fault_fires() -> bool {
     ALLOC_COUNTDOWN.fetch_sub(1, Ordering::SeqCst) == 0
 }
 
-/// The armed cost-model inflation factor (1.0 when disarmed).
+/// The armed edge-rule inflation factor (1.0 when disarmed).
 #[must_use]
 pub fn cost_inflation() -> f64 {
     match COST_INFLATION_BITS.load(Ordering::Relaxed) {

@@ -32,7 +32,7 @@
 //! |---|---|
 //! | [`primitives`] | scan, radix sort, gather, segmented reduce, the SPA of `mxm`'s Gustavson rows, bit vectors, access counters, limits |
 //! | [`matrix`] | COO/CSR storage, the dual-orientation [`matrix::Graph`], Matrix Market I/O, stats |
-//! | [`core`] | semirings, vectors, masks, descriptors, `mxv` (Table 1's four kernels over CSR, picked by the input's storage or a forced direction)/`vxm`/`mxm`, the push/pull `DirectionPolicy` (§6.3 hysteresis), batched `mxv_batch` over a slice of frontiers (each row one `mxv` dispatch), the bit-lane multi-source BFS kernel, fused `FusedMxv` pipelines |
+//! | [`core`] | semirings, vectors, masks, descriptors, `mxv` (Table 1's four kernels over CSR, picked by the input's storage or a forced direction)/`vxm`/`mxm`, the push/pull `DirectionPolicy` (BFS's edge rule, §6.3 hysteresis), batched `mxv_batch` over a slice of frontiers (each row one `mxv` dispatch), the bit-lane multi-source BFS kernel, fused `FusedMxv` pipelines |
 //! | [`algo`] | BFS (Algorithm 1 + Table 2 ladder), SSSP, PageRank (+adaptive), CC, MIS, triangle counting, multi-source BFS, batched BC |
 //! | [`gen`] | R-MAT/Kronecker, Chung-Lu power-law, RGG, road meshes, the Table 3 dataset suite |
 //! | [`baselines`] | reimplemented comparators: SuiteSparse-like, CuSha-like, Ligra-like, Gunrock-like, push baseline, serial oracle |

@@ -1,7 +1,7 @@
 //! Hardened-execution contract, injected-fault half (compiled only with
 //! the `fault-injection` cargo feature): for **every** deterministic
 //! injected fault — Nth-allocation failure, Kth-chunk worker panic,
-//! cost-model inflation — the guarded entry points must surface a typed
+//! edge-rule inflation — the guarded entry points must surface a typed
 //! [`GrbError`] (never a process abort), roll shared counters back to
 //! their entry snapshot, and leave the pool and the counters so
 //! unpoisoned that an immediate retry is **bit-identical** —
@@ -148,17 +148,17 @@ proptest! {
         });
     }
 
-    /// Inflating the measured cost model must never change results: the
-    /// planner may pick worse directions, but the run completes with
+    /// Inflating the edge rule's frontier edges must never change results:
+    /// default BFS may pick worse directions, but the run completes with
     /// values identical to the clean run at every lane count.
     #[test]
-    fn cost_model_inflation_is_value_neutral(
+    fn edge_rule_inflation_is_value_neutral(
         factor in 2.0f64..256.0,
         lane_idx in 0usize..3,
     ) {
         let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let g = test_graph();
-        let opts = BfsOpts { cost_model: true, ..BfsOpts::default() };
+        let opts = BfsOpts::default();
         let plan = FaultPlan { cost_inflation: Some(factor), ..FaultPlan::default() };
         rayon::with_num_threads(LANES[lane_idx], || {
             match faulted_then_retry(&g, &opts, &plan, false) {

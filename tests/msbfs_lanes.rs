@@ -6,7 +6,8 @@
 //! * every source's push/pull steps equal its solo run's;
 //! * a group reads the matrix at most as often as its members' solo runs
 //!   together, and its bills sum exactly to the group total;
-//! * values and every counter are identical at 1, 2 and 8 lanes.
+//! * values and every counter are identical at 1, 2 and 8 lanes (and at 4
+//!   for the edge-rule case).
 //!
 //! The test names carry `msbfs` so the CI batched suite runs them at each
 //! pinned lane count.
@@ -213,6 +214,25 @@ fn msbfs_forced_push_and_pull_match_solo() {
         };
         assert_eq!((push, pull), want, "{d:?}: every level on the forced face");
     }
+}
+
+#[test]
+fn msbfs_edge_rule_lanes_match_solo_at_1_2_and_4_lanes() {
+    // rmat(12, 16) from source 31 pulls its level-2 hub burst while the
+    // frontier holds 16 of 4,096 vertices; the other sources reach their
+    // bursts at other levels and sizes. Each lane prices its own frontier
+    // edges and unvisited count, so its steps equal its solo run's.
+    let g = rmat(12, 16, RmatParams::default(), 4);
+    let mut sources = spread(g.n_vertices(), 11);
+    sources.push(31);
+    let opts = MsBfsOpts::default();
+    let out = check(&g, &sources, &opts);
+    let at4 = rayon::with_num_threads(4, || run_case(&g, &sources, &opts));
+    assert_eq!(at4, out, "diverged at 4 lanes");
+    let solo = bfs_with_opts(&g, 31, &opts.solo().traced(), None);
+    assert_eq!(solo.trace[1].direction, Direction::Pull, "the burst pulls");
+    let (push, pull) = steps(&sum(&out.bills));
+    assert!(push > 0 && pull > 0, "lanes push and pull: {push} / {pull}");
 }
 
 #[test]

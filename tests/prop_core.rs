@@ -497,9 +497,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// BFS depths equal the serial oracle, fused and unfused, and so do the
-    /// measured cost-model direction rule's; the min-parent tree is a valid
-    /// BFS tree, fused and unfused.
+    /// BFS depths under the edge rule equal the serial oracle, fused and
+    /// unfused; the min-parent tree is a valid BFS tree, fused and unfused.
     #[test]
     fn bfs_and_parents_match_serial_oracle(
         seed in 0u64..1000,
@@ -526,9 +525,5 @@ proptest! {
         let opts = ParentBfsOpts { fused, ..ParentBfsOpts::default() };
         let p = bfs_parents_with_opts(&g, source, &opts, None);
         prop_assert!(verify_parents(&g, source, &p.parent), "parent tree");
-
-        // The measured cost-model direction rule stays exact too.
-        let r = bfs_with_opts(&g, source, &BfsOpts::default().cost_model(true), None);
-        prop_assert_eq!(&r.depths, &oracle, "cost-model depths");
     }
 }

@@ -3,7 +3,7 @@
 //! process aborts; (2) roll counters back so an aborted run leaves no
 //! trace; and (3) make an immediate retry **bit-identical** — values and
 //! counter snapshot — to an uninterrupted clean run, at 1, 2, and 8 lanes.
-//! The injected-fault half (allocation failures, chunk panics, cost-model
+//! The injected-fault half (allocation failures, chunk panics, edge-rule
 //! skew) lives in `tests/fault_injection.rs` behind the `fault-injection`
 //! feature.
 

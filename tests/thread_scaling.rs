@@ -361,14 +361,15 @@ fn fused_algorithms_with_counters_identical_across_thread_counts() {
 }
 
 #[test]
-fn cost_model_bfs_identical_across_thread_counts() {
-    // The measured cost-model direction rule: depths and the full counter
-    // snapshot pinned at 1/2/8 lanes.
+fn edge_rule_bfs_identical_across_thread_counts() {
+    // Default BFS under the edge rule: depths, per-level directions and the
+    // full counter snapshot pinned at 1/2/8 lanes.
     let g = test_graph();
     identical_across_lanes(|| {
         let c = AccessCounters::new();
-        let r = bfs_with_opts(&g, 3, &BfsOpts::default().cost_model(true), Some(&c));
-        (r.depths, c.snapshot())
+        let r = bfs_with_opts(&g, 3, &BfsOpts::default().traced(), Some(&c));
+        let dirs: Vec<Direction> = r.trace.iter().map(|t| t.direction).collect();
+        (r.depths, dirs, c.snapshot())
     });
 }
 
