@@ -262,15 +262,16 @@ pub fn try_bfs_with_opts(
     run_guarded(counters, &opts.limits, |c| dispatch_bfs(g, source, opts, c))
 }
 
-/// The direction policy a BFS under `opts` runs on an operand of average
-/// degree `avg_degree`: the forced direction, the edge rule, or push-only
-/// with change of direction off. A BFS lane runs the same policy.
-pub(crate) fn bfs_policy(opts: &BfsOpts, avg_degree: f64) -> DirectionPolicy {
-    match opts.force {
-        Some(d) => DirectionPolicy::fixed(d),
-        None if opts.change_of_direction => DirectionPolicy::edges(avg_degree),
-        None => DirectionPolicy::fixed(Direction::Push),
-    }
+/// The direction policy of the BFS family over `g`: the forced direction,
+/// or the edge rule on `g`'s average degree. Depth BFS, parent BFS and
+/// every lane of their groups run it on the same inputs (frontier count,
+/// unvisited count, frontier out-edges), and a parent BFS visits exactly
+/// BFS's level sets, so a parent BFS makes BFS's decision at every level.
+pub(crate) fn bfs_policy(force: Option<Direction>, g: &Graph<bool>) -> DirectionPolicy {
+    force.map_or_else(
+        || DirectionPolicy::edges(g.csr().avg_degree()),
+        DirectionPolicy::fixed,
+    )
 }
 
 pub(crate) fn dispatch_bfs(
@@ -320,7 +321,10 @@ where
     // Optimization 1's switching rule lives in graphblas_core; BFS only
     // chooses which policy variant runs.
     let csr = g.csr();
-    let mut policy = bfs_policy(opts, csr.avg_degree());
+    let force = opts
+        .force
+        .or((!opts.change_of_direction).then_some(Direction::Push));
+    let mut policy = bfs_policy(force, g);
     let mut level = 0usize;
     let mut trace = Vec::new();
 

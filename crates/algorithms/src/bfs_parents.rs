@@ -14,20 +14,28 @@
 //! The **fused** pipeline recovers the exit the semiring forbids: because
 //! the frontier carries each vertex's *own id* as its value and neighbor
 //! lists are scanned ascending, the first explicit parent a pull row hits
-//! *is* the minimum one, so
-//! [`first_hit_exit`](graphblas_core::fused::FusedMxv::first_hit_exit)
-//! stops the row there — same tree bit-for-bit, strictly less matrix
-//! traffic. This per-row exit is expressible only in the fused form: the
-//! standalone kernel cannot know the input's values encode its indices.
+//! *is* the minimum one, so every fused pull row stops there
+//! ([`first_hit_exit`](graphblas_core::fused::FusedMxv::first_hit_exit)) —
+//! same tree bit-for-bit, strictly less matrix traffic. This per-row exit
+//! is expressible only in the fused form: the standalone kernel cannot
+//! know the input's values encode its indices.
+//!
+//! **Direction.** A parent BFS visits exactly BFS's level sets, and the
+//! min-id parent does not depend on the face that found it, so it runs
+//! BFS's edge rule ([`mod@crate::bfs`]) on the same inputs — the frontier
+//! count, the unvisited count, and the frontier's out-edges on a level
+//! that could switch — and makes BFS's push/pull decision at every level.
 
 use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::ops::MinSecond;
 use graphblas_core::vector::Vector;
-use graphblas_core::{mxv, run_guarded, DirectionPolicy, ExecLimits, FusedMxv, GrbResult};
+use graphblas_core::{mxv, run_guarded, ExecLimits, FusedMxv, GrbResult};
 use graphblas_matrix::{Graph, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use graphblas_primitives::BitVec;
+
+use crate::bfs::bfs_policy;
 
 /// Parent label for unreached vertices.
 pub const NO_PARENT: u32 = u32::MAX;
@@ -35,15 +43,14 @@ pub const NO_PARENT: u32 = u32::MAX;
 /// Options for parent BFS.
 #[derive(Clone, Copy, Debug)]
 pub struct ParentBfsOpts {
-    /// The §6.3 hysteresis switch ratio (α = β). Paper default 0.01.
-    pub switch_threshold: f64,
+    /// Pin every level to one direction (ablation arms). `None` runs BFS's
+    /// edge rule, so each level takes default BFS's direction.
+    pub force: Option<Direction>,
     /// Run each level as one fused mxv·assign pass (default) instead of
-    /// the separate-operation composition. Bit-identical either way.
+    /// the separate-operation composition. Identical parents either way;
+    /// the fused pull stops each row at its first frontier parent, so it
+    /// reads the matrix less.
     pub fused: bool,
-    /// Fused pull rows stop at the first frontier parent (the minimum one,
-    /// by the ascending-scan argument in the module doc). Only meaningful
-    /// with `fused`; identical parents either way, less matrix traffic.
-    pub first_hit_exit: bool,
     /// Execution limits enforced by [`try_bfs_parents_with_opts`]; the
     /// infallible entry points ignore this field.
     pub limits: ExecLimits,
@@ -52,9 +59,8 @@ pub struct ParentBfsOpts {
 impl Default for ParentBfsOpts {
     fn default() -> Self {
         Self {
-            switch_threshold: 0.01,
+            force: None,
             fused: true,
-            first_hit_exit: true,
             limits: ExecLimits::none(),
         }
     }
@@ -71,14 +77,16 @@ pub struct ParentBfsResult {
 }
 
 /// Direction-optimized parent BFS (min-parent tie-breaking) with default
-/// options except the given switch threshold.
+/// options.
+///
+/// The third argument is not read: parent BFS runs BFS's edge rule, which
+/// has no threshold. It stays only because the benchmark package's input
+/// test (`benchmark/src/input.rs`) calls this function with three
+/// arguments; once that call moves to [`bfs_parents_with_opts`], the
+/// argument can go.
 #[must_use]
-pub fn bfs_parents(g: &Graph<bool>, source: VertexId, switch_threshold: f64) -> ParentBfsResult {
-    let opts = ParentBfsOpts {
-        switch_threshold,
-        ..ParentBfsOpts::default()
-    };
-    bfs_parents_with_opts(g, source, &opts, None)
+pub fn bfs_parents(g: &Graph<bool>, source: VertexId, _switch_threshold: f64) -> ParentBfsResult {
+    bfs_parents_with_opts(g, source, &ParentBfsOpts::default(), None)
 }
 
 /// Parent BFS with explicit options and optional access counters.
@@ -122,13 +130,19 @@ fn parent_bfs_loop(
     // Frontier carries each frontier vertex's own id as its value — the
     // invariant the fused first-hit exit relies on.
     let mut f: Vector<u32> = Vector::singleton(n, NO_PARENT, source, source);
-    let mut policy = DirectionPolicy::hysteresis(opts.switch_threshold);
+    let mut unvisited = n - 1;
+    let csr = g.csr();
+    let mut policy = bfs_policy(opts.force, g);
     let mut levels = 0usize;
     let base = Descriptor::new().transpose(true);
 
     loop {
         levels += 1;
-        let dir = policy.update(f.nnz(), n);
+        // BFS's edge rule on BFS's inputs; the frontier's out-edges are
+        // summed only on a level that could switch.
+        let dir = policy.update_edges(f.nnz(), n, unvisited, || {
+            f.iter_explicit().map(|(i, _)| csr.degree(i as usize)).sum()
+        });
         let desc = base.force(dir);
         match dir {
             Direction::Pull => f.make_dense(),
@@ -138,13 +152,14 @@ fn parent_bfs_loop(
         let mask = Mask::complement(&visited);
         let discovered: Vec<u32> = if opts.fused {
             // min-parent reduce, identity apply, and the parent-array
-            // assign as one kernel pass; the mask guarantees unvisited
+            // assign as one kernel pass, each pull row stopping at its
+            // first (minimum) parent; the mask guarantees unvisited
             // outputs, so the update rule always writes.
             let out = FusedMxv::new(MinSecond, g, &f)
                 .mask(&mask)
                 .descriptor(desc)
                 .counters(counters)
-                .first_hit_exit(opts.first_hit_exit)
+                .first_hit_exit(true)
                 .apply(|p: u32| p)
                 .assign_into(&mut parent, |_, p| Some(p))?;
             out.touched
@@ -161,6 +176,7 @@ fn parent_bfs_loop(
         for &v in &discovered {
             visited.set(v as usize);
         }
+        unvisited -= discovered.len();
         if discovered.is_empty() {
             break;
         }
@@ -206,9 +222,31 @@ pub fn verify_parents(g: &Graph<bool>, source: VertexId, parent: &[u32]) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::{bfs_with_opts, BfsOpts};
+    use graphblas_baselines::textbook::bfs_serial;
     use graphblas_gen::grid::{road_mesh, RoadParams};
     use graphblas_gen::rmat::{rmat, RmatParams};
+    use graphblas_gen::suite::{dataset, DATASET_NAMES};
     use graphblas_matrix::Coo;
+
+    /// Parent BFS with `force` (fused or not), its counters' push and pull
+    /// steps, and its matrix reads.
+    fn run(
+        g: &Graph<bool>,
+        source: VertexId,
+        force: Option<Direction>,
+        fused: bool,
+    ) -> (ParentBfsResult, (u64, u64), u64) {
+        let c = AccessCounters::new();
+        let opts = ParentBfsOpts {
+            force,
+            fused,
+            ..ParentBfsOpts::default()
+        };
+        let r = bfs_parents_with_opts(g, source, &opts, Some(&c));
+        let s = c.snapshot();
+        (r, (s.push_steps, s.pull_steps), s.matrix)
+    }
 
     #[test]
     fn path_parents_are_predecessors() {
@@ -248,10 +286,9 @@ mod tests {
         }
         coo.clean_undirected();
         let g = Graph::from_coo(&coo);
-        // Push-only (threshold 2.0 never crosses) and pull-heavy
-        // (threshold 0.0 crosses immediately) must agree exactly.
-        let push = bfs_parents(&g, 0, 2.0);
-        let pull = bfs_parents(&g, 0, 0.0);
+        let (push, push_steps, _) = run(&g, 0, Some(Direction::Push), true);
+        let (pull, pull_steps, _) = run(&g, 0, Some(Direction::Pull), true);
+        assert_eq!((push_steps.1, pull_steps.0), (0, 0), "each face pinned");
         assert_eq!(push.parent, pull.parent);
         assert_eq!(push.parent[3], 1, "minimum-id parent");
     }
@@ -270,44 +307,71 @@ mod tests {
     #[test]
     fn fused_first_hit_and_unfused_agree_everywhere() {
         let g = rmat(10, 16, RmatParams::default(), 14);
-        for threshold in [0.0, 0.01, 2.0] {
-            let run = |fused: bool, first_hit: bool| {
-                let opts = ParentBfsOpts {
-                    switch_threshold: threshold,
-                    fused,
-                    first_hit_exit: first_hit,
-                    ..ParentBfsOpts::default()
-                };
-                bfs_parents_with_opts(&g, 7, &opts, None).parent
-            };
-            let reference = run(false, false);
-            assert_eq!(run(true, false), reference, "fused, t={threshold}");
-            assert_eq!(run(true, true), reference, "first-hit, t={threshold}");
+        for force in [None, Some(Direction::Push), Some(Direction::Pull)] {
+            let (unfused, unfused_steps, _) = run(&g, 7, force, false);
+            let (fused, fused_steps, _) = run(&g, 7, force, true);
+            assert_eq!(fused.parent, unfused.parent, "{force:?}");
+            assert_eq!(fused.levels, unfused.levels, "{force:?}");
+            assert_eq!(fused_steps, unfused_steps, "{force:?}");
         }
     }
 
     #[test]
     fn first_hit_exit_cuts_pull_matrix_traffic() {
-        // Pull-heavy run (threshold 0 switches immediately): first-hit
-        // rows stop at their first frontier parent.
+        // All-pull runs: the fused rows stop at their first frontier
+        // parent, the unfused rows reduce every in-neighbour.
         let g = rmat(11, 24, RmatParams::default(), 5);
-        let run = |first_hit: bool| {
-            let c = AccessCounters::new();
-            let opts = ParentBfsOpts {
-                switch_threshold: 0.0,
-                fused: true,
-                first_hit_exit: first_hit,
-                ..ParentBfsOpts::default()
-            };
-            let r = bfs_parents_with_opts(&g, 0, &opts, Some(&c));
-            (r.parent, c.snapshot().matrix)
-        };
-        let (p_full, m_full) = run(false);
-        let (p_hit, m_hit) = run(true);
-        assert_eq!(p_hit, p_full, "identical trees");
+        let (full, _, m_full) = run(&g, 0, Some(Direction::Pull), false);
+        let (hit, _, m_hit) = run(&g, 0, Some(Direction::Pull), true);
+        assert_eq!(hit.parent, full.parent, "identical trees");
         assert!(
             m_hit < m_full,
             "first-hit must reduce matrix accesses: {m_hit} vs {m_full}"
         );
+    }
+
+    #[test]
+    fn parent_bfs_edge_rule_steps_match_bfs() {
+        // A parent BFS visits BFS's level sets and runs BFS's edge rule on
+        // the same inputs, so it takes default BFS's direction at every
+        // level; its parents are the min-id tree of the serial depths.
+        for name in DATASET_NAMES {
+            let g = dataset(name, 9, 7).expect("known dataset").graph;
+            let n = g.n_vertices();
+            for source in [0, n / 3, 2 * n / 3].map(|s| s as VertexId) {
+                let (p, p_steps, _) = run(&g, source, None, true);
+                let c = AccessCounters::new();
+                let b = bfs_with_opts(&g, source, &BfsOpts::default(), Some(&c));
+                let b_steps = (c.snapshot().push_steps, c.snapshot().pull_steps);
+                assert_eq!(p_steps, b_steps, "{name} from {source}: steps");
+                assert_eq!(p.levels, b.levels, "{name} from {source}: levels");
+                let depths = bfs_serial(&g, source);
+                for (v, &d) in depths.iter().enumerate() {
+                    let want = match d {
+                        -1 => NO_PARENT,
+                        0 => source,
+                        d => *g
+                            .parents(v as VertexId)
+                            .iter()
+                            .find(|&&u| depths[u as usize] == d - 1)
+                            .expect("a reached vertex has a parent one level up"),
+                    };
+                    assert_eq!(p.parent[v], want, "{name} from {source}: vertex {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parent_bfs_edge_rule_keeps_a_mid_mesh_road_source_all_push() {
+        // roadnet (suite shrink 6, seed 1) from source 16715: frontiers of
+        // 316–362 vertices, just over 1% of |V|, that §6.3 hysteresis
+        // pulled on 35 of 194 levels; their edges stay under the edge
+        // rule's |V|/8 floor, as in default BFS.
+        let g = dataset("roadnet", 6, 1).expect("known dataset").graph;
+        let (r, steps, _) = run(&g, 16715, None, true);
+        assert_eq!(r.levels, 194);
+        assert_eq!(steps, (194, 0), "every level pushes");
+        assert!(verify_parents(&g, 16715, &r.parent));
     }
 }

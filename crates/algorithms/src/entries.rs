@@ -6,13 +6,11 @@
 //! ([`multi_source_bfs_entries`], [`bfs_parents_entries`]) run entries in
 //! lane groups of at most 64: one shared traversal over bit-packed lane
 //! words ([`crate::msbfs`]), one pull sweep and one push sweep per level
-//! for every lane, each lane under its own direction policy (BFS's edge
-//! rule for a depth lane, parent BFS's §6.3 hysteresis for a parent
-//! lane). A group
-//! of one runs the single-source fused path instead, with the entry's
-//! counters and limits. [`sssp_entries`] advances its entries through one
-//! [`mxv_batch`] call per round with per-row counters, each row's charges
-//! landing on its entry.
+//! for every lane, each lane under its own copy of BFS's edge rule, depth
+//! and parent lanes alike. A group of one runs the single-source fused
+//! path instead, with the entry's counters and limits. [`sssp_entries`]
+//! advances its entries through one [`mxv_batch`] call per round with
+//! per-row counters, each row's charges landing on its entry.
 //!
 //! **Counter contract.** Every entry's values, level count and push/pull
 //! steps are identical to its solo run. In a shared group of two or more,
@@ -252,7 +250,6 @@ fn run_entries<R>(
         let all: Vec<usize> = (0..chunk.len()).collect();
         let group = GroupSpec {
             sources: &sources,
-            policy: spec.policy.clone(),
             bills: Some(&bills),
             ..*spec
         };
@@ -286,7 +283,7 @@ pub fn multi_source_bfs_entries(
 ) -> Vec<GrbResult<EntryBfs>> {
     let spec = GroupSpec {
         sources: &[],
-        policy: opts.policy(g),
+        force: opts.force,
         record: Record::Depths,
         bills: None,
         shared,
@@ -318,9 +315,10 @@ pub fn multi_source_bfs_entries(
 /// Coalesced parent BFS (min-parent tie-breaking): each entry's parents,
 /// levels and push/pull steps equal its solo run's
 /// ([`crate::bfs_parents::try_bfs_parents_with_opts`] under `opts` and the
-/// entry's limits). `opts.fused` and `opts.first_hit_exit` shape only that
-/// solo path; a shared group takes the first (ascending) in-neighbour on
-/// pull and the minimum frontier id on push, the same tree.
+/// entry's limits), which are a BFS's from the same source. `opts.fused`
+/// shapes only that solo path; a shared group takes the first (ascending)
+/// in-neighbour on pull and the minimum frontier id on push, the same
+/// tree.
 ///
 /// # Panics
 /// If an entry's source is out of range (the service validates first).
@@ -332,7 +330,7 @@ pub fn bfs_parents_entries(
 ) -> Vec<GrbResult<EntryParents>> {
     let spec = GroupSpec {
         sources: &[],
-        policy: DirectionPolicy::hysteresis(opts.switch_threshold),
+        force: opts.force,
         record: Record::Parents,
         bills: None,
         shared,

@@ -8,13 +8,13 @@
 //! that GraphBLAST writes as a masked mxm. The paper's three optimizations
 //! carry over lane by lane:
 //!
-//! * **change of direction** — every lane runs its own [`DirectionPolicy`]
-//!   on exactly its solo run's inputs, so one level may pull some lanes and
-//!   push others, and each lane's push/pull sequence equals its solo run's.
-//!   A depth lane runs BFS's edge rule on its frontier count, its own
-//!   unvisited count, and its frontier's out-edges, which one pass over the
-//!   group frontier sums for exactly the lanes on a growing push level; a
-//!   parent lane runs parent BFS's §6.3 hysteresis on its frontier count;
+//! * **change of direction** — every lane, depth or parent, runs its own
+//!   copy of BFS's edge rule on exactly its solo run's inputs: its frontier
+//!   count, its own unvisited count, and its frontier's out-edges, which
+//!   one pass over the group frontier sums for exactly the lanes on a
+//!   growing push level. One level may pull some lanes and push others,
+//!   each lane's push/pull sequence equals its solo run's, and a group
+//!   runs one rule whatever it records;
 //! * **masking** — a pull row is scanned only for the lanes that have not
 //!   seen it, and a push ORs its lanes only into unseen slots;
 //! * **early exit** — a pull row stops once every wanted lane has a hit.
@@ -40,8 +40,7 @@ use graphblas_core::descriptor::Direction;
 use graphblas_core::exec::{panic_message, stop_error};
 use graphblas_core::ops_mxv_lanes::lanes;
 use graphblas_core::{
-    run_guarded, DirectionPolicy, ExecLimits, GrbError, GrbResult, LaneCharges, LaneGroup,
-    StopReason, MAX_LANES,
+    run_guarded, ExecLimits, GrbError, GrbResult, LaneCharges, LaneGroup, StopReason, MAX_LANES,
 };
 use graphblas_matrix::{Csr, Graph, VertexId};
 use graphblas_primitives::counters::{AccessCounters, CounterSnapshot};
@@ -81,13 +80,6 @@ impl MsBfsOpts {
             limits: self.limits,
             ..BfsOpts::default()
         }
-    }
-
-    /// The direction policy every lane runs over `g`: the forced direction,
-    /// or the edge rule — what [`MsBfsOpts::solo`] runs.
-    #[must_use]
-    pub fn policy(&self, g: &Graph<bool>) -> DirectionPolicy {
-        bfs_policy(&self.solo(), g.csr().avg_degree())
     }
 }
 
@@ -153,7 +145,7 @@ fn msbfs_loop(
         }
         let spec = GroupSpec {
             sources: group,
-            policy: opts.policy(g),
+            force: opts.force,
             record: Record::Depths,
             bills: None,
             shared: counters,
@@ -198,8 +190,9 @@ pub(crate) struct LaneDone {
 pub(crate) struct GroupSpec<'a> {
     /// Lane `l` starts at `sources[l]`; at most [`MAX_LANES`].
     pub sources: &'a [VertexId],
-    /// The policy every lane starts from.
-    pub policy: DirectionPolicy,
+    /// The direction every lane is pinned to; `None` runs BFS's edge rule
+    /// in each lane.
+    pub force: Option<Direction>,
     pub record: Record,
     /// Per-lane counter sets with their limits installed (the `*_entries`
     /// functions): each receives its lane's bill and is polled at every
@@ -249,7 +242,7 @@ pub(crate) fn run_group(g: &Graph<bool>, spec: &GroupSpec<'_>) -> Vec<GrbResult<
     }
 
     let mut group = LaneGroup::new(n, spec.sources);
-    let mut policies = vec![spec.policy.clone(); k];
+    let mut policies = vec![bfs_policy(spec.force, g); k];
     let mut counts = vec![1usize; k];
     // Each lane's unvisited count and frontier out-edges: its solo run's
     // edge-rule inputs.

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use graphblas_algo::bc::betweenness;
-use graphblas_algo::bfs_parents::bfs_parents;
+use graphblas_algo::bfs_parents::{bfs_parents_with_opts, ParentBfsOpts};
 use graphblas_algo::cc::connected_components;
 use graphblas_algo::ktruss::ktruss;
 use graphblas_algo::mis::maximal_independent_set;
@@ -29,7 +29,8 @@ fn bench_algorithms(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     group.bench_function("bfs_parents", |b| {
-        b.iter(|| black_box(bfs_parents(&g, 0, 0.01)))
+        let opts = ParentBfsOpts::default();
+        b.iter(|| black_box(bfs_parents_with_opts(&g, 0, &opts, None)))
     });
     group.bench_function("multi_source_bfs_8", |b| {
         let sources: Vec<u32> = (0..8).map(|i| i * 37).collect();

@@ -11,8 +11,9 @@
 //! through the mask-first claim kernel, any other merges as §6.2 does
 //! (radix sort and segmented reduce). Every kernel face reads the graph's
 //! resident CSR for its orientation, so there is no storage-format field.
-//! The §6.3 switch threshold (`α = β = 0.01`) is a traversal-level
-//! setting: it lives in the algorithm options and the
+//! The switching rule (the BFS family's edge rule, or the §6.3 threshold
+//! `α = β = 0.01` of the other traversals) is a traversal-level setting:
+//! it lives in the algorithm options and the
 //! [`crate::plan::DirectionPolicy`] they build.
 
 /// Traversal direction ≡ matvec kernel family (§4).

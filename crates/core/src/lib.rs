@@ -21,10 +21,10 @@
 //!
 //! 1. **Change of direction** — [`ops_mxv::mxv`] dispatches on the input
 //!    vector's storage or a forced direction; [`plan::DirectionPolicy`]
-//!    decides each level of an iterative algorithm: BFS prices both
-//!    directions by the edges they read (`m_f` against `d̄·|unvisited|/α`),
-//!    the other traversals keep the paper's `nnz(f)/|V| >< 0.01`
-//!    hysteresis or its two-phase variant.
+//!    decides each level of an iterative algorithm: BFS and parent BFS
+//!    price both directions by the edges they read (`m_f` against
+//!    `d̄·|unvisited|/α`), the other traversals keep the paper's
+//!    `nnz(f)/|V| >< 0.01` hysteresis or its two-phase variant.
 //! 2. **Masking** — [`mask::Mask`], applied inside the row and column
 //!    kernels of a masked `mxv`.
 //! 3. **Early-exit** — row-based masked kernel breaks out of a row when the

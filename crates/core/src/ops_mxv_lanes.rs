@@ -18,10 +18,12 @@
 //!   lanes, masked by `¬seen`, into its out-neighbours' next words.
 //!
 //! Each lane picks its own direction, so one level may pull some lanes and
-//! push others. A pull row scans the maximum of what its lanes' solo runs
-//! would scan (never more than their sum), and a push vertex is expanded
-//! once for all of its lanes, so a group's matrix traffic is at most the
-//! sum of its members' solo runs.
+//! push others. The caller decides it: `graphblas_algo::msbfs` runs BFS's
+//! edge rule in every lane, depth or parent, so each lane makes the
+//! decision a solo BFS from its source makes. A pull row scans the maximum
+//! of what its lanes' solo runs would scan (never more than their sum),
+//! and a push vertex is expanded once for all of its lanes, so a group's
+//! matrix traffic is at most the sum of its members' solo runs.
 //!
 //! With parent slots attached, a pull row records, for each new lane, the
 //! first in-neighbour (ascending) carrying it, and a push keeps the

@@ -10,18 +10,20 @@
 //!   direction follows the input's storage (sparse → push, dense → pull)
 //!   unless the descriptor forces one.
 //! * **Per traversal** — [`DirectionPolicy`]: what the traversal loops
-//!   feed each level's activity to. BFS and its lane groups run the edge
-//!   rule, Beamer's switch priced by the edges each direction reads: a
-//!   growing push frontier turns to pull once its out-edges `m_f` exceed
-//!   both `d̄·|unvisited| / α` ([`EDGE_ALPHA`]) and `|V| / 8`
-//!   ([`EDGE_FLOOR`]), and a shrinking pull frontier turns back once it
-//!   holds fewer than `|V| / β` vertices ([`EDGE_BETA`]). Parent BFS, CC,
-//!   BC and the Gunrock-like engine keep the §6.3 hysteresis on
-//!   `nnz(f) / |V|`, and SSSP the §5.6 two-phase rule. A single-source
-//!   loop forces the policy's direction on the level's descriptor; a
-//!   batched one (BC, coalesced SSSP) keeps one policy per source and
-//!   stores that source's row in the chosen direction's storage. No kernel
-//!   holds a policy.
+//!   feed each level's activity to. The BFS family — BFS, parent BFS and
+//!   every lane of their lane groups — runs the edge rule, Beamer's switch
+//!   priced by the edges each direction reads: a growing push frontier
+//!   turns to pull once its out-edges `m_f` exceed both
+//!   `d̄·|unvisited| / α` ([`EDGE_ALPHA`]) and `|V| / 8` ([`EDGE_FLOOR`]),
+//!   and a shrinking pull frontier turns back once it holds fewer than
+//!   `|V| / β` vertices ([`EDGE_BETA`]). A parent BFS visits BFS's level
+//!   sets and feeds the rule the same inputs, so it makes BFS's decision at
+//!   every level. CC, BC and the Gunrock-like engine keep the §6.3
+//!   hysteresis on `nnz(f) / |V|`, and SSSP the §5.6 two-phase rule. A
+//!   single-source loop forces the policy's direction on the level's
+//!   descriptor; a batched one (BC, coalesced SSSP) keeps one policy per
+//!   source and stores that source's row in the chosen direction's
+//!   storage. No kernel holds a policy.
 
 use crate::descriptor::{Descriptor, Direction, DirectionChoice};
 use crate::ops::Scalar;
@@ -106,13 +108,13 @@ enum PolicyMode {
 /// on; `DirectionPolicy` is the *activity→direction* rule that decides
 /// which kernel an iterative algorithm steers toward next.
 ///
-/// * BFS and every depth lane of its lane groups run the edge rule
+/// * BFS, parent BFS and every lane of their lane groups run the edge rule
 ///   ([`DirectionPolicy::edges`]), which prices each direction by the
-///   edges it reads.
-/// * Parent BFS and its lane groups, CC, BC and the Gunrock-like
-///   comparator engine run §6.3 hysteresis against a capacity of `|V|`.
-///   Parent BFS's valued push has a cost of its own (the radix sort), so
-///   it keeps the paper's rule until that push is priced.
+///   edges it reads. Its inputs (frontier count, unvisited count, frontier
+///   out-edges) do not depend on what a run records, so a parent BFS makes
+///   BFS's decision at every level.
+/// * CC, BC and the Gunrock-like comparator engine run §6.3 hysteresis
+///   against a capacity of `|V|`.
 /// * SSSP (solo and coalesced) runs two-phase on its delta set.
 /// * The batched loops (BC, coalesced SSSP) call one policy per source
 ///   and hand the batch kernel each row in the chosen direction's storage.

@@ -6,8 +6,9 @@
 //! O(1) random access into the input and column-based matvec wants the
 //! nonzero list. Storage *is* the direction signal: `mxv` runs the column
 //! kernel (push) on sparse inputs and the row kernel (pull) on dense
-//! inputs. The algorithms decide the switch with the §6.3 hysteresis of
-//! [`crate::plan::DirectionPolicy`] and convert with
+//! inputs. The algorithms decide the switch with a
+//! [`crate::plan::DirectionPolicy`] (the BFS family's edge rule, or the
+//! §6.3 hysteresis of the other traversals) and convert with
 //! [`Vector::make_sparse`] / [`Vector::make_dense`].
 
 use crate::ops::Scalar;

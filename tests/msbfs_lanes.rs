@@ -6,8 +6,8 @@
 //! * every source's push/pull steps equal its solo run's;
 //! * a group reads the matrix at most as often as its members' solo runs
 //!   together, and its bills sum exactly to the group total;
-//! * values and every counter are identical at 1, 2 and 8 lanes (and at 4
-//!   for the edge-rule case).
+//! * values and every counter are identical at 1, 2 and 8 lanes (at 1, 2
+//!   and 4 for the edge-rule cases).
 //!
 //! The test names carry `msbfs` so the CI batched suite runs them at each
 //! pinned lane count.
@@ -235,57 +235,81 @@ fn msbfs_edge_rule_lanes_match_solo_at_1_2_and_4_lanes() {
     assert!(push > 0 && pull > 0, "lanes push and pull: {push} / {pull}");
 }
 
+/// Parent BFS entries for `sources`: each lane's parents, levels and steps
+/// equal its solo parent BFS, each group reads the matrix at most as often
+/// as its solo runs, and everything is identical at 1 lane and at each of
+/// `lanes`. Returns the bills.
+fn check_parent_lanes(g: &Graph<bool>, sources: &[u32], lanes: &[usize]) -> Vec<CounterSnapshot> {
+    let k = sources.len();
+    let opts = ParentBfsOpts::default();
+    let run = || {
+        let cs: Vec<AccessCounters> = sources.iter().map(|_| AccessCounters::new()).collect();
+        let entries: Vec<BatchEntry<'_>> = sources
+            .iter()
+            .zip(&cs)
+            .map(|(&s, c)| BatchEntry::new(s, c))
+            .collect();
+        let rs: Vec<_> = bfs_parents_entries(g, &entries, &opts, None)
+            .into_iter()
+            .map(|r| r.expect("unlimited entries complete"))
+            .collect();
+        (
+            rs,
+            cs.iter().map(AccessCounters::snapshot).collect::<Vec<_>>(),
+        )
+    };
+    let (rs, bills) = rayon::with_num_threads(1, run);
+    for group in 0..k.div_ceil(MAX_LANES) {
+        let (mut group_matrix, mut solo_matrix) = (0u64, 0u64);
+        for i in group * MAX_LANES..((group + 1) * MAX_LANES).min(k) {
+            let s = sources[i];
+            let c = AccessCounters::new();
+            let solo = bfs_parents_with_opts(g, s, &opts, Some(&c));
+            assert_eq!(rs[i].parent, solo.parent, "source {s} parents");
+            assert_eq!(rs[i].levels, solo.levels, "source {s} levels");
+            assert!(verify_parents(g, s, &rs[i].parent), "source {s} tree");
+            assert_eq!(steps(&bills[i]), steps(&c.snapshot()), "source {s} steps");
+            group_matrix += bills[i].matrix;
+            solo_matrix += c.snapshot().matrix;
+        }
+        assert!(
+            group_matrix <= solo_matrix,
+            "{group_matrix} > {solo_matrix}"
+        );
+    }
+    for &l in lanes {
+        let got = rayon::with_num_threads(l, run);
+        assert_eq!(got, (rs.clone(), bills.clone()), "diverged at {l} lanes");
+    }
+    bills
+}
+
 #[test]
 fn msbfs_parent_lanes_match_solo_parents() {
     for (g, k) in [
         (rmat(9, 8, RmatParams::default(), 9), 65usize),
         (directed(), 10),
     ] {
-        let sources = spread(g.n_vertices(), k);
-        let opts = ParentBfsOpts::default();
-        let run = || {
-            let cs: Vec<AccessCounters> = sources.iter().map(|_| AccessCounters::new()).collect();
-            let entries: Vec<BatchEntry<'_>> = sources
-                .iter()
-                .zip(&cs)
-                .map(|(&s, c)| BatchEntry::new(s, c))
-                .collect();
-            let rs: Vec<_> = bfs_parents_entries(&g, &entries, &opts, None)
-                .into_iter()
-                .map(|r| r.expect("unlimited entries complete"))
-                .collect();
-            (
-                rs,
-                cs.iter().map(AccessCounters::snapshot).collect::<Vec<_>>(),
-            )
-        };
-        let (rs, bills) = rayon::with_num_threads(1, run);
-        for group in 0..k.div_ceil(MAX_LANES) {
-            let (mut group_matrix, mut solo_matrix) = (0u64, 0u64);
-            for i in group * MAX_LANES..((group + 1) * MAX_LANES).min(k) {
-                let s = sources[i];
-                let c = AccessCounters::new();
-                let solo = bfs_parents_with_opts(&g, s, &opts, Some(&c));
-                assert_eq!(rs[i].parent, solo.parent, "source {s} parents");
-                assert_eq!(rs[i].levels, solo.levels, "source {s} levels");
-                assert!(verify_parents(&g, s, &rs[i].parent), "source {s} tree");
-                assert_eq!(steps(&bills[i]), steps(&c.snapshot()), "source {s} steps");
-                group_matrix += bills[i].matrix;
-                solo_matrix += c.snapshot().matrix;
-            }
-            assert!(
-                group_matrix <= solo_matrix,
-                "{group_matrix} > {solo_matrix}"
-            );
-        }
-        for lanes in LANES {
-            let got = rayon::with_num_threads(lanes, run);
-            assert_eq!(
-                got,
-                (rs.clone(), bills.clone()),
-                "diverged at {lanes} lanes"
-            );
-        }
+        check_parent_lanes(&g, &spread(g.n_vertices(), k), &LANES);
+    }
+}
+
+#[test]
+fn msbfs_edge_rule_parent_lanes_match_solo_at_1_2_and_4_lanes() {
+    // The depth lanes' hub-burst case: every parent lane runs BFS's edge
+    // rule on its own frontier edges and unvisited count, so lanes pull
+    // their bursts at different levels, each matching its solo run and
+    // making default BFS's decisions.
+    let g = rmat(12, 16, RmatParams::default(), 4);
+    let mut sources = spread(g.n_vertices(), 11);
+    sources.push(31);
+    let bills = check_parent_lanes(&g, &sources, &[2, 4]);
+    let (push, pull) = steps(&sum(&bills));
+    assert!(push > 0 && pull > 0, "lanes push and pull: {push} / {pull}");
+    for (&s, bill) in sources.iter().zip(&bills) {
+        let c = AccessCounters::new();
+        let _ = bfs_with_opts(&g, s, &MsBfsOpts::default().solo(), Some(&c));
+        assert_eq!(steps(bill), steps(&c.snapshot()), "source {s}: BFS's steps");
     }
 }
 

@@ -130,11 +130,12 @@ proptest! {
     fn parent_bfs_always_yields_valid_tree(
         g in arb_undirected(50, 300),
         source_raw in 0usize..50,
-        threshold in prop::sample::select(vec![0.0, 0.01, 2.0]),
+        force in prop::sample::select(vec![None, Some(Direction::Push), Some(Direction::Pull)]),
     ) {
-        use push_pull::algo::bfs_parents::{bfs_parents, verify_parents};
+        use push_pull::algo::bfs_parents::{bfs_parents_with_opts, verify_parents, ParentBfsOpts};
         let source = (source_raw % g.n_vertices()) as u32;
-        let r = bfs_parents(&g, source, threshold);
+        let opts = ParentBfsOpts { force, ..ParentBfsOpts::default() };
+        let r = bfs_parents_with_opts(&g, source, &opts, None);
         prop_assert!(verify_parents(&g, source, &r.parent));
     }
 

@@ -498,7 +498,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// BFS depths under the edge rule equal the serial oracle, fused and
-    /// unfused; the min-parent tree is a valid BFS tree, fused and unfused.
+    /// unfused; the min-parent tree is a valid BFS tree, fused and unfused,
+    /// and parent BFS makes BFS's push/pull decision at every level.
     #[test]
     fn bfs_and_parents_match_serial_oracle(
         seed in 0u64..1000,
@@ -519,11 +520,16 @@ proptest! {
         let source = (source_bits % n) as u32;
         let oracle = push_pull::baselines::textbook::bfs_serial(&g, source);
 
-        let r = bfs_with_opts(&g, source, &BfsOpts { fused, ..BfsOpts::default() }, None);
+        let bc = AccessCounters::new();
+        let r = bfs_with_opts(&g, source, &BfsOpts { fused, ..BfsOpts::default() }, Some(&bc));
         prop_assert_eq!(&r.depths, &oracle, "BFS depths");
 
+        let pc = AccessCounters::new();
         let opts = ParentBfsOpts { fused, ..ParentBfsOpts::default() };
-        let p = bfs_parents_with_opts(&g, source, &opts, None);
+        let p = bfs_parents_with_opts(&g, source, &opts, Some(&pc));
         prop_assert!(verify_parents(&g, source, &p.parent), "parent tree");
+        prop_assert_eq!(p.levels, r.levels, "parent BFS levels");
+        let steps = |c: &AccessCounters| (c.snapshot().push_steps, c.snapshot().pull_steps);
+        prop_assert_eq!(steps(&pc), steps(&bc), "parent BFS steps");
     }
 }

@@ -15,7 +15,7 @@ use push_pull::algo::cc::{try_connected_components_with_opts, CcOpts};
 use push_pull::algo::msbfs::{try_multi_source_bfs_with_opts, MsBfsOpts};
 use push_pull::algo::pagerank::{try_pagerank_with_counters, PageRankOpts};
 use push_pull::algo::sssp::{try_sssp_with_counters, SsspOpts};
-use push_pull::core::{run_guarded, BudgetResource, ExecLimits, GrbError, GrbResult};
+use push_pull::core::{run_guarded, BudgetResource, Direction, ExecLimits, GrbError, GrbResult};
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::gen::with_uniform_weights;
 use push_pull::matrix::Graph;
@@ -167,15 +167,15 @@ fn work_budget_abort_then_retry_is_bit_identical() {
     }
 }
 
-/// The work budget also stops the first-hit reducer parent BFS runs by
-/// default: an all-pull parent BFS over a budget smaller than one pull
-/// level's mask charge aborts with the typed work error at its first pull
-/// chunk, and rolls its counters back, at 1, 2 and 4 lanes.
+/// The work budget also stops the first-hit reducer of parent BFS's
+/// fused pull: a parent BFS forced to pull, over a budget smaller than one
+/// pull level's mask charge, aborts with the typed work error at its first
+/// pull chunk, and rolls its counters back, at 1, 2 and 4 lanes.
 #[test]
 fn work_budget_stops_an_all_pull_parent_bfs() {
     let g = rmat(10, 16, RmatParams::default(), 14);
     let opts = ParentBfsOpts {
-        switch_threshold: 0.0,
+        force: Some(Direction::Pull),
         limits: ExecLimits::none().with_work_budget(64),
         ..ParentBfsOpts::default()
     };
